@@ -162,14 +162,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         " test run) against the static lock graph",
     )
     parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="N",
-        help="lint files on N worker processes (default: 1, serial);"
-        " output is identical either way",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print per-rule-family wall time to stderr after the run",
@@ -208,7 +200,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         include_wire=not args.no_wire,
         ignore=args.ignore,
         profile=timings,
-        jobs=args.jobs,
         cache=cache,
     )
     if cache is not None:

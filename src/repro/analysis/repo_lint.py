@@ -240,30 +240,7 @@ def _walk_py_files(paths: Iterable[str]) -> list[str]:
     return files
 
 
-def lint_paths(
-    paths: Iterable[str], *, ignore: Iterable[str] = (), jobs: int = 1
-) -> list[Diagnostic]:
-    """Lint every ``.py`` file under each path (files are taken as-is).
-
-    ``jobs > 1`` lints files on that many worker processes (the pass is
-    per-file and CPU-bound in ``ast.parse``, so threads would serialize
-    on the GIL).  Results are reassembled in submission order, so the
-    diagnostic stream is byte-identical to a serial run.
-    """
-    files = _walk_py_files(paths)
+def lint_paths(paths: Iterable[str], *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
+    """Lint every ``.py`` file under each path (files are taken as-is)."""
     ignore = tuple(ignore)
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        out: list[Diagnostic] = []
-        with ProcessPoolExecutor(max_workers=min(jobs, len(files))) as pool:
-            for diags in pool.map(partial(_lint_one, ignore=ignore), files):
-                out.extend(diags)
-        return out
-    return [d for path in files for d in lint_file(path, ignore=ignore)]
-
-
-def _lint_one(path: str, ignore: tuple[str, ...]) -> list[Diagnostic]:
-    """Picklable per-file worker for the ``jobs > 1`` process pool."""
-    return lint_file(path, ignore=ignore)
+    return [d for path in _walk_py_files(paths) for d in lint_file(path, ignore=ignore)]

@@ -87,7 +87,6 @@ def run_analysis(
     ignore: Iterable[str] = (),
     baseline: Optional[dict[str, int]] = None,
     profile: Optional[dict[str, float]] = None,
-    jobs: int = 1,
     cache: Optional[AnalysisCache] = None,
 ) -> AnalysisReport:
     """Run every requested pass and aggregate the findings.
@@ -97,14 +96,12 @@ def run_analysis(
     to analyze directly.  A ``baseline`` (see
     :mod:`~repro.analysis.baseline`) drops known findings so only new
     ones remain in the report.  Pass a dict as ``profile`` to receive
-    per-rule-family wall times (seconds) in it.  ``jobs > 1`` fans the
-    per-file repo-lint and WIRE passes out over worker processes; the
-    final report is sorted either way, so the output is identical to a
-    serial run.  An :class:`~repro.analysis.cache.AnalysisCache` skips
-    unchanged files (per-file passes) and unchanged trees (graph
-    passes); cached output is identical to a cold run's because entries
-    are keyed by content digest and salted by the rule registry and
-    ``ignore`` set.  The caller persists it with ``cache.save()``.
+    per-rule-family wall times (seconds) in it.  An
+    :class:`~repro.analysis.cache.AnalysisCache` skips unchanged files
+    (per-file passes) and unchanged trees (graph passes); cached output
+    is identical to a cold run's because entries are keyed by content
+    digest and salted by the rule registry and ``ignore`` set.  The
+    caller persists it with ``cache.save()``.
     """
     ignore = tuple(ignore)
     paths = tuple(paths)
@@ -157,7 +154,7 @@ def run_analysis(
             lambda: per_file_pass(
                 "repo-lint",
                 files,
-                lambda: lint_paths(paths, ignore=ignore, jobs=jobs),
+                lambda: lint_paths(paths, ignore=ignore),
                 lambda p: lint_file(p, ignore=ignore),
             ),
         )
@@ -167,7 +164,7 @@ def run_analysis(
                 lambda: per_file_pass(
                     "wire",
                     files,
-                    lambda: wire_paths(paths, ignore=ignore, jobs=jobs),
+                    lambda: wire_paths(paths, ignore=ignore),
                     lambda p: wire_file(p, ignore=ignore),
                 ),
             )

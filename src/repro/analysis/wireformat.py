@@ -1438,34 +1438,16 @@ def wire_file(path: str, *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
     return wire_source(source, path, ignore=ignore)
 
 
-def wire_paths(
-    paths: Iterable[str], *, ignore: Iterable[str] = (), jobs: int = 1
-) -> list[Diagnostic]:
+def wire_paths(paths: Iterable[str], *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
     """WIRE diagnostics for every ``.py`` file under each path.
 
-    Mirrors :func:`repro.analysis.repo_lint.lint_paths`: per-file,
-    deterministic order, optionally fanned out over worker processes with
-    results reassembled in submission order.
+    Mirrors :func:`repro.analysis.repo_lint.lint_paths`: per-file, in
+    deterministic order.
     """
     from .repo_lint import _walk_py_files
 
-    files = _walk_py_files(paths)
     ignore = tuple(ignore)
-    if jobs > 1 and len(files) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from functools import partial
-
-        out: list[Diagnostic] = []
-        with ProcessPoolExecutor(max_workers=min(jobs, len(files))) as pool:
-            for diags in pool.map(partial(_wire_one, ignore=ignore), files):
-                out.extend(diags)
-        return out
-    return [d for path in files for d in wire_file(path, ignore=ignore)]
-
-
-def _wire_one(path: str, ignore: tuple[str, ...]) -> list[Diagnostic]:
-    """Picklable per-file worker for the ``jobs > 1`` process pool."""
-    return wire_file(path, ignore=ignore)
+    return [d for path in _walk_py_files(paths) for d in wire_file(path, ignore=ignore)]
 
 
 def analyze_wireformat(

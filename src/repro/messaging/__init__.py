@@ -19,7 +19,6 @@ from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Su
 from .sharded import ShardedSemanticBus, ShardSubscription, SlowSubscriberPolicy
 from .transport import (
     BrokerAPI,
-    BrokerLike,
     DatagramTransport,
     LoopbackUDP,
     SemanticEndpoint,
@@ -50,7 +49,6 @@ __all__ = [
     "ShardSubscription",
     "SlowSubscriberPolicy",
     "BrokerAPI",
-    "BrokerLike",
     "make_broker",
     "Transport",
     "DatagramTransport",

@@ -22,6 +22,7 @@ from .._locks import make_lock
 from ..core.matching import Decision, MatchResult, interpret
 from ..core.matching_engine import MatchingEngine
 from ..core.profiles import ClientProfile
+from ..core.selectors import Selector
 from .message import SemanticMessage
 
 __all__ = [
@@ -197,6 +198,51 @@ class Subscription:
             self.bus._detach(self)
 
 
+def offer(
+    message: SemanticMessage,
+    selector: Selector | str,
+    headers: dict,
+    candidates: Iterable[Subscription],
+    exclude: Optional[ClientProfile] = None,
+    accept: Optional[Callable[[Subscription, Delivery], None]] = None,
+    reject: Optional[Callable[[Subscription], None]] = None,
+) -> tuple[int, int, int]:
+    """Offer one message to an ordered candidate list.
+
+    The match-and-deliver decision every backend shares: skip the
+    sender's own subscriptions (``exclude``, loopback suppression),
+    interpret ``selector`` and ``headers`` against the candidate's
+    profile, skip a ``REJECT`` (after telling ``reject``, if given),
+    count the acceptance on the subscription, and hand the
+    :class:`Delivery` to ``accept`` — by default the subscription's own
+    callback, called before the next candidate is interpreted.  Backends
+    differ only in where ``candidates`` come from (index shortlist,
+    snapshot, one shard, an endpoint's local subscriptions) and in what
+    ``accept`` does.  Returns ``(checked, delivered, transformed)``.
+    """
+    checked = delivered = transformed = 0
+    for sub in candidates:
+        if exclude is not None and sub.profile is exclude:
+            continue
+        checked += 1
+        result = interpret(selector, headers, sub.profile)
+        if result.decision is Decision.REJECT:
+            if reject is not None:
+                reject(sub)
+            continue
+        if result.decision is Decision.ACCEPT_WITH_TRANSFORM:
+            sub.transformed += 1
+            transformed += 1
+        else:
+            sub.accepted += 1
+        delivered += 1
+        if accept is None:
+            sub.callback(Delivery(message, result))
+        else:
+            accept(sub, Delivery(message, result))
+    return checked, delivered, transformed
+
+
 class SemanticBus:
     """Profile-addressed multicast dispatch.
 
@@ -335,21 +381,9 @@ class SemanticBus:
         headers = message.effective_headers()
         with self._attach_lock:
             candidates, offered, excluded, via_index = self._plan_publish(message, exclude)
-        delivered = transformed = checked = 0
-        for sub in candidates:
-            if exclude is not None and sub.profile is exclude:
-                continue
-            checked += 1
-            result = interpret(message.selector, headers, sub.profile)
-            if result.decision is Decision.REJECT:
-                continue
-            if result.decision is Decision.ACCEPT_WITH_TRANSFORM:
-                sub.transformed += 1
-                transformed += 1
-            else:
-                sub.accepted += 1
-            delivered += 1
-            sub.callback(Delivery(message, result))
+        checked, delivered, transformed = offer(
+            message, message.selector, headers, candidates, exclude
+        )
         return PublishResult(
             delivered=delivered,
             transformed=transformed,

@@ -46,11 +46,10 @@ from heapq import merge as _ordered_merge
 from typing import Callable, Iterable, Optional
 
 from .._locks import make_lock
-from ..core.matching import Decision, MatchResult, interpret
 from ..core.matching_engine import MatchingEngine, compile_selector
 from ..core.profiles import ClientProfile
 from ..core.selectors import Selector
-from .broker import BatchPublishResult, Delivery, PublishResult, Subscription
+from .broker import BatchPublishResult, Delivery, PublishResult, Subscription, offer
 from .message import SemanticMessage
 
 __all__ = ["ShardedSemanticBus", "ShardSubscription", "SlowSubscriberPolicy"]
@@ -298,15 +297,15 @@ class ShardedSemanticBus:
             outputs = self._match_all(work, msgs, headers_list, selectors, sel_of, groups, exclude)
 
         # -------- ordered merge + admission-controlled delivery --------
+        checked = [0] * n
         delivered = [0] * n
         transformed = [0] * n
-        checked = [0] * n
-        skipped = 0
-        for _entries, shard_checked, shard_skipped in outputs:
-            for i, c in enumerate(shard_checked):
+        for _entries, shard_counts, shard_skipped in outputs:
+            for i, (c, d, t) in enumerate(shard_counts):
                 checked[i] += c
-            skipped += shard_skipped
-        self.shard_skips += skipped
+                delivered[i] += d
+                transformed[i] += t
+            self.shard_skips += shard_skipped
 
         capacity = self.queue_capacity
         policy = self.slow_policy
@@ -317,18 +316,12 @@ class ShardedSemanticBus:
         merged = _ordered_merge(
             *(entries for entries, _c, _s in outputs), key=lambda e: (e[0], e[1])
         )
-        for m, _seq, sub, result in merged:
-            delivered[m] += 1
-            if result.decision is Decision.ACCEPT_WITH_TRANSFORM:
-                transformed[m] += 1
-                sub.transformed += 1
-            else:
-                sub.accepted += 1
+        for _m, _seq, sub, delivery in merged:
             if sub._slow_detached:
                 sub.shed += 1
                 batch_shed += 1
                 continue
-            entry = [sub, Delivery(msgs[m], result), True]
+            entry = [sub, delivery, True]
             pending.append(entry)
             sub._queue.append(entry)
             depth = len(sub._queue)
@@ -398,7 +391,7 @@ class ShardedSemanticBus:
         sel_of: dict[str, Selector],
         groups: dict[str, list[int]],
         exclude: Optional[ClientProfile],
-    ) -> list[tuple[list, list[int], int]]:
+    ) -> list[tuple[list, list[tuple[int, int, int]], int]]:
         """Run :meth:`_match_shard` over every populated shard.
 
         Fan-out uses the worker pool when configured with more than one
@@ -429,13 +422,14 @@ class ShardedSemanticBus:
         sel_of: dict[str, Selector],
         groups: dict[str, list[int]],
         exclude: Optional[ClientProfile],
-    ) -> tuple[list, list[int], int]:
+    ) -> tuple[list, list[tuple[int, int, int]], int]:
         """Decision stream of one shard for the whole batch.
 
-        Returns ``(entries, checked, skipped)`` where ``entries`` is a
-        ``(msg_index, attach_seq, sub, result)`` list sorted by
+        Returns ``(entries, counts, skipped)`` where ``entries`` is a
+        ``(msg_index, attach_seq, sub, delivery)`` list sorted by
         ``(msg_index, attach_seq)`` (feeds the ordered merge),
-        ``checked[i]`` counts interpreter runs for message ``i``, and
+        ``counts[i]`` is :func:`~repro.messaging.broker.offer`'s
+        ``(checked, delivered, transformed)`` for message ``i``, and
         ``skipped`` counts messages this shard never looked at thanks to
         the required-attribute test.
         """
@@ -460,23 +454,16 @@ class ShardedSemanticBus:
             else:
                 cand_of[text] = sorted(shortlist.keys, key=lambda s: s._seq)
         entries: list = []
-        checked = [0] * len(msgs)
-        for m, sel in enumerate(selectors):
-            candidates = cand_of[sel.text]
-            if not candidates:
-                continue
-            headers = headers_list[m]
-            n_checked = 0
-            for sub in candidates:
-                if exclude is not None and sub.profile is exclude:
-                    continue
-                n_checked += 1
-                result: MatchResult = interpret(sel, headers, sub.profile)
-                if result.decision is Decision.REJECT:
-                    continue
-                entries.append((m, sub._seq, sub, result))
-            checked[m] = n_checked
-        return entries, checked, skipped
+        counts = []
+        for m, (msg, sel) in enumerate(zip(msgs, selectors)):
+
+            def enqueue(sub: Subscription, delivery: Delivery, m: int = m) -> None:
+                entries.append((m, sub._seq, sub, delivery))
+
+            counts.append(
+                offer(msg, sel, headers_list[m], cand_of[sel.text] or (), exclude, accept=enqueue)
+            )
+        return entries, counts, skipped
 
     # ------------------------------------------------------------------
     # lifecycle / observability

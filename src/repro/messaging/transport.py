@@ -29,12 +29,11 @@ import zlib
 from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 
 from .._locks import make_lock
-from ..core.matching import Decision, MatchResult, interpret
 from ..core.profiles import ClientProfile
 from ..network.clock import Scheduler
 from ..network.multicast import MulticastGroup, MulticastSocket
 from ..network.simnet import Network
-from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription
+from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription, offer
 from .message import SemanticMessage
 from .rtp import (
     DEFAULT_MTU,
@@ -53,7 +52,6 @@ __all__ = [
     "Transport",
     "DatagramTransport",
     "BrokerAPI",
-    "BrokerLike",
     "make_broker",
     "SimTransport",
     "LoopbackUDP",
@@ -105,10 +103,6 @@ class BrokerAPI(Protocol):
     def subscribers(self) -> int: ...
 
     def stats(self) -> dict: ...
-
-
-#: Alias matching the "unified BrokerLike API" naming used in docs.
-BrokerLike = BrokerAPI
 
 
 def make_broker(
@@ -487,6 +481,7 @@ class SemanticEndpoint:
     # ------------------------------------------------------------------
     def _deliver_primary(self, delivery: Delivery) -> None:
         """Primary subscription callback: the application's handler."""
+        self.accepted_messages += 1
         self.on_delivery(delivery)
 
     def attach(
@@ -654,22 +649,15 @@ class SemanticEndpoint:
         with self._attach_lock:
             self.published += 1  # one offer to every local subscription
             subs = list(self._local_subs)
-        for sub in subs:
-            result = interpret(message.selector, headers, sub.profile)
-            if result.decision is Decision.REJECT:
-                # promiscuous inspection only ever applied to the
-                # endpoint's own profile; co-attached subscribers just
-                # miss the message, as on the in-process bus
-                if sub is self._primary and self.promiscuous and self.on_rejected is not None:
-                    self.on_rejected(message)
-                continue
-            if result.decision is Decision.ACCEPT_WITH_TRANSFORM:
-                sub.transformed += 1
-            else:
-                sub.accepted += 1
-            if sub is self._primary:
-                self.accepted_messages += 1
-            sub.callback(Delivery(message, result))
+
+        def rejected(sub: Subscription) -> None:
+            # promiscuous inspection only ever applied to the endpoint's
+            # own profile; co-attached subscribers just miss the message,
+            # as on the in-process bus
+            if sub is self._primary and self.promiscuous and self.on_rejected is not None:
+                self.on_rejected(message)
+
+        offer(message, message.selector, headers, subs, reject=rejected)
 
     def _warn_decode(self, what: str) -> None:
         import warnings

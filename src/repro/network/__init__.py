@@ -17,7 +17,7 @@ from .simnet import (
     PortInUseError,
 )
 from .udp import DatagramSocket
-from .multicast import FlatMulticast, MulticastGroup, MulticastSocket, TreeMulticast
+from .multicast import MulticastGroup, MulticastSocket
 from .routing import MulticastFabric, Router, RoutingError, TrustDomain
 from .faults import (
     AgentCrash,
@@ -48,10 +48,8 @@ __all__ = [
     "Packet",
     "PortInUseError",
     "DatagramSocket",
-    "FlatMulticast",
     "MulticastGroup",
     "MulticastSocket",
-    "TreeMulticast",
     "MulticastFabric",
     "Router",
     "RoutingError",

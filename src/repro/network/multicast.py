@@ -3,23 +3,24 @@
 The collaboration session rides on "the omnipresence of IP [multicast] on
 different physical media" (paper Sec. 5.1).  A multicast group is a
 membership registry keyed by a group address (``"239.x.y.z"`` style
-string) plus a pluggable *delivery strategy*:
+string); :meth:`MulticastGroup.fan_out` reaches the members one of two
+ways, both ending in the network's single delivery primitive:
 
-* :class:`FlatMulticast` — the historical model: a group send fans out
-  as one unicast per member through the simulator.  Observable
-  semantics match (independent per-path delay/loss, no sender loopback
-  unless requested) but every shared link is billed once per member —
-  O(members × path) physical packets per send.
-* :class:`TreeMulticast` — rides a
-  :class:`~repro.network.routing.MulticastFabric` distribution tree:
-  the packet traverses each tree edge once and replicates only at
-  branch points, O(tree edges) per send, which is what lets a group
-  scale across a shared backbone.
+* without a fabric, one unicast per member through the sender's socket.
+  Observable semantics match real multicast (independent per-path
+  delay/loss, no sender loopback unless requested) but every shared
+  link is billed once per member — O(members × path) physical packets
+  per send.  This is the flat oracle the tree is tested against;
+* with a :class:`~repro.network.routing.MulticastFabric`, one
+  :meth:`~repro.network.routing.MulticastFabric.cast` down the group's
+  distribution tree: the packet traverses each tree edge once and
+  replicates only at branch points, O(tree edges) per send, which is
+  what lets a group scale across a shared backbone.
 
-Both strategies produce the identical delivery set, per-receiver order,
-and packet-disposition accounting on a loss-free fabric (a hypothesis
-property pins this), so the flat registry remains a drop-in fallback
-for topologies with no router fabric.
+Both produce the identical delivery set, per-receiver order, and
+packet-disposition accounting on a loss-free fabric (a hypothesis
+property pins this), so a fabric-less group remains a drop-in fallback
+for topologies with no routers.
 
 The registry lives outside any single node because real multicast
 membership is a network-layer concern (IGMP), not an end-host table.
@@ -27,7 +28,7 @@ membership is a network-layer concern (IGMP), not an end-host table.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Optional, Protocol
+from typing import TYPE_CHECKING, Callable, Optional
 
 from .simnet import Address, Network, NetworkError, Packet
 from .udp import DatagramSocket
@@ -35,82 +36,16 @@ from .udp import DatagramSocket
 if TYPE_CHECKING:
     from .routing import MulticastFabric
 
-__all__ = ["FlatMulticast", "MulticastGroup", "MulticastSocket", "TreeMulticast"]
-
-
-class DeliveryStrategy(Protocol):
-    """How a group send reaches the members (flat unicast vs. tree)."""
-
-    def fan_out(
-        self,
-        group: "MulticastGroup",
-        data: bytes,
-        sender: "MulticastSocket",
-        loopback: bool,
-    ) -> int: ...
-
-
-class FlatMulticast:
-    """Per-member unicast fan-out (the fallback, no fabric required).
-
-    Sends go through the sender's own :class:`DatagramSocket` — not
-    straight into :meth:`Network.send` — so the per-socket
-    ``sent_datagrams`` counter that host instrumentation exports sees
-    every multicast datagram, exactly as it sees unicast ones.
-    """
-
-    def fan_out(
-        self,
-        group: "MulticastGroup",
-        data: bytes,
-        sender: "MulticastSocket",
-        loopback: bool,
-    ) -> int:
-        n = 0
-        me = (sender.host, sender.local_port)
-        for key in group.members:
-            if not loopback and key == me:
-                continue
-            if sender._sock.sendto(data, key):
-                n += 1
-        return n
-
-
-class TreeMulticast:
-    """Single-copy replication over a multicast fabric's group tree.
-
-    One datagram leaves the sender's NIC per group send (counted on the
-    sender's socket); the fabric's routers replicate it along the
-    distribution tree.  Requires every member host to be attached to
-    the fabric (see :meth:`MulticastFabric.attach_host`).
-    """
-
-    def __init__(self, fabric: "MulticastFabric") -> None:
-        self.fabric = fabric
-
-    def fan_out(
-        self,
-        group: "MulticastGroup",
-        data: bytes,
-        sender: "MulticastSocket",
-        loopback: bool,
-    ) -> int:
-        me = (sender.host, sender.local_port)
-        targets = [key for key in group.members if loopback or key != me]
-        packet = Packet(
-            sender.host, sender.local_port, group.group, group.port, bytes(data)
-        )
-        # one physical datagram leaves the host regardless of group size
-        sender._sock.sent_datagrams += 1
-        return self.fabric.cast(group.group, packet, targets)
+__all__ = ["MulticastGroup", "MulticastSocket"]
 
 
 class MulticastGroup:
     """Membership registry for one group address + port.
 
     With a ``fabric``, membership changes graft/prune the fabric's
-    distribution tree and sends ride it; without one, delivery falls
-    back to :class:`FlatMulticast` unicast fan-out.
+    distribution tree and sends ride it (every member host must be
+    attached, see :meth:`MulticastFabric.attach_host`); without one,
+    delivery falls back to per-member unicast fan-out.
     """
 
     def __init__(
@@ -125,9 +60,6 @@ class MulticastGroup:
         self.port = port
         self.fabric = fabric
         self._members: dict[tuple[Address, int], "MulticastSocket"] = {}
-        self._delivery: DeliveryStrategy = (
-            TreeMulticast(fabric) if fabric is not None else FlatMulticast()
-        )
         if fabric is not None:
             fabric.create_group(group)
 
@@ -150,8 +82,20 @@ class MulticastGroup:
         return sorted(self._members)
 
     def fan_out(self, data: bytes, sender: "MulticastSocket", loopback: bool) -> int:
-        """Deliver ``data`` to every member; returns datagrams scheduled."""
-        return self._delivery.fan_out(self, data, sender, loopback)
+        """Deliver ``data`` to every member; returns datagrams scheduled.
+
+        Either way the sender's own :class:`DatagramSocket` counts what
+        leaves the host in ``sent_datagrams`` (the counter host
+        instrumentation exports): one per member flat, one per group
+        send over a tree.
+        """
+        me = (sender.host, sender.local_port)
+        targets = [key for key in self.members if loopback or key != me]
+        if self.fabric is None:
+            return sum(sender._sock.sendto(data, key) for key in targets)
+        packet = Packet(sender.host, sender.local_port, self.group, self.port, bytes(data))
+        sender._sock.sent_datagrams += 1
+        return self.fabric.cast(self.group, packet, targets)
 
 
 class MulticastSocket:

@@ -17,12 +17,15 @@ from __future__ import annotations
 
 import heapq
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence, Union
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .clock import Scheduler, SimulationError
+
+if TYPE_CHECKING:
+    from .trace import PacketTracer
 
 __all__ = [
     "Address",
@@ -205,14 +208,6 @@ class Link:
             return self.a
         raise NetworkError(f"{node!r} is not an endpoint of {self!r}")
 
-    def transit_delay(self, size: int, rng: np.random.Generator) -> float:
-        """Serialization + propagation (+ jitter) delay for ``size`` bytes."""
-        ser = 0.0 if self.bandwidth == float("inf") else size / self.bandwidth
-        delay = ser + self.latency
-        if self.jitter > 0.0:
-            delay += abs(float(rng.normal(0.0, self.jitter)))
-        return delay
-
     def enqueue(self, src: Address, now: float, size: int, rng: np.random.Generator) -> float:
         """FIFO transmission: departure-complete time for ``size`` bytes.
 
@@ -319,17 +314,21 @@ class Network:
         #: distribution trees instead of suffering global drops
         self._topology_listeners: list[Callable[[Address, Address, bool], None]] = []
         #: optional fault hook (see :mod:`repro.network.faults`): called as
-        #: ``interceptor(packet, path, t)`` for every packet that survived
-        #: routing and loss, returning the list of deliveries — ``[t]``
-        #: to deliver normally, ``[]`` to drop, two entries to duplicate.
-        #: An entry may also be ``(t, substitute_packet)`` to deliver a
-        #: modified copy (payload corruption) at that time instead.
+        #: ``interceptor(packet, path, t)`` for every packet that crossed
+        #: at least one link and survived routing and loss, returning the
+        #: list of deliveries — ``[t]`` to deliver normally, ``[]`` to
+        #: drop, two entries to duplicate.  An entry may also be
+        #: ``(t, substitute_packet)`` to deliver a modified copy (payload
+        #: corruption) at that time instead.
         self.delivery_interceptor: Optional[
             Callable[
                 [Packet, list[Link], float],
                 list[Union[float, tuple[float, Packet]]],
             ]
         ] = None
+        #: the attached :class:`~repro.network.trace.PacketTracer`, told
+        #: ``record(packet, delivered)`` once per logical datagram settled
+        self.tracer: Optional["PacketTracer"] = None
         # Per-packet disposition counters: every send() ends in exactly
         # one of delivered / dropped / duplicated (delivered-more-than-once),
         # so sent == delivered + dropped + duplicated always holds.
@@ -497,55 +496,12 @@ class Network:
         simplicity; the delay of a dropped packet is irrelevant to any
         observer.
         """
-        self.packets_sent += 1
-        path = self.route(packet.src, packet.dst)
-        if path is None:
-            self.packets_dropped += 1
-            return False
-        if not path:  # self-delivery, still asynchronous
-            self.packets_delivered += 1
-            self.copies_delivered += 1
-            self.scheduler.call_after(
-                0.0, self._nodes[packet.dst].deliver, packet
-            )
-            return True
-        t = self.scheduler.clock.now
-        hop_src = packet.src
-        for link in path:
-            link.tx_octets += packet.size
-            p_loss = link.loss_fn(packet.size) if link.loss_fn is not None else link.loss
-            if p_loss > 0.0 and self.rng.random() < p_loss:
-                link.dropped_packets += 1
-                self.packets_dropped += 1
-                return False
-            t = link.enqueue(hop_src, t, packet.size, self.rng)
-            link.rx_octets += packet.size
-            self.packets_transmitted += 1
-            hop_src = link.other(hop_src)
-        if self.delivery_interceptor is not None:
-            times = self.delivery_interceptor(packet, path, t)
-            if not times:
-                self.packets_dropped += 1
-                return False
-        else:
-            times = [t]
-        if len(times) == 1:
-            self.packets_delivered += 1
-        else:
-            self.packets_duplicated += 1
-        self.copies_delivered += len(times)
-        path[-1].delivered_packets += len(times)
-        deliver = self._nodes[packet.dst].deliver
-        for entry in times:
-            # (time, substitute) entries deliver a corrupted copy; the
-            # disposition counters above are untouched — corruption is
-            # neither a drop nor a duplicate
-            if isinstance(entry, tuple):
-                td, copy = entry
-                self.scheduler.call_at(td, deliver, copy)
-            else:
-                self.scheduler.call_at(entry, deliver, packet)
-        return True
+        hops: list[tuple[Address, Link]] = []
+        node = packet.src
+        for link in self.route(node, packet.dst) or ():
+            hops.append((node, link))
+            node = link.other(node)
+        return self._transmit(packet.src, packet.size, hops, (packet,)) == 1
 
     def cast(
         self,
@@ -570,57 +526,92 @@ class Network:
         own host when absent from the plan) are drops.  Returns the
         number of targets scheduled for delivery.
         """
+        links = self._links
+        hops = [
+            (parent, link)
+            for parent, child in plan.edges
+            if (link := links.get(frozenset((parent, child)))) is not None
+        ]
+        src, src_port, payload = packet.src, packet.src_port, packet.payload
+        copies = [Packet(src, src_port, host, port, payload) for host, port in targets]
+        return self._transmit(plan.root, packet.size, hops, copies)
+
+    def _transmit(
+        self,
+        root: Address,
+        size: int,
+        hops: Iterable[tuple[Address, Link]],
+        copies: Iterable[Packet],
+    ) -> int:
+        """The one delivery primitive behind :meth:`send` and :meth:`cast`.
+
+        ``hops`` are ``(parent, link)`` pairs ordered parent-before-child
+        outward from ``root`` — a chain for unicast, a tree for a cast —
+        and ``copies`` are the logical datagrams of ``size`` bytes, one
+        per target, already addressed.  Phase one carries the bytes over
+        each hop once: octet counters, the loss draw, FIFO
+        :meth:`Link.enqueue`; a lost or down hop leaves its child
+        without an arrival time, which severs everything below it.
+        Phase two settles each copy at its target in exactly one of
+        delivered / dropped / duplicated and tells the attached tracer.
+        A copy that crossed no hop (self-addressed) is delivered at the
+        current instant and never shown to the fault interceptor.
+        Returns the number of copies scheduled.
+        """
         now = self.scheduler.clock.now
-        size = packet.size
-        arrival: dict[Address, float] = {plan.root: now}
-        hop_paths: dict[Address, list[Link]] = {plan.root: []}
-        for parent, child in plan.edges:
-            t0 = arrival.get(parent)
-            if t0 is None:
-                continue  # upstream edge lost or down: subtree severed
-            link = self._links.get(frozenset((parent, child)))
-            if link is None or not link.up:
-                continue
+        arrival: dict[Address, float] = {root: now}
+        via: dict[Address, Link] = {}  # last hop into each reached node
+        for parent, link in hops:
+            t = arrival.get(parent)
+            if t is None or not link.up:
+                continue  # upstream hop lost or link down: subtree severed
             link.tx_octets += size
             p_loss = link.loss_fn(size) if link.loss_fn is not None else link.loss
             if p_loss > 0.0 and self.rng.random() < p_loss:
                 link.dropped_packets += 1
                 continue
-            t = link.enqueue(parent, t0, size, self.rng)
+            child = link.other(parent)
+            arrival[child] = link.enqueue(parent, t, size, self.rng)
             link.rx_octets += size
             self.packets_transmitted += 1
-            arrival[child] = t
-            hop_paths[child] = hop_paths[parent] + [link]
+            via[child] = link
         scheduled = 0
-        for host, port in targets:
+        for packet in copies:
             self.packets_sent += 1
-            t = arrival.get(host)
+            t = arrival.get(packet.dst)
+            last = via.get(packet.dst)
             if t is None:
+                times: Sequence[Union[float, tuple[float, Packet]]] = ()
+            elif last is None or self.delivery_interceptor is None:
+                times = (t,)
+            else:
+                path: list[Link] = []
+                node = packet.dst
+                while node != root:
+                    link = via[node]
+                    path.append(link)
+                    node = link.other(node)
+                path.reverse()
+                times = self.delivery_interceptor(packet, path, t)
+            if self.tracer is not None:
+                self.tracer.record(packet, bool(times))
+            if not times:
                 self.packets_dropped += 1
                 continue
-            copy = replace(packet, dst=host, dst_port=port)
-            path = hop_paths[host]
-            if self.delivery_interceptor is not None:
-                times = self.delivery_interceptor(copy, path, t)
-                if not times:
-                    self.packets_dropped += 1
-                    continue
-            else:
-                times = [t]
             if len(times) == 1:
                 self.packets_delivered += 1
             else:
                 self.packets_duplicated += 1
             self.copies_delivered += len(times)
-            if path:
-                path[-1].delivered_packets += len(times)
-            deliver = self._nodes[host].deliver
+            if last is not None:
+                last.delivered_packets += len(times)
+            deliver = self._nodes[packet.dst].deliver
             for entry in times:
-                if isinstance(entry, tuple):
-                    td, sub = entry
-                    self.scheduler.call_at(td, deliver, sub)
-                else:
-                    self.scheduler.call_at(entry, deliver, copy)
+                # (time, substitute) entries deliver a corrupted copy; the
+                # disposition counters above are untouched — corruption is
+                # neither a drop nor a duplicate
+                td, sub = entry if isinstance(entry, tuple) else (entry, packet)
+                self.scheduler.call_at(td, deliver, sub)
             scheduled += 1
         return scheduled
 

@@ -1,10 +1,13 @@
 """Packet tracing: pcap-style observability for the simulated network.
 
-A :class:`PacketTracer` hooks :meth:`Network.send` and records every
-datagram injected into the fabric — timestamp, endpoints, ports, size,
-and whether the simulator dropped it.  Per-flow summaries support the
-kind of "who talked to whom, how much" analysis an operator (or a test)
-wants after a run, without touching any component's internals.
+A :class:`PacketTracer` registers itself as ``Network.tracer`` and is
+told about every logical datagram the network settles — unicast
+:meth:`Network.send` and each per-target copy of a tree
+:meth:`Network.cast` alike, because both end in the same delivery
+primitive — with timestamp, endpoints, ports, size, and whether the
+simulator dropped it.  Per-flow summaries support the kind of "who
+talked to whom, how much" analysis an operator (or a test) wants after
+a run, without touching any component's internals.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ class FlowStats:
 class PacketTracer:
     """Records traffic on a :class:`~repro.network.simnet.Network`.
 
-    Attach with :meth:`attach`; detach restores the original ``send``.
+    Attach with :meth:`attach`; :meth:`detach` stops the recording.
     ``capacity`` bounds the per-record buffer (the flow table is always
     complete).
 
@@ -72,31 +75,21 @@ class PacketTracer:
         self.capacity = capacity
         self.records: list[TraceRecord] = []
         self.flows: dict[tuple[str, str, int], FlowStats] = defaultdict(FlowStats)
-        self._original_send = None
         self.total_packets = 0
         self.total_octets = 0
 
     # ------------------------------------------------------------------
     def attach(self) -> None:
         """Begin tracing (idempotent)."""
-        if self._original_send is not None:
-            return
-        self._original_send = self.network.send
-
-        def traced_send(packet: Packet) -> bool:
-            delivered = self._original_send(packet)
-            self._record(packet, delivered)
-            return delivered
-
-        self.network.send = traced_send  # type: ignore[method-assign]
+        self.network.tracer = self
 
     def detach(self) -> None:
-        """Stop tracing and restore the network (idempotent)."""
-        if self._original_send is not None:
-            self.network.send = self._original_send  # type: ignore[method-assign]
-            self._original_send = None
+        """Stop tracing (idempotent)."""
+        if self.network.tracer is self:
+            self.network.tracer = None
 
-    def _record(self, packet: Packet, delivered: bool) -> None:
+    def record(self, packet: Packet, delivered: bool) -> None:
+        """Note one settled datagram (called by the network)."""
         now = self.network.scheduler.clock.now
         self.total_packets += 1
         self.total_octets += packet.size

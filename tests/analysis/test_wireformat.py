@@ -15,7 +15,6 @@ from repro.analysis import Severity
 from repro.analysis.wireformat import (
     PAIR_METHOD_NAMES,
     analyze_wireformat,
-    wire_paths,
     wire_source,
 )
 
@@ -396,10 +395,6 @@ class TestEntryPoints:
 
     def test_syntax_error_produces_no_diagnostics(self):
         assert wire_source("def broken(:", "mem.py") == []
-
-    def test_parallel_run_is_identical_to_serial(self):
-        paths = [os.path.join(REPO_ROOT, "src", "repro", "core")]
-        assert wire_paths(paths, jobs=2) == wire_paths(paths, jobs=1)
 
     def test_shipped_tree_is_wire_clean(self):
         paths = [

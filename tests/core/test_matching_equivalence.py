@@ -1,4 +1,4 @@
-"""Property test: the indexed bus is decision-identical to a linear scan.
+"""Property tests: every broker backend decides like a linear scan.
 
 The matching engine is only allowed to *narrow where the interpreter
 looks*, never to change what it decides.  This drives randomized
@@ -6,12 +6,14 @@ profile populations and selectors through an indexed and an unindexed
 :class:`~repro.messaging.broker.SemanticBus` and requires identical
 deliveries, per-subscriber counters, and publish results — including
 after mid-run profile mutations (exercising the watch/reindex path).
+The sharded batch bus and the networked endpoint's local subscriptions
+are held to the same linear oracle.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.matching import interpret
-from repro.core.profiles import ClientProfile
+from repro.core.profiles import ClientProfile, TransformRule
 from repro.core.selectors import Selector
 from repro.messaging.broker import SemanticBus
 from repro.messaging.message import SemanticMessage
@@ -149,6 +151,98 @@ def test_sharded_batch_agrees_with_linear_bus(populations, selector_batch, nshar
             ss.transformed,
             ss.rejected,
         )
+
+
+consumers = st.tuples(
+    profile_attrs,
+    st.sampled_from([None, "enc == 'jpeg'", "enc == 'pcm' or urgent"]),
+    st.sampled_from([(), (TransformRule("enc", "mpeg2", "jpeg"),)]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    population=st.lists(consumers, min_size=1, max_size=6),
+    stream=st.lists(
+        st.tuples(st.sampled_from(SELECTORS), st.sampled_from(ENCODINGS)),
+        min_size=1,
+        max_size=6,
+    ),
+)
+def test_endpoint_local_subscriptions_agree_with_linear_bus(population, stream):
+    """A networked endpoint offers like the in-process bus.
+
+    ``SemanticEndpoint`` interprets every message arriving off the wire
+    against its own profile and each co-attached local subscription.
+    Over the same profiles and message stream it must reach the same
+    per-subscription accept / transform / reject decisions, in the same
+    order and with the same ``rejected`` counts, as an unindexed linear
+    :class:`SemanticBus` — and its promiscuous tap must surface exactly
+    the messages the bus rejected for the first (primary) profile.
+    """
+    from repro.messaging.transport import SemanticEndpoint
+    from repro.network.clock import Scheduler
+    from repro.network.multicast import MulticastGroup
+    from repro.network.simnet import Network
+
+    def profiles():
+        return [
+            ClientProfile(f"c{i}", dict(attrs), interest=interest, transforms=transforms)
+            for i, (attrs, interest, transforms) in enumerate(population)
+        ]
+
+    def note(log, i):
+        return lambda d: log.append(
+            (i, d.message.msg_id, d.result.decision, d.result.effective_headers)
+        )
+
+    linear = SemanticBus(indexed=False)
+    got_linear = []
+    subs_l = [linear.attach(p, note(got_linear, i)) for i, p in enumerate(profiles())]
+
+    sched = Scheduler()
+    net = Network(sched, seed=0)
+    for host in ("tx", "rx"):
+        net.add_node(host)
+    net.add_link("tx", "rx", latency=0.001)
+    group = MulticastGroup(net, "239.3.3.3", 5004)
+    got_endpoint, tapped = [], []
+    primary, *others = profiles()
+    receiver = SemanticEndpoint(
+        net,
+        "rx",
+        group,
+        primary,
+        on_delivery=note(got_endpoint, 0),
+        on_rejected=lambda m: tapped.append(m.msg_id),
+        promiscuous=True,
+    )
+    subs_e = [receiver._primary] + [
+        receiver.attach(p, note(got_endpoint, i)) for i, p in enumerate(others, start=1)
+    ]
+    sender = SemanticEndpoint(net, "tx", group, ClientProfile("tx"), on_delivery=lambda d: None)
+
+    batch = [
+        SemanticMessage.create("tx", selector, headers={"enc": enc})
+        for selector, enc in stream
+    ]
+    for message in batch:
+        linear.publish(message)
+        sender.publish(message)
+    sched.run_for(1.0)
+
+    assert got_endpoint == got_linear
+    for sl, se in zip(subs_l, subs_e):
+        assert (se.accepted, se.transformed, se.rejected) == (
+            sl.accepted,
+            sl.transformed,
+            sl.rejected,
+        )
+    primary_got = {msg_id for i, msg_id, _d, _h in got_linear if i == 0}
+    assert tapped == [m.msg_id for m in batch if m.msg_id not in primary_got]
+    assert receiver.accepted_messages == subs_l[0].accepted + subs_l[0].transformed
+    receiver.close()
+    sender.close()
 
 
 @settings(max_examples=60, deadline=None)

@@ -19,10 +19,19 @@ chaos experiment harness uses.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network.clock import Scheduler
-from repro.network.faults import ChaosController, FaultPlan, LinkFlap
+from repro.network.faults import (
+    ChaosController,
+    Corruption,
+    Duplication,
+    FaultPlan,
+    LatencySpike,
+    LinkFlap,
+    Reordering,
+)
 from repro.network.multicast import MulticastGroup, MulticastSocket
 from repro.network.routing import MulticastFabric
 from repro.network.simnet import Network
@@ -195,3 +204,66 @@ def test_tree_conservation_with_jitter(scenario, seed):
     assert net.packets_sent == (
         net.packets_delivered + net.packets_dropped + net.packets_duplicated
     )
+
+
+@pytest.mark.parametrize("seed", [0, 7, 99])
+def test_loopback_copy_bypasses_fault_interceptor_like_flat(seed):
+    """A self-addressed copy crosses no link, so no fault may touch it.
+
+    With ``loopback=True`` the sender is among its own targets.  Flat
+    fan-out sends it a ``src == dst`` unicast, which never reaches the
+    fault interceptor; the tree's copy has an empty hop path and must be
+    settled by the same rule — otherwise a network-wide spike,
+    reordering, duplication or corruption window perturbs the tree's
+    loopback copy and draws chaos RNG the flat oracle never draws.
+    """
+    hosts = ["h0", "h1", "h2", "h3"]
+    window = dict(start=0.5, duration=20.0)
+    plan = FaultPlan(
+        [
+            LatencySpike(extra=0.003, **window),
+            Reordering(probability=0.5, max_extra_delay=0.004, **window),
+            Duplication(probability=0.5, **window),
+            Corruption(probability=0.5, **window),
+        ]
+    )
+
+    def run(tree):
+        sched, net, _fab, group, _links = _build_world(tree, 2, [0, 0, 1, 1], None)
+        chaos = ChaosController(net, plan, seed=seed)
+        chaos.install()
+        received = {h: [] for h in hosts}
+        socks = [
+            MulticastSocket(
+                net,
+                h,
+                group,
+                on_receive=lambda d, s, h=h: received[h].append((sched.clock.now, s[0], d)),
+                loopback=True,
+            )
+            for h in hosts
+        ]
+        sends = []
+        for i in range(8):
+            sched.run_until(1.0 + i)
+            sender = socks[i % len(socks)]
+            sender.send(bytes([i]) * 8)
+            sends.append((sender.host, sched.clock.now, bytes([i]) * 8))
+        sched.run_until(30.0)
+        counters = (
+            net.packets_sent,
+            net.packets_delivered,
+            net.packets_dropped,
+            net.packets_duplicated,
+            net.copies_delivered,
+        )
+        return received, counters, chaos.report(), chaos.rng.bit_generator.state, sends
+
+    flat = run(False)
+    tree = run(True)
+    assert tree == flat
+    # the sender's own copy: exactly once, at the send instant, undamaged
+    received, *_rest, sends = tree
+    for host in hosts:
+        own = [(t, d) for t, src, d in received[host] if src == host]
+        assert own == [(at, payload) for sender, at, payload in sends if sender == host]

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.network.clock import Scheduler
+from repro.network.multicast import MulticastGroup, MulticastSocket
+from repro.network.routing import MulticastFabric
 from repro.network.simnet import Network, Packet
 from repro.network.trace import PacketTracer
 
@@ -77,6 +79,58 @@ class TestTracing:
         flow = tracer.flows[("a", "b", 9)]
         assert flow.first_time == 0.0
         assert flow.last_time == 5.0
+
+
+class TestTreeCastTracing:
+    """A fabric-backed group never calls ``Network.send``; the tracer
+    hangs off the shared delivery primitive, so it sees casts too."""
+
+    @pytest.fixture
+    def group_world(self):
+        sched = Scheduler()
+        net = Network(sched, seed=4)
+        fab = MulticastFabric(net)
+        fab.add_domain("core")
+        fab.add_router("r0", "core", latency=0.0005)
+        fab.add_router("r1", "core", parent="r0", latency=0.0005)
+        hosts = ["h0", "h1", "h2", "h3"]
+        for i, host in enumerate(hosts):
+            fab.attach_host(host, f"r{i % 2}", latency=0.0002)
+        group = MulticastGroup(net, "239.4.4.4", 5000, fabric=fab)
+        socks = {h: MulticastSocket(net, h, group) for h in hosts}
+        tracer = PacketTracer(net)
+        tracer.attach()
+        return sched, net, socks, tracer
+
+    def test_one_record_per_member(self, group_world):
+        sched, net, socks, tracer = group_world
+        assert socks["h0"].send(b"frame") == 3
+        sched.run()
+        assert sorted((r.src, r.dst, r.dst_port) for r in tracer.records) == [
+            ("h0", h, socks[h].local_port) for h in ("h1", "h2", "h3")
+        ]
+        assert all(r.delivered and r.size == 5 + 28 for r in tracer.records)
+        assert tracer.total_packets == net.packets_sent == 3
+        assert set(tracer.flows_from("h0")) == {
+            ("h0", h, socks[h].local_port) for h in ("h1", "h2", "h3")
+        }
+
+    def test_target_behind_down_access_link_recorded_dropped(self, group_world):
+        sched, net, socks, tracer = group_world
+        net.set_link_up("h3", "r1", False)
+        assert socks["h0"].send(b"frame") == 2
+        sched.run()
+        by_dst = {r.dst: r.delivered for r in tracer.records}
+        assert by_dst == {"h1": True, "h2": True, "h3": False}
+        assert tracer.flows[("h0", "h3", socks["h3"].local_port)].dropped == 1
+        assert net.packets_dropped == 1
+
+    def test_detach_stops_cast_records(self, group_world):
+        sched, net, socks, tracer = group_world
+        tracer.detach()
+        tracer.detach()  # idempotent
+        socks["h0"].send(b"frame")
+        assert tracer.total_packets == 0
 
 
 class TestAnalysis:
