@@ -8,9 +8,11 @@ runtime hooks on :class:`~repro.messaging.broker.SemanticBus` and
 :class:`~repro.core.policies.PolicyDatabase`) and in CI
 (``python -m repro.analysis --fail-on=error``).
 
-Three analyzer families, all reporting structured
+Every analyzer reports structured
 :class:`~repro.analysis.diagnostics.Diagnostic` objects with stable rule
-codes:
+codes.  The source-tree ones are rows of one registry
+(:data:`~repro.analysis.runner.FAMILIES`) written against one pass
+framework (:mod:`~repro.analysis.passes`):
 
 * :mod:`~repro.analysis.selector_analysis` — satisfiability, vacuity,
   type conflicts, and pairwise implication/overlap over the selector AST
@@ -107,7 +109,15 @@ from .hotpath import (
     sim_reachable,
 )
 from .repo_lint import extract_selector_literals, lint_file, lint_paths, lint_source
-from .runner import AnalysisReport, analyze_defaults, render_json, render_text, run_analysis
+from .passes import Family
+from .runner import (
+    FAMILIES,
+    AnalysisReport,
+    analyze_defaults,
+    render_json,
+    render_text,
+    run_analysis,
+)
 from .sanitizer import LockOrderSanitizer, TrackedLock, make_lock
 from .sarif import render_sarif
 from .typestate import (
@@ -172,6 +182,8 @@ __all__ = [
     "lint_file",
     "lint_paths",
     "extract_selector_literals",
+    "Family",
+    "FAMILIES",
     "AnalysisReport",
     "run_analysis",
     "analyze_defaults",

@@ -35,9 +35,8 @@ from typing import Optional, Sequence
 
 from .baseline import apply_baseline, dump_baseline, load_baseline, stale_entries
 from .cache import DEFAULT_CACHE_NAME, AnalysisCache
-from .runner import AnalysisReport
 from .diagnostics import RULES, Severity
-from .runner import render_json, render_text, run_analysis
+from .runner import AnalysisReport, render_json, render_text, run_analysis
 from .sarif import render_sarif
 
 DEFAULT_PATHS = ("src/repro", "examples")
@@ -117,36 +116,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="skip linting the shipped default policy database",
     )
     parser.add_argument(
-        "--no-dataflow",
-        action="store_true",
-        help="skip the dataflow passes (units, exceptions, resources)",
-    )
-    parser.add_argument(
-        "--no-typestate",
-        action="store_true",
-        help="skip the typestate/concurrency passes (protocol automata)",
-    )
-    parser.add_argument(
-        "--no-perf",
-        action="store_true",
-        help="skip the hot-path cost pass (PERF rules)",
-    )
-    parser.add_argument(
-        "--no-det",
-        action="store_true",
-        help="skip the replay-determinism pass (DET rules)",
-    )
-    parser.add_argument(
-        "--no-concurrency",
-        action="store_true",
-        help="skip the lock-order/race pass (DLK/RACE rules)",
-    )
-    parser.add_argument(
-        "--no-wire",
-        action="store_true",
-        help="skip the wire-format symmetry/decode-safety pass (WIRE rules)",
-    )
-    parser.add_argument(
         "--cache",
         nargs="?",
         const=DEFAULT_CACHE_NAME,
@@ -192,12 +161,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         paths,
         selectors=args.selector,
         include_defaults=not args.no_defaults,
-        include_dataflow=not args.no_dataflow,
-        include_typestate=not args.no_typestate,
-        include_perf=not args.no_perf,
-        include_det=not args.no_det,
-        include_concurrency=not args.no_concurrency,
-        include_wire=not args.no_wire,
         ignore=args.ignore,
         profile=timings,
         cache=cache,

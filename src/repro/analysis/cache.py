@@ -51,10 +51,6 @@ def _salt(ignore: Iterable[str]) -> str:
     return h.hexdigest()
 
 
-def _dump_diag(d: Diagnostic) -> dict:
-    return d.to_dict()
-
-
 def _load_diag(entry: dict) -> Diagnostic:
     return Diagnostic(
         code=str(entry["code"]),
@@ -137,39 +133,34 @@ class AnalysisCache:
         return h.hexdigest()
 
     # ------------------------------------------------------------------
+    def _load(self, entries: Optional[list[dict]]) -> Optional[list[Diagnostic]]:
+        """Decode one stored entry list, counting the hit or miss."""
+        try:
+            out = None if entries is None else [_load_diag(e) for e in entries]
+        except (KeyError, TypeError, ValueError):
+            out = None
+        if out is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return out
+
     def get(self, family: str, path: str, digest: str) -> Optional[list[Diagnostic]]:
         entry = self._files.get(family, {}).get(path)
         if entry is None or entry.get("digest") != digest:
-            self.misses += 1
-            return None
-        try:
-            out = [_load_diag(e) for e in entry["diagnostics"]]
-        except (KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return out
+            return self._load(None)
+        return self._load(entry.get("diagnostics"))
 
     def put(
         self, family: str, path: str, digest: str, diagnostics: Iterable[Diagnostic]
     ) -> None:
         self._files.setdefault(family, {})[path] = {
             "digest": digest,
-            "diagnostics": [_dump_diag(d) for d in diagnostics],
+            "diagnostics": [d.to_dict() for d in diagnostics],
         }
 
     def get_graph(self, key: str) -> Optional[list[Diagnostic]]:
-        entry = self._graphs.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        try:
-            out = [_load_diag(e) for e in entry]
-        except (KeyError, TypeError, ValueError):
-            self.misses += 1
-            return None
-        self.hits += 1
-        return out
+        return self._load(self._graphs.get(key))
 
     def put_graph(self, key: str, diagnostics: Iterable[Diagnostic]) -> None:
-        self._graphs[key] = [_dump_diag(d) for d in diagnostics]
+        self._graphs[key] = [d.to_dict() for d in diagnostics]

@@ -24,6 +24,10 @@ Unresolved calls keep their textual shape (``recv_type``/``method``) so
 the passes can still match them against registries (e.g. "any ``.sendto``
 on something typed as a transport").
 
+The small AST helpers every pass shares (:func:`rightmost_name`,
+:func:`name_binding`, :func:`self_attr`, ...) and the file walk live here
+too: this is the lowest module of the package.
+
 Nothing here imports analyzed code; it is all :mod:`ast`.
 """
 
@@ -32,16 +36,26 @@ from __future__ import annotations
 import ast
 import os
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 __all__ = [
+    "FunctionNode",
     "FunctionInfo",
     "CallSite",
     "CallGraph",
     "build_call_graph",
     "build_call_graph_from_sources",
     "module_name_for_path",
+    "matches_suffix",
+    "rightmost_name",
+    "self_attr",
+    "name_binding",
+    "annotation_class_name",
+    "walk_py_files",
+    "read_source",
 ]
+
+FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 
 def module_name_for_path(path: str) -> str:
@@ -74,13 +88,9 @@ class FunctionInfo:
     module: str
     name: str
     cls: Optional[str]  #: enclosing class short name, if a method
-    node: ast.AST  #: the FunctionDef / AsyncFunctionDef
+    node: FunctionNode
     path: str
     params: tuple[str, ...] = ()  #: positional-or-keyword names, ``self`` excluded
-
-    @property
-    def is_method(self) -> bool:
-        return self.cls is not None
 
 
 @dataclass
@@ -110,9 +120,12 @@ class CallGraph:
         self.attr_types: dict[tuple[str, str], str] = {}
         #: path -> source text (for suppression parsing downstream)
         self.sources: dict[str, str] = {}
+        #: path -> parsed module (module-level / class-body scans downstream)
+        self.trees: dict[str, ast.Module] = {}
         self.calls: list[CallSite] = []
         self._by_caller: dict[str, list[CallSite]] = {}
         self._callers: dict[str, set[str]] = {}
+        self._sites_by_node: dict[str, dict[int, CallSite]] = {}
 
     def ancestors(self, cls: str) -> set[str]:
         """Transitive base-class names of ``cls`` within the analyzed tree."""
@@ -141,6 +154,14 @@ class CallGraph:
         """Call sites lexically inside ``qualname``."""
         return self._by_caller.get(qualname, [])
 
+    def sites_by_node(self, qualname: str) -> dict[int, CallSite]:
+        """``id(call node) -> CallSite`` for the calls inside ``qualname``."""
+        cached = self._sites_by_node.get(qualname)
+        if cached is None:
+            cached = {id(s.node): s for s in self.calls_from(qualname)}
+            self._sites_by_node[qualname] = cached
+        return cached
+
     def callers_of(self, qualname: str) -> set[str]:
         """Qualnames of functions with a resolved edge to ``qualname``."""
         return set(self._callers.get(qualname, ()))
@@ -159,7 +180,7 @@ class CallGraph:
     def function_by_suffix(self, suffix: str) -> Optional[FunctionInfo]:
         """First function whose qualname ends with ``suffix`` (tests/registries)."""
         for q, info in self.functions.items():
-            if q == suffix or q.endswith("." + suffix):
+            if matches_suffix(q, suffix):
                 return info
         return None
 
@@ -201,6 +222,7 @@ class _Builder:
         except SyntaxError:
             return  # repo_lint reports unparseable files; skip here
         self.graph.sources[path] = source
+        self.graph.trees[path] = tree
         self._pending.append((path, module_name_for_path(path), tree))
 
     def build(self) -> CallGraph:
@@ -236,7 +258,7 @@ class _Builder:
                 scope.classes.add(node.name)
                 self.graph.classes.setdefault(node.name, module)
                 bases = tuple(
-                    b for b in (_rightmost_name(base) for base in node.bases) if b
+                    b for b in (rightmost_name(base) for base in node.bases) if b
                 )
                 self.graph.class_bases.setdefault(node.name, bases)
                 for item in node.body:
@@ -252,16 +274,12 @@ class _Builder:
                             if (
                                 isinstance(stmt, ast.Assign)
                                 and len(stmt.targets) == 1
-                                and isinstance(stmt.targets[0], ast.Attribute)
-                                and isinstance(stmt.targets[0].value, ast.Name)
-                                and stmt.targets[0].value.id == "self"
                                 and isinstance(stmt.value, ast.Call)
                             ):
-                                ctor = _rightmost_name(stmt.value.func)
-                                if ctor and (ctor[0].isupper() or ctor == "socket"):
-                                    self.graph.attr_types.setdefault(
-                                        (node.name, stmt.targets[0].attr), ctor
-                                    )
+                                attr = self_attr(stmt.targets[0])
+                                ctor = rightmost_name(stmt.value.func)
+                                if attr and ctor and (ctor[0].isupper() or ctor == "socket"):
+                                    self.graph.attr_types.setdefault((node.name, attr), ctor)
         return scope
 
     # -- pass 2 ---------------------------------------------------------
@@ -282,24 +300,19 @@ class _Builder:
         module: str,
         scope: _ModuleScope,
         cls: Optional[str],
-        fn: ast.AST,
+        fn: FunctionNode,
     ) -> None:
-        assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         caller = f"{module}.{cls}.{fn.name}" if cls else f"{module}.{fn.name}"
         local_types = self._annotation_types(fn, scope)
         # one linear pre-pass for `v = Ctor(...)` locals (flow-insensitive,
         # good enough: re-binding a resource var to a new type mid-function
         # is its own finding)
         for stmt in ast.walk(fn):
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and isinstance(stmt.value, ast.Call)
-            ):
-                ctor = self._class_of_call(stmt.value, scope, cls)
+            bound = name_binding(stmt)
+            if bound is not None and isinstance(bound[1], ast.Call):
+                ctor = self._class_of_call(bound[1], scope, cls)
                 if ctor is not None:
-                    local_types.setdefault(stmt.targets[0].id, ctor)
+                    local_types.setdefault(bound[0], ctor)
         for sub in ast.walk(fn):
             if isinstance(sub, ast.Call):
                 self.graph.add_call(
@@ -307,19 +320,11 @@ class _Builder:
                 )
 
     def _annotation_types(
-        self, fn: ast.AST, scope: _ModuleScope
+        self, fn: FunctionNode, scope: _ModuleScope
     ) -> dict[str, str]:
-        assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
         out: dict[str, str] = {}
         for arg in list(fn.args.args) + list(fn.args.kwonlyargs):
-            ann = arg.annotation
-            name: Optional[str] = None
-            if isinstance(ann, ast.Name):
-                name = ann.id
-            elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                name = ann.value.rsplit(".", 1)[-1]
-            elif isinstance(ann, ast.Attribute):
-                name = ann.attr
+            name = annotation_class_name(arg.annotation)
             if name and (name in self.graph.classes or name in scope.classes):
                 out[arg.arg] = name
         return out
@@ -328,7 +333,7 @@ class _Builder:
         self, call: ast.Call, scope: _ModuleScope, cls: Optional[str]
     ) -> Optional[str]:
         """Class short name when ``call`` is a known constructor."""
-        name = _rightmost_name(call.func)
+        name = rightmost_name(call.func)
         if name is None:
             return None
         if name in scope.classes or name in self.graph.classes:
@@ -353,7 +358,7 @@ class _Builder:
     ) -> CallSite:
         func = call.func
         repr_ = _expr_repr(func)
-        method = _rightmost_name(func) or "<expr>"
+        method = rightmost_name(func) or "<expr>"
         callee: Optional[str] = None
         recv_type: Optional[str] = None
 
@@ -404,20 +409,54 @@ class _Builder:
         )
 
 
-def _params(fn: ast.AST) -> tuple[str, ...]:
-    assert isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+def _params(fn: FunctionNode) -> tuple[str, ...]:
     names = [a.arg for a in fn.args.args]
     if names and names[0] in ("self", "cls"):
         names = names[1:]
     return tuple(names + [a.arg for a in fn.args.kwonlyargs])
 
 
-def _rightmost_name(expr: ast.expr) -> Optional[str]:
+def rightmost_name(expr: Optional[ast.expr]) -> Optional[str]:
+    """``f`` for ``f``, ``attr`` for ``a.b.attr``; None for anything else."""
     if isinstance(expr, ast.Name):
         return expr.id
     if isinstance(expr, ast.Attribute):
         return expr.attr
     return None
+
+
+def self_attr(expr: Optional[ast.expr]) -> Optional[str]:
+    """``attr`` when ``expr`` is exactly ``self.attr``."""
+    if (
+        isinstance(expr, ast.Attribute)
+        and isinstance(expr.value, ast.Name)
+        and expr.value.id == "self"
+    ):
+        return expr.attr
+    return None
+
+
+def name_binding(node: ast.AST) -> Optional[tuple[str, ast.expr]]:
+    """``(x, value)`` when ``node`` is the single-target ``x = value``."""
+    if (
+        isinstance(node, ast.Assign)
+        and len(node.targets) == 1
+        and isinstance(node.targets[0], ast.Name)
+    ):
+        return node.targets[0].id, node.value
+    return None
+
+
+def annotation_class_name(ann: Optional[ast.expr]) -> Optional[str]:
+    """Class short name a parameter annotation spells (``"pkg.Cls"`` too)."""
+    if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+        return ann.value.rsplit(".", 1)[-1]
+    return rightmost_name(ann)
+
+
+def matches_suffix(qualname: str, suffix: str) -> bool:
+    """Whether ``qualname`` is ``suffix`` or ends with ``.suffix``."""
+    return qualname == suffix or qualname.endswith("." + suffix)
 
 
 def _expr_repr(expr: ast.expr) -> str:
@@ -445,22 +484,26 @@ def build_call_graph_from_sources(
 
 def build_call_graph(paths: Iterable[str]) -> CallGraph:
     """Build from ``.py`` files under each path (files taken as-is)."""
-    b = _Builder()
+    return build_call_graph_from_sources(
+        [(p, read_source(p)) for p in walk_py_files(paths)]
+    )
+
+
+def walk_py_files(paths: Iterable[str]) -> list[str]:
+    """Every ``.py`` file under each path, in deterministic walk order."""
+    files: list[str] = []
     for root in paths:
         if os.path.isfile(root):
-            b.add_source(root, _read(root))
+            files.append(root)
             continue
         for dirpath, dirnames, filenames in os.walk(root):
-            dirnames[:] = sorted(
-                d for d in dirnames if not d.startswith((".", "__pycache__"))
+            dirnames[:] = sorted(d for d in dirnames if not d.startswith((".", "__pycache__")))
+            files.extend(
+                os.path.join(dirpath, fn) for fn in sorted(filenames) if fn.endswith(".py")
             )
-            for fn in sorted(filenames):
-                if fn.endswith(".py"):
-                    p = os.path.join(dirpath, fn)
-                    b.add_source(p, _read(p))
-    return b.build()
+    return files
 
 
-def _read(path: str) -> str:
+def read_source(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
         return fh.read()

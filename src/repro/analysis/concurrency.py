@@ -68,10 +68,25 @@ import ast
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional
 
-from .callgraph import CallGraph, CallSite, FunctionInfo, build_call_graph
-from .dataflow import _DELIVERY_CALLBACK_KWARGS, _diag, _resolve_callback_ref
-from .diagnostics import Diagnostic
-from .hotpath import _apply_suppressions
+from .callgraph import (
+    CallGraph,
+    FunctionInfo,
+    matches_suffix,
+    module_name_for_path,
+    name_binding,
+    rightmost_name,
+    self_attr,
+)
+from .diagnostics import Diagnostic, filter_diagnostics
+from .passes import (
+    MUTATING_METHODS,
+    delivery_registrations,
+    diag,
+    graph_entry_points,
+    is_container_value,
+    reachable,
+    resolve_callback_ref,
+)
 
 __all__ = [
     "LOCK_FACTORIES",
@@ -80,6 +95,7 @@ __all__ = [
     "collect_locks",
     "lock_order_edges",
     "find_cycles",
+    "concurrency_findings",
     "concurrency_diagnostics",
     "analyze_concurrency",
     "check_sanitizer_report",
@@ -95,38 +111,6 @@ _REENTRANT_FACTORIES: frozenset[str] = frozenset({"RLock"})
 #: ``Thread(target=...)``: deployments drive the SNMP poll loop from a
 #: timer thread (the paper's network-state monitor)
 THREAD_ROOT_SUFFIXES: tuple[str, ...] = ("NetworkStateInterface.poll",)
-
-#: positional callback registration slots (mirrors the typestate pass)
-_CALLBACK_POSITIONS: dict[str, tuple[int, ...]] = {
-    "RtpReassembler": (0,),
-    "SemanticEndpoint": (4,),
-    "over_transport": (2,),
-    "TrapListener": (2,),
-}
-
-#: in-place container mutators (a call on ``self.x`` counts as a write)
-_MUTATING_METHODS: frozenset[str] = frozenset(
-    {
-        "append",
-        "appendleft",
-        "extend",
-        "add",
-        "update",
-        "insert",
-        "remove",
-        "discard",
-        "pop",
-        "popleft",
-        "popitem",
-        "clear",
-        "setdefault",
-    }
-)
-
-#: container constructors for RACE003's "shared container" scope
-_CONTAINER_CTORS: frozenset[str] = frozenset(
-    {"dict", "list", "set", "deque", "defaultdict", "OrderedDict", "Counter"}
-)
 
 #: held-context fan-out cap per function (worklist safety valve; real
 #: code holds one or two locks, corpus files a handful)
@@ -182,7 +166,7 @@ def _lock_ctor(value: ast.expr) -> Optional[tuple[str, bool]]:
     """(factory name, reentrant) when ``value`` constructs a lock."""
     if not isinstance(value, ast.Call):
         return None
-    name = _rightmost(value.func)
+    name = rightmost_name(value.func)
     if name not in LOCK_FACTORIES:
         return None
     reentrant = name in _REENTRANT_FACTORIES
@@ -190,14 +174,6 @@ def _lock_ctor(value: ast.expr) -> Optional[tuple[str, bool]]:
         if kw.arg == "reentrant" and isinstance(kw.value, ast.Constant):
             reentrant = bool(kw.value.value)
     return name, reentrant
-
-
-def _rightmost(expr: ast.expr) -> Optional[str]:
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
 
 
 def collect_locks(graph: CallGraph) -> dict[str, LockInfo]:
@@ -221,45 +197,26 @@ def collect_locks(graph: CallGraph) -> dict[str, LockInfo]:
     for fn in graph.functions.values():
         if fn.cls is None:
             continue
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Attribute)
-                and isinstance(node.targets[0].value, ast.Name)
-                and node.targets[0].value.id == "self"
-            ):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                attr = self_attr(node.targets[0])
                 ctor = _lock_ctor(node.value)
-                if ctor is not None:
-                    attr = node.targets[0].attr
+                if attr is not None and ctor is not None:
                     record(f"{fn.cls}.{attr}", fn.cls, attr, ctor[1], fn.path, node)
     # module-level and class-body locks need the raw module ASTs
-    from .callgraph import module_name_for_path
-
-    for path in sorted(graph.sources):
-        try:
-            tree = ast.parse(graph.sources[path], filename=path)
-        except SyntaxError:  # pragma: no cover - repo_lint reports these
-            continue
+    for path in sorted(graph.trees):
         module = module_name_for_path(path)
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                ctor = _lock_ctor(node.value)
-                if ctor is not None:
-                    name = node.targets[0].id
-                    record(f"{module}.{name}", None, name, ctor[1], path, node)
+        for node in graph.trees[path].body:
+            bound = name_binding(node)
+            ctor = _lock_ctor(bound[1]) if bound is not None else None
+            if bound is not None and ctor is not None:
+                record(f"{module}.{bound[0]}", None, bound[0], ctor[1], path, node)
             elif isinstance(node, ast.ClassDef):
                 for stmt in node.body:
-                    if (
-                        isinstance(stmt, ast.Assign)
-                        and len(stmt.targets) == 1
-                        and isinstance(stmt.targets[0], ast.Name)
-                    ):
-                        ctor = _lock_ctor(stmt.value)
-                        if ctor is not None:
-                            attr = stmt.targets[0].id
-                            record(f"{node.name}.{attr}", node.name, attr, ctor[1], path, stmt)
+                    bound = name_binding(stmt)
+                    ctor = _lock_ctor(bound[1]) if bound is not None else None
+                    if bound is not None and ctor is not None:
+                        record(f"{node.name}.{bound[0]}", node.name, bound[0], ctor[1], path, stmt)
     return locks
 
 
@@ -287,26 +244,24 @@ class _LockFlow:
         #: lock held, so the workers never run concurrently with any path
         #: that takes the same lock — the sharded broker's design)
         self.free_thread_roots: set[str] = set()
-        self._site_by_node: dict[str, dict[int, CallSite]] = {}
         self._ann_types: dict[str, dict[str, str]] = {}
         self._work: list[tuple[str, frozenset[str]]] = []
 
     # -- public ---------------------------------------------------------
     def run(self) -> None:
         for q in sorted(self.graph.functions):
-            fn = self.graph.functions[q]
             if not self.graph.callers_of(q) or self._is_thread_root_suffix(q):
                 self._push(q, frozenset())
             if self._is_thread_root_suffix(q):
                 self.thread_roots.add(q)
                 self.free_thread_roots.add(q)
-            del fn
         while self._work:
             q, ctx = self._work.pop()
-            self._process(q, ctx)
+            fn = self.graph.functions[q]
+            self._walk_block(fn, fn.node.body, ctx)
 
     def _is_thread_root_suffix(self, q: str) -> bool:
-        return any(q == s or q.endswith("." + s) for s in THREAD_ROOT_SUFFIXES)
+        return any(matches_suffix(q, s) for s in THREAD_ROOT_SUFFIXES)
 
     # -- worklist -------------------------------------------------------
     def _push(self, q: str, ctx: frozenset[str]) -> None:
@@ -318,27 +273,14 @@ class _LockFlow:
         seen.add(ctx)
         self._work.append((q, ctx))
 
-    def _process(self, q: str, ctx: frozenset[str]) -> None:
-        fn = self.graph.functions[q]
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        self._walk_block(fn, fn.node.body, ctx)
-
     # -- per-function resolution caches ---------------------------------
-    def _sites(self, fn: FunctionInfo) -> dict[int, CallSite]:
-        cached = self._site_by_node.get(fn.qualname)
-        if cached is None:
-            cached = {id(s.node): s for s in self.graph.calls_from(fn.qualname)}
-            self._site_by_node[fn.qualname] = cached
-        return cached
-
     def _annotations(self, fn: FunctionInfo) -> dict[str, str]:
         cached = self._ann_types.get(fn.qualname)
         if cached is not None:
             return cached
         out: dict[str, str] = {}
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in list(fn.node.args.args) + list(fn.node.args.kwonlyargs):
-            name = _rightmost(arg.annotation) if arg.annotation is not None else None
+            name = rightmost_name(arg.annotation) if arg.annotation is not None else None
             if name is not None and name in self.graph.classes:
                 out[arg.arg] = name
         self._ann_types[fn.qualname] = out
@@ -419,17 +361,9 @@ class _LockFlow:
         if rec is None:
             rec = _Write(fn.cls, attr, fn.qualname, fn.path, line, node)
             self.writes[key] = rec
-        if value is not None and self._is_container_value(value):
+        if value is not None and is_container_value(value):
             rec.is_container_value = True
         rec.ctxs.add(held)
-
-    @staticmethod
-    def _is_container_value(value: ast.expr) -> bool:
-        if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
-            return True
-        if isinstance(value, ast.Call):
-            return _rightmost(value.func) in _CONTAINER_CTORS
-        return False
 
     # -- the walker -----------------------------------------------------
     def _walk_block(
@@ -452,12 +386,8 @@ class _LockFlow:
                 self.if_ctxs.setdefault(key, set()).add(cur)
                 self._walk_block(fn, stmt.body, cur)
                 self._walk_block(fn, stmt.orelse, cur)
-            elif isinstance(stmt, (ast.For, ast.AsyncFor)):
-                self._visit_expr(fn, stmt.iter, cur)
-                self._walk_block(fn, stmt.body, cur)
-                self._walk_block(fn, stmt.orelse, cur)
-            elif isinstance(stmt, ast.While):
-                self._visit_expr(fn, stmt.test, cur)
+            elif isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
+                self._visit_expr(fn, stmt.test if isinstance(stmt, ast.While) else stmt.iter, cur)
                 self._walk_block(fn, stmt.body, cur)
                 self._walk_block(fn, stmt.orelse, cur)
             elif isinstance(stmt, ast.Try):
@@ -521,15 +451,12 @@ class _LockFlow:
         if isinstance(target, ast.Subscript):
             target = target.value
             value = None  # d[k] = v mutates the container, not rebinds it
-        if (
-            isinstance(target, ast.Attribute)
-            and isinstance(target.value, ast.Name)
-            and target.value.id == "self"
-        ):
-            self._record_write(fn, target.attr, stmt, held, value=value)
+        attr = self_attr(target)
+        if attr is not None:
+            self._record_write(fn, attr, stmt, held, value=value)
 
     def _visit_expr(self, fn: FunctionInfo, expr: ast.expr, held: frozenset[str]) -> None:
-        sites = self._sites(fn)
+        sites = self.graph.sites_by_node(fn.qualname)
         for node in _walk_skipping_lambdas(expr):
             if not isinstance(node, ast.Call):
                 continue
@@ -538,7 +465,7 @@ class _LockFlow:
             # submitter's locks (the broker blocks on its futures with
             # the attach lock held) AND a true thread root
             if isinstance(func, ast.Attribute) and func.attr == "submit" and node.args:
-                target = _resolve_callback_ref(node.args[0], fn, self.graph)
+                target = resolve_callback_ref(node.args[0], fn, self.graph)
                 if target is not None:
                     self.thread_roots.add(target)
                     if not held:
@@ -546,10 +473,10 @@ class _LockFlow:
                     self._push(target, held)
                 continue
             # Thread(target=f): f starts on a fresh thread, lock-free
-            if _rightmost(func) == "Thread":
+            if rightmost_name(func) == "Thread":
                 for kw in node.keywords:
                     if kw.arg == "target":
-                        target = _resolve_callback_ref(kw.value, fn, self.graph)
+                        target = resolve_callback_ref(kw.value, fn, self.graph)
                         if target is not None:
                             self.thread_roots.add(target)
                             self.free_thread_roots.add(target)
@@ -561,14 +488,10 @@ class _LockFlow:
                 self._record_acquire(fn, lock, held, node)
                 continue
             # in-place mutation of self.attr via a container method
-            if (
-                isinstance(func, ast.Attribute)
-                and func.attr in _MUTATING_METHODS
-                and isinstance(func.value, ast.Attribute)
-                and isinstance(func.value.value, ast.Name)
-                and func.value.value.id == "self"
-            ):
-                self._record_write(fn, func.value.attr, node, held)
+            if isinstance(func, ast.Attribute) and func.attr in MUTATING_METHODS:
+                attr = self_attr(func.value)
+                if attr is not None:
+                    self._record_write(fn, attr, node, held)
             site = sites.get(id(node))
             if site is not None and site.callee is not None:
                 self._push(site.callee, held)
@@ -696,9 +619,8 @@ class _ConcurrencyChecker:
         exempt: set[str] = set()
         for q, fn in self.graph.functions.items():
             node = fn.node
-            assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             decorated_cls = any(
-                _rightmost(d) == "classmethod" for d in node.decorator_list
+                rightmost_name(d) == "classmethod" for d in node.decorator_list
             )
             if fn.name in ("__init__", "__new__") or fn.name.startswith("_init") or (
                 fn.cls is not None and decorated_cls and fn.name.startswith(("over_", "from_", "make_", "create"))
@@ -718,63 +640,24 @@ class _ConcurrencyChecker:
 
     # -- thread-root labelling ------------------------------------------
     def _root_labels(self) -> dict[str, set[tuple[str, str]]]:
-        labels: dict[str, set[tuple[str, str]]] = {}
-        seeds: list[tuple[str, tuple[str, str]]] = []
+        #: label -> the functions it starts from
+        seeds: dict[tuple[str, str], list[str]] = {}
         for root in sorted(self.flow.thread_roots):
             kind = "thread" if root in self.flow.free_thread_roots else "scoped"
-            seeds.append((root, (kind, root)))
-        for target, _registrar in self._callback_registrations():
-            seeds.append((target, ("callback", target)))
-        rooted = {q for q, _ in seeds}
-        for q in sorted(self.graph.functions):
-            if not self.graph.callers_of(q) and q not in rooted:
-                seeds.append((q, ("main", "main")))
-        for start, label in seeds:
-            if start not in self.graph.functions:
-                continue
-            frontier = [start]
-            while frontier:
-                q = frontier.pop()
-                have = labels.setdefault(q, set())
-                if label in have:
-                    continue
-                have.add(label)
-                for site in self.graph.calls_from(q):
-                    if site.callee is not None and site.callee in self.graph.functions:
-                        frontier.append(site.callee)
+            seeds[(kind, root)] = [root]
+        for reg in delivery_registrations(self.graph):
+            seeds[("callback", reg.target)] = [reg.target]
+        rooted = {start for starts in seeds.values() for start in starts}
+        seeds[("main", "main")] = [
+            q
+            for q in sorted(self.graph.functions)
+            if not self.graph.callers_of(q) and q not in rooted
+        ]
+        labels: dict[str, set[tuple[str, str]]] = {}
+        for label, starts in seeds.items():
+            for q in reachable(self.graph, starts):
+                labels.setdefault(q, set()).add(label)
         return labels
-
-    def _callback_registrations(self) -> list[tuple[str, str]]:
-        out: list[tuple[str, str]] = []
-        for q in sorted(self.graph.functions):
-            fn = self.graph.functions[q]
-            assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(fn.node):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Attribute)
-                    and node.targets[0].attr in _DELIVERY_CALLBACK_KWARGS
-                ):
-                    self._add_registration(out, node.value, fn)
-                elif isinstance(node, ast.Call):
-                    for kw in node.keywords:
-                        if kw.arg in _DELIVERY_CALLBACK_KWARGS:
-                            self._add_registration(out, kw.value, fn)
-                    name = _rightmost(node.func) or ""
-                    for pos in _CALLBACK_POSITIONS.get(name, ()):
-                        if len(node.args) > pos:
-                            self._add_registration(out, node.args[pos], fn)
-                    if name == "attach" and len(node.args) > 1:
-                        self._add_registration(out, node.args[1], fn)
-        return out
-
-    def _add_registration(
-        self, out: list[tuple[str, str]], ref: ast.expr, fn: FunctionInfo
-    ) -> None:
-        target = _resolve_callback_ref(ref, fn, self.graph)
-        if target is not None:
-            out.append((target, fn.qualname))
 
     # -- DLK001: lock-order cycles --------------------------------------
     def _check_dlk001(self) -> None:
@@ -789,7 +672,7 @@ class _ConcurrencyChecker:
                 else f"lock-order cycle {chain}"
             )
             self.out.append(
-                _diag(
+                diag(
                     "DLK001",
                     f"{what}: threads taking these locks in different orders"
                     " can deadlock; acquire them in one global order",
@@ -825,7 +708,7 @@ class _ConcurrencyChecker:
                 continue
             edge = self.flow.edges[(a, b)]
             self.out.append(
-                _diag(
+                diag(
                     "DLK002",
                     f"{b} acquired while holding {a}: a cross-backend lock"
                     " nesting; the inner layer must never call back into"
@@ -864,7 +747,7 @@ class _ConcurrencyChecker:
                 missing = [ctx for ctx in w.ctxs if lock_name not in ctx]
                 if missing:
                     self.out.append(
-                        _diag(
+                        diag(
                             "DLK003",
                             f"{w.cls}.{w.attr} is protected by {lock_name}"
                             " elsewhere but written here on a path that does"
@@ -894,7 +777,7 @@ class _ConcurrencyChecker:
             w = min(unguarded, key=lambda w: (w.path, w.line))
             names = ", ".join(sorted({r for _, r in roots}))
             self.out.append(
-                _diag(
+                diag(
                     "RACE001",
                     f"{cls}.{attr} is written from {len(roots)} roots"
                     f" ({names}) and this write holds no lock: concurrent"
@@ -929,7 +812,6 @@ class _ConcurrencyChecker:
             fn = self.graph.functions[q]
             if fn.cls is None or fn.cls not in concurrent or q in self._exempt:
                 continue
-            assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
             for node in ast.walk(fn.node):
                 if not isinstance(node, ast.If):
                     continue
@@ -939,7 +821,7 @@ class _ConcurrencyChecker:
                 attr = _lazy_init_attr(node)
                 if attr is not None:
                     self.out.append(
-                        _diag(
+                        diag(
                             "RACE002",
                             f"unsynchronized lazy initialisation of"
                             f" {fn.cls}.{attr}: two threads can both see None"
@@ -953,7 +835,7 @@ class _ConcurrencyChecker:
                 attr = _check_then_act_attr(node, containers, fn.cls)
                 if attr is not None:
                     self.out.append(
-                        _diag(
+                        diag(
                             "RACE003",
                             f"non-atomic check-then-act on shared container"
                             f" {fn.cls}.{attr}: the test and the mutation are"
@@ -966,32 +848,22 @@ class _ConcurrencyChecker:
                     )
 
 
-def _self_attr(expr: ast.expr) -> Optional[str]:
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-    ):
-        return expr.attr
-    return None
-
-
 def _lazy_init_attr(node: ast.If) -> Optional[str]:
     """``self.x`` when ``node`` is ``if self.x is None: self.x = make()``."""
     test = node.test
     attr: Optional[str] = None
     if isinstance(test, ast.Compare) and len(test.ops) == 1 and isinstance(test.ops[0], ast.Is):
         if isinstance(test.comparators[0], ast.Constant) and test.comparators[0].value is None:
-            attr = _self_attr(test.left)
+            attr = self_attr(test.left)
     elif isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        attr = _self_attr(test.operand)
+        attr = self_attr(test.operand)
     if attr is None:
         return None
     for stmt in node.body:
         if (
             isinstance(stmt, ast.Assign)
             and len(stmt.targets) == 1
-            and _self_attr(stmt.targets[0]) == attr
+            and self_attr(stmt.targets[0]) == attr
             and isinstance(stmt.value, ast.Call)
         ):
             return attr
@@ -1008,35 +880,29 @@ def _check_then_act_attr(
         isinstance(op, (ast.In, ast.NotIn)) for op in test.ops
     ):
         for part in [test.left, *test.comparators]:
-            attr = _self_attr(part)
+            attr = self_attr(part)
             if attr is not None:
                 tested.add(attr)
     else:
         target = test
         if isinstance(target, ast.UnaryOp) and isinstance(target.op, ast.Not):
             target = target.operand
-        attr = _self_attr(target)
+        attr = self_attr(target)
         if attr is not None:
             tested.add(attr)
     tested = {a for a in tested if (cls, a) in containers}
     if not tested:
         return None
     for stmt in ast.walk(node):
-        if isinstance(stmt, ast.Assign):
+        if isinstance(stmt, (ast.Assign, ast.Delete)):
             for t in stmt.targets:
                 if isinstance(t, ast.Subscript):
-                    attr = _self_attr(t.value)
-                    if attr in tested:
-                        return attr
-        elif isinstance(stmt, ast.Delete):
-            for t in stmt.targets:
-                if isinstance(t, ast.Subscript):
-                    attr = _self_attr(t.value)
+                    attr = self_attr(t.value)
                     if attr in tested:
                         return attr
         elif isinstance(stmt, ast.Call) and isinstance(stmt.func, ast.Attribute):
-            if stmt.func.attr in _MUTATING_METHODS:
-                attr = _self_attr(stmt.func.value)
+            if stmt.func.attr in MUTATING_METHODS:
+                attr = self_attr(stmt.func.value)
                 if attr in tested:
                     return attr
     return None
@@ -1045,19 +911,14 @@ def _check_then_act_attr(
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-def concurrency_diagnostics(
-    graph: CallGraph, *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """All DLK/RACE findings over an already-built call graph."""
-    return _apply_suppressions(graph, _ConcurrencyChecker(graph).run(), ignore)
+def concurrency_findings(graph: CallGraph) -> list[Diagnostic]:
+    """Raw DLK/RACE findings over an already-built call graph."""
+    return _ConcurrencyChecker(graph).run()
 
 
-def analyze_concurrency(
-    paths: Iterable[str], *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """Build the call graph over ``paths`` and run the DLK/RACE pass."""
-    graph = build_call_graph(paths)
-    return concurrency_diagnostics(graph, ignore=ignore)
+#: ``concurrency_diagnostics(graph, *, ignore=())`` / ``analyze_concurrency(
+#: paths, *, ignore=())``: the findings above with suppressions applied
+concurrency_diagnostics, analyze_concurrency = graph_entry_points(concurrency_findings)
 
 
 def check_sanitizer_report(
@@ -1073,8 +934,8 @@ def check_sanitizer_report(
     static = lock_order_edges(graph)
     out: list[Diagnostic] = []
 
-    def diag(message: str) -> Diagnostic:
-        return _diag("DLK001", message, "sanitizer", "<sanitizer-report>", ast.Pass())
+    def finding(message: str) -> Diagnostic:
+        return diag("DLK001", message, "sanitizer", "<sanitizer-report>", ast.Pass())
 
     inversions = report.get("inversions") or []
     if isinstance(inversions, list):
@@ -1082,7 +943,7 @@ def check_sanitizer_report(
             if isinstance(pair, (list, tuple)) and len(pair) == 2:
                 a, b = str(pair[0]), str(pair[1])
                 out.append(
-                    diag(
+                    finding(
                         f"runtime lock-order inversion observed: {a} and {b}"
                         " were each acquired while the other was held"
                     )
@@ -1099,12 +960,10 @@ def check_sanitizer_report(
             continue
         chain = " -> ".join(cycle + (cycle[0],)) if len(cycle) > 1 else cycle[0]
         out.append(
-            diag(
+            finding(
                 f"lock-order cycle {chain} closed by runtime-observed"
                 " edges: the static graph alone did not contain it, the"
                 " sanitized run did"
             )
         )
-    from .diagnostics import filter_diagnostics
-
     return filter_diagnostics(out, ignore=ignore)

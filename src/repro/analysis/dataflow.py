@@ -34,10 +34,18 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
-from .callgraph import CallGraph, CallSite, FunctionInfo, build_call_graph
-from .diagnostics import Diagnostic, filter_diagnostics, parse_suppressions, rule_severity
+from .callgraph import CallGraph, CallSite, FunctionInfo, name_binding, rightmost_name
+from .diagnostics import Diagnostic
+from .passes import (
+    PathWalker,
+    Registration,
+    delivery_registrations,
+    diag,
+    graph_entry_points,
+    resolve_callback_ref,
+)
 
 __all__ = [
     "Unit",
@@ -51,6 +59,7 @@ __all__ = [
     "UnitSig",
     "compute_escaping_exceptions",
     "compute_return_units",
+    "dataflow_findings",
     "dataflow_diagnostics",
     "analyze_dataflow",
 ]
@@ -280,12 +289,6 @@ _BUILTIN_BASES: dict[str, tuple[str, ...]] = {
     "Exception": ("BaseException",),
 }
 
-#: kwarg names whose value is a delivery/receive callback
-_DELIVERY_CALLBACK_KWARGS = frozenset({"on_receive", "on_delivery", "on_payload", "on_rejected"})
-
-#: (callable short name, positional index) pairs that take a delivery callback
-_DELIVERY_CALLBACK_POSITIONS: dict[str, int] = {"RtpReassembler": 0}
-
 #: path fragments where EXC003 (silent swallow) applies
 _DISPATCH_FILE_FRAGMENTS = (
     "messaging/",
@@ -346,29 +349,6 @@ _SAFE_CALLS = frozenset(
 
 
 # ======================================================================
-# shared helpers
-# ======================================================================
-def _rightmost(expr: ast.expr) -> Optional[str]:
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
-def _diag(code: str, message: str, subject: str, path: str, node: ast.AST) -> Diagnostic:
-    return Diagnostic(
-        code,
-        rule_severity(code),
-        message,
-        subject=subject,
-        file=path,
-        line=getattr(node, "lineno", None),
-        column=getattr(node, "col_offset", -1) + 1 if hasattr(node, "col_offset") else None,
-    )
-
-
-# ======================================================================
 # UNI: unit propagation
 # ======================================================================
 def _signature_for(site: CallSite, graph: CallGraph) -> Optional[UnitSig]:
@@ -396,6 +376,14 @@ def _signature_for(site: CallSite, graph: CallGraph) -> Optional[UnitSig]:
                 params[p] = u
         if params:
             return UnitSig(params)
+    return None
+
+
+def _own_signature(fn: FunctionInfo) -> Optional[UnitSig]:
+    """Registry signature of ``fn`` itself (not of something it calls)."""
+    for suffix, sig in SIGNATURES.items():
+        if fn.qualname.endswith(suffix):
+            return sig
     return None
 
 
@@ -453,7 +441,7 @@ class _UnitChecker:
                     return sig.returns
                 if site.callee is not None and site.callee in self.return_units:
                     return self.return_units[site.callee]
-            name = _rightmost(expr.func)
+            name = rightmost_name(expr.func)
             if name in _IDENTITY_CALLS and expr.args:
                 return self.unit_of(expr.args[0], env)
             return None
@@ -461,25 +449,18 @@ class _UnitChecker:
 
     # -- checks ---------------------------------------------------------
     def check_function(self, fn: FunctionInfo) -> None:
-        sig = None
-        for suffix, s in SIGNATURES.items():
-            if fn.qualname.endswith(suffix):
-                sig = s
-                break
-        env = _UnitEnv(fn, sig)
-        self._sites = {id(s.node): s for s in self.graph.calls_from(fn.qualname)}
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        env = _UnitEnv(fn, _own_signature(fn))
+        self._sites = self.graph.sites_by_node(fn.qualname)
         for stmt in ast.walk(fn.node):
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(
-                stmt.targets[0], ast.Name
-            ):
-                u = self.unit_of(stmt.value, env)
-                target = stmt.targets[0].id
+            bound = name_binding(stmt)
+            if bound is not None:
+                target, value = bound
+                u = self.unit_of(value, env)
                 if u is not None:
                     declared = unit_from_name(target)
                     if declared is not None and declared != u:
                         self.diags.append(
-                            _diag(
+                            diag(
                                 _mismatch_code(declared, u),
                                 f"'{target}' declares {declared} but is assigned"
                                 f" a {u} value",
@@ -515,7 +496,7 @@ class _UnitChecker:
         b = self.unit_of(right, env)
         if a is not None and b is not None and a != b:
             self.diags.append(
-                _diag(
+                diag(
                     _mismatch_code(a, b),
                     f"{kind} mixes {a} and {b}",
                     fn.qualname,
@@ -545,7 +526,7 @@ class _UnitChecker:
             else:
                 code = _mismatch_code(actual, expected)
             self.diags.append(
-                _diag(
+                diag(
                     code,
                     f"{site.func_repr}() expects {expected} for"
                     f" {key!r}, got a {actual} value",
@@ -563,31 +544,23 @@ def compute_return_units(graph: CallGraph, rounds: int = 3) -> dict[str, str]:
         changed = False
         checker = _UnitChecker(graph, out)
         for fn in graph.functions.values():
-            sig = None
-            for suffix, s in SIGNATURES.items():
-                if fn.qualname.endswith(suffix):
-                    sig = s
-                    break
+            sig = _own_signature(fn)
             if sig is not None and sig.returns is not None:
                 if out.get(fn.qualname) != sig.returns:
                     out[fn.qualname] = sig.returns
                     changed = True
                 continue
             env = _UnitEnv(fn, sig)
-            checker._sites = {id(s.node): s for s in graph.calls_from(fn.qualname)}
+            checker._sites = graph.sites_by_node(fn.qualname)
             units: set[Optional[str]] = set()
-            assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
             for stmt in ast.walk(fn.node):
                 # seed env from simple assignments first (walk order is
                 # document order for a function body)
-                if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(
-                    stmt.targets[0], ast.Name
-                ):
-                    u = checker.unit_of(stmt.value, env) or unit_from_name(
-                        stmt.targets[0].id
-                    )
+                bound = name_binding(stmt)
+                if bound is not None:
+                    u = checker.unit_of(bound[1], env) or unit_from_name(bound[0])
                     if u is not None:
-                        env.vars[stmt.targets[0].id] = u
+                        env.vars[bound[0]] = u
                 elif isinstance(stmt, ast.Return) and stmt.value is not None:
                     units.add(checker.unit_of(stmt.value, env))
             if len(units) == 1:
@@ -651,7 +624,7 @@ def _check_scale(
     if from_unit == to_unit and factor == 1.0:
         return None
     if dimension_of(from_unit) != dimension_of(to_unit):
-        return _diag(
+        return diag(
             _mismatch_code(from_unit, to_unit),
             f"{what}: {from_unit} value delivered as {to_unit}",
             subject,
@@ -664,7 +637,7 @@ def _check_scale(
     expected = sf / st
     if abs(factor - expected) <= 1e-9 * max(1.0, expected):
         return None
-    return _diag(
+    return diag(
         _mismatch_code(from_unit, to_unit),
         f"{what}: converting {from_unit} to {to_unit} needs a factor of"
         f" {expected:g}, found {factor:g}",
@@ -700,7 +673,6 @@ class _GaugeChecker:
         if fn is None:
             return expr
         node = fn.node
-        assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
         args = node.args
         if args.defaults:
             for a, d in zip(args.args[-len(args.defaults) :], args.defaults):
@@ -730,21 +702,25 @@ class _GaugeChecker:
         parameter = self._resolve_local(parameter, site)
         if not (isinstance(parameter, ast.Constant) and isinstance(parameter.value, str)):
             return
-        to_unit = unit_from_name(parameter.value)
-        if to_unit is None:
-            return
         if transform is not None:
             transform = self._resolve_local(transform, site)
+        self._check_probe_scale(gauge, parameter.value, transform, site.path, call)
+
+    def _check_probe_scale(
+        self, gauge: str, param: str, transform: Optional[ast.expr], path: str, node: ast.AST
+    ) -> None:
+        """A probe delivering ``gauge`` as ``param`` must scale between their units."""
+        to_unit = unit_from_name(param)
         factor = self._transform_factor(transform)
-        if factor is None:
-            return  # opaque transform: trust it
+        if to_unit is None or factor is None:
+            return  # parameter declares no unit, or opaque transform: trust it
         d = _check_scale(
             GAUGE_UNITS[gauge],
             to_unit,
             factor,
-            f"{gauge} -> {parameter.value}",
-            site.path,
-            call,
+            f"{gauge} -> {param}",
+            path,
+            node,
             "SNMP probe scaling",
         )
         if d is not None:
@@ -756,7 +732,6 @@ class _GaugeChecker:
         only loop variables, so match the table literal itself."""
         for fn in self.graph.functions.values():
             node = fn.node
-            assert isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
             lambdas = _local_bindings(node)
             for sub in ast.walk(node):
                 if isinstance(sub, ast.Tuple) and 2 <= len(sub.elts) <= 4:
@@ -783,25 +758,9 @@ class _GaugeChecker:
                 transform = elt
         if gauge is None or param is None:
             return
-        to_unit = unit_from_name(param)
-        if to_unit is None:
-            return
         if isinstance(transform, ast.Name) and transform.id in lambdas:
             transform = lambdas[transform.id]
-        factor = self._transform_factor(transform)
-        if factor is None:
-            return
-        d = _check_scale(
-            GAUGE_UNITS[gauge],
-            to_unit,
-            factor,
-            f"{gauge} -> {param}",
-            path,
-            row,
-            "SNMP probe scaling",
-        )
-        if d is not None:
-            self.diags.append(d)
+        self._check_probe_scale(gauge, param, transform, path, row)
 
     def _transform_factor(self, transform: Optional[ast.expr]) -> Optional[float]:
         """Multiplicative factor a probe transform applies, if derivable."""
@@ -825,7 +784,7 @@ class _GaugeChecker:
             return
         decomposed = _constant_factor(
             getter.body,
-            lambda e: _GAUGE_ATTR_UNITS.get(_rightmost(e) or "")
+            lambda e: _GAUGE_ATTR_UNITS.get(rightmost_name(e) or "")
             if isinstance(e, (ast.Attribute, ast.Name))
             else None,
         )
@@ -849,18 +808,11 @@ def _local_bindings(fn: ast.AST) -> dict[str, ast.expr]:
     """``name = <lambda or constant>`` bindings inside a function body."""
     out: dict[str, ast.expr] = {}
     for stmt in ast.walk(fn):
-        target: Optional[str] = None
-        value: Optional[ast.expr] = None
-        if (
-            isinstance(stmt, ast.Assign)
-            and len(stmt.targets) == 1
-            and isinstance(stmt.targets[0], ast.Name)
-        ):
-            target, value = stmt.targets[0].id, stmt.value
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            target, value = stmt.target.id, stmt.value
-        if target is not None and isinstance(value, (ast.Lambda, ast.Constant)):
-            out.setdefault(target, value)
+        bound: Optional[tuple[str, Optional[ast.expr]]] = name_binding(stmt)
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            bound = stmt.target.id, stmt.value
+        if bound is not None and isinstance(bound[1], (ast.Lambda, ast.Constant)):
+            out.setdefault(bound[0], bound[1])
     return out
 
 
@@ -893,7 +845,7 @@ def _handler_type_names(handler: ast.ExceptHandler) -> set[str]:
         return set()
     names: set[str] = set()
     for node in [t] if not isinstance(t, ast.Tuple) else list(t.elts):
-        n = _rightmost(node)
+        n = rightmost_name(node)
         if n:
             names.add(n)
     return names
@@ -905,7 +857,6 @@ class _EscapeAnalyzer:
     def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
         self.summaries: dict[str, frozenset[str]] = {}
-        self._site_index: dict[str, dict[int, CallSite]] = {}
 
     def compute(self, rounds: int = 6) -> dict[str, frozenset[str]]:
         for q in self.graph.functions:
@@ -913,7 +864,6 @@ class _EscapeAnalyzer:
         for _ in range(rounds):
             changed = False
             for q, fn in self.graph.functions.items():
-                assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
                 esc = frozenset(self._escapes(fn.node.body, q, caught_stack=()))
                 if esc != self.summaries[q]:
                     self.summaries[q] = esc
@@ -939,7 +889,7 @@ class _EscapeAnalyzer:
             if stmt.exc is None:
                 # bare re-raise: whatever the innermost handler caught
                 return set(caught_stack[-1]) if caught_stack else set()
-            name = _rightmost(
+            name = rightmost_name(
                 stmt.exc.func if isinstance(stmt.exc, ast.Call) else stmt.exc
             )
             return {name} if name else set()
@@ -977,7 +927,7 @@ class _EscapeAnalyzer:
         """Escape sets of resolved calls in one expression subtree
         (deferred bodies — lambdas, nested defs — excluded)."""
         out: set[str] = set()
-        sites = self._sites_by_caller(caller)
+        sites = self.graph.sites_by_node(caller)
         stack = [node]
         while stack:
             n = stack.pop()
@@ -990,31 +940,10 @@ class _EscapeAnalyzer:
             stack.extend(ast.iter_child_nodes(n))
         return out
 
-    def _sites_by_caller(self, caller: str) -> dict[int, CallSite]:
-        cached = self._site_index.get(caller)
-        if cached is None:
-            cached = {id(s.node): s for s in self.graph.calls_from(caller)}
-            self._site_index[caller] = cached
-        return cached
-
 
 def compute_escaping_exceptions(graph: CallGraph) -> dict[str, frozenset[str]]:
     """Escaping exception-type summaries for every function in the graph."""
     return _EscapeAnalyzer(graph).compute()
-
-
-def _resolve_callback_ref(
-    expr: ast.expr, fn: FunctionInfo, graph: CallGraph
-) -> Optional[str]:
-    """Qualname of a function referenced (not called) by ``expr``."""
-    if isinstance(expr, ast.Attribute) and isinstance(expr.value, ast.Name):
-        if expr.value.id == "self" and fn.cls is not None:
-            return graph.method_qualname(fn.cls, expr.attr)
-    if isinstance(expr, ast.Name):
-        q = f"{fn.module}.{expr.id}"
-        if q in graph.functions:
-            return q
-    return None
 
 
 class _ExceptionChecker:
@@ -1025,29 +954,18 @@ class _ExceptionChecker:
 
     def run(self) -> list[Diagnostic]:
         wire_closure = self._wire_closure()
+        for reg in delivery_registrations(self.graph):
+            self._check_delivery(reg, wire_closure)
+        for site in self.graph.calls:
+            fn = self.graph.functions.get(site.caller)
+            if fn and site.method in ("call_after", "call_at") and len(site.node.args) >= 2:
+                self._check_scheduled(site.node.args[1], fn, site.node)
         for fn in self.graph.functions.values():
-            assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(fn.node):
-                # delivery-callback registrations: `x.on_receive = cb`
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Attribute)
-                    and node.targets[0].attr in _DELIVERY_CALLBACK_KWARGS
-                ):
-                    self._check_delivery(node.value, fn, node, wire_closure)
-                elif isinstance(node, ast.Call):
-                    for kw in node.keywords:
-                        if kw.arg in _DELIVERY_CALLBACK_KWARGS:
-                            self._check_delivery(kw.value, fn, node, wire_closure)
-                    name = _rightmost(node.func)
-                    pos = _DELIVERY_CALLBACK_POSITIONS.get(name or "")
-                    if pos is not None and len(node.args) > pos:
-                        self._check_delivery(node.args[pos], fn, node, wire_closure)
-                    if name in ("call_after", "call_at") and len(node.args) >= 2:
-                        self._check_scheduled(node.args[1], fn, node)
-                elif isinstance(node, ast.ExceptHandler):
-                    self._check_swallow(node, fn, wire_closure)
+            path = fn.path.replace("\\", "/")
+            if any(frag in path for frag in _DISPATCH_FILE_FRAGMENTS):
+                for node in ast.walk(fn.node):
+                    if isinstance(node, ast.ExceptHandler):
+                        self._check_swallow(node, fn, wire_closure)
         return self.diags
 
     def _wire_closure(self) -> frozenset[str]:
@@ -1058,38 +976,30 @@ class _ExceptionChecker:
                 out.add(cls)
         return frozenset(out)
 
-    def _check_delivery(
-        self,
-        ref: ast.expr,
-        fn: FunctionInfo,
-        node: ast.AST,
-        wire_closure: frozenset[str],
-    ) -> None:
-        target = _resolve_callback_ref(ref, fn, self.graph)
-        if target is None:
-            return
+    def _check_delivery(self, reg: Registration, wire_closure: frozenset[str]) -> None:
+        target = reg.target
         leaking = sorted(set(self.escapes.get(target, frozenset())) & wire_closure)
         if leaking:
             self.diags.append(
-                _diag(
+                diag(
                     "EXC001",
                     f"delivery callback {target.rsplit('.', 1)[-1]}() can leak"
                     f" {', '.join(leaking)} across the dispatch boundary"
                     " (malformed input kills the event loop)",
                     target,
-                    fn.path,
-                    node,
+                    reg.registrar.path,
+                    reg.node,
                 )
             )
 
     def _check_scheduled(self, ref: ast.expr, fn: FunctionInfo, node: ast.AST) -> None:
-        target = _resolve_callback_ref(ref, fn, self.graph)
+        target = resolve_callback_ref(ref, fn, self.graph)
         if target is None:
             return
         leaking = sorted(self.escapes.get(target, frozenset()) - {"KeyboardInterrupt"})
         if leaking:
             self.diags.append(
-                _diag(
+                diag(
                     "EXC002",
                     f"scheduler callback {target.rsplit('.', 1)[-1]}() can raise"
                     f" {', '.join(leaking)}, aborting the event loop mid-run",
@@ -1102,9 +1012,6 @@ class _ExceptionChecker:
     def _check_swallow(
         self, handler: ast.ExceptHandler, fn: FunctionInfo, wire_closure: frozenset[str]
     ) -> None:
-        path = fn.path.replace("\\", "/")
-        if not any(frag in path for frag in _DISPATCH_FILE_FRAGMENTS):
-            return
         if not all(
             isinstance(s, (ast.Pass, ast.Continue, ast.Break))
             or (isinstance(s, ast.Expr) and isinstance(s.value, ast.Constant))
@@ -1117,7 +1024,7 @@ class _ExceptionChecker:
         if broad or wire:
             what = "every exception" if broad else ", ".join(sorted(types & wire_closure))
             self.diags.append(
-                _diag(
+                diag(
                     "EXC003",
                     f"handler silently swallows {what} on a dispatch path;"
                     " count it or emit a DiagnosticWarning",
@@ -1144,10 +1051,15 @@ class _Tracked:
     close_node: Optional[ast.AST] = None
 
 
-class _ResourceChecker:
+class _ResourceChecker(PathWalker):
+    """RES001–003: the open/closed/maybe lattice over :class:`PathWalker`."""
+
     def __init__(self, graph: CallGraph) -> None:
         self.graph = graph
         self.diags: list[Diagnostic] = []
+        # per-function walk state
+        self.fn: FunctionInfo = None  # type: ignore[assignment]
+        self.tracked: dict[str, _Tracked] = {}
 
     def run(self) -> list[Diagnostic]:
         for fn in self.graph.functions.values():
@@ -1155,154 +1067,79 @@ class _ResourceChecker:
         return self.diags
 
     def _check_function(self, fn: FunctionInfo) -> None:
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        tracked: dict[str, _Tracked] = {}
-        self._collect(fn, tracked)
-        if not tracked:
+        self.fn = fn
+        self.tracked = {}
+        self._collect(fn, self.tracked)
+        if not self.tracked:
             return
         state: dict[str, str] = {}
-        self._walk(fn.node.body, state, tracked, fn, in_finally=False)
-        self._leak_checks(fn, tracked, state)
+        self.walk(fn.node.body, state)
+        self._leak_checks(fn, self.tracked, state)
 
     # -- discovery ------------------------------------------------------
     def _collect(self, fn: FunctionInfo, tracked: dict[str, _Tracked]) -> None:
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn.node):
-            if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-            ):
-                rtype = self._resource_type_of(node.value)
+            bound = name_binding(node)
+            if bound is not None and isinstance(bound[1], ast.Call):
+                rtype = self._resource_type_of(bound[1])
                 if rtype is not None:
-                    var = node.targets[0].id
-                    tracked.setdefault(var, _Tracked(var, rtype, node))
+                    tracked.setdefault(bound[0], _Tracked(bound[0], rtype, node))
         if not tracked:
             return
         # escape analysis: returned, yielded, stored, passed, closed over
-        names = set(tracked)
+        def escapes_through(root: Optional[ast.AST]) -> None:
+            for sub in ast.walk(root) if root is not None else ():
+                if isinstance(sub, ast.Name) and sub.id in tracked:
+                    tracked[sub.id].escaped = True
+
         for node in ast.walk(fn.node):
             if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                v = getattr(node, "value", None)
-                for sub in ast.walk(v) if v is not None else ():
-                    if isinstance(sub, ast.Name) and sub.id in names:
-                        tracked[sub.id].escaped = True
+                escapes_through(node.value)
             elif isinstance(node, ast.Assign):
                 if any(not isinstance(t, ast.Name) for t in node.targets):
-                    for sub in ast.walk(node.value):
-                        if isinstance(sub, ast.Name) and sub.id in names:
-                            tracked[sub.id].escaped = True
+                    escapes_through(node.value)
             elif isinstance(node, ast.Call):
                 # passed as an argument (ownership transfer), but a plain
                 # method call on the resource itself is not an escape
                 for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    for sub in ast.walk(arg):
-                        if isinstance(sub, ast.Name) and sub.id in names:
-                            tracked[sub.id].escaped = True
+                    escapes_through(arg)
             elif isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
                 if node is not fn.node:
-                    for sub in ast.walk(node):
-                        if isinstance(sub, ast.Name) and sub.id in names:
-                            tracked[sub.id].escaped = True
+                    escapes_through(node)
 
     def _resource_type_of(self, call: ast.Call) -> Optional[str]:
-        name = _rightmost(call.func)
+        name = rightmost_name(call.func)
         if name in RESOURCE_TYPES:
             return name
         return None
 
-    # -- path walk ------------------------------------------------------
-    def _walk(
-        self,
-        stmts: list[ast.stmt],
-        state: dict[str, str],
-        tracked: dict[str, _Tracked],
-        fn: FunctionInfo,
-        in_finally: bool,
-    ) -> bool:
-        """Interpret ``stmts``; returns True when the path terminates."""
-        for stmt in stmts:
-            if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
-                self._scan_expr(stmt, state, tracked, fn)
-                return True
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(
-                stmt.targets[0], ast.Name
-            ):
-                var = stmt.targets[0].id
-                self._scan_expr(stmt.value, state, tracked, fn)
-                if var in tracked:
-                    if isinstance(stmt.value, ast.Call) and self._resource_type_of(
-                        stmt.value
-                    ):
-                        state[var] = _OPEN
-                    else:
-                        state.pop(var, None)  # re-bound to something else
-                continue
-            if isinstance(stmt, ast.If):
-                self._scan_expr(stmt.test, state, tracked, fn)
-                s1, s2 = dict(state), dict(state)
-                t1 = self._walk(stmt.body, s1, tracked, fn, in_finally)
-                t2 = self._walk(stmt.orelse, s2, tracked, fn, in_finally)
-                if t1 and t2:
-                    return True
-                if t1:
-                    state.clear(); state.update(s2)
-                elif t2:
-                    state.clear(); state.update(s1)
-                else:
-                    self._merge(state, s1, s2)
-                continue
-            if isinstance(stmt, (ast.For, ast.While)):
-                body_state = dict(state)
-                self._walk(stmt.body, body_state, tracked, fn, in_finally)
-                self._merge(state, dict(state), body_state)
-                self._walk(stmt.orelse, state, tracked, fn, in_finally)
-                continue
-            if isinstance(stmt, ast.Try):
-                body_state = dict(state)
-                t_body = self._walk(stmt.body, body_state, tracked, fn, in_finally)
-                merged = dict(state)
-                self._merge(merged, dict(state), body_state)
-                for handler in stmt.handlers:
-                    h_state = dict(merged)
-                    self._walk(handler.body, h_state, tracked, fn, in_finally)
-                    self._merge(merged, merged, h_state)
-                if not t_body:
-                    self._walk(stmt.orelse, body_state, tracked, fn, in_finally)
-                    self._merge(merged, merged, body_state)
-                t_fin = self._walk(stmt.finalbody, merged, tracked, fn, in_finally=True)
-                state.clear(); state.update(merged)
-                if t_fin:
-                    return True
-                continue
-            if isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    self._scan_expr(item.context_expr, state, tracked, fn)
-                    if (
-                        isinstance(item.context_expr, ast.Call)
-                        and item.optional_vars is not None
-                        and isinstance(item.optional_vars, ast.Name)
-                        and item.optional_vars.id in tracked
-                    ):
-                        state[item.optional_vars.id] = _OPEN
-                term = self._walk(stmt.body, state, tracked, fn, in_finally)
-                for item in stmt.items:
-                    if isinstance(item.optional_vars, ast.Name) and (
-                        item.optional_vars.id in tracked
-                    ):
-                        # context manager closes on exit
-                        tracked[item.optional_vars.id].ever_closed = True
-                        tracked[item.optional_vars.id].close_node = stmt
-                        state[item.optional_vars.id] = _CLOSED
-                if term:
-                    return True
-                continue
-            # plain statement: scan for close()/use() calls
-            self._scan_expr(stmt, state, tracked, fn)
-        return False
+    # -- PathWalker hooks -----------------------------------------------
+    def assign(self, var: str, value: ast.expr, state: dict[str, str]) -> None:
+        if var in self.tracked:
+            if isinstance(value, ast.Call) and self._resource_type_of(value):
+                state[var] = _OPEN
+            else:
+                state.pop(var, None)  # re-bound to something else
 
-    def _merge(
+    def enter_with(self, item: ast.withitem, state: dict[str, str]) -> None:
+        var = item.optional_vars
+        if (
+            isinstance(item.context_expr, ast.Call)
+            and isinstance(var, ast.Name)
+            and var.id in self.tracked
+        ):
+            state[var.id] = _OPEN
+
+    def exit_with(self, stmt: ast.With, state: dict[str, str]) -> None:
+        for item in stmt.items:
+            var = item.optional_vars
+            if isinstance(var, ast.Name) and var.id in self.tracked:
+                # context manager closes on exit
+                self.tracked[var.id].ever_closed = True
+                self.tracked[var.id].close_node = stmt
+                state[var.id] = _CLOSED
+
+    def merge(
         self, into: dict[str, str], s1: dict[str, str], s2: dict[str, str]
     ) -> None:
         into.clear()
@@ -1313,13 +1150,8 @@ class _ResourceChecker:
             elif a is not None or b is not None:
                 into[var] = _MAYBE
 
-    def _scan_expr(
-        self,
-        node: ast.AST,
-        state: dict[str, str],
-        tracked: dict[str, _Tracked],
-        fn: FunctionInfo,
-    ) -> None:
+    def scan(self, node: ast.AST, state: dict[str, str]) -> None:
+        tracked, fn = self.tracked, self.fn
         for sub in ast.walk(node):
             if not (
                 isinstance(sub, ast.Call)
@@ -1336,7 +1168,7 @@ class _ResourceChecker:
             if method in rtype.close_methods:
                 if current == _CLOSED:
                     self.diags.append(
-                        _diag(
+                        diag(
                             "RES002",
                             f"double close: {var}.{method}() on an already-closed"
                             f" {info.rtype}",
@@ -1352,7 +1184,7 @@ class _ResourceChecker:
             elif method in rtype.use_methods:
                 if current == _CLOSED:
                     self.diags.append(
-                        _diag(
+                        diag(
                             "RES003",
                             f"use after close: {var}.{method}() after"
                             f" {info.rtype} was closed on this path",
@@ -1366,14 +1198,13 @@ class _ResourceChecker:
     def _leak_checks(
         self, fn: FunctionInfo, tracked: dict[str, _Tracked], state: dict[str, str]
     ) -> None:
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         parents = _parent_map(fn.node)
         for info in tracked.values():
             if info.escaped:
                 continue
             if not info.ever_closed:
                 self.diags.append(
-                    _diag(
+                    diag(
                         "RES001",
                         f"{info.rtype} '{info.var}' is never closed in"
                         f" {fn.name}() and does not escape",
@@ -1385,7 +1216,7 @@ class _ResourceChecker:
                 continue
             if state.get(info.var) == _MAYBE:
                 self.diags.append(
-                    _diag(
+                    diag(
                         "RES001",
                         f"{info.rtype} '{info.var}' is closed on some paths"
                         f" but not all in {fn.name}()",
@@ -1399,7 +1230,7 @@ class _ResourceChecker:
                 info, parents
             ) and self._hazard_between(fn, info):
                 self.diags.append(
-                    _diag(
+                    diag(
                         "RES001",
                         f"{info.rtype} '{info.var}' leaks if a call between"
                         f" acquisition and close raises; close it in a"
@@ -1428,14 +1259,13 @@ class _ResourceChecker:
         """A possibly-raising call between acquisition and release."""
         start = getattr(info.node, "lineno", 0)
         end = getattr(info.close_node, "lineno", 1 << 30)
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn.node):
             if not isinstance(node, ast.Call):
                 continue
             line = getattr(node, "lineno", 0)
             if not (start < line < end):
                 continue
-            name = _rightmost(node.func)
+            name = rightmost_name(node.func)
             if name in _SAFE_CALLS:
                 continue
             if (
@@ -1464,10 +1294,8 @@ def _contains(root: ast.AST, target: ast.AST) -> bool:
 # ======================================================================
 # entry points
 # ======================================================================
-def dataflow_diagnostics(
-    graph: CallGraph, *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """All UNI/EXC/RES findings over an already-built call graph."""
+def dataflow_findings(graph: CallGraph) -> list[Diagnostic]:
+    """Raw UNI/EXC/RES findings over an already-built call graph."""
     diags: list[Diagnostic] = []
 
     return_units = compute_return_units(graph)
@@ -1481,19 +1309,9 @@ def dataflow_diagnostics(
     diags.extend(_ExceptionChecker(graph, escapes).run())
 
     diags.extend(_ResourceChecker(graph).run())
-
-    # per-file inline suppressions + global ignores
-    suppressions = {
-        path: parse_suppressions(source) for path, source in graph.sources.items()
-    }
-    out: list[Diagnostic] = []
-    for d in diags:
-        sup = suppressions.get(d.file or "")
-        out.extend(filter_diagnostics([d], ignore=ignore, suppressions=sup))
-    return out
+    return diags
 
 
-def analyze_dataflow(paths: Iterable[str], *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
-    """Build the call graph over ``paths`` and run every dataflow pass."""
-    graph = build_call_graph(paths)
-    return dataflow_diagnostics(graph, ignore=ignore)
+#: ``dataflow_diagnostics(graph, *, ignore=())`` / ``analyze_dataflow(paths,
+#: *, ignore=())``: the findings above with suppressions applied
+dataflow_diagnostics, analyze_dataflow = graph_entry_points(dataflow_findings)

@@ -73,13 +73,16 @@ from __future__ import annotations
 import ast
 from typing import Iterable, Iterator, Optional
 
-from .callgraph import CallGraph, CallSite, FunctionInfo, build_call_graph
-from .diagnostics import (
-    Diagnostic,
-    filter_diagnostics,
-    parse_suppressions,
-    rule_severity,
+from .callgraph import (
+    CallGraph,
+    CallSite,
+    FunctionInfo,
+    matches_suffix,
+    name_binding,
+    rightmost_name,
 )
+from .diagnostics import Diagnostic
+from .passes import diag, graph_entry_points, is_set_expr, reachable
 
 __all__ = [
     "HOT_ENTRY_SUFFIXES",
@@ -89,6 +92,8 @@ __all__ = [
     "DET_WALLCLOCK_EXEMPT_PATHS",
     "hot_contexts",
     "sim_reachable",
+    "perf_findings",
+    "det_findings",
     "perf_diagnostics",
     "det_diagnostics",
     "hotpath_diagnostics",
@@ -272,15 +277,11 @@ _PARSE_CACHE_LAYER = ("core/selectors.py", "core/matching_engine.py")
 # ----------------------------------------------------------------------
 # reachability + loop-cost propagation
 # ----------------------------------------------------------------------
-def _matches_suffix(qualname: str, suffix: str) -> bool:
-    return qualname == suffix or qualname.endswith("." + suffix)
-
-
 def _entry_functions(graph: CallGraph, suffixes: Iterable[str]) -> set[str]:
     out: set[str] = set()
     for q in graph.functions:
         for s in suffixes:
-            if _matches_suffix(q, s):
+            if matches_suffix(q, s):
                 out.add(q)
                 break
     return out
@@ -347,9 +348,6 @@ class _DepthIndex:
             got = self._cache[qualname] = _local_loop_depths(info.node)
         return got
 
-    def depth_of(self, qualname: str, node: ast.AST) -> int:
-        return self.depths(qualname).get(id(node), 0)
-
 
 def hot_contexts(
     graph: CallGraph, *, entries: Iterable[str] = HOT_ENTRY_SUFFIXES
@@ -370,7 +368,7 @@ def hot_contexts(
         for site in graph.calls_from(q):
             if site.callee is None or site.callee not in graph.functions:
                 continue
-            cand = min(_DEPTH_CAP, base + index.depth_of(q, site.node))
+            cand = min(_DEPTH_CAP, base + index.depths(q).get(id(site.node), 0))
             if cand > context.get(site.callee, -1):
                 context[site.callee] = cand
                 work.append(site.callee)
@@ -385,28 +383,12 @@ def sim_reachable(graph: CallGraph) -> set[str]:
             info.name == "main" or info.name.startswith("run")
         ):
             roots.add(q)
-    seen = set(roots)
-    work = list(roots)
-    while work:
-        q = work.pop()
-        for callee in graph.callees_of(q):
-            if callee in graph.functions and callee not in seen:
-                seen.add(callee)
-                work.append(callee)
-    return seen
+    return reachable(graph, roots)
 
 
 # ----------------------------------------------------------------------
 # shared AST helpers
 # ----------------------------------------------------------------------
-def _rightmost(expr: ast.expr) -> Optional[str]:
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
 def _dotted(expr: ast.expr) -> str:
     if isinstance(expr, ast.Name):
         return expr.id
@@ -415,18 +397,8 @@ def _dotted(expr: ast.expr) -> str:
     return "<expr>"
 
 
-def _diag(
-    code: str, message: str, info: FunctionInfo, node: ast.AST
-) -> Diagnostic:
-    return Diagnostic(
-        code,
-        rule_severity(code),
-        message,
-        subject=info.qualname,
-        file=info.path,
-        line=getattr(node, "lineno", None),
-        column=getattr(node, "col_offset", -1) + 1 or None,
-    )
+def _diag(code: str, message: str, info: FunctionInfo, node: ast.AST) -> Diagnostic:
+    return diag(code, message, info.qualname, info.path, node)
 
 
 def _assigned_names(node: ast.AST) -> set[str]:
@@ -458,6 +430,20 @@ def _loops_in(fn: ast.AST) -> Iterator[ast.AST]:
             yield node
 
 
+def _per_iteration_calls(
+    fn: ast.AST, depths: dict[int, int]
+) -> Iterator[tuple[ast.Call, set[str]]]:
+    """Every call a loop in ``fn`` evaluates once per iteration (one in
+    the loop's iterable runs once and is skipped), with the names that
+    loop rebinds."""
+    for loop in _loops_in(fn):
+        assigned = _assigned_names(loop)
+        body_depth = depths.get(id(loop), 0) + 1
+        for node in ast.walk(loop):
+            if isinstance(node, ast.Call) and depths.get(id(node), 0) >= body_depth:
+                yield node, assigned
+
+
 def _is_loop_invariant(arg: ast.expr, loop_assigned: set[str]) -> bool:
     """Whether ``arg`` provably evaluates the same every loop iteration."""
     for leaf in ast.walk(arg):
@@ -482,8 +468,8 @@ class _PerfChecker:
         for q, ctx in self.context.items():
             info = self.graph.functions[q]
             depths = self.index.depths(q)
-            self._check_population_scans(info, ctx, depths)
-            self._check_allocation_churn(info, ctx, depths)
+            self._check_population_scans(info, ctx)
+            self._check_allocation_churn(info, depths)
             self._check_bytes_concat(info)
             self._check_invariant_calls(info)
             self._check_uncached_parse(info)
@@ -491,14 +477,12 @@ class _PerfChecker:
         return self.out
 
     # -- PERF001 --------------------------------------------------------
-    def _check_population_scans(
-        self, info: FunctionInfo, ctx: int, depths: dict[int, int]
-    ) -> None:
+    def _check_population_scans(self, info: FunctionInfo, ctx: int) -> None:
         for node in ast.walk(info.node):
             pop: Optional[str] = None
             where: ast.AST = node
             if isinstance(node, (ast.For, ast.AsyncFor)):
-                pop = _rightmost(node.iter)
+                pop = rightmost_name(node.iter)
                 where = node.iter
             elif isinstance(node, ast.comprehension):
                 continue  # handled via the comprehension owner below
@@ -506,7 +490,7 @@ class _PerfChecker:
                 node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
             ):
                 for gen in node.generators:
-                    name = _rightmost(gen.iter)
+                    name = rightmost_name(gen.iter)
                     if name in POPULATION_NAMES:
                         self._perf001(info, gen.iter, name, ctx)
                 continue
@@ -514,7 +498,7 @@ class _PerfChecker:
                 if node.func.id in ("list", "sorted", "tuple", "set") and len(
                     node.args
                 ) >= 1:
-                    pop = _rightmost(node.args[0])
+                    pop = rightmost_name(node.args[0])
             if pop in POPULATION_NAMES:
                 assert pop is not None
                 self._perf001(info, where, pop, ctx)
@@ -532,43 +516,35 @@ class _PerfChecker:
         )
 
     # -- PERF002 --------------------------------------------------------
-    def _check_allocation_churn(
-        self, info: FunctionInfo, ctx: int, depths: dict[int, int]
-    ) -> None:
+    def _check_allocation_churn(self, info: FunctionInfo, depths: dict[int, int]) -> None:
         """Same-source container copies re-made every hot-loop iteration.
 
         A copy whose source varies per iteration (indexing per-item data)
         is the loop's actual work and is not flagged; copying the *same*
         mapping/sequence once per candidate per packet is pure churn.
         """
-        for loop in _loops_in(info.node):
-            assigned = _assigned_names(loop)
-            body_depth = depths.get(id(loop), 0) + 1
-            for node in ast.walk(loop):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name)
-                    and node.func.id in ("dict", "list", "set", "tuple")
-                    and node.args
-                ):
-                    continue
-                if depths.get(id(node), 0) < body_depth:
-                    continue  # in the loop's iterable: evaluated once
-                if not all(_is_loop_invariant(a, assigned) for a in node.args):
-                    continue
-                if _rightmost(node.args[0]) in POPULATION_NAMES:
-                    continue  # PERF001 already covers population copies
-                self.out.append(
-                    _diag(
-                        "PERF002",
-                        f"{node.func.id}(...) copies the same source on every"
-                        f" iteration of a hot loop in {info.name}():"
-                        " per-candidate-per-packet allocation churn; hoist"
-                        " the copy out of the loop",
-                        info,
-                        node,
-                    )
+        for node, assigned in _per_iteration_calls(info.node, depths):
+            if not (
+                isinstance(node.func, ast.Name)
+                and node.func.id in ("dict", "list", "set", "tuple")
+                and node.args
+            ):
+                continue
+            if not all(_is_loop_invariant(a, assigned) for a in node.args):
+                continue
+            if rightmost_name(node.args[0]) in POPULATION_NAMES:
+                continue  # PERF001 already covers population copies
+            self.out.append(
+                _diag(
+                    "PERF002",
+                    f"{node.func.id}(...) copies the same source on every"
+                    f" iteration of a hot loop in {info.name}():"
+                    " per-candidate-per-packet allocation churn; hoist"
+                    " the copy out of the loop",
+                    info,
+                    node,
                 )
+            )
 
     # -- PERF003 --------------------------------------------------------
     def _check_bytes_concat(self, info: FunctionInfo) -> None:
@@ -609,49 +585,37 @@ class _PerfChecker:
         """Names bound to a bytes-ish initializer anywhere in ``fn``."""
         out: set[str] = set()
         for node in ast.walk(fn):
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
+            bound = name_binding(node)
+            if bound is None:
                 continue
-            v = node.value
+            target, v = bound
             if isinstance(v, ast.Constant) and isinstance(v.value, bytes):
-                out.add(node.targets[0].id)
-            elif isinstance(v, ast.Call):
-                name = _rightmost(v.func)
-                if name in ("bytes", "encode"):
-                    out.add(node.targets[0].id)
+                out.add(target)
+            elif isinstance(v, ast.Call) and rightmost_name(v.func) in ("bytes", "encode"):
+                out.add(target)
         return out
 
     # -- PERF004 (a): loop-invariant pure calls -------------------------
     def _check_invariant_calls(self, info: FunctionInfo) -> None:
         depths = self.index.depths(info.qualname)
-        for loop in _loops_in(info.node):
-            assigned = _assigned_names(loop)
-            body_depth = depths.get(id(loop), 0) + 1
-            for node in ast.walk(loop):
-                if not isinstance(node, ast.Call):
-                    continue
-                if depths.get(id(node), 0) < body_depth:
-                    continue  # in the loop's iterable: evaluated once
-                name = _rightmost(node.func)
-                if name not in PURE_CALLABLES:
-                    continue
-                args = list(node.args) + [kw.value for kw in node.keywords]
-                if not args:
-                    continue
-                if all(_is_loop_invariant(a, assigned) for a in args):
-                    self.out.append(
-                        _diag(
-                            "PERF004",
-                            f"loop-invariant pure call {name}(...) inside a"
-                            f" hot loop in {info.name}(): identical work"
-                            " every iteration; hoist it out of the loop",
-                            info,
-                            node,
-                        )
+        for node, assigned in _per_iteration_calls(info.node, depths):
+            name = rightmost_name(node.func)
+            if name not in PURE_CALLABLES:
+                continue
+            args = list(node.args) + [kw.value for kw in node.keywords]
+            if not args:
+                continue
+            if all(_is_loop_invariant(a, assigned) for a in args):
+                self.out.append(
+                    _diag(
+                        "PERF004",
+                        f"loop-invariant pure call {name}(...) inside a"
+                        f" hot loop in {info.name}(): identical work"
+                        " every iteration; hoist it out of the loop",
+                        info,
+                        node,
                     )
+                )
 
     # -- PERF004 (b): uncached selector parse ---------------------------
     def _check_uncached_parse(self, info: FunctionInfo) -> None:
@@ -659,7 +623,7 @@ class _PerfChecker:
         if any(norm.endswith(layer) for layer in _PARSE_CACHE_LAYER):
             return
         for node in ast.walk(info.node):
-            if not (isinstance(node, ast.Call) and _rightmost(node.func) == "Selector"):
+            if not (isinstance(node, ast.Call) and rightmost_name(node.func) == "Selector"):
                 continue
             if not node.args or isinstance(node.args[0], ast.Constant):
                 continue
@@ -695,7 +659,7 @@ class _PerfChecker:
                 "exception",
                 "log",
             ):
-                base = _rightmost(node.func.value)
+                base = rightmost_name(node.func.value)
                 if base in ("logging", "logger", "log", "_log", "_logger"):
                     sink = f"{base}.{node.func.attr}"
             if sink is None:
@@ -721,7 +685,7 @@ class _PerfChecker:
                 isinstance(side, ast.Constant) and isinstance(side.value, str)
                 for side in (arg.left, arg.right)
             )
-        if isinstance(arg, ast.Call) and _rightmost(arg.func) == "format":
+        if isinstance(arg, ast.Call) and rightmost_name(arg.func) == "format":
             return True
         return False
 
@@ -806,7 +770,7 @@ class _DetChecker:
         for node in ast.walk(info.node):
             if not isinstance(node, (ast.For, ast.AsyncFor)):
                 continue
-            if not self._is_set_expr(node.iter, set_locals):
+            if not is_set_expr(node.iter, set_locals):
                 continue
             sink = self._order_sink_in(node)
             if sink is None:
@@ -826,33 +790,20 @@ class _DetChecker:
     def _set_locals(fn: ast.AST) -> set[str]:
         out: set[str] = set()
         for node in ast.walk(fn):
-            if not (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-            ):
+            bound = name_binding(node)
+            if bound is None:
                 continue
-            v = node.value
+            target, v = bound
             is_set = isinstance(v, (ast.Set, ast.SetComp)) or (
                 isinstance(v, ast.Call)
-                and _rightmost(v.func)
+                and rightmost_name(v.func)
                 in ("set", "frozenset", "intersection", "union", "difference")
             )
             if is_set:
-                out.add(node.targets[0].id)
-            elif node.targets[0].id in out:
-                out.discard(node.targets[0].id)  # rebound to something else
+                out.add(target)
+            else:
+                out.discard(target)  # rebound to something else
         return out
-
-    @staticmethod
-    def _is_set_expr(expr: ast.expr, set_locals: set[str]) -> bool:
-        if isinstance(expr, ast.Name):
-            return expr.id in set_locals
-        if isinstance(expr, (ast.Set, ast.SetComp)):
-            return True
-        if isinstance(expr, ast.Call):
-            return _rightmost(expr.func) in ("set", "frozenset")
-        return False
 
     @staticmethod
     def _order_sink_in(loop: ast.AST) -> Optional[str]:
@@ -862,7 +813,7 @@ class _DetChecker:
                 if isinstance(node, (ast.Yield, ast.YieldFrom)):
                     return "yield"
                 if isinstance(node, ast.Call):
-                    name = _rightmost(node.func)
+                    name = rightmost_name(node.func)
                     if name in _ORDER_SENSITIVE_METHODS:
                         return name
         return None
@@ -872,7 +823,7 @@ class _DetChecker:
         for node in ast.walk(info.node):
             if not isinstance(node, ast.Call):
                 continue
-            name = _rightmost(node.func)
+            name = rightmost_name(node.func)
             suspect: Optional[ast.expr] = None
             if name in ("sorted", "min", "max", "sort"):
                 for kw in node.keywords:
@@ -911,52 +862,18 @@ class _DetChecker:
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-def _apply_suppressions(
-    graph: CallGraph, diags: list[Diagnostic], ignore: Iterable[str]
-) -> list[Diagnostic]:
-    suppressions = {
-        path: parse_suppressions(source) for path, source in graph.sources.items()
-    }
-    out: list[Diagnostic] = []
-    for d in diags:
-        sup = suppressions.get(d.file or "")
-        out.extend(filter_diagnostics([d], ignore=ignore, suppressions=sup))
-    return out
+def perf_findings(graph: CallGraph) -> list[Diagnostic]:
+    """Raw PERF findings over an already-built call graph."""
+    return _PerfChecker(graph).run()
 
 
-def perf_diagnostics(
-    graph: CallGraph, *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """All PERF findings over an already-built call graph."""
-    return _apply_suppressions(graph, _PerfChecker(graph).run(), ignore)
+def det_findings(graph: CallGraph) -> list[Diagnostic]:
+    """Raw DET findings over an already-built call graph."""
+    return _DetChecker(graph).run()
 
 
-def det_diagnostics(
-    graph: CallGraph, *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """All DET findings over an already-built call graph."""
-    return _apply_suppressions(graph, _DetChecker(graph).run(), ignore)
-
-
-def hotpath_diagnostics(
-    graph: CallGraph,
-    *,
-    ignore: Iterable[str] = (),
-    include_perf: bool = True,
-    include_det: bool = True,
-) -> list[Diagnostic]:
-    """PERF + DET findings over an already-built call graph."""
-    diags: list[Diagnostic] = []
-    if include_perf:
-        diags.extend(perf_diagnostics(graph, ignore=ignore))
-    if include_det:
-        diags.extend(det_diagnostics(graph, ignore=ignore))
-    return diags
-
-
-def analyze_hotpath(
-    paths: Iterable[str], *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """Build the call graph over ``paths`` and run both families."""
-    graph = build_call_graph(paths)
-    return hotpath_diagnostics(graph, ignore=ignore)
+#: ``*_diagnostics(graph, *, ignore=())`` / ``analyze_hotpath(paths, *,
+#: ignore=())``: the findings above (PERF then DET) with suppressions applied
+perf_diagnostics, _ = graph_entry_points(perf_findings)
+det_diagnostics, _ = graph_entry_points(det_findings)
+hotpath_diagnostics, analyze_hotpath = graph_entry_points(perf_findings, det_findings)

@@ -32,12 +32,15 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Iterable, Iterator, Optional
+from typing import Iterator
 
-from .diagnostics import Diagnostic, filter_diagnostics, parse_suppressions, rule_severity
+from .callgraph import rightmost_name
+from .diagnostics import Diagnostic, rule_severity
+from .passes import file_entry_points
 from .selector_analysis import selector_diagnostics
 
 __all__ = [
+    "lint_findings",
     "lint_source",
     "lint_file",
     "lint_paths",
@@ -95,14 +98,6 @@ def _is_mutable_default(node: ast.expr) -> bool:
     return False
 
 
-def _call_name(node: ast.Call) -> Optional[str]:
-    if isinstance(node.func, ast.Name):
-        return node.func.id
-    if isinstance(node.func, ast.Attribute):
-        return node.func.attr
-    return None
-
-
 # ----------------------------------------------------------------------
 # selector literal extraction
 # ----------------------------------------------------------------------
@@ -114,7 +109,7 @@ def extract_selector_literals(
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
             continue
-        name = _call_name(node)
+        name = rightmost_name(node.func)
         candidates: list[ast.expr] = []
         if name in ("Selector", "parse", "set_interest", "match_selector", "compile_selector"):
             if node.args:
@@ -133,14 +128,10 @@ def extract_selector_literals(
 # ----------------------------------------------------------------------
 # per-file lint
 # ----------------------------------------------------------------------
-def lint_source(
-    source: str,
-    path: str,
-    *,
-    ignore: Iterable[str] = (),
-    analyze_selectors: bool = True,
+def lint_findings(
+    source: str, path: str, *, analyze_selectors: bool = True
 ) -> list[Diagnostic]:
-    """All repo-lint diagnostics for one file's source text."""
+    """Raw repo-lint findings for one file's source text."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as err:
@@ -194,7 +185,7 @@ def lint_source(
                         )
                     )
         elif isinstance(node, ast.Call) and not transport_ok:
-            name = _call_name(node)
+            name = rightmost_name(node.func)
             if name in TRANSPORT_NAMES:
                 out.append(
                     Diagnostic(
@@ -214,33 +205,10 @@ def lint_source(
             for d in selector_diagnostics(text, subject=f"{path}:{line}"):
                 out.append(d.at(path, line, column))
 
-    return filter_diagnostics(
-        out, ignore=ignore, suppressions=parse_suppressions(source)
-    )
+    return out
 
 
-def lint_file(path: str, *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    return lint_source(source, path, ignore=ignore)
-
-
-def _walk_py_files(paths: Iterable[str]) -> list[str]:
-    """Every ``.py`` file under each path, in deterministic walk order."""
-    files: list[str] = []
-    for root in paths:
-        if os.path.isfile(root):
-            files.append(root)
-            continue
-        for dirpath, dirnames, filenames in os.walk(root):
-            dirnames[:] = sorted(d for d in dirnames if not d.startswith((".", "__pycache__")))
-            files.extend(
-                os.path.join(dirpath, fn) for fn in sorted(filenames) if fn.endswith(".py")
-            )
-    return files
-
-
-def lint_paths(paths: Iterable[str], *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
-    """Lint every ``.py`` file under each path (files are taken as-is)."""
-    ignore = tuple(ignore)
-    return [d for path in _walk_py_files(paths) for d in lint_file(path, ignore=ignore)]
+#: ``lint_source(source, path, *, ignore=(), analyze_selectors=True)``,
+#: ``lint_file(path, *, ignore=())``, ``lint_paths(paths, *, ignore=())``:
+#: the findings above with suppressions applied
+lint_source, lint_file, lint_paths = file_entry_points(lint_findings)

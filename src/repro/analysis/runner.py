@@ -1,11 +1,11 @@
 """Aggregation and rendering: one entry point over every analyzer pass.
 
 :func:`run_analysis` is what both the CLI (``python -m repro.analysis``)
-and the tests drive: it lints the shipped default policy database, walks
-source trees applying the repo-lint rules, the selector extraction, and
-the cross-layer dataflow passes (units, exception flow, resource
-lifecycle), optionally analyzes ad-hoc selector expressions, and folds
-everything into a single :class:`AnalysisReport`.
+and the tests drive: it lints the shipped default policy database, runs
+every row of :data:`FAMILIES` over the source trees (per-file families
+file by file, graph families over one shared call graph), optionally
+analyzes ad-hoc selector expressions, and folds everything into a single
+:class:`AnalysisReport`.
 """
 
 from __future__ import annotations
@@ -15,18 +15,35 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
+from . import concurrency, dataflow, hotpath, repo_lint, typestate, wireformat
 from .cache import AnalysisCache
-from .concurrency import concurrency_diagnostics
-from .dataflow import dataflow_diagnostics
+from .callgraph import build_call_graph_from_sources, read_source, walk_py_files
 from .diagnostics import Diagnostic, Severity, filter_diagnostics, max_severity
-from .hotpath import det_diagnostics, perf_diagnostics
+from .passes import Family, suppressed, suppression_lookup
 from .policy_lint import lint_policy_database
-from .repo_lint import _walk_py_files, lint_file, lint_paths
 from .selector_analysis import selector_diagnostics
-from .typestate import typestate_diagnostics
-from .wireformat import wire_file, wire_paths
 
-__all__ = ["AnalysisReport", "run_analysis", "analyze_defaults", "render_text", "render_json"]
+__all__ = [
+    "FAMILIES",
+    "AnalysisReport",
+    "run_analysis",
+    "analyze_defaults",
+    "render_text",
+    "render_json",
+]
+
+#: Every source-tree rule family, in run order.  ``run_analysis``, the
+#: ``--profile`` labels and the :class:`AnalysisCache` keys all come from
+#: this table; adding a family is adding a row.
+FAMILIES: tuple[Family, ...] = (
+    Family("repo-lint", "file", ("LNT", "SEL"), repo_lint.lint_findings),
+    Family("wire", "file", ("WIRE",), wireformat.wire_findings),
+    Family("dataflow", "graph", ("UNI", "EXC", "RES"), dataflow.dataflow_findings),
+    Family("typestate", "graph", ("TSP", "CON"), typestate.typestate_findings),
+    Family("perf", "graph", ("PERF",), hotpath.perf_findings),
+    Family("det", "graph", ("DET",), hotpath.det_findings),
+    Family("concurrency", "graph", ("DLK", "RACE"), concurrency.concurrency_findings),
+)
 
 
 @dataclass(frozen=True)
@@ -78,137 +95,88 @@ def run_analysis(
     *,
     selectors: Iterable[str] = (),
     include_defaults: bool = True,
-    include_dataflow: bool = True,
-    include_typestate: bool = True,
-    include_perf: bool = True,
-    include_det: bool = True,
-    include_concurrency: bool = True,
-    include_wire: bool = True,
     ignore: Iterable[str] = (),
     baseline: Optional[dict[str, int]] = None,
     profile: Optional[dict[str, float]] = None,
     cache: Optional[AnalysisCache] = None,
 ) -> AnalysisReport:
-    """Run every requested pass and aggregate the findings.
+    """Run every pass and aggregate the findings.
 
-    ``paths`` are files/directories for the repo-lint + extraction pass
-    and the graph passes; ``selectors`` are ad-hoc selector expressions
-    to analyze directly.  A ``baseline`` (see
-    :mod:`~repro.analysis.baseline`) drops known findings so only new
-    ones remain in the report.  Pass a dict as ``profile`` to receive
-    per-rule-family wall times (seconds) in it.  An
-    :class:`~repro.analysis.cache.AnalysisCache` skips unchanged files
-    (per-file passes) and unchanged trees (graph passes); cached output
-    is identical to a cold run's because entries are keyed by content
-    digest and salted by the rule registry and ``ignore`` set.  The
-    caller persists it with ``cache.save()``.
+    ``paths`` are files/directories every row of :data:`FAMILIES` runs
+    over; ``selectors`` are ad-hoc selector expressions to analyze
+    directly.  A ``baseline`` (see :mod:`~repro.analysis.baseline`) drops
+    known findings so only new ones remain in the report.  Pass a dict
+    as ``profile`` to receive per-rule-family wall times (seconds) in it.
+    An :class:`~repro.analysis.cache.AnalysisCache` skips unchanged files
+    (per-file families) and unchanged trees (graph families); cached
+    output is identical to a cold run's because entries are keyed by
+    content digest and salted by the rule registry and ``ignore`` set.
+    The caller persists it with ``cache.save()``.
     """
     ignore = tuple(ignore)
-    paths = tuple(paths)
+    files = walk_py_files(paths)
+    tree_key = cache.tree_key(files) if cache is not None else None
     diags: list[Diagnostic] = []
 
-    def timed(family: str, produce: Callable[[], list[Diagnostic]]) -> None:
+    def timed(label: str, produce: Callable[[], list[Diagnostic]]) -> None:
         t0 = time.perf_counter()
         diags.extend(produce())
         if profile is not None:
-            profile[family] = profile.get(family, 0.0) + time.perf_counter() - t0
+            profile[label] = profile.get(label, 0.0) + time.perf_counter() - t0
 
-    def per_file_pass(
-        family: str,
-        files: list[str],
-        whole: Callable[[], list[Diagnostic]],
-        one: Callable[[str], list[Diagnostic]],
-    ) -> list[Diagnostic]:
-        if cache is None:
-            return whole()
+    # each file is read, and its suppressions parsed, at most once per
+    # run, and only when some family actually misses the cache
+    known = frozenset(files)
+    sources: dict[str, str] = {}
+
+    def source(path: str) -> str:
+        if path not in sources:
+            sources[path] = read_source(path)
+        return sources[path]
+
+    suppressions = suppression_lookup(lambda path: source(path) if path in known else None)
+
+    # the graph is shared by every graph family but expensive to build;
+    # defer it so a fully warm cache never constructs it
+    graph_box: list = []
+
+    def shared_graph():
+        if not graph_box:
+            t0 = time.perf_counter()
+            graph_box.append(build_call_graph_from_sources([(p, source(p)) for p in files]))
+            if profile is not None:
+                profile["callgraph"] = time.perf_counter() - t0
+        return graph_box[0]
+
+    def per_file(family: Family) -> list[Diagnostic]:
         out: list[Diagnostic] = []
         for path in files:
-            digest = cache.digest(path)
-            got = cache.get(family, path, digest)
+            got = None
+            if cache is not None:
+                digest = cache.digest(path)
+                got = cache.get(family.name, path, digest)
             if got is None:
-                got = one(path)
-                cache.put(family, path, digest, got)
+                got = suppressed(family.produce(source(path), path), suppressions, ignore)
+                if cache is not None:
+                    cache.put(family.name, path, digest, got)
             out.extend(got)
         return out
 
-    def graph_pass(
-        family: str,
-        tree_key: Optional[str],
-        produce: Callable[[], list[Diagnostic]],
-    ) -> list[Diagnostic]:
-        if cache is None or tree_key is None:
-            return produce()
-        key = f"{family}:{tree_key}"
-        got = cache.get_graph(key)
+    def per_graph(family: Family) -> list[Diagnostic]:
+        key = f"{family.name}:{tree_key}"
+        got = cache.get_graph(key) if cache is not None else None
         if got is None:
-            got = produce()
-            cache.put_graph(key, got)
+            got = suppressed(family.produce(shared_graph()), suppressions, ignore)
+            if cache is not None:
+                cache.put_graph(key, got)
         return got
 
     if include_defaults:
         timed("defaults", lambda: analyze_defaults(ignore=ignore))
-    if paths:
-        files = _walk_py_files(paths) if cache is not None else []
-        timed(
-            "repo-lint",
-            lambda: per_file_pass(
-                "repo-lint",
-                files,
-                lambda: lint_paths(paths, ignore=ignore),
-                lambda p: lint_file(p, ignore=ignore),
-            ),
-        )
-        if include_wire:
-            timed(
-                "wire",
-                lambda: per_file_pass(
-                    "wire",
-                    files,
-                    lambda: wire_paths(paths, ignore=ignore),
-                    lambda p: wire_file(p, ignore=ignore),
-                ),
-            )
-        if (
-            include_dataflow
-            or include_typestate
-            or include_perf
-            or include_det
-            or include_concurrency
-        ):
-            tree_key = cache.tree_key(files) if cache is not None else None
-            # the graph is shared by every graph family but expensive to
-            # build; defer it so a fully warm cache never constructs it
-            graph_box: list = []
-
-            def shared_graph():
-                if not graph_box:
-                    from .callgraph import build_call_graph
-
-                    t0 = time.perf_counter()
-                    graph_box.append(build_call_graph(paths))
-                    if profile is not None:
-                        profile["callgraph"] = time.perf_counter() - t0
-                return graph_box[0]
-
-            producers: dict[str, Callable[[], list[Diagnostic]]] = {
-                "dataflow": lambda: dataflow_diagnostics(shared_graph(), ignore=ignore),
-                "typestate": lambda: typestate_diagnostics(shared_graph(), ignore=ignore),
-                "perf": lambda: perf_diagnostics(shared_graph(), ignore=ignore),
-                "det": lambda: det_diagnostics(shared_graph(), ignore=ignore),
-                "concurrency": lambda: concurrency_diagnostics(shared_graph(), ignore=ignore),
-            }
-            for name, flag in (
-                ("dataflow", include_dataflow),
-                ("typestate", include_typestate),
-                ("perf", include_perf),
-                ("det", include_det),
-                ("concurrency", include_concurrency),
-            ):
-                if flag:
-                    timed(
-                        name,
-                        lambda name=name: graph_pass(name, tree_key, producers[name]),
-                    )
+    if files:
+        for family in FAMILIES:
+            run = per_file if family.scope == "file" else per_graph
+            timed(family.name, lambda family=family, run=run: run(family))
     for expr in selectors:
         timed(
             "selectors",

@@ -50,23 +50,38 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Union
+from typing import Optional, Union
 
 from .callgraph import (
     CallGraph,
     CallSite,
     FunctionInfo,
-    build_call_graph,
+    annotation_class_name,
     module_name_for_path,
+    name_binding,
+    rightmost_name,
+    self_attr,
 )
-from .dataflow import _DELIVERY_CALLBACK_KWARGS, _diag, _resolve_callback_ref
-from .diagnostics import Diagnostic, filter_diagnostics, parse_suppressions
+from .diagnostics import Diagnostic
+from .passes import (
+    MUTATING_METHODS,
+    PathWalker,
+    Registration,
+    bus_like_receiver,
+    delivery_registrations,
+    diag,
+    graph_entry_points,
+    is_container_value,
+    reachable,
+    resolve_callback_ref,
+)
 
 __all__ = [
     "EventRule",
     "ProtocolSpec",
     "PROTOCOLS",
     "SHARED_STATE_CLASSES",
+    "typestate_findings",
     "typestate_diagnostics",
     "analyze_typestate",
 ]
@@ -234,33 +249,6 @@ PROTOCOLS: tuple[ProtocolSpec, ...] = (
 #: classes whose state is shared coordination state for CON001
 SHARED_STATE_CLASSES: tuple[str, ...] = ("Arbiter", "LockManager", "SemanticBus")
 
-#: (callable short name) -> positional indices carrying a delivery callback
-_CALLBACK_POSITIONS: dict[str, tuple[int, ...]] = {
-    "RtpReassembler": (0,),
-    "SemanticEndpoint": (4,),
-    "over_transport": (2,),
-    "TrapListener": (2,),
-}
-
-#: container methods that mutate in place (CON001/CON003)
-_MUTATING_METHODS = frozenset(
-    {
-        "append",
-        "appendleft",
-        "extend",
-        "insert",
-        "pop",
-        "popleft",
-        "popitem",
-        "remove",
-        "discard",
-        "clear",
-        "update",
-        "add",
-        "setdefault",
-    }
-)
-
 
 # ======================================================================
 # shared helpers
@@ -269,13 +257,15 @@ def _var_of(expr: ast.expr) -> Optional[str]:
     """Trackable variable name: ``x`` or ``self.attr``."""
     if isinstance(expr, ast.Name):
         return expr.id
-    if (
-        isinstance(expr, ast.Attribute)
-        and isinstance(expr.value, ast.Name)
-        and expr.value.id == "self"
-    ):
-        return f"self.{expr.attr}"
-    return None
+    attr = self_attr(expr)
+    return f"self.{attr}" if attr is not None else None
+
+
+def _stored_attribute(target: ast.expr) -> Optional[ast.Attribute]:
+    """The attribute a store lands in: ``x.attr = ...`` or ``x.attr[i] = ...``."""
+    if isinstance(target, ast.Subscript):
+        target = target.value
+    return target if isinstance(target, ast.Attribute) else None
 
 
 def _expr_key(expr: ast.expr) -> Optional[str]:
@@ -288,25 +278,6 @@ def _expr_key(expr: ast.expr) -> Optional[str]:
         base = _expr_key(expr.value)
         return f"{base}.{expr.attr}" if base is not None else None
     return None
-
-
-def _rightmost(expr: ast.expr) -> Optional[str]:
-    if isinstance(expr, ast.Name):
-        return expr.id
-    if isinstance(expr, ast.Attribute):
-        return expr.attr
-    return None
-
-
-def _bus_like_receiver(site: CallSite) -> bool:
-    """Receiver typed SemanticBus, or textually named like a bus."""
-    if site.recv_type == "SemanticBus":
-        return True
-    parts = site.func_repr.split(".")
-    if len(parts) < 2:
-        return False
-    recv = parts[-2].lower()
-    return recv == "bus" or recv.endswith("bus")
 
 
 def _deferred_nodes(fn_node: ast.AST) -> set[int]:
@@ -328,7 +299,7 @@ InstanceId = Union[str, tuple]
 # ======================================================================
 # the path-sensitive automaton walker (TSP001/002/005/006/007)
 # ======================================================================
-class _TypestateChecker:
+class _TypestateChecker(PathWalker):
     """Interpret each function against every protocol automaton."""
 
     def __init__(self, graph: CallGraph) -> None:
@@ -351,18 +322,17 @@ class _TypestateChecker:
 
     # -- per-function setup ---------------------------------------------
     def _check_function(self, fn: FunctionInfo) -> None:
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         self.fn = fn
         self.instances = {}
         self.defaults = {}
-        self._sites = {id(s.node): s for s in self.graph.calls_from(fn.qualname)}
+        self._sites = self.graph.sites_by_node(fn.qualname)
         self._seed_params(fn)
         self._seed_self_attrs(fn)
         # cheap bail-out: no tracked instance and no constructor/factory
         if not self.instances and not self._mentions_protocol(fn):
             return
         state: dict[InstanceId, frozenset[str]] = {}
-        self._walk(fn.node.body, state)
+        self.walk(fn.node.body, state)
 
     def _mentions_protocol(self, fn: FunctionInfo) -> bool:
         for site in self.graph.calls_from(fn.qualname):
@@ -374,17 +344,8 @@ class _TypestateChecker:
         return False
 
     def _seed_params(self, fn: FunctionInfo) -> None:
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in list(fn.node.args.args) + list(fn.node.args.kwonlyargs):
-            ann = arg.annotation
-            name: Optional[str] = None
-            if isinstance(ann, ast.Name):
-                name = ann.id
-            elif isinstance(ann, ast.Attribute):
-                name = ann.attr
-            elif isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                name = ann.value.rsplit(".", 1)[-1]
-            spec = self._specs_by_cls.get(name or "")
+            spec = self._specs_by_cls.get(annotation_class_name(arg.annotation) or "")
             if spec is not None:
                 self._register(arg.arg, spec, spec.states)  # prior state unknown
 
@@ -402,88 +363,14 @@ class _TypestateChecker:
         self.instances[var] = spec
         self.defaults[var] = default
 
-    # -- the walk -------------------------------------------------------
-    def _walk(
-        self, stmts: list[ast.stmt], state: dict[InstanceId, frozenset[str]]
-    ) -> bool:
-        """Interpret ``stmts``; returns True when the path terminates."""
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue  # deferred execution: not part of this path
-            if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
-                self._scan(stmt, state)
-                return True
-            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1 and isinstance(
-                stmt.targets[0], ast.Name
-            ):
-                self._scan(stmt.value, state)
-                self._assign(stmt.targets[0].id, stmt.value, state)
-                continue
-            if isinstance(stmt, ast.If):
-                self._scan(stmt.test, state)
-                s1, s2 = dict(state), dict(state)
-                self._narrow(stmt.test, s1, negate=False)
-                self._narrow(stmt.test, s2, negate=True)
-                t1 = self._walk(stmt.body, s1)
-                t2 = self._walk(stmt.orelse, s2)
-                if t1 and t2:
-                    return True
-                if t1:
-                    state.clear(); state.update(s2)
-                elif t2:
-                    state.clear(); state.update(s1)
-                else:
-                    self._merge(state, s1, s2)
-                continue
-            if isinstance(stmt, (ast.For, ast.While)):
-                if isinstance(stmt, ast.For):
-                    self._scan(stmt.iter, state)
-                else:
-                    self._scan(stmt.test, state)
-                body_state = dict(state)
-                self._walk(stmt.body, body_state)
-                self._merge(state, dict(state), body_state)
-                self._walk(stmt.orelse, state)
-                continue
-            if isinstance(stmt, ast.Try):
-                body_state = dict(state)
-                t_body = self._walk(stmt.body, body_state)
-                merged = dict(state)
-                self._merge(merged, dict(state), body_state)
-                for handler in stmt.handlers:
-                    h_state = dict(merged)
-                    self._walk(handler.body, h_state)
-                    self._merge(merged, merged, h_state)
-                if not t_body:
-                    self._walk(stmt.orelse, body_state)
-                    self._merge(merged, merged, body_state)
-                t_fin = self._walk(stmt.finalbody, merged)
-                state.clear(); state.update(merged)
-                if t_fin:
-                    return True
-                continue
-            if isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    self._scan(item.context_expr, state)
-                if self._walk(stmt.body, state):
-                    return True
-                continue
-            self._scan(stmt, state)
-        return False
-
-    def _assign(
+    # -- PathWalker hooks -----------------------------------------------
+    def assign(
         self, var: str, value: ast.expr, state: dict[InstanceId, frozenset[str]]
     ) -> None:
         """``var = value``: seed from constructor/factory, or kill."""
         if isinstance(value, ast.Call):
-            ctor = _rightmost(value.func)
-            spec = self._specs_by_cls.get(ctor or "")
-            if spec is not None:
-                self._register(var, spec, frozenset({spec.initial}))
-                self._purge(var, state)
-                state[var] = frozenset({spec.initial})
-                return
-            spec = self._factory_spec(value)
+            ctor = rightmost_name(value.func)
+            spec = self._specs_by_cls.get(ctor or "") or self._factory_spec(value)
             if spec is not None:
                 self._register(var, spec, frozenset({spec.initial}))
                 self._purge(var, state)
@@ -504,7 +391,7 @@ class _TypestateChecker:
             site = self._sites.get(id(call))
             if site is not None and site.recv_type in spec.factory_recv:
                 return spec
-            recv = _rightmost(call.func.value)
+            recv = rightmost_name(call.func.value)
             if recv is not None and any(
                 recv.lower() == want.lower() or recv.lower().endswith(want.lower())
                 for want in spec.factory_recv
@@ -518,7 +405,7 @@ class _TypestateChecker:
             if iid == var or (isinstance(iid, tuple) and iid[0] == var):
                 del state[iid]
 
-    def _merge(
+    def merge(
         self,
         into: dict[InstanceId, frozenset[str]],
         s1: dict[InstanceId, frozenset[str]],
@@ -533,15 +420,15 @@ class _TypestateChecker:
             into[iid] = s1.get(iid, default) | s2.get(iid, default)
 
     # -- guard narrowing ------------------------------------------------
-    def _narrow(
+    def narrow(
         self, test: ast.expr, state: dict[InstanceId, frozenset[str]], negate: bool
     ) -> None:
         if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-            self._narrow(test.operand, state, not negate)
+            self.narrow(test.operand, state, not negate)
             return
         if isinstance(test, ast.BoolOp) and isinstance(test.op, ast.And) and not negate:
             for value in test.values:  # every conjunct holds on the true branch
-                self._narrow(value, state, negate=False)
+                self.narrow(value, state, negate=False)
             return
         if not isinstance(test, ast.Attribute):
             return
@@ -558,7 +445,7 @@ class _TypestateChecker:
         state[var] = frozenset({falsy if negate else truthy})
 
     # -- event scanning -------------------------------------------------
-    def _scan(self, node: ast.AST, state: dict[InstanceId, frozenset[str]]) -> None:
+    def scan(self, node: ast.AST, state: dict[InstanceId, frozenset[str]]) -> None:
         for sub in ast.walk(node):
             if isinstance(sub, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue  # deferred bodies are not on this path
@@ -574,15 +461,7 @@ class _TypestateChecker:
     def _store_event(
         self, target: ast.expr, stmt: ast.stmt, state: dict[InstanceId, frozenset[str]]
     ) -> None:
-        # `var.attr = ...` is a "set" event; `var.attr[i] = ...` only resets
-        attr_node: Optional[ast.Attribute] = None
-        is_direct = False
-        if isinstance(target, ast.Attribute):
-            attr_node, is_direct = target, True
-        elif isinstance(target, ast.Subscript) and isinstance(
-            target.value, ast.Attribute
-        ):
-            attr_node = target.value
+        attr_node = _stored_attribute(target)
         if attr_node is None:
             return
         var = _var_of(attr_node.value)
@@ -592,7 +471,7 @@ class _TypestateChecker:
         if attr_node.attr in spec.resets:
             state[var] = spec.states  # mutation: state unknown again
             return
-        if is_direct:
+        if attr_node is target:  # `var.attr[i] = ...` only resets, never a "set"
             self._event(var, "set", attr_node.attr, stmt, state)
 
     def _event(
@@ -621,7 +500,7 @@ class _TypestateChecker:
         current = state.get(iid, self.defaults.get(var, spec.states))
         if rule.code is not None and not (current & rule.allowed):
             self.diags.append(
-                _diag(
+                diag(
                     rule.code,
                     rule.message.format(var=var, key=key_text),
                     self.fn.qualname,
@@ -645,10 +524,9 @@ class _FragOrderChecker:
 
     def run(self) -> list[Diagnostic]:
         for fn in self.graph.functions.values():
-            assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
             emitted: list[tuple[int, ast.Call]] = []
             for node in ast.walk(fn.node):
-                if not (isinstance(node, ast.Call) and _rightmost(node.func) == "RtpPacket"):
+                if not (isinstance(node, ast.Call) and rightmost_name(node.func) == "RtpPacket"):
                     continue
                 idx = self._frag_index(node)
                 if idx is not None:
@@ -657,7 +535,7 @@ class _FragOrderChecker:
             for (prev, _), (cur, node) in zip(emitted, emitted[1:]):
                 if cur <= prev:
                     self.diags.append(
-                        _diag(
+                        diag(
                             "TSP004",
                             f"RTP fragment emitted out of order: frag_index"
                             f" {cur} after {prev}",
@@ -701,9 +579,13 @@ class _LeaveRevocationChecker:
             node = self._leave_test(fn)
             if node is None:
                 continue
-            if not self._closure_calls(fn.qualname, "drop_client"):
+            if not any(
+                site.method == "drop_client"
+                for q in reachable(self.graph, [fn.qualname])
+                for site in self.graph.calls_from(q)
+            ):
                 self.diags.append(
-                    _diag(
+                    diag(
                         "TSP003",
                         f"{fn.cls} handles LeaveEvent without revoking the"
                         " departed client's locks (no drop_client on any"
@@ -728,29 +610,15 @@ class _LeaveRevocationChecker:
 
     @staticmethod
     def _leave_test(fn: FunctionInfo) -> Optional[ast.AST]:
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn.node):
             if (
                 isinstance(node, ast.Call)
-                and _rightmost(node.func) == "isinstance"
+                and rightmost_name(node.func) == "isinstance"
                 and len(node.args) == 2
-                and _rightmost(node.args[1]) == "LeaveEvent"
+                and rightmost_name(node.args[1]) == "LeaveEvent"
             ):
                 return node
         return None
-
-    def _closure_calls(self, root: str, method: str) -> bool:
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            q = frontier.pop()
-            for site in self.graph.calls_from(q):
-                if site.method == method:
-                    return True
-                if site.callee is not None and site.callee not in seen:
-                    seen.add(site.callee)
-                    frontier.append(site.callee)
-        return False
 
 
 # ======================================================================
@@ -762,78 +630,23 @@ class _ConcurrencyChecker:
         self.diags: list[Diagnostic] = []
 
     def run(self) -> list[Diagnostic]:
-        registrations = self._registrations()
-        roots = {target for target, _ in registrations}
-        reachable = self._closure(roots)
+        registrations = delivery_registrations(self.graph)
+        in_context = reachable(self.graph, {reg.target for reg in registrations})
         shared_methods = {
-            q for q in reachable if self.graph.functions[q].cls in SHARED_STATE_CLASSES
+            q for q in in_context if self.graph.functions[q].cls in SHARED_STATE_CLASSES
         }
-        for q in sorted(reachable - shared_methods):
+        for q in sorted(in_context - shared_methods):
             fn = self.graph.functions[q]
             self._check_mutations(fn)
             self._check_publish(fn)
         self._check_thread_captures(registrations)
         return self.diags
 
-    # -- delivery-callback roots ----------------------------------------
-    def _registrations(self) -> list[tuple[str, str]]:
-        """(callback qualname, registering function qualname) pairs."""
-        out: list[tuple[str, str]] = []
-        for fn in self.graph.functions.values():
-            assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            for node in ast.walk(fn.node):
-                if (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Attribute)
-                    and node.targets[0].attr in _DELIVERY_CALLBACK_KWARGS
-                ):
-                    self._add(out, node.value, fn)
-                elif isinstance(node, ast.Call):
-                    for kw in node.keywords:
-                        if kw.arg in _DELIVERY_CALLBACK_KWARGS:
-                            self._add(out, kw.value, fn)
-                    name = _rightmost(node.func) or ""
-                    for pos in _CALLBACK_POSITIONS.get(name, ()):
-                        if len(node.args) > pos:
-                            self._add(out, node.args[pos], fn)
-                    if name == "attach" and len(node.args) > 1:
-                        site = self._site_for(fn, node)
-                        if site is not None and _bus_like_receiver(site):
-                            self._add(out, node.args[1], fn)
-        return out
-
-    def _site_for(self, fn: FunctionInfo, call: ast.Call) -> Optional[CallSite]:
-        for site in self.graph.calls_from(fn.qualname):
-            if site.node is call:
-                return site
-        return None
-
-    def _add(
-        self, out: list[tuple[str, str]], ref: ast.expr, fn: FunctionInfo
-    ) -> None:
-        target = _resolve_callback_ref(ref, fn, self.graph)
-        if target is not None:
-            out.append((target, fn.qualname))
-
-    def _closure(self, roots: Iterable[str]) -> set[str]:
-        seen = {r for r in roots if r in self.graph.functions}
-        frontier = list(seen)
-        while frontier:
-            q = frontier.pop()
-            for site in self.graph.calls_from(q):
-                if site.callee is not None and site.callee in self.graph.functions:
-                    if site.callee not in seen:
-                        seen.add(site.callee)
-                        frontier.append(site.callee)
-        return seen
-
     # -- CON001: direct shared-state mutation ---------------------------
     def _shared_vars(self, fn: FunctionInfo) -> set[str]:
         out: set[str] = set()
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for arg in list(fn.node.args.args) + list(fn.node.args.kwonlyargs):
-            name = _rightmost(arg.annotation) if arg.annotation is not None else None
+            name = rightmost_name(arg.annotation) if arg.annotation is not None else None
             if name in SHARED_STATE_CLASSES:
                 out.add(arg.arg)
         if fn.cls is not None:
@@ -841,21 +654,19 @@ class _ConcurrencyChecker:
                 if cls == fn.cls and typ in SHARED_STATE_CLASSES:
                     out.add(f"self.{attr}")
         for node in ast.walk(fn.node):
+            bound = name_binding(node)
             if (
-                isinstance(node, ast.Assign)
-                and len(node.targets) == 1
-                and isinstance(node.targets[0], ast.Name)
-                and isinstance(node.value, ast.Call)
-                and _rightmost(node.value.func) in SHARED_STATE_CLASSES
+                bound is not None
+                and isinstance(bound[1], ast.Call)
+                and rightmost_name(bound[1].func) in SHARED_STATE_CLASSES
             ):
-                out.add(node.targets[0].id)
+                out.add(bound[0])
         return out
 
     def _check_mutations(self, fn: FunctionInfo) -> None:
         shared = self._shared_vars(fn)
         if not shared:
             return
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         deferred = _deferred_nodes(fn.node)
         for node in ast.walk(fn.node):
             if id(node) in deferred:
@@ -863,7 +674,7 @@ class _ConcurrencyChecker:
             mutated = self._mutated_shared(node, shared)
             if mutated is not None:
                 self.diags.append(
-                    _diag(
+                    diag(
                         "CON001",
                         f"shared {mutated} state mutated directly from a"
                         " delivery-callback context; route the change"
@@ -879,21 +690,14 @@ class _ConcurrencyChecker:
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                base: Optional[ast.expr] = None
-                if isinstance(target, ast.Attribute):
-                    base = target.value
-                elif isinstance(target, ast.Subscript) and isinstance(
-                    target.value, ast.Attribute
-                ):
-                    base = target.value.value
-                if base is not None:
-                    var = _var_of(base)
-                    if var in shared:
-                        return var
+                attr_node = _stored_attribute(target)
+                var = _var_of(attr_node.value) if attr_node is not None else None
+                if var in shared:
+                    return var
         elif (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Attribute)
-            and node.func.attr in _MUTATING_METHODS
+            and node.func.attr in MUTATING_METHODS
             and isinstance(node.func.value, ast.Attribute)
         ):
             var = _var_of(node.func.value.value)
@@ -903,14 +707,13 @@ class _ConcurrencyChecker:
 
     # -- CON002: synchronous republish ----------------------------------
     def _check_publish(self, fn: FunctionInfo) -> None:
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         deferred = _deferred_nodes(fn.node)
         for site in self.graph.calls_from(fn.qualname):
             if site.method != "publish" or id(site.node) in deferred:
                 continue
-            if _bus_like_receiver(site):
+            if bus_like_receiver(site):
                 self.diags.append(
-                    _diag(
+                    diag(
                         "CON002",
                         "SemanticBus.publish() called synchronously from a"
                         " delivery-callback context (re-entrant dispatch can"
@@ -932,22 +735,23 @@ class _ConcurrencyChecker:
                 continue
             for kw in site.node.keywords:
                 if kw.arg == "target":
-                    target = _resolve_callback_ref(kw.value, fn, self.graph)
+                    target = resolve_callback_ref(kw.value, fn, self.graph)
                     if target is not None:
                         out.add(target)
         return out
 
-    def _check_thread_captures(self, registrations: list[tuple[str, str]]) -> None:
+    def _check_thread_captures(self, registrations: list[Registration]) -> None:
         thread_roots = self._thread_roots()
         if not thread_roots:
             return
-        thread_reach = self._closure(thread_roots)
+        thread_reach = reachable(self.graph, thread_roots)
         containers = self._module_containers()
         # context of each registration: which thread root (or main) ran it
         contexts: dict[str, set[str]] = {}
-        for target, registrar in registrations:
+        for reg in registrations:
+            registrar = reg.registrar.qualname
             ctx = registrar if registrar in thread_reach else "<main>"
-            contexts.setdefault(target, set()).add(ctx)
+            contexts.setdefault(reg.target, set()).add(ctx)
         for target, ctxs in sorted(contexts.items()):
             if len(ctxs) < 2:
                 continue
@@ -958,7 +762,7 @@ class _ConcurrencyChecker:
             mutated = self._mutated_container(fn, names)
             if mutated is not None:
                 self.diags.append(
-                    _diag(
+                    diag(
                         "CON003",
                         f"container '{mutated}' is mutated by callback"
                         f" {fn.name}() registered from {len(ctxs)} different"
@@ -973,45 +777,24 @@ class _ConcurrencyChecker:
     def _module_containers(self) -> dict[str, frozenset[str]]:
         """Module -> names bound to mutable containers at module level."""
         out: dict[str, set[str]] = {}
-        for path, source in self.graph.sources.items():
-            try:
-                tree = ast.parse(source)
-            except SyntaxError:
-                continue
+        for path, tree in self.graph.trees.items():
             module = module_name_for_path(path)
             names = out.setdefault(module, set())
             for node in tree.body:
-                if not (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Name)
-                ):
-                    continue
-                value = node.value
-                if isinstance(value, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-                    names.add(node.targets[0].id)
-                elif isinstance(value, ast.Call) and _rightmost(value.func) in (
-                    "list",
-                    "dict",
-                    "set",
-                    "deque",
-                    "defaultdict",
-                    "OrderedDict",
-                    "Counter",
-                ):
-                    names.add(node.targets[0].id)
+                bound = name_binding(node)
+                if bound is not None and is_container_value(bound[1]):
+                    names.add(bound[0])
         return {m: frozenset(s) for m, s in out.items()}
 
     @staticmethod
     def _mutated_container(fn: FunctionInfo, names: frozenset[str]) -> Optional[str]:
         if not names:
             return None
-        assert isinstance(fn.node, (ast.FunctionDef, ast.AsyncFunctionDef))
         for node in ast.walk(fn.node):
             if (
                 isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in _MUTATING_METHODS
+                and node.func.attr in MUTATING_METHODS
                 and isinstance(node.func.value, ast.Name)
                 and node.func.value.id in names
             ):
@@ -1033,29 +816,16 @@ class _ConcurrencyChecker:
 # ======================================================================
 # entry points
 # ======================================================================
-def typestate_diagnostics(
-    graph: CallGraph, *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """All TSP/CON findings over an already-built call graph."""
+def typestate_findings(graph: CallGraph) -> list[Diagnostic]:
+    """Raw TSP/CON findings over an already-built call graph."""
     diags: list[Diagnostic] = []
     diags.extend(_TypestateChecker(graph).run())
     diags.extend(_FragOrderChecker(graph).run())
     diags.extend(_LeaveRevocationChecker(graph).run())
     diags.extend(_ConcurrencyChecker(graph).run())
-
-    suppressions = {
-        path: parse_suppressions(source) for path, source in graph.sources.items()
-    }
-    out: list[Diagnostic] = []
-    for d in diags:
-        sup = suppressions.get(d.file or "")
-        out.extend(filter_diagnostics([d], ignore=ignore, suppressions=sup))
-    return out
+    return diags
 
 
-def analyze_typestate(
-    paths: Iterable[str], *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """Build the call graph over ``paths`` and run every typestate pass."""
-    graph = build_call_graph(paths)
-    return typestate_diagnostics(graph, ignore=ignore)
+#: ``typestate_diagnostics(graph, *, ignore=())`` / ``analyze_typestate(paths,
+#: *, ignore=())``: the findings above with suppressions applied
+typestate_diagnostics, analyze_typestate = graph_entry_points(typestate_findings)

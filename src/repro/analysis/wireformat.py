@@ -49,16 +49,17 @@ from an importing registry of the same codec pairs.
 from __future__ import annotations
 
 import ast
-import os
 import struct
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
-from .diagnostics import Diagnostic, filter_diagnostics, parse_suppressions, rule_severity
+from .diagnostics import Diagnostic, rule_severity
+from .passes import file_entry_points, is_set_expr
 
 __all__ = [
     "CodecPair",
     "Tok",
+    "wire_findings",
     "wire_source",
     "wire_file",
     "wire_paths",
@@ -475,17 +476,6 @@ def _has_len_guard(fn: ast.FunctionDef, buffer_names: set[str]) -> bool:
     return False
 
 
-def _is_set_expr(expr: ast.expr, local_sets: set[str]) -> bool:
-    """Definitely-unordered iterable: a set display/call or a known set local."""
-    if isinstance(expr, ast.Set):
-        return True
-    if isinstance(expr, ast.Call) and isinstance(expr.func, ast.Name):
-        return expr.func.id in ("set", "frozenset")
-    if isinstance(expr, ast.Name):
-        return expr.id in local_sets
-    return False
-
-
 @dataclass
 class _CountLink:
     """A WIRE003 candidate: a count field followed by the loop using it."""
@@ -711,7 +701,7 @@ class _Interpreter:
                         continue
                     continue
                 if isinstance(stmt, ast.For):
-                    if _is_set_expr(stmt.iter, self._local_sets):
+                    if is_set_expr(stmt.iter, self._local_sets):
                         self.set_iterations.append(stmt.lineno)
                     body_toks: list[Tok] = []
                     ok = handle_stmts(stmt.body, body_toks)
@@ -757,7 +747,7 @@ class _Interpreter:
         # track locals assigned from set constructors for WIRE005
         for node in ast.walk(self.fn):
             if isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-                if _is_set_expr(node.value, set()):
+                if is_set_expr(node.value, set()):
                     self._local_sets.add(node.targets[0].id)
 
         handle_stmts([s for s in self.fn.body if not _is_docstring(s)], toks)
@@ -1232,7 +1222,6 @@ def _resolve_name(index: _ModuleIndex, name: str) -> Optional[ast.FunctionDef]:
 def _decode_safety(
     fn: ast.FunctionDef,
     buffer_names: set[str],
-    index: _ModuleIndex,
     subject: str,
     path: str,
 ) -> list[Diagnostic]:
@@ -1310,13 +1299,8 @@ def _decoder_buffer_names(fn: ast.FunctionDef) -> set[str]:
 # ----------------------------------------------------------------------
 # entry points
 # ----------------------------------------------------------------------
-def wire_source(
-    source: str,
-    path: str,
-    *,
-    ignore: Iterable[str] = (),
-) -> list[Diagnostic]:
-    """All WIRE diagnostics for one file's source text."""
+def wire_findings(source: str, path: str) -> list[Diagnostic]:
+    """Raw WIRE findings for one file's source text."""
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError:
@@ -1378,7 +1362,7 @@ def wire_source(
 
         # decode safety for the decoder and every reader helper it calls
         buffer_names = _decoder_buffer_names(pair.dec_node)
-        out.extend(_decode_safety(pair.dec_node, buffer_names, index, subject, path))
+        out.extend(_decode_safety(pair.dec_node, buffer_names, subject, path))
         for node in ast.walk(pair.dec_node):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 helper = index.functions.get(node.func.id)
@@ -1393,7 +1377,6 @@ def wire_source(
                     _decode_safety(
                         helper,
                         _decoder_buffer_names(helper),
-                        index,
                         f"{path}:{node.func.id}",
                         path,
                     )
@@ -1429,29 +1412,11 @@ def wire_source(
                 break
 
     out.sort(key=lambda d: (d.line or 0, d.code, d.message))
-    return filter_diagnostics(out, ignore=ignore, suppressions=parse_suppressions(source))
+    return out
 
 
-def wire_file(path: str, *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
-    with open(path, "r", encoding="utf-8") as fh:
-        source = fh.read()
-    return wire_source(source, path, ignore=ignore)
-
-
-def wire_paths(paths: Iterable[str], *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
-    """WIRE diagnostics for every ``.py`` file under each path.
-
-    Mirrors :func:`repro.analysis.repo_lint.lint_paths`: per-file, in
-    deterministic order.
-    """
-    from .repo_lint import _walk_py_files
-
-    ignore = tuple(ignore)
-    return [d for path in _walk_py_files(paths) for d in wire_file(path, ignore=ignore)]
-
-
-def analyze_wireformat(
-    paths: Iterable[str], *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """Run the WIRE pass over source trees (corpus-gate entry point)."""
-    return wire_paths(paths, ignore=ignore)
+#: ``wire_source(source, path, *, ignore=())``, ``wire_file(path, *,
+#: ignore=())``, ``wire_paths(paths, *, ignore=())``: the findings above
+#: with suppressions applied; ``analyze_wireformat`` is the corpus gate's name
+wire_source, wire_file, wire_paths = file_entry_points(wire_findings)
+analyze_wireformat = wire_paths

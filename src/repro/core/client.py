@@ -29,6 +29,8 @@ from ..media.sketch import Sketch, extract_sketch
 from ..media.transformers import Modality, TransformerRegistry, default_registry
 from ..messaging.broker import Delivery
 from ..messaging.message import SemanticMessage
+from ..messaging.rtp import RtpError
+from ..messaging.serialization import WireError
 from ..messaging.transport import SemanticEndpoint
 from ..network.multicast import MulticastGroup
 from ..network.simnet import Network
@@ -242,6 +244,17 @@ class WiredClient:
             self.endpoint.decode_failures += 1
             return
         self.events_received.append((now, event))
+        try:
+            self._react(event, delivery, now)
+        except (RtpError, WireError):
+            # a reaction that re-publishes (history replay, image repair,
+            # lock grant) could not encode or fragment its answer: the
+            # answer is lost and counted, the dispatch loop is not
+            self.endpoint.decode_failures += 1
+
+    def _react(self, event: Event, delivery: Delivery, now: float) -> None:
+        """Apply one decoded session event to the local apps and state."""
+        msg = delivery.message
         effective_modality = delivery.result.effective_headers.get("modality")
 
         if isinstance(event, ChatEvent):
@@ -312,6 +325,21 @@ class WiredClient:
             HistoryRequest(client_id=self.name, since=since, kinds=kinds)
         )
 
+    def _requester_selector(self, client_id: str) -> Optional[str]:
+        """Session audience narrowed to one requester, or ``None``.
+
+        ``client_id`` arrives off the wire and selector string literals
+        have no escapes, so it is quoted with whichever quote character
+        it does not contain and can only ever be compared as a value.
+        An id holding both quotes is not addressable: the request is
+        dropped and counted, never spliced into the expression.
+        """
+        quote = next((q for q in "'\"" if q not in client_id), None)
+        if quote is None:
+            self.endpoint.decode_failures += 1
+            return None
+        return self.session.selector_text(f"client_id == {quote}{client_id}{quote}")
+
     def _serve_history(self, request: HistoryRequest) -> None:
         """Replay archived traffic, re-addressed to the requester only.
 
@@ -320,10 +348,11 @@ class WiredClient:
         """
         if not self.serve_history or request.client_id == self.name:
             return
+        selector = self._requester_selector(request.client_id)
+        if selector is None:
+            return
         skip = {"history-request", "image-repair", "join", "leave"}
         wanted = set(request.kinds) if request.kinds else None
-        target = f"client_id == '{request.client_id}'"
-        selector = self.session.selector_text(target)
         replays = [
             SemanticMessage.create(
                 sender=self.name,
@@ -337,7 +366,7 @@ class WiredClient:
             and msg.sender != request.client_id
             and (wanted is None or msg.kind in wanted)
         ]
-        self.endpoint.publish_many(replays)
+        self.endpoint.publish_many(replays, suppress_errors=True)
 
     def request_image_repair(self, image_id: str) -> tuple[int, ...]:
         """NACK the holes blocking an image's reconstruction.
@@ -364,9 +393,10 @@ class WiredClient:
         prog = self.viewer.shared.get(request.image_id)
         if prog is None or request.client_id == self.name:
             return
+        selector = self._requester_selector(request.client_id)
+        if selector is None:
+            return
         packets = prog.packets()
-        target = f"client_id == '{request.client_id}'"
-        selector = self.session.selector_text(target)
         repairs: list[SemanticMessage] = []
         for idx in request.packet_indices:
             if 0 <= idx < len(packets):
@@ -385,7 +415,7 @@ class WiredClient:
                         kind=event.kind,
                     )
                 )
-        self.endpoint.publish_many(repairs)
+        self.endpoint.publish_many(repairs, suppress_errors=True)
 
     # ------------------------------------------------------------------
     # distributed object locking (session-wide concurrency control)

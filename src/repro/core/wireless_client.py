@@ -207,7 +207,7 @@ class WirelessClient:
         try:
             event = decode_event(message.kind, message.body)
         except EventError:
-            self.decode_failures += 1
+            self.link.decode_failures += 1
             return
         self.received_events.append((now, event))
         if isinstance(event, TextShareEvent):

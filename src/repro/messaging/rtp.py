@@ -151,10 +151,14 @@ class RtpReassembler:
         Called with ``(ssrc, payload_bytes)`` when a message completes.
     on_gap:
         Optional NACK hook: called with ``(ssrc, msg_seq, missing_indices)``
-        when :meth:`expire` abandons an incomplete message.
+        when an incomplete message is abandoned.
     reorder_window:
-        Messages older than this many message-seqs behind the newest are
-        abandoned on :meth:`expire` (bounded memory under loss).
+        Per source, only the newest message-seq and the this-many before
+        it are tracked.  :meth:`ingest` abandons a partial message the
+        moment newer traffic pushes it out of that window, and drops a
+        late fragment from behind it instead of re-opening the message —
+        so memory is bounded by the window under any loss pattern, with
+        no timer needed, and delivery stays exactly-once.
     clock:
         Zero-arg callable returning the current (virtual) time; used when
         :meth:`ingest`/:meth:`expire` are called without ``now=``.
@@ -184,6 +188,7 @@ class RtpReassembler:
         self._partial: dict[tuple[int, int], _PartialMessage] = {}
         self._stats: dict[int, dict] = {}
         self._delivered: set[tuple[int, int]] = set()
+        self._abandoned_unreported = 0
 
     def _resolve_now(self, now: Optional[float]) -> float:
         if now is not None:
@@ -222,7 +227,10 @@ class RtpReassembler:
         st = self._stat(pkt.ssrc)
         st["received"] += 1
         st["highest_seq"] = max(st["highest_seq"], pkt.seq)
-        st["newest_msg"] = max(st["newest_msg"], pkt.msg_seq)
+        if pkt.msg_seq > st["newest_msg"]:
+            self._slide_window(pkt.ssrc, st, pkt.msg_seq)
+        elif st["newest_msg"] - pkt.msg_seq > self.reorder_window:
+            return  # from behind the window: that message is settled
         key = (pkt.ssrc, pkt.msg_seq)
         if key in self._delivered:
             return  # duplicate fragment of an already-delivered message
@@ -240,33 +248,42 @@ class RtpReassembler:
             st["completed"] += 1
             self.on_message(pkt.ssrc, payload)
 
-    def expire(self, now: Optional[float] = None) -> int:
-        """Abandon partial messages outside the reorder window or too old.
+    def _slide_window(self, ssrc: int, st: dict, newest: int) -> None:
+        """Advance a source's newest message-seq; settle what falls out."""
+        old = st["newest_msg"]
+        st["newest_msg"] = newest
+        # everything tracked for this source sits in [old - window, old]
+        for msg_seq in range(
+            max(0, old - self.reorder_window), min(old + 1, newest - self.reorder_window)
+        ):
+            self._delivered.discard((ssrc, msg_seq))
+            if (ssrc, msg_seq) in self._partial:
+                self._abandon(ssrc, msg_seq)
 
-        Returns the number abandoned; fires ``on_gap`` for each so callers
-        can NACK or account the loss.  Age-based abandonment only applies
+    def _abandon(self, ssrc: int, msg_seq: int) -> None:
+        part = self._partial.pop((ssrc, msg_seq))
+        self._stat(ssrc)["abandoned"] += 1
+        self._abandoned_unreported += 1
+        if self.on_gap is not None:
+            self.on_gap(ssrc, msg_seq, part.missing())
+
+    def expire(self, now: Optional[float] = None) -> int:
+        """Abandon partial messages that are too old; report abandonment.
+
+        Returns how many messages were abandoned since the previous call
+        — pushed out of the reorder window by :meth:`ingest`, or aged out
+        here; ``on_gap`` fired for each as it happened, so callers can
+        NACK or account the loss.  Age-based abandonment only applies
         when ``max_age`` was configured; ``now`` resolves like
         :meth:`ingest` (explicit argument, else the constructor clock)
         but is only required when ``max_age`` is in play.
         """
         if self.max_age is not None:
             now = self._resolve_now(now)
-        abandoned = 0
-        for key in sorted(self._partial):
-            ssrc, msg_seq = key
-            st = self._stat(ssrc)
-            part = self._partial[key]
-            stale = (
-                self.max_age is not None
-                and now is not None
-                and now - part.first_seen > self.max_age
-            )
-            if st["newest_msg"] - msg_seq > self.reorder_window or stale:
-                del self._partial[key]
-                st["abandoned"] += 1
-                abandoned += 1
-                if self.on_gap is not None:
-                    self.on_gap(ssrc, msg_seq, part.missing())
+            for (ssrc, msg_seq), part in sorted(self._partial.items()):
+                if now - part.first_seen > self.max_age:
+                    self._abandon(ssrc, msg_seq)
+        abandoned, self._abandoned_unreported = self._abandoned_unreported, 0
         return abandoned
 
     def pending(self, ssrc: int) -> list[tuple[int, list[int]]]:

@@ -1,17 +1,35 @@
-"""Shared driver for the golden-corpus gates.
+"""The golden-corpus gate, one table for every family.
 
-Each corpus directory (``corpus_perf``, ``corpus_det``,
-``corpus_typestate``, ``corpus_concurrency``) keeps a thin
-``check_corpus.py`` entrypoint that delegates here: run one analyzer
-family over the corpus, compare against the checked-in
-``expected_diagnostics.json``, and insist the known-good twin files stay
-silent.  Regenerate an expectation after intentionally changing a rule
-or the corpus with ``--update``.
+Each corpus directory (``corpus_typestate``, ``corpus_perf``, ...) holds
+known-bad files, known-good twins and a checked-in
+``expected_diagnostics.json``.  The gate runs one analyzer entry point
+over the directory, compares against the golden set, and insists the
+known-good twins stay silent::
+
+    python tests/analysis/corpus_common.py                  # every family
+    python tests/analysis/corpus_common.py perf det         # just these
+    python tests/analysis/corpus_common.py --update wire    # regenerate
+
+Regenerate an expectation (``--update``) only after intentionally
+changing a rule or the corpus.
 """
 
 import json
 import os
 import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+#: family -> (attribute of repro.analysis mapping paths to diagnostics,
+#: basenames of the known-good twins that must produce zero findings);
+#: the corpus lives in ``corpus_<family>/`` next to this file
+CORPORA = {
+    "typestate": ("analyze_typestate", ()),
+    "perf": ("analyze_hotpath", ("perf_clean.py",)),
+    "det": ("analyze_hotpath", ("det_clean.py",)),
+    "concurrency": ("analyze_concurrency", ("locks_clean.py", "races_clean.py")),
+    "wire": ("analyze_wireformat", ("wire_clean.py",)),
+}
 
 
 def _current(analyzer_name, here):
@@ -31,30 +49,17 @@ def _current(analyzer_name, here):
     return sorted(entries, key=lambda e: (e["file"], e["line"] or 0, e["code"]))
 
 
-def run_corpus_gate(argv, *, here, family, analyzer_name, clean_files=()):
-    """Gate one corpus directory; returns a process exit status.
-
-    Parameters
-    ----------
-    argv:
-        Command-line arguments (``--update`` rewrites the golden set).
-    here:
-        The corpus directory (holds ``expected_diagnostics.json``).
-    family:
-        Short label used in messages (``"perf"``, ``"det"``, ...).
-    analyzer_name:
-        Attribute of :mod:`repro.analysis` mapping paths to diagnostics.
-    clean_files:
-        Basenames of known-good twins that must produce zero findings.
-    """
-    sys.path.insert(0, os.path.join(here, "..", "..", "..", "src"))
+def run_corpus_gate(family, *, update=False):
+    """Gate one corpus directory; returns a process exit status."""
+    analyzer_name, clean_files = CORPORA[family]
+    here = os.path.join(HERE, f"corpus_{family}")
     expected = os.path.join(here, "expected_diagnostics.json")
     got = _current(analyzer_name, here)
-    if "--update" in argv:
+    if update:
         with open(expected, "w", encoding="utf-8") as fh:
             json.dump(got, fh, indent=2, sort_keys=True)
             fh.write("\n")
-        print(f"wrote {len(got)} expected diagnostic(s)")
+        print(f"{family}: wrote {len(got)} expected diagnostic(s)")
         return 0
     with open(expected, encoding="utf-8") as fh:
         want = json.load(fh)
@@ -76,3 +81,18 @@ def run_corpus_gate(argv, *, here, family, analyzer_name, clean_files=()):
         return 1
     print(f"{family} corpus OK: {len(got)} diagnostic(s) match the golden set")
     return 0
+
+
+def main(argv):
+    sys.path.insert(0, os.path.join(HERE, "..", "..", "src"))
+    update = "--update" in argv
+    families = [a for a in argv if a != "--update"] or list(CORPORA)
+    unknown = [f for f in families if f not in CORPORA]
+    if unknown:
+        print(f"unknown corpus family: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    return max(run_corpus_gate(family, update=update) for family in families)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

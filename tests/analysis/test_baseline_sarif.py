@@ -140,10 +140,10 @@ class TestCli:
         assert main([str(good), "--no-defaults", "--baseline", str(baseline)]) == 0
         assert "no longer match" in capsys.readouterr().err
 
-    def test_no_dataflow_skips_the_passes(self, tmp_path, capsys):
+    def test_ignore_silences_the_dataflow_rule(self, tmp_path, capsys):
         bad = tmp_path / "late.py"
         bad.write_text(BAD_SOURCE)
-        assert main([str(bad), "--no-defaults", "--no-dataflow"]) == 0
+        assert main([str(bad), "--no-defaults", "--ignore", "RES003"]) == 0
 
     def test_shipped_tree_is_clean_at_warning(self, capsys):
         # the acceptance gate: all UNI/EXC/RES true positives in the tree

@@ -86,10 +86,10 @@ class TestTypestate:
         assert main([str(bad), "--no-defaults"]) == 1
         assert "TSP001" in capsys.readouterr().out
 
-    def test_no_typestate_skips_the_pass(self, tmp_path, capsys):
+    def test_ignore_silences_the_typestate_rule(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_TYPESTATE)
-        assert main([str(bad), "--no-defaults", "--no-typestate"]) == 0
+        assert main([str(bad), "--no-defaults", "--ignore", "TSP001"]) == 0
         assert "TSP001" not in capsys.readouterr().out
 
     def test_typestate_findings_reach_sarif(self, tmp_path, capsys):

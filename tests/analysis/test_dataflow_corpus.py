@@ -188,6 +188,33 @@ BAD_EXC = [
         "EXC001",
     ),
     (
+        "leaking-callback-passed-positionally-to-endpoint",
+        _WIRE_PRELUDE
+        + "def deliver(delivery):\n"
+        "    parse(delivery)\n"
+        "def wire(SemanticEndpoint, net, group, profile):\n"
+        '    return SemanticEndpoint(net, "h", group, profile, deliver)\n',
+        "EXC001",
+    ),
+    (
+        "leaking-callback-passed-positionally-to-over-transport",
+        _WIRE_PRELUDE
+        + "def deliver(delivery):\n"
+        "    parse(delivery)\n"
+        "def wire(SemanticEndpoint, transport, profile):\n"
+        "    return SemanticEndpoint.over_transport(transport, profile, deliver)\n",
+        "EXC001",
+    ),
+    (
+        "leaking-callback-passed-positionally-to-trap-listener",
+        _WIRE_PRELUDE
+        + "def on_trap(trap):\n"
+        "    parse(trap)\n"
+        "def listen(TrapListener, net):\n"
+        '    return TrapListener(net, "h", on_trap)\n',
+        "EXC001",
+    ),
+    (
         "scheduler-callback-raises",
         "def tick():\n"
         '    raise ValueError("boom")\n'

@@ -151,3 +151,17 @@ class TestDispatchCounters:
             isinstance(e, ChatEvent) and e.text == "still here"
             for _, e in client.events_received
         )
+
+    def test_wireless_client_counts_and_survives(self):
+        # a corrupt event body arriving over the radio leg (BS -> mobile)
+        fw = CollaborationFramework("t", objective="decode hardening", seed=0)
+        bs = fw.add_base_station("bs")
+        mobile = fw.add_wireless_client("mob", bs)
+        corrupt = self._delivery(b"\x00").message
+        ok = self._delivery(ChatEvent(author="bob", text="still here").to_body()).message
+        for msg in (corrupt, ok):
+            for frag in bs._wpacketizer.packetize(encode_message(msg)):
+                bs._wsock.sendto(frag.encode(), mobile.link.address)
+        fw.run_for(0.5)  # raised AttributeError out of the scheduler before
+        assert mobile.link.decode_failures == 1
+        assert [e.text for _, e in mobile.received_events] == ["still here"]

@@ -179,3 +179,62 @@ class TestImageRepair:
         b.request_image_repair("map")
         fw.run_for(1.0)
         assert c.viewer.viewed["map"].packets_offered == carol_offered
+
+
+class TestHostileRequesterIds:
+    """``request.client_id`` is wire input: it is quoted, never spliced."""
+
+    @pytest.fixture
+    def session(self, fw):
+        a = fw.add_wired_client("alice")
+        b = fw.add_wired_client("bob")
+        m = fw.add_wired_client("mallory")
+        for x in (a, b, m):
+            x.join()
+        fw.run_for(0.5)
+        a.send_chat("secret")
+        fw.run_for(0.5)
+        return fw, a, b, m
+
+    def test_selector_injection_does_not_widen_the_replay_audience(self, session):
+        fw, a, b, m = session
+        bob_lines = len(b.chat.transcript)
+        m._publish_event(HistoryRequest(client_id="x' or role == 'participant"))
+        fw.run_for(1.0)  # nobody is called that: the replay reaches no one
+        assert len(b.chat.transcript) == bob_lines
+        assert m.chat.transcript == ["alice: secret"]
+
+    def test_quote_in_id_no_longer_kills_the_event_loop(self, session):
+        fw, a, b, m = session
+        m._publish_event(HistoryRequest(client_id="bo'b"))
+        fw.run_for(1.0)  # raised SelectorError out of the scheduler before
+        assert a.endpoint.decode_failures == b.endpoint.decode_failures == 0
+
+    def test_unquotable_id_is_dropped_and_counted(self, session):
+        fw, a, b, m = session
+        m._publish_event(HistoryRequest(client_id="""b'o"b"""))
+        m._publish_event(
+            ImageRepairRequest(client_id="""b'o"b""", image_id="map", packet_indices=(0,))
+        )
+        fw.run_for(1.0)
+        assert a.endpoint.decode_failures == 1  # history only: alice shared no image
+        a.share_image("map", collaboration_scene(64, 64))
+        fw.run_for(2.0)
+        m._publish_event(
+            ImageRepairRequest(client_id="""b'o"b""", image_id="map", packet_indices=(0,))
+        )
+        fw.run_for(1.0)
+        assert a.endpoint.decode_failures == 2
+
+    def test_unencodable_reaction_is_counted_not_raised(self, session):
+        fw, a, b, m = session
+        from repro.messaging.serialization import WireError
+
+        def refuse(message, exclude=None):
+            raise WireError("unencodable header value")
+
+        a.lock_coordinator = True
+        a.endpoint.publish = refuse  # the grant announcement cannot be sent
+        m.request_lock("s1")
+        fw.run_for(1.0)
+        assert a.endpoint.decode_failures == 1

@@ -186,3 +186,72 @@ class TestLossAccounting:
         assert rep.cumulative_lost == 0
         assert rep.fraction_lost == 0.0
         assert rep.messages_completed == 1
+
+
+class TestWindowBound:
+    """Memory is bounded by ``reorder_window`` by ``ingest`` alone —
+    nobody has to call ``expire()`` (the wireless-leg users never do)."""
+
+    def test_ingest_abandons_and_forgets_behind_the_window(self):
+        out, gaps = [], []
+        p = RtpPacketizer(ssrc=7, mtu=100)
+        r = RtpReassembler(
+            lambda s, payload: out.append(payload),
+            on_gap=lambda s, mseq, missing: gaps.append(mseq),
+            reorder_window=4,
+            clock=lambda: 0.0,
+        )
+        torn = p.packetize(bytes(500))
+        r.ingest(torn[0].encode())  # msg 0 never completes
+        first = p.packetize(b"m1")[0].encode()
+        r.ingest(first)
+        for i in range(2, 40):
+            r.ingest(p.packetize(b"m%d" % i)[0].encode())
+        assert len(r._partial) == 0 and gaps == [0]
+        assert len(r._delivered) <= 4 + 1
+        assert r.report(7).messages_abandoned == 1
+        # late fragments from behind the window neither re-open the torn
+        # message nor re-deliver the completed one
+        delivered = len(out)
+        r.ingest(torn[1].encode())
+        r.ingest(first)
+        assert len(r._partial) == 0 and len(out) == delivered
+
+    def test_hostile_msg_seq_jump_is_constant_work(self):
+        p, r, out = pipe()
+        r.ingest(p.packetize(b"a")[0].encode())
+        far = RtpPacket(7, 0xFFFFFFF0, 0, 1, 1, b"b")
+        r.ingest(far.encode())  # must not walk 2**32 message-seqs
+        assert [payload for _, payload in out] == [b"a", b"b"]
+        assert r._delivered == {(7, 0xFFFFFFF0)}
+
+    def test_soak_all_three_users_stay_within_the_window(self):
+        from repro.core.framework import CollaborationFramework
+
+        fw = CollaborationFramework("soak", objective="rtp bound", seed=3)
+        alice = fw.add_wired_client("alice")
+        bob = fw.add_wired_client("bob")
+        bs = fw.add_base_station("bs")
+        mobile = fw.add_wireless_client("mob", bs, radio_loss=0.2)
+        for c in (alice, bob):
+            c.join()
+        fw.run_for(0.5)
+        for i in range(200):  # 4-fragment messages, both ways over the lossy radio
+            alice.send_chat(f"{i}:" + "d" * 4000)
+            mobile.send_event(alice.chat.compose(f"{i}:" + "u" * 4000))
+            fw.run_for(0.1)
+        reassemblers = {
+            "wired endpoint": bob.endpoint._reassembler,
+            "wireless link": mobile.link._reassembler,
+            "base station radio side": bs._wreassembler,
+        }
+        for who, r in reassemblers.items():
+            window = r.reorder_window
+            assert r._stats, who  # saw traffic
+            for ssrc in r._stats:
+                held = sum(1 for s, _ in r._partial if s == ssrc)
+                done = sum(1 for s, _ in r._delivered if s == ssrc)
+                assert held <= window + 1 and done <= window + 1, (who, held, done)
+        for who in ("wireless link", "base station radio side"):
+            stats = reassemblers[who]._stats.values()
+            assert sum(st["abandoned"] for st in stats) > 0, who  # the bound did work
