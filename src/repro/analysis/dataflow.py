@@ -316,8 +316,9 @@ RESOURCE_TYPES: dict[str, ResourceType] = {
     "MulticastSocket": ResourceType(("leave", "close"), ("send", "unicast")),
     "SimTransport": ResourceType(("close",), ("send", "unicast")),
     "LoopbackUDP": ResourceType(("close",), ("send", "unicast", "poll")),
+    "RealUdpSocket": ResourceType(("close",), ("bind", "bind_ephemeral", "sendto", "recv", "poll")),
     "RealSnmpAgent": ResourceType(("close",), ("serve", "serve_once")),
-    "RealSnmpManager": ResourceType(("close",), ("get", "get_next", "set")),
+    "RealSnmpManager": ResourceType(("close",), ("get", "get_next", "set", "get_bulk")),
     "SnmpManager": ResourceType(("close",), ("get", "get_scalar", "get_next", "set", "walk")),
     "NetworkStateInterface": ResourceType(("close",), ("poll",)),
     "SemanticEndpoint": ResourceType(("close",), ("publish", "unicast")),

@@ -179,6 +179,7 @@ DELIVERY_CALLBACK_KWARGS = frozenset({"on_receive", "on_delivery", "on_payload",
 DELIVERY_CALLBACK_POSITIONS: dict[str, tuple[int, ...]] = {
     "RtpReassembler": (0,),
     "SemanticEndpoint": (4,),
+    "UnicastSemanticLink": (2,),
     "over_transport": (2,),
     "TrapListener": (2,),
 }

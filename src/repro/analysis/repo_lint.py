@@ -14,7 +14,9 @@ two kinds of checks:
   - ``LNT003`` — constructing a transport (``SimTransport``,
     ``LoopbackUDP``, ...) anywhere but the transport modules themselves:
     transports must be injected so tests and simulations can substitute
-    them.
+    them; and constructing a half of the wire stack (``RtpPacketizer``,
+    ``RtpReassembler``) outside ``messaging/``: message ↔ fragment ↔
+    datagram exists once, in ``SemanticWire``.
 
 * **Config extraction**: string literals that are clearly selector
   sources — ``Selector("...")``, ``parse("...")``,
@@ -49,17 +51,26 @@ __all__ = [
     "TRANSPORT_MODULE_ALLOWLIST",
 ]
 
-#: class names whose direct construction outside transport modules is flagged
-TRANSPORT_NAMES = frozenset(
-    {"SimTransport", "LoopbackUDP", "RealUdpTransport", "UdpTransport", "DatagramTransport"}
-)
-
 #: path fragments where constructing a transport is legitimate
 TRANSPORT_MODULE_ALLOWLIST = (
     "messaging/transport.py",
     "network/udp.py",
     "snmp/realudp.py",
 )
+
+_INJECT = "transports must be injected so simulations and tests can substitute them"
+_ONE_WIRE = "the wire stack has one construction site, messaging.SemanticWire: bind that"
+
+#: class name -> (path fragments where constructing it directly is
+#: legitimate, why it is flagged anywhere else)
+TRANSPORT_NAMES: dict[str, tuple[tuple[str, ...], str]] = {
+    "SimTransport": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
+    "LoopbackUDP": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
+    "RealUdpSocket": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
+    "DatagramTransport": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
+    "RtpPacketizer": (("messaging/",), _ONE_WIRE),
+    "RtpReassembler": (("messaging/",), _ONE_WIRE),
+}
 
 #: path fragments treated as dispatch-critical for LNT001
 DISPATCH_PATH_FRAGMENTS = (
@@ -83,11 +94,6 @@ def _is_dispatch_path(path: str) -> bool:
 
 def _is_core_path(path: str) -> bool:
     return "core/" in _norm(path)
-
-
-def _is_transport_module(path: str) -> bool:
-    p = _norm(path)
-    return any(p.endswith(frag) or frag in p for frag in TRANSPORT_MODULE_ALLOWLIST)
 
 
 def _is_mutable_default(node: ast.expr) -> bool:
@@ -150,7 +156,7 @@ def lint_findings(
     out: list[Diagnostic] = []
     dispatch = _is_dispatch_path(path)
     core = _is_core_path(path)
-    transport_ok = _is_transport_module(path)
+    norm_path = _norm(path)
 
     for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler) and node.type is None:
@@ -184,15 +190,17 @@ def lint_findings(
                             column=default.col_offset + 1,
                         )
                     )
-        elif isinstance(node, ast.Call) and not transport_ok:
+        elif isinstance(node, ast.Call):
             name = rightmost_name(node.func)
-            if name in TRANSPORT_NAMES:
+            if name is None or name not in TRANSPORT_NAMES:
+                continue
+            allowed, why = TRANSPORT_NAMES[name]
+            if not any(frag in norm_path for frag in allowed):
                 out.append(
                     Diagnostic(
                         "LNT003",
                         rule_severity("LNT003"),
-                        f"{name} constructed directly; transports must be"
-                        " injected so simulations and tests can substitute them",
+                        f"{name} constructed directly; {why}",
                         subject=path,
                         file=path,
                         line=node.lineno,

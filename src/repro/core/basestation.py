@@ -36,12 +36,11 @@ from ..media.describe import describe_image
 from ..media.sketch import extract_sketch
 from ..messaging.broker import Delivery
 from ..messaging.message import SemanticMessage
-from ..messaging.rtp import RtpError, RtpPacketizer, RtpReassembler
-from ..messaging.serialization import WireError, decode_message, encode_message
-from ..messaging.transport import SemanticEndpoint
+from ..messaging.rtp import RtpError
+from ..messaging.serialization import WireError
+from ..messaging.transport import SemanticEndpoint, UnicastSemanticLink
 from ..network.multicast import MulticastGroup
 from ..network.simnet import Network
-from ..network.udp import DatagramSocket
 from ..wireless.channel import NoiseModel, PathLossModel
 from ..wireless.sir import sir_db as compute_sir_db
 from .events import (
@@ -155,20 +154,13 @@ class BaseStation:
         self.endpoint = SemanticEndpoint(
             network, name, group, self.profile, self._on_session_delivery
         )
-        # wireless-side socket + RTP
-        self._wsock = DatagramSocket(network, name)
-        self._wsock.bind(WIRELESS_PORT)
-        self._wsock.on_receive = self._on_wireless_datagram
-        import zlib
-
-        self._wpacketizer = RtpPacketizer(zlib.crc32(f"{name}:bs".encode()) & 0xFFFFFFFF)
-        self._wreassembler = RtpReassembler(
-            self._on_wireless_payload, clock=lambda: network.scheduler.clock.now
+        #: the radio side: the same wire stack the mobiles run, on the
+        #: well-known port they send to
+        self.radio = UnicastSemanticLink(
+            network, name, self._on_radio_message, port=WIRELESS_PORT
         )
 
         self.attachments: dict[str, Attachment] = {}
-        #: undecodable uplink payloads dropped (codec guard, EXC001)
-        self.decode_failures = 0
         #: events that could not be fragmented for forwarding (oversize)
         self.forward_failures = 0
         #: when true, each QoS evaluation writes SIR-derived loss onto the
@@ -188,7 +180,14 @@ class BaseStation:
     @property
     def wireless_address(self) -> tuple[str, int]:
         """Where wireless clients unicast to."""
-        return (self.name, WIRELESS_PORT)
+        return self.radio.address
+
+    @property
+    def decode_failures(self) -> int:
+        """Undecodable uplink traffic dropped on the radio side (fragments,
+        payloads and event bodies alike; the session side counts on
+        ``endpoint.decode_failures`` like any wired peer)."""
+        return self.radio.decode_failures
 
     def assess_admission(
         self, distance: float, tx_power: float, min_tier: ModalityTier = ModalityTier.TEXT_ONLY
@@ -407,22 +406,16 @@ class BaseStation:
     # downlink: session → wireless clients, tier-gated
     # ------------------------------------------------------------------
     def _unicast_event(self, event: Event, dest: tuple[str, int]) -> None:
-        msg = SemanticMessage.create(
+        msg = event.to_message(
             sender=self.name,
             selector="true",  # repro: ignore[SEL002] -- deliberate: explicit unicast dest
-            headers=event.headers(),
-            body=event.to_body(),
-            kind=event.kind,
         )
         try:
-            fragments = self._wpacketizer.packetize(encode_message(msg))
+            self.radio.send(msg, dest)
         except (RtpError, WireError):
             # one client's oversized/unencodable rendition must not break
             # the others'
             self.forward_failures += 1
-            return
-        for frag in fragments:
-            self._wsock.sendto(frag.encode(), dest)
 
     def _text_event_for(self, att: Attachment, ref_id: str, text: str) -> Event:
         """Text rendition, honouring a client's speech preference.
@@ -500,7 +493,7 @@ class BaseStation:
         try:
             event = decode_event(msg.kind, msg.body)
         except EventError:
-            self.decode_failures += 1
+            self.endpoint.wire.decode_failures += 1
             return
         # keep the BS's own replica of shared images (for central transforms)
         if isinstance(event, ImageShareAnnounce):
@@ -513,32 +506,11 @@ class BaseStation:
     # ------------------------------------------------------------------
     # uplink: wireless client → session, gated by the sender's SIR tier
     # ------------------------------------------------------------------
-    def _on_wireless_datagram(self, data: bytes, src: tuple[str, int]) -> None:
-        try:
-            self._wreassembler.ingest(data)
-        except RtpError:
-            self.decode_failures += 1
-
-    def _on_wireless_payload(self, ssrc: int, payload: bytes) -> None:
-        try:
-            msg = decode_message(payload)
-        except WireError:
-            # a malformed uplink payload must not kill the BS event loop
-            self.decode_failures += 1
-            import warnings
-
-            from ..analysis.diagnostics import DiagnosticWarning
-
-            warnings.warn(
-                "base station dropped an undecodable uplink payload",
-                DiagnosticWarning,
-                stacklevel=2,
-            )
-            return
+    def _on_radio_message(self, msg: SemanticMessage) -> None:
         try:
             event = decode_event(msg.kind, msg.body)
         except EventError:
-            self.decode_failures += 1
+            self.radio.wire.decode_failures += 1
             return
         sender = msg.sender
         if isinstance(event, ProfileUpdateEvent):
@@ -550,16 +522,8 @@ class BaseStation:
         self.evaluate_qos()
         tier = self.attachments[sender].tier
         forwarded = self._gate_uplink(event, tier)
-        outs = [
-            SemanticMessage.create(
-                sender=sender,
-                selector=self.session.selector_text(),
-                headers=fevent.headers(),
-                body=fevent.to_body(),
-                kind=fevent.kind,
-            )
-            for fevent in forwarded
-        ]
+        selector = self.session.selector_text()
+        outs = [fevent.to_message(sender=sender, selector=selector) for fevent in forwarded]
         # multicast the batch to the wired session; a ``None`` slot marks
         # an oversized/unencodable uplink event, which must not abort the
         # rest of the batch (nor its own downlink fan-out suppression)

@@ -162,12 +162,8 @@ class WiredClient:
     # outbound
     # ------------------------------------------------------------------
     def _publish_event(self, event: Event, extra_selector: str = "") -> SemanticMessage:
-        msg = SemanticMessage.create(
-            sender=self.name,
-            selector=self.session.selector_text(extra_selector),
-            headers=event.headers(),
-            body=event.to_body(),
-            kind=event.kind,
+        msg = event.to_message(
+            sender=self.name, selector=self.session.selector_text(extra_selector)
         )
         self.endpoint.publish(msg)
         # own contributions belong in the archive too — an archivist must
@@ -241,7 +237,7 @@ class WiredClient:
             event = decode_event(msg.kind, msg.body)
         except EventError:
             # undecodable event: drop and count, never abort the dispatch loop
-            self.endpoint.decode_failures += 1
+            self.endpoint.wire.decode_failures += 1
             return
         self.events_received.append((now, event))
         try:
@@ -250,7 +246,7 @@ class WiredClient:
             # a reaction that re-publishes (history replay, image repair,
             # lock grant) could not encode or fragment its answer: the
             # answer is lost and counted, the dispatch loop is not
-            self.endpoint.decode_failures += 1
+            self.endpoint.wire.decode_failures += 1
 
     def _react(self, event: Event, delivery: Delivery, now: float) -> None:
         """Apply one decoded session event to the local apps and state."""
@@ -336,7 +332,7 @@ class WiredClient:
         """
         quote = next((q for q in "'\"" if q not in client_id), None)
         if quote is None:
-            self.endpoint.decode_failures += 1
+            self.endpoint.wire.decode_failures += 1
             return None
         return self.session.selector_text(f"client_id == {quote}{client_id}{quote}")
 
@@ -406,15 +402,7 @@ class WiredClient:
                     packet_total=packets[idx].total,
                     payload=packets[idx].to_bytes(),
                 )
-                repairs.append(
-                    SemanticMessage.create(
-                        sender=self.name,
-                        selector=selector,
-                        headers=event.headers(),
-                        body=event.to_body(),
-                        kind=event.kind,
-                    )
-                )
+                repairs.append(event.to_message(sender=self.name, selector=selector))
         self.endpoint.publish_many(repairs, suppress_errors=True)
 
     # ------------------------------------------------------------------

@@ -14,13 +14,13 @@ the BS as control events.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from ..messaging.message import SemanticMessage
-from ..messaging.rtp import RtpError, RtpPacketizer, RtpReassembler
-from ..messaging.serialization import WireError, decode_message, encode_message
+from ..messaging.rtp import RtpError
+from ..messaging.serialization import WireError
+from ..messaging.transport import UnicastSemanticLink
 from ..network.simnet import Network
-from ..network.udp import DatagramSocket
 from .events import (
     Event,
     ImagePacketEvent,
@@ -35,63 +35,6 @@ from .events import (
 from .profiles import ClientProfile
 
 __all__ = ["UnicastSemanticLink", "WirelessClient"]
-
-
-class UnicastSemanticLink:
-    """Point-to-point semantic message channel (client ↔ BS leg)."""
-
-    def __init__(
-        self,
-        network: Network,
-        host: str,
-        on_message: Callable[[SemanticMessage], None],
-        port: Optional[int] = None,
-    ) -> None:
-        self.sock = DatagramSocket(network, host)
-        if port is not None:
-            self.sock.bind(port)
-        else:
-            self.sock.bind_ephemeral()
-        self.sock.on_receive = self._on_datagram
-        import zlib
-
-        ssrc = zlib.crc32(f"{host}:{self.sock.port}".encode()) & 0xFFFFFFFF
-        self._packetizer = RtpPacketizer(ssrc)
-        self._on_message = on_message
-        self._reassembler = RtpReassembler(
-            self._on_payload, clock=lambda: network.scheduler.clock.now
-        )
-        self.sent = 0
-        #: undecodable fragments/payloads dropped at the codec boundary
-        self.decode_failures = 0
-
-    @property
-    def address(self) -> tuple[str, int]:
-        return (self.sock.host, self.sock.port)  # type: ignore[return-value]
-
-    def send(self, message: SemanticMessage, dest: tuple[str, int]) -> None:
-        """Fragment and unicast one message."""
-        for frag in self._packetizer.packetize(encode_message(message)):
-            self.sock.sendto(frag.encode(), dest)
-        self.sent += 1
-
-    def _on_datagram(self, data: bytes, src: tuple[str, int]) -> None:
-        try:
-            self._reassembler.ingest(data)
-        except RtpError:
-            # malformed fragments must not kill the client's event loop
-            self.decode_failures += 1
-
-    def _on_payload(self, ssrc: int, payload: bytes) -> None:
-        try:
-            message = decode_message(payload)
-        except WireError:
-            self.decode_failures += 1
-            return
-        self._on_message(message)
-
-    def close(self) -> None:
-        self.sock.close()
 
 
 class WirelessClient:
@@ -144,14 +87,10 @@ class WirelessClient:
     # control plane
     # ------------------------------------------------------------------
     def _send_to_bs(self, event: Event) -> None:
-        msg = SemanticMessage.create(
-            sender=self.name,
-            selector="role == 'base-station'",
-            headers=event.headers(),
-            body=event.to_body(),
-            kind=event.kind,
+        self.link.send(
+            event.to_message(sender=self.name, selector="role == 'base-station'"),
+            self.bs_address,
         )
-        self.link.send(msg, self.bs_address)
 
     def report_channel_state(self) -> None:
         """Tell the BS our current distance/power (control event)."""
@@ -207,7 +146,7 @@ class WirelessClient:
         try:
             event = decode_event(message.kind, message.body)
         except EventError:
-            self.link.decode_failures += 1
+            self.link.wire.decode_failures += 1
             return
         self.received_events.append((now, event))
         if isinstance(event, TextShareEvent):
@@ -222,7 +161,12 @@ class WirelessClient:
             self.power_requests.append(event)
             if self.comply_with_power_control:
                 self.tx_power = float(event.new_power)
-                self.report_channel_state()
+                try:
+                    self.report_channel_state()
+                except (RtpError, WireError):
+                    # the report could not be encoded: it is lost and
+                    # counted, the datagram callback we run in is not
+                    self.link.wire.decode_failures += 1
 
     # ------------------------------------------------------------------
     def modality_counts(self) -> dict[str, int]:

@@ -2,7 +2,9 @@
 
 Profile-addressed multicast with an RTP-thin reliability layer; in-process
 (:class:`SemanticBus`) and networked (:class:`SemanticEndpoint`) flavours
-share the receiver-side interpretation semantics.
+share the receiver-side interpretation semantics.  The networked
+flavours — the endpoint and the point-to-point
+:class:`UnicastSemanticLink` — share one wire stack, :class:`SemanticWire`.
 """
 
 from .message import MessageId, SemanticMessage, next_message_id
@@ -22,8 +24,10 @@ from .transport import (
     DatagramTransport,
     LoopbackUDP,
     SemanticEndpoint,
+    SemanticWire,
     SimTransport,
     Transport,
+    UnicastSemanticLink,
     make_broker,
 )
 
@@ -54,5 +58,7 @@ __all__ = [
     "DatagramTransport",
     "SimTransport",
     "LoopbackUDP",
+    "SemanticWire",
     "SemanticEndpoint",
+    "UnicastSemanticLink",
 ]

@@ -18,13 +18,16 @@ The wire fabric is abstracted behind the :class:`Transport` protocol:
 (``send`` / ``unicast`` / ``close`` / ``local_address``), so any object
 implementing it plugs in via :meth:`SemanticEndpoint.over_transport`.
 
-Unicast is also supported (base station ↔ wireless client legs).
+Message ↔ RTP fragments ↔ datagram exists once, in :class:`SemanticWire`;
+the group-attached :class:`SemanticEndpoint` and the point-to-point
+:class:`UnicastSemanticLink` (base station ↔ wireless client legs) are
+its two bindings to a fabric.
 """
 
 from __future__ import annotations
 
 import socket as _socketlib
-import struct
+import warnings
 import zlib
 from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 
@@ -33,6 +36,7 @@ from ..core.profiles import ClientProfile
 from ..network.clock import Scheduler
 from ..network.multicast import MulticastGroup, MulticastSocket
 from ..network.simnet import Network
+from ..network.udp import DatagramSocket
 from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription, offer
 from .message import SemanticMessage
 from .rtp import (
@@ -55,7 +59,9 @@ __all__ = [
     "make_broker",
     "SimTransport",
     "LoopbackUDP",
+    "SemanticWire",
     "SemanticEndpoint",
+    "UnicastSemanticLink",
 ]
 
 #: ``on_receive`` signature shared by every transport: (payload, (host, port)).
@@ -313,6 +319,126 @@ class LoopbackUDP:
             self._sock.close()
 
 
+class SemanticWire:
+    """Message ↔ RTP fragments ↔ datagram: the wire stack, once.
+
+    Owns an attachment's only packetizer and reassembler, their ssrc
+    (derived from ``(host, port)``) and that layer's counters.  The
+    binding to a fabric gives :meth:`send` the callable that puts one
+    datagram on its wire and feeds received datagrams to :meth:`ingest`;
+    messages that reassemble and decode arrive through ``on_message``.
+    Input that does not is dropped, counted on ``decode_failures`` and
+    reported as a :class:`~repro.analysis.diagnostics.DiagnosticWarning`,
+    never raised into the fabric's dispatch loop.  :meth:`send` raises
+    :class:`~repro.messaging.rtp.RtpError` or
+    :class:`~repro.messaging.serialization.WireError` for a message that
+    cannot be encoded or fragmented, before anything is sent or counted.
+    """
+
+    def __init__(
+        self,
+        address: tuple[str, int],
+        on_message: Callable[[SemanticMessage], None],
+        clock: Callable[[], float],
+        mtu: int = DEFAULT_MTU,
+        retransmit: Optional[RetransmitBuffer] = None,
+    ) -> None:
+        host, port = address
+        self.host = host
+        #: this attachment's RTP source identifier
+        self.ssrc = zlib.crc32(f"{host}:{port}".encode()) & 0xFFFFFFFF
+        self._packetizer = RtpPacketizer(self.ssrc, mtu=mtu)
+        self.reassembler = RtpReassembler(self._on_payload, clock=clock)
+        self._on_message = on_message
+        self._retransmit = retransmit
+        # observability
+        self.sent_messages = 0
+        self.sent_fragments = 0
+        #: undecodable fragments/payloads dropped at the codec boundary
+        #: (owners add the event bodies they could not decode)
+        self.decode_failures = 0
+
+    def send(self, message: SemanticMessage, emit: Callable[[bytes], object]) -> int:
+        """Serialize and fragment ``message``, ``emit`` each datagram; returns fragments sent."""
+        fragments = self._packetizer.packetize(encode_message(message))
+        if self._retransmit is not None:
+            self._retransmit.store(fragments)
+        for frag in fragments:
+            emit(frag.encode())
+        self.sent_messages += 1
+        self.sent_fragments += len(fragments)
+        return len(fragments)
+
+    def ingest(self, data: bytes) -> bool:
+        """Feed one received datagram; False when it was dropped as malformed."""
+        try:
+            self.reassembler.ingest(data)
+        except RtpError:
+            self.drop("an undecodable RTP fragment")
+            return False
+        return True
+
+    def _on_payload(self, ssrc: int, payload: bytes) -> None:
+        try:
+            message = decode_message(payload)
+        except WireError:
+            self.drop("an undecodable message payload")
+            return
+        self._on_message(message)
+
+    def drop(self, what: str) -> None:
+        """Count and report wire input that must not kill the dispatch loop."""
+        from ..analysis.diagnostics import DiagnosticWarning
+
+        self.decode_failures += 1
+        warnings.warn(f"endpoint {self.host}: dropped {what}", DiagnosticWarning, stacklevel=3)
+
+
+class UnicastSemanticLink:
+    """Point-to-point semantic message channel (client ↔ BS radio leg).
+
+    A :class:`SemanticWire` bound to one datagram socket: no group, no
+    profile — selectors are not interpreted here, the peer on the other
+    side of the radio link is the only audience — and no timer.
+    """
+
+    def __init__(
+        self,
+        network: Network,
+        host: str,
+        on_message: Callable[[SemanticMessage], None],
+        port: Optional[int] = None,
+    ) -> None:
+        self.sock = DatagramSocket(network, host)
+        if port is not None:
+            self.sock.bind(port)
+        else:
+            self.sock.bind_ephemeral()
+        self.sock.on_receive = self._on_datagram
+        self.wire = SemanticWire(
+            self.address, on_message, clock=lambda: network.scheduler.clock.now
+        )
+
+    @property
+    def address(self) -> tuple[str, int]:
+        return (self.sock.host, self.sock.port)  # type: ignore[return-value]
+
+    @property
+    def decode_failures(self) -> int:
+        """Undecodable traffic dropped on this link (see :class:`SemanticWire`)."""
+        return self.wire.decode_failures
+
+    def send(self, message: SemanticMessage, dest: tuple[str, int]) -> int:
+        """Fragment and unicast one message; returns fragments sent."""
+        return self.wire.send(message, lambda data: self.sock.sendto(data, dest))
+
+    def _on_datagram(self, data: bytes, src: tuple[str, int]) -> None:
+        self.wire.ingest(data)
+
+    def close(self) -> None:
+        self.sock.close()
+
+
 class SemanticEndpoint:
     """One host's attachment of the semantic substrate to the network.
 
@@ -353,10 +479,8 @@ class SemanticEndpoint:
         promiscuous: bool = False,
         nack: bool = False,
     ) -> None:
-        transport = SimTransport(network, host, group)
-        self.network: Optional[Network] = network
         self._init_over(
-            transport,
+            SimTransport(network, host, group),
             profile,
             on_delivery,
             scheduler=network.scheduler,
@@ -387,7 +511,6 @@ class SemanticEndpoint:
         can go stale (e.g. lossy real-socket runs).
         """
         self = cls.__new__(cls)
-        self.network = getattr(transport, "network", None)
         self._init_over(
             transport,
             profile,
@@ -414,13 +537,23 @@ class SemanticEndpoint:
         nack: bool = False,
     ) -> None:
         self._transport = transport
+        #: the simulator the transport rides, when it rides one
+        self.network: Optional[Network] = getattr(transport, "network", None)
         self.profile = profile
         self.on_delivery = on_delivery
         self.on_rejected = on_rejected
         self.promiscuous = promiscuous
+        self.nack_enabled = nack
+        self._retransmit: Optional[RetransmitBuffer] = RetransmitBuffer() if nack else None
+        self._repair: Optional[SelectiveRepeat] = SelectiveRepeat() if nack else None
+        self.wire = SemanticWire(
+            transport.local_address,
+            self._on_wire_message,
+            clock=self._now,
+            mtu=mtu,
+            retransmit=self._retransmit,
+        )
         transport.on_receive = self._on_datagram
-        host, port = transport.local_address
-        self.host = host
         #: messages offered to the local subscriptions (backs the
         #: per-subscription accounting; every decoded message is an offer)
         self.published = 0
@@ -431,12 +564,6 @@ class SemanticEndpoint:
         # incoming message is interpreted per attached profile
         self._primary = Subscription(self, profile, self._deliver_primary, self._seq_counter)
         self._local_subs: list[Subscription] = [self._primary]
-        ssrc = zlib.crc32(f"{host}:{port}".encode()) & 0xFFFFFFFF
-        self._packetizer = RtpPacketizer(ssrc, mtu=mtu)
-        self._reassembler = RtpReassembler(self._on_payload, clock=self._now)
-        self.nack_enabled = nack
-        self._retransmit: Optional[RetransmitBuffer] = RetransmitBuffer() if nack else None
-        self._repair: Optional[SelectiveRepeat] = SelectiveRepeat() if nack else None
         #: last-seen unicast address per peer ssrc (NACK destination)
         self._sources: dict[int, tuple[str, int]] = {}
         self.scheduler: Optional[Scheduler] = scheduler
@@ -449,13 +576,9 @@ class SemanticEndpoint:
             else None
         )
         self._closed = False
-        # observability
-        self.sent_messages = 0
-        self.sent_fragments = 0
+        # observability (sent_*/decode_failures live on the wire)
         self.received_messages = 0
         self.accepted_messages = 0
-        #: undecodable fragments/payloads dropped at the codec boundary
-        self.decode_failures = 0
         # selective-retransmission observability (all zero when nack off)
         self.nacks_sent = 0
         self.nacks_received = 0
@@ -469,12 +592,25 @@ class SemanticEndpoint:
     @property
     def ssrc(self) -> int:
         """This endpoint's RTP source identifier."""
-        return self._packetizer.ssrc
+        return self.wire.ssrc
 
     @property
     def address(self) -> tuple[str, int]:
         """(host, port) other endpoints can unicast to."""
         return self._transport.local_address
+
+    @property
+    def sent_messages(self) -> int:
+        return self.wire.sent_messages
+
+    @property
+    def sent_fragments(self) -> int:
+        return self.wire.sent_fragments
+
+    @property
+    def decode_failures(self) -> int:
+        """Undecodable traffic dropped at this endpoint (see :class:`SemanticWire`)."""
+        return self.wire.decode_failures
 
     # ------------------------------------------------------------------
     # local subscriptions (broker-API surface)
@@ -551,15 +687,7 @@ class SemanticEndpoint:
         """
         if self._closed:
             raise RuntimeError("endpoint is closed")
-        wire = encode_message(message)
-        fragments = self._packetizer.packetize(wire)
-        if self._retransmit is not None:
-            self._retransmit.store(fragments)
-        for frag in fragments:
-            self._transport.send(frag.encode())
-        self.sent_messages += 1
-        self.sent_fragments += len(fragments)
-        return len(fragments)
+        return self.wire.send(message, self._transport.send)
 
     def publish_many(
         self,
@@ -591,15 +719,7 @@ class SemanticEndpoint:
         """Point-to-point send (BS → wireless client leg)."""
         if self._closed:
             raise RuntimeError("endpoint is closed")
-        wire = encode_message(message)
-        fragments = self._packetizer.packetize(wire)
-        if self._retransmit is not None:
-            self._retransmit.store(fragments)
-        for frag in fragments:
-            self._transport.unicast(frag.encode(), dest)
-        self.sent_messages += 1
-        self.sent_fragments += len(fragments)
-        return len(fragments)
+        return self.wire.send(message, lambda data: self._transport.unicast(data, dest))
 
     # ------------------------------------------------------------------
     # receiving
@@ -610,25 +730,19 @@ class SemanticEndpoint:
     def _on_datagram(self, data: bytes, src: tuple[str, int]) -> None:
         if is_nack(data):
             self._on_nack(data, src)
-            return
-        if self.nack_enabled and len(data) >= 4:
-            # remember where this source's traffic comes from so our own
-            # NACKs have a unicast destination
-            self._sources[struct.unpack_from(">I", data)[0]] = src
-        try:
-            self._reassembler.ingest(data, now=self._now())
-        except RtpError:
-            # a malformed fragment from the wire must not kill the loop
-            self.decode_failures += 1
-            self._warn_decode("dropped an undecodable RTP fragment")
+        elif self.wire.ingest(data) and self.nack_enabled:
+            # remember where this source's traffic comes from (the ssrc
+            # leads the fragment header) so our own NACKs have a unicast
+            # destination; only a fragment the reassembler accepted
+            # teaches an address
+            self._sources[int.from_bytes(data[:4], "big")] = src
 
     def _on_nack(self, data: bytes, src: tuple[str, int]) -> None:
         """Answer a peer's retransmission request from the send buffer."""
         try:
             ssrc, msg_seq, indices = decode_nack(data)
         except RtpError:
-            self.decode_failures += 1
-            self._warn_decode("dropped an undecodable NACK")
+            self.wire.drop("an undecodable NACK")
             return
         if self._retransmit is None or ssrc != self.ssrc:
             return  # not ours to answer (or repair disabled locally)
@@ -637,13 +751,8 @@ class SemanticEndpoint:
             self._transport.unicast(pkt.encode(), src)
             self.retransmitted_fragments += 1
 
-    def _on_payload(self, ssrc: int, payload: bytes) -> None:
-        try:
-            message = decode_message(payload)
-        except WireError:
-            self.decode_failures += 1
-            self._warn_decode("dropped an undecodable message payload")
-            return
+    def _on_wire_message(self, message: SemanticMessage) -> None:
+        """Interpret one decoded message against every local subscription."""
         self.received_messages += 1
         headers = message.effective_headers()
         with self._attach_lock:
@@ -659,32 +768,29 @@ class SemanticEndpoint:
 
         offer(message, message.selector, headers, subs, reject=rejected)
 
-    def _warn_decode(self, what: str) -> None:
-        import warnings
-
-        from ..analysis.diagnostics import DiagnosticWarning
-
-        warnings.warn(f"endpoint {self.host}: {what}", DiagnosticWarning, stacklevel=3)
-
     def _repair_tick(self) -> None:
         """NACK every due hole toward its source's last-seen address."""
         if self._repair is None:
             return
         now = self._now()
         live: set[tuple[int, int]] = set()
-        for ssrc, addr in self._sources.items():
-            pending = self._reassembler.pending(ssrc)
+        for ssrc, addr in list(self._sources.items()):
+            pending = self.wire.reassembler.pending(ssrc)
             live.update((ssrc, msg_seq) for msg_seq, _ in pending)
             for msg_seq, missing in self._repair.due(ssrc, pending, now):
                 self._transport.unicast(encode_nack(ssrc, msg_seq, missing), addr)
                 self.nacks_sent += 1
+            if all(self._repair.exhausted(ssrc, msg_seq) for msg_seq, _ in pending):
+                # nothing (more) to ask of this source: its next accepted
+                # fragment teaches the address again
+                del self._sources[ssrc]
         self._repair.prune(live)
 
     def _expire_tick(self) -> None:
         if self._closed or self.scheduler is None:
             return
         self._repair_tick()
-        self._reassembler.expire()
+        self.wire.reassembler.expire()
         self._expire_event = self.scheduler.call_after(  # repro: ignore[EXC002]
             self._expire_interval, self._expire_tick
         )
@@ -697,12 +803,12 @@ class SemanticEndpoint:
         this periodically.
         """
         self._repair_tick()
-        return self._reassembler.expire()
+        return self.wire.reassembler.expire()
 
     # ------------------------------------------------------------------
     def reception_report(self, ssrc: int):
         """RTCP-style stats for a peer source."""
-        return self._reassembler.report(ssrc)
+        return self.wire.reassembler.report(ssrc)
 
     def close(self) -> None:
         """Leave the group and stop housekeeping."""

@@ -50,10 +50,69 @@ from .errors import (
 )
 from .oids import OID
 
-__all__ = ["SnmpManager", "CircuitBreaker", "VarBind"]
+__all__ = ["SnmpManager", "CircuitBreaker", "VarBind", "encode_request", "response_pdu", "parse_response"]
 
 #: A (oid, value) result pair.
 VarBind = tuple[OID, object]
+
+
+def encode_request(
+    version: int,
+    community: str,
+    pdu_tag: int,
+    request_id: int,
+    varbinds: Seq[tuple[OID, object]],
+    slot1: int = 0,
+    slot2: int = 0,
+) -> bytes:
+    """Wire form of one request; the error-status/-index slots carry
+    GETBULK's non-repeaters / max-repetitions."""
+    vb_seq = Sequence(tuple(Sequence((oid.to_ber(), value)) for oid, value in varbinds))
+    message = Sequence(
+        (
+            Integer(version),
+            OctetString(community.encode("latin-1")),
+            TaggedPdu(pdu_tag, (Integer(request_id), Integer(slot1), Integer(slot2), vb_seq)),
+        )
+    )
+    return encode(message)
+
+
+def response_pdu(data: bytes) -> Optional[TaggedPdu]:
+    """The GetResponse PDU a datagram carries (``items[0]`` is its integer
+    request-id), or None when it is not a well-formed response."""
+    try:
+        msg, _ = decode(data)
+    except BerError:
+        return None
+    if not isinstance(msg, Sequence) or len(msg.items) != 3:
+        return None
+    pdu = msg.items[2]
+    if not isinstance(pdu, TaggedPdu) or pdu.tag_value != PDU_RESPONSE:
+        return None
+    if len(pdu.items) != 4 or not isinstance(pdu.items[0], Integer):
+        return None
+    return pdu
+
+
+def parse_response(pdu: TaggedPdu) -> list[VarBind]:
+    """Varbinds of a :func:`response_pdu`; raises on an error status."""
+    _rid, status, index, vb_list = pdu.items
+    if not isinstance(status, Integer) or not isinstance(index, Integer):
+        raise SnmpProtocolError("malformed response PDU")
+    if status.value != ErrorStatus.NO_ERROR:
+        raise SnmpErrorResponse(status.value, index.value)
+    if not isinstance(vb_list, Sequence):
+        raise SnmpProtocolError("malformed varbind list")
+    out: list[VarBind] = []
+    for vb in vb_list.items:
+        if not isinstance(vb, Sequence) or len(vb.items) != 2:
+            raise SnmpProtocolError("malformed varbind")
+        name, value = vb.items
+        if not isinstance(name, ObjectIdentifierValue):
+            raise SnmpProtocolError("varbind name is not an OID")
+        out.append((OID.from_ber(name), value))
+    return out
 
 
 def _wake() -> None:
@@ -208,19 +267,10 @@ class SnmpManager:
     # wire handling
     # ------------------------------------------------------------------
     def _on_datagram(self, data: bytes, src: tuple[str, int]) -> None:
-        try:
-            msg, _ = decode(data)
-        except BerError:
-            return
-        if not isinstance(msg, Sequence) or len(msg.items) != 3:
-            return
-        pdu = msg.items[2]
-        if not isinstance(pdu, TaggedPdu) or pdu.tag_value != PDU_RESPONSE:
-            return
-        if len(pdu.items) != 4 or not isinstance(pdu.items[0], Integer):
-            return
-        with self._mu:
-            self._responses[pdu.items[0].value] = pdu
+        pdu = response_pdu(data)
+        if pdu is not None:
+            with self._mu:
+                self._responses[pdu.items[0].value] = pdu
 
     def _request(
         self,
@@ -233,20 +283,9 @@ class SnmpManager:
         with self._mu:
             request_id = self._next_request_id
             self._next_request_id += 1
-        vb_seq = Sequence(
-            tuple(Sequence((oid.to_ber(), value)) for oid, value in varbinds)
+        wire = encode_request(
+            self.version, self.community, pdu_tag, request_id, varbinds, slot1, slot2
         )
-        message = Sequence(
-            (
-                Integer(self.version),
-                OctetString(self.community.encode("latin-1")),
-                TaggedPdu(
-                    pdu_tag,
-                    (Integer(request_id), Integer(slot1), Integer(slot2), vb_seq),
-                ),
-            )
-        )
-        wire = encode(message)
 
         breaker = self._breaker(agent)
         now = self.scheduler.clock.now
@@ -283,7 +322,7 @@ class SnmpManager:
             if response is not None:
                 if breaker is not None:
                     breaker.record_success()
-                return self._parse_response(response)
+                return parse_response(response)
             with self._mu:
                 self.timeouts += 1
             if attempt < self.retries:
@@ -340,25 +379,6 @@ class SnmpManager:
         while self.scheduler.clock.now < resume:
             if not self.scheduler.step():
                 self.scheduler.call_at(resume, _wake)
-
-    @staticmethod
-    def _parse_response(pdu: TaggedPdu) -> list[VarBind]:
-        _rid, status, index, vb_list = pdu.items
-        if not isinstance(status, Integer) or not isinstance(index, Integer):
-            raise SnmpProtocolError("malformed response PDU")
-        if status.value != ErrorStatus.NO_ERROR:
-            raise SnmpErrorResponse(status.value, index.value)
-        if not isinstance(vb_list, Sequence):
-            raise SnmpProtocolError("malformed varbind list")
-        out: list[VarBind] = []
-        for vb in vb_list.items:
-            if not isinstance(vb, Sequence) or len(vb.items) != 2:
-                raise SnmpProtocolError("malformed varbind")
-            name, value = vb.items
-            if not isinstance(name, ObjectIdentifierValue):
-                raise SnmpProtocolError("varbind name is not an OID")
-            out.append((OID.from_ber(name), value))
-        return out
 
     # ------------------------------------------------------------------
     # public operations

@@ -1,39 +1,96 @@
 """Real-socket SNMP: the codec over actual OS UDP (loopback).
 
 Everything else in the repository runs on the virtual-time simulator;
-this module exists to prove the BER layer is *wire-real*: a
-:class:`RealSnmpAgent` serves a MIB on a 127.0.0.1 socket and a
-:class:`RealSnmpManager` queries it, blocking on OS timeouts.  Used by
-tests (skipped where sockets are unavailable) and usable against
-third-party SNMP tools on the same host.
+this module exists to prove the BER layer is *wire-real*.
+:class:`RealUdpSocket` is an OS datagram socket behind the
+:class:`~repro.messaging.transport.DatagramTransport` protocol, so the
+very :class:`~repro.snmp.agent.SnmpAgent` the simulator runs serves a
+MIB on 127.0.0.1 (:class:`RealSnmpAgent`), and a
+:class:`RealSnmpManager` queries it with the simulator manager's
+request/response codec, blocking on OS timeouts.  Used by tests (skipped
+where sockets are unavailable) and usable against third-party SNMP tools
+on the same host.
 """
 
 from __future__ import annotations
 
 import socket
-from typing import Optional, Sequence as Seq
+from typing import Callable, Optional, Sequence as Seq
 
-from .agent import PDU_GET, PDU_GETNEXT, PDU_RESPONSE, PDU_SET, VERSION_2C
-from .ber import (
-    BerError,
-    Integer,
-    Null,
-    ObjectIdentifierValue,
-    OctetString,
-    Sequence,
-    TaggedPdu,
-    decode,
-    encode,
-)
-from .errors import ErrorStatus, SnmpErrorResponse, SnmpProtocolError, SnmpTimeout
-from .mib import MibAccessError, MibTree
+from .agent import PDU_GET, PDU_GETBULK, PDU_GETNEXT, PDU_SET, VERSION_2C, SnmpAgent
+from .ber import Null
+from .errors import SnmpProtocolError, SnmpTimeout
+from .manager import VarBind, encode_request, parse_response, response_pdu
+from .mib import MibTree
 from .oids import OID
 
-__all__ = ["RealSnmpAgent", "RealSnmpManager"]
+__all__ = ["RealUdpSocket", "RealSnmpAgent", "RealSnmpManager"]
+
+Address = tuple[str, int]
 
 
-class RealSnmpAgent:
-    """A synchronous agent on a real UDP socket.
+class RealUdpSocket:
+    """An OS UDP socket as a :class:`~repro.messaging.transport.DatagramTransport`.
+
+    Poll-driven, no threads of its own: :meth:`poll` blocks up to a
+    timeout for one datagram and hands it to ``on_receive``.
+    """
+
+    def __init__(self, host: str = "127.0.0.1") -> None:
+        self.host = host
+        self.on_receive: Optional[Callable[[bytes, Address], None]] = None
+        self.port: Optional[int] = None
+        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
+        self._closed = False
+
+    def bind(self, port: int) -> None:
+        """Bind ``(host, port)``; port 0 lets the OS pick (read :attr:`port`)."""
+        self._sock.bind((self.host, port))
+        self.port = self._sock.getsockname()[1]
+
+    def bind_ephemeral(self) -> int:
+        self.bind(0)
+        return self.address[1]
+
+    @property
+    def address(self) -> Address:
+        """The bound (host, port)."""
+        return self._sock.getsockname()
+
+    def sendto(self, data: bytes, dest: Address) -> bool:
+        if self._closed:
+            raise RuntimeError("socket is closed")
+        self._sock.sendto(data, dest)
+        return True
+
+    def recv(self, timeout: float) -> Optional[tuple[bytes, Address]]:
+        """Block up to ``timeout`` seconds for one datagram; None on timeout."""
+        if self._closed:
+            raise RuntimeError("socket is closed")
+        self._sock.settimeout(timeout)
+        try:
+            return self._sock.recvfrom(65535)
+        except socket.timeout:
+            return None
+
+    def poll(self, timeout: float) -> bool:
+        """Deliver one datagram to ``on_receive``; False on timeout."""
+        received = self.recv(timeout)
+        if received is None:
+            return False
+        if self.on_receive is not None:
+            self.on_receive(*received)
+        return True
+
+    def close(self) -> None:
+        """Release the socket.  Idempotent."""
+        if not self._closed:
+            self._closed = True
+            self._sock.close()
+
+
+class RealSnmpAgent(SnmpAgent):
+    """The agent, synchronously served on a real UDP socket.
 
     Not threaded: call :meth:`serve_once` (blocking up to ``timeout``)
     or :meth:`serve` with a request budget.  Binding port 0 lets the OS
@@ -48,32 +105,16 @@ class RealSnmpAgent:
         read_community: str = "public",
         write_community: str = "private",
     ) -> None:
-        self.mib = mib
-        self.read_community = read_community
-        self.write_community = write_community
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind((host, port))
-        self._closed = False
-        self.requests_served = 0
+        super().__init__(RealUdpSocket(host), mib, read_community, write_community, port=port)
 
     @property
-    def address(self) -> tuple[str, int]:
+    def address(self) -> Address:
         """The bound (host, port)."""
-        return self._sock.getsockname()
+        return self._sock.address
 
     def serve_once(self, timeout: float = 1.0) -> bool:
-        """Handle one request; returns False on timeout."""
-        if self._closed:
-            raise RuntimeError("agent socket is closed")
-        self._sock.settimeout(timeout)
-        try:
-            data, src = self._sock.recvfrom(65535)
-        except socket.timeout:
-            return False
-        reply = self._process(data)
-        if reply is not None:
-            self._sock.sendto(reply, src)
-        return True
+        """Handle one datagram; returns False on timeout."""
+        return self._sock.poll(timeout)
 
     def serve(self, n_requests: int, timeout: float = 1.0) -> int:
         """Handle up to ``n_requests``; returns how many were served."""
@@ -83,67 +124,6 @@ class RealSnmpAgent:
                 break
             served += 1
         return served
-
-    def _process(self, data: bytes) -> Optional[bytes]:
-        try:
-            msg, _ = decode(data)
-            version, community, pdu = msg.items  # type: ignore[attr-defined]
-            assert isinstance(pdu, TaggedPdu)
-        except (BerError, ValueError, AssertionError):
-            return None
-        community_text = community.value.decode("latin-1")
-        if pdu.tag_value == PDU_SET:
-            if community_text != self.write_community:
-                return None
-        elif community_text not in (self.read_community, self.write_community):
-            return None
-        request_id, _s, _i, vb_list = pdu.items
-        status = ErrorStatus.NO_ERROR
-        err_index = 0
-        out = []
-        for i, vb in enumerate(vb_list.items, start=1):
-            name, value = vb.items
-            oid = OID.from_ber(name)
-            try:
-                if pdu.tag_value == PDU_GET:
-                    out.append(Sequence((oid.to_ber(), self.mib.get(oid))))
-                elif pdu.tag_value == PDU_GETNEXT:
-                    nxt, result = self.mib.get_next(oid)
-                    out.append(Sequence((nxt.to_ber(), result)))
-                elif pdu.tag_value == PDU_SET:
-                    self.mib.set(oid, value)
-                    out.append(Sequence((oid.to_ber(), value)))
-                else:
-                    return None
-            except MibAccessError as exc:
-                status = exc.status
-                err_index = i
-                out = [Sequence((OID.from_ber(vb.items[0]).to_ber(), vb.items[1])) for vb in vb_list.items]
-                break
-        self.requests_served += 1
-        return encode(
-            Sequence(
-                (
-                    Integer(version.value),
-                    OctetString(community.value),
-                    TaggedPdu(
-                        PDU_RESPONSE,
-                        (
-                            Integer(request_id.value),
-                            Integer(status),
-                            Integer(err_index),
-                            Sequence(tuple(out)),
-                        ),
-                    ),
-                )
-            )
-        )
-
-    def close(self) -> None:
-        """Release the socket.  Idempotent."""
-        if not self._closed:
-            self._closed = True
-            self._sock.close()
 
 
 class RealSnmpManager:
@@ -155,79 +135,59 @@ class RealSnmpManager:
         timeout: float = 1.0,
         retries: int = 1,
     ) -> None:
-        self._sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
-        self._sock.bind(("127.0.0.1", 0))
-        self._closed = False
+        self._sock = RealUdpSocket()
+        self._sock.bind_ephemeral()
         self.community = community
         self.timeout = timeout
         self.retries = retries
         self._request_id = 1
 
     def _request(
-        self, agent: tuple[str, int], pdu_tag: int, varbinds: Seq[tuple[OID, object]]
-    ) -> list[tuple[OID, object]]:
-        if self._closed:
-            raise RuntimeError("manager socket is closed")
+        self,
+        agent: Address,
+        pdu_tag: int,
+        varbinds: Seq[tuple[OID, object]],
+        slot1: int = 0,
+        slot2: int = 0,
+    ) -> list[VarBind]:
         request_id = self._request_id
         self._request_id += 1
-        wire = encode(
-            Sequence(
-                (
-                    Integer(VERSION_2C),
-                    OctetString(self.community.encode("latin-1")),
-                    TaggedPdu(
-                        pdu_tag,
-                        (
-                            Integer(request_id),
-                            Integer(0),
-                            Integer(0),
-                            Sequence(
-                                tuple(
-                                    Sequence((oid.to_ber(), value))
-                                    for oid, value in varbinds
-                                )
-                            ),
-                        ),
-                    ),
-                )
-            )
+        wire = encode_request(
+            VERSION_2C, self.community, pdu_tag, request_id, varbinds, slot1, slot2
         )
-        self._sock.settimeout(self.timeout)
         for _ in range(self.retries + 1):
             self._sock.sendto(wire, agent)
-            try:
-                data, _src = self._sock.recvfrom(65535)
-            except socket.timeout:
+            received = self._sock.recv(self.timeout)
+            if received is None:
                 continue
-            try:
-                msg, _ = decode(data)
-                pdu = msg.items[2]  # type: ignore[attr-defined]
-                rid, status, index, vb_list = pdu.items
-            except (BerError, ValueError, IndexError) as exc:
-                raise SnmpProtocolError(f"bad response: {exc}") from exc
-            if rid.value != request_id:
-                continue  # stale datagram; keep waiting within this attempt
-            if status.value != ErrorStatus.NO_ERROR:
-                raise SnmpErrorResponse(status.value, index.value)
-            return [
-                (OID.from_ber(vb.items[0]), vb.items[1]) for vb in vb_list.items
-            ]
+            pdu = response_pdu(received[0])
+            if pdu is None:
+                raise SnmpProtocolError("bad response")
+            if pdu.items[0].value != request_id:
+                continue  # stale datagram: ask again
+            return parse_response(pdu)
         raise SnmpTimeout(f"no response from {agent}")
 
-    def get(self, agent: tuple[str, int], oids: Seq[OID]) -> list[tuple[OID, object]]:
+    def get(self, agent: Address, oids: Seq[OID]) -> list[VarBind]:
         """GET over the real wire."""
         return self._request(agent, PDU_GET, [(OID(o), Null()) for o in oids])
 
-    def get_next(self, agent: tuple[str, int], oid: OID) -> tuple[OID, object]:
+    def get_next(self, agent: Address, oid: OID) -> VarBind:
         """GETNEXT over the real wire."""
         return self._request(agent, PDU_GETNEXT, [(OID(oid), Null())])[0]
 
-    def set(self, agent: tuple[str, int], varbinds: Seq[tuple[OID, object]]):
+    def set(self, agent: Address, varbinds: Seq[tuple[OID, object]]) -> list[VarBind]:
         """SET over the real wire."""
         return self._request(agent, PDU_SET, list(varbinds))
 
+    def get_bulk(
+        self, agent: Address, oids: Seq[OID], non_repeaters: int = 0, max_repetitions: int = 10
+    ) -> list[VarBind]:
+        """GETBULK over the real wire."""
+        return self._request(
+            agent, PDU_GETBULK, [(OID(o), Null()) for o in oids], non_repeaters, max_repetitions
+        )
+
     def close(self) -> None:
         """Release the socket.  Idempotent."""
-        if not self._closed:
-            self._closed = True
-            self._sock.close()
+        self._sock.close()

@@ -215,6 +215,15 @@ BAD_EXC = [
         "EXC001",
     ),
     (
+        "leaking-callback-passed-positionally-to-unicast-link",
+        _WIRE_PRELUDE
+        + "def on_message(message):\n"
+        "    parse(message)\n"
+        "def radio(UnicastSemanticLink, net):\n"
+        '    return UnicastSemanticLink(net, "h", on_message)\n',
+        "EXC001",
+    ),
+    (
         "scheduler-callback-raises",
         "def tick():\n"
         '    raise ValueError("boom")\n'

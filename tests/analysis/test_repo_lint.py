@@ -71,8 +71,24 @@ class TestTransportInjection:
         assert lint_source(TRANSPORT_CONSTRUCTION, "src/repro/messaging/transport.py") == []
 
     def test_attribute_call_flagged_too(self):
-        source = "import repro.network.udp as udp\nt = udp.RealUdpTransport()\n"
+        source = "import repro.snmp.realudp as realudp\nt = realudp.RealUdpSocket()\n"
         assert [d.code for d in lint_source(source, "examples/demo.py")] == ["LNT003"]
+
+    WIRE_STACK_COPY = (
+        "from repro.messaging.rtp import RtpPacketizer, RtpReassembler\n"
+        "class Gateway:\n"
+        "    def __init__(self, on_payload):\n"
+        "        self._out = RtpPacketizer(7)\n"
+        "        self._in = RtpReassembler(on_payload)\n"
+    )
+
+    def test_a_further_copy_of_the_wire_stack_in_core_is_flagged(self):
+        diags = lint_source(self.WIRE_STACK_COPY, "src/repro/core/gateway.py")
+        assert [d.code for d in diags] == ["LNT003", "LNT003"]
+        assert all("SemanticWire" in d.message for d in diags)
+
+    def test_the_wire_stack_is_built_under_messaging(self):
+        assert lint_source(self.WIRE_STACK_COPY, "src/repro/messaging/transport.py") == []
 
 
 class TestSelectorExtraction:

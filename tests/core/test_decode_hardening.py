@@ -10,6 +10,7 @@ dispatch layers must count those failures and keep running.
 
 import random
 import struct
+import warnings
 
 import pytest
 
@@ -21,6 +22,7 @@ from repro.core.selectors import Selector
 from repro.media.progressive import ImagePacket, ImagePacketError
 from repro.messaging.broker import Delivery
 from repro.messaging.message import MessageId, SemanticMessage
+from repro.messaging.rtp import RtpPacket
 from repro.messaging.serialization import WireError, decode_message, encode_message
 from repro.snmp.ber import BerError, Integer, Sequence, decode, encode
 
@@ -160,8 +162,80 @@ class TestDispatchCounters:
         corrupt = self._delivery(b"\x00").message
         ok = self._delivery(ChatEvent(author="bob", text="still here").to_body()).message
         for msg in (corrupt, ok):
-            for frag in bs._wpacketizer.packetize(encode_message(msg)):
-                bs._wsock.sendto(frag.encode(), mobile.link.address)
+            bs.radio.send(msg, mobile.link.address)
         fw.run_for(0.5)  # raised AttributeError out of the scheduler before
         assert mobile.link.decode_failures == 1
         assert [e.text for _, e in mobile.received_events] == ["still here"]
+
+
+class TestOneWireStack:
+    """Wired endpoint, mobile link and the base station's radio side run
+    the same wire stack: the same hostile datagrams get the same counted
+    drops and the same warnings on each, and traffic goes on."""
+
+    #: (datagram, what its drop is reported as — None: accepted)
+    HOSTILE = [
+        (RtpPacket(9, 1, 0, 1, 0, b"payload").encode()[:10], "an undecodable RTP fragment"),
+        (RtpPacket(9, 2, 0, 1, 1, b"\xffnot a message").encode(), "an undecodable message payload"),
+        (RtpPacket(9, 3, 0, 3, 2, b"a").encode(), None),
+        (RtpPacket(9, 3, 1, 4, 3, b"b").encode(), "an undecodable RTP fragment"),  # frag_count moved
+    ]
+
+    @pytest.fixture
+    def deployment(self):
+        fw = CollaborationFramework("t", objective="one wire stack", seed=0)
+        alice = fw.add_wired_client("alice")
+        bs = fw.add_base_station("bs")
+        mobile = fw.add_wireless_client("mob", bs)
+        alice.join()
+        fw.run_for(0.5)
+        bs.evaluate_qos()
+        return fw, alice, bs, mobile
+
+    @staticmethod
+    def _chats(events):
+        return [e.text for _, e in events if isinstance(e, ChatEvent)]
+
+    @pytest.mark.parametrize("attachment", ["wired endpoint", "mobile link", "bs radio side"])
+    def test_same_drops_same_warnings_and_traffic_goes_on(self, deployment, attachment):
+        fw, alice, bs, mobile = deployment
+        hello = ChatEvent(author="x", text="still here")
+        # (the attachment under fire, a peer socket to fire from, its
+        # address, a good message through it, where that message lands)
+        wire, sock, address, send_good, landed = {
+            "wired endpoint": (
+                alice.endpoint,
+                bs.radio.sock,
+                alice.endpoint.address,
+                lambda: bs.endpoint.publish(hello.to_message("bs", "true")),
+                lambda: self._chats(alice.events_received),
+            ),
+            "mobile link": (
+                mobile.link,
+                bs.radio.sock,
+                mobile.link.address,
+                lambda: bs.radio.send(hello.to_message("bs", "true"), mobile.link.address),
+                lambda: self._chats(mobile.received_events),
+            ),
+            "bs radio side": (
+                bs.radio,
+                mobile.link.sock,
+                bs.wireless_address,
+                lambda: mobile.send_event(hello),
+                lambda: self._chats(alice.events_received),
+            ),
+        }[attachment]
+        before = wire.decode_failures
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for datagram, _ in self.HOSTILE:
+                sock.sendto(datagram, address)
+            fw.run_for(0.5)
+        expected = [what for _, what in self.HOSTILE if what is not None]
+        assert wire.decode_failures == before + len(expected) == before + 3
+        assert [str(w.message) for w in caught] == [
+            f"endpoint {wire.address[0]}: dropped {what}" for what in expected
+        ]
+        send_good()
+        fw.run_for(0.5)
+        assert landed() == ["still here"]

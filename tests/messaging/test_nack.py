@@ -215,6 +215,39 @@ class TestEndToEndRepair:
         assert tx.nacks_received >= 1
         assert tx.retransmitted_fragments >= 1
 
+    def test_hostile_datagrams_teach_no_nack_address(self):
+        """Regression: a return address was recorded for the first four
+        bytes of *any* datagram, before the reassembler had accepted it,
+        and never dropped — corrupted ssrc bits grew the map forever."""
+        import random
+
+        sched, rx, tx, got = self.build()
+        rng = random.Random(7)
+        with pytest.warns(Warning, match="undecodable RTP fragment"):
+            for i in range(10_000):  # none reaches a fragment header's length
+                rx._on_datagram(rng.randbytes(rng.randrange(4, 16)), ("mallory", 1 + i))
+        assert rx._sources == {}
+        assert rx.decode_failures == 10_000
+        # corrupted ssrc bits on a real fragment do pass the reassembler:
+        # each such "source" is asked for its holes a bounded number of
+        # times, then forgotten
+        first = tx.wire._packetizer.packetize(b"x" * 300)[0].encode()
+        for i in range(200):
+            rx._on_datagram(rng.randbytes(4) + first[4:], ("a", 1 + i))
+        assert len(rx._sources) == 200
+        sched.run_for(5.0)
+        assert rx._sources == {}
+        assert rx.nacks_sent == 200 * 4
+
+    def test_repaired_source_is_forgotten_until_it_sends_again(self):
+        sched, rx, tx, got = self.build(loss=0.15)
+        tx.publish(SemanticMessage.create("a", "true", body=bytes(range(256)) * 8))
+        sched.run_for(0.1)
+        assert rx._sources == {tx.ssrc: tx.address}  # holes pending: address kept
+        sched.run_for(10.0)
+        assert len(got) == 1 and rx.nacks_sent >= 1
+        assert rx._sources == {}  # nothing left to ask of it
+
     def test_lossless_run_sends_no_nacks(self):
         sched, rx, tx, got = self.build(loss=0.0)
         tx.publish(SemanticMessage.create("a", "true", body=b"q" * 500))

@@ -241,9 +241,9 @@ class TestWindowBound:
             mobile.send_event(alice.chat.compose(f"{i}:" + "u" * 4000))
             fw.run_for(0.1)
         reassemblers = {
-            "wired endpoint": bob.endpoint._reassembler,
-            "wireless link": mobile.link._reassembler,
-            "base station radio side": bs._wreassembler,
+            "wired endpoint": bob.endpoint.wire.reassembler,
+            "wireless link": mobile.link.wire.reassembler,
+            "base station radio side": bs.radio.wire.reassembler,
         }
         for who, r in reassemblers.items():
             window = r.reorder_window

@@ -1,11 +1,13 @@
 """Tests for the networked semantic endpoint."""
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from repro.core.matching import Decision
 from repro.core.profiles import ClientProfile, TransformRule
 from repro.messaging.message import SemanticMessage
-from repro.messaging.transport import SemanticEndpoint
+from repro.messaging.serialization import WireError, encode_message
+from repro.messaging.transport import SemanticEndpoint, UnicastSemanticLink
 from repro.network.clock import Scheduler
 from repro.network.multicast import MulticastGroup
 from repro.network.simnet import Network
@@ -21,6 +23,15 @@ def fabric():
         net.add_link(h, "sw", latency=0.001, bandwidth=1e7)
     group = MulticastGroup(net, "239.1.1.1", 5004)
     return sched, net, group
+
+
+header_values = st.one_of(
+    st.booleans(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=20),
+    st.lists(st.one_of(st.integers(-1000, 1000), st.text(max_size=10)), max_size=4),
+)
 
 
 def endpoint(net, group, host, sink, **profile_kwargs):
@@ -224,3 +235,78 @@ class TestEndpointBrokerSurface:
         assert stats["received_messages"] == 1
         assert stats["subscribers"] == 1
         assert tx.stats()["sent_messages"] == 1
+
+
+class TestOneWireStack:
+    """The group endpoint's unicast and the radio leg's link are two
+    bindings of one wire stack: same bytes, mutually intelligible."""
+
+    @staticmethod
+    def twin():
+        sched = Scheduler()
+        net = Network(sched, seed=5)
+        for h in ("a", "b"):
+            net.add_node(h)
+        net.add_link("a", "b", latency=0.001, bandwidth=1e7)
+        return sched, net, MulticastGroup(net, "239.1.1.1", 5004)
+
+    @staticmethod
+    def tap(owner, sink):
+        """Record every datagram ``owner`` (a socket or transport) receives."""
+        deliver = owner.on_receive
+
+        def on_receive(data, src):
+            sink.append(data)
+            deliver(data, src)
+
+        owner.on_receive = on_receive
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.text(max_size=12),
+        st.sampled_from(["true", "role == 'medic'", "load > 3 and not busy"]),
+        st.dictionaries(st.text(min_size=1, max_size=12), header_values, max_size=6),
+        st.binary(max_size=4000),
+        st.text(max_size=12),
+    )
+    def test_unicast_and_link_send_are_byte_identical_and_interoperate(
+        self, sender, selector, headers, body, kind
+    ):
+        message = SemanticMessage.create(sender, selector, headers=headers, body=body, kind=kind)
+        try:
+            wire = encode_message(message)
+        except WireError:
+            assume(False)
+        # net 1: an endpoint on "a" unicasts to a link on "b"
+        sched1, net1, group1 = self.twin()
+        ep_tx = SemanticEndpoint(net1, "a", group1, ClientProfile("a"), lambda d: None)
+        by_link: list[SemanticMessage] = []
+        link_rx = UnicastSemanticLink(net1, "b", by_link.append)
+        from_endpoint: list[bytes] = []
+        self.tap(link_rx.sock, from_endpoint)
+        # net 2: a link on "a" — same (host, port), so same ssrc — sends
+        # to an endpoint on "b" (promiscuous: whatever the selector says)
+        sched2, net2, group2 = self.twin()
+        link_tx = UnicastSemanticLink(net2, "a", lambda m: None, port=ep_tx.address[1])
+        by_endpoint: list[SemanticMessage] = []
+        ep_rx = SemanticEndpoint(
+            net2,
+            "b",
+            group2,
+            ClientProfile("b"),
+            lambda d: by_endpoint.append(d.message),
+            on_rejected=by_endpoint.append,
+            promiscuous=True,
+        )
+        from_link: list[bytes] = []
+        self.tap(ep_rx.transport, from_link)
+        assert ep_tx.ssrc == link_tx.wire.ssrc
+
+        assert ep_tx.unicast(message, link_rx.address) == link_tx.send(message, ep_rx.address)
+        sched1.run_for(1.0)
+        sched2.run_for(1.0)
+
+        assert from_endpoint == from_link and from_link
+        assert [encode_message(m) for m in by_link] == [wire]
+        assert [encode_message(m) for m in by_endpoint] == [wire]
+        assert ep_tx.sent_fragments == link_tx.wire.sent_fragments == len(from_link)

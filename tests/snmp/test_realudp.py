@@ -5,7 +5,8 @@ import threading
 
 import pytest
 
-from repro.snmp.ber import Gauge32, OctetString
+from repro.snmp.agent import PDU_GET
+from repro.snmp.ber import Gauge32, Integer, OctetString, Sequence, TaggedPdu, encode
 from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
 from repro.snmp.mib import MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
@@ -103,6 +104,46 @@ class TestRealWire:
         finally:
             mgr.close()
             t.join()
+
+    def test_getbulk_over_loopback(self, stack):
+        agent, mgr, _ = stack
+        t = serve_async(agent, 1)
+        out = mgr.get_bulk(agent.address, [MIB2.system], max_repetitions=2)
+        t.join()
+        assert [oid for oid, _ in out] == [MIB2.sysName, TASSL.hostCpuLoad]
+        assert out[0][1].text() == "realhost" and out[1][1].value == 33
+
+
+def _message(community, pdu_items):
+    return encode(Sequence((Integer(1), community, TaggedPdu(PDU_GET, pdu_items))))
+
+
+#: well-formed BER, malformed SNMP: each escaped ``serve_once`` as an
+#: uncaught exception while the real agent carried its own ``_process``
+HOSTILE = {
+    "two-item PDU": _message(OctetString(b"public"), (Integer(1), Integer(0))),
+    "INTEGER community": _message(
+        Integer(5), (Integer(1), Integer(0), Integer(0), Sequence(()))
+    ),
+    "non-SEQUENCE varbind": _message(
+        OctetString(b"public"), (Integer(1), Integer(0), Integer(0), Sequence((Integer(7),)))
+    ),
+}
+
+
+class TestHostileDatagrams:
+    def test_dropped_and_counted_like_the_simulated_agent(self, stack):
+        agent, mgr, _ = stack
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as mallory:
+            for datagram in HOSTILE.values():
+                mallory.sendto(datagram, agent.address)
+                assert agent.serve_once(timeout=3.0)  # handled: dropped, not raised
+        assert agent.decode_failures == len(HOSTILE) == 3
+        assert agent.requests_served == 0
+        t = serve_async(agent, 1)
+        out = mgr.get(agent.address, [TASSL.hostCpuLoad])
+        t.join()
+        assert out[0][1].value == 33
 
 
 class TestSocketLifecycle:
