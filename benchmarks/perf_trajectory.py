@@ -20,7 +20,7 @@ of those fixes at the commit that landed them.
 
 Usage::
 
-    python benchmarks/perf_trajectory.py            # refresh both snapshots
+    python benchmarks/perf_trajectory.py            # refresh every snapshot
     python benchmarks/perf_trajectory.py --check    # CI gate vs the snapshots
 
 Timing metrics are throughput rates (higher is better) and the gate is
@@ -34,11 +34,9 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-SNAPSHOT = REPO_ROOT / "BENCH_broker.json"
-ANALYSIS_SNAPSHOT = REPO_ROOT / "BENCH_analysis.json"
-MULTICAST_SNAPSHOT = REPO_ROOT / "BENCH_multicast.json"
 
 #: a timing metric may degrade to 1/THRESHOLD of the snapshot before CI fails
 THRESHOLD = 2.0
@@ -236,21 +234,20 @@ def collect_analysis() -> dict:
 def collect_multicast() -> dict:
     """Flat vs. tree multicast packet cost (deterministic counters).
 
-    Everything except the send rate is an exact virtual-time packet count
-    from ``repro.experiments.multicast_scale``, so the gate catches any
+    Every metric is an exact virtual-time packet count from
+    ``repro.experiments.multicast_scale``, so the gate catches any
     semantic drift in the routing fabric — a changed tree shape, a lost
-    receiver, a fan-out regression — not just slowdowns.  The headline
-    number is the M=256 flat→tree reduction on the two-domain topology,
-    which must stay at or above 5× (ISSUE 10 acceptance criterion).
+    receiver, a fan-out regression.  There is no rate here: the run is
+    mostly join/leave rebuilds, and the fabric's two planes have
+    host-time numbers in ``bench/`` (``fabric_membership_churn``,
+    ``fabric_cast_steady``).  The headline number is the M=256 flat→tree
+    reduction on the two-domain topology, which must stay at or above 5×
+    (ISSUE 10 acceptance criterion).
     """
     from repro.experiments.multicast_scale import run_multicast_scale
 
     metrics: dict[str, float] = {}
-    t0 = time.perf_counter()
     result = run_multicast_scale()
-    elapsed = time.perf_counter() - t0
-    sends = 2 * sum(4 for _ in result.rows)  # 2 modes x 4 sends per size
-    metrics["multicast_bench_sends_per_s"] = sends / elapsed
     for row in result.rows:
         m = row["members"]
         metrics[f"multicast_flat_tx_per_send_m{m}"] = row["flat_tx_per_send"]
@@ -267,53 +264,74 @@ def collect_multicast() -> dict:
     return metrics
 
 
-#: metrics compared as throughput rates (2× tolerance)
-RATE_METRICS = (
-    "sharded_attach_per_s",
-    "sharded_publish_many_msgs_per_s",
-    "bus_publish_per_s",
-)
-#: metrics that must match the snapshot exactly (semantic drift gate)
-EXACT_METRICS = ("sharded_delivered", "sharded_checked", "bus_delivered")
+class Snapshot(NamedTuple):
+    """One committed trajectory file and how to re-measure and gate it."""
 
-ANALYSIS_RATE_METRICS = (
-    "hotpath_analyses_per_s",
-    "concurrency_analyses_per_s",
-    "wire_analyses_per_s",
-    "analysis_cache_warm_per_s",
-    "repo_lint_per_s",
-    "sharded_publish_per_s",
-    "profile_parse_per_s",
-)
-ANALYSIS_EXACT_METRICS = (
-    "hotpath_findings",
-    "concurrency_findings",
-    "wire_findings",
-    "analysis_cache_hit_complete",
-    "sharded_single_delivered",
-)
+    path: Path
+    collect: Callable[[], dict]
+    #: compared as throughput rates (2× tolerance)
+    rate_metrics: tuple[str, ...]
+    #: must match the snapshot exactly (semantic drift gate)
+    exact_metrics: tuple[str, ...]
+    #: written beside the metrics, never re-checked
+    provenance: Optional[dict] = None
 
-MULTICAST_RATE_METRICS = ("multicast_bench_sends_per_s",)
-MULTICAST_EXACT_METRICS = (
-    "multicast_flat_tx_per_send_m16",
-    "multicast_tree_tx_per_send_m16",
-    "multicast_delivered_each_m16",
-    "multicast_flat_tx_per_send_m64",
-    "multicast_tree_tx_per_send_m64",
-    "multicast_delivered_each_m64",
-    "multicast_flat_tx_per_send_m256",
-    "multicast_tree_tx_per_send_m256",
-    "multicast_delivered_each_m256",
-    "multicast_reduction_m256_x10",
-    "multicast_reduction_m256_at_least_5x",
+
+#: the whole gate: ``--check`` and the refresh path both iterate this
+SNAPSHOTS = (
+    Snapshot(
+        REPO_ROOT / "BENCH_broker.json",
+        collect,
+        ("sharded_attach_per_s", "sharded_publish_many_msgs_per_s", "bus_publish_per_s"),
+        ("sharded_delivered", "sharded_checked", "bus_delivered"),
+    ),
+    Snapshot(
+        REPO_ROOT / "BENCH_analysis.json",
+        collect_analysis,
+        (
+            "hotpath_analyses_per_s",
+            "concurrency_analyses_per_s",
+            "wire_analyses_per_s",
+            "analysis_cache_warm_per_s",
+            "repo_lint_per_s",
+            "sharded_publish_per_s",
+            "profile_parse_per_s",
+        ),
+        (
+            "hotpath_findings",
+            "concurrency_findings",
+            "wire_findings",
+            "analysis_cache_hit_complete",
+            "sharded_single_delivered",
+        ),
+        HOTPATH_FIX_PROVENANCE,
+    ),
+    Snapshot(
+        REPO_ROOT / "BENCH_multicast.json",
+        collect_multicast,
+        (),
+        (
+            "multicast_flat_tx_per_send_m16",
+            "multicast_tree_tx_per_send_m16",
+            "multicast_delivered_each_m16",
+            "multicast_flat_tx_per_send_m64",
+            "multicast_tree_tx_per_send_m64",
+            "multicast_delivered_each_m64",
+            "multicast_flat_tx_per_send_m256",
+            "multicast_tree_tx_per_send_m256",
+            "multicast_delivered_each_m256",
+            "multicast_reduction_m256_x10",
+            "multicast_reduction_m256_at_least_5x",
+        ),
+    ),
 )
 
 
 def check(
     baseline: dict,
     fresh: dict,
-    rate_metrics: tuple[str, ...] = RATE_METRICS,
-    exact_metrics: tuple[str, ...] = EXACT_METRICS,
+    rate_metrics: tuple[str, ...],
+    exact_metrics: tuple[str, ...],
 ) -> list[str]:
     """Compare a fresh run against a snapshot; returns failure strings."""
     failures = []
@@ -338,40 +356,21 @@ def check(
     return failures
 
 
-def _gate(
-    path: Path,
-    fresh: dict,
-    rate_metrics: tuple[str, ...],
-    exact_metrics: tuple[str, ...],
-) -> list[str]:
-    if not path.exists():
-        return [f"no snapshot at {path}; run without --check to create it"]
-    baseline = json.loads(path.read_text())
-    for name in rate_metrics + exact_metrics:
+def _gate(snapshot: Snapshot, fresh: dict) -> list[str]:
+    if not snapshot.path.exists():
+        return [f"no snapshot at {snapshot.path}; run without --check to create it"]
+    baseline = json.loads(snapshot.path.read_text())
+    for name in snapshot.rate_metrics + snapshot.exact_metrics:
         committed = baseline.get("metrics", {}).get(name)
         print(f"{name}: fresh={fresh[name]:.0f} committed={committed}")
-    return check(baseline, fresh, rate_metrics, exact_metrics)
+    return check(baseline, fresh, snapshot.rate_metrics, snapshot.exact_metrics)
 
 
 def main(argv: list[str]) -> int:
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    fresh_broker = collect()
-    fresh_analysis = collect_analysis()
-    fresh_multicast = collect_multicast()
+    measured = [(snapshot, snapshot.collect()) for snapshot in SNAPSHOTS]
     if "--check" in argv:
-        failures = _gate(SNAPSHOT, fresh_broker, RATE_METRICS, EXACT_METRICS)
-        failures += _gate(
-            ANALYSIS_SNAPSHOT,
-            fresh_analysis,
-            ANALYSIS_RATE_METRICS,
-            ANALYSIS_EXACT_METRICS,
-        )
-        failures += _gate(
-            MULTICAST_SNAPSHOT,
-            fresh_multicast,
-            MULTICAST_RATE_METRICS,
-            MULTICAST_EXACT_METRICS,
-        )
+        failures = [f for snapshot, fresh in measured for f in _gate(snapshot, fresh)]
         if failures:
             print("\nperf trajectory REGRESSED:")
             for f in failures:
@@ -379,34 +378,12 @@ def main(argv: list[str]) -> int:
             return 1
         print("\nperf trajectory ok")
         return 0
-    SNAPSHOT.write_text(
-        json.dumps({"schema": 1, "metrics": fresh_broker}, indent=2, sort_keys=True)
-        + "\n"
-    )
-    ANALYSIS_SNAPSHOT.write_text(
-        json.dumps(
-            {
-                "schema": 1,
-                "metrics": fresh_analysis,
-                "provenance": HOTPATH_FIX_PROVENANCE,
-            },
-            indent=2,
-            sort_keys=True,
-        )
-        + "\n"
-    )
-    MULTICAST_SNAPSHOT.write_text(
-        json.dumps(
-            {"schema": 1, "metrics": fresh_multicast}, indent=2, sort_keys=True
-        )
-        + "\n"
-    )
-    for path, fresh in (
-        (SNAPSHOT, fresh_broker),
-        (ANALYSIS_SNAPSHOT, fresh_analysis),
-        (MULTICAST_SNAPSHOT, fresh_multicast),
-    ):
-        print(f"wrote {path}")
+    for snapshot, fresh in measured:
+        doc: dict = {"schema": 1, "metrics": fresh}
+        if snapshot.provenance is not None:
+            doc["provenance"] = snapshot.provenance
+        snapshot.path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {snapshot.path}")
         for name, value in sorted(fresh.items()):
             print(f"  {name}: {value:.0f}")
     return 0

@@ -37,6 +37,7 @@ from ..network.simnet import Network
 from ..snmp.ber import Gauge32
 from ..snmp.manager import SnmpManager
 from ..snmp.oids import TASSL
+from ..snmp.traps import Notification, TrapListener
 from ..network.udp import DatagramSocket
 from .events import (
     ChatEvent,
@@ -57,6 +58,7 @@ from .events import (
     EventError,
     decode_event,
 )
+from .concurrency import LockError
 from .inference import AdaptationDecision, InferenceEngine
 from .contracts import QoSContract
 from .policies import PolicyDatabase, default_policy_database
@@ -139,6 +141,13 @@ class WiredClient:
         #: adaptation decisions fall back to the conservative floor
         self.stale_grace = 3.0
         self._dark_since: Optional[float] = None
+        #: adaptation cycles that found the SNMP plane unreachable
+        self.snmp_failures = 0
+        #: last successful observation, adapted on while SNMP is dark
+        self._last_observed: dict[str, float] = {}
+        #: see :meth:`enable_trap_listener`
+        self._trap_listener: Optional[TrapListener] = None
+        self.traps_received: list[tuple[float, Notification]] = []
 
         # session observability
         self.membership = Membership()
@@ -197,8 +206,6 @@ class WiredClient:
         """
         owner = self.lock_owners.get(object_id)
         if owner is not None and owner != self.name:
-            from .concurrency import LockError
-
             raise LockError(f"{object_id!r} is locked by {owner}")
         event = self.whiteboard.draw(object_id, points, self.scheduler.clock.now)
         self._publish_event(event)
@@ -450,7 +457,7 @@ class WiredClient:
             return
         try:
             next_owner = self.whiteboard.locks.release(event.object_id, event.client_id)
-        except Exception:
+        except LockError:
             return  # stale/duplicate release: ignore
         if next_owner is not None:
             self._announce_grant(event.object_id, next_owner)
@@ -540,11 +547,8 @@ class WiredClient:
         Idempotent.  Received notifications are logged in
         :attr:`traps_received` for observability.
         """
-        if getattr(self, "_trap_listener", None) is not None:
+        if self._trap_listener is not None:
             return
-        from ..snmp.traps import Notification, TrapListener
-
-        self.traps_received: list = []
 
         def on_trap(notification: Notification) -> None:
             self.traps_received.append((self.scheduler.clock.now, notification))
@@ -576,15 +580,16 @@ class WiredClient:
             # management plane unreachable: adapt on the last known state
             # (conservative — a degraded network usually means degraded
             # hosts too, and stale caution beats no decision at all)
-            self.snmp_failures = getattr(self, "snmp_failures", 0) + 1
-            if getattr(self, "_dark_since", None) is None:
+            self.snmp_failures += 1
+            if self._dark_since is None:
                 self._dark_since = now
-            observed = dict(getattr(self, "_last_observed", {}))
+            observed = dict(self._last_observed)
         if self.netstate is not None:
             degraded = self.netstate.degraded
         else:
-            dark_since = getattr(self, "_dark_since", None)
-            degraded = dark_since is not None and now - dark_since > self.stale_grace
+            degraded = (
+                self._dark_since is not None and now - self._dark_since > self.stale_grace
+            )
         if extra_observed:
             observed.update(extra_observed)
         decision = self.engine.infer(self.profile, observed, degraded=degraded)
@@ -604,16 +609,12 @@ class WiredClient:
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release every resource this client holds (idempotent)."""
-        try:
-            self.endpoint.close()
-        except Exception:
-            pass
+        self.endpoint.close()
         self.snmp.close()
         if self.netstate is not None:
             self.netstate.close()
-        listener = getattr(self, "_trap_listener", None)
-        if listener is not None:
-            listener.close()
+        if self._trap_listener is not None:
+            self._trap_listener.close()
             self._trap_listener = None
 
     # ------------------------------------------------------------------

@@ -153,7 +153,7 @@ def run_chaos(seed: int = 0, duration: float = DURATION) -> ExperimentResult:
             accepted=client.endpoint.accepted_messages,
             chat_lines=len(client.chat.lines),
             decisions=len(client.decision_log),
-            snmp_failures=getattr(client, "snmp_failures", 0),
+            snmp_failures=client.snmp_failures,
             fast_failures=client.snmp.fast_failures,
             last_budget=client.viewer.packet_budget,
         )

@@ -30,6 +30,7 @@ age-based expiry.
 from __future__ import annotations
 
 import struct
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -53,6 +54,12 @@ DEFAULT_MTU = 1400
 
 _HEADER = struct.Struct(">IIHHI")  # ssrc, msg_seq, frag_index, frag_count, seq
 HEADER_SIZE = _HEADER.size
+
+#: Sources (ssrcs) a reassembler tracks at once; hearing one more evicts
+#: the least recently heard, so corrupted or hostile ssrcs cannot grow it.
+MAX_TRACKED_SOURCES = 1024
+
+_ZERO_STAT = {"received": 0, "highest_seq": -1, "completed": 0, "abandoned": 0, "newest_msg": -1}
 
 
 class RtpError(ValueError):
@@ -158,7 +165,10 @@ class RtpReassembler:
         moment newer traffic pushes it out of that window, and drops a
         late fragment from behind it instead of re-opening the message —
         so memory is bounded by the window under any loss pattern, with
-        no timer needed, and delivery stays exactly-once.
+        no timer needed, and delivery stays exactly-once.  The number of
+        sources is bounded too (:data:`MAX_TRACKED_SOURCES`): the least
+        recently heard source is evicted — its statistics and delivered
+        keys dropped, its partial messages abandoned through ``on_gap``.
     clock:
         Zero-arg callable returning the current (virtual) time; used when
         :meth:`ingest`/:meth:`expire` are called without ``now=``.
@@ -186,7 +196,8 @@ class RtpReassembler:
             raise RtpError("max_age must be positive")
         self.max_age = max_age
         self._partial: dict[tuple[int, int], _PartialMessage] = {}
-        self._stats: dict[int, dict] = {}
+        #: per-source counters, least recently heard first
+        self._stats: OrderedDict[int, dict] = OrderedDict()
         self._delivered: set[tuple[int, int]] = set()
         self._abandoned_unreported = 0
 
@@ -200,17 +211,19 @@ class RtpReassembler:
             "construct the reassembler with a clock"
         )
 
-    def _stat(self, ssrc: int) -> dict:
-        return self._stats.setdefault(
-            ssrc,
-            {
-                "received": 0,
-                "highest_seq": -1,
-                "completed": 0,
-                "abandoned": 0,
-                "newest_msg": -1,
-            },
-        )
+    def _heard(self, ssrc: int) -> dict:
+        """The stats of a source a fragment just arrived from (now newest)."""
+        st = self._stats.get(ssrc)
+        if st is not None:
+            self._stats.move_to_end(ssrc)
+            return st
+        st = self._stats[ssrc] = dict(_ZERO_STAT)
+        if len(self._stats) > MAX_TRACKED_SOURCES:
+            stalest, old = next(iter(self._stats.items()))
+            # sliding its window past everything settles all it holds
+            self._slide_window(stalest, old, old["newest_msg"] + self.reorder_window + 1)
+            del self._stats[stalest]
+        return st
 
     # ------------------------------------------------------------------
     def ingest(self, data: bytes, now: Optional[float] = None) -> None:
@@ -224,7 +237,7 @@ class RtpReassembler:
         """
         now = self._resolve_now(now)
         pkt = RtpPacket.decode(data)
-        st = self._stat(pkt.ssrc)
+        st = self._heard(pkt.ssrc)
         st["received"] += 1
         st["highest_seq"] = max(st["highest_seq"], pkt.seq)
         if pkt.msg_seq > st["newest_msg"]:
@@ -262,7 +275,7 @@ class RtpReassembler:
 
     def _abandon(self, ssrc: int, msg_seq: int) -> None:
         part = self._partial.pop((ssrc, msg_seq))
-        self._stat(ssrc)["abandoned"] += 1
+        self._stats[ssrc]["abandoned"] += 1
         self._abandoned_unreported += 1
         if self.on_gap is not None:
             self.on_gap(ssrc, msg_seq, part.missing())
@@ -296,8 +309,8 @@ class RtpReassembler:
 
     # ------------------------------------------------------------------
     def report(self, ssrc: int) -> RtcpReport:
-        """RTCP-style receiver report for one source."""
-        st = self._stat(ssrc)
+        """RTCP-style receiver report for one source (all zero if untracked)."""
+        st = self._stats.get(ssrc, _ZERO_STAT)
         expected = st["highest_seq"] + 1 if st["highest_seq"] >= 0 else 0
         lost = max(0, expected - st["received"])
         return RtcpReport(

@@ -7,18 +7,18 @@ This module supplies the missing network layer, modeled on per-group
 distribution-tree maintenance in GDP-style multicast simulators:
 
 * :class:`Router` — a fabric node (backed by an ordinary
-  :class:`~repro.network.simnet.Node`) holding a bounded next-hop RIB:
-  :meth:`Router.rib_lookup` answers "which neighbors continue this
-  group's tree from here" from an :class:`~repro.network.simnet.LruCache`
-  validated against the tree epoch.
+  :class:`~repro.network.simnet.Node`): :meth:`Router.rib_lookup`
+  answers "which neighbors continue this group's tree from here" as a
+  view of the group's current tree adjacency.
 * :class:`TrustDomain` — an administrative grouping of routers with a
   designated root; domains nest through their roots' parents, giving the
   fabric the hierarchy that anchors (LCA) are computed over.
 * :class:`MulticastFabric` — group state: create / join / graft /
   prune, anchor election as the lowest common ancestor of the member
   access routers (ownership *transfers* when membership change moves the
-  LCA), and per-group distribution trees as shortest live paths from
-  each member's access router to the anchor.
+  LCA), and per-group distribution trees: the anchor's shortest-path
+  tree over live router links (:meth:`Network.shortest_paths`), pruned
+  to the branches that reach a member's access router.
 
 **Data plane.**  A group send builds (or reuses — plans are LRU-cached
 per ``(group, sender)`` and invalidated by tree epoch) a
@@ -43,8 +43,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-import heapq
-
 from .simnet import Address, CastPlan, LruCache, Network, NetworkError, Packet
 
 __all__ = ["MulticastFabric", "Router", "RoutingError", "TrustDomain"]
@@ -65,7 +63,7 @@ class TrustDomain:
 
 
 class Router:
-    """A replicating fabric node with a bounded per-group next-hop RIB."""
+    """A replicating fabric node; its RIB is a view of each group's tree."""
 
     def __init__(
         self, name: Address, domain: str, parent: Optional[str], fabric: "MulticastFabric"
@@ -76,25 +74,15 @@ class Router:
         self.fabric = fabric
         #: hierarchy depth (roots of top-level domains are 0)
         self.depth: int = 0
-        #: ``group -> (epoch, next_hops)``; bounded so a router touched by
-        #: thousands of groups holds only its working set
-        self._rib: LruCache = LruCache(fabric.rib_cache_size)
 
     def rib_lookup(self, group: str) -> tuple[Address, ...]:
         """Next hops continuing ``group``'s tree from this router.
 
-        Answers come from the router's bounded RIB cache; entries are
-        validated against the group's tree epoch, so a graft, prune, or
-        repair invalidates every stale answer at once without touching
-        each router.
+        Read straight from the group's tree adjacency, which every
+        graft, prune, or repair replaces wholesale — there is no
+        per-router copy to go stale.
         """
-        state = self.fabric._group(group)
-        entry = self._rib.get(group)
-        if entry is not None and entry[0] == state.epoch:
-            return entry[1]
-        hops = state.adjacency.get(self.name, ())
-        self._rib.put(group, (state.epoch, hops))
-        return hops
+        return self.fabric._group(group).adjacency.get(self.name, ())
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Router({self.name!r}, domain={self.domain!r}, parent={self.parent!r})"
@@ -114,7 +102,7 @@ class _GroupState:
         self.edges: frozenset = frozenset()
         #: node -> sorted tuple of tree neighbors (the RIB's ground truth)
         self.adjacency: dict[Address, tuple[Address, ...]] = {}
-        #: bumped on every rebuild; validates RIB entries and cast plans
+        #: bumped on every rebuild; validates cached cast plans
         self.epoch: int = 0
         #: True when some member is off-tree (partition / access link
         #: down) — such groups rebuild again on the next link heal
@@ -130,27 +118,16 @@ class MulticastFabric:
         The simulated network the fabric's routers and links live in.
         The fabric registers a topology listener so link flaps repair
         affected trees immediately.
-    rib_cache_size:
-        Capacity of each router's next-hop RIB cache.
-    plan_cache_size:
-        Capacity of the fabric-wide ``(group, sender) -> CastPlan``
-        cache.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        rib_cache_size: int = 128,
-        plan_cache_size: int = 1024,
-    ) -> None:
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.rib_cache_size = rib_cache_size
         self.domains: dict[str, TrustDomain] = {}
         self.routers: dict[Address, Router] = {}
         #: host -> its access router
         self._access: dict[Address, Address] = {}
         self._groups: dict[str, _GroupState] = {}
-        self._plan_cache: LruCache = LruCache(plan_cache_size)
+        self._plan_cache: LruCache = LruCache(Network.DEFAULT_PLAN_CACHE)
         # telemetry (deterministic)
         self.grafts = 0
         self.prunes = 0
@@ -320,59 +297,6 @@ class MulticastFabric:
     # ------------------------------------------------------------------
     # tree construction + repair
     # ------------------------------------------------------------------
-    def _live_router_neighbors(self, router: Address) -> list[Address]:
-        """Adjacent routers over administratively-up links, sorted."""
-        out = []
-        for peer in sorted(self.network._adj.get(router, ())):
-            if peer in self.routers and self.network.link(router, peer).up:
-                out.append(peer)
-        return out
-
-    def _component(self, start: Address) -> set[Address]:
-        """Routers reachable from ``start`` over live links."""
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for node in frontier:
-                for peer in self._live_router_neighbors(node):
-                    if peer not in seen:
-                        seen.add(peer)
-                        nxt.append(peer)
-            frontier = nxt
-        return seen
-
-    def _shortest_router_path(
-        self, src: Address, dst: Address
-    ) -> Optional[list[Address]]:
-        """Lowest-latency live path ``src -> dst`` restricted to routers."""
-        if src == dst:
-            return [src]
-        dist: dict[Address, float] = {src: 0.0}
-        prev: dict[Address, Address] = {}
-        heap: list[tuple[float, Address]] = [(0.0, src)]
-        visited: set[Address] = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in visited:
-                continue
-            visited.add(u)
-            if u == dst:
-                break
-            for v in self._live_router_neighbors(u):
-                nd = d + self.network.link(u, v).latency
-                if nd < dist.get(v, float("inf")):
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, v))
-        if dst not in dist:
-            return None
-        path = [dst]
-        while path[-1] != src:
-            path.append(prev[path[-1]])
-        path.reverse()
-        return path
-
     def _access_link_up(self, host: Address) -> bool:
         router = self._access[host]
         try:
@@ -383,14 +307,19 @@ class MulticastFabric:
     def _rebuild(self, state: _GroupState) -> None:
         """Recompute the group tree: anchor, edges, adjacency, epoch.
 
-        Members whose access router can reach the anchor over live links
-        are grafted along shortest live router paths; members partitioned
-        away regroup per connected component under a deterministic
-        sub-anchor (the component-local LCA when it lies inside, else
-        the shallowest member access router), so intra-partition traffic
-        still flows.  The group is marked ``degraded`` whenever any
-        member is off the anchor's component, which re-triggers a rebuild
-        on the next link heal.
+        Each live component holding a member access router gets one
+        shortest-path tree (:meth:`Network.shortest_paths` over router
+        links) rooted at its sub-anchor — the group anchor where
+        reachable, else the component-local LCA when it lies inside,
+        else the shallowest member access router — and every member
+        router is grafted by walking its predecessor chain up to the
+        first router already on the tree, so intra-partition traffic
+        still flows and the edges always form a tree.  At most two
+        traversals per component: one from the first unassigned member
+        router (its key set *is* the component), one more from the
+        sub-anchor when that is a different router.  The group is marked
+        ``degraded`` whenever any member is off the anchor's component,
+        which re-triggers a rebuild on the next link heal.
         """
         self.rebuilds += 1
         hosts = sorted(state.refs)
@@ -410,33 +339,30 @@ class MulticastFabric:
         # --- per-component tree edges -----------------------------------
         edges: set[frozenset] = set()
         degraded = False
-        unassigned = [r for r in acc_routers]
-        components: list[set[Address]] = []
+        unassigned = acc_routers
         while unassigned:
-            comp = self._component(unassigned[0])
-            components.append(comp)
-            unassigned = [r for r in unassigned if r not in comp]
-        if len(components) > 1:
-            degraded = True
-        for comp in components:
-            comp_members = [r for r in acc_routers if r in comp]
-            if state.anchor is not None and state.anchor in comp:
+            start = unassigned[0]
+            prev = self.network.shortest_paths(start, within=self.routers)
+            comp_members = [r for r in unassigned if r in prev]
+            unassigned = [r for r in unassigned if r not in prev]
+            if state.anchor in prev:
                 sub_anchor = state.anchor
             else:
                 degraded = True  # anchor unreachable: partition sub-tree
                 candidate = self._lca(comp_members)
-                if candidate is None or candidate not in comp:
+                if candidate is None or candidate not in prev:
                     candidate = min(
                         comp_members, key=lambda r: (self.routers[r].depth, r)
                     )
                 sub_anchor = candidate
-            for router in comp_members:
-                path = self._shortest_router_path(router, sub_anchor)
-                if path is None:  # pragma: no cover - same component, has path
-                    degraded = True
-                    continue
-                for u, v in zip(path, path[1:]):
-                    edges.add(frozenset((u, v)))
+            if sub_anchor != start:
+                prev = self.network.shortest_paths(sub_anchor, within=self.routers)
+            on_tree = {sub_anchor}
+            for node in comp_members:
+                while node not in on_tree:
+                    on_tree.add(node)
+                    edges.add(frozenset((node, prev[node])))
+                    node = prev[node]
         # --- access edges ------------------------------------------------
         for host in hosts:
             if self._access_link_up(host):
@@ -484,10 +410,10 @@ class MulticastFabric:
     def plan(self, addr: str, root: Address) -> CastPlan:
         """The cast plan for a send by ``root`` — cached per tree epoch.
 
-        Built by walking the per-router RIB (:meth:`Router.rib_lookup`)
-        outward from the sender's host, emitting edges parent-before-
-        child; the walk only ever touches the sender's side of a
-        partitioned tree, exactly like a real replication would.
+        Built by walking the tree adjacency (what :meth:`Router.rib_lookup`
+        answers from) outward from the sender's host, emitting edges
+        parent-before-child; the walk only ever touches the sender's side
+        of a partitioned tree, exactly like a real replication would.
         """
         state = self._group(addr)
         entry = self._plan_cache.get((addr, root))
@@ -500,12 +426,7 @@ class MulticastFabric:
         while frontier:
             nxt = []
             for node in frontier:
-                router = self.routers.get(node)
-                if router is not None:
-                    hops = router.rib_lookup(addr)
-                else:
-                    hops = state.adjacency.get(node, ())
-                for hop in hops:
+                for hop in state.adjacency.get(node, ()):
                     if hop in visited:
                         continue
                     visited.add(hop)

@@ -16,9 +16,10 @@ the SNMP agent exports (``ifInOctets``-style octet counts).
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Container, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -63,10 +64,11 @@ class PortInUseError(NetworkError):
 class LruCache:
     """A bounded mapping with least-recently-used eviction.
 
-    Backs the route cache and the per-router multicast RIBs so that
-    city-scale topologies (thousands of routers, long-running sessions)
-    cannot grow lookup state without bound.  ``get`` refreshes recency;
-    ``put`` evicts the stalest entry once ``capacity`` is exceeded.
+    Backs the route cache and the multicast fabric's cast-plan cache so
+    that city-scale topologies (thousands of routers, long-running
+    sessions) cannot grow lookup state without bound.  ``get`` refreshes
+    recency; ``put`` evicts the stalest entry once ``capacity`` is
+    exceeded.
     """
 
     __slots__ = ("capacity", "_data", "hits", "misses", "evictions")
@@ -295,6 +297,8 @@ class Network:
     #: default bound on cached routes; city-scale topologies have O(N^2)
     #: host pairs, so the cache must be LRU-bounded, not grow-forever
     DEFAULT_ROUTE_CACHE = 4096
+    #: bound on the multicast fabric's ``(group, sender) -> CastPlan`` cache
+    DEFAULT_PLAN_CACHE = 1024
 
     def __init__(
         self,
@@ -306,7 +310,9 @@ class Network:
         self.rng = np.random.default_rng(seed)
         self._nodes: dict[Address, Node] = {}
         self._links: dict[frozenset, Link] = {}
-        self._adj: dict[Address, set[Address]] = {}
+        #: node -> neighbor names, kept in name order by add/remove_link so
+        #: the path walk visits them deterministically without sorting
+        self._adj: dict[Address, list[Address]] = {}
         self._route_cache: LruCache = LruCache(route_cache_size)
         #: observers of administrative topology change, called as
         #: ``listener(a, b, up)`` after a link is added (up), removed
@@ -353,7 +359,7 @@ class Network:
             raise NetworkError(f"duplicate node {name!r}")
         node = Node(name, self)
         self._nodes[name] = node
-        self._adj[name] = set()
+        self._adj[name] = []
         self._route_cache.clear()
         return node
 
@@ -368,8 +374,8 @@ class Network:
             raise NetworkError(f"link {a!r}-{b!r} already exists")
         link = Link(a, b, **kwargs)
         self._links[key] = link
-        self._adj[a].add(b)
-        self._adj[b].add(a)
+        insort(self._adj[a], b)
+        insort(self._adj[b], a)
         self._route_cache.clear()
         self._notify_topology(a, b, True)
         return link
@@ -380,8 +386,8 @@ class Network:
         if key not in self._links:
             raise NetworkError(f"no link {a!r}-{b!r}")
         del self._links[key]
-        self._adj[a].discard(b)
-        self._adj[b].discard(a)
+        self._adj[a].remove(b)
+        self._adj[b].remove(a)
         self._route_cache.clear()
         self._notify_topology(a, b, False)
 
@@ -436,6 +442,47 @@ class Network:
     # ------------------------------------------------------------------
     # routing
     # ------------------------------------------------------------------
+    def shortest_paths(
+        self,
+        src: Address,
+        dst: Optional[Address] = None,
+        within: Optional[Container[Address]] = None,
+    ) -> dict[Address, Optional[Address]]:
+        """Predecessor map of lowest-latency paths from ``src`` over live links.
+
+        The one Dijkstra in ``network/``: :meth:`route` runs it with an
+        early stop at ``dst``, the multicast fabric runs it restricted to
+        routers (``within``) to get a whole shortest-path tree at once.
+        Every key is reachable from ``src`` (so without ``dst`` the key
+        set is ``src``'s live component); following the values from a
+        settled node leads back to ``src``, which maps to ``None``.
+        Equal-cost ties go to the path found first, with neighbors
+        visited in name order — independent of set or hash order.
+        """
+        dist: dict[Address, float] = {src: 0.0}
+        prev: dict[Address, Optional[Address]] = {src: None}
+        heap: list[tuple[float, Address]] = [(0.0, src)]
+        visited: set[Address] = set()
+        while heap:
+            d, u = heapq.heappop(heap)
+            if u in visited:
+                continue
+            visited.add(u)
+            if u == dst:
+                break
+            for v in self._adj[u]:
+                if within is not None and v not in within:
+                    continue
+                edge = self._links[frozenset((u, v))]
+                if not edge.up:
+                    continue
+                nd = d + edge.latency
+                if nd < dist.get(v, float("inf")):
+                    dist[v] = nd
+                    prev[v] = u
+                    heapq.heappush(heap, (nd, v))
+        return prev
+
     def route(self, src: Address, dst: Address) -> Optional[list[Link]]:
         """Lowest-latency path from ``src`` to ``dst`` (Dijkstra), or None.
 
@@ -450,37 +497,15 @@ class Network:
         cached = self._route_cache.get((src, dst), _ROUTE_MISS)
         if cached is not _ROUTE_MISS:
             return cached
-        dist: dict[Address, float] = {src: 0.0}
-        prev: dict[Address, Address] = {}
-        heap: list[tuple[float, Address]] = [(0.0, src)]
-        visited: set[Address] = set()
-        while heap:
-            d, u = heapq.heappop(heap)
-            if u in visited:
-                continue
-            visited.add(u)
-            if u == dst:
-                break
-            for v in sorted(self._adj[u]):
-                edge = self._links[frozenset((u, v))]
-                if not edge.up:
-                    continue
-                w = edge.latency
-                nd = d + w
-                if nd < dist.get(v, float("inf")):
-                    dist[v] = nd
-                    prev[v] = u
-                    heapq.heappush(heap, (nd, v))
-        if dst not in dist:
-            self._route_cache.put((src, dst), None)
-            return None
-        path: list[Link] = []
-        cur = dst
-        while cur != src:
-            p = prev[cur]
-            path.append(self._links[frozenset((p, cur))])
-            cur = p
-        path.reverse()
+        prev = self.shortest_paths(src, dst)
+        path: Optional[list[Link]] = None
+        if dst in prev:
+            path = []
+            cur = dst
+            while (p := prev[cur]) is not None:
+                path.append(self._links[frozenset((p, cur))])
+                cur = p
+            path.reverse()
         self._route_cache.put((src, dst), path)
         return path
 

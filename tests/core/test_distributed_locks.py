@@ -76,6 +76,16 @@ class TestLockFlow:
         fw.run_for(0.5)
         assert a.held_locks == set()
 
+    def test_stale_release_is_ignored_by_coordinator(self, session):
+        fw, coord, a, b = session
+        b.request_lock("s")
+        fw.run_for(0.5)
+        # alice never held it: a duplicate / stale release off the wire
+        a._publish_event(LockReleaseEvent(client_id="alice", object_id="s"))
+        fw.run_for(0.5)
+        assert coord.whiteboard.locks.owner("s") == "bob"
+        assert "s" in b.held_locks
+
     def test_two_objects_independent(self, session):
         fw, coord, a, b = session
         a.request_lock("x")

@@ -14,6 +14,15 @@ from repro.snmp.errors import SnmpTimeout
 
 
 class TestManagementPlaneFailure:
+    def test_healthy_client_has_zeroed_failure_and_trap_telemetry(self):
+        a = CollaborationFramework("fi-0").add_wired_client("alice")
+        assert a.snmp_failures == 0
+        assert a._last_observed == {}
+        assert a._trap_listener is None
+        assert a.traps_received == []
+        a.close()  # no listener was ever enabled
+        a.close()
+
     def test_dead_agent_falls_back_to_last_observation(self):
         fw = CollaborationFramework("fi-1")
         a = fw.add_wired_client("alice", fault_workload=Constant(95.0))

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.messaging.rtp import (
     DEFAULT_MTU,
     HEADER_SIZE,
+    MAX_TRACKED_SOURCES,
     RtpError,
     RtpPacket,
     RtpPacketizer,
@@ -255,3 +256,43 @@ class TestWindowBound:
         for who in ("wireless link", "base station radio side"):
             stats = reassemblers[who]._stats.values()
             assert sum(st["abandoned"] for st in stats) > 0, who  # the bound did work
+
+
+class TestSourceBound:
+    """The number of tracked sources is bounded, not just each one's window."""
+
+    def test_ssrc_flood_stays_bounded_and_established_source_completes_once(self):
+        out, gaps = [], []
+        r = RtpReassembler(
+            lambda s, payload: out.append((s, payload)),
+            on_gap=lambda s, mseq, missing: gaps.append((s, mseq)),
+            clock=lambda: 0.0,
+        )
+        p = RtpPacketizer(ssrc=7, mtu=100)
+        r.ingest(p.packetize(b"hello")[0].encode())  # source 7 is established
+        frags = p.packetize(bytes(range(200)) * 5)  # in-window message, 12 fragments
+        flood = 10_000
+        every = MAX_TRACKED_SOURCES // 2  # heard often enough to stay tracked
+        for i in range(flood):
+            # one fragment of a never-completed 2-fragment message per hostile ssrc
+            r.ingest(RtpPacket(1_000_000 + i, 0, 0, 2, 0, b"x").encode())
+            if i % every == 0 and frags:
+                r.ingest(frags.pop(0).encode())
+        assert not frags
+        assert len(r._stats) <= MAX_TRACKED_SOURCES
+        assert len(r._partial) <= MAX_TRACKED_SOURCES
+        assert len(r._delivered) <= MAX_TRACKED_SOURCES * (r.reorder_window + 1)
+        assert {s for s, _ in r._partial} | {s for s, _ in r._delivered} <= set(r._stats)
+        assert out == [(7, b"hello"), (7, bytes(range(200)) * 5)]
+        # every evicted source's partial went through the abandon accounting
+        assert len(gaps) == flood - len(r._partial)
+        assert r.expire() == len(gaps)
+        assert all(s != 7 for s, _ in gaps)  # nothing of the real source was torn
+
+    def test_report_of_unknown_source_creates_no_state(self):
+        _, r, _ = pipe()
+        rep = r.report(12345)
+        assert (rep.packets_received, rep.packets_expected, rep.highest_seq) == (0, 0, -1)
+        assert (rep.messages_completed, rep.messages_abandoned) == (0, 0)
+        assert rep.fraction_lost == 0.0
+        assert 12345 not in r._stats

@@ -135,20 +135,6 @@ class TestRib:
         fab.join("g", "e1")  # rebuild bumps the epoch
         assert router.rib_lookup("g") == ("e0", "e1")
 
-    def test_rib_is_bounded(self):
-        sched = Scheduler()
-        net = Network(sched, seed=0)
-        fab = MulticastFabric(net, rib_cache_size=4)
-        fab.add_domain("d")
-        fab.add_router("r", "d")
-        fab.attach_host("h", "r")
-        for i in range(10):
-            g = f"g{i}"
-            fab.create_group(g)
-            fab.join(g, "h")
-            fab.routers["r"].rib_lookup(g)
-        assert len(fab.routers["r"]._rib) <= 4
-
 
 class TestPlans:
     def test_plan_cached_until_epoch_changes(self, fabric):
@@ -181,6 +167,19 @@ class TestPlans:
         _, fab = fabric
         with pytest.raises(RoutingError):
             fab.plan("nope", "e0")
+
+    def test_plan_cache_is_bounded(self, fabric):
+        _, fab = fabric
+        bound = Network.DEFAULT_PLAN_CACHE
+        for i in range(bound + 50):
+            fab.join(f"g{i}", "e0")
+            fab.plan(f"g{i}", "e0")
+        assert len(fab._plan_cache) == bound
+        assert fab._plan_cache.evictions == 50
+        # an evicted plan is rebuilt on demand, not lost
+        builds = fab.plan_builds
+        assert fab.plan("g0", "e0").root == "e0"
+        assert fab.plan_builds == builds + 1
 
 
 class TestCastDataPlane:
