@@ -32,7 +32,7 @@ import os
 import random
 import sys
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Optional, Sequence
 
 __all__ = [
@@ -260,7 +260,7 @@ def _message_equal(a: Any, b: Any) -> bool:
 def default_registry() -> list[FuzzCodecPair]:
     """Every shipped codec pair, with samplers and declared errors."""
     from ..core import events as ev
-    from ..media.progressive import ImagePacket, ImagePacketError
+    from ..media.progressive import ImagePacket, ImagePacketError, ReceivedImage
     from ..messaging import rtp
     from ..messaging.serialization import WireError, decode_message, encode_message
     from ..snmp import ber
@@ -316,6 +316,10 @@ def default_registry() -> list[FuzzCodecPair]:
             static_file=os.path.join(_SRC_ROOT, "repro", "messaging", "rtp.py"),
         )
     )
+    def sample_chunk(rng: random.Random) -> tuple[bytes, int]:
+        data = _b(rng)
+        return data, rng.randrange(8 * len(data) + 1)
+
     pairs.append(
         FuzzCodecPair(
             name="progressive.ImagePacket",
@@ -324,12 +328,38 @@ def default_registry() -> list[FuzzCodecPair]:
             sample=lambda rng: ImagePacket(
                 index=rng.randrange(16),
                 total=16,
-                chunks=tuple(
-                    (_b(rng), rng.randrange(2**20)) for _ in range(rng.randrange(1, 4))
-                ),
+                chunks=tuple(sample_chunk(rng) for _ in range(rng.randrange(1, 4))),
             ),
             expected_errors=(ImagePacketError,),
             static_file=os.path.join(_SRC_ROOT, "repro", "media", "progressive.py"),
+        )
+    )
+
+    def sample_geometry(rng: random.Random) -> ev.ImageShareAnnounce:
+        a = samplers["ImageShareAnnounce"](rng)
+        return replace(
+            a,
+            height=rng.randrange(1, 9) << a.levels,
+            width=rng.randrange(1, 9) << a.levels,
+            t0_exps=tuple(rng.randrange(-64, 64) for _ in range(a.channels)),
+        )
+
+    def assemble(body: bytes) -> ReceivedImage:
+        a = ev.ImageShareAnnounce.from_body(body)
+        return ReceivedImage(a.height, a.width, a.channels, a.levels, a.t0_exps, a.n_packets)
+
+    # the announce's geometry is decoder input too: a body that decodes as
+    # an event must still be refused before it sizes the receiver's tables
+    pairs.append(
+        FuzzCodecPair(
+            name="progressive.ReceivedImage",
+            encode=lambda a: a.to_body(),
+            decode=assemble,
+            sample=sample_geometry,
+            expected_errors=(ev.EventError, ImagePacketError),
+            static_file=os.path.join(_SRC_ROOT, "repro", "media", "progressive.py"),
+            equal=lambda a, r: (a.height, a.width, a.channels, a.levels, a.t0_exps, a.n_packets)
+            == (r.height, r.width, r.n_channels, r.levels, r.t0_exps, r.n_packets),
         )
     )
     pairs.append(

@@ -33,6 +33,7 @@ import numpy as np
 
 from ..apps.imageviewer import ImageViewer
 from ..media.describe import describe_image
+from ..media.progressive import ImagePacketError
 from ..media.sketch import extract_sketch
 from ..messaging.broker import Delivery
 from ..messaging.message import SemanticMessage
@@ -496,11 +497,17 @@ class BaseStation:
             self.endpoint.wire.decode_failures += 1
             return
         # keep the BS's own replica of shared images (for central transforms)
-        if isinstance(event, ImageShareAnnounce):
-            self.viewer.on_announce(event)
-        elif isinstance(event, ImagePacketEvent):
-            self.viewer.on_packet(event)
-            self._maybe_send_sketch(event.image_id)
+        try:
+            if isinstance(event, ImageShareAnnounce):
+                self.viewer.on_announce(event)
+            elif isinstance(event, ImagePacketEvent):
+                self.viewer.on_packet(event)
+                self._maybe_send_sketch(event.image_id)
+        except ImagePacketError:
+            # decoded as an event, refused by the viewer (geometry, payload):
+            # counted, neither replicated nor forwarded
+            self.endpoint.wire.decode_failures += 1
+            return
         self._forward_downlink(event)
 
     # ------------------------------------------------------------------
@@ -521,7 +528,11 @@ class BaseStation:
             return  # not attached: drop (no service assessment yet)
         self.evaluate_qos()
         tier = self.attachments[sender].tier
-        forwarded = self._gate_uplink(event, tier)
+        try:
+            forwarded = self._gate_uplink(event, tier)
+        except ImagePacketError:
+            self.radio.wire.decode_failures += 1
+            return
         selector = self.session.selector_text()
         outs = [fevent.to_message(sender=sender, selector=selector) for fevent in forwarded]
         # multicast the batch to the wired session; a ``None`` slot marks

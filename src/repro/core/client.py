@@ -25,6 +25,7 @@ import numpy as np
 from ..apps.chat import ChatArea
 from ..apps.imageviewer import ImageViewer
 from ..apps.whiteboard import Whiteboard
+from ..media.progressive import ImagePacketError
 from ..media.sketch import Sketch, extract_sketch
 from ..media.transformers import Modality, TransformerRegistry, default_registry
 from ..messaging.broker import Delivery
@@ -249,10 +250,12 @@ class WiredClient:
         self.events_received.append((now, event))
         try:
             self._react(event, delivery, now)
-        except (RtpError, WireError):
+        except (RtpError, WireError, ImagePacketError):
             # a reaction that re-publishes (history replay, image repair,
-            # lock grant) could not encode or fragment its answer: the
-            # answer is lost and counted, the dispatch loop is not
+            # lock grant) could not encode or fragment its answer, or an
+            # image announce/packet that decoded as an event carries
+            # geometry or a payload the viewer refuses: the answer or the
+            # packet is lost and counted, the dispatch loop is not
             self.endpoint.wire.decode_failures += 1
 
     def _react(self, event: Event, delivery: Delivery, now: float) -> None:

@@ -1,7 +1,6 @@
 """Media substrate: progressive image coding, sketch extraction, verbal
 description, synthetic speech, and the information-transformer registry."""
 
-from .bitstream import BitReader, BitWriter, OutOfBits
 from .wavelet import WaveletError, haar_dwt2, haar_idwt2, max_levels, subband_slices
 from .ezw import EzwEncoded, decode_image, encode_image, ezw_decode, ezw_encode
 from .images import (
@@ -26,9 +25,6 @@ from .transformers import (
 )
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
-    "OutOfBits",
     "WaveletError",
     "haar_dwt2",
     "haar_idwt2",

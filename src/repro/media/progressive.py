@@ -13,14 +13,15 @@ balanced-quality color reconstruction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .ezw import EzwEncoded, decode_image, encode_image
+from .ezw import EzwEncoded, decode_image, encode_image, ezw_decode
 from .metrics import bpp, compression_ratio, psnr
-from .wavelet import max_levels
+from .wavelet import haar_idwt2_partial, max_levels
 
 __all__ = ["ImagePacket", "ImagePacketError", "ProgressiveImage", "ReceptionReport", "PACKET_COUNTS"]
 
@@ -83,8 +84,12 @@ class ImagePacket:
             end = pos + 8 + ln
             if end > len(raw):
                 raise ImagePacketError(f"chunk payload runs past the packet: need {end} byte(s), have {len(raw)}")
+            if bits > 8 * ln:
+                raise ImagePacketError(f"chunk claims {bits} bit(s) in {ln} byte(s)")
             chunks.append((raw[pos + 8 : end], bits))
             pos = end
+        if pos != len(raw):
+            raise ImagePacketError(f"{len(raw) - pos} byte(s) after the last chunk")
         return cls(index, total, tuple(chunks))
 
 
@@ -147,22 +152,21 @@ class ProgressiveImage:
             encode_image(ch, self.levels, max_bits=per_channel_bits) for ch in channels
         ]
         self.total_bits = sum(e.payload_bits for e in self.encoded)
+        #: per-channel cut points in bits, byte-aligned for cheap slicing
+        self._edges: list[list[int]] = []
+        for enc in self.encoded:
+            edges = np.round(np.linspace(0, enc.payload_bits, n_packets + 1) / 8).astype(int) * 8
+            edges[-1] = enc.payload_bits
+            self._edges.append(edges.tolist())
 
     # ------------------------------------------------------------------
     def packets(self) -> list[ImagePacket]:
         """Cut every channel stream into ``n_packets`` prefix increments."""
         out = []
-        # per-channel cut points in bits, byte-aligned for cheap slicing
-        cuts = []
-        for enc in self.encoded:
-            edges = np.linspace(0, enc.payload_bits, self.n_packets + 1)
-            edges = (np.round(edges / 8).astype(int) * 8)
-            edges[-1] = enc.payload_bits
-            cuts.append(edges)
         for k in range(self.n_packets):
             chunks = []
-            for enc, edges in zip(self.encoded, cuts):
-                b0, b1 = int(edges[k]), int(edges[k + 1])
+            for enc, edges in zip(self.encoded, self._edges):
+                b0, b1 = edges[k], edges[k + 1]
                 data = enc.payload[b0 // 8 : (b1 + 7) // 8]
                 chunks.append((data, b1 - b0))
             out.append(ImagePacket(k, self.n_packets, tuple(chunks)))
@@ -172,28 +176,18 @@ class ProgressiveImage:
     def reconstruct(self, n_received: int) -> np.ndarray:
         """Decode from the first ``n_received`` packets (clamped to range)."""
         k = max(0, min(self.n_packets, int(n_received)))
-        frac_bits = self._prefix_bits(k)
         recon_channels = []
-        for enc, bits in zip(self.encoded, frac_bits):
-            rec = decode_image(enc.truncated(bits))
+        for enc, edges in zip(self.encoded, self._edges):
+            rec = decode_image(enc.truncated(edges[k]))
             recon_channels.append(np.clip(rec, 0, 255))
         if self.image.ndim == 2:
             return recon_channels[0]
         return np.stack(recon_channels, axis=-1)
 
-    def _prefix_bits(self, k: int) -> list[int]:
-        out = []
-        for enc in self.encoded:
-            edges = np.linspace(0, enc.payload_bits, self.n_packets + 1)
-            edges = (np.round(edges / 8).astype(int) * 8)
-            edges[-1] = enc.payload_bits
-            out.append(int(edges[k]))
-        return out
-
     def report(self, n_received: int) -> ReceptionReport:
         """Reconstruct and compute the paper's three metrics (+PSNR)."""
         k = max(0, min(self.n_packets, int(n_received)))
-        bits_used = sum(self._prefix_bits(k))
+        bits_used = sum(edges[k] for edges in self._edges)
         recon = self.reconstruct(k)
         return ReceptionReport(
             packets_used=k,
@@ -236,8 +230,15 @@ class ReceivedImage:
         t0_exps: Sequence[int],
         n_packets: int,
     ) -> None:
+        # every argument may come straight off the wire (ImageShareAnnounce)
         if len(t0_exps) != channels:
-            raise ValueError(f"need one t0_exp per channel: {len(t0_exps)} vs {channels}")
+            raise ImagePacketError(f"need one t0_exp per channel: {len(t0_exps)} vs {channels}")
+        if levels < 1 or height < 1 or width < 1 or height % (1 << levels) or width % (1 << levels):
+            raise ImagePacketError(f"no {levels}-level pyramid on a {height}x{width} image")
+        if n_packets < 1:
+            raise ImagePacketError(f"n_packets must be >= 1, got {n_packets}")
+        if any(e >= sys.float_info.max_exp for e in t0_exps):
+            raise ImagePacketError(f"threshold exponent out of float range: {max(t0_exps)}")
         self.height = height
         self.width = width
         self.n_channels = channels
@@ -249,11 +250,13 @@ class ReceivedImage:
     def add_packet(self, packet: ImagePacket) -> None:
         """Store one packet; duplicates are idempotent."""
         if packet.total != self.n_packets:
-            raise ValueError(
+            raise ImagePacketError(
                 f"packet advertises {packet.total} packets, expected {self.n_packets}"
             )
         if not (0 <= packet.index < self.n_packets):
-            raise ValueError(f"packet index {packet.index} out of range")
+            raise ImagePacketError(f"packet index {packet.index} out of range")
+        if len(packet.chunks) != self.n_channels:
+            raise ImagePacketError(f"packet carries {len(packet.chunks)} chunk(s), expected {self.n_channels}")
         self._packets[packet.index] = packet
 
     @property
@@ -274,27 +277,26 @@ class ReceivedImage:
         k = self.usable_prefix if k is None else k
         return sum(self._packets[i].n_bits for i in range(k))
 
+    def _prefix_stream(self, channel: int, k: int) -> EzwEncoded:
+        """One channel's stream as carried by the first ``k`` packets."""
+        chunks = [self._packets[i].chunks[channel] for i in range(k)]
+        return EzwEncoded(
+            (self.height, self.width),
+            self.levels,
+            self.t0_exps[channel],
+            b"".join(data for data, _ in chunks),
+            sum(bits for _, bits in chunks),
+        )
+
+    def _stack(self, channels: list[np.ndarray]) -> np.ndarray:
+        return channels[0] if self.n_channels == 1 else np.stack(channels, axis=-1)
+
     def reconstruct(self, max_packets: Optional[int] = None) -> np.ndarray:
         """Decode from the usable prefix (optionally capped)."""
-        k = self.usable_prefix
-        if max_packets is not None:
-            k = min(k, max_packets)
-        # concatenate each channel's chunks across the prefix
-        recon_channels = []
-        for c in range(self.n_channels):
-            data = bytearray()
-            bits = 0
-            for i in range(k):
-                chunk, nbits = self._packets[i].chunks[c]
-                data += chunk
-                bits += nbits
-            enc = EzwEncoded(
-                (self.height, self.width), self.levels, self.t0_exps[c], bytes(data), bits
-            )
-            recon_channels.append(np.clip(decode_image(enc), 0, 255))
-        if self.n_channels == 1:
-            return recon_channels[0]
-        return np.stack(recon_channels, axis=-1)
+        k = self.usable_prefix if max_packets is None else min(self.usable_prefix, max_packets)
+        return self._stack(
+            [np.clip(decode_image(self._prefix_stream(c, k)), 0, 255) for c in range(self.n_channels)]
+        )
 
     def thumbnail(self, scale_levels: int = 2, max_packets: Optional[int] = None) -> np.ndarray:
         """A reduced-resolution view of the current reconstruction.
@@ -304,29 +306,14 @@ class ReceivedImage:
         approximation directly from the wavelet pyramid, paying no
         full-resolution inverse transform.
         """
-        from .ezw import EzwEncoded, ezw_decode
-        from .wavelet import haar_idwt2_partial
-
         k = self.usable_prefix if max_packets is None else min(self.usable_prefix, max_packets)
-        channels = []
-        for c in range(self.n_channels):
-            data = bytearray()
-            bits = 0
-            for i in range(k):
-                chunk, nbits = self._packets[i].chunks[c]
-                data += chunk
-                bits += nbits
-            enc = EzwEncoded(
-                (self.height, self.width), self.levels, self.t0_exps[c], bytes(data), bits
-            )
-            coeffs = ezw_decode(enc)
-            skip = min(scale_levels, self.levels)
-            channels.append(
-                np.clip(haar_idwt2_partial(coeffs, self.levels, skip), 0, 255)
-            )
-        if self.n_channels == 1:
-            return channels[0]
-        return np.stack(channels, axis=-1)
+        skip = min(scale_levels, self.levels)
+        return self._stack(
+            [
+                np.clip(haar_idwt2_partial(ezw_decode(self._prefix_stream(c, k)), self.levels, skip), 0, 255)
+                for c in range(self.n_channels)
+            ]
+        )
 
     def report(self, original: Optional[np.ndarray] = None, max_packets: Optional[int] = None) -> ReceptionReport:
         """Metrics of the current reconstruction (PSNR needs the original)."""

@@ -12,13 +12,21 @@ import random
 import struct
 import warnings
 
+import numpy as np
 import pytest
 
 from repro.analysis.wirefuzz import default_registry
-from repro.core.events import ChatEvent, EventError, decode_event
+from repro.core.events import (
+    ChatEvent,
+    EventError,
+    ImagePacketEvent,
+    ImageShareAnnounce,
+    decode_event,
+)
 from repro.core.framework import CollaborationFramework
 from repro.core.matching import Decision, MatchResult
 from repro.core.selectors import Selector
+from repro.media.images import collaboration_scene
 from repro.media.progressive import ImagePacket, ImagePacketError
 from repro.messaging.broker import Delivery
 from repro.messaging.message import MessageId, SemanticMessage
@@ -69,6 +77,99 @@ class TestImagePackets:
         struct.pack_into(">I", raw, 9, 10_000)
         with pytest.raises(ImagePacketError):
             ImagePacket.from_bytes(bytes(raw))
+
+
+    def test_more_bits_than_bytes_raises(self):
+        raw = bytearray(ImagePacket(index=0, total=1, chunks=((b"ab", 16),)).to_bytes())
+        struct.pack_into(">I", raw, 5, 17)  # the bits field: 17 bits in 2 bytes
+        with pytest.raises(ImagePacketError):
+            ImagePacket.from_bytes(bytes(raw))
+
+    def test_bytes_after_the_last_chunk_raise(self):
+        raw = ImagePacket(index=0, total=1, chunks=((b"ab", 16),)).to_bytes()
+        with pytest.raises(ImagePacketError):
+            ImagePacket.from_bytes(raw + b"\x00")
+
+
+class TestHostileImageShares:
+    """Image events that decode as events but that the viewer must refuse:
+    each is one counted drop at every peer, the scheduler keeps running,
+    and a later well-formed share still reconstructs."""
+
+    #: announce fields no pyramid, packet count or float threshold exists for
+    BAD_GEOMETRY = [
+        dict(levels=0),
+        dict(levels=-1, description="negative depth"),
+        dict(height=63, width=63),
+        dict(height=0),
+        dict(t0_exps=(5000,)),
+        dict(t0_exps=(3, 3), channels=1),
+        dict(n_packets=0),
+    ]
+
+    @pytest.fixture
+    def session(self):
+        fw = CollaborationFramework("t", objective="hostile image shares", seed=0)
+        alice, bob = fw.add_wired_client("alice"), fw.add_wired_client("bob")
+        bs = fw.add_base_station("bs")
+        alice.join()
+        bob.join()
+        fw.run_for(0.5)
+        return fw, alice, bob, bs
+
+    @staticmethod
+    def _share_and_check(fw, alice, bob, image_id):
+        image = collaboration_scene(32, 32, seed=4)
+        alice.share_image(image_id, image)
+        fw.run_for(0.5)
+        want = alice.viewer.shared[image_id].reconstruct(16)
+        np.testing.assert_array_equal(bob.viewer.reconstruct(image_id), want)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"\x00\x01",  # shorter than a packet header
+            ImagePacket(0, 4, ((b"ab", 16),)).to_bytes(),  # advertises another packet count
+            ImagePacket(16, 16, ((b"ab", 16),)).to_bytes(),  # index out of range
+            ImagePacket(0, 16, ((b"ab", 16), (b"cd", 16))).to_bytes(),  # a chunk too many
+        ],
+        ids=["short-header", "other-total", "index-out-of-range", "extra-chunk"],
+    )
+    def test_malformed_packet_of_an_announced_image_is_counted_and_dropped(self, session, payload):
+        fw, alice, bob, bs = session
+        self._share_and_check(fw, alice, bob, "img-1")
+        before = bob.endpoint.wire.decode_failures, bs.endpoint.wire.decode_failures
+        alice._publish_event(ImagePacketEvent(image_id="img-1", packet_index=0, packet_total=16, payload=payload))
+        fw.run_for(0.5)  # raised ImagePacketError out of the scheduler before
+        assert bob.endpoint.wire.decode_failures == before[0] + 1
+        assert bs.endpoint.wire.decode_failures == before[1] + 1
+        self._share_and_check(fw, alice, bob, "img-2")
+
+    @pytest.mark.parametrize("fields", BAD_GEOMETRY, ids=[",".join(f) for f in BAD_GEOMETRY])
+    def test_announce_with_impossible_geometry_is_counted_and_dropped(self, session, fields):
+        fw, alice, bob, bs = session
+        good = dict(image_id="evil", height=32, width=32, channels=1, n_packets=16, levels=4, t0_exps=(11,))
+        before = bob.endpoint.wire.decode_failures, bs.endpoint.wire.decode_failures
+        alice._publish_event(ImageShareAnnounce(**{**good, **fields}))
+        fw.run_for(0.5)
+        assert bob.endpoint.wire.decode_failures == before[0] + 1
+        assert bs.endpoint.wire.decode_failures == before[1] + 1
+        assert "evil" not in bob.viewer.viewed and "evil" not in bs.viewer.viewed
+        self._share_and_check(fw, alice, bob, "img-after")
+
+    def test_malformed_uplink_packet_is_counted_at_the_radio_side(self, session):
+        fw, alice, bob, bs = session
+        mobile = fw.add_wireless_client("mob", bs, distance=20.0)
+        bs.evaluate_qos()
+        bad = ImagePacketEvent(image_id="up", packet_index=0, packet_total=16, payload=b"\x00\x01")
+        announce = ImageShareAnnounce(
+            image_id="up", height=32, width=32, channels=1, n_packets=16, levels=4, t0_exps=(11,)
+        )
+        for event in (announce, bad, ChatEvent(author="mob", text="still here")):
+            mobile.send_event(event)
+        fw.run_for(0.5)
+        assert bs.radio.wire.decode_failures == 1
+        assert any(isinstance(e, ChatEvent) and e.text == "still here" for _, e in bob.events_received)
 
 
 class TestSemanticMessages:

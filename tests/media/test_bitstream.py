@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.media.bitstream import BitReader, BitWriter, OutOfBits
+from .bitstream import BitReader, BitWriter, OutOfBits
 
 
 class TestWriter:

@@ -7,6 +7,7 @@ from repro.media.images import collaboration_scene, to_rgb
 from repro.media.progressive import (
     PACKET_COUNTS,
     ImagePacket,
+    ImagePacketError,
     ProgressiveImage,
     ReceivedImage,
 )
@@ -112,12 +113,36 @@ class TestReceivedImage:
 
     def test_mismatched_total_rejected(self, gray_prog):
         rx = ReceivedImage(64, 64, 1, gray_prog.levels, gray_prog.t0_exps, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ImagePacketError):
             rx.add_packet(gray_prog.packets()[0])
 
     def test_channel_count_validation(self, gray_prog):
-        with pytest.raises(ValueError):
+        with pytest.raises(ImagePacketError):
             ReceivedImage(64, 64, 3, gray_prog.levels, gray_prog.t0_exps, 16)
+
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            dict(levels=0),
+            dict(levels=-1),
+            dict(height=63, width=63),
+            dict(width=0),
+            dict(t0_exps=(5000,)),
+            dict(n_packets=0),
+        ],
+        ids=",".join,
+    )
+    def test_wire_supplied_geometry_is_checked_at_construction(self, geometry):
+        # each of these used to surface only at reconstruct(), as IndexError,
+        # "negative shift count", a numpy reshape error or OverflowError
+        good = dict(height=64, width=64, channels=1, levels=5, t0_exps=(12,), n_packets=16)
+        with pytest.raises(ImagePacketError):
+            ReceivedImage(**{**good, **geometry})
+
+    def test_packet_with_the_wrong_chunk_count_rejected(self, gray_prog, color_prog):
+        rx = ReceivedImage(64, 64, 1, gray_prog.levels, gray_prog.t0_exps, 16)
+        with pytest.raises(ImagePacketError):
+            rx.add_packet(color_prog.packets()[0])
 
     def test_color_reception(self, color_prog):
         img = color_prog.image
