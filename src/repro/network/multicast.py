@@ -28,6 +28,7 @@ membership is a network-layer concern (IGMP), not an end-host table.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import TYPE_CHECKING, Callable, Optional
 
 from .simnet import Address, Network, NetworkError, Packet
@@ -59,27 +60,32 @@ class MulticastGroup:
         self.group = group
         self.port = port
         self.fabric = fabric
-        self._members: dict[tuple[Address, int], "MulticastSocket"] = {}
+        #: (host, port) of every joined socket, kept sorted (read on every send)
+        self._members: list[tuple[Address, int]] = []
         if fabric is not None:
             fabric.create_group(group)
 
     def join(self, sock: "MulticastSocket") -> None:
         key = (sock.host, sock.local_port)
-        if key in self._members:
+        at = bisect_left(self._members, key)
+        if self._members[at : at + 1] == [key]:
             raise NetworkError(f"{key} already joined {self.group}")
-        self._members[key] = sock
         if self.fabric is not None:
-            self.fabric.join(self.group, sock.host)
+            self.fabric.join(self.group, sock.host)  # raises for an unattached host
+        self._members.insert(at, key)
 
     def leave(self, sock: "MulticastSocket") -> None:
         key = (sock.host, sock.local_port)
-        if self._members.pop(key, None) is not None and self.fabric is not None:
-            self.fabric.leave(self.group, sock.host)
+        at = bisect_left(self._members, key)
+        if self._members[at : at + 1] == [key]:
+            del self._members[at]
+            if self.fabric is not None:
+                self.fabric.leave(self.group, sock.host)
 
     @property
     def members(self) -> list[tuple[Address, int]]:
         """Current members as (host, port) pairs, sorted for determinism."""
-        return sorted(self._members)
+        return list(self._members)
 
     def fan_out(self, data: bytes, sender: "MulticastSocket", loopback: bool) -> int:
         """Deliver ``data`` to every member; returns datagrams scheduled.
@@ -90,7 +96,7 @@ class MulticastGroup:
         send over a tree.
         """
         me = (sender.host, sender.local_port)
-        targets = [key for key in self.members if loopback or key != me]
+        targets = [key for key in self._members if loopback or key != me]
         if self.fabric is None:
             return sum(sender._sock.sendto(data, key) for key in targets)
         packet = Packet(sender.host, sender.local_port, self.group, self.port, bytes(data))
@@ -140,7 +146,11 @@ class MulticastSocket:
         self._sock.on_receive = self._dispatch
         self.on_receive = on_receive
         self._closed = False
-        group.join(self)
+        try:
+            group.join(self)
+        except NetworkError:
+            self._sock.close()  # a refused join must not keep the port bound
+            raise
 
     @property
     def local_port(self) -> int:

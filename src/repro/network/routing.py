@@ -9,7 +9,7 @@ distribution-tree maintenance in GDP-style multicast simulators:
 * :class:`Router` — a fabric node (backed by an ordinary
   :class:`~repro.network.simnet.Node`): :meth:`Router.rib_lookup`
   answers "which neighbors continue this group's tree from here" as a
-  view of the group's current tree adjacency.
+  view of the group's two layers (below).
 * :class:`TrustDomain` — an administrative grouping of routers with a
   designated root; domains nest through their roots' parents, giving the
   fabric the hierarchy that anchors (LCA) are computed over.
@@ -19,6 +19,13 @@ distribution-tree maintenance in GDP-style multicast simulators:
   LCA), and per-group distribution trees: the anchor's shortest-path
   tree over live router links (:meth:`Network.shortest_paths`), pruned
   to the branches that reach a member's access router.
+
+**Two layers.**  A group's tree is kept as a *membership index* (access
+router -> its member hosts, plus the members whose access link is down),
+which ``join`` / ``leave`` / an access-link flap edit in place, and a
+*router skeleton* (router-router edges), which is all a rebuild derives,
+from the occupied access routers alone and never from the member list.
+The shortest-path tree per root is cached until the next topology event.
 
 **Data plane.**  A group send builds (or reuses — plans are LRU-cached
 per ``(group, sender)`` and invalidated by tree epoch) a
@@ -40,6 +47,7 @@ canonical anchor.
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
@@ -78,35 +86,43 @@ class Router:
     def rib_lookup(self, group: str) -> tuple[Address, ...]:
         """Next hops continuing ``group``'s tree from this router.
 
-        Read straight from the group's tree adjacency, which every
-        graft, prune, or repair replaces wholesale — there is no
-        per-router copy to go stale.
+        Merged on demand from the group's skeleton links and this
+        router's live member hosts — there is no per-router copy to go
+        stale.
         """
-        return self.fabric._group(group).adjacency.get(self.name, ())
+        return self.fabric._next_hops(self.fabric._group(group), self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"Router({self.name!r}, domain={self.domain!r}, parent={self.parent!r})"
 
 
 class _GroupState:
-    """Per-group tree state: membership refcounts, anchor, edges, epoch."""
+    """Per-group tree state: membership index, anchor, skeleton, epoch."""
 
-    __slots__ = ("addr", "refs", "anchor", "edges", "adjacency", "epoch", "degraded")
+    __slots__ = ("addr", "refs", "by_router", "dark", "anchor", "skeleton", "links", "partitioned", "epoch")
 
     def __init__(self, addr: str) -> None:
         self.addr = addr
         #: member host -> join refcount (several sockets may share a host)
         self.refs: dict[Address, int] = {}
+        #: access router -> its member hosts, in name order
+        self.by_router: dict[Address, list[Address]] = {}
+        #: members whose access link is down or gone (off-tree)
+        self.dark: set[Address] = set()
         self.anchor: Optional[Address] = None
-        #: undirected tree edges as frozensets (router-router, router-host)
-        self.edges: frozenset = frozenset()
-        #: node -> sorted tuple of tree neighbors (the RIB's ground truth)
-        self.adjacency: dict[Address, tuple[Address, ...]] = {}
+        #: undirected router-router tree edges as frozensets
+        self.skeleton: frozenset = frozenset()
+        #: router -> sorted tuple of its skeleton neighbors
+        self.links: dict[Address, tuple[Address, ...]] = {}
+        #: True when some occupied access router cannot reach the anchor
+        self.partitioned: bool = False
         #: bumped on every rebuild; validates cached cast plans
         self.epoch: int = 0
-        #: True when some member is off-tree (partition / access link
-        #: down) — such groups rebuild again on the next link heal
-        self.degraded: bool = False
+
+    @property
+    def degraded(self) -> bool:
+        """Some member is off-tree: rebuild again on the next link heal."""
+        return self.partitioned or bool(self.dark)
 
 
 class MulticastFabric:
@@ -127,6 +143,11 @@ class MulticastFabric:
         #: host -> its access router
         self._access: dict[Address, Address] = {}
         self._groups: dict[str, _GroupState] = {}
+        #: root router -> predecessor map over the routers; emptied on every
+        #: topology event (a new router enters a tree only through a new link)
+        self._trees: dict[Address, dict[Address, Optional[Address]]] = {}
+        #: router -> hierarchy chain, top-level root first (parents are fixed)
+        self._chains: dict[Address, list[Address]] = {}
         self._plan_cache: LruCache = LruCache(Network.DEFAULT_PLAN_CACHE)
         # telemetry (deterministic)
         self.grafts = 0
@@ -220,11 +241,16 @@ class MulticastFabric:
 
     def join(self, addr: str, host: Address) -> None:
         """Graft ``host`` onto the group's tree (refcounted per host)."""
-        self.access_router(host)  # validates attachment
+        router = self.access_router(host)  # validates attachment
         self.create_group(addr)
         state = self._groups[addr]
         state.refs[host] = state.refs.get(host, 0) + 1
         if state.refs[host] == 1:
+            insort(state.by_router.setdefault(router, []), host)
+            if self._access_link_up(host):
+                self.grafts += 1
+            else:
+                state.dark.add(host)
             self._rebuild(state)
 
     def leave(self, addr: str, host: Address) -> None:
@@ -235,6 +261,14 @@ class MulticastFabric:
         state.refs[host] -= 1
         if state.refs[host] <= 0:
             del state.refs[host]
+            hosts = state.by_router[self._access[host]]
+            hosts.remove(host)
+            if not hosts:
+                del state.by_router[self._access[host]]
+            if host in state.dark:
+                state.dark.remove(host)
+            else:
+                self.prunes += 1
             self._rebuild(state)
 
     def members(self, addr: str) -> list[Address]:
@@ -244,7 +278,13 @@ class MulticastFabric:
 
     def group_edges(self, addr: str) -> frozenset:
         """The group's current tree edges (frozensets of endpoints)."""
-        return self._group(addr).edges
+        state = self._group(addr)
+        return state.skeleton | {
+            frozenset((host, router))
+            for router, hosts in state.by_router.items()
+            for host in hosts
+            if host not in state.dark
+        }
 
     def anchor(self, addr: str) -> Optional[Address]:
         """The group's anchor (LCA) router, or None with no members."""
@@ -259,27 +299,26 @@ class MulticastFabric:
     # ------------------------------------------------------------------
     # anchor election (LCA over the domain/router hierarchy)
     # ------------------------------------------------------------------
-    def _ancestry(self, router: Address) -> list[Address]:
-        """Hierarchy chain from ``router`` up to its top-level root."""
-        chain = [router]
-        seen = {router}
-        cur = self.routers[router].parent
-        while cur is not None:
-            if cur in seen:  # defensive: malformed hierarchy
-                raise RoutingError(f"hierarchy cycle through {cur!r}")
-            chain.append(cur)
-            seen.add(cur)
-            cur = self.routers[cur].parent
+    def _chain(self, router: Address) -> list[Address]:
+        """Hierarchy chain from the top-level root down to ``router``."""
+        chain = self._chains.get(router)
+        if chain is None:
+            chain = [router]
+            cur = self.routers[router].parent
+            while cur is not None:
+                if cur in chain:  # defensive: malformed hierarchy
+                    raise RoutingError(f"hierarchy cycle through {cur!r}")
+                chain.append(cur)
+                cur = self.routers[cur].parent
+            chain.reverse()
+            self._chains[router] = chain
         return chain
 
     def _lca(self, routers: Iterable[Address]) -> Optional[Address]:
         """Lowest common ancestor of ``routers`` in the hierarchy forest."""
-        names = sorted(set(routers))
-        if not names:
-            return None
         common: Optional[list[Address]] = None
-        for name in names:
-            chain = list(reversed(self._ancestry(name)))  # root .. router
+        for name in routers:
+            chain = self._chain(name)
             if common is None:
                 common = chain
                 continue
@@ -291,7 +330,6 @@ class MulticastFabric:
             common = common[:keep]
             if not common:
                 return None  # disjoint hierarchies
-        assert common is not None
         return common[-1] if common else None
 
     # ------------------------------------------------------------------
@@ -305,115 +343,131 @@ class MulticastFabric:
             return False
 
     def _rebuild(self, state: _GroupState) -> None:
-        """Recompute the group tree: anchor, edges, adjacency, epoch.
+        """Re-elect the anchor and re-derive the router skeleton; bump epoch.
 
-        Each live component holding a member access router gets one
-        shortest-path tree (:meth:`Network.shortest_paths` over router
-        links) rooted at its sub-anchor — the group anchor where
-        reachable, else the component-local LCA when it lies inside,
-        else the shallowest member access router — and every member
-        router is grafted by walking its predecessor chain up to the
-        first router already on the tree, so intra-partition traffic
-        still flows and the edges always form a tree.  At most two
-        traversals per component: one from the first unassigned member
-        router (its key set *is* the component), one more from the
-        sub-anchor when that is a different router.  The group is marked
-        ``degraded`` whenever any member is off the anchor's component,
-        which re-triggers a rebuild on the next link heal.
+        A rebuild reads only the occupied access routers
+        (``sorted(state.by_router)``) — host edges are the membership
+        index's business, booked by whoever adds or removes one.  Each
+        live component holding an occupied access router gets one
+        shortest-path tree rooted at its sub-anchor — the group anchor
+        where reachable, else the component-local LCA when it lies
+        inside, else the shallowest occupied access router — and every
+        such router is grafted by walking its predecessor chain up to
+        the first router already on the tree, so intra-partition traffic
+        still flows and the skeleton is always a forest.  The predecessor
+        maps come from :meth:`_tree`, cached per root until the next
+        topology event: at most two traversals per component per
+        topology change, none in a steady topology.  ``partitioned`` is
+        set whenever a component cannot reach the anchor, which (like a
+        dark member) re-triggers a rebuild on the next link heal.
         """
         self.rebuilds += 1
-        hosts = sorted(state.refs)
-        old_edges = state.edges
         # --- anchor election (LCA transfer on membership change) -------
-        access = {h: self._access[h] for h in hosts}
-        acc_routers = sorted(set(access.values()))
+        acc_routers = sorted(state.by_router)
         anchor = self._lca(acc_routers)
         if anchor is None and acc_routers:
             anchor = min(acc_routers, key=lambda r: (self.routers[r].depth, r))
-        if anchor != state.anchor and hosts:
-            if state.anchor is not None and anchor is not None:
-                self.lca_transfers += 1
-            state.anchor = anchor
-        elif not hosts:
-            state.anchor = None
-        # --- per-component tree edges -----------------------------------
+        if state.anchor is not None and anchor is not None and anchor != state.anchor:
+            self.lca_transfers += 1
+        state.anchor = anchor
+        # --- per-component skeleton edges -------------------------------
         edges: set[frozenset] = set()
-        degraded = False
+        links: dict[Address, list[Address]] = {}
+        partitioned = False
         unassigned = acc_routers
         while unassigned:
             start = unassigned[0]
-            prev = self.network.shortest_paths(start, within=self.routers)
+            prev = self._tree(start)
             comp_members = [r for r in unassigned if r in prev]
             unassigned = [r for r in unassigned if r not in prev]
-            if state.anchor in prev:
-                sub_anchor = state.anchor
-            else:
-                degraded = True  # anchor unreachable: partition sub-tree
-                candidate = self._lca(comp_members)
-                if candidate is None or candidate not in prev:
-                    candidate = min(
-                        comp_members, key=lambda r: (self.routers[r].depth, r)
-                    )
-                sub_anchor = candidate
+            sub_anchor = anchor if anchor in prev else None
+            if sub_anchor is None:
+                partitioned = True  # anchor unreachable: partition sub-tree
+                sub_anchor = self._lca(comp_members)
+                if sub_anchor is None or sub_anchor not in prev:
+                    sub_anchor = min(comp_members, key=lambda r: (self.routers[r].depth, r))
             if sub_anchor != start:
-                prev = self.network.shortest_paths(sub_anchor, within=self.routers)
+                prev = self._tree(sub_anchor)
             on_tree = {sub_anchor}
             for node in comp_members:
                 while node not in on_tree:
                     on_tree.add(node)
-                    edges.add(frozenset((node, prev[node])))
-                    node = prev[node]
-        # --- access edges ------------------------------------------------
-        for host in hosts:
-            if self._access_link_up(host):
-                edges.add(frozenset((host, access[host])))
-            else:
-                degraded = True
+                    up = prev[node]
+                    assert up is not None  # only the sub-anchor maps to None, and it is on the tree
+                    edges.add(frozenset((node, up)))
+                    links.setdefault(node, []).append(up)
+                    links.setdefault(up, []).append(node)
+                    node = up
         # --- commit ------------------------------------------------------
-        new_edges = frozenset(edges)
-        added = len(new_edges - old_edges)
-        removed = len(old_edges - new_edges)
-        self.grafts += added
-        self.prunes += removed
-        state.edges = new_edges
-        adjacency: dict[Address, list[Address]] = {}
-        for edge in new_edges:
-            u, v = sorted(edge)
-            adjacency.setdefault(u, []).append(v)
-            adjacency.setdefault(v, []).append(u)
-        state.adjacency = {
-            node: tuple(sorted(peers)) for node, peers in sorted(adjacency.items())
-        }
-        state.degraded = degraded
+        skeleton = frozenset(edges)
+        self.grafts += len(skeleton - state.skeleton)
+        self.prunes += len(state.skeleton - skeleton)
+        state.skeleton = skeleton
+        state.links = {node: tuple(sorted(peers)) for node, peers in links.items()}
+        state.partitioned = partitioned
         state.epoch += 1
 
+    def _tree(self, root: Address) -> dict[Address, Optional[Address]]:
+        """Shortest-path predecessor map from ``root`` over live router links."""
+        prev = self._trees.get(root)
+        if prev is None:
+            prev = self._trees[root] = self.network.shortest_paths(root, within=self.routers)
+        return prev
+
     def _on_topology(self, a: Address, b: Address, up: bool) -> None:
-        """Network topology-change hook: repair affected group trees."""
+        """Network topology-change hook: repair affected group trees.
+
+        A heal can only improve connectivity, so only degraded trees
+        (somebody off-tree) re-merge on one; a cut matters when it hits
+        a skeleton edge or a live member's access edge.
+        """
+        self._trees.clear()
         key = frozenset((a, b))
         for addr in sorted(self._groups):
             state = self._groups[addr]
             if not state.refs:
                 continue
-            if up:
-                # a heal can only improve connectivity; only degraded
-                # trees (somebody off-tree) need re-merging
-                if state.degraded:
-                    self.repairs += 1
-                    self._rebuild(state)
-            elif key in state.edges:
+            repair = state.degraded if up else key in state.skeleton
+            for host, router in ((a, b), (b, a)):
+                if (
+                    host in state.refs
+                    and self._access[host] == router
+                    and self._access_link_up(host) == (host in state.dark)
+                ):
+                    repair = True  # a member's access edge changed state
+                    if host in state.dark:
+                        state.dark.remove(host)
+                        self.grafts += 1
+                    else:
+                        state.dark.add(host)
+                        self.prunes += 1
+            if repair:
                 self.repairs += 1
                 self._rebuild(state)
 
     # ------------------------------------------------------------------
     # data plane
     # ------------------------------------------------------------------
+    def _next_hops(self, state: _GroupState, node: Address) -> tuple[Address, ...]:
+        """``node``'s tree neighbors in name order, merged from the two layers."""
+        if node in state.refs:  # a member host is a leaf on its access router
+            return () if node in state.dark else (self._access[node],)
+        links = state.links.get(node, ())
+        hosts = state.by_router.get(node)
+        if not hosts:
+            return links
+        if state.dark:
+            hosts = [h for h in hosts if h not in state.dark]
+        return tuple(sorted([*links, *hosts]))
+
     def plan(self, addr: str, root: Address) -> CastPlan:
         """The cast plan for a send by ``root`` — cached per tree epoch.
 
-        Built by walking the tree adjacency (what :meth:`Router.rib_lookup`
-        answers from) outward from the sender's host, emitting edges
+        Built by walking the tree (what :meth:`Router.rib_lookup` answers
+        from) outward from the sender's host, emitting edges
         parent-before-child; the walk only ever touches the sender's side
         of a partitioned tree, exactly like a real replication would.
+        Member hosts are leaves, so only routers are expanded further.
         """
         state = self._group(addr)
         entry = self._plan_cache.get((addr, root))
@@ -423,15 +477,17 @@ class MulticastFabric:
         edges: list[tuple[Address, Address]] = []
         visited = {root}
         frontier = [root]
+        routers = self.routers
         while frontier:
             nxt = []
             for node in frontier:
-                for hop in state.adjacency.get(node, ()):
+                for hop in self._next_hops(state, node):
                     if hop in visited:
                         continue
-                    visited.add(hop)
                     edges.append((node, hop))
-                    nxt.append(hop)
+                    if hop in routers:
+                        visited.add(hop)
+                        nxt.append(hop)
             frontier = nxt
         built = CastPlan(root, tuple(edges))
         self._plan_cache.put((addr, root), (state.epoch, built))

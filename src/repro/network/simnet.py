@@ -16,6 +16,7 @@ the SNMP agent exports (``ifInOctets``-style octet counts).
 from __future__ import annotations
 
 import heapq
+import math
 from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -223,7 +224,7 @@ class Link:
         Returns the absolute time the packet finishes the link (including
         propagation + jitter).
         """
-        ser = 0.0 if self.bandwidth == float("inf") else size / self.bandwidth
+        ser = 0.0 if self.bandwidth == math.inf else size / self.bandwidth
         start = max(now, self._busy_until.get(src, 0.0))
         self._busy_until[src] = start + ser
         delay = self.latency
@@ -477,7 +478,7 @@ class Network:
                 if not edge.up:
                     continue
                 nd = d + edge.latency
-                if nd < dist.get(v, float("inf")):
+                if nd < dist.get(v, math.inf):
                     dist[v] = nd
                     prev[v] = u
                     heapq.heappush(heap, (nd, v))

@@ -8,12 +8,17 @@ checked against the static lock graph, and the session FAILS if any
 lock-order inversion was observed — the dynamic half of the DLK001
 contract (see ``repro.analysis.sanitizer``).
 
-Without the env var this file is inert.
+Without the env var that half of this file is inert.  The other half
+registers the hypothesis profile CI's deep oracle steps load with
+``--hypothesis-profile=deep``.
 """
 
 import os
 
 import pytest
+from hypothesis import settings
+
+settings.register_profile("deep", max_examples=400, stateful_step_count=60, deadline=None)
 
 
 def _sanitizing() -> bool:

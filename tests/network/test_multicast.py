@@ -187,3 +187,24 @@ class TestFabricBackedGroup:
         assert frozenset(("a", "r1")) in fab.group_edges("239.1.2.3")
         s2.leave()
         assert frozenset(("a", "r1")) not in fab.group_edges("239.1.2.3")
+
+    def test_refused_join_leaves_no_ghost_member(self, tree):
+        """A host that is not attached to the fabric cannot join — and must
+        leave nothing behind: no group entry, no bound port, no lost copy."""
+        from repro.network.routing import RoutingError
+
+        net, fab, group = tree
+        got = []
+        socks = [make_member(net, group, h, got) for h in ("a", "b", "c")]
+        net.add_node("stray")  # on the network, never attach_host()-ed
+        net.add_link("stray", "r2")
+        members = group.members
+        with pytest.raises(RoutingError):
+            MulticastSocket(net, "stray", group)
+        assert group.members == members
+        assert fab.members("239.1.2.3") == ["a", "b", "c"]
+        assert not net.node("stray")._port_handlers  # the ephemeral port was released
+        assert socks[0].send(b"ev") == 2
+        net.scheduler.run()
+        assert sorted(got) == [("b", b"ev"), ("c", b"ev")]
+        assert net.packets_dropped == 0

@@ -7,12 +7,17 @@ properties pin fast == reference:
 
 (a) ``route`` returns the reference's link list for every pair, ties
     included, under random flaps;
-(b) where shortest paths are unique, a fabric and a reference fabric
-    driven through the same joins / leaves / flaps agree on edges,
-    anchor, adjacency, degraded flag and every counter after each step;
-(c) where latencies tie, the new construction may pick different edges
-    but they always form a tree per live component, spanning its member
-    access routers, with every member at its shortest live latency.
+(b) where shortest paths are unique, a fabric, the whole-tree oracle and
+    the per-member oracle driven through the same joins / leaves / flaps
+    agree on everything the public surface shows (edges, anchor, members,
+    RIBs, cast plans, degraded flag, epoch, every counter) after each step;
+(c) where latencies tie, the whole-tree constructions may pick different
+    edges than the per-member one, but they always form a tree per live
+    component, spanning its member access routers, with every member at
+    its shortest live latency.
+
+(The fabric against the whole-tree oracle with ties, mid-run topology
+growth and dark members is :mod:`tests.network.test_fabric_oracle`.)
 """
 
 import json
@@ -27,7 +32,7 @@ from repro.network.clock import Scheduler
 from repro.network.routing import MulticastFabric
 from repro.network.simnet import Network
 
-from .reference_paths import ReferenceFabric, reference_route
+from .reference_paths import PerMemberFabric, ReferenceFabric, observable, reference_route
 
 GROUP = "g"
 
@@ -148,23 +153,20 @@ def _apply(net, fab, links, action):
         net.set_link_up(a, b, not net.link(a, b).up)
 
 
-def _observable(fab):
-    state = fab._group(GROUP)
-    return (state.edges, state.anchor, state.adjacency, state.degraded, fab.stats())
-
-
 @settings(max_examples=80, deadline=None)
 @given(fabrics())
 def test_unique_paths_tree_equals_reference(spec):
     # distinct powers of two: every subset sums differently, so shortest
-    # paths are unique and the two constructions must agree edge for edge
+    # paths are unique and all constructions must agree edge for edge
     unique = lambda i: 2.0 ** (i - 30)  # noqa: E731
-    fast = _build(MulticastFabric, spec, unique)
-    slow = _build(ReferenceFabric, spec, unique)
+    worlds = [_build(cls, spec, unique) for cls in (MulticastFabric, ReferenceFabric, PerMemberFabric)]
+    roots = ["probe"] + [f"h{h}" for h in range(len(spec[3]))]
     for action in spec[-1]:
-        _apply(*fast, action)
-        _apply(*slow, action)
-        assert _observable(fast[1]) == _observable(slow[1])
+        for world in worlds:
+            _apply(*world, action)
+        fast, whole, per_member = (observable(fab, GROUP, roots) for _, fab, _ in worlds)
+        assert fast == whole
+        assert fast == per_member
 
 
 def _router_forest(fab):
@@ -196,7 +198,7 @@ def test_tied_paths_tree_is_a_shortest_path_tree(spec, coin):
     # two exact binary fractions: sums are exact, ties are everywhere
     tied = lambda i: 2.0**-10 if coin[i % 64] else 2.0**-9  # noqa: E731
     net, fab, links = _build(MulticastFabric, spec, tied)
-    ref_net, ref, _ = _build(ReferenceFabric, spec, tied)
+    ref_net, ref, _ = _build(PerMemberFabric, spec, tied)
     for action in spec[-1]:
         _apply(net, fab, links, action)
         _apply(ref_net, ref, links, action)
@@ -248,18 +250,30 @@ def _wide_fabric():
 
 
 def test_rebuild_runs_at_most_two_traversals_per_component():
+    """<= 2 traversals per component per rebuild, each root at most once per
+    topology change, none in a rebuild whose roots the last change already paid for."""
     net, fab = _wide_fabric()
-    for h in range(128):
-        fab.join(GROUP, f"h{h:03d}")
     calls = []
     routine = net.shortest_paths
     net.shortest_paths = lambda *a, **kw: calls.append(a) or routine(*a, **kw)
-    fab.join(GROUP, "h128")  # one rebuild, 16 member access routers, 1 component
-    assert 1 <= len(calls) <= 2
+    for h in range(128):  # the anchor climbs rw0 -> rw -> core0 as routers fill
+        before = len(calls)
+        fab.join(GROUP, f"h{h:03d}")
+        assert len(calls) - before <= 2
+    assert len(calls) == len(set(calls))  # no topology event: no root searched twice
     del calls[:]
+    for h in range(0, 128, 3):  # steady churn: 16 occupied access routers, 1 component
+        fab.leave(GROUP, f"h{h:03d}")
+        fab.join(GROUP, f"h{h:03d}")
+    fab.join(GROUP, "h128")
+    assert fab.rebuilds == 128 + 2 * 43 + 1
+    assert calls == []
     net.set_link_up("re", "core0", False)  # one repair, now 2 components
     assert fab.repairs == 1
     assert 2 <= len(calls) <= 4
+    del calls[:]
+    fab.leave(GROUP, "h128")  # still partitioned, still no topology event
+    assert calls == []
 
 
 _TIED_SCRIPT = """
