@@ -15,10 +15,9 @@ timestamp.
 
 from __future__ import annotations
 
-import heapq
 import itertools
-import math
-from dataclasses import dataclass, field
+from heapq import heappop, heappush
+from math import isfinite
 from typing import Any, Callable, Optional
 
 __all__ = ["SimClock", "Event", "Scheduler", "SimulationError"]
@@ -54,7 +53,6 @@ class SimClock:
         return f"SimClock(now={self._now:.6f})"
 
 
-@dataclass(order=False)
 class Event:
     """A scheduled callback.
 
@@ -62,15 +60,35 @@ class Event:
     :meth:`Scheduler.call_after` and may be cancelled before they fire.
     """
 
-    time: float
-    seq: int
-    callback: Callable[..., Any]
-    args: tuple = ()
-    cancelled: bool = field(default=False, compare=False)
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_scheduler")
+
+    def __init__(
+        self,
+        time: float,
+        seq: int,
+        callback: Callable[..., Any],
+        args: tuple = (),
+        scheduler: Optional["Scheduler"] = None,
+    ) -> None:
+        self.time = time
+        self.seq = seq
+        self.callback = callback
+        self.args = args
+        self.cancelled = False
+        #: the scheduler whose queue still holds this event; ``None`` once
+        #: it fired, was skipped, or was cancelled (see :meth:`cancel`)
+        self._scheduler = scheduler
 
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
         self.cancelled = True
+        scheduler = self._scheduler
+        if scheduler is not None:  # still queued: leaves ``pending`` exactly once
+            self._scheduler = None
+            scheduler._cancelled_queued += 1
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"Event(time={self.time!r}, seq={self.seq!r}, cancelled={self.cancelled!r})"
 
 
 class Scheduler:
@@ -93,21 +111,22 @@ class Scheduler:
         self.clock = SimClock(start)
         self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
-        self._running = False
+        #: cancelled events the heap still holds (they leave it lazily)
+        self._cancelled_queued = 0
 
     # ------------------------------------------------------------------
     # scheduling
     # ------------------------------------------------------------------
     def call_at(self, t: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``t``."""
-        if not math.isfinite(t):
+        if not isfinite(t):
             raise SimulationError(f"event time must be finite, got {t}")
-        if t < self.clock.now:
-            raise SimulationError(
-                f"cannot schedule in the past: {t} < now={self.clock.now}"
-            )
-        ev = Event(time=t, seq=next(self._counter), callback=callback, args=args)
-        heapq.heappush(self._heap, (ev.time, ev.seq, ev))
+        now = self.clock._now
+        if t < now:
+            raise SimulationError(f"cannot schedule in the past: {t} < now={now}")
+        seq = next(self._counter)
+        ev = Event(t, seq, callback, args, self)
+        heappush(self._heap, (t, seq, ev))
         return ev
 
     def call_after(self, delay: float, callback: Callable[..., Any], *args: Any) -> Event:
@@ -122,18 +141,24 @@ class Scheduler:
     @property
     def pending(self) -> int:
         """Number of not-yet-cancelled events still queued."""
-        return sum(1 for _, _, ev in self._heap if not ev.cancelled)
+        return len(self._heap) - self._cancelled_queued
 
     def step(self) -> bool:
         """Dispatch the single earliest pending event.
 
         Returns ``True`` if an event fired, ``False`` if the queue was empty.
         """
-        while self._heap:
-            _, _, ev = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            t, _, ev = heappop(heap)
             if ev.cancelled:
+                self._cancelled_queued -= 1
                 continue
-            self.clock._advance_to(ev.time)
+            ev._scheduler = None  # fired: a late cancel() must not count
+            clock = self.clock
+            if t < clock._now:
+                clock._advance_to(t)  # raises: the clock cannot move backwards
+            clock._now = t
             ev.callback(*ev.args)
             return True
         return False
@@ -143,7 +168,7 @@ class Scheduler:
         n = 0
         while self.step():
             n += 1
-            if n >= max_events:
+            if n >= max_events and self.pending:
                 raise SimulationError(f"exceeded max_events={max_events}; runaway simulation?")
         return n
 
@@ -152,19 +177,24 @@ class Scheduler:
 
         Events scheduled beyond ``t`` stay queued.
         """
+        heap = self._heap
+        step = self.step
         n = 0
-        while self._heap:
-            time_next, _, ev = self._heap[0]
+        while heap:
+            time_next, _, ev = heap[0]
             if ev.cancelled:
-                heapq.heappop(self._heap)
+                heappop(heap)
+                self._cancelled_queued -= 1
                 continue
             if time_next > t:
                 break
-            self.step()
-            n += 1
-            if n >= max_events:
+            if n >= max_events:  # only a further due event is a runaway
                 raise SimulationError(f"exceeded max_events={max_events}")
-        self.clock._advance_to(max(self.clock.now, t))
+            step()
+            n += 1
+        clock = self.clock
+        if t > clock._now:
+            clock._now = t
         return n
 
     def run_for(self, duration: float, max_events: int = 10_000_000) -> int:

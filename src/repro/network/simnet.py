@@ -15,11 +15,11 @@ the SNMP agent exports (``ifInOctets``-style octet counts).
 
 from __future__ import annotations
 
-import heapq
-import math
 from bisect import insort
 from collections import OrderedDict
 from dataclasses import dataclass
+from heapq import heappop, heappush
+from math import inf
 from typing import TYPE_CHECKING, Callable, Container, Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -111,7 +111,7 @@ class LruCache:
         return key in self._data
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A datagram in flight.
 
@@ -224,8 +224,10 @@ class Link:
         Returns the absolute time the packet finishes the link (including
         propagation + jitter).
         """
-        ser = 0.0 if self.bandwidth == math.inf else size / self.bandwidth
-        start = max(now, self._busy_until.get(src, 0.0))
+        ser = 0.0 if self.bandwidth == inf else size / self.bandwidth
+        start = self._busy_until.get(src, 0.0)
+        if not start > now:  # transmitter idle: max(now, busy) without the call
+            start = now
         self._busy_until[src] = start + ser
         delay = self.latency
         if self.jitter > 0.0:
@@ -310,7 +312,10 @@ class Network:
         self.scheduler = scheduler
         self.rng = np.random.default_rng(seed)
         self._nodes: dict[Address, Node] = {}
-        self._links: dict[frozenset, Link] = {}
+        #: the one link table: ``(a, b)`` and ``(b, a)`` both map to the
+        #: link, so a lookup by ordered pair (a plan edge, a relaxed edge)
+        #: allocates nothing
+        self._links: dict[tuple[Address, Address], Link] = {}
         #: node -> neighbor names, kept in name order by add/remove_link so
         #: the path walk visits them deterministically without sorting
         self._adj: dict[Address, list[Address]] = {}
@@ -370,11 +375,10 @@ class Network:
             raise NetworkError(f"both endpoints must exist: {a!r}, {b!r}")
         if a == b:
             raise NetworkError("self-links are not allowed")
-        key = frozenset((a, b))
-        if key in self._links:
+        if (a, b) in self._links:
             raise NetworkError(f"link {a!r}-{b!r} already exists")
         link = Link(a, b, **kwargs)
-        self._links[key] = link
+        self._links[a, b] = self._links[b, a] = link
         insort(self._adj[a], b)
         insort(self._adj[b], a)
         self._route_cache.clear()
@@ -383,10 +387,9 @@ class Network:
 
     def remove_link(self, a: Address, b: Address) -> None:
         """Tear down a link (models partition / roaming disconnect)."""
-        key = frozenset((a, b))
-        if key not in self._links:
+        if (a, b) not in self._links:
             raise NetworkError(f"no link {a!r}-{b!r}")
-        del self._links[key]
+        del self._links[a, b], self._links[b, a]
         self._adj[a].remove(b)
         self._adj[b].remove(a)
         self._route_cache.clear()
@@ -426,7 +429,7 @@ class Network:
     def link(self, a: Address, b: Address) -> Link:
         """Look up the link between two adjacent nodes."""
         try:
-            return self._links[frozenset((a, b))]
+            return self._links[a, b]
         except KeyError:
             raise NetworkError(f"no link {a!r}-{b!r}") from None
 
@@ -438,7 +441,7 @@ class Network:
     @property
     def links(self) -> list[Link]:
         """All links (order deterministic by endpoint names)."""
-        return [self._links[k] for k in sorted(self._links, key=sorted)]
+        return [self._links[k] for k in sorted(k for k in self._links if k[0] < k[1])]
 
     # ------------------------------------------------------------------
     # routing
@@ -464,8 +467,9 @@ class Network:
         prev: dict[Address, Optional[Address]] = {src: None}
         heap: list[tuple[float, Address]] = [(0.0, src)]
         visited: set[Address] = set()
+        links = self._links
         while heap:
-            d, u = heapq.heappop(heap)
+            d, u = heappop(heap)
             if u in visited:
                 continue
             visited.add(u)
@@ -474,14 +478,14 @@ class Network:
             for v in self._adj[u]:
                 if within is not None and v not in within:
                     continue
-                edge = self._links[frozenset((u, v))]
+                edge = links[u, v]
                 if not edge.up:
                     continue
                 nd = d + edge.latency
-                if nd < dist.get(v, math.inf):
+                if nd < dist.get(v, inf):
                     dist[v] = nd
                     prev[v] = u
-                    heapq.heappush(heap, (nd, v))
+                    heappush(heap, (nd, v))
         return prev
 
     def route(self, src: Address, dst: Address) -> Optional[list[Link]]:
@@ -504,7 +508,7 @@ class Network:
             path = []
             cur = dst
             while (p := prev[cur]) is not None:
-                path.append(self._links[frozenset((p, cur))])
+                path.append(self._links[p, cur])
                 cur = p
             path.reverse()
         self._route_cache.put((src, dst), path)
@@ -522,11 +526,12 @@ class Network:
         simplicity; the delay of a dropped packet is irrelevant to any
         observer.
         """
-        hops: list[tuple[Address, Link]] = []
+        hops: list[tuple[Address, Address, Link]] = []
         node = packet.src
         for link in self.route(node, packet.dst) or ():
-            hops.append((node, link))
-            node = link.other(node)
+            child = link.other(node)
+            hops.append((node, child, link))
+            node = child
         return self._transmit(packet.src, packet.size, hops, (packet,)) == 1
 
     def cast(
@@ -552,12 +557,8 @@ class Network:
         own host when absent from the plan) are drops.  Returns the
         number of targets scheduled for delivery.
         """
-        links = self._links
-        hops = [
-            (parent, link)
-            for parent, child in plan.edges
-            if (link := links.get(frozenset((parent, child)))) is not None
-        ]
+        get = self._links.get
+        hops = [(e[0], e[1], link) for e in plan.edges if (link := get(e)) is not None]
         src, src_port, payload = packet.src, packet.src_port, packet.payload
         copies = [Packet(src, src_port, host, port, payload) for host, port in targets]
         return self._transmit(plan.root, packet.size, hops, copies)
@@ -566,12 +567,12 @@ class Network:
         self,
         root: Address,
         size: int,
-        hops: Iterable[tuple[Address, Link]],
+        hops: Iterable[tuple[Address, Address, Link]],
         copies: Iterable[Packet],
     ) -> int:
         """The one delivery primitive behind :meth:`send` and :meth:`cast`.
 
-        ``hops`` are ``(parent, link)`` pairs ordered parent-before-child
+        ``hops`` are ``(parent, child, link)`` ordered parent-before-child
         outward from ``root`` — a chain for unicast, a tree for a cast —
         and ``copies`` are the logical datagrams of ``size`` bytes, one
         per target, already addressed.  Phase one carries the bytes over
@@ -584,60 +585,69 @@ class Network:
         current instant and never shown to the fault interceptor.
         Returns the number of copies scheduled.
         """
-        now = self.scheduler.clock.now
-        arrival: dict[Address, float] = {root: now}
+        scheduler = self.scheduler
+        rng = self.rng
+        arrival: dict[Address, float] = {root: scheduler.clock.now}
         via: dict[Address, Link] = {}  # last hop into each reached node
-        for parent, link in hops:
+        for parent, child, link in hops:
             t = arrival.get(parent)
             if t is None or not link.up:
                 continue  # upstream hop lost or link down: subtree severed
             link.tx_octets += size
             p_loss = link.loss_fn(size) if link.loss_fn is not None else link.loss
-            if p_loss > 0.0 and self.rng.random() < p_loss:
+            if p_loss > 0.0 and rng.random() < p_loss:
                 link.dropped_packets += 1
                 continue
-            child = link.other(parent)
-            arrival[child] = link.enqueue(parent, t, size, self.rng)
+            arrival[child] = link.enqueue(parent, t, size, rng)
             link.rx_octets += size
             self.packets_transmitted += 1
             via[child] = link
+        # read per transmission, looked up on the class at this call: the
+        # bench tracer wraps Scheduler.call_at / Node.deliver in the class dict
+        interceptor, tracer = self.delivery_interceptor, self.tracer
+        nodes, call_at = self._nodes, scheduler.call_at
         scheduled = 0
         for packet in copies:
             self.packets_sent += 1
-            t = arrival.get(packet.dst)
-            last = via.get(packet.dst)
+            dst = packet.dst
+            t = arrival.get(dst)
+            last = via.get(dst)
             if t is None:
                 times: Sequence[Union[float, tuple[float, Packet]]] = ()
-            elif last is None or self.delivery_interceptor is None:
+            elif last is None or interceptor is None:
                 times = (t,)
             else:
                 path: list[Link] = []
-                node = packet.dst
+                node = dst
                 while node != root:
                     link = via[node]
                     path.append(link)
                     node = link.other(node)
                 path.reverse()
-                times = self.delivery_interceptor(packet, path, t)
-            if self.tracer is not None:
-                self.tracer.record(packet, bool(times))
-            if not times:
+                times = interceptor(packet, path, t)
+            n = len(times)
+            if tracer is not None:
+                tracer.record(packet, n > 0)
+            if n == 0:
                 self.packets_dropped += 1
                 continue
-            if len(times) == 1:
+            if n == 1:
                 self.packets_delivered += 1
             else:
                 self.packets_duplicated += 1
-            self.copies_delivered += len(times)
+            self.copies_delivered += n
             if last is not None:
-                last.delivered_packets += len(times)
-            deliver = self._nodes[packet.dst].deliver
+                last.delivered_packets += n
+            deliver = nodes[dst].deliver
             for entry in times:
                 # (time, substitute) entries deliver a corrupted copy; the
                 # disposition counters above are untouched — corruption is
                 # neither a drop nor a duplicate
-                td, sub = entry if isinstance(entry, tuple) else (entry, packet)
-                self.scheduler.call_at(td, deliver, sub)
+                if isinstance(entry, tuple):
+                    td, sub = entry
+                    call_at(td, deliver, sub)
+                else:
+                    call_at(entry, deliver, packet)
             scheduled += 1
         return scheduled
 

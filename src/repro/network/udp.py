@@ -124,11 +124,11 @@ class DatagramSocket:
 
     def _deliver(self, packet: Packet) -> None:
         self.received_datagrams += 1
-        item = (packet.payload, (packet.src, packet.src_port))
-        if self.on_receive is not None:
-            self.on_receive(*item)
+        on_receive = self.on_receive
+        if on_receive is not None:
+            on_receive(packet.payload, (packet.src, packet.src_port))
         else:
-            self._queue.append(item)
+            self._queue.append((packet.payload, (packet.src, packet.src_port)))
 
     # ------------------------------------------------------------------
     def recvfrom(self) -> Optional[tuple[bytes, tuple[Address, int]]]:

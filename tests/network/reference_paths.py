@@ -25,7 +25,16 @@ different state.
 import heapq
 
 from repro.network.routing import MulticastFabric, RoutingError
-from repro.network.simnet import CastPlan
+from repro.network.simnet import CastPlan, NetworkError
+
+
+def has_link(net, a, b):
+    """Whether ``a``-``b`` are joined, asked through the public lookup."""
+    try:
+        net.link(a, b)
+    except NetworkError:
+        return False
+    return True
 
 
 def reference_route(net, src, dst):
@@ -44,7 +53,7 @@ def reference_route(net, src, dst):
         if u == dst:
             break
         for v in sorted(net._adj[u]):
-            edge = net._links[frozenset((u, v))]
+            edge = net.link(u, v)
             if not edge.up:
                 continue
             nd = d + edge.latency
@@ -58,7 +67,7 @@ def reference_route(net, src, dst):
     cur = dst
     while cur != src:
         p = prev[cur]
-        path.append(net._links[frozenset((p, cur))])
+        path.append(net.link(p, cur))
         cur = p
     path.reverse()
     return path

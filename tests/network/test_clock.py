@@ -135,6 +135,23 @@ class TestRunModes:
         with pytest.raises(SimulationError):
             s.run(max_events=100)
 
+    def test_runaway_guard_spares_a_queue_that_drained(self):
+        s = Scheduler()
+        for t in (1.0, 2.0, 3.0):
+            s.call_at(t, lambda: None)
+        assert s.run(max_events=3) == 3  # used to raise with nothing pending
+        assert s.pending == 0
+
+    def test_run_until_guard_needs_a_further_due_event(self):
+        s = Scheduler()
+        for t in (1.0, 2.0, 3.0, 11.0, 12.0):
+            s.call_at(t, lambda: None)
+        assert s.run_until(10.0, max_events=3) == 3  # used to raise at 3.0
+        assert s.clock.now == 10.0
+        with pytest.raises(SimulationError):
+            s.run_until(12.0, max_events=1)  # the event at 12.0 is one too many
+        assert (s.clock.now, s.pending) == (11.0, 1)
+
     def test_pending_counts_uncancelled(self):
         s = Scheduler()
         ev1 = s.call_after(1.0, lambda: None)

@@ -36,6 +36,32 @@ link_specs = st.fixed_dictionaries(
 )
 
 
+def chaos_plan(spike_link=None):
+    """Reordering, duplication and corruption for the whole run, plus a
+    latency spike scoped to ``spike_link`` — which only fires if the
+    interceptor is shown the real hops."""
+    window = dict(start=0.0, duration=1000.0)
+    events = [
+        Reordering(probability=0.3, max_extra_delay=0.01, **window),
+        Duplication(probability=0.3, **window),
+        Corruption(probability=0.3, **window),
+    ]
+    if spike_link is not None:
+        events.append(LatencySpike(extra=0.002, links=(spike_link,), **window))
+    return FaultPlan(events)
+
+
+def dispositions(net):
+    return (
+        net.packets_sent,
+        net.packets_delivered,
+        net.packets_dropped,
+        net.packets_duplicated,
+        net.copies_delivered,
+        net.packets_transmitted,
+    )
+
+
 def _world(links, net_seed, chaos_seed):
     sched = Scheduler()
     net = Network(sched, seed=net_seed)
@@ -44,16 +70,7 @@ def _world(links, net_seed, chaos_seed):
         net.add_node(name)
     for (a, b), spec in zip(zip(names, names[1:]), links):
         net.add_link(a, b, **spec)
-    window = dict(start=0.0, duration=1000.0)
-    events = [
-        Reordering(probability=0.3, max_extra_delay=0.01, **window),
-        Duplication(probability=0.3, **window),
-        Corruption(probability=0.3, **window),
-    ]
-    if links:
-        # path-scoped: only fires if the interceptor is shown the real hops
-        events.append(LatencySpike(extra=0.002, links=((names[-2], names[-1]),), **window))
-    plan = FaultPlan(events)
+    plan = chaos_plan((names[-2], names[-1]) if links else None)
     chaos = ChaosController(net, plan, seed=chaos_seed)
     chaos.install()
     sched.run_until(0.0)  # open the fault windows
@@ -66,14 +83,7 @@ def _observe(sched, net, chaos, got, returns):
     sched.run_until(2000.0)
     return {
         "returns": returns,
-        "dispositions": (
-            net.packets_sent,
-            net.packets_delivered,
-            net.packets_dropped,
-            net.packets_duplicated,
-            net.copies_delivered,
-            net.packets_transmitted,
-        ),
+        "dispositions": dispositions(net),
         "links": [
             (l.tx_octets, l.rx_octets, l.dropped_packets, l.delivered_packets)
             for l in net.links

@@ -32,7 +32,13 @@ from repro.network.clock import Scheduler
 from repro.network.routing import MulticastFabric
 from repro.network.simnet import Network
 
-from .reference_paths import PerMemberFabric, ReferenceFabric, observable, reference_route
+from .reference_paths import (
+    PerMemberFabric,
+    ReferenceFabric,
+    has_link,
+    observable,
+    reference_route,
+)
 
 GROUP = "g"
 
@@ -129,7 +135,7 @@ def _build(fabric_cls, spec, latency_of):
         fab.add_router(f"a{i}", f"d{p}", parent=f"m{p}", latency=lat())
         links.append((f"a{i}", f"m{p}"))
     for a, b in cross:
-        if frozenset((a, b)) not in net._links:  # parent link already there
+        if not has_link(net, a, b):  # else: parent link already there
             fab.connect(a, b, latency=lat())
             links.append((a, b))
     for h, r in enumerate(attach):
