@@ -2,7 +2,7 @@
 
 The repo's codecs are hand-rolled binary formats — event bodies
 (:mod:`repro.core.events`), progressive-image packets
-(:mod:`repro.media.progressive`), RTP/RNAK datagrams
+(:mod:`repro.media.progressive`), RTP datagrams
 (:mod:`repro.messaging.rtp`), the semantic-message codec
 (:mod:`repro.messaging.serialization`), and the BER subset
 (:mod:`repro.snmp.ber`).  The fault injector delivers exactly the
@@ -36,8 +36,7 @@ Rules:
   ``Y``, or the decoder reads count ``n`` but iterates ``range(m)``).
 * ``WIRE004`` — a magic-prefix dispatch (``data[:k] == MAGIC``) shares a
   module with a codec whose leading field is a variable fixed-width
-  value of width >= k, so a value collision would mis-dispatch (the
-  RNAK/ssrc caveat).
+  value of width >= k, so a value collision would mis-dispatch.
 * ``WIRE005`` — an encoder iterates an unordered container (``set``
   literal or call) into wire bytes, breaking byte-identical replay.
 
@@ -1003,7 +1002,7 @@ class _Interpreter:
         return [Tok(kind=("array", probe[0].kind), line=line, count_used=used)]
 
     def _magic_checker_call(self, test: ast.expr) -> Optional[int]:
-        """``if not is_nack(data): raise`` -> the checker's magic width."""
+        """``if not is_magic(data): raise`` -> the checker's magic width."""
         for node in ast.walk(test):
             if (
                 isinstance(node, ast.Call)

@@ -302,20 +302,7 @@ def default_registry() -> list[FuzzCodecPair]:
             static_file=os.path.join(_SRC_ROOT, "repro", "messaging", "rtp.py"),
         )
     )
-    pairs.append(
-        FuzzCodecPair(
-            name="rtp.nack",
-            encode=lambda t: rtp.encode_nack(*t),
-            decode=rtp.decode_nack,
-            sample=lambda rng: (
-                _u32(rng),
-                _u32(rng),
-                tuple(rng.randrange(2**16) for _ in range(rng.randrange(1, 6))),
-            ),
-            expected_errors=(rtp.RtpError,),
-            static_file=os.path.join(_SRC_ROOT, "repro", "messaging", "rtp.py"),
-        )
-    )
+
     def sample_chunk(rng: random.Random) -> tuple[bytes, int]:
         data = _b(rng)
         return data, rng.randrange(8 * len(data) + 1)

@@ -23,6 +23,10 @@ from ..media.progressive import ImagePacket, ProgressiveImage, ReceivedImage, Re
 
 __all__ = ["ImageViewer", "ViewedImage"]
 
+#: Images whose packets are stashed while their announce is outstanding;
+#: ``image_id`` arrives off the wire, so one more id evicts the oldest.
+MAX_PRE_ANNOUNCE_IMAGES = 32
+
 
 @dataclass
 class ViewedImage:
@@ -120,7 +124,11 @@ class ImageViewer:
         """
         view = self.viewed.get(event.image_id)
         if view is None:
-            stash = self._pre_announce.setdefault(event.image_id, [])
+            stash = self._pre_announce.get(event.image_id)
+            if stash is None:
+                if len(self._pre_announce) >= MAX_PRE_ANNOUNCE_IMAGES:
+                    del self._pre_announce[next(iter(self._pre_announce))]
+                stash = self._pre_announce[event.image_id] = []
             if len(stash) < 64:
                 stash.append(event)
             return False

@@ -56,7 +56,6 @@ from .events import (
 from .state import StateEntry, StateRepository
 from .concurrency import Arbiter, Conflict, LockError, LockManager
 from .session import Membership, SessionArchive, SessionDescriptor
-from .discovery import DiscoveryError, SearchHit, SessionDirectory
 from .client import WiredClient
 from .wireless_client import UnicastSemanticLink, WirelessClient
 from .basestation import Attachment, BaseStation, QosSnapshot
@@ -133,9 +132,6 @@ __all__ = [
     "Membership",
     "SessionArchive",
     "SessionDescriptor",
-    "DiscoveryError",
-    "SearchHit",
-    "SessionDirectory",
     "WiredClient",
     "UnicastSemanticLink",
     "WirelessClient",

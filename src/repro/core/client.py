@@ -375,7 +375,7 @@ class WiredClient:
         self.endpoint.publish_many(replays, suppress_errors=True)
 
     def request_image_repair(self, image_id: str) -> tuple[int, ...]:
-        """NACK the holes blocking an image's reconstruction.
+        """Request the packets blocking an image's reconstruction.
 
         Returns the packet indices requested (empty = nothing missing
         within the current budget).

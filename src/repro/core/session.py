@@ -11,6 +11,7 @@ late clients with session history" (Sec. 3).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -87,15 +88,13 @@ class SessionArchive:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: list[tuple[float, SemanticMessage]] = []
+        self._entries: deque[tuple[float, SemanticMessage]] = deque(maxlen=capacity)
         self.archived = 0
 
     def record(self, time: float, message: SemanticMessage) -> None:
         """Append one message; evicts the oldest beyond capacity."""
         self._entries.append((time, message))
         self.archived += 1
-        if len(self._entries) > self.capacity:
-            self._entries = self._entries[-self.capacity :]
 
     def replay(self, since: float = 0.0, kinds: Optional[set[str]] = None) -> list[tuple[float, SemanticMessage]]:
         """Messages after ``since``, optionally filtered by kind."""

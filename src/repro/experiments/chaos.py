@@ -13,7 +13,8 @@ to end:
   breaker fails fast while an agent is down;
 * adaptation decisions fall back to the conservative floor once the
   management plane is dark beyond its stale grace;
-* NACK-driven selective retransmission repairs fragment loss;
+* a receiver missing image packets asks the sharer for exactly those
+  (``request_image_repair``), the only loss repair there is;
 * corrupted datagrams hit every receiver's hardened decode path: they
   are counted (``decode_failures``) and dropped, never fatal;
 * the packet-disposition conservation invariant

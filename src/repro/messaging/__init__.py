@@ -1,6 +1,7 @@
 """Semantic publisher/subscriber messaging substrate.
 
-Profile-addressed multicast with an RTP-thin reliability layer; in-process
+Profile-addressed multicast with an RTP-thin fragmentation / in-order
+reassembly layer (loss is repaired above it, by receiver request); in-process
 (:class:`SemanticBus`) and networked (:class:`SemanticEndpoint`) flavours
 share the receiver-side interpretation semantics.  The networked
 flavours — the endpoint and the point-to-point

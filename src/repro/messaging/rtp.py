@@ -12,12 +12,11 @@ these packets is critical" (paper Sec. 5.1).
 * :class:`RtpReassembler` reorders fragments per message, detects loss,
   completes messages, and produces RTCP-style receiver reports (fraction
   lost, cumulative lost, highest seq, interarrival jitter).
-* NACK support: :func:`encode_nack`/:func:`decode_nack` define a tiny
-  wire format for requesting missing fragments; the sender keeps recent
-  fragments in a :class:`RetransmitBuffer` and the receiver paces its
-  requests through :class:`SelectiveRepeat` (bounded exponential
-  backoff, bounded attempts) driven by the reassembler's
-  :meth:`~RtpReassembler.pending` plumbing.
+
+A lost fragment is not retransmitted at this layer: its message is
+abandoned (and counted in :class:`RtcpReport`), and the receiver asks the
+application above for what it still wants — image packets through
+``ImageRepairRequest``, session events through ``HistoryRequest``.
 
 The reassembler needs to know *when* fragments arrive (stale partial
 messages are abandoned by age as well as by reorder distance), so
@@ -32,7 +31,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional
 
 __all__ = [
     "RtpPacket",
@@ -40,13 +39,7 @@ __all__ = [
     "RtpReassembler",
     "RtcpReport",
     "RtpError",
-    "RetransmitBuffer",
-    "SelectiveRepeat",
-    "encode_nack",
-    "decode_nack",
-    "is_nack",
     "DEFAULT_MTU",
-    "NACK_MAGIC",
 ]
 
 #: Fragment payload budget; a LAN-ish MTU minus our header.
@@ -145,9 +138,6 @@ class _PartialMessage:
     def assemble(self) -> bytes:
         return b"".join(self.fragments[i] for i in range(self.frag_count))
 
-    def missing(self) -> list[int]:
-        return [i for i in range(self.frag_count) if i not in self.fragments]
-
 
 class RtpReassembler:
     """Receiver side: fragments → complete payloads, per source (ssrc).
@@ -156,9 +146,6 @@ class RtpReassembler:
     ----------
     on_message:
         Called with ``(ssrc, payload_bytes)`` when a message completes.
-    on_gap:
-        Optional NACK hook: called with ``(ssrc, msg_seq, missing_indices)``
-        when an incomplete message is abandoned.
     reorder_window:
         Per source, only the newest message-seq and the this-many before
         it are tracked.  :meth:`ingest` abandons a partial message the
@@ -168,7 +155,7 @@ class RtpReassembler:
         no timer needed, and delivery stays exactly-once.  The number of
         sources is bounded too (:data:`MAX_TRACKED_SOURCES`): the least
         recently heard source is evicted — its statistics and delivered
-        keys dropped, its partial messages abandoned through ``on_gap``.
+        keys dropped, its partial messages abandoned.
     clock:
         Zero-arg callable returning the current (virtual) time; used when
         :meth:`ingest`/:meth:`expire` are called without ``now=``.
@@ -183,13 +170,11 @@ class RtpReassembler:
     def __init__(
         self,
         on_message: Callable[[int, bytes], None],
-        on_gap: Optional[Callable[[int, int, list[int]], None]] = None,
         reorder_window: int = 64,
         clock: Optional[Callable[[], float]] = None,
         max_age: Optional[float] = None,
     ) -> None:
         self.on_message = on_message
-        self.on_gap = on_gap
         self.reorder_window = reorder_window
         self.clock = clock
         if max_age is not None and max_age <= 0:
@@ -274,22 +259,20 @@ class RtpReassembler:
                 self._abandon(ssrc, msg_seq)
 
     def _abandon(self, ssrc: int, msg_seq: int) -> None:
-        part = self._partial.pop((ssrc, msg_seq))
+        del self._partial[ssrc, msg_seq]
         self._stats[ssrc]["abandoned"] += 1
         self._abandoned_unreported += 1
-        if self.on_gap is not None:
-            self.on_gap(ssrc, msg_seq, part.missing())
 
     def expire(self, now: Optional[float] = None) -> int:
         """Abandon partial messages that are too old; report abandonment.
 
         Returns how many messages were abandoned since the previous call
         — pushed out of the reorder window by :meth:`ingest`, or aged out
-        here; ``on_gap`` fired for each as it happened, so callers can
-        NACK or account the loss.  Age-based abandonment only applies
-        when ``max_age`` was configured; ``now`` resolves like
-        :meth:`ingest` (explicit argument, else the constructor clock)
-        but is only required when ``max_age`` is in play.
+        here; per source it is ``report(ssrc).messages_abandoned``.
+        Age-based abandonment only applies when ``max_age`` was
+        configured; ``now`` resolves like :meth:`ingest` (explicit
+        argument, else the constructor clock) but is only required when
+        ``max_age`` is in play.
         """
         if self.max_age is not None:
             now = self._resolve_now(now)
@@ -298,14 +281,6 @@ class RtpReassembler:
                     self._abandon(ssrc, msg_seq)
         abandoned, self._abandoned_unreported = self._abandoned_unreported, 0
         return abandoned
-
-    def pending(self, ssrc: int) -> list[tuple[int, list[int]]]:
-        """Incomplete messages for a source: (msg_seq, missing indices)."""
-        return [
-            (msg_seq, part.missing())
-            for (s, msg_seq), part in sorted(self._partial.items())
-            if s == ssrc
-        ]
 
     # ------------------------------------------------------------------
     def report(self, ssrc: int) -> RtcpReport:
@@ -324,180 +299,3 @@ class RtpReassembler:
             messages_abandoned=st["abandoned"],
         )
 
-
-# ----------------------------------------------------------------------
-# NACK-driven selective retransmission
-# ----------------------------------------------------------------------
-#: Distinguishes NACK datagrams from RTP fragments on a shared port.  An
-#: RTP fragment's first four bytes are its ssrc, so collision with the
-#: magic would require ssrc 0x524E414B — crc32-derived ssrcs make that a
-#: 2**-32 accident per endpoint, and the header-length check below
-#: disambiguates the rest.
-NACK_MAGIC = b"RNAK"
-
-_NACK_HEADER = struct.Struct(">IIH")  # ssrc, msg_seq, n_indices
-_NACK_INDEX = struct.Struct(">H")
-
-
-def encode_nack(ssrc: int, msg_seq: int, indices: Sequence[int]) -> bytes:
-    """Wire-encode a retransmission request for one message's holes."""
-    if not indices:
-        raise RtpError("a NACK must name at least one missing fragment")
-    if len(indices) > 0xFFFF:
-        raise RtpError("too many fragment indices for one NACK")
-    out = [NACK_MAGIC, _NACK_HEADER.pack(ssrc, msg_seq, len(indices))]
-    for idx in indices:
-        if not 0 <= idx <= 0xFFFF:
-            raise RtpError(f"fragment index out of range: {idx}")
-        out.append(_NACK_INDEX.pack(idx))
-    return b"".join(out)
-
-
-def is_nack(data: bytes) -> bool:
-    """Cheap dispatch test: does this datagram carry a NACK?"""
-    # crc32-derived ssrcs make collision a 2**-32 accident and
-    # decode_nack's exact-length check disambiguates the rest
-    return data[:4] == NACK_MAGIC  # repro: ignore[WIRE004]
-
-
-def decode_nack(data: bytes) -> tuple[int, int, tuple[int, ...]]:
-    """Decode a NACK datagram → ``(ssrc, msg_seq, missing_indices)``."""
-    if not is_nack(data):
-        raise RtpError("not a NACK datagram")
-    body = data[4:]
-    if len(body) < _NACK_HEADER.size:
-        raise RtpError("NACK shorter than its header")
-    ssrc, msg_seq, count = _NACK_HEADER.unpack_from(body)
-    expected = _NACK_HEADER.size + count * _NACK_INDEX.size
-    if len(body) != expected or count == 0:
-        raise RtpError("NACK length does not match its index count")
-    indices = tuple(
-        _NACK_INDEX.unpack_from(body, _NACK_HEADER.size + i * _NACK_INDEX.size)[0]
-        for i in range(count)
-    )
-    return ssrc, msg_seq, indices
-
-
-class RetransmitBuffer:
-    """Sender-side ring of recently sent fragments, for answering NACKs.
-
-    Bounded by message count: storing message ``capacity + 1`` evicts
-    the oldest retained message's fragments wholesale, so memory is
-    ``O(capacity × fragments-per-message)`` regardless of loss patterns.
-    """
-
-    def __init__(self, capacity: int = 128) -> None:
-        if capacity <= 0:
-            raise RtpError("capacity must be positive")
-        self.capacity = capacity
-        self._messages: dict[int, dict[int, RtpPacket]] = {}
-        self._order: list[int] = []
-        self.hits = 0
-        self.misses = 0
-
-    def store(self, packets: Iterable[RtpPacket]) -> None:
-        """Retain one message's fragments (call once per packetize)."""
-        for pkt in packets:
-            frags = self._messages.get(pkt.msg_seq)
-            if frags is None:
-                frags = self._messages[pkt.msg_seq] = {}
-                self._order.append(pkt.msg_seq)
-                while len(self._order) > self.capacity:
-                    evicted = self._order.pop(0)
-                    self._messages.pop(evicted, None)
-            frags[pkt.frag_index] = pkt
-
-    def fragments(self, msg_seq: int, indices: Sequence[int]) -> list[RtpPacket]:
-        """Fragments still retained for a NACK's holes (misses counted)."""
-        frags = self._messages.get(msg_seq)
-        out: list[RtpPacket] = []
-        for idx in indices:
-            pkt = frags.get(idx) if frags is not None else None
-            if pkt is None:
-                self.misses += 1
-            else:
-                self.hits += 1
-                out.append(pkt)
-        return out
-
-    @property
-    def retained_messages(self) -> int:
-        return len(self._messages)
-
-
-class SelectiveRepeat:
-    """Receiver-side NACK pacing: bounded attempts, exponential backoff.
-
-    Feed it the reassembler's :meth:`~RtpReassembler.pending` output via
-    :meth:`due`; it returns only the messages whose next request is
-    currently admissible and advances their backoff state.  A message is
-    given up on after ``max_attempts`` requests — :meth:`exhausted`
-    reports those so the caller can stop waiting (and let the
-    reassembler's expiry abandon them).
-    """
-
-    def __init__(
-        self,
-        base_delay: float = 0.2,
-        multiplier: float = 2.0,
-        max_delay: float = 2.0,
-        max_attempts: int = 4,
-    ) -> None:
-        if base_delay <= 0 or max_delay < base_delay:
-            raise RtpError("need 0 < base_delay <= max_delay")
-        if multiplier < 1.0:
-            raise RtpError("multiplier must be >= 1")
-        if max_attempts <= 0:
-            raise RtpError("max_attempts must be positive")
-        self.base_delay = base_delay
-        self.multiplier = multiplier
-        self.max_delay = max_delay
-        self.max_attempts = max_attempts
-        #: (ssrc, msg_seq) -> (attempts made, next admissible time)
-        self._state: dict[tuple[int, int], tuple[int, float]] = {}
-        self.requests = 0
-        self.given_up = 0
-
-    def due(
-        self, ssrc: int, pending: Sequence[tuple[int, list[int]]], now: float
-    ) -> list[tuple[int, list[int]]]:
-        """Admissible NACKs for one source's pending messages, right now.
-
-        Each admitted message's attempt counter and next-due time
-        advance; the first request for a message is always admissible.
-        """
-        out: list[tuple[int, list[int]]] = []
-        for msg_seq, missing in pending:
-            if not missing:
-                continue
-            key = (ssrc, msg_seq)
-            attempts, next_due = self._state.get(key, (0, float("-inf")))
-            if attempts >= self.max_attempts:
-                if attempts == self.max_attempts:
-                    # count the give-up once, then pin past the limit
-                    self.given_up += 1
-                    self._state[key] = (attempts + 1, float("inf"))
-                continue
-            if now < next_due:
-                continue
-            delay = min(self.base_delay * self.multiplier**attempts, self.max_delay)
-            self._state[key] = (attempts + 1, now + delay)
-            self.requests += 1
-            out.append((msg_seq, list(missing)))
-        return out
-
-    def exhausted(self, ssrc: int, msg_seq: int) -> bool:
-        """Has this message used up its request budget?"""
-        attempts, _ = self._state.get((ssrc, msg_seq), (0, 0.0))
-        return attempts >= self.max_attempts
-
-    def forget(self, ssrc: int, msg_seq: int) -> None:
-        """Drop state for a completed/abandoned message."""
-        self._state.pop((ssrc, msg_seq), None)
-
-    def prune(self, live: Iterable[tuple[int, int]]) -> None:
-        """Drop state for every message not in ``live`` (bounded memory)."""
-        keep = set(live)
-        for key in list(self._state):
-            if key not in keep:
-                del self._state[key]

@@ -39,17 +39,7 @@ from ..network.simnet import Network
 from ..network.udp import DatagramSocket
 from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription, offer
 from .message import SemanticMessage
-from .rtp import (
-    DEFAULT_MTU,
-    RetransmitBuffer,
-    RtpError,
-    RtpPacketizer,
-    RtpReassembler,
-    SelectiveRepeat,
-    decode_nack,
-    encode_nack,
-    is_nack,
-)
+from .rtp import RtpError, RtpPacketizer, RtpReassembler
 from .serialization import WireError, decode_message, encode_message
 
 __all__ = [
@@ -66,6 +56,9 @@ __all__ = [
 
 #: ``on_receive`` signature shared by every transport: (payload, (host, port)).
 ReceiveCallback = Callable[[bytes, tuple[str, int]], None]
+
+#: Virtual seconds between a scheduler-driven endpoint's housekeeping ticks.
+EXPIRE_INTERVAL = 0.5
 
 
 @runtime_checkable
@@ -340,17 +333,14 @@ class SemanticWire:
         address: tuple[str, int],
         on_message: Callable[[SemanticMessage], None],
         clock: Callable[[], float],
-        mtu: int = DEFAULT_MTU,
-        retransmit: Optional[RetransmitBuffer] = None,
     ) -> None:
         host, port = address
         self.host = host
         #: this attachment's RTP source identifier
         self.ssrc = zlib.crc32(f"{host}:{port}".encode()) & 0xFFFFFFFF
-        self._packetizer = RtpPacketizer(self.ssrc, mtu=mtu)
+        self._packetizer = RtpPacketizer(self.ssrc)
         self.reassembler = RtpReassembler(self._on_payload, clock=clock)
         self._on_message = on_message
-        self._retransmit = retransmit
         # observability
         self.sent_messages = 0
         self.sent_fragments = 0
@@ -361,8 +351,6 @@ class SemanticWire:
     def send(self, message: SemanticMessage, emit: Callable[[bytes], object]) -> int:
         """Serialize and fragment ``message``, ``emit`` each datagram; returns fragments sent."""
         fragments = self._packetizer.packetize(encode_message(message))
-        if self._retransmit is not None:
-            self._retransmit.store(fragments)
         for frag in fragments:
             emit(frag.encode())
         self.sent_messages += 1
@@ -456,14 +444,6 @@ class SemanticEndpoint:
         When true, rejected messages are also surfaced (``on_rejected``) —
         the base station uses this to interpret *on behalf of* its
         wireless clients.
-    nack:
-        Opt-in selective retransmission: the endpoint keeps recently sent
-        fragments in a :class:`~repro.messaging.rtp.RetransmitBuffer`,
-        answers peers' NACKs with unicast retransmits, and on each expiry
-        tick requests its own missing fragments from the last-seen source
-        address (paced by :class:`~repro.messaging.rtp.SelectiveRepeat`'s
-        bounded backoff).  Off by default: loss-free fabrics get zero
-        overhead.
     """
 
     def __init__(
@@ -473,22 +453,16 @@ class SemanticEndpoint:
         group: MulticastGroup,
         profile: ClientProfile,
         on_delivery: Callable[[Delivery], None],
-        mtu: int = DEFAULT_MTU,
-        expire_interval: float = 0.5,
         on_rejected: Optional[Callable[[SemanticMessage], None]] = None,
         promiscuous: bool = False,
-        nack: bool = False,
     ) -> None:
         self._init_over(
             SimTransport(network, host, group),
             profile,
             on_delivery,
             scheduler=network.scheduler,
-            mtu=mtu,
-            expire_interval=expire_interval,
             on_rejected=on_rejected,
             promiscuous=promiscuous,
-            nack=nack,
         )
 
     @classmethod
@@ -498,11 +472,8 @@ class SemanticEndpoint:
         profile: ClientProfile,
         on_delivery: Callable[[Delivery], None],
         scheduler: Optional[Scheduler] = None,
-        mtu: int = DEFAULT_MTU,
-        expire_interval: float = 0.5,
         on_rejected: Optional[Callable[[SemanticMessage], None]] = None,
         promiscuous: bool = False,
-        nack: bool = False,
     ) -> "SemanticEndpoint":
         """Build an endpoint on any :class:`Transport` implementation.
 
@@ -516,11 +487,8 @@ class SemanticEndpoint:
             profile,
             on_delivery,
             scheduler=scheduler,
-            mtu=mtu,
-            expire_interval=expire_interval,
             on_rejected=on_rejected,
             promiscuous=promiscuous,
-            nack=nack,
         )
         return self
 
@@ -530,11 +498,8 @@ class SemanticEndpoint:
         profile: ClientProfile,
         on_delivery: Callable[[Delivery], None],
         scheduler: Optional[Scheduler],
-        mtu: int,
-        expire_interval: float,
         on_rejected: Optional[Callable[[SemanticMessage], None]],
         promiscuous: bool,
-        nack: bool = False,
     ) -> None:
         self._transport = transport
         #: the simulator the transport rides, when it rides one
@@ -543,16 +508,7 @@ class SemanticEndpoint:
         self.on_delivery = on_delivery
         self.on_rejected = on_rejected
         self.promiscuous = promiscuous
-        self.nack_enabled = nack
-        self._retransmit: Optional[RetransmitBuffer] = RetransmitBuffer() if nack else None
-        self._repair: Optional[SelectiveRepeat] = SelectiveRepeat() if nack else None
-        self.wire = SemanticWire(
-            transport.local_address,
-            self._on_wire_message,
-            clock=self._now,
-            mtu=mtu,
-            retransmit=self._retransmit,
-        )
+        self.wire = SemanticWire(transport.local_address, self._on_wire_message, clock=self._now)
         transport.on_receive = self._on_datagram
         #: messages offered to the local subscriptions (backs the
         #: per-subscription accounting; every decoded message is an offer)
@@ -564,14 +520,11 @@ class SemanticEndpoint:
         # incoming message is interpreted per attached profile
         self._primary = Subscription(self, profile, self._deliver_primary, self._seq_counter)
         self._local_subs: list[Subscription] = [self._primary]
-        #: last-seen unicast address per peer ssrc (NACK destination)
-        self._sources: dict[int, tuple[str, int]] = {}
         self.scheduler: Optional[Scheduler] = scheduler
-        self._expire_interval = expire_interval
         # the reassembler above always gets clock=self._now, so expire()
         # cannot hit the no-time-source RtpError path from this callback
         self._expire_event = (
-            scheduler.call_after(expire_interval, self._expire_tick)  # repro: ignore[EXC002]
+            scheduler.call_after(EXPIRE_INTERVAL, self._expire_tick)  # repro: ignore[EXC002]
             if scheduler is not None
             else None
         )
@@ -579,10 +532,6 @@ class SemanticEndpoint:
         # observability (sent_*/decode_failures live on the wire)
         self.received_messages = 0
         self.accepted_messages = 0
-        # selective-retransmission observability (all zero when nack off)
-        self.nacks_sent = 0
-        self.nacks_received = 0
-        self.retransmitted_fragments = 0
 
     @property
     def transport(self) -> Transport:
@@ -668,9 +617,6 @@ class SemanticEndpoint:
             "received_messages": self.received_messages,
             "accepted_messages": self.accepted_messages,
             "decode_failures": self.decode_failures,
-            "nacks_sent": self.nacks_sent,
-            "nacks_received": self.nacks_received,
-            "retransmitted_fragments": self.retransmitted_fragments,
         }
 
     # ------------------------------------------------------------------
@@ -728,28 +674,7 @@ class SemanticEndpoint:
         return self.scheduler.clock.now if self.scheduler is not None else 0.0
 
     def _on_datagram(self, data: bytes, src: tuple[str, int]) -> None:
-        if is_nack(data):
-            self._on_nack(data, src)
-        elif self.wire.ingest(data) and self.nack_enabled:
-            # remember where this source's traffic comes from (the ssrc
-            # leads the fragment header) so our own NACKs have a unicast
-            # destination; only a fragment the reassembler accepted
-            # teaches an address
-            self._sources[int.from_bytes(data[:4], "big")] = src
-
-    def _on_nack(self, data: bytes, src: tuple[str, int]) -> None:
-        """Answer a peer's retransmission request from the send buffer."""
-        try:
-            ssrc, msg_seq, indices = decode_nack(data)
-        except RtpError:
-            self.wire.drop("an undecodable NACK")
-            return
-        if self._retransmit is None or ssrc != self.ssrc:
-            return  # not ours to answer (or repair disabled locally)
-        self.nacks_received += 1
-        for pkt in self._retransmit.fragments(msg_seq, indices):
-            self._transport.unicast(pkt.encode(), src)
-            self.retransmitted_fragments += 1
+        self.wire.ingest(data)
 
     def _on_wire_message(self, message: SemanticMessage) -> None:
         """Interpret one decoded message against every local subscription."""
@@ -768,41 +693,16 @@ class SemanticEndpoint:
 
         offer(message, message.selector, headers, subs, reject=rejected)
 
-    def _repair_tick(self) -> None:
-        """NACK every due hole toward its source's last-seen address."""
-        if self._repair is None:
-            return
-        now = self._now()
-        live: set[tuple[int, int]] = set()
-        for ssrc, addr in list(self._sources.items()):
-            pending = self.wire.reassembler.pending(ssrc)
-            live.update((ssrc, msg_seq) for msg_seq, _ in pending)
-            for msg_seq, missing in self._repair.due(ssrc, pending, now):
-                self._transport.unicast(encode_nack(ssrc, msg_seq, missing), addr)
-                self.nacks_sent += 1
-            if all(self._repair.exhausted(ssrc, msg_seq) for msg_seq, _ in pending):
-                # nothing (more) to ask of this source: its next accepted
-                # fragment teaches the address again
-                del self._sources[ssrc]
-        self._repair.prune(live)
-
     def _expire_tick(self) -> None:
         if self._closed or self.scheduler is None:
             return
-        self._repair_tick()
         self.wire.reassembler.expire()
         self._expire_event = self.scheduler.call_after(  # repro: ignore[EXC002]
-            self._expire_interval, self._expire_tick
+            EXPIRE_INTERVAL, self._expire_tick
         )
 
     def expire(self) -> int:
-        """Manually abandon stale partial messages (schedulerless runs).
-
-        Runs the NACK repair pass first when enabled, so a lossy
-        schedulerless run still gets selective retransmission by calling
-        this periodically.
-        """
-        self._repair_tick()
+        """Manually abandon stale partial messages (schedulerless runs)."""
         return self.wire.reassembler.expire()
 
     # ------------------------------------------------------------------

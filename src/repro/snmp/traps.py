@@ -86,7 +86,7 @@ class TrapSender:
         varbinds: list[tuple[OID, object]],
         uptime_ticks: Optional[int] = None,
     ) -> bool:
-        """Fire one SNMPv2-Trap (unacknowledged, like the real thing)."""
+        """Fire one SNMPv2-Trap (no acknowledgement, like the real thing)."""
         if uptime_ticks is None:
             uptime_ticks = int(self.network.scheduler.clock.now * 100) % 2**32
         vbs = [

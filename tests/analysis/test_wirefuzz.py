@@ -30,7 +30,6 @@ class TestRegistry:
         for needle in (
             "events.",
             "rtp.RtpPacket",
-            "rtp.nack",
             "progressive.ImagePacket",
             "serialization.SemanticMessage",
             "ber.BerValue",

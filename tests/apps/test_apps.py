@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.apps.chat import ChatArea
-from repro.apps.imageviewer import ImageViewer
+from repro.apps.imageviewer import MAX_PRE_ANNOUNCE_IMAGES, ImageViewer
 from repro.apps.whiteboard import Whiteboard
-from repro.core.events import ChatEvent, TextShareEvent, WhiteboardEvent
+from repro.core.events import ChatEvent, ImagePacketEvent, TextShareEvent, WhiteboardEvent
 from repro.media.images import collaboration_scene, to_rgb
 from repro.media.metrics import psnr
 
@@ -129,6 +129,24 @@ class TestImageViewerReceiver:
             rx.on_packet(p)  # announce not yet seen
         rx.on_announce(announce)
         assert rx.viewed["img"].assembly.usable_prefix == 5
+
+    def test_pre_announce_stash_is_bounded_in_image_ids(self, shared):
+        # image_id arrives off the wire: a lost announce, or a hostile stream
+        # of fresh ids, must not grow the stash forever
+        _, announce, packets = shared
+        rx = ImageViewer("bob")
+        for p in packets[:5]:
+            rx.on_packet(p)
+        for i in range(10_000):
+            rx.on_packet(ImagePacketEvent(image_id=f"ghost-{i}", packet_index=0, packet_total=16, payload=b""))
+            if i == MAX_PRE_ANNOUNCE_IMAGES // 2:  # "img" is still stashed: drains as ever
+                rx.on_announce(announce)
+                assert rx.viewed["img"].assembly.usable_prefix == 5
+        assert len(rx._pre_announce) == MAX_PRE_ANNOUNCE_IMAGES
+        assert next(iter(rx._pre_announce)) == f"ghost-{10_000 - MAX_PRE_ANNOUNCE_IMAGES}"  # oldest went first
+        for _ in range(100):  # the per-id cap stands
+            rx.on_packet(ImagePacketEvent(image_id="ghost-9999", packet_index=0, packet_total=16, payload=b""))
+        assert len(rx._pre_announce["ghost-9999"]) == 64
 
     def test_duplicate_announce_idempotent(self, shared):
         _, announce, packets = shared

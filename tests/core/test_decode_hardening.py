@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.analysis.diagnostics import DiagnosticWarning
 from repro.analysis.wirefuzz import default_registry
 from repro.core.events import (
     ChatEvent,
@@ -32,6 +33,8 @@ from repro.messaging.broker import Delivery
 from repro.messaging.message import MessageId, SemanticMessage
 from repro.messaging.rtp import RtpPacket
 from repro.messaging.serialization import WireError, decode_message, encode_message
+from repro.messaging.transport import SemanticWire
+from repro.network.udp import DatagramSocket
 from repro.snmp.ber import BerError, Integer, Sequence, decode, encode
 
 EVENT_PAIRS = [p for p in default_registry() if p.name.startswith("events.")]
@@ -340,3 +343,52 @@ class TestOneWireStack:
         send_good()
         fw.run_for(0.5)
         assert landed() == ["still here"]
+
+
+class TestFormerNackDatagrams:
+    """``b"RNAK"`` used to open a retransmission request.  The wire has no
+    such datagram any more: one is an RTP fragment from source 0x524E414B
+    or it is malformed, and either way nothing is sent back."""
+
+    @staticmethod
+    def _request(ssrc, msg_seq, indices):
+        """The retired layout: magic, (ssrc, msg_seq, n) then n u16 indices."""
+        return b"RNAK" + struct.pack(f">IIH{len(indices)}H", ssrc, msg_seq, len(indices), *indices)
+
+    @pytest.mark.parametrize("fill", [b"\x00", b"\xff"], ids=["zeros", "ones"])
+    def test_every_length_is_a_counted_warned_drop(self, fill):
+        surfaced = []
+        wire = SemanticWire(("h", 1), surfaced.append, clock=lambda: 0.0)
+        for length in range(33):
+            with pytest.warns(DiagnosticWarning, match="undecodable RTP fragment"):
+                assert wire.ingest(b"RNAK" + fill * length) is False
+            assert wire.decode_failures == length + 1
+        assert not surfaced and not wire.reassembler._partial
+
+    def test_a_well_formed_request_is_answered_by_nobody(self):
+        fw = CollaborationFramework("t", objective="no fragment repair", seed=0)
+        alice, bob = fw.add_wired_client("alice"), fw.add_wired_client("bob")
+        for c in (alice, bob):
+            c.join()
+        alice.send_chat("x" * 4000)  # alice's message 1, several fragments: once repairable
+        fw.run_for(0.5)
+        heard = []
+        probe = DatagramSocket(fw.network, "bob")
+        probe.bind_ephemeral()
+        probe.on_receive = lambda data, src: heard.append(data)
+        sent = alice.endpoint.sent_fragments, fw.network.packets_sent
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            # frag_count reads the low half of msg_seq: 1 → "fragment 0 of 1",
+            # whose empty payload is no message; 0 and 65536 → no fragment at all
+            for msg_seq in (1, 0, 65536):
+                probe.sendto(self._request(alice.endpoint.ssrc, msg_seq, (0,)), alice.endpoint.address)
+            fw.run_for(1.0)
+        assert [str(w.message).split("dropped ")[1] for w in caught] == [
+            "an undecodable message payload",
+            "an undecodable RTP fragment",
+            "an undecodable RTP fragment",
+        ]
+        assert alice.endpoint.decode_failures == 3
+        assert not heard
+        assert (alice.endpoint.sent_fragments, fw.network.packets_sent) == (sent[0], sent[1] + 3)

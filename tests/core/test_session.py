@@ -1,6 +1,7 @@
 """Tests for session descriptors, membership, and archival."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.session import Membership, SessionArchive, SessionDescriptor
 from repro.messaging.message import SemanticMessage
@@ -85,3 +86,46 @@ class TestArchive:
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             SessionArchive(capacity=0)
+
+
+class ListArchive:
+    """The archive as it was before it became a ring: a re-sliced list."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self._entries = []
+        self.archived = 0
+
+    def record(self, time, message):
+        self._entries.append((time, message))
+        self.archived += 1
+        if len(self._entries) > self.capacity:
+            self._entries = self._entries[-self.capacity :]
+
+    def replay(self, since=0.0, kinds=None):
+        return [(t, m) for t, m in self._entries if t >= since and (kinds is None or m.kind in kinds)]
+
+    def __len__(self):
+        return len(self._entries)
+
+
+KINDS = ["chat", "join", "image-share"]
+ARCHIVE_OPS = st.one_of(
+    st.tuples(st.just("record"), st.floats(0, 10), st.sampled_from(KINDS)),
+    st.tuples(st.just("replay"), st.floats(0, 10), st.none() | st.sets(st.sampled_from(KINDS))),
+)
+
+
+@given(st.integers(1, 6), st.lists(ARCHIVE_OPS, max_size=40))
+def test_ring_archive_equals_list_reference(capacity, program):
+    # capacity <= 6 against up to 40 records: most programs cross the edge
+    ring, ref = SessionArchive(capacity), ListArchive(capacity)
+    for op, t, arg in program:
+        if op == "record":
+            message = SemanticMessage.create("x", "true", kind=arg)
+            ring.record(t, message)
+            ref.record(t, message)
+        else:
+            assert ring.replay(since=t, kinds=arg) == ref.replay(since=t, kinds=arg)
+        assert (len(ring), ring.archived) == (len(ref), ref.archived)
+    assert ring.replay() == ref.replay()

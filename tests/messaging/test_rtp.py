@@ -152,13 +152,10 @@ class TestLossAccounting:
         assert 0.0 < rep.fraction_lost < 1.0
 
     def test_expire_abandons_old_messages(self):
-        gaps = []
+        out = []
         p = RtpPacketizer(ssrc=7, mtu=100)
         r = RtpReassembler(
-            lambda s, payload: None,
-            on_gap=lambda s, mseq, missing: gaps.append((mseq, tuple(missing))),
-            reorder_window=2,
-            clock=lambda: 0.0,
+            lambda s, payload: out.append(payload), reorder_window=2, clock=lambda: 0.0
         )
         incomplete = p.packetize(bytes(500))
         r.ingest(incomplete[0].encode())  # fragment 0 only of msg 0
@@ -166,18 +163,9 @@ class TestLossAccounting:
             for f in p.packetize(b"ok"):
                 r.ingest(f.encode())
         assert r.expire() == 1
-        assert gaps and gaps[0][0] == 0
-        assert len(gaps[0][1]) == len(incomplete) - 1
+        assert r.expire() == 0  # reported once
         assert r.report(7).messages_abandoned == 1
-
-    def test_pending_lists_missing(self):
-        p, r, _ = pipe(mtu=100)
-        frags = p.packetize(bytes(500))
-        r.ingest(frags[1].encode())
-        pending = r.pending(7)
-        assert len(pending) == 1
-        msg_seq, missing = pending[0]
-        assert 0 in missing and 1 not in missing
+        assert out == [b"ok"] * 5 and not r._partial  # msg 0 is gone, never delivered
 
     def test_clean_report(self):
         p, r, _ = pipe()
@@ -194,13 +182,10 @@ class TestWindowBound:
     nobody has to call ``expire()`` (the wireless-leg users never do)."""
 
     def test_ingest_abandons_and_forgets_behind_the_window(self):
-        out, gaps = [], []
+        out = []
         p = RtpPacketizer(ssrc=7, mtu=100)
         r = RtpReassembler(
-            lambda s, payload: out.append(payload),
-            on_gap=lambda s, mseq, missing: gaps.append(mseq),
-            reorder_window=4,
-            clock=lambda: 0.0,
+            lambda s, payload: out.append(payload), reorder_window=4, clock=lambda: 0.0
         )
         torn = p.packetize(bytes(500))
         r.ingest(torn[0].encode())  # msg 0 never completes
@@ -208,9 +193,9 @@ class TestWindowBound:
         r.ingest(first)
         for i in range(2, 40):
             r.ingest(p.packetize(b"m%d" % i)[0].encode())
-        assert len(r._partial) == 0 and gaps == [0]
+        assert len(r._partial) == 0
         assert len(r._delivered) <= 4 + 1
-        assert r.report(7).messages_abandoned == 1
+        assert r.report(7).messages_abandoned == 1 and r.expire() == 1
         # late fragments from behind the window neither re-open the torn
         # message nor re-deliver the completed one
         delivered = len(out)
@@ -262,12 +247,8 @@ class TestSourceBound:
     """The number of tracked sources is bounded, not just each one's window."""
 
     def test_ssrc_flood_stays_bounded_and_established_source_completes_once(self):
-        out, gaps = [], []
-        r = RtpReassembler(
-            lambda s, payload: out.append((s, payload)),
-            on_gap=lambda s, mseq, missing: gaps.append((s, mseq)),
-            clock=lambda: 0.0,
-        )
+        out = []
+        r = RtpReassembler(lambda s, payload: out.append((s, payload)), clock=lambda: 0.0)
         p = RtpPacketizer(ssrc=7, mtu=100)
         r.ingest(p.packetize(b"hello")[0].encode())  # source 7 is established
         frags = p.packetize(bytes(range(200)) * 5)  # in-window message, 12 fragments
@@ -285,9 +266,8 @@ class TestSourceBound:
         assert {s for s, _ in r._partial} | {s for s, _ in r._delivered} <= set(r._stats)
         assert out == [(7, b"hello"), (7, bytes(range(200)) * 5)]
         # every evicted source's partial went through the abandon accounting
-        assert len(gaps) == flood - len(r._partial)
-        assert r.expire() == len(gaps)
-        assert all(s != 7 for s, _ in gaps)  # nothing of the real source was torn
+        assert r.expire() == flood - len(r._partial)
+        assert r.report(7).messages_abandoned == 0  # nothing of the real source was torn
 
     def test_report_of_unknown_source_creates_no_state(self):
         _, r, _ = pipe()
@@ -296,3 +276,35 @@ class TestSourceBound:
         assert (rep.messages_completed, rep.messages_abandoned) == (0, 0)
         assert rep.fraction_lost == 0.0
         assert 12345 not in r._stats
+
+
+class TestReassemblerClock:
+    """Regression: ``ingest(data, now=0.0)`` silently defeated ``expire``
+    — every fragment looked forever-fresh.  The clock is now explicit."""
+
+    def test_ingest_without_time_source_raises(self):
+        r = RtpReassembler(lambda s, p: None)
+        pkt = RtpPacketizer(ssrc=1, mtu=100).packetize(b"x")[0]
+        with pytest.raises(RtpError, match="current time"):
+            r.ingest(pkt.encode())
+
+    def test_explicit_now_still_works(self):
+        out = []
+        r = RtpReassembler(lambda s, p: out.append(p))
+        for pkt in RtpPacketizer(ssrc=1, mtu=100).packetize(b"y" * 50):
+            r.ingest(pkt.encode(), now=1.5)
+        assert out == [b"y" * 50]
+
+    def test_constructor_clock_used_when_now_omitted(self):
+        t = [0.0]
+        out = []
+        r = RtpReassembler(lambda s, p: out.append(p), clock=lambda: t[0], max_age=1.0)
+        packets = RtpPacketizer(ssrc=1, mtu=100).packetize(b"z" * 150)
+        r.ingest(packets[0].encode())  # partial: one of two fragments
+        t[0] = 5.0
+        assert r.expire() == 1  # the clock advanced; the partial aged out
+        assert out == []
+
+    def test_max_age_validated(self):
+        with pytest.raises(RtpError):
+            RtpReassembler(lambda s, p: None, max_age=0.0)

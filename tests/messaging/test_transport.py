@@ -1,5 +1,7 @@
 """Tests for the networked semantic endpoint."""
 
+import inspect
+
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -7,7 +9,7 @@ from repro.core.matching import Decision
 from repro.core.profiles import ClientProfile, TransformRule
 from repro.messaging.message import SemanticMessage
 from repro.messaging.serialization import WireError, encode_message
-from repro.messaging.transport import SemanticEndpoint, UnicastSemanticLink
+from repro.messaging.transport import SemanticEndpoint, SemanticWire, UnicastSemanticLink
 from repro.network.clock import Scheduler
 from repro.network.multicast import MulticastGroup
 from repro.network.simnet import Network
@@ -310,3 +312,14 @@ class TestOneWireStack:
         assert [encode_message(m) for m in by_link] == [wire]
         assert [encode_message(m) for m in by_endpoint] == [wire]
         assert ep_tx.sent_fragments == link_tx.wire.sent_fragments == len(from_link)
+
+
+@pytest.mark.parametrize(
+    "callable_",
+    [SemanticEndpoint.__init__, SemanticEndpoint.over_transport, SemanticWire.__init__],
+    ids=lambda c: c.__qualname__,
+)
+def test_no_fragment_repair_options(callable_):
+    """Loss is repaired by receiver request above the wire; nothing here selects another way."""
+    removed = {"nack", "mtu", "expire_interval", "retransmit"}
+    assert not removed & set(inspect.signature(callable_).parameters)
