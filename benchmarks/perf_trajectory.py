@@ -10,7 +10,7 @@ interpreter runs, shard skips, analyzer findings, multicast packet
 counts — changed at all, which means *semantics* drifted, not just
 speed).
 
-``BENCH_analysis.json`` covers the PERF/DET hot-path analyzer itself
+``BENCH_analysis.json`` covers the PERF hot-path analyzer itself
 (whole-tree analysis throughput, which must stay finding-free) plus the
 two hot paths the analyzer's own findings sped up: single-message
 sharded publish (PERF001: snapshot copy dropped) and profile
@@ -143,15 +143,11 @@ def collect() -> dict:
 
 def collect_analysis() -> dict:
     """Analyzer throughput + the hot paths its findings sped up."""
-    import tempfile
-
     from repro.analysis import (
-        AnalysisCache,
         analyze_concurrency,
         analyze_hotpath,
         analyze_wireformat,
         lint_paths,
-        run_analysis,
     )
     from repro.core.profiles import ClientProfile
     from repro.core.selectors import parse
@@ -160,14 +156,14 @@ def collect_analysis() -> dict:
     sink = lambda d: None  # noqa: E731
     metrics: dict[str, float] = {}
 
-    # -- PERF/DET analysis over the repo's own source tree -------------
+    # -- PERF analysis over the repo's own source tree -----------------
     src_tree = str(REPO_ROOT / "src")
     findings = len(analyze_hotpath([src_tree]))  # warm imports + parse caches
     t0 = time.perf_counter()
     for _ in range(ANALYZER_RUNS):
         findings = len(analyze_hotpath([src_tree]))
     metrics["hotpath_analyses_per_s"] = ANALYZER_RUNS / (time.perf_counter() - t0)
-    # exact gate: the committed tree must stay free of PERF/DET findings
+    # exact gate: the committed tree must stay free of PERF findings
     metrics["hotpath_findings"] = findings
 
     # -- DLK/RACE analysis over the same tree --------------------------
@@ -189,19 +185,6 @@ def collect_analysis() -> dict:
     metrics["wire_analyses_per_s"] = ANALYZER_RUNS / (time.perf_counter() - t0)
     # exact gate: the committed tree must stay free of WIRE findings
     metrics["wire_findings"] = wire_findings
-
-    # -- incremental cache: warm full run vs cold ----------------------
-    with tempfile.TemporaryDirectory() as td:
-        cache_path = str(Path(td) / "analysis-cache.json")
-        cold = AnalysisCache.open(cache_path)
-        run_analysis([src_tree], cache=cold)
-        cold.save()
-        warm = AnalysisCache.open(cache_path)
-        t0 = time.perf_counter()
-        run_analysis([src_tree], cache=warm)
-        metrics["analysis_cache_warm_per_s"] = 1.0 / (time.perf_counter() - t0)
-        # exact gate: a warm cache must satisfy every pass (zero misses)
-        metrics["analysis_cache_hit_complete"] = int(warm.misses == 0)
 
     # -- per-file lint over the shipped tree ----------------------------
     lint_paths([src_tree])  # warm
@@ -292,7 +275,6 @@ SNAPSHOTS = (
             "hotpath_analyses_per_s",
             "concurrency_analyses_per_s",
             "wire_analyses_per_s",
-            "analysis_cache_warm_per_s",
             "repo_lint_per_s",
             "sharded_publish_per_s",
             "profile_parse_per_s",
@@ -301,7 +283,6 @@ SNAPSHOTS = (
             "hotpath_findings",
             "concurrency_findings",
             "wire_findings",
-            "analysis_cache_hit_complete",
             "sharded_single_delivered",
         ),
         HOTPATH_FIX_PROVENANCE,

@@ -74,7 +74,7 @@ def test_subsumption_audit_cost(benchmark):
 
 
 # ----------------------------------------------------------------------
-# dataflow engine cost (call graph + UNI/EXC/RES passes)
+# dataflow engine cost (call graph + UNI/EXC passes)
 # ----------------------------------------------------------------------
 from repro.analysis import build_call_graph_from_sources, dataflow_diagnostics
 
@@ -122,7 +122,7 @@ def test_callgraph_construction_cost(benchmark):
 
 @pytest.mark.benchmark(group="analysis")
 def test_dataflow_pass_throughput(benchmark):
-    """All UNI/EXC/RES passes (fixpoints included) over a prebuilt graph."""
+    """All UNI/EXC passes (fixpoints included) over a prebuilt graph."""
     graph = build_call_graph_from_sources(build_dataflow_corpus(50))
 
     def run():
@@ -130,48 +130,3 @@ def test_dataflow_pass_throughput(benchmark):
 
     diags = benchmark.pedantic(run, rounds=3, iterations=1)
     assert diags == []  # corpus is the clean idiom for every family
-
-
-# ----------------------------------------------------------------------
-# typestate engine cost (protocol automata + concurrency passes)
-# ----------------------------------------------------------------------
-from repro.analysis import typestate_diagnostics
-
-_TYPESTATE_MODULE = (
-    "def locks_{i}(lm: LockManager):\n"
-    "    lm.acquire('k{i}', 'a')\n"
-    "    lm.release('k{i}', 'a')\n"
-    "def reasm_{i}(part: _PartialMessage, pkt):\n"
-    "    part.fragments[pkt.frag_index] = pkt.payload\n"
-    "    if part.complete:\n"
-    "        return part.assemble()\n"
-    "def poll_{i}(sock, sched):\n"
-    "    mgr = SnmpManager(sock, sched)\n"
-    "    out = mgr.get('h', ['1.3.6.1'])\n"
-    "    mgr.close()\n"
-    "    return out\n"
-    "def subs_{i}(bus, profile, cb, d):\n"
-    "    sub = bus.attach(profile, cb)\n"
-    "    sub.callback(d)\n"
-    "    sub.detach()\n"
-)
-
-
-def build_typestate_corpus(n_modules):
-    """``n_modules`` synthetic modules exercising every protocol automaton."""
-    return [
-        (f"src/pkg/ts{i}.py", _TYPESTATE_MODULE.replace("{i}", str(i)))
-        for i in range(n_modules)
-    ]
-
-
-@pytest.mark.benchmark(group="analysis")
-def test_typestate_pass_throughput(benchmark):
-    """All TSP/CON passes (automata walks included) over a prebuilt graph."""
-    graph = build_call_graph_from_sources(build_typestate_corpus(50))
-
-    def run():
-        return typestate_diagnostics(graph)
-
-    diags = benchmark.pedantic(run, rounds=3, iterations=1)
-    assert diags == []  # corpus is the clean idiom for every protocol

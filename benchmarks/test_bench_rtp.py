@@ -22,7 +22,7 @@ def transmit(loss_rate: float, seed: int = 0):
     rng = np.random.default_rng(seed)
     out = []
     packetizer = RtpPacketizer(ssrc=1, mtu=MTU)
-    reassembler = RtpReassembler(lambda s, payload: out.append(payload), clock=lambda: 0.0)
+    reassembler = RtpReassembler(lambda s, payload: out.append(payload))
     wire = []
     sent_payloads = []
     for i in range(PAYLOADS):

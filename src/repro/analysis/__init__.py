@@ -24,14 +24,10 @@ framework (:mod:`~repro.analysis.passes`):
   tree plus extraction and analysis of selector string literals;
 * :mod:`~repro.analysis.dataflow` — cross-layer dataflow over the
   project call graph (:mod:`~repro.analysis.callgraph`): physical-unit
-  propagation (dB vs linear, bit/s vs byte/s, s/ms/µs), exception-escape
-  summaries for dispatch boundaries, and path-sensitive socket/transport
-  lifecycle tracking;
-* :mod:`~repro.analysis.typestate` — protocol-automaton typestate over
-  the same call graph (lock discipline, RTP fragment sequencing, SNMP
-  sessions, subscription lifecycle; TSP001–007) plus callback-context
-  concurrency discipline (shared-state mutation, synchronous republish,
-  cross-thread captures; CON001–003);
+  propagation (dB vs linear, bit/s vs byte/s, s/ms/µs) and
+  exception-escape summaries for dispatch boundaries;
+* :mod:`~repro.analysis.typestate` — lock revocation on leave over the
+  same call graph (TSP003);
 * :mod:`~repro.analysis.wireformat` — wire-format symmetry and decode
   safety over auto-discovered encoder/decoder pairs (byte-layout
   abstract interpretation; WIRE001–005), with a runtime twin in
@@ -39,16 +35,12 @@ framework (:mod:`~repro.analysis.passes`):
   (round-trip, truncation, bit-flip) cross-checked against the static
   findings.
 
-Warm runs skip unchanged files via a content-hash
-:class:`~repro.analysis.cache.AnalysisCache` (``--cache``).
-
 CI gates on *new* findings only via a checked-in baseline
 (:mod:`~repro.analysis.baseline`), and emits SARIF for code-scanning
 annotations (:mod:`~repro.analysis.sarif`).
 """
 
 from .baseline import apply_baseline, dump_baseline, fingerprint, load_baseline
-from .cache import DEFAULT_CACHE_NAME, AnalysisCache
 from .callgraph import (
     CallGraph,
     CallSite,
@@ -69,7 +61,6 @@ from .concurrency import (
 )
 from .dataflow import (
     GAUGE_UNITS,
-    RESOURCE_TYPES,
     SIGNATURES,
     Unit,
     analyze_dataflow,
@@ -96,17 +87,12 @@ from .policy_lint import (
     lint_transforms,
 )
 from .hotpath import (
-    DET_WALLCLOCK_EXEMPT_PATHS,
     HOT_ENTRY_SUFFIXES,
     POPULATION_NAMES,
     PURE_CALLABLES,
-    SIM_ROOT_SUFFIXES,
     analyze_hotpath,
-    det_diagnostics,
     hot_contexts,
-    hotpath_diagnostics,
     perf_diagnostics,
-    sim_reachable,
 )
 from .repo_lint import extract_selector_literals, lint_file, lint_paths, lint_source
 from .passes import Family
@@ -120,14 +106,7 @@ from .runner import (
 )
 from .sanitizer import LockOrderSanitizer, TrackedLock, make_lock
 from .sarif import render_sarif
-from .typestate import (
-    PROTOCOLS,
-    SHARED_STATE_CLASSES,
-    EventRule,
-    ProtocolSpec,
-    analyze_typestate,
-    typestate_diagnostics,
-)
+from .typestate import analyze_typestate, typestate_diagnostics
 from .selector_analysis import (
     SelectorReport,
     Verdict,
@@ -198,28 +177,18 @@ __all__ = [
     "Unit",
     "SIGNATURES",
     "GAUGE_UNITS",
-    "RESOURCE_TYPES",
     "analyze_dataflow",
     "dataflow_diagnostics",
     "compute_return_units",
     "compute_escaping_exceptions",
-    "EventRule",
-    "ProtocolSpec",
-    "PROTOCOLS",
-    "SHARED_STATE_CLASSES",
     "analyze_typestate",
     "typestate_diagnostics",
     "HOT_ENTRY_SUFFIXES",
-    "SIM_ROOT_SUFFIXES",
     "POPULATION_NAMES",
     "PURE_CALLABLES",
-    "DET_WALLCLOCK_EXEMPT_PATHS",
     "hot_contexts",
-    "sim_reachable",
     "analyze_hotpath",
-    "hotpath_diagnostics",
     "perf_diagnostics",
-    "det_diagnostics",
     "LOCK_FACTORIES",
     "THREAD_ROOT_SUFFIXES",
     "LockInfo",
@@ -248,6 +217,4 @@ __all__ = [
     "default_registry",
     "fuzz_pair",
     "fuzz_registry",
-    "AnalysisCache",
-    "DEFAULT_CACHE_NAME",
 ]

@@ -20,10 +20,7 @@ Examples::
 
     # document rules (all, or specific codes)
     python -m repro.analysis --explain
-    python -m repro.analysis --explain TSP001 CON002
-
-    # incremental runs: skip unchanged files via a content-hash cache
-    python -m repro.analysis --cache
+    python -m repro.analysis --explain TSP003 RACE001
 """
 
 from __future__ import annotations
@@ -34,7 +31,6 @@ import sys
 from typing import Optional, Sequence
 
 from .baseline import apply_baseline, dump_baseline, load_baseline, stale_entries
-from .cache import DEFAULT_CACHE_NAME, AnalysisCache
 from .diagnostics import RULES, Severity
 from .runner import AnalysisReport, render_json, render_text, run_analysis
 from .sarif import render_sarif
@@ -96,11 +92,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit JSON instead of text (alias for --format json)",
-    )
-    parser.add_argument(
         "--baseline",
         metavar="FILE",
         help="drop findings recorded in FILE; only new findings remain",
@@ -114,15 +105,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--no-defaults",
         action="store_true",
         help="skip linting the shipped default policy database",
-    )
-    parser.add_argument(
-        "--cache",
-        nargs="?",
-        const=DEFAULT_CACHE_NAME,
-        metavar="FILE",
-        help="reuse per-file/per-tree results across runs via FILE"
-        f" (default: {DEFAULT_CACHE_NAME}); content-hash keyed, salted by"
-        " the rule registry and --ignore set",
     )
     parser.add_argument(
         "--sanitize",
@@ -156,22 +138,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     paths = args.paths or ([] if args.selector else _default_paths())
     timings: Optional[dict[str, float]] = {} if args.profile else None
-    cache = AnalysisCache.open(args.cache, ignore=args.ignore) if args.cache else None
     report = run_analysis(
         paths,
         selectors=args.selector,
         include_defaults=not args.no_defaults,
         ignore=args.ignore,
         profile=timings,
-        cache=cache,
     )
-    if cache is not None:
-        cache.save()
-        if args.profile:
-            print(
-                f"cache: {cache.hits} hit(s), {cache.misses} miss(es) -> {cache.path}",
-                file=sys.stderr,
-            )
     if args.sanitize:
         import json
 
@@ -212,10 +185,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
 
-    fmt = "json" if args.json else args.format
-    if fmt == "sarif":
+    if args.format == "sarif":
         print(render_sarif(list(report.diagnostics)), end="")
-    elif fmt == "json":
+    elif args.format == "json":
         print(render_json(report))
     else:
         print(render_text(report))

@@ -3,11 +3,10 @@
 The messaging fabric holds three independent attach locks
 (``SemanticBus``, ``ShardedSemanticBus``, ``SemanticEndpoint``) and fans
 batch matching out over a ``ThreadPoolExecutor``; the ROADMAP's scale
-program multiplies that surface.  CON001–003 police what *callbacks* may
-touch; this pass proves the two properties they cannot see — lock
-discipline and shared-field access — the way TSan/lockdep do at run
-time, but statically, over the same project call graph the dataflow,
-typestate, and hot-path passes walk.
+program multiplies that surface.  This pass proves lock discipline and
+shared-field access the way TSan/lockdep do at run time, but
+statically, over the same project call graph the dataflow, typestate,
+and hot-path passes walk.
 
 **Lock-acquisition graph.**  Locks are identified by *attribute path +
 owner class* (``SemanticBus._attach_lock``) or module-level name,

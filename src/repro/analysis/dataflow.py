@@ -1,6 +1,6 @@
-"""Cross-layer dataflow verification: units, exception flow, resource lifecycle.
+"""Cross-layer dataflow verification: units and exception flow.
 
-Three rule families run over the :mod:`~repro.analysis.callgraph`:
+Two rule families run over the :mod:`~repro.analysis.callgraph`:
 
 **Units (UNI001–005).**  An abstract domain of physical units — dB vs
 linear ratio, W/mW, bps/kbps/bytes-per-second, s/ms/µs, bytes/bits/
@@ -18,13 +18,6 @@ delivery boundaries (``on_receive=``/``on_delivery=``/RTP reassembly)
 must not leak codec/wire errors; scheduler callbacks must not leak at
 all; handlers on dispatch paths must not silently swallow failures.
 
-**Resource lifecycle (RES001–003).**  Path-sensitive tracking of
-transport/socket objects (``DatagramSocket``, ``MulticastSocket``,
-``LoopbackUDP``, real sockets, SNMP endpoints): leak-on-exception and
-never-closed locals, straight-line double close, and use-after-close.
-Objects that escape the creating function (returned, stored on ``self``,
-passed along) are exempt from leak checks — ownership moved.
-
 Every finding flows through the shared :class:`~repro.analysis.diagnostics.Diagnostic`
 model, so ``# repro: ignore[CODE]`` suppression, severity gating, the
 baseline file, and SARIF output all apply.
@@ -39,7 +32,6 @@ from typing import Optional
 from .callgraph import CallGraph, CallSite, FunctionInfo, name_binding, rightmost_name
 from .diagnostics import Diagnostic
 from .passes import (
-    PathWalker,
     Registration,
     delivery_registrations,
     diag,
@@ -54,7 +46,6 @@ __all__ = [
     "SIGNATURES",
     "METHOD_SIGNATURES",
     "GAUGE_UNITS",
-    "RESOURCE_TYPES",
     "WIRE_ERROR_TYPES",
     "UnitSig",
     "compute_escaping_exceptions",
@@ -297,55 +288,6 @@ _DISPATCH_FILE_FRAGMENTS = (
     "core/matching",
     "core/inference",
     "core/events",
-)
-
-
-# ======================================================================
-# resource-lifecycle registry
-# ======================================================================
-@dataclass(frozen=True)
-class ResourceType:
-    """Lifecycle surface of one resource class."""
-
-    close_methods: tuple[str, ...]
-    use_methods: tuple[str, ...]
-
-
-RESOURCE_TYPES: dict[str, ResourceType] = {
-    "DatagramSocket": ResourceType(("close",), ("bind", "bind_ephemeral", "sendto")),
-    "MulticastSocket": ResourceType(("leave", "close"), ("send", "unicast")),
-    "SimTransport": ResourceType(("close",), ("send", "unicast")),
-    "LoopbackUDP": ResourceType(("close",), ("send", "unicast", "poll")),
-    "RealUdpSocket": ResourceType(("close",), ("bind", "bind_ephemeral", "sendto", "recv", "poll")),
-    "RealSnmpAgent": ResourceType(("close",), ("serve", "serve_once")),
-    "RealSnmpManager": ResourceType(("close",), ("get", "get_next", "set", "get_bulk")),
-    "SnmpManager": ResourceType(("close",), ("get", "get_scalar", "get_next", "set", "walk")),
-    "NetworkStateInterface": ResourceType(("close",), ("poll",)),
-    "SemanticEndpoint": ResourceType(("close",), ("publish", "unicast")),
-    "socket": ResourceType(("close",), ("bind", "sendto", "recvfrom", "send", "recv", "connect")),
-}
-
-#: calls that never raise — don't count as a leak hazard between
-#: acquisition and release
-_SAFE_CALLS = frozenset(
-    {
-        "len",
-        "isinstance",
-        "getattr",
-        "id",
-        "repr",
-        "str",
-        "print",
-        "append",
-        "tuple",
-        "list",
-        "dict",
-        "set",
-        "frozenset",
-        "range",
-        "enumerate",
-        "sorted",
-    }
 )
 
 
@@ -1037,266 +979,10 @@ class _ExceptionChecker:
 
 
 # ======================================================================
-# RES: resource lifecycle
-# ======================================================================
-_OPEN, _CLOSED, _MAYBE = "open", "closed", "maybe-closed"
-
-
-@dataclass
-class _Tracked:
-    var: str
-    rtype: str
-    node: ast.AST
-    escaped: bool = False
-    ever_closed: bool = False
-    close_node: Optional[ast.AST] = None
-
-
-class _ResourceChecker(PathWalker):
-    """RES001–003: the open/closed/maybe lattice over :class:`PathWalker`."""
-
-    def __init__(self, graph: CallGraph) -> None:
-        self.graph = graph
-        self.diags: list[Diagnostic] = []
-        # per-function walk state
-        self.fn: FunctionInfo = None  # type: ignore[assignment]
-        self.tracked: dict[str, _Tracked] = {}
-
-    def run(self) -> list[Diagnostic]:
-        for fn in self.graph.functions.values():
-            self._check_function(fn)
-        return self.diags
-
-    def _check_function(self, fn: FunctionInfo) -> None:
-        self.fn = fn
-        self.tracked = {}
-        self._collect(fn, self.tracked)
-        if not self.tracked:
-            return
-        state: dict[str, str] = {}
-        self.walk(fn.node.body, state)
-        self._leak_checks(fn, self.tracked, state)
-
-    # -- discovery ------------------------------------------------------
-    def _collect(self, fn: FunctionInfo, tracked: dict[str, _Tracked]) -> None:
-        for node in ast.walk(fn.node):
-            bound = name_binding(node)
-            if bound is not None and isinstance(bound[1], ast.Call):
-                rtype = self._resource_type_of(bound[1])
-                if rtype is not None:
-                    tracked.setdefault(bound[0], _Tracked(bound[0], rtype, node))
-        if not tracked:
-            return
-        # escape analysis: returned, yielded, stored, passed, closed over
-        def escapes_through(root: Optional[ast.AST]) -> None:
-            for sub in ast.walk(root) if root is not None else ():
-                if isinstance(sub, ast.Name) and sub.id in tracked:
-                    tracked[sub.id].escaped = True
-
-        for node in ast.walk(fn.node):
-            if isinstance(node, (ast.Return, ast.Yield, ast.YieldFrom)):
-                escapes_through(node.value)
-            elif isinstance(node, ast.Assign):
-                if any(not isinstance(t, ast.Name) for t in node.targets):
-                    escapes_through(node.value)
-            elif isinstance(node, ast.Call):
-                # passed as an argument (ownership transfer), but a plain
-                # method call on the resource itself is not an escape
-                for arg in list(node.args) + [kw.value for kw in node.keywords]:
-                    escapes_through(arg)
-            elif isinstance(node, (ast.Lambda, ast.FunctionDef, ast.AsyncFunctionDef)):
-                if node is not fn.node:
-                    escapes_through(node)
-
-    def _resource_type_of(self, call: ast.Call) -> Optional[str]:
-        name = rightmost_name(call.func)
-        if name in RESOURCE_TYPES:
-            return name
-        return None
-
-    # -- PathWalker hooks -----------------------------------------------
-    def assign(self, var: str, value: ast.expr, state: dict[str, str]) -> None:
-        if var in self.tracked:
-            if isinstance(value, ast.Call) and self._resource_type_of(value):
-                state[var] = _OPEN
-            else:
-                state.pop(var, None)  # re-bound to something else
-
-    def enter_with(self, item: ast.withitem, state: dict[str, str]) -> None:
-        var = item.optional_vars
-        if (
-            isinstance(item.context_expr, ast.Call)
-            and isinstance(var, ast.Name)
-            and var.id in self.tracked
-        ):
-            state[var.id] = _OPEN
-
-    def exit_with(self, stmt: ast.With, state: dict[str, str]) -> None:
-        for item in stmt.items:
-            var = item.optional_vars
-            if isinstance(var, ast.Name) and var.id in self.tracked:
-                # context manager closes on exit
-                self.tracked[var.id].ever_closed = True
-                self.tracked[var.id].close_node = stmt
-                state[var.id] = _CLOSED
-
-    def merge(
-        self, into: dict[str, str], s1: dict[str, str], s2: dict[str, str]
-    ) -> None:
-        into.clear()
-        for var in set(s1) | set(s2):
-            a, b = s1.get(var), s2.get(var)
-            if a == b and a is not None:
-                into[var] = a
-            elif a is not None or b is not None:
-                into[var] = _MAYBE
-
-    def scan(self, node: ast.AST, state: dict[str, str]) -> None:
-        tracked, fn = self.tracked, self.fn
-        for sub in ast.walk(node):
-            if not (
-                isinstance(sub, ast.Call)
-                and isinstance(sub.func, ast.Attribute)
-                and isinstance(sub.func.value, ast.Name)
-                and sub.func.value.id in tracked
-            ):
-                continue
-            var = sub.func.value.id
-            info = tracked[var]
-            rtype = RESOURCE_TYPES[info.rtype]
-            method = sub.func.attr
-            current = state.get(var)
-            if method in rtype.close_methods:
-                if current == _CLOSED:
-                    self.diags.append(
-                        diag(
-                            "RES002",
-                            f"double close: {var}.{method}() on an already-closed"
-                            f" {info.rtype}",
-                            fn.qualname,
-                            fn.path,
-                            sub,
-                        )
-                    )
-                state[var] = _CLOSED
-                info.ever_closed = True
-                if info.close_node is None:
-                    info.close_node = sub
-            elif method in rtype.use_methods:
-                if current == _CLOSED:
-                    self.diags.append(
-                        diag(
-                            "RES003",
-                            f"use after close: {var}.{method}() after"
-                            f" {info.rtype} was closed on this path",
-                            fn.qualname,
-                            fn.path,
-                            sub,
-                        )
-                    )
-
-    # -- leak checks ----------------------------------------------------
-    def _leak_checks(
-        self, fn: FunctionInfo, tracked: dict[str, _Tracked], state: dict[str, str]
-    ) -> None:
-        parents = _parent_map(fn.node)
-        for info in tracked.values():
-            if info.escaped:
-                continue
-            if not info.ever_closed:
-                self.diags.append(
-                    diag(
-                        "RES001",
-                        f"{info.rtype} '{info.var}' is never closed in"
-                        f" {fn.name}() and does not escape",
-                        fn.qualname,
-                        fn.path,
-                        info.node,
-                    )
-                )
-                continue
-            if state.get(info.var) == _MAYBE:
-                self.diags.append(
-                    diag(
-                        "RES001",
-                        f"{info.rtype} '{info.var}' is closed on some paths"
-                        f" but not all in {fn.name}()",
-                        fn.qualname,
-                        fn.path,
-                        info.node,
-                    )
-                )
-                continue
-            if info.close_node is not None and not self._exception_safe(
-                info, parents
-            ) and self._hazard_between(fn, info):
-                self.diags.append(
-                    diag(
-                        "RES001",
-                        f"{info.rtype} '{info.var}' leaks if a call between"
-                        f" acquisition and close raises; close it in a"
-                        " finally block or use a context manager",
-                        fn.qualname,
-                        fn.path,
-                        info.node,
-                    )
-                )
-
-    def _exception_safe(self, info: _Tracked, parents: dict[ast.AST, ast.AST]) -> bool:
-        """Close sits in a ``finally`` block or ``with`` handles it."""
-        node = info.close_node
-        if isinstance(node, ast.With):
-            return True
-        while node is not None:
-            parent = parents.get(node)
-            if isinstance(parent, ast.Try) and any(
-                n is node or _contains(n, node) for n in parent.finalbody
-            ):
-                return True
-            node = parent
-        return False
-
-    def _hazard_between(self, fn: FunctionInfo, info: _Tracked) -> bool:
-        """A possibly-raising call between acquisition and release."""
-        start = getattr(info.node, "lineno", 0)
-        end = getattr(info.close_node, "lineno", 1 << 30)
-        for node in ast.walk(fn.node):
-            if not isinstance(node, ast.Call):
-                continue
-            line = getattr(node, "lineno", 0)
-            if not (start < line < end):
-                continue
-            name = rightmost_name(node.func)
-            if name in _SAFE_CALLS:
-                continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and isinstance(node.func.value, ast.Name)
-                and node.func.value.id == info.var
-                and name in RESOURCE_TYPES[info.rtype].close_methods
-            ):
-                continue
-            return True
-        return False
-
-
-def _parent_map(root: ast.AST) -> dict[ast.AST, ast.AST]:
-    out: dict[ast.AST, ast.AST] = {}
-    for node in ast.walk(root):
-        for child in ast.iter_child_nodes(node):
-            out[child] = node
-    return out
-
-
-def _contains(root: ast.AST, target: ast.AST) -> bool:
-    return any(n is target for n in ast.walk(root))
-
-
-# ======================================================================
 # entry points
 # ======================================================================
 def dataflow_findings(graph: CallGraph) -> list[Diagnostic]:
-    """Raw UNI/EXC/RES findings over an already-built call graph."""
+    """Raw UNI/EXC findings over an already-built call graph."""
     diags: list[Diagnostic] = []
 
     return_units = compute_return_units(graph)
@@ -1308,8 +994,6 @@ def dataflow_findings(graph: CallGraph) -> list[Diagnostic]:
 
     escapes = compute_escaping_exceptions(graph)
     diags.extend(_ExceptionChecker(graph, escapes).run())
-
-    diags.extend(_ResourceChecker(graph).run())
     return diags
 
 

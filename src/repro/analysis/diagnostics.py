@@ -99,22 +99,8 @@ RULES: dict[str, tuple[Severity, str]] = {
     "EXC001": (Severity.WARNING, "codec/wire error can escape a delivery callback across a dispatch boundary"),
     "EXC002": (Severity.WARNING, "scheduler callback can raise, aborting the event loop mid-run"),
     "EXC003": (Severity.WARNING, "handler silently swallows failures on a dispatch path"),
-    # -- dataflow: resource lifecycle -------------------------------------
-    "RES001": (Severity.WARNING, "socket/transport leaks: never closed, or not closed on every path"),
-    "RES002": (Severity.WARNING, "double close of a socket/transport on one path"),
-    "RES003": (Severity.ERROR, "socket/transport used after close on one path"),
-    # -- typestate: protocol automata -------------------------------------
-    "TSP001": (Severity.ERROR, "lock released without a matching acquire on this path"),
-    "TSP002": (Severity.WARNING, "lock acquired twice by the same holder without a release between"),
+    # -- typestate: lock revocation on leave ------------------------------
     "TSP003": (Severity.ERROR, "LeaveEvent handled without revoking the departed client's locks"),
-    "TSP004": (Severity.WARNING, "RTP fragments emitted out of frag_index order"),
-    "TSP005": (Severity.ERROR, "RTP reassembly consumed before frag_count fragments arrived"),
-    "TSP006": (Severity.ERROR, "SNMP request issued on a closed manager session"),
-    "TSP007": (Severity.ERROR, "publish/callback registration on a detached subscription"),
-    # -- concurrency: callback-context discipline -------------------------
-    "CON001": (Severity.WARNING, "shared Arbiter/LockManager/bus state mutated from a delivery callback"),
-    "CON002": (Severity.WARNING, "SemanticBus.publish() called synchronously from a delivery callback"),
-    "CON003": (Severity.WARNING, "shared container mutated by callbacks from multiple thread roots"),
     # -- concurrency: lock order & shared-state races ---------------------
     "DLK001": (Severity.ERROR, "lock-order cycle in the whole-program acquisition graph (potential deadlock)"),
     "DLK002": (Severity.WARNING, "lock acquired while holding a different backend's lock (cross-boundary nesting; one callback re-entry away from a cycle)"),
@@ -124,15 +110,7 @@ RULES: dict[str, tuple[Severity, str]] = {
     "RACE003": (Severity.WARNING, "non-atomic check-then-act on a shared container reachable without a lock"),
     # -- hot-path cost (interprocedural loop-cost propagation) ------------
     "PERF001": (Severity.WARNING, "population-sized scan or copy on a per-packet hot path (O(subscribers) work per message)"),
-    "PERF002": (Severity.WARNING, "per-packet container construction in a nested hot loop (allocation churn per candidate per message)"),
-    "PERF003": (Severity.WARNING, "repeated immutable-bytes concatenation in a hot loop (quadratic; use bytearray or join)"),
     "PERF004": (Severity.WARNING, "loop-invariant pure call or uncached selector re-parse on a hot path (hoist or route through the parse cache)"),
-    "PERF005": (Severity.WARNING, "eager string formatting / print / logging in a hot loop (formats even when the sink discards it)"),
-    # -- replay determinism -----------------------------------------------
-    "DET001": (Severity.ERROR, "unseeded or process-global RNG reachable from simulation paths (breaks byte-identical seeded replay)"),
-    "DET002": (Severity.WARNING, "wall-clock read reachable from simulation paths (use the virtual clock; harness timing needs an exemption-registry entry)"),
-    "DET003": (Severity.WARNING, "unstable-order set iteration flows into an ordering-sensitive sink (sort before iterating)"),
-    "DET004": (Severity.ERROR, "id()/object-hash() used in an ordering key (identity varies across runs)"),
     # -- wire-format symmetry & decode safety ------------------------------
     "WIRE001": (Severity.ERROR, "encoder and decoder disagree on field order, width, or endianness"),
     "WIRE002": (Severity.ERROR, "decoder reads past len(data) on truncated input without a bounds guard"),

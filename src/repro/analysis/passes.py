@@ -15,15 +15,9 @@ What the graph families share lives here rather than in each of them:
   handed to a dispatch boundary as a delivery callback", over the one
   table of registration slots (:data:`DELIVERY_CALLBACK_KWARGS`,
   :data:`DELIVERY_CALLBACK_POSITIONS`).  EXC001 checks what escapes the
-  registered callbacks, CON001–003 what they mutate, RACE001–003 label
-  them as concurrency roots.
-* :func:`reachable` — forward closure over resolved call edges (callback
-  context for CON, root labels for RACE, ``drop_client`` reachability
-  for TSP003, the simulation scope for DET).
-* :class:`PathWalker` — the path-sensitive statement interpreter
-  (terminators, ``if`` with per-branch states, loops, ``try``/handlers/
-  ``finally``, ``with``).  RES001–003 and TSP001/002/005–007 plug their
-  abstract domains in through its hooks.
+  registered callbacks, RACE001–003 label them as concurrency roots.
+* :func:`reachable` — forward closure over resolved call edges (root
+  labels for RACE, ``drop_client`` reachability for TSP003).
 * :func:`diag`, :data:`MUTATING_METHODS`, :func:`resolve_callback_ref`.
 """
 
@@ -38,7 +32,6 @@ from .callgraph import (
     CallSite,
     FunctionInfo,
     build_call_graph,
-    name_binding,
     read_source,
     rightmost_name,
     walk_py_files,
@@ -62,7 +55,6 @@ __all__ = [
     "resolve_callback_ref",
     "delivery_registrations",
     "reachable",
-    "PathWalker",
 ]
 
 
@@ -77,7 +69,7 @@ Producer = Callable[..., list[Diagnostic]]
 class Family:
     """One rule family (a row of :data:`repro.analysis.runner.FAMILIES`)."""
 
-    name: str  #: ``--profile`` label and :class:`AnalysisCache` key
+    name: str  #: ``--profile`` label
     scope: str  #: ``"file"``: produce(source, path); ``"graph"``: produce(graph)
     prefixes: tuple[str, ...]  #: rule-code prefixes this family owns
     produce: Producer  #: raw, unsuppressed findings
@@ -141,14 +133,13 @@ def file_entry_points(produce: Producer) -> tuple[Producer, Producer, Producer]:
     return from_source, from_file, from_paths
 
 
-def graph_entry_points(*producers: Producer) -> tuple[Producer, Producer]:
-    """The two public fronts of graph families: ``diagnostics(graph, *,
+def graph_entry_points(produce: Producer) -> tuple[Producer, Producer]:
+    """The two public fronts of a graph family: ``diagnostics(graph, *,
     ignore=())`` over an already-built graph and ``analyze(paths, *,
     ignore=())`` building it first; both end in :func:`suppressed`."""
 
     def diagnostics(graph: CallGraph, *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
-        raw = [d for produce in producers for d in produce(graph)]
-        return suppressed(raw, suppression_lookup(graph.sources.get), ignore)
+        return suppressed(produce(graph), suppression_lookup(graph.sources.get), ignore)
 
     def analyze(paths: Iterable[str], *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
         return diagnostics(build_call_graph(paths), ignore=ignore)
@@ -185,7 +176,7 @@ DELIVERY_CALLBACK_POSITIONS: dict[str, tuple[int, ...]] = {
 }
 
 #: container methods that mutate in place (a call on a shared container
-#: counts as a write: CON001/CON003, DLK003, RACE001/RACE003)
+#: counts as a write: DLK003, RACE001/RACE003)
 MUTATING_METHODS = frozenset(
     {
         "append",
@@ -213,8 +204,8 @@ _CONTAINER_CTORS = frozenset(
 
 def is_container_value(value: ast.expr) -> bool:
     """Whether ``value`` builds a mutable container (display,
-    comprehension or constructor call): CON003's module-level shared
-    containers, RACE003's shared-container fields."""
+    comprehension or constructor call): RACE003's shared-container
+    fields."""
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
         return True
     return isinstance(value, ast.Call) and rightmost_name(value.func) in _CONTAINER_CTORS
@@ -222,7 +213,7 @@ def is_container_value(value: ast.expr) -> bool:
 
 def is_set_expr(expr: ast.expr, set_locals: set[str]) -> bool:
     """Definitely-unordered iterable: a set display/comprehension/call or
-    a local known to hold one (DET003, WIRE005)."""
+    a local known to hold one (WIRE005)."""
     if isinstance(expr, ast.Name):
         return expr.id in set_locals
     if isinstance(expr, (ast.Set, ast.SetComp)):
@@ -319,106 +310,3 @@ def reachable(graph: CallGraph, roots: Iterable[str]) -> set[str]:
                 seen.add(callee)
                 frontier.append(callee)
     return seen
-
-
-# ======================================================================
-# the path-sensitive statement walker
-# ======================================================================
-State = dict[Any, Any]
-
-
-class PathWalker:
-    """Interpret a statement list path-sensitively over a ``state`` dict.
-
-    The walker owns the control-flow skeleton — which statements end a
-    path, how branch states fork and re-join, what a loop body or an
-    exception handler may have seen — and a subclass supplies the
-    abstract domain through the hooks: :meth:`scan` (events inside one
-    expression or simple statement), :meth:`assign` (``name = value``,
-    after ``value`` was scanned), :meth:`merge` (join of two branch
-    states), and optionally :meth:`narrow` (refine a branch state by the
-    ``if`` test) and :meth:`enter_with` / :meth:`exit_with`.  Nested
-    ``def``/``class`` statements are skipped: their bodies run when
-    called, not on this path.
-    """
-
-    def scan(self, node: ast.AST, state: State) -> None:
-        raise NotImplementedError
-
-    def assign(self, var: str, value: ast.expr, state: State) -> None:
-        raise NotImplementedError
-
-    def merge(self, into: State, s1: State, s2: State) -> None:
-        raise NotImplementedError
-
-    def narrow(self, test: ast.expr, state: State, negate: bool) -> None:
-        pass
-
-    def enter_with(self, item: ast.withitem, state: State) -> None:
-        pass
-
-    def exit_with(self, stmt: ast.With, state: State) -> None:
-        pass
-
-    def walk(self, stmts: list[ast.stmt], state: State) -> bool:
-        """Interpret ``stmts``; returns True when the path terminates."""
-        for stmt in stmts:
-            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                continue
-            if isinstance(stmt, (ast.Return, ast.Raise, ast.Break, ast.Continue)):
-                self.scan(stmt, state)
-                return True
-            bound = name_binding(stmt)
-            if bound is not None:
-                self.scan(bound[1], state)
-                self.assign(bound[0], bound[1], state)
-            elif isinstance(stmt, ast.If):
-                self.scan(stmt.test, state)
-                s1, s2 = dict(state), dict(state)
-                self.narrow(stmt.test, s1, negate=False)
-                self.narrow(stmt.test, s2, negate=True)
-                t1 = self.walk(stmt.body, s1)
-                t2 = self.walk(stmt.orelse, s2)
-                if t1 and t2:
-                    return True
-                if t1 or t2:  # only the surviving branch continues
-                    survivor = s2 if t1 else s1
-                    state.clear()
-                    state.update(survivor)
-                else:
-                    self.merge(state, s1, s2)
-            elif isinstance(stmt, (ast.For, ast.While)):
-                self.scan(stmt.iter if isinstance(stmt, ast.For) else stmt.test, state)
-                body_state = dict(state)
-                self.walk(stmt.body, body_state)  # zero or more iterations
-                self.merge(state, dict(state), body_state)
-                self.walk(stmt.orelse, state)
-            elif isinstance(stmt, ast.Try):
-                body_state = dict(state)
-                t_body = self.walk(stmt.body, body_state)
-                # a handler may run after any prefix of the body
-                merged = dict(state)
-                self.merge(merged, dict(state), body_state)
-                for handler in stmt.handlers:
-                    h_state = dict(merged)
-                    self.walk(handler.body, h_state)
-                    self.merge(merged, merged, h_state)
-                if not t_body:
-                    self.walk(stmt.orelse, body_state)
-                    self.merge(merged, merged, body_state)
-                t_fin = self.walk(stmt.finalbody, merged)
-                state.clear()
-                state.update(merged)
-                if t_fin:
-                    return True
-            elif isinstance(stmt, ast.With):
-                for item in stmt.items:
-                    self.scan(item.context_expr, state)
-                    self.enter_with(item, state)
-                term = self.walk(stmt.body, state)
-                self.exit_with(stmt, state)
-                if term:
-                    return True
-            else:
-                self.scan(stmt, state)
-        return False

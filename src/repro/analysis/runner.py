@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from . import concurrency, dataflow, hotpath, repo_lint, typestate, wireformat
-from .cache import AnalysisCache
 from .callgraph import build_call_graph_from_sources, read_source, walk_py_files
 from .diagnostics import Diagnostic, Severity, filter_diagnostics, max_severity
 from .passes import Family, suppressed, suppression_lookup
@@ -32,16 +31,15 @@ __all__ = [
     "render_json",
 ]
 
-#: Every source-tree rule family, in run order.  ``run_analysis``, the
-#: ``--profile`` labels and the :class:`AnalysisCache` keys all come from
-#: this table; adding a family is adding a row.
+#: Every source-tree rule family, in run order.  ``run_analysis`` and the
+#: ``--profile`` labels come from this table; adding a family is adding
+#: a row.
 FAMILIES: tuple[Family, ...] = (
     Family("repo-lint", "file", ("LNT", "SEL"), repo_lint.lint_findings),
     Family("wire", "file", ("WIRE",), wireformat.wire_findings),
-    Family("dataflow", "graph", ("UNI", "EXC", "RES"), dataflow.dataflow_findings),
-    Family("typestate", "graph", ("TSP", "CON"), typestate.typestate_findings),
+    Family("dataflow", "graph", ("UNI", "EXC"), dataflow.dataflow_findings),
+    Family("typestate", "graph", ("TSP",), typestate.typestate_findings),
     Family("perf", "graph", ("PERF",), hotpath.perf_findings),
-    Family("det", "graph", ("DET",), hotpath.det_findings),
     Family("concurrency", "graph", ("DLK", "RACE"), concurrency.concurrency_findings),
 )
 
@@ -98,7 +96,6 @@ def run_analysis(
     ignore: Iterable[str] = (),
     baseline: Optional[dict[str, int]] = None,
     profile: Optional[dict[str, float]] = None,
-    cache: Optional[AnalysisCache] = None,
 ) -> AnalysisReport:
     """Run every pass and aggregate the findings.
 
@@ -107,15 +104,9 @@ def run_analysis(
     directly.  A ``baseline`` (see :mod:`~repro.analysis.baseline`) drops
     known findings so only new ones remain in the report.  Pass a dict
     as ``profile`` to receive per-rule-family wall times (seconds) in it.
-    An :class:`~repro.analysis.cache.AnalysisCache` skips unchanged files
-    (per-file families) and unchanged trees (graph families); cached
-    output is identical to a cold run's because entries are keyed by
-    content digest and salted by the rule registry and ``ignore`` set.
-    The caller persists it with ``cache.save()``.
     """
     ignore = tuple(ignore)
     files = walk_py_files(paths)
-    tree_key = cache.tree_key(files) if cache is not None else None
     diags: list[Diagnostic] = []
 
     def timed(label: str, produce: Callable[[], list[Diagnostic]]) -> None:
@@ -124,8 +115,7 @@ def run_analysis(
         if profile is not None:
             profile[label] = profile.get(label, 0.0) + time.perf_counter() - t0
 
-    # each file is read, and its suppressions parsed, at most once per
-    # run, and only when some family actually misses the cache
+    # each file is read, and its suppressions parsed, at most once per run
     known = frozenset(files)
     sources: dict[str, str] = {}
 
@@ -136,8 +126,7 @@ def run_analysis(
 
     suppressions = suppression_lookup(lambda path: source(path) if path in known else None)
 
-    # the graph is shared by every graph family but expensive to build;
-    # defer it so a fully warm cache never constructs it
+    # the graph is shared by every graph family: build it once, on first use
     graph_box: list = []
 
     def shared_graph():
@@ -149,27 +138,14 @@ def run_analysis(
         return graph_box[0]
 
     def per_file(family: Family) -> list[Diagnostic]:
-        out: list[Diagnostic] = []
-        for path in files:
-            got = None
-            if cache is not None:
-                digest = cache.digest(path)
-                got = cache.get(family.name, path, digest)
-            if got is None:
-                got = suppressed(family.produce(source(path), path), suppressions, ignore)
-                if cache is not None:
-                    cache.put(family.name, path, digest, got)
-            out.extend(got)
-        return out
+        return [
+            d
+            for path in files
+            for d in suppressed(family.produce(source(path), path), suppressions, ignore)
+        ]
 
     def per_graph(family: Family) -> list[Diagnostic]:
-        key = f"{family.name}:{tree_key}"
-        got = cache.get_graph(key) if cache is not None else None
-        if got is None:
-            got = suppressed(family.produce(shared_graph()), suppressions, ignore)
-            if cache is not None:
-                cache.put_graph(key, got)
-        return got
+        return suppressed(family.produce(shared_graph()), suppressions, ignore)
 
     if include_defaults:
         timed("defaults", lambda: analyze_defaults(ignore=ignore))

@@ -17,13 +17,6 @@ A lost fragment is not retransmitted at this layer: its message is
 abandoned (and counted in :class:`RtcpReport`), and the receiver asks the
 application above for what it still wants — image packets through
 ``ImageRepairRequest``, session events through ``HistoryRequest``.
-
-The reassembler needs to know *when* fragments arrive (stale partial
-messages are abandoned by age as well as by reorder distance), so
-:meth:`~RtpReassembler.ingest` requires either an explicit ``now=`` or a
-``clock`` passed at construction — there is no silent ``now=0.0``
-default that would freeze every partial message at t=0 and defeat
-age-based expiry.
 """
 
 from __future__ import annotations
@@ -31,7 +24,7 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 __all__ = [
     "RtpPacket",
@@ -40,6 +33,7 @@ __all__ = [
     "RtcpReport",
     "RtpError",
     "DEFAULT_MTU",
+    "REORDER_WINDOW",
 ]
 
 #: Fragment payload budget; a LAN-ish MTU minus our header.
@@ -47,6 +41,10 @@ DEFAULT_MTU = 1400
 
 _HEADER = struct.Struct(">IIHHI")  # ssrc, msg_seq, frag_index, frag_count, seq
 HEADER_SIZE = _HEADER.size
+
+#: Per source, a reassembler tracks only the newest message-seq and the
+#: this-many before it (see :class:`RtpReassembler`).
+REORDER_WINDOW = 64
 
 #: Sources (ssrcs) a reassembler tracks at once; hearing one more evicts
 #: the least recently heard, so corrupted or hostile ssrcs cannot grow it.
@@ -129,7 +127,6 @@ class RtcpReport:
 class _PartialMessage:
     frag_count: int
     fragments: dict[int, bytes] = field(default_factory=dict)
-    first_seen: float = 0.0
 
     @property
     def complete(self) -> bool:
@@ -142,59 +139,25 @@ class _PartialMessage:
 class RtpReassembler:
     """Receiver side: fragments → complete payloads, per source (ssrc).
 
-    Parameters
-    ----------
-    on_message:
-        Called with ``(ssrc, payload_bytes)`` when a message completes.
-    reorder_window:
-        Per source, only the newest message-seq and the this-many before
-        it are tracked.  :meth:`ingest` abandons a partial message the
-        moment newer traffic pushes it out of that window, and drops a
-        late fragment from behind it instead of re-opening the message —
-        so memory is bounded by the window under any loss pattern, with
-        no timer needed, and delivery stays exactly-once.  The number of
-        sources is bounded too (:data:`MAX_TRACKED_SOURCES`): the least
-        recently heard source is evicted — its statistics and delivered
-        keys dropped, its partial messages abandoned.
-    clock:
-        Zero-arg callable returning the current (virtual) time; used when
-        :meth:`ingest`/:meth:`expire` are called without ``now=``.
-        Without a clock, ``now=`` is mandatory — see :meth:`ingest`.
-    max_age:
-        When set, :meth:`expire` also abandons partial messages whose
-        first fragment arrived more than this many seconds ago, even if
-        they are still inside the reorder window (a tail-end message
-        never pushed out by newer traffic would otherwise linger forever).
+    ``on_message`` is called with ``(ssrc, payload_bytes)`` when a message
+    completes.  Per source, only the newest message-seq and the
+    :data:`REORDER_WINDOW` before it are tracked: :meth:`ingest` abandons
+    a partial message the moment newer traffic pushes it out of that
+    window, and drops a late fragment from behind it instead of
+    re-opening the message — so memory is bounded by the window under any
+    loss pattern, with no timer needed, and delivery stays exactly-once.
+    The number of sources is bounded too (:data:`MAX_TRACKED_SOURCES`):
+    the least recently heard source is evicted — its statistics and
+    delivered keys dropped, its partial messages abandoned.
     """
 
-    def __init__(
-        self,
-        on_message: Callable[[int, bytes], None],
-        reorder_window: int = 64,
-        clock: Optional[Callable[[], float]] = None,
-        max_age: Optional[float] = None,
-    ) -> None:
+    def __init__(self, on_message: Callable[[int, bytes], None]) -> None:
         self.on_message = on_message
-        self.reorder_window = reorder_window
-        self.clock = clock
-        if max_age is not None and max_age <= 0:
-            raise RtpError("max_age must be positive")
-        self.max_age = max_age
         self._partial: dict[tuple[int, int], _PartialMessage] = {}
         #: per-source counters, least recently heard first
         self._stats: OrderedDict[int, dict] = OrderedDict()
         self._delivered: set[tuple[int, int]] = set()
         self._abandoned_unreported = 0
-
-    def _resolve_now(self, now: Optional[float]) -> float:
-        if now is not None:
-            return now
-        if self.clock is not None:
-            return self.clock()
-        raise RtpError(
-            "ingest/expire need the current time: pass now= explicitly or "
-            "construct the reassembler with a clock"
-        )
 
     def _heard(self, ssrc: int) -> dict:
         """The stats of a source a fragment just arrived from (now newest)."""
@@ -206,35 +169,27 @@ class RtpReassembler:
         if len(self._stats) > MAX_TRACKED_SOURCES:
             stalest, old = next(iter(self._stats.items()))
             # sliding its window past everything settles all it holds
-            self._slide_window(stalest, old, old["newest_msg"] + self.reorder_window + 1)
+            self._slide_window(stalest, old, old["newest_msg"] + REORDER_WINDOW + 1)
             del self._stats[stalest]
         return st
 
     # ------------------------------------------------------------------
-    def ingest(self, data: bytes, now: Optional[float] = None) -> None:
-        """Feed one wire fragment (possibly out of order or duplicated).
-
-        ``now`` stamps the partial message's age for :meth:`expire`; it
-        may be omitted only when the reassembler was built with a
-        ``clock`` (otherwise :class:`RtpError` — an implicit ``0.0``
-        would make every partial message look ancient or eternal
-        depending on the caller's epoch).
-        """
-        now = self._resolve_now(now)
+    def ingest(self, data: bytes) -> None:
+        """Feed one wire fragment (possibly out of order or duplicated)."""
         pkt = RtpPacket.decode(data)
         st = self._heard(pkt.ssrc)
         st["received"] += 1
         st["highest_seq"] = max(st["highest_seq"], pkt.seq)
         if pkt.msg_seq > st["newest_msg"]:
             self._slide_window(pkt.ssrc, st, pkt.msg_seq)
-        elif st["newest_msg"] - pkt.msg_seq > self.reorder_window:
+        elif st["newest_msg"] - pkt.msg_seq > REORDER_WINDOW:
             return  # from behind the window: that message is settled
         key = (pkt.ssrc, pkt.msg_seq)
         if key in self._delivered:
             return  # duplicate fragment of an already-delivered message
         part = self._partial.get(key)
         if part is None:
-            part = _PartialMessage(pkt.frag_count, first_seen=now)
+            part = _PartialMessage(pkt.frag_count)
             self._partial[key] = part
         elif part.frag_count != pkt.frag_count:
             raise RtpError(f"inconsistent frag_count for message {key}")
@@ -252,7 +207,7 @@ class RtpReassembler:
         st["newest_msg"] = newest
         # everything tracked for this source sits in [old - window, old]
         for msg_seq in range(
-            max(0, old - self.reorder_window), min(old + 1, newest - self.reorder_window)
+            max(0, old - REORDER_WINDOW), min(old + 1, newest - REORDER_WINDOW)
         ):
             self._delivered.discard((ssrc, msg_seq))
             if (ssrc, msg_seq) in self._partial:
@@ -263,22 +218,13 @@ class RtpReassembler:
         self._stats[ssrc]["abandoned"] += 1
         self._abandoned_unreported += 1
 
-    def expire(self, now: Optional[float] = None) -> int:
-        """Abandon partial messages that are too old; report abandonment.
+    def expire(self) -> int:
+        """How many messages were abandoned since the previous call.
 
-        Returns how many messages were abandoned since the previous call
-        — pushed out of the reorder window by :meth:`ingest`, or aged out
-        here; per source it is ``report(ssrc).messages_abandoned``.
-        Age-based abandonment only applies when ``max_age`` was
-        configured; ``now`` resolves like :meth:`ingest` (explicit
-        argument, else the constructor clock) but is only required when
-        ``max_age`` is in play.
+        :meth:`ingest` abandons them as newer traffic pushes them out of
+        the reorder window; per source the total is
+        ``report(ssrc).messages_abandoned``.
         """
-        if self.max_age is not None:
-            now = self._resolve_now(now)
-            for (ssrc, msg_seq), part in sorted(self._partial.items()):
-                if now - part.first_seen > self.max_age:
-                    self._abandon(ssrc, msg_seq)
         abandoned, self._abandoned_unreported = self._abandoned_unreported, 0
         return abandoned
 

@@ -332,14 +332,13 @@ class SemanticWire:
         self,
         address: tuple[str, int],
         on_message: Callable[[SemanticMessage], None],
-        clock: Callable[[], float],
     ) -> None:
         host, port = address
         self.host = host
         #: this attachment's RTP source identifier
         self.ssrc = zlib.crc32(f"{host}:{port}".encode()) & 0xFFFFFFFF
         self._packetizer = RtpPacketizer(self.ssrc)
-        self.reassembler = RtpReassembler(self._on_payload, clock=clock)
+        self.reassembler = RtpReassembler(self._on_payload)
         self._on_message = on_message
         # observability
         self.sent_messages = 0
@@ -403,9 +402,7 @@ class UnicastSemanticLink:
         else:
             self.sock.bind_ephemeral()
         self.sock.on_receive = self._on_datagram
-        self.wire = SemanticWire(
-            self.address, on_message, clock=lambda: network.scheduler.clock.now
-        )
+        self.wire = SemanticWire(self.address, on_message)
 
     @property
     def address(self) -> tuple[str, int]:
@@ -477,9 +474,8 @@ class SemanticEndpoint:
     ) -> "SemanticEndpoint":
         """Build an endpoint on any :class:`Transport` implementation.
 
-        Without a ``scheduler`` there is no periodic reassembly
-        housekeeping — call :meth:`expire` yourself if partial messages
-        can go stale (e.g. lossy real-socket runs).
+        Without a ``scheduler`` there is no periodic housekeeping tick;
+        :meth:`expire` reports abandoned messages on demand.
         """
         self = cls.__new__(cls)
         self._init_over(
@@ -508,7 +504,7 @@ class SemanticEndpoint:
         self.on_delivery = on_delivery
         self.on_rejected = on_rejected
         self.promiscuous = promiscuous
-        self.wire = SemanticWire(transport.local_address, self._on_wire_message, clock=self._now)
+        self.wire = SemanticWire(transport.local_address, self._on_wire_message)
         transport.on_receive = self._on_datagram
         #: messages offered to the local subscriptions (backs the
         #: per-subscription accounting; every decoded message is an offer)
@@ -521,8 +517,6 @@ class SemanticEndpoint:
         self._primary = Subscription(self, profile, self._deliver_primary, self._seq_counter)
         self._local_subs: list[Subscription] = [self._primary]
         self.scheduler: Optional[Scheduler] = scheduler
-        # the reassembler above always gets clock=self._now, so expire()
-        # cannot hit the no-time-source RtpError path from this callback
         self._expire_event = (
             scheduler.call_after(EXPIRE_INTERVAL, self._expire_tick)  # repro: ignore[EXC002]
             if scheduler is not None
@@ -670,9 +664,6 @@ class SemanticEndpoint:
     # ------------------------------------------------------------------
     # receiving
     # ------------------------------------------------------------------
-    def _now(self) -> float:
-        return self.scheduler.clock.now if self.scheduler is not None else 0.0
-
     def _on_datagram(self, data: bytes, src: tuple[str, int]) -> None:
         self.wire.ingest(data)
 
@@ -702,7 +693,8 @@ class SemanticEndpoint:
         )
 
     def expire(self) -> int:
-        """Manually abandon stale partial messages (schedulerless runs)."""
+        """Messages abandoned since the previous call (see :meth:`RtpReassembler.expire
+        <repro.messaging.rtp.RtpReassembler.expire>`)."""
         return self.wire.reassembler.expire()
 
     # ------------------------------------------------------------------

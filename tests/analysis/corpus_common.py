@@ -7,7 +7,7 @@ over the directory, compares against the golden set, and insists the
 known-good twins stay silent::
 
     python tests/analysis/corpus_common.py                  # every family
-    python tests/analysis/corpus_common.py perf det         # just these
+    python tests/analysis/corpus_common.py perf wire        # just these
     python tests/analysis/corpus_common.py --update wire    # regenerate
 
 Regenerate an expectation (``--update``) only after intentionally
@@ -26,7 +26,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CORPORA = {
     "typestate": ("analyze_typestate", ()),
     "perf": ("analyze_hotpath", ("perf_clean.py",)),
-    "det": ("analyze_hotpath", ("det_clean.py",)),
     "concurrency": ("analyze_concurrency", ("locks_clean.py", "races_clean.py")),
     "wire": ("analyze_wireformat", ("wire_clean.py",)),
 }

@@ -15,16 +15,14 @@ class SemanticBus:
     def publish(self, message):
         # PERF004 (b): uncached selector construction from variable text
         fallback = Selector(self.default_filter)
-        blob = b""
+        blob = bytearray()
         for frag in message.frags:
-            # PERF003: quadratic immutable-bytes accumulation
-            blob += frag
+            # the accumulation is the loop's own work, not a finding
+            blob.extend(frag)
         # PERF001: O(population) scan once per published message
         for sub in self._subs:
-            # PERF002: same-source copy re-made per candidate
-            headers = dict(message.headers)
+            # per-candidate state comes from the candidate: not a finding
+            headers = sub.headers
             # PERF004 (a): loop-invariant pure call, hoistable
             plan = compile_selector(message.selector_text)
-            # PERF005: eager f-string formatting per candidate
-            print(f"delivering {message.key} via {plan}")
-            sub.deliver(blob, headers, fallback)
+            sub.deliver(blob, headers, plan, fallback)

@@ -1,4 +1,4 @@
-"""Known-bad lock discipline: TSP001, TSP002, TSP003."""
+"""Known-bad lock revocation: TSP003."""
 
 
 class Session:
@@ -15,13 +15,3 @@ class Session:
 
     def roster_remove(self, cid):
         pass
-
-
-def release_unheld():
-    lm = LockManager()  # noqa: F821
-    lm.release("wb/s1", "alice")
-
-
-def acquire_twice(lm: LockManager):  # noqa: F821
-    lm.acquire("wb/s1", "alice")
-    lm.acquire("wb/s1", "alice")

@@ -15,7 +15,7 @@ from repro.analysis.diagnostics import Diagnostic
 from repro.analysis.__main__ import main
 
 
-def diag(code="RES002", file="src/a.py", line=10, msg="double close", sev=Severity.WARNING):
+def diag(code="EXC003", file="src/a.py", line=10, msg="silent swallow", sev=Severity.WARNING):
     return Diagnostic(code, sev, msg, subject="f", file=file, line=line, column=3)
 
 
@@ -75,7 +75,7 @@ class TestSarif:
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-analysis"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"UNI001", "EXC001", "RES003", "SEL001"} <= rule_ids
+        assert {"UNI001", "EXC001", "TSP003", "SEL001"} <= rule_ids
 
     def test_result_levels_and_location(self):
         log = json.loads(
@@ -96,23 +96,21 @@ class TestSarif:
 
 
 BAD_SOURCE = (
-    "def late(net):\n"
-    '    sock = DatagramSocket(net, "a")\n'
-    "    sock.close()\n"
-    '    sock.sendto(b"x", ("b", 7))\n'
+    "def combine(delay_ms, size_bytes):\n"
+    "    return delay_ms + size_bytes\n"
 )
 
 
 class TestCli:
     def test_sarif_format_emits_valid_json(self, tmp_path, capsys):
-        bad = tmp_path / "late.py"
+        bad = tmp_path / "units.py"
         bad.write_text(BAD_SOURCE)
         main([str(bad), "--no-defaults", "--format", "sarif", "--fail-on", "never"])
         log = json.loads(capsys.readouterr().out)
-        assert {r["ruleId"] for r in log["runs"][0]["results"]} >= {"RES003"}
+        assert {r["ruleId"] for r in log["runs"][0]["results"]} >= {"UNI001"}
 
     def test_write_then_apply_baseline_gates_only_new_findings(self, tmp_path, capsys):
-        bad = tmp_path / "late.py"
+        bad = tmp_path / "units.py"
         bad.write_text(BAD_SOURCE)
         baseline = tmp_path / "baseline.json"
         assert main([str(bad), "--no-defaults", "--write-baseline", str(baseline)]) == 0
@@ -123,12 +121,15 @@ class TestCli:
             == 0
         )
         # without the baseline the same tree fails
-        assert main([str(bad), "--no-defaults"]) == 1
+        assert main([str(bad), "--no-defaults", "--fail-on", "warning"]) == 1
 
     def test_missing_baseline_treated_as_empty(self, tmp_path, capsys):
-        bad = tmp_path / "late.py"
+        bad = tmp_path / "units.py"
         bad.write_text(BAD_SOURCE)
-        code = main([str(bad), "--no-defaults", "--baseline", str(tmp_path / "nope.json")])
+        code = main(
+            [str(bad), "--no-defaults", "--fail-on", "warning",
+             "--baseline", str(tmp_path / "nope.json")]
+        )
         assert code == 1
         assert "treating as empty" in capsys.readouterr().err
 
@@ -141,11 +142,15 @@ class TestCli:
         assert "no longer match" in capsys.readouterr().err
 
     def test_ignore_silences_the_dataflow_rule(self, tmp_path, capsys):
-        bad = tmp_path / "late.py"
+        bad = tmp_path / "units.py"
         bad.write_text(BAD_SOURCE)
-        assert main([str(bad), "--no-defaults", "--ignore", "RES003"]) == 0
+        assert main([str(bad), "--no-defaults", "--fail-on", "warning"]) == 1
+        assert (
+            main([str(bad), "--no-defaults", "--fail-on", "warning", "--ignore", "UNI001"])
+            == 0
+        )
 
     def test_shipped_tree_is_clean_at_warning(self, capsys):
-        # the acceptance gate: all UNI/EXC/RES true positives in the tree
+        # the acceptance gate: all UNI/EXC true positives in the tree
         # are fixed, so the analyzer passes with an empty baseline
         assert main(["src/repro", "--fail-on", "warning"]) == 0

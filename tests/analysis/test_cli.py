@@ -2,6 +2,7 @@
 
 import json
 
+from repro.analysis import RULES
 from repro.analysis.__main__ import main
 
 UNSAT = "load > 80 and load < 20"
@@ -38,14 +39,14 @@ class TestOutput:
         assert "analysis: 1 error(s)" in out
 
     def test_json_output_is_machine_readable(self, capsys):
-        main(["--selector", UNSAT, "--json", "--fail-on", "never"])
+        main(["--selector", UNSAT, "--format", "json", "--fail-on", "never"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["error"] == 1
         assert payload["worst"] == "error"
         assert payload["diagnostics"][0]["code"] == "SEL001"
 
     def test_json_clean_run(self, capsys):
-        main(["--selector", "load > 80", "--json"])
+        main(["--selector", "load > 80", "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == {"error": 0, "warning": 0, "info": 0}
         assert payload["worst"] is None
@@ -73,9 +74,14 @@ class TestPaths:
 
 
 BAD_TYPESTATE = (
-    "def bad():\n"
-    "    lm = LockManager()\n"
-    "    lm.release('k', 'a')\n"
+    "class Session:\n"
+    "    def __init__(self):\n"
+    "        self.locks = LockManager()\n"
+    "    def grab(self, key, client):\n"
+    "        return self.locks.acquire(key, client)\n"
+    "    def on_event(self, event):\n"
+    "        if isinstance(event, LeaveEvent):\n"
+    "            self.roster.discard(event.client_id)\n"
 )
 
 
@@ -84,13 +90,13 @@ class TestTypestate:
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_TYPESTATE)
         assert main([str(bad), "--no-defaults"]) == 1
-        assert "TSP001" in capsys.readouterr().out
+        assert "TSP003" in capsys.readouterr().out
 
     def test_ignore_silences_the_typestate_rule(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(BAD_TYPESTATE)
-        assert main([str(bad), "--no-defaults", "--ignore", "TSP001"]) == 0
-        assert "TSP001" not in capsys.readouterr().out
+        assert main([str(bad), "--no-defaults", "--ignore", "TSP003"]) == 0
+        assert "TSP003" not in capsys.readouterr().out
 
     def test_typestate_findings_reach_sarif(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
@@ -98,22 +104,21 @@ class TestTypestate:
         main([str(bad), "--no-defaults", "--format", "sarif", "--fail-on", "never"])
         sarif = json.loads(capsys.readouterr().out)
         results = sarif["runs"][0]["results"]
-        assert any(r["ruleId"] == "TSP001" for r in results)
+        assert any(r["ruleId"] == "TSP003" for r in results)
         rules = sarif["runs"][0]["tool"]["driver"]["rules"]
-        assert any(r["id"] == "TSP001" for r in rules)
+        assert any(r["id"] == "TSP003" for r in rules)
 
 
 class TestExplain:
     def test_explain_all_lists_every_rule(self, capsys):
         assert main(["--explain"]) == 0
         out = capsys.readouterr().out
-        for code in ("SEL001", "RES003", "TSP001", "TSP007", "CON003"):
-            assert code in out
+        assert [line.split()[0] for line in out.splitlines()] == sorted(RULES)
 
     def test_explain_specific_codes(self, capsys):
-        assert main(["--explain", "TSP001", "CON002"]) == 0
+        assert main(["--explain", "TSP003", "RACE002"]) == 0
         out = capsys.readouterr().out
-        assert "TSP001" in out and "CON002" in out
+        assert "TSP003" in out and "RACE002" in out
         assert "SEL001" not in out
 
     def test_explain_unknown_code_fails(self, capsys):

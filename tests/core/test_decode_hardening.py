@@ -358,7 +358,7 @@ class TestFormerNackDatagrams:
     @pytest.mark.parametrize("fill", [b"\x00", b"\xff"], ids=["zeros", "ones"])
     def test_every_length_is_a_counted_warned_drop(self, fill):
         surfaced = []
-        wire = SemanticWire(("h", 1), surfaced.append, clock=lambda: 0.0)
+        wire = SemanticWire(("h", 1), surfaced.append)
         for length in range(33):
             with pytest.warns(DiagnosticWarning, match="undecodable RTP fragment"):
                 assert wire.ingest(b"RNAK" + fill * length) is False

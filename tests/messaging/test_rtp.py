@@ -8,6 +8,7 @@ from repro.messaging.rtp import (
     DEFAULT_MTU,
     HEADER_SIZE,
     MAX_TRACKED_SOURCES,
+    REORDER_WINDOW,
     RtpError,
     RtpPacket,
     RtpPacketizer,
@@ -19,9 +20,7 @@ def pipe(mtu=200):
     """A packetizer feeding a reassembler; returns (pktzr, reasm, out)."""
     out = []
     packetizer = RtpPacketizer(ssrc=7, mtu=mtu)
-    reassembler = RtpReassembler(
-        lambda ssrc, payload: out.append((ssrc, payload)), clock=lambda: 0.0
-    )
+    reassembler = RtpReassembler(lambda ssrc, payload: out.append((ssrc, payload)))
     return packetizer, reassembler, out
 
 
@@ -127,7 +126,7 @@ class TestReassembly:
 
     def test_two_sources_independent(self):
         out = []
-        r = RtpReassembler(lambda ssrc, payload: out.append(ssrc), clock=lambda: 0.0)
+        r = RtpReassembler(lambda ssrc, payload: out.append(ssrc))
         pa = RtpPacketizer(ssrc=1, mtu=100)
         pb = RtpPacketizer(ssrc=2, mtu=100)
         for f in pa.packetize(b"a" * 150) + pb.packetize(b"b" * 150):
@@ -154,18 +153,17 @@ class TestLossAccounting:
     def test_expire_abandons_old_messages(self):
         out = []
         p = RtpPacketizer(ssrc=7, mtu=100)
-        r = RtpReassembler(
-            lambda s, payload: out.append(payload), reorder_window=2, clock=lambda: 0.0
-        )
+        r = RtpReassembler(lambda s, payload: out.append(payload))
         incomplete = p.packetize(bytes(500))
         r.ingest(incomplete[0].encode())  # fragment 0 only of msg 0
-        for _ in range(5):                # advance the msg_seq horizon
-            for f in p.packetize(b"ok"):
-                r.ingest(f.encode())
+        for _ in range(REORDER_WINDOW):   # msg 0 is still inside the window
+            r.ingest(p.packetize(b"ok")[0].encode())
+        assert r.expire() == 0 and len(r._partial) == 1
+        r.ingest(p.packetize(b"ok")[0].encode())  # pushes msg 0 out
         assert r.expire() == 1
         assert r.expire() == 0  # reported once
         assert r.report(7).messages_abandoned == 1
-        assert out == [b"ok"] * 5 and not r._partial  # msg 0 is gone, never delivered
+        assert out == [b"ok"] * (REORDER_WINDOW + 1) and not r._partial  # never delivered
 
     def test_clean_report(self):
         p, r, _ = pipe()
@@ -178,23 +176,21 @@ class TestLossAccounting:
 
 
 class TestWindowBound:
-    """Memory is bounded by ``reorder_window`` by ``ingest`` alone —
+    """Memory is bounded by ``REORDER_WINDOW`` by ``ingest`` alone —
     nobody has to call ``expire()`` (the wireless-leg users never do)."""
 
     def test_ingest_abandons_and_forgets_behind_the_window(self):
         out = []
         p = RtpPacketizer(ssrc=7, mtu=100)
-        r = RtpReassembler(
-            lambda s, payload: out.append(payload), reorder_window=4, clock=lambda: 0.0
-        )
+        r = RtpReassembler(lambda s, payload: out.append(payload))
         torn = p.packetize(bytes(500))
         r.ingest(torn[0].encode())  # msg 0 never completes
         first = p.packetize(b"m1")[0].encode()
         r.ingest(first)
-        for i in range(2, 40):
+        for i in range(2, 10 * REORDER_WINDOW):
             r.ingest(p.packetize(b"m%d" % i)[0].encode())
         assert len(r._partial) == 0
-        assert len(r._delivered) <= 4 + 1
+        assert len(r._delivered) <= REORDER_WINDOW + 1
         assert r.report(7).messages_abandoned == 1 and r.expire() == 1
         # late fragments from behind the window neither re-open the torn
         # message nor re-deliver the completed one
@@ -232,12 +228,12 @@ class TestWindowBound:
             "base station radio side": bs.radio.wire.reassembler,
         }
         for who, r in reassemblers.items():
-            window = r.reorder_window
             assert r._stats, who  # saw traffic
             for ssrc in r._stats:
                 held = sum(1 for s, _ in r._partial if s == ssrc)
                 done = sum(1 for s, _ in r._delivered if s == ssrc)
-                assert held <= window + 1 and done <= window + 1, (who, held, done)
+                bound = REORDER_WINDOW + 1
+                assert held <= bound and done <= bound, (who, held, done)
         for who in ("wireless link", "base station radio side"):
             stats = reassemblers[who]._stats.values()
             assert sum(st["abandoned"] for st in stats) > 0, who  # the bound did work
@@ -248,7 +244,7 @@ class TestSourceBound:
 
     def test_ssrc_flood_stays_bounded_and_established_source_completes_once(self):
         out = []
-        r = RtpReassembler(lambda s, payload: out.append((s, payload)), clock=lambda: 0.0)
+        r = RtpReassembler(lambda s, payload: out.append((s, payload)))
         p = RtpPacketizer(ssrc=7, mtu=100)
         r.ingest(p.packetize(b"hello")[0].encode())  # source 7 is established
         frags = p.packetize(bytes(range(200)) * 5)  # in-window message, 12 fragments
@@ -262,7 +258,7 @@ class TestSourceBound:
         assert not frags
         assert len(r._stats) <= MAX_TRACKED_SOURCES
         assert len(r._partial) <= MAX_TRACKED_SOURCES
-        assert len(r._delivered) <= MAX_TRACKED_SOURCES * (r.reorder_window + 1)
+        assert len(r._delivered) <= MAX_TRACKED_SOURCES * (REORDER_WINDOW + 1)
         assert {s for s, _ in r._partial} | {s for s, _ in r._delivered} <= set(r._stats)
         assert out == [(7, b"hello"), (7, bytes(range(200)) * 5)]
         # every evicted source's partial went through the abandon accounting
@@ -276,35 +272,3 @@ class TestSourceBound:
         assert (rep.messages_completed, rep.messages_abandoned) == (0, 0)
         assert rep.fraction_lost == 0.0
         assert 12345 not in r._stats
-
-
-class TestReassemblerClock:
-    """Regression: ``ingest(data, now=0.0)`` silently defeated ``expire``
-    — every fragment looked forever-fresh.  The clock is now explicit."""
-
-    def test_ingest_without_time_source_raises(self):
-        r = RtpReassembler(lambda s, p: None)
-        pkt = RtpPacketizer(ssrc=1, mtu=100).packetize(b"x")[0]
-        with pytest.raises(RtpError, match="current time"):
-            r.ingest(pkt.encode())
-
-    def test_explicit_now_still_works(self):
-        out = []
-        r = RtpReassembler(lambda s, p: out.append(p))
-        for pkt in RtpPacketizer(ssrc=1, mtu=100).packetize(b"y" * 50):
-            r.ingest(pkt.encode(), now=1.5)
-        assert out == [b"y" * 50]
-
-    def test_constructor_clock_used_when_now_omitted(self):
-        t = [0.0]
-        out = []
-        r = RtpReassembler(lambda s, p: out.append(p), clock=lambda: t[0], max_age=1.0)
-        packets = RtpPacketizer(ssrc=1, mtu=100).packetize(b"z" * 150)
-        r.ingest(packets[0].encode())  # partial: one of two fragments
-        t[0] = 5.0
-        assert r.expire() == 1  # the clock advanced; the partial aged out
-        assert out == []
-
-    def test_max_age_validated(self):
-        with pytest.raises(RtpError):
-            RtpReassembler(lambda s, p: None, max_age=0.0)

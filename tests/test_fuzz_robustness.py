@@ -119,7 +119,7 @@ class TestRtpFuzz:
     @given(st.binary(min_size=17, max_size=100), st.integers(0, 99), st.integers(0, 255))
     def test_reassembler_survives_corruption(self, payload, pos, newbyte):
         out = []
-        reasm = RtpReassembler(lambda s, p: out.append(p), clock=lambda: 0.0)
+        reasm = RtpReassembler(lambda s, p: out.append(p))
         frags = RtpPacketizer(ssrc=1, mtu=64).packetize(payload)
         for i, frag in enumerate(frags):
             wire = bytearray(frag.encode())
