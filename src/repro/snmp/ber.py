@@ -272,13 +272,18 @@ class EndOfMibView(_VarBindException):
 # OID body encoding (shared with oids.py)
 # ----------------------------------------------------------------------
 def encode_oid_body(arcs: tuple[int, ...]) -> bytes:
-    """Encode OID arcs per X.690 §8.19 (first two arcs packed)."""
+    """Encode OID arcs per X.690 §8.19.
+
+    The first two arcs X.Y are packed into one subidentifier, 40*X+Y,
+    written in base 128 like every other arc (§8.19.4): under X = 2 it
+    can exceed 127 (``2.999`` is ``88 37``).
+    """
     if len(arcs) < 2:
         raise BerError(f"OID needs >= 2 arcs, got {arcs!r}")
-    if arcs[0] > 2 or (arcs[0] < 2 and arcs[1] > 39):
+    if not 0 <= arcs[0] <= 2 or arcs[1] < 0 or (arcs[0] < 2 and arcs[1] > 39):
         raise BerError(f"invalid leading OID arcs {arcs[:2]!r}")
-    out = bytearray([arcs[0] * 40 + arcs[1]])
-    for arc in arcs[2:]:
+    out = bytearray()
+    for arc in (arcs[0] * 40 + arcs[1], *arcs[2:]):
         if arc < 0:
             raise BerError(f"negative OID arc {arc}")
         chunk = bytearray([arc & 0x7F])
@@ -294,21 +299,22 @@ def decode_oid_body(body: bytes) -> tuple[int, ...]:
     """Inverse of :func:`encode_oid_body`."""
     if not body:
         raise BerError("empty OID body")
-    first = body[0]
-    arcs = [min(first // 40, 2), first - 40 * min(first // 40, 2)]
+    subids = []
     acc = 0
     in_multibyte = False
-    for octet in body[1:]:
+    for octet in body:
         acc = (acc << 7) | (octet & 0x7F)
         if octet & 0x80:
             in_multibyte = True
             continue
-        arcs.append(acc)
+        subids.append(acc)
         acc = 0
         in_multibyte = False
     if in_multibyte:
         raise BerError("truncated multi-byte OID arc")
-    return tuple(arcs)
+    first = subids[0]
+    x = min(first // 40, 2)
+    return (x, first - 40 * x, *subids[1:])
 
 
 @dataclass(frozen=True)

@@ -130,6 +130,35 @@ class TestOid:
         with pytest.raises(BerError):
             decode_oid_body(b"\x2a\x86")  # continuation bit set at end
 
+    # X.690 §8.19.4: the first subidentifier is 40*X+Y, in base 128
+    @pytest.mark.parametrize(
+        "arcs,body",
+        [
+            ((2, 48), b"\x81\x00"),
+            ((2, 200), b"\x82\x18"),
+            ((2, 999, 1), b"\x88\x37\x01"),
+        ],
+    )
+    def test_first_subidentifier_above_127(self, arcs, body):
+        assert encode_oid_body(arcs) == body
+        assert decode_oid_body(body) == arcs
+
+    def test_in_tree_oids_unchanged(self):
+        # every arc below 2.x packs into one octet, as before the §8.19.4 fix
+        assert encode_oid_body((1, 3, 6, 1, 4, 1, 4392, 1, 1, 0)) == bytes(
+            [0x2B, 6, 1, 4, 1, 0xA2, 0x28, 1, 1, 0]
+        )
+        assert encode_oid_body((2, 47)) == b"\x7f"
+
+    @pytest.mark.parametrize("arcs", [(3, 0), (1, 40), (0, 40), (-1, 5), (1, -1), (1, 3, -6)])
+    def test_invalid_arcs_raise_ber_error(self, arcs):
+        with pytest.raises(BerError):
+            encode_oid_body(arcs)
+
+    def test_truncated_first_subidentifier_rejected(self):
+        with pytest.raises(BerError):
+            decode_oid_body(b"\x88")
+
     @given(
         st.tuples(
             st.integers(0, 2),
@@ -139,6 +168,12 @@ class TestOid:
     )
     def test_roundtrip(self, head, tail):
         arcs = head + tuple(tail)
+        decoded, _ = decode(encode(ObjectIdentifierValue(arcs)))
+        assert decoded.arcs == arcs
+
+    @given(st.integers(0, 2**40), st.lists(st.integers(0, 2**28), max_size=10))
+    def test_roundtrip_under_arc_2(self, second, tail):
+        arcs = (2, second, *tail)
         decoded, _ = decode(encode(ObjectIdentifierValue(arcs)))
         assert decoded.arcs == arcs
 
