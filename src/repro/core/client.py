@@ -512,11 +512,11 @@ class WiredClient:
         results = self.snmp.get(
             self.snmp_host, [TASSL.hostCpuLoad, TASSL.hostPageFaults, TASSL.hostFreeMemory]
         )
-        values = {str(oid): v for oid, v in results}
+        values = dict(results)
         out: dict[str, float] = {}
-        cpu = values.get(str(TASSL.hostCpuLoad))
-        pf = values.get(str(TASSL.hostPageFaults))
-        mem = values.get(str(TASSL.hostFreeMemory))
+        cpu = values.get(TASSL.hostCpuLoad)
+        pf = values.get(TASSL.hostPageFaults)
+        mem = values.get(TASSL.hostFreeMemory)
         if isinstance(cpu, Gauge32):
             out["cpu_load"] = float(cpu.value)
         if isinstance(pf, Gauge32):

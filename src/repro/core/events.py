@@ -85,15 +85,22 @@ class Event:
         )
 
 
+#: the fixed body layouts, compiled once.  A layout sized by a count
+#: field off the wire (``f">{n}i"``) is never added, so the table stays
+#: this size whatever peers send.
+_STRUCTS = {fmt: struct.Struct(fmt) for fmt in (">I", ">II", ">Id", ">IIIIQi", ">d", ">B")}
+_U32 = _STRUCTS[">I"]
+
+
 def _pack_str(s: str) -> bytes:
     raw = s.encode("utf-8")
-    return struct.pack(">I", len(raw)) + raw
+    return _U32.pack(len(raw)) + raw
 
 
 def _unpack_str(body: bytes, pos: int) -> tuple[str, int]:
     if pos + 4 > len(body):
         raise EventError("truncated string length")
-    (n,) = _unpack(">I", body, pos)
+    (n,) = _U32.unpack_from(body, pos)
     pos += 4
     if pos + n > len(body):
         raise EventError("truncated string")
@@ -108,13 +115,16 @@ def _unpack(fmt: str, body: bytes, pos: int) -> tuple:
     """Bounds-checked ``struct.unpack_from``: every malformed body —
     truncated, or with a count field implying an absurd layout — fails
     as :class:`EventError`, never ``struct.error``/``IndexError``."""
-    try:
-        end = pos + struct.calcsize(fmt)
-    except struct.error as exc:
-        raise EventError(f"unreasonable event field layout {fmt!r}") from exc
+    compiled = _STRUCTS.get(fmt)
+    if compiled is None:
+        try:
+            compiled = struct.Struct(fmt)
+        except struct.error as exc:
+            raise EventError(f"unreasonable event field layout {fmt!r}") from exc
+    end = pos + compiled.size
     if end > len(body):
         raise EventError(f"truncated event body: need {end} byte(s), have {len(body)}")
-    return struct.unpack_from(fmt, body, pos)
+    return compiled.unpack_from(body, pos)
 
 
 @_register

@@ -175,31 +175,50 @@ class RtpReassembler:
 
     # ------------------------------------------------------------------
     def ingest(self, data: bytes) -> None:
-        """Feed one wire fragment (possibly out of order or duplicated)."""
-        pkt = RtpPacket.decode(data)
-        st = self._heard(pkt.ssrc)
+        """Feed one wire fragment (possibly out of order or duplicated).
+
+        The header is checked as :meth:`RtpPacket.decode` checks it, but
+        no packet object is built; a whole message in one fragment is
+        delivered straight from ``data``.
+        """
+        if len(data) < HEADER_SIZE:
+            raise RtpError(f"fragment shorter than header: {len(data)}")
+        ssrc, msg_seq, frag_index, frag_count, seq = _HEADER.unpack_from(data)
+        if frag_count == 0 or frag_index >= frag_count:
+            raise RtpError(f"bad fragment indices {frag_index}/{frag_count}")
+        st = self._stats.get(ssrc)
+        if st is None:
+            st = self._heard(ssrc)
+        else:
+            self._stats.move_to_end(ssrc)
         st["received"] += 1
-        st["highest_seq"] = max(st["highest_seq"], pkt.seq)
-        if pkt.msg_seq > st["newest_msg"]:
-            self._slide_window(pkt.ssrc, st, pkt.msg_seq)
-        elif st["newest_msg"] - pkt.msg_seq > REORDER_WINDOW:
+        if seq > st["highest_seq"]:
+            st["highest_seq"] = seq
+        if msg_seq > st["newest_msg"]:
+            self._slide_window(ssrc, st, msg_seq)
+        elif st["newest_msg"] - msg_seq > REORDER_WINDOW:
             return  # from behind the window: that message is settled
-        key = (pkt.ssrc, pkt.msg_seq)
+        key = (ssrc, msg_seq)
         if key in self._delivered:
             return  # duplicate fragment of an already-delivered message
         part = self._partial.get(key)
         if part is None:
-            part = _PartialMessage(pkt.frag_count)
+            if frag_count == 1:
+                self._delivered.add(key)
+                st["completed"] += 1
+                self.on_message(ssrc, data[HEADER_SIZE:])
+                return
+            part = _PartialMessage(frag_count)
             self._partial[key] = part
-        elif part.frag_count != pkt.frag_count:
+        elif part.frag_count != frag_count:
             raise RtpError(f"inconsistent frag_count for message {key}")
-        part.fragments[pkt.frag_index] = pkt.payload  # dup fragment overwrites
+        part.fragments[frag_index] = data[HEADER_SIZE:]  # dup fragment overwrites
         if part.complete:
             payload = part.assemble()
             del self._partial[key]
             self._delivered.add(key)
             st["completed"] += 1
-            self.on_message(pkt.ssrc, payload)
+            self.on_message(ssrc, payload)
 
     def _slide_window(self, ssrc: int, st: dict, newest: int) -> None:
         """Advance a source's newest message-seq; settle what falls out."""

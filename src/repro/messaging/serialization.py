@@ -169,36 +169,106 @@ def encode_message(msg: SemanticMessage) -> bytes:
 
 
 def decode_message(data: bytes) -> SemanticMessage:
-    """Inverse of :func:`encode_message`."""
+    """Inverse of :func:`encode_message`.
+
+    One pass over ``data``: a one-byte varint, and the ``s`` / ``i``
+    header values, are read in place; longer varints and the other value
+    tags go through :func:`_read_varint` / :func:`_read_value`.  Every
+    malformed input raises the :class:`WireError` the helpers would.
+    """
     if data[:2] != _MAGIC:
         raise WireError(f"bad magic {data[:2]!r}")
     if len(data) < 3 or data[2] != _VERSION:
         raise WireError("unsupported wire version")
+    end = len(data)
     pos = 3
-    id_sender, pos = _read_str(data, pos)
-    seq, pos = _read_varint(data, pos)
-    kind, pos = _read_str(data, pos)
-    sender, pos = _read_str(data, pos)
-    selector_text, pos = _read_str(data, pos)
-    n_headers, pos = _read_varint(data, pos)
-    headers: dict[str, AttributeValue] = {}
-    for _ in range(n_headers):
-        name, pos = _read_str(data, pos)
-        value, pos = _read_value(data, pos)
-        headers[name] = value
-    body_len, pos = _read_varint(data, pos)
-    if pos + body_len > len(data):
+    # Each varint is read in place when it is one byte (< 0x80) and by
+    # _read_varint otherwise; a byte past the end reads as 0x80, so the
+    # helper reports the truncation.
+    try:
+        n = data[pos] if pos < end else 0x80
+        if n < 0x80:
+            pos += 1
+        else:
+            n, pos = _read_varint(data, pos)
+        if pos + n > end:
+            raise WireError("truncated string")
+        id_sender = data[pos : pos + n].decode("utf-8")
+        pos += n
+        seq = data[pos] if pos < end else 0x80
+        if seq < 0x80:
+            pos += 1
+        else:
+            seq, pos = _read_varint(data, pos)
+        n = data[pos] if pos < end else 0x80
+        if n < 0x80:
+            pos += 1
+        else:
+            n, pos = _read_varint(data, pos)
+        if pos + n > end:
+            raise WireError("truncated string")
+        kind = data[pos : pos + n].decode("utf-8")
+        pos += n
+        n = data[pos] if pos < end else 0x80
+        if n < 0x80:
+            pos += 1
+        else:
+            n, pos = _read_varint(data, pos)
+        if pos + n > end:
+            raise WireError("truncated string")
+        sender = data[pos : pos + n].decode("utf-8")
+        pos += n
+        n = data[pos] if pos < end else 0x80
+        if n < 0x80:
+            pos += 1
+        else:
+            n, pos = _read_varint(data, pos)
+        if pos + n > end:
+            raise WireError("truncated string")
+        selector_text = data[pos : pos + n].decode("utf-8")
+        pos += n
+        n_headers = data[pos] if pos < end else 0x80
+        if n_headers < 0x80:
+            pos += 1
+        else:
+            n_headers, pos = _read_varint(data, pos)
+        headers: dict[str, AttributeValue] = {}
+        for _ in range(n_headers):
+            n = data[pos] if pos < end else 0x80
+            if n < 0x80:
+                pos += 1
+            else:
+                n, pos = _read_varint(data, pos)
+            if pos + n > end:
+                raise WireError("truncated string")
+            name = data[pos : pos + n].decode("utf-8")
+            pos += n
+            # a short b"s" string or b"i" integer: tag and one-byte varint
+            tag, n = data[pos : pos + 2] if pos + 2 <= end else (None, 0x80)
+            if tag == 0x73 and n < 0x80:
+                pos += 2
+                if pos + n > end:
+                    raise WireError("truncated string")
+                headers[name] = data[pos : pos + n].decode("utf-8")
+                pos += n
+            elif tag == 0x69 and n < 0x80:
+                headers[name] = (n >> 1) ^ -(n & 1)
+                pos += 2
+            else:
+                headers[name], pos = _read_value(data, pos)
+    except UnicodeDecodeError as exc:
+        raise WireError("wire string is not valid UTF-8") from exc
+    body_len = data[pos] if pos < end else 0x80
+    if body_len < 0x80:
+        pos += 1
+    else:
+        body_len, pos = _read_varint(data, pos)
+    if pos + body_len > end:
         raise WireError("truncated body")
     body = data[pos : pos + body_len]
     try:
         selector = compile_selector(selector_text)
     except SelectorError as exc:
         raise WireError(f"message carries an unparseable selector: {exc}") from exc
-    return SemanticMessage(
-        msg_id=MessageId(id_sender, seq),
-        selector=selector,
-        headers=headers,
-        body=body,
-        kind=kind,
-        sender=sender,
-    )
+    # positional: the dataclass's field order (msg_id, selector, headers, body, kind, sender)
+    return SemanticMessage(MessageId(id_sender, seq), selector, headers, body, kind, sender)

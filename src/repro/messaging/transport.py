@@ -675,19 +675,27 @@ class SemanticEndpoint:
             self.published += 1  # one offer to every local subscription
             subs = list(self._local_subs)
 
-        def rejected(sub: Subscription) -> None:
-            # promiscuous inspection only ever applied to the endpoint's
-            # own profile; co-attached subscribers just miss the message,
-            # as on the in-process bus
-            if sub is self._primary and self.promiscuous and self.on_rejected is not None:
-                self.on_rejected(message)
+        reject: Optional[Callable[[Subscription], None]] = None
+        if self.promiscuous:
 
-        offer(message, message.selector, headers, subs, reject=rejected)
+            def rejected(sub: Subscription) -> None:
+                # promiscuous inspection only ever applied to the endpoint's
+                # own profile; co-attached subscribers just miss the message,
+                # as on the in-process bus
+                if sub is self._primary and self.promiscuous and self.on_rejected is not None:
+                    self.on_rejected(message)
+
+            reject = rejected
+        offer(message, message.selector, headers, subs, reject=reject)
 
     def _expire_tick(self) -> None:
+        # The reassembler abandons messages as traffic slides its window,
+        # so the tick has nothing to do; it must not call expire(), which
+        # would swallow the count expire() owes its caller.  The timer
+        # stays because its scheduler events are pinned in
+        # bench/expected/seed0.json.
         if self._closed or self.scheduler is None:
             return
-        self.wire.reassembler.expire()
         self._expire_event = self.scheduler.call_after(  # repro: ignore[EXC002]
             EXPIRE_INTERVAL, self._expire_tick
         )

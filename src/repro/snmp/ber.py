@@ -31,7 +31,7 @@ Encoding uses definite-length form only (SNMP never uses indefinite).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Union
 
 __all__ = [
     "BerError",
@@ -123,16 +123,9 @@ class Integer:
 
 
 def _encode_signed(v: int) -> bytes:
-    if v == 0:
-        return b"\x00"
-    length = (v.bit_length() + 8) // 8  # +1 sign bit, rounded up
-    body = v.to_bytes(length, "big", signed=True)
-    # strip redundant leading octets (0x00 before <0x80, 0xFF before >=0x80)
-    while len(body) > 1 and (
-        (body[0] == 0x00 and body[1] < 0x80) or (body[0] == 0xFF and body[1] >= 0x80)
-    ):
-        body = body[1:]
-    return body
+    # the fewest octets whose two's complement holds v: its magnitude
+    # bits (those of ~v when negative) plus a sign bit
+    return v.to_bytes((v if v >= 0 else ~v).bit_length() // 8 + 1, "big", signed=True)
 
 
 def _decode_signed(body: bytes) -> int:
@@ -271,6 +264,12 @@ class EndOfMibView(_VarBindException):
 # ----------------------------------------------------------------------
 # OID body encoding (shared with oids.py)
 # ----------------------------------------------------------------------
+#: OID bodies :func:`encode_oid_body` remembers; a poll names the same few
+#: OIDs every time, and the table is emptied when it fills
+_OID_MEMO_SIZE = 256
+_oid_memo: dict[tuple[int, ...], bytes] = {}
+
+
 def encode_oid_body(arcs: tuple[int, ...]) -> bytes:
     """Encode OID arcs per X.690 §8.19.
 
@@ -278,40 +277,51 @@ def encode_oid_body(arcs: tuple[int, ...]) -> bytes:
     written in base 128 like every other arc (§8.19.4): under X = 2 it
     can exceed 127 (``2.999`` is ``88 37``).
     """
+    memo = type(arcs) is tuple
+    if memo:
+        body = _oid_memo.get(arcs)
+        if body is not None:
+            return body
     if len(arcs) < 2:
         raise BerError(f"OID needs >= 2 arcs, got {arcs!r}")
     if not 0 <= arcs[0] <= 2 or arcs[1] < 0 or (arcs[0] < 2 and arcs[1] > 39):
         raise BerError(f"invalid leading OID arcs {arcs[:2]!r}")
     out = bytearray()
     for arc in (arcs[0] * 40 + arcs[1], *arcs[2:]):
-        if arc < 0:
-            raise BerError(f"negative OID arc {arc}")
-        chunk = bytearray([arc & 0x7F])
-        arc >>= 7
-        while arc:
-            chunk.append(0x80 | (arc & 0x7F))
-            arc >>= 7
-        out.extend(reversed(chunk))
-    return bytes(out)
+        if arc < 0x80:
+            if arc < 0:
+                raise BerError(f"negative OID arc {arc}")
+            out.append(arc)
+            continue
+        for shift in range((arc.bit_length() - 1) // 7 * 7, 0, -7):
+            out.append(0x80 | (arc >> shift) & 0x7F)
+        out.append(arc & 0x7F)
+    body = bytes(out)
+    if memo:
+        if len(_oid_memo) >= _OID_MEMO_SIZE:
+            _oid_memo.clear()
+        _oid_memo[arcs] = body
+    return body
 
 
 def decode_oid_body(body: bytes) -> tuple[int, ...]:
     """Inverse of :func:`encode_oid_body`."""
     if not body:
         raise BerError("empty OID body")
-    subids = []
-    acc = 0
-    in_multibyte = False
-    for octet in body:
-        acc = (acc << 7) | (octet & 0x7F)
-        if octet & 0x80:
-            in_multibyte = True
-            continue
-        subids.append(acc)
-        acc = 0
-        in_multibyte = False
-    if in_multibyte:
+    if body[-1] & 0x80:
         raise BerError("truncated multi-byte OID arc")
+    subids: Union[bytes, list[int]]
+    if body.isascii():  # every subidentifier is one octet
+        subids = body
+    else:
+        subids = []
+        acc = 0
+        for octet in body:
+            if octet & 0x80:
+                acc = (acc | octet & 0x7F) << 7
+            else:
+                subids.append(acc | octet)
+                acc = 0
     first = subids[0]
     x = min(first // 40, 2)
     return (x, first - 40 * x, *subids[1:])
@@ -342,7 +352,7 @@ class Sequence:
     tag = TAG_SEQUENCE
 
     def encode_body(self) -> bytes:
-        return b"".join(encode(i) for i in self.items)
+        return b"".join([_encode(i) for i in self.items])
 
 
 @dataclass(frozen=True)
@@ -362,7 +372,7 @@ class TaggedPdu:
         return self.tag_value & 0x1F
 
     def encode_body(self) -> bytes:
-        return b"".join(encode(i) for i in self.items)
+        return b"".join([_encode(i) for i in self.items])
 
 
 BerValue = Union[
@@ -388,8 +398,16 @@ BerValue = Union[
 # ----------------------------------------------------------------------
 def encode(value: BerValue) -> bytes:
     """Serialize one BER value (TLV)."""
+    return _encode(value)
+
+
+def _encode(value: BerValue) -> bytes:
+    """:func:`encode` without the public entry, so nested TLVs do not re-enter it."""
     body = value.encode_body()
-    return bytes([value.tag]) + encode_length(len(body)) + body
+    n = len(body)
+    if n < 0x80:
+        return bytes((value.tag, n)) + body
+    return bytes((value.tag,)) + encode_length(n) + body
 
 
 _PRIMITIVE_DECODERS = {
@@ -425,30 +443,41 @@ _MAX_NESTING = 32
 
 def decode(data: bytes, offset: int = 0, *, _depth: int = 0) -> tuple[BerValue, int]:
     """Decode one TLV at ``offset``; returns ``(value, next_offset)``."""
-    if _depth > _MAX_NESTING:
+    return _decode(data, offset, len(data), _depth)
+
+
+def _decode(data: bytes, offset: int, limit: int, depth: int) -> tuple[BerValue, int]:
+    """The TLV at ``offset`` of ``data[:limit]``.
+
+    A constructed TLV's items are decoded in place, each bounded by the
+    end of the body that holds it, so no body is copied to be parsed.
+    """
+    if depth > _MAX_NESTING:
         raise BerError(f"constructed TLVs nested deeper than {_MAX_NESTING}")
-    if offset >= len(data):
+    if offset >= limit:
         raise BerError("truncated TLV: no tag")
-    tag = data[offset]
-    length, body_start = decode_length(data, offset + 1)
-    body_end = body_start + length
-    if body_end > len(data):
-        raise BerError(f"truncated TLV body: need {body_end}, have {len(data)}")
-    body = data[body_start:body_end]
-    if tag == TAG_SEQUENCE:
-        return Sequence(tuple(_decode_all(body, _depth + 1))), body_end
-    if (tag & 0xE0) == 0xA0:  # context-class constructed: a PDU
-        return TaggedPdu(tag, tuple(_decode_all(body, _depth + 1))), body_end
+    tag = data[offset]  # repro: ignore[WIRE002] -- offset < limit <= len(data)
+    pos = offset + 1
+    if pos >= limit:
+        raise BerError("truncated length")
+    length = data[pos]  # repro: ignore[WIRE002] -- pos < limit <= len(data)
+    if length < 0x80:
+        pos += 1
+    else:  # long form; length octets running past limit fail the check below
+        length, pos = decode_length(data, pos)
+    end = pos + length
+    if end > limit:
+        raise BerError(f"truncated TLV body: need {end - offset} octet(s), have {limit - offset}")
+    if tag == TAG_SEQUENCE or (tag & 0xE0) == 0xA0:  # SEQUENCE, or a PDU
+        items = []
+        depth += 1
+        while pos < end:
+            item, pos = _decode(data, pos, end, depth)
+            items.append(item)
+        if tag == TAG_SEQUENCE:
+            return Sequence(tuple(items)), end
+        return TaggedPdu(tag, tuple(items)), end
     decoder = _PRIMITIVE_DECODERS.get(tag)
     if decoder is None:
         raise BerError(f"unsupported BER tag 0x{tag:02X}")
-    return decoder(body), body_end
-
-
-def _decode_all(body: bytes, _depth: int = 0) -> Iterable[BerValue]:
-    out = []
-    offset = 0
-    while offset < len(body):
-        value, offset = decode(body, offset, _depth=_depth)
-        out.append(value)
-    return out
+    return decoder(data[pos:end]), end

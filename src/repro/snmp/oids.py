@@ -48,10 +48,10 @@ class OID:
             except ValueError as exc:
                 raise BerError(f"bad OID string {spec!r}") from exc
         else:
-            arcs = tuple(int(a) for a in spec)
+            arcs = tuple(map(int, spec))
         if len(arcs) < 2:
             raise BerError(f"OID needs >= 2 arcs: {arcs!r}")
-        if any(a < 0 for a in arcs):
+        if min(arcs) < 0:
             raise BerError(f"negative arc in {arcs!r}")
         self.arcs = arcs
 

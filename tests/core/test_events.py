@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import events
 from repro.core.events import (
     ChatEvent,
     EventError,
@@ -48,6 +49,19 @@ class TestRoundtrip:
         body = ChatEvent(author="abc", text="def").to_body()
         with pytest.raises(EventError):
             decode_event("chat", body[:3])
+
+
+class TestFixedLayoutTable:
+    def test_peer_sized_layouts_are_never_compiled_into_the_table(self):
+        size = len(events._STRUCTS)
+        for nexp in range(1000):
+            exps = tuple(range(nexp))
+            event = ImageShareAnnounce("img", 8, 8, 1, 16, 64, "d", 3, exps)
+            assert decode_event(event.kind, event.to_body()) == event
+            # the count says more exponents than the body holds
+            with pytest.raises(EventError):
+                decode_event(event.kind, event.to_body()[:-1] if exps else event.to_body()[:-4])
+        assert len(events._STRUCTS) == size
 
 
 class TestHeaders:

@@ -8,8 +8,14 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.matching import Decision
 from repro.core.profiles import ClientProfile, TransformRule
 from repro.messaging.message import SemanticMessage
+from repro.messaging.rtp import REORDER_WINDOW, RtpPacketizer
 from repro.messaging.serialization import WireError, encode_message
-from repro.messaging.transport import SemanticEndpoint, SemanticWire, UnicastSemanticLink
+from repro.messaging.transport import (
+    EXPIRE_INTERVAL,
+    SemanticEndpoint,
+    SemanticWire,
+    UnicastSemanticLink,
+)
 from repro.network.clock import Scheduler
 from repro.network.multicast import MulticastGroup
 from repro.network.simnet import Network
@@ -312,6 +318,23 @@ class TestOneWireStack:
         assert [encode_message(m) for m in by_link] == [wire]
         assert [encode_message(m) for m in by_endpoint] == [wire]
         assert ep_tx.sent_fragments == link_tx.wire.sent_fragments == len(from_link)
+
+
+class TestExpireAcrossTicks:
+    def test_abandonment_before_a_tick_is_reported_after_it(self, fabric):
+        """The endpoint's 0.5 s tick must not swallow what ``expire()`` owes."""
+        sched, net, group = fabric
+        ep = endpoint(net, group, "a", [])
+        packetizer = RtpPacketizer(ssrc=7)
+        wire = encode_message(SemanticMessage.create("z", "false"))
+        torn = packetizer.packetize(wire + bytes(2 * 1400))
+        ep.wire.ingest(torn[0].encode())
+        for _ in range(REORDER_WINDOW + 1):  # traffic pushes it out of the window
+            ep.wire.ingest(packetizer.packetize(wire)[0].encode())
+        assert ep.wire.reassembler.report(7).messages_abandoned == 1
+        sched.run_for(3 * EXPIRE_INTERVAL)  # ticks fire
+        assert ep.expire() == 1
+        assert ep.expire() == 0  # reported once
 
 
 @pytest.mark.parametrize(
