@@ -36,7 +36,6 @@ def transmit(loss_rate: float, seed: int = 0):
             survivors[i], survivors[i + 1] = survivors[i + 1], survivors[i]
     for w in survivors:
         reassembler.ingest(w)
-    reassembler.expire()
     return sent_payloads, out, reassembler.report(1)
 
 

@@ -3,9 +3,8 @@
 The paper's delivery and adaptation decisions hinge on propositional
 semantic selectors and a policy database — a misconfigured selector or a
 contradictory policy silently drops traffic at run time.  This package
-catches those bugs *statically*: at attach/registration time (see the
-runtime hooks on :class:`~repro.messaging.broker.SemanticBus` and
-:class:`~repro.core.policies.PolicyDatabase`) and in CI
+catches those bugs *statically*: on demand (:func:`lint_profile`,
+:meth:`~repro.core.policies.PolicyDatabase.lint`) and in CI
 (``python -m repro.analysis --fail-on=error``).
 
 Every analyzer reports structured

@@ -1,7 +1,7 @@
 """Static lock-order (DLK) and shared-state race (RACE) verification.
 
-The messaging fabric holds three independent attach locks
-(``SemanticBus``, ``ShardedSemanticBus``, ``SemanticEndpoint``) and fans
+The messaging fabric holds two independent attach locks
+(``SemanticBus``, ``ShardedSemanticBus``) and fans
 batch matching out over a ``ThreadPoolExecutor``; the ROADMAP's scale
 program multiplies that surface.  This pass proves lock discipline and
 shared-field access the way TSan/lockdep do at run time, but

@@ -3,7 +3,7 @@
 Every check in :mod:`repro.analysis` reports through one shape — a
 :class:`Diagnostic` with a *stable rule code*, a severity, a
 human-readable message, and (when known) a source location — so the CLI,
-the CI gate, and the runtime hooks all consume the same stream.
+the CI gate, and the on-demand lint calls all produce the same stream.
 
 Rule codes are stable identifiers (``SEL001``, ``POL003``, ``LNT002``,
 ...): tools may filter on them, and inline suppressions name them.
@@ -62,7 +62,8 @@ class Severity(IntEnum):
 
 
 class DiagnosticWarning(UserWarning):
-    """Category used by the runtime hooks (bus attach, policy database)."""
+    """Category of run-time reports (wire input dropped at a :class:`SemanticWire
+    <repro.messaging.transport.SemanticWire>`)."""
 
 
 #: Stable rule registry: code -> (default severity, one-line description).

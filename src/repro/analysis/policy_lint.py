@@ -1,9 +1,8 @@
 """Lint for the policy database, QoS contracts, and profile transforms.
 
 These checks run over *live config objects* (not source text), so the
-same pass backs three surfaces: the ``repro.analysis`` CLI, the optional
-:class:`~repro.core.policies.PolicyDatabase` validation hook, and the
-:class:`~repro.messaging.broker.SemanticBus` attach hook.
+same pass backs the ``repro.analysis`` CLI, :meth:`PolicyDatabase.lint
+<repro.core.policies.PolicyDatabase.lint>` and :func:`lint_profile`.
 
 Rules
 -----
@@ -288,11 +287,7 @@ def lint_transforms(
 
 
 def lint_profile(profile: ClientProfile) -> list[Diagnostic]:
-    """Interest-selector analysis + transform lint for one profile.
-
-    This is what the :class:`~repro.messaging.broker.SemanticBus` attach
-    hook runs.
-    """
+    """Interest-selector analysis + transform lint for one profile."""
     from ..core.selectors import TRUE_SELECTOR
     from .selector_analysis import selector_diagnostics
 

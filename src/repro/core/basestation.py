@@ -538,10 +538,7 @@ class BaseStation:
         # multicast the batch to the wired session; a ``None`` slot marks
         # an oversized/unencodable uplink event, which must not abort the
         # rest of the batch (nor its own downlink fan-out suppression)
-        try:
-            sent = self.endpoint.publish_many(outs, suppress_errors=True)
-        except (RtpError, WireError):  # suppressed upstream; belt for the loop
-            sent = [None] * len(outs)
+        sent = self.endpoint.publish_many(outs)
         for fevent, fragments in zip(forwarded, sent):
             if fragments is None:
                 self.forward_failures += 1

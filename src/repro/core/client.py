@@ -372,7 +372,7 @@ class WiredClient:
             and msg.sender != request.client_id
             and (wanted is None or msg.kind in wanted)
         ]
-        self.endpoint.publish_many(replays, suppress_errors=True)
+        self.endpoint.publish_many(replays)
 
     def request_image_repair(self, image_id: str) -> tuple[int, ...]:
         """Request the packets blocking an image's reconstruction.
@@ -413,7 +413,7 @@ class WiredClient:
                     payload=packets[idx].to_bytes(),
                 )
                 repairs.append(event.to_message(sender=self.name, selector=selector))
-        self.endpoint.publish_many(repairs, suppress_errors=True)
+        self.endpoint.publish_many(repairs)
 
     # ------------------------------------------------------------------
     # distributed object locking (session-wide concurrency control)

@@ -182,22 +182,16 @@ class PolicyDatabase:
     Packet decisions from all applicable step policies combine by
     minimum — the most constrained subsystem (CPU, memory, network)
     governs, which is what the paper's wired experiments show.
-
-    With ``validate=True`` every registration is statically linted (see
-    :mod:`repro.analysis.policy_lint`) and findings surface as
-    :class:`~repro.analysis.diagnostics.DiagnosticWarning`; behaviour is
-    never changed — a diagnosable policy still registers.
+    :meth:`lint` reports static diagnostics for the registered policies.
     """
 
     def __init__(
         self,
-        validate: bool = False,
         conservative_packets: int = 1,
         conservative_tier: ModalityTier = ModalityTier.TEXT_ONLY,
     ) -> None:
         self._step: dict[str, StepPolicy] = {}
         self._sir: SirTierPolicy = default_sir_tier_policy()
-        self.validate = validate
         if conservative_packets < 0:
             raise PolicyError("conservative_packets must be non-negative")
         #: ceilings applied when the management plane is dark (see
@@ -207,20 +201,12 @@ class PolicyDatabase:
 
     def add_step(self, name: str, policy: StepPolicy) -> None:
         """Register/replace a step policy under ``name``."""
-        if self.validate:
-            from ..analysis import lint_step_policy
-
-            self._warn(lint_step_policy(policy, name))
         self._step[name] = policy
 
     def remove_step(self, name: str) -> None:
         self._step.pop(name, None)
 
     def set_sir_policy(self, policy: SirTierPolicy) -> None:
-        if self.validate:
-            from ..analysis import lint_sir_policy
-
-            self._warn(lint_sir_policy(policy))
         self._sir = policy
 
     def lint(
@@ -231,15 +217,6 @@ class PolicyDatabase:
         from ..analysis import lint_policy_database
 
         return lint_policy_database(self, contracts=contracts, max_packets=max_packets)
-
-    @staticmethod
-    def _warn(diagnostics: "Sequence[Diagnostic]") -> None:
-        import warnings
-
-        from ..analysis import DiagnosticWarning
-
-        for diag in diagnostics:
-            warnings.warn(diag.format(), DiagnosticWarning, stacklevel=3)
 
     @property
     def sir_policy(self) -> SirTierPolicy:

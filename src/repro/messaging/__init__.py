@@ -19,7 +19,7 @@ from .rtp import (
     RtpReassembler,
 )
 from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription
-from .sharded import ShardedSemanticBus, ShardSubscription, SlowSubscriberPolicy
+from .sharded import ShardedSemanticBus, ShardSubscription
 from .transport import (
     BrokerAPI,
     DatagramTransport,
@@ -52,7 +52,6 @@ __all__ = [
     "Subscription",
     "ShardedSemanticBus",
     "ShardSubscription",
-    "SlowSubscriberPolicy",
     "BrokerAPI",
     "make_broker",
     "Transport",

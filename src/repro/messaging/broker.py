@@ -103,15 +103,10 @@ class BatchPublishResult:
 
     Wraps the per-message :class:`PublishResult`\\ s (in submission
     order) and aggregates their counters, so callers write to one batch
-    API regardless of backend.  ``shed`` and ``detached_slow`` are zero
-    on the plain bus; backpressure-enforcing backends (the sharded
-    broker) report deliveries dropped / subscribers detached by their
-    :class:`~repro.messaging.sharded.SlowSubscriberPolicy` there.
+    API regardless of backend.
     """
 
     results: tuple[PublishResult, ...]
-    shed: int = 0
-    detached_slow: int = 0
 
     @property
     def messages(self) -> int:
@@ -205,20 +200,18 @@ def offer(
     candidates: Iterable[Subscription],
     exclude: Optional[ClientProfile] = None,
     accept: Optional[Callable[[Subscription, Delivery], None]] = None,
-    reject: Optional[Callable[[Subscription], None]] = None,
 ) -> tuple[int, int, int]:
     """Offer one message to an ordered candidate list.
 
-    The match-and-deliver decision every backend shares: skip the
-    sender's own subscriptions (``exclude``, loopback suppression),
-    interpret ``selector`` and ``headers`` against the candidate's
-    profile, skip a ``REJECT`` (after telling ``reject``, if given),
-    count the acceptance on the subscription, and hand the
+    The match-and-deliver decision both buses share: skip the sender's
+    own subscriptions (``exclude``, loopback suppression), interpret
+    ``selector`` and ``headers`` against the candidate's profile, skip a
+    ``REJECT``, count the acceptance on the subscription, and hand the
     :class:`Delivery` to ``accept`` — by default the subscription's own
     callback, called before the next candidate is interpreted.  Backends
     differ only in where ``candidates`` come from (index shortlist,
-    snapshot, one shard, an endpoint's local subscriptions) and in what
-    ``accept`` does.  Returns ``(checked, delivered, transformed)``.
+    snapshot, one shard) and in what ``accept`` does.  Returns
+    ``(checked, delivered, transformed)``.
     """
     checked = delivered = transformed = 0
     for sub in candidates:
@@ -227,8 +220,6 @@ def offer(
         checked += 1
         result = interpret(selector, headers, sub.profile)
         if result.decision is Decision.REJECT:
-            if reject is not None:
-                reject(sub)
             continue
         if result.decision is Decision.ACCEPT_WITH_TRANSFORM:
             sub.transformed += 1
@@ -262,20 +253,12 @@ class SemanticBus:
         attached profiles and shortlists candidates per publish; when
         false every publish linearly interprets against every profile.
         Either way the delivery decisions are identical.
-    validate_profiles:
-        When true, every :meth:`attach` statically analyzes the profile
-        (interest-selector satisfiability/vacuity, transform-rule lint —
-        see :mod:`repro.analysis`) and emits a
-        :class:`~repro.analysis.diagnostics.DiagnosticWarning` per
-        finding.  Delivery behaviour is never changed: a diagnosable
-        profile still attaches.
     """
 
-    def __init__(self, indexed: bool = True, validate_profiles: bool = False) -> None:
+    def __init__(self, indexed: bool = True) -> None:
         self._subs: list[Subscription] = []
         self.engine: Optional[MatchingEngine] = MatchingEngine() if indexed else None
         self.published = 0
-        self.validate_profiles = validate_profiles
         # per-bus attach ordinal, allocated under the lock: two buses (or
         # two threads attaching to one bus) never contend on shared state
         self._seq_counter = 0
@@ -286,8 +269,6 @@ class SemanticBus:
 
     def attach(self, profile: ClientProfile, callback: Callable[[Delivery], None]) -> Subscription:
         """Join the bus with a profile and a delivery callback."""
-        if self.validate_profiles:
-            self._warn_diagnosable(profile)
         with self._attach_lock:
             self._seq_counter += 1
             sub = Subscription(self, profile, callback, self._seq_counter)
@@ -296,16 +277,6 @@ class SemanticBus:
             if self.engine is not None:
                 self.engine.add(sub, profile)
         return sub
-
-    @staticmethod
-    def _warn_diagnosable(profile: ClientProfile) -> None:
-        """Surface static-analysis findings for a profile as warnings."""
-        import warnings
-
-        from ..analysis import DiagnosticWarning, lint_profile
-
-        for diag in lint_profile(profile):
-            warnings.warn(diag.format(), DiagnosticWarning, stacklevel=3)
 
     def _detach(self, sub: Subscription) -> None:
         """Remove a subscription; safe to call more than once."""

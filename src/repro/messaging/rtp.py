@@ -157,7 +157,9 @@ class RtpReassembler:
         #: per-source counters, least recently heard first
         self._stats: OrderedDict[int, dict] = OrderedDict()
         self._delivered: set[tuple[int, int]] = set()
-        self._abandoned_unreported = 0
+        #: messages abandoned since construction, evicted sources included;
+        #: monotone — readers take differences
+        self.abandoned = 0
 
     def _heard(self, ssrc: int) -> dict:
         """The stats of a source a fragment just arrived from (now newest)."""
@@ -235,17 +237,7 @@ class RtpReassembler:
     def _abandon(self, ssrc: int, msg_seq: int) -> None:
         del self._partial[ssrc, msg_seq]
         self._stats[ssrc]["abandoned"] += 1
-        self._abandoned_unreported += 1
-
-    def expire(self) -> int:
-        """How many messages were abandoned since the previous call.
-
-        :meth:`ingest` abandons them as newer traffic pushes them out of
-        the reorder window; per source the total is
-        ``report(ssrc).messages_abandoned``.
-        """
-        abandoned, self._abandoned_unreported = self._abandoned_unreported, 0
-        return abandoned
+        self.abandoned += 1
 
     # ------------------------------------------------------------------
     def report(self, ssrc: int) -> RtcpReport:

@@ -18,30 +18,22 @@ calls out (PAPERS.md):
 * **batching** — :meth:`ShardedSemanticBus.publish_many` amortizes
   header materialization, selector compilation, and shortlist counting
   across a whole batch: each *distinct* selector is shortlisted once per
-  touched shard, not once per message;
-* **admission control** — every subscriber owns a bounded delivery
-  queue.  When a batch overruns it, the configured
-  :class:`SlowSubscriberPolicy` decides: ``BLOCK`` makes the publisher
-  drain the backlog in order (backpressure), ``DROP_OLDEST`` sheds the
-  subscriber's oldest pending delivery, ``DETACH`` evicts the slow
-  subscriber from the bus.  Queue-depth highwater and shed counters are
-  reported per subscription and in :meth:`ShardedSemanticBus.stats`.
+  touched shard, not once per message.
 
 Matching fans out on a per-shard worker pool (when more than one CPU is
 available) and an **ordered merge** reassembles the per-shard decision
-streams by ``(message index, attach ordinal)`` — so with the default
-``BLOCK`` policy, deliveries are decision- *and order-identical* to
-publishing the same messages one by one on a linear ``SemanticBus``.
-Only the phase structure differs: a batch matches first, then delivers.
+streams by ``(message index, attach ordinal)``; each merged entry goes
+straight to its subscriber's callback.  Deliveries are therefore
+decision- *and order-identical* to publishing the same messages one by
+one on a linear ``SemanticBus``.  Only the phase structure differs: a
+batch matches first, then delivers.
 """
 
 from __future__ import annotations
 
 import os
 import zlib
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from enum import Enum
 from heapq import merge as _ordered_merge
 from typing import Callable, Iterable, Optional
 
@@ -52,26 +44,11 @@ from ..core.selectors import Selector
 from .broker import BatchPublishResult, Delivery, PublishResult, Subscription, offer
 from .message import SemanticMessage
 
-__all__ = ["ShardedSemanticBus", "ShardSubscription", "SlowSubscriberPolicy"]
-
-
-class SlowSubscriberPolicy(Enum):
-    """What to do when a subscriber's bounded delivery queue overruns."""
-
-    #: Drain the backlog synchronously, in order — the publisher absorbs
-    #: the cost (classic backpressure).  Delivery order stays identical
-    #: to the linear bus; this is the default.
-    BLOCK = "block"
-    #: Shed the subscriber's *oldest* pending delivery and count it.
-    DROP_OLDEST = "drop-oldest"
-    #: Evict the subscriber from the bus; its pending deliveries are
-    #: shed and it receives nothing further.
-    DETACH = "detach"
+__all__ = ["ShardedSemanticBus", "ShardSubscription"]
 
 
 class ShardSubscription(Subscription):
-    """A :class:`~repro.messaging.broker.Subscription` plus its shard
-    routing and bounded delivery queue."""
+    """A :class:`~repro.messaging.broker.Subscription` plus its shard routing."""
 
     def __init__(
         self,
@@ -84,17 +61,6 @@ class ShardSubscription(Subscription):
         super().__init__(bus, profile, callback, seq)
         #: index of the shard this subscription's signature routed to
         self.shard = shard
-        #: deliveries shed by the slow-subscriber policy
-        self.shed = 0
-        #: highwater mark of the pending-delivery queue
-        self.max_queue_depth = 0
-        self._queue: deque = deque()
-        self._slow_detached = False
-
-    @property
-    def queue_depth(self) -> int:
-        """Deliveries currently pending (nonzero only mid-batch)."""
-        return len(self._queue)
 
 
 class _Shard:
@@ -118,48 +84,30 @@ def _signature_shard(signature: frozenset, nshards: int) -> int:
     digest = zlib.crc32("\x00".join(sorted(signature)).encode("utf-8"))
     return digest % nshards
 
+
 class ShardedSemanticBus:
     """Signature-sharded, batch-capable semantic broker.
 
     Satisfies the same :class:`~repro.messaging.transport.BrokerAPI`
     contract as :class:`~repro.messaging.broker.SemanticBus` — same
     attach/detach semantics, same :class:`PublishResult` accounting,
-    decision- and order-identical deliveries under the default policy.
+    decision- and order-identical deliveries.
 
     Parameters
     ----------
     shards:
         Number of index partitions.  ``1`` degenerates to a single
         engine (still batch-capable).
-    queue_capacity:
-        Bound on each subscriber's pending-delivery queue within a
-        batch; beyond it ``slow_policy`` applies.
-    slow_policy:
-        See :class:`SlowSubscriberPolicy`.
     workers:
         Worker threads for per-shard matching fan-out.  Defaults to
         ``min(shards, cpu_count)``; values ``<= 1`` run matching inline
         (the ordered merge makes either mode deterministic).
-    validate_profiles:
-        As on :class:`~repro.messaging.broker.SemanticBus`.
     """
 
-    def __init__(
-        self,
-        shards: int = 8,
-        queue_capacity: int = 1024,
-        slow_policy: SlowSubscriberPolicy = SlowSubscriberPolicy.BLOCK,
-        workers: Optional[int] = None,
-        validate_profiles: bool = False,
-    ) -> None:
+    def __init__(self, shards: int = 8, workers: Optional[int] = None) -> None:
         if shards < 1:
             raise ValueError("shards must be >= 1")
-        if queue_capacity < 1:
-            raise ValueError("queue_capacity must be >= 1")
         self._shards = [_Shard() for _ in range(shards)]
-        self.queue_capacity = queue_capacity
-        self.slow_policy = slow_policy
-        self.validate_profiles = validate_profiles
         self.published = 0
         self._size = 0
         self._seq_counter = 0
@@ -175,9 +123,6 @@ class ShardedSemanticBus:
         #: (selector, shard) pairs skipped by the required-attribute test,
         #: weighted by the number of messages they would have served
         self.shard_skips = 0
-        self.shed_total = 0
-        self.detached_slow = 0
-        self.max_queue_depth = 0
 
     # ------------------------------------------------------------------
     # membership
@@ -202,10 +147,6 @@ class ShardedSemanticBus:
         self, profile: ClientProfile, callback: Callable[[Delivery], None]
     ) -> ShardSubscription:
         """Join the bus; the profile's signature picks its shard."""
-        if self.validate_profiles:
-            from .broker import SemanticBus
-
-            SemanticBus._warn_diagnosable(profile)
         shard_id = self.route(profile)
         with self._attach_lock:
             self._seq_counter += 1
@@ -262,8 +203,7 @@ class ShardedSemanticBus:
         batch starts: subscribers attached by delivery callbacks see
         only subsequent batches.  Deliveries are invoked on the calling
         thread in ``(message, attach-order)`` order — identical to a
-        linear bus — with the slow-subscriber policy applied per
-        subscriber queue.
+        linear bus.
         """
         msgs = list(messages)
         if not msgs:
@@ -296,7 +236,7 @@ class ShardedSemanticBus:
             ]
             outputs = self._match_all(work, msgs, headers_list, selectors, sel_of, groups, exclude)
 
-        # -------- ordered merge + admission-controlled delivery --------
+        # -------- ordered merge + delivery --------
         checked = [0] * n
         delivered = [0] * n
         transformed = [0] * n
@@ -307,77 +247,24 @@ class ShardedSemanticBus:
                 transformed[i] += t
             self.shard_skips += shard_skipped
 
-        capacity = self.queue_capacity
-        policy = self.slow_policy
-        batch_shed = 0
-        batch_detached = 0
-        pending: list[list] = []
-        cursor = 0
         merged = _ordered_merge(
             *(entries for entries, _c, _s in outputs), key=lambda e: (e[0], e[1])
         )
         for _m, _seq, sub, delivery in merged:
-            if sub._slow_detached:
-                sub.shed += 1
-                batch_shed += 1
-                continue
-            entry = [sub, delivery, True]
-            pending.append(entry)
-            sub._queue.append(entry)
-            depth = len(sub._queue)
-            if depth > sub.max_queue_depth:
-                sub.max_queue_depth = depth
-            if depth > self.max_queue_depth:
-                self.max_queue_depth = depth
-            if depth > capacity:
-                if policy is SlowSubscriberPolicy.BLOCK:
-                    # publisher absorbs the backlog: drain *everything*
-                    # pending, in global order, so ordering is preserved
-                    cursor = self._drain(pending, cursor)
-                elif policy is SlowSubscriberPolicy.DROP_OLDEST:
-                    oldest = sub._queue.popleft()
-                    oldest[2] = False
-                    sub.shed += 1
-                    batch_shed += 1
-                else:  # DETACH
-                    dropped = len(sub._queue)
-                    for e in sub._queue:
-                        e[2] = False
-                    sub._queue.clear()
-                    sub.shed += dropped
-                    batch_shed += dropped
-                    sub._slow_detached = True
-                    sub.detach()
-                    batch_detached += 1
-        self._drain(pending, cursor)
-        self.shed_total += batch_shed
-        self.detached_slow += batch_detached
+            sub.callback(delivery)
 
-        results = tuple(
-            PublishResult(
-                delivered=delivered[i],
-                transformed=transformed[i],
-                rejected=offered - excluded - delivered[i],
-                candidates_checked=checked[i],
-                matched_via_index=selectors[i].conjunctive_plan() is not None,
-            )
-            for i in range(n)
-        )
         return BatchPublishResult(
-            results=results, shed=batch_shed, detached_slow=batch_detached
+            results=tuple(
+                PublishResult(
+                    delivered=delivered[i],
+                    transformed=transformed[i],
+                    rejected=offered - excluded - delivered[i],
+                    candidates_checked=checked[i],
+                    matched_via_index=selectors[i].conjunctive_plan() is not None,
+                )
+                for i in range(n)
+            )
         )
-
-    @staticmethod
-    def _drain(pending: list[list], cursor: int) -> int:
-        """Deliver every live pending entry from ``cursor`` on, in order."""
-        i = cursor
-        while i < len(pending):
-            sub, delivery, live = pending[i]
-            if live:
-                sub._queue.popleft()
-                sub.callback(delivery)
-            i += 1
-        return i
 
     # ------------------------------------------------------------------
     # per-shard matching
@@ -502,10 +389,5 @@ class ShardedSemanticBus:
             "batches": self.batches,
             "indexed": True,
             "workers": self._workers,
-            "queue_capacity": self.queue_capacity,
-            "slow_policy": self.slow_policy.value,
             "shard_skips": self.shard_skips,
-            "shed": self.shed_total,
-            "detached_slow": self.detached_slow,
-            "max_queue_depth": self.max_queue_depth,
         }

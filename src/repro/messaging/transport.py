@@ -4,7 +4,8 @@ This is the client's *event communication module* wire path (paper
 Sec. 5.3): outgoing messages are serialized, fragmented by the RTP-thin
 layer and multicast; incoming fragments are reassembled, decoded, and
 semantically interpreted against the local profile before anything
-reaches the application.
+reaches the application.  An endpoint serves exactly one profile: each
+received message is interpreted once, against it (paper Sec. 5.3).
 
 The wire fabric is abstracted behind the :class:`Transport` protocol:
 
@@ -31,13 +32,13 @@ import warnings
 import zlib
 from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 
-from .._locks import make_lock
+from ..core.matching import Decision, interpret
 from ..core.profiles import ClientProfile
 from ..network.clock import Scheduler
 from ..network.multicast import MulticastGroup, MulticastSocket
 from ..network.simnet import Network
 from ..network.udp import DatagramSocket
-from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription, offer
+from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription
 from .message import SemanticMessage
 from .rtp import RtpError, RtpPacketizer, RtpReassembler
 from .serialization import WireError, decode_message, encode_message
@@ -63,27 +64,14 @@ EXPIRE_INTERVAL = 0.5
 
 @runtime_checkable
 class BrokerAPI(Protocol):
-    """The broker contract every semantic dispatch backend satisfies.
+    """The contract both in-process dispatch backends satisfy.
 
-    Previously implicit in :class:`~repro.messaging.broker.SemanticBus`'s
-    concrete surface, now explicit so clients, the base station, and
-    experiments can select a backend by *capability* rather than
-    concrete class: the in-process
-    :class:`~repro.messaging.broker.SemanticBus`, the partitioned
-    :class:`~repro.messaging.sharded.ShardedSemanticBus`, and the
-    networked :class:`SemanticEndpoint` all conform (use
-    :func:`make_broker` to pick one by scale).
-
-    Notes on semantics the protocol deliberately leaves backend-shaped:
-
-    * ``publish``/``publish_many`` return :class:`PublishResult` /
-      :class:`BatchPublishResult` on in-process buses; the networked
-      endpoint — whose deliveries are decided remotely, at each
-      receiver — returns sent-fragment counts (int-compatible, like
-      ``PublishResult`` itself).
-    * ``exclude`` suppresses sender loopback where loopback exists; a
-      networked endpoint never re-receives its own sends, so it accepts
-      and ignores the argument.
+    :class:`~repro.messaging.broker.SemanticBus` and the partitioned
+    :class:`~repro.messaging.sharded.ShardedSemanticBus` conform, so
+    callers pick a backend with :func:`make_broker` rather than by
+    concrete class.  ``publish`` / ``publish_many`` return
+    :class:`PublishResult` / :class:`BatchPublishResult`; ``exclude``
+    suppresses sender loopback.
     """
 
     def attach(
@@ -94,9 +82,9 @@ class BrokerAPI(Protocol):
 
     def publish(
         self, message: SemanticMessage, exclude: Optional[ClientProfile] = None
-    ): ...
+    ) -> PublishResult: ...
 
-    def publish_many(self, messages: Iterable[SemanticMessage]): ...
+    def publish_many(self, messages: Iterable[SemanticMessage]) -> BatchPublishResult: ...
 
     @property
     def subscribers(self) -> int: ...
@@ -104,38 +92,22 @@ class BrokerAPI(Protocol):
     def stats(self) -> dict: ...
 
 
-def make_broker(
-    expected_subscribers: int = 0,
-    *,
-    shards: Optional[int] = None,
-    indexed: bool = True,
-    validate_profiles: bool = False,
-    **sharded_options,
-) -> BrokerAPI:
-    """Pick an in-process broker backend by capability.
+def make_broker(*, shards: Optional[int] = None, indexed: bool = True) -> BrokerAPI:
+    """Pick an in-process broker backend.
 
-    ``shards`` (explicitly, or implied by an ``expected_subscribers``
-    population large enough to want partitioning) selects the
-    :class:`~repro.messaging.sharded.ShardedSemanticBus`; otherwise the
-    plain :class:`~repro.messaging.broker.SemanticBus` is returned.
-    Extra keyword options (``queue_capacity``, ``slow_policy``,
-    ``workers``) pass through to the sharded backend.  For a
-    *networked* broker, construct a :class:`SemanticEndpoint` — it
-    satisfies the same :class:`BrokerAPI`.
+    ``shards`` selects the :class:`~repro.messaging.sharded.ShardedSemanticBus`
+    with that many partitions; otherwise the plain
+    :class:`~repro.messaging.broker.SemanticBus` is returned.  Every shard
+    keeps a predicate index, so ``indexed=False`` with ``shards`` raises
+    :class:`ValueError`.
     """
+    if shards is None:
+        return SemanticBus(indexed=indexed)
+    if not indexed:
+        raise ValueError("the sharded backend is always indexed; drop shards= for a linear bus")
     from .sharded import ShardedSemanticBus
 
-    if shards is None and expected_subscribers >= 10_000:
-        shards = 8
-    if shards is not None:
-        return ShardedSemanticBus(
-            shards=shards, validate_profiles=validate_profiles, **sharded_options
-        )
-    if sharded_options:
-        raise TypeError(
-            f"options {sorted(sharded_options)} require the sharded backend; pass shards="
-        )
-    return SemanticBus(indexed=indexed, validate_profiles=validate_profiles)
+    return ShardedSemanticBus(shards=shards)
 
 
 @runtime_checkable
@@ -474,8 +446,7 @@ class SemanticEndpoint:
     ) -> "SemanticEndpoint":
         """Build an endpoint on any :class:`Transport` implementation.
 
-        Without a ``scheduler`` there is no periodic housekeeping tick;
-        :meth:`expire` reports abandoned messages on demand.
+        Without a ``scheduler`` there is no periodic housekeeping tick.
         """
         self = cls.__new__(cls)
         self._init_over(
@@ -506,16 +477,6 @@ class SemanticEndpoint:
         self.promiscuous = promiscuous
         self.wire = SemanticWire(transport.local_address, self._on_wire_message)
         transport.on_receive = self._on_datagram
-        #: messages offered to the local subscriptions (backs the
-        #: per-subscription accounting; every decoded message is an offer)
-        self.published = 0
-        self._attach_lock = make_lock("SemanticEndpoint._attach_lock")
-        self._seq_counter = 1
-        # the endpoint's own profile is its first local subscription —
-        # extra co-located subscribers attach() alongside it and every
-        # incoming message is interpreted per attached profile
-        self._primary = Subscription(self, profile, self._deliver_primary, self._seq_counter)
-        self._local_subs: list[Subscription] = [self._primary]
         self.scheduler: Optional[Scheduler] = scheduler
         self._expire_event = (
             scheduler.call_after(EXPIRE_INTERVAL, self._expire_tick)  # repro: ignore[EXC002]
@@ -556,102 +517,29 @@ class SemanticEndpoint:
         return self.wire.decode_failures
 
     # ------------------------------------------------------------------
-    # local subscriptions (broker-API surface)
-    # ------------------------------------------------------------------
-    def _deliver_primary(self, delivery: Delivery) -> None:
-        """Primary subscription callback: the application's handler."""
-        self.accepted_messages += 1
-        self.on_delivery(delivery)
-
-    def attach(
-        self, profile: ClientProfile, callback: Callable[[Delivery], None]
-    ) -> Subscription:
-        """Attach a co-located subscriber to this endpoint.
-
-        Every message arriving off the wire is interpreted against each
-        attached profile (exactly as the in-process bus does), so one
-        endpoint can serve several local consumers — e.g. apps sharing
-        one host's group membership.  The endpoint's own profile is the
-        first subscription; handles detach the usual way.
-        """
-        with self._attach_lock:
-            self._seq_counter += 1
-            sub = Subscription(self, profile, callback, self._seq_counter)
-            self._local_subs.append(sub)
-        return sub
-
-    def _detach(self, sub: Subscription) -> None:
-        """Bus-side removal (reached via ``Subscription.detach``)."""
-        with self._attach_lock:
-            try:
-                self._local_subs.remove(sub)
-            except ValueError:
-                pass
-            else:
-                sub._frozen_rejected = sub.rejected
-
-    def detach(self, sub: Subscription) -> None:
-        """Detach ``sub`` from the endpoint (idempotent)."""
-        sub.detach()
-
-    @property
-    def subscribers(self) -> int:
-        """Locally attached subscriptions (incl. the endpoint's own)."""
-        return len(self._local_subs)
-
-    def stats(self) -> dict[str, object]:
-        """Counters describing this endpoint (broker-API surface)."""
-        return {
-            "backend": "semantic-endpoint",
-            "shards": 1,
-            "subscribers": len(self._local_subs),
-            "published": self.published,
-            "sent_messages": self.sent_messages,
-            "sent_fragments": self.sent_fragments,
-            "received_messages": self.received_messages,
-            "accepted_messages": self.accepted_messages,
-            "decode_failures": self.decode_failures,
-        }
-
-    # ------------------------------------------------------------------
     # sending
     # ------------------------------------------------------------------
-    def publish(
-        self, message: SemanticMessage, exclude: Optional[ClientProfile] = None
-    ) -> int:
+    def publish(self, message: SemanticMessage) -> int:
         """Multicast a message to the session; returns fragments sent.
 
-        ``exclude`` exists for broker-API signature parity and is
-        ignored: a networked endpoint never re-receives its own sends
-        (multicast loopback is off), so there is nothing to suppress.
+        The endpoint never re-receives its own sends (multicast loopback
+        is off).
         """
         if self._closed:
             raise RuntimeError("endpoint is closed")
         return self.wire.send(message, self._transport.send)
 
-    def publish_many(
-        self,
-        messages: Iterable[SemanticMessage],
-        exclude: Optional[ClientProfile] = None,
-        suppress_errors: bool = False,
-    ) -> list[Optional[int]]:
+    def publish_many(self, messages: Iterable[SemanticMessage]) -> list[Optional[int]]:
         """Multicast a batch; returns per-message fragment counts.
 
-        The unified batch entry point mirroring
-        :meth:`SemanticBus.publish_many
-        <repro.messaging.broker.SemanticBus.publish_many>` for the wire
-        path.  With ``suppress_errors`` a message that cannot be
-        encoded or fragmented yields ``None`` in its slot instead of
-        aborting the rest of the batch (the base station's uplink
-        forwarding uses this).
+        A message that cannot be encoded or fragmented yields ``None`` in
+        its slot instead of aborting the rest of the batch.
         """
         out: list[Optional[int]] = []
         for message in messages:
             try:
                 out.append(self.publish(message))
             except (RtpError, WireError):
-                if not suppress_errors:
-                    raise
                 out.append(None)
         return out
 
@@ -668,42 +556,26 @@ class SemanticEndpoint:
         self.wire.ingest(data)
 
     def _on_wire_message(self, message: SemanticMessage) -> None:
-        """Interpret one decoded message against every local subscription."""
+        """Interpret one decoded message against the local profile."""
         self.received_messages += 1
-        headers = message.effective_headers()
-        with self._attach_lock:
-            self.published += 1  # one offer to every local subscription
-            subs = list(self._local_subs)
-
-        reject: Optional[Callable[[Subscription], None]] = None
-        if self.promiscuous:
-
-            def rejected(sub: Subscription) -> None:
-                # promiscuous inspection only ever applied to the endpoint's
-                # own profile; co-attached subscribers just miss the message,
-                # as on the in-process bus
-                if sub is self._primary and self.promiscuous and self.on_rejected is not None:
-                    self.on_rejected(message)
-
-            reject = rejected
-        offer(message, message.selector, headers, subs, reject=reject)
+        result = interpret(message.selector, message.effective_headers(), self.profile)
+        if result.decision is Decision.REJECT:
+            if self.promiscuous and self.on_rejected is not None:
+                self.on_rejected(message)
+            return
+        self.accepted_messages += 1
+        self.on_delivery(Delivery(message, result))
 
     def _expire_tick(self) -> None:
-        # The reassembler abandons messages as traffic slides its window,
-        # so the tick has nothing to do; it must not call expire(), which
-        # would swallow the count expire() owes its caller.  The timer
-        # stays because its scheduler events are pinned in
-        # bench/expected/seed0.json.
+        # The reassembler abandons messages as traffic slides its window
+        # and counts them in its monotone ``abandoned`` total, so the tick
+        # has nothing to do.  The timer stays because its scheduler events
+        # are pinned in bench/expected/seed0.json.
         if self._closed or self.scheduler is None:
             return
         self._expire_event = self.scheduler.call_after(  # repro: ignore[EXC002]
             EXPIRE_INTERVAL, self._expire_tick
         )
-
-    def expire(self) -> int:
-        """Messages abandoned since the previous call (see :meth:`RtpReassembler.expire
-        <repro.messaging.rtp.RtpReassembler.expire>`)."""
-        return self.wire.reassembler.expire()
 
     # ------------------------------------------------------------------
     def reception_report(self, ssrc: int):

@@ -1,10 +1,13 @@
-"""Opt-in runtime hooks: diagnostics surface as warnings, never behaviour."""
+"""Static diagnostics are asked for, never raised by registration.
+
+Registering a policy or attaching a profile stays silent; the findings
+come from the direct calls, :meth:`PolicyDatabase.lint` and
+:func:`~repro.analysis.lint_profile`.
+"""
 
 import warnings
 
-import pytest
-
-from repro.analysis import DiagnosticWarning
+from repro.analysis import DiagnosticWarning, lint_profile, lint_step_policy
 from repro.core.policies import PolicyDatabase, SirTierPolicy, StepPolicy
 from repro.core.profiles import ClientProfile
 from repro.messaging.broker import SemanticBus
@@ -12,18 +15,22 @@ from repro.messaging.broker import SemanticBus
 ZIGZAG = StepPolicy("cpu_load", "packets", [(44, 16), (58, 1), (72, 8)], floor=2)
 
 
+def codes(diagnostics):
+    return {diag.code for diag in diagnostics}
+
+
 class TestPolicyDatabaseHook:
     def test_validating_database_warns_on_bad_policy(self):
-        db = PolicyDatabase(validate=True)
-        with pytest.warns(DiagnosticWarning, match="POL001"):
-            db.add_step("zigzag", ZIGZAG)
-        # behaviour unchanged: the policy still registered
+        """``lint()`` reports what a registration lets through."""
+        db = PolicyDatabase()
+        db.add_step("zigzag", ZIGZAG)
         assert "zigzag" in db.step_policies
+        assert "POL001" in codes(db.lint())
 
     def test_validating_database_warns_on_collapsed_tiers(self):
-        db = PolicyDatabase(validate=True)
-        with pytest.warns(DiagnosticWarning, match="POL004"):
-            db.set_sir_policy(SirTierPolicy(image_db=4.0, sketch_db=4.0, text_db=-6.0))
+        db = PolicyDatabase()
+        db.set_sir_policy(SirTierPolicy(image_db=4.0, sketch_db=4.0, text_db=-6.0))
+        assert "POL004" in codes(db.lint())
 
     def test_default_database_is_silent(self):
         db = PolicyDatabase()
@@ -33,18 +40,13 @@ class TestPolicyDatabaseHook:
         assert "zigzag" in db.step_policies
 
     def test_clean_policy_emits_nothing(self):
-        db = PolicyDatabase(validate=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DiagnosticWarning)
-            db.add_step("cpu", StepPolicy("cpu_load", "packets", [(44, 16), (58, 8)], floor=1))
+        assert lint_step_policy(StepPolicy("cpu_load", "packets", [(44, 16), (58, 8)], floor=1)) == []
 
 
 class TestSemanticBusHook:
     def test_validating_bus_warns_on_unsat_interest(self):
-        bus = SemanticBus(validate_profiles=True)
         profile = ClientProfile("nobody", interest="load > 80 and load < 20")
-        with pytest.warns(DiagnosticWarning, match="SEL001"):
-            bus.attach(profile, lambda delivery: None)
+        assert "SEL001" in codes(lint_profile(profile))
 
     def test_default_bus_is_silent(self):
         bus = SemanticBus()
@@ -54,14 +56,9 @@ class TestSemanticBusHook:
             bus.attach(profile, lambda delivery: None)
 
     def test_default_accept_everything_interest_not_flagged(self):
-        bus = SemanticBus(validate_profiles=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DiagnosticWarning)
-            bus.attach(ClientProfile("quiet"), lambda delivery: None)
+        assert lint_profile(ClientProfile("quiet")) == []
 
     def test_warning_does_not_block_attachment(self):
-        bus = SemanticBus(validate_profiles=True)
         profile = ClientProfile("nobody", interest="load > 80 and load < 20")
-        with pytest.warns(DiagnosticWarning):
-            sub = bus.attach(profile, lambda delivery: None)
-        assert sub is not None
+        assert lint_profile(profile)
+        assert SemanticBus().attach(profile, lambda delivery: None).active

@@ -230,7 +230,7 @@ class TestHostileRequesterIds:
         fw, a, b, m = session
         from repro.messaging.serialization import WireError
 
-        def refuse(message, exclude=None):
+        def refuse(message):
             raise WireError("unencodable header value")
 
         a.lock_coordinator = True

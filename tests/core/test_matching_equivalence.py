@@ -6,10 +6,11 @@ profile populations and selectors through an indexed and an unindexed
 :class:`~repro.messaging.broker.SemanticBus` and requires identical
 deliveries, per-subscriber counters, and publish results — including
 after mid-run profile mutations (exercising the watch/reindex path).
-The sharded batch bus and the networked endpoint's local subscriptions
-are held to the same linear oracle.
+The sharded batch bus and the networked endpoint (one profile) are held
+to the same linear oracle.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.matching import interpret
@@ -153,7 +154,76 @@ def test_sharded_batch_agrees_with_linear_bus(populations, selector_batch, nshar
         )
 
 
-consumers = st.tuples(
+_SHARD_SELECTORS = ["true", "role == 'medic'", "role == 'clerk' or zone == 'north'", "tier >= 1", "false"]
+
+
+def _drive_mutating_population(bus, publish_batch, deferred, batches):
+    """Two batches over a population whose callbacks change it mid-batch.
+
+    On its third delivery the ``mutator`` subscriber detaches ``late``
+    (attached after it) and attaches ``newcomer``.  ``deferred`` is
+    ``None`` for the sharded bus, which applies the change at once; for
+    the linear oracle it is a list the caller drains after each batch,
+    since a sharded batch admits its whole snapshot before delivering.
+    Returns the delivery log and every subscription's counters.
+    """
+    log = []
+    subs = {}
+
+    def note(name):
+        return lambda d: log.append((name, d.message.msg_id, d.result.decision))
+
+    def attach(name, attrs, callback=None):
+        subs[name] = bus.attach(ClientProfile(name, attrs), callback or note(name))
+
+    def mutate():
+        subs["late"].detach()
+        attach("newcomer", {"role": "medic"})
+
+    def mutator(delivery):
+        note("mutator")(delivery)
+        if sum(1 for entry in log if entry[0] == "mutator") == 3:
+            (deferred.append if deferred is not None else lambda f: f())(mutate)
+
+    attach("hub", {"role": "medic", "tier": 2, "zone": "north"})
+    attach("mutator", {"role": "medic"}, mutator)
+    attach("clerk", {"role": "clerk"})
+    attach("late", {"tier": 1})
+    attach("bare", {})
+    for batch in batches:
+        publish_batch(batch)
+        while deferred:
+            deferred.pop(0)()
+    counters = {name: (s.accepted, s.transformed, s.rejected) for name, s in subs.items()}
+    return log, counters
+
+
+@pytest.mark.parametrize("nshards", [1, 2, 5, 8])
+def test_sharded_batch_agrees_with_linear_bus_while_callbacks_mutate(nshards):
+    """Detach and attach from delivery callbacks, in a batch past 1 024 deliveries."""
+    from repro.messaging.sharded import ShardedSemanticBus
+
+    linear = SemanticBus(indexed=False)
+
+    def publish_linear(batch):
+        for message in batch:
+            linear.publish(message)
+
+    # the hub takes four messages in five: > 1 024 deliveries in one batch
+    batches = (
+        [SemanticMessage.create("s", _SHARD_SELECTORS[i % 5]) for i in range(1300)],
+        [SemanticMessage.create("s", text) for text in _SHARD_SELECTORS],
+    )
+    sharded = ShardedSemanticBus(shards=nshards)
+    want = _drive_mutating_population(linear, publish_linear, [], batches)
+    got = _drive_mutating_population(sharded, sharded.publish_many, None, batches)
+    sharded.close()
+    assert sum(1 for entry in want[0] if entry[0] == "hub") > 1024
+    assert {entry[0] for entry in want[0]} >= {"late", "newcomer"}
+    assert got == want
+
+
+consumer = st.tuples(
     profile_attrs,
     st.sampled_from([None, "enc == 'jpeg'", "enc == 'pcm' or urgent"]),
     st.sampled_from([(), (TransformRule("enc", "mpeg2", "jpeg"),)]),
@@ -162,43 +232,40 @@ consumers = st.tuples(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    population=st.lists(consumers, min_size=1, max_size=6),
+    spec=consumer,
     stream=st.lists(
         st.tuples(st.sampled_from(SELECTORS), st.sampled_from(ENCODINGS)),
         min_size=1,
         max_size=6,
     ),
 )
-def test_endpoint_local_subscriptions_agree_with_linear_bus(population, stream):
-    """A networked endpoint offers like the in-process bus.
+def test_endpoint_local_subscriptions_agree_with_linear_bus(spec, stream):
+    """A networked endpoint decides like a one-profile in-process bus.
 
     ``SemanticEndpoint`` interprets every message arriving off the wire
-    against its own profile and each co-attached local subscription.
-    Over the same profiles and message stream it must reach the same
-    per-subscription accept / transform / reject decisions, in the same
-    order and with the same ``rejected`` counts, as an unindexed linear
-    :class:`SemanticBus` — and its promiscuous tap must surface exactly
-    the messages the bus rejected for the first (primary) profile.
+    once, against its one profile.  Over the same profile and message
+    stream it must make the same accept / transform decisions, in the
+    same order and with the same effective headers, as an unindexed
+    :class:`SemanticBus` with that profile as its only subscriber — and
+    its promiscuous tap must surface exactly the messages the bus
+    rejected.
     """
     from repro.messaging.transport import SemanticEndpoint
     from repro.network.clock import Scheduler
     from repro.network.multicast import MulticastGroup
     from repro.network.simnet import Network
 
-    def profiles():
-        return [
-            ClientProfile(f"c{i}", dict(attrs), interest=interest, transforms=transforms)
-            for i, (attrs, interest, transforms) in enumerate(population)
-        ]
+    attrs, interest, transforms = spec
 
-    def note(log, i):
-        return lambda d: log.append(
-            (i, d.message.msg_id, d.result.decision, d.result.effective_headers)
-        )
+    def profile():
+        return ClientProfile("c", dict(attrs), interest=interest, transforms=transforms)
+
+    def note(log):
+        return lambda d: log.append((d.message.msg_id, d.result.decision, d.result.effective_headers))
 
     linear = SemanticBus(indexed=False)
     got_linear = []
-    subs_l = [linear.attach(p, note(got_linear, i)) for i, p in enumerate(profiles())]
+    sub = linear.attach(profile(), note(got_linear))
 
     sched = Scheduler()
     net = Network(sched, seed=0)
@@ -207,40 +274,33 @@ def test_endpoint_local_subscriptions_agree_with_linear_bus(population, stream):
     net.add_link("tx", "rx", latency=0.001)
     group = MulticastGroup(net, "239.3.3.3", 5004)
     got_endpoint, tapped = [], []
-    primary, *others = profiles()
     receiver = SemanticEndpoint(
         net,
         "rx",
         group,
-        primary,
-        on_delivery=note(got_endpoint, 0),
+        profile(),
+        on_delivery=note(got_endpoint),
         on_rejected=lambda m: tapped.append(m.msg_id),
         promiscuous=True,
     )
-    subs_e = [receiver._primary] + [
-        receiver.attach(p, note(got_endpoint, i)) for i, p in enumerate(others, start=1)
-    ]
     sender = SemanticEndpoint(net, "tx", group, ClientProfile("tx"), on_delivery=lambda d: None)
 
     batch = [
         SemanticMessage.create("tx", selector, headers={"enc": enc})
         for selector, enc in stream
     ]
+    rejected_by_bus = []
     for message in batch:
-        linear.publish(message)
+        if not linear.publish(message):
+            rejected_by_bus.append(message.msg_id)
         sender.publish(message)
     sched.run_for(1.0)
 
     assert got_endpoint == got_linear
-    for sl, se in zip(subs_l, subs_e):
-        assert (se.accepted, se.transformed, se.rejected) == (
-            sl.accepted,
-            sl.transformed,
-            sl.rejected,
-        )
-    primary_got = {msg_id for i, msg_id, _d, _h in got_linear if i == 0}
-    assert tapped == [m.msg_id for m in batch if m.msg_id not in primary_got]
-    assert receiver.accepted_messages == subs_l[0].accepted + subs_l[0].transformed
+    assert tapped == rejected_by_bus
+    assert receiver.received_messages == len(batch)
+    assert receiver.accepted_messages == sub.accepted + sub.transformed
+    assert sub.rejected == len(tapped)
     receiver.close()
     sender.close()
 

@@ -158,10 +158,10 @@ class TestLossAccounting:
         r.ingest(incomplete[0].encode())  # fragment 0 only of msg 0
         for _ in range(REORDER_WINDOW):   # msg 0 is still inside the window
             r.ingest(p.packetize(b"ok")[0].encode())
-        assert r.expire() == 0 and len(r._partial) == 1
+        assert r.abandoned == 0 and len(r._partial) == 1
         r.ingest(p.packetize(b"ok")[0].encode())  # pushes msg 0 out
-        assert r.expire() == 1
-        assert r.expire() == 0  # reported once
+        assert r.abandoned == 1
+        assert r.abandoned == 1  # reading it zeroes nothing
         assert r.report(7).messages_abandoned == 1
         assert out == [b"ok"] * (REORDER_WINDOW + 1) and not r._partial  # never delivered
 
@@ -176,8 +176,8 @@ class TestLossAccounting:
 
 
 class TestWindowBound:
-    """Memory is bounded by ``REORDER_WINDOW`` by ``ingest`` alone —
-    nobody has to call ``expire()`` (the wireless-leg users never do)."""
+    """Memory is bounded by ``REORDER_WINDOW`` by ``ingest`` alone: no
+    timer is needed (the wireless-leg users have none)."""
 
     def test_ingest_abandons_and_forgets_behind_the_window(self):
         out = []
@@ -191,7 +191,7 @@ class TestWindowBound:
             r.ingest(p.packetize(b"m%d" % i)[0].encode())
         assert len(r._partial) == 0
         assert len(r._delivered) <= REORDER_WINDOW + 1
-        assert r.report(7).messages_abandoned == 1 and r.expire() == 1
+        assert r.report(7).messages_abandoned == 1 and r.abandoned == 1
         # late fragments from behind the window neither re-open the torn
         # message nor re-deliver the completed one
         delivered = len(out)
@@ -262,7 +262,7 @@ class TestSourceBound:
         assert {s for s, _ in r._partial} | {s for s, _ in r._delivered} <= set(r._stats)
         assert out == [(7, b"hello"), (7, bytes(range(200)) * 5)]
         # every evicted source's partial went through the abandon accounting
-        assert r.expire() == flood - len(r._partial)
+        assert r.abandoned == flood - len(r._partial)
         assert r.report(7).messages_abandoned == 0  # nothing of the real source was torn
 
     def test_report_of_unknown_source_creates_no_state(self):

@@ -8,13 +8,17 @@ from hypothesis import assume, given, settings, strategies as st
 from repro.core.matching import Decision
 from repro.core.profiles import ClientProfile, TransformRule
 from repro.messaging.message import SemanticMessage
-from repro.messaging.rtp import REORDER_WINDOW, RtpPacketizer
+from repro.messaging.broker import SemanticBus, offer
+from repro.messaging.rtp import MAX_TRACKED_SOURCES, REORDER_WINDOW, RtpPacketizer
 from repro.messaging.serialization import WireError, encode_message
+from repro.core.policies import PolicyDatabase
+from repro.messaging.sharded import ShardedSemanticBus
 from repro.messaging.transport import (
     EXPIRE_INTERVAL,
     SemanticEndpoint,
     SemanticWire,
     UnicastSemanticLink,
+    make_broker,
 )
 from repro.network.clock import Scheduler
 from repro.network.multicast import MulticastGroup
@@ -158,49 +162,7 @@ class TestLossyNetwork:
 
 
 class TestEndpointBrokerSurface:
-    """The networked endpoint satisfies the same BrokerAPI as the buses."""
-
-    def test_attach_colocated_subscriber(self, fabric):
-        sched, net, group = fabric
-        primary_got, extra_got = [], []
-        rx = endpoint(net, group, "b", primary_got, attrs={"role": "clerk"})
-        sub = rx.attach(
-            ClientProfile("b-app", {"role": "medic"}),
-            lambda d: extra_got.append(d),
-        )
-        assert rx.subscribers == 2
-        tx = endpoint(net, group, "a", [])
-        tx.publish(SemanticMessage.create("a", "role == 'medic'"))
-        tx.publish(SemanticMessage.create("a", "role == 'clerk'"))
-        sched.run_for(1.0)
-        # each local profile decides independently, like on the bus
-        assert len(primary_got) == 1 and len(extra_got) == 1
-        # legacy telemetry counts the endpoint's own profile only
-        assert rx.accepted_messages == 1
-        assert rx.received_messages == 2
-        assert sub.accepted == 1 and sub.rejected == 1
-
-    def test_detach_colocated_subscriber(self, fabric):
-        sched, net, group = fabric
-        extra_got = []
-        rx = endpoint(net, group, "b", [])
-        sub = rx.attach(ClientProfile("b-app", {}), lambda d: extra_got.append(d))
-        rx.detach(sub)
-        rx.detach(sub)  # idempotent
-        assert rx.subscribers == 1
-        tx = endpoint(net, group, "a", [])
-        tx.publish(SemanticMessage.create("a", "true"))
-        sched.run_for(1.0)
-        assert extra_got == []
-
-    def test_publish_accepts_and_ignores_exclude(self, fabric):
-        sched, net, group = fabric
-        got = []
-        endpoint(net, group, "b", got)
-        tx = endpoint(net, group, "a", [])
-        tx.publish(SemanticMessage.create("a", "true"), exclude=tx.profile)
-        sched.run_for(1.0)
-        assert len(got) == 1  # loopback never happens anyway
+    """The endpoint's batch send: one slot per message, failures included."""
 
     def test_publish_many_returns_fragment_counts(self, fabric):
         sched, net, group = fabric
@@ -220,29 +182,19 @@ class TestEndpointBrokerSurface:
 
     def test_publish_many_suppresses_per_message_errors(self, fabric):
         sched, net, group = fabric
-        from repro.messaging.serialization import WireError
-
+        got = []
+        endpoint(net, group, "b", got)
         tx = endpoint(net, group, "a", [])
         good = SemanticMessage.create("a", "true")
         bad = SemanticMessage.create("a", "true", headers={"bad": {"un": 1}})
         with pytest.raises(WireError):
-            tx.publish_many([good, bad, good])
-        sent = tx.publish_many([good, bad, good], suppress_errors=True)
+            tx.publish(bad)
+        sent = tx.publish_many([good, bad, good])
         assert sent[0] is not None and sent[2] is not None
         assert sent[1] is None
-
-    def test_stats_surface(self, fabric):
-        sched, net, group = fabric
-        got = []
-        rx = endpoint(net, group, "b", got)
-        tx = endpoint(net, group, "a", [])
-        tx.publish(SemanticMessage.create("a", "true"))
+        assert tx.sent_messages == 2
         sched.run_for(1.0)
-        stats = rx.stats()
-        assert stats["backend"] == "semantic-endpoint"
-        assert stats["received_messages"] == 1
-        assert stats["subscribers"] == 1
-        assert tx.stats()["sent_messages"] == 1
+        assert len(got) == 2
 
 
 class TestOneWireStack:
@@ -320,21 +272,50 @@ class TestOneWireStack:
         assert ep_tx.sent_fragments == link_tx.wire.sent_fragments == len(from_link)
 
 
+FILLER = encode_message(SemanticMessage.create("z", "false"))
+
+
+def torn_fragment(packetizer: RtpPacketizer) -> bytes:
+    """Fragment 0 of a three-fragment message whose rest never arrives."""
+    return packetizer.packetize(FILLER + bytes(2 * 1400))[0].encode()
+
+
 class TestExpireAcrossTicks:
+    """Abandonments land in the reassembler's monotone ``abandoned`` total,
+    whichever side of the endpoint's 0.5 s tick they happen on."""
+
+    @staticmethod
+    def abandon_one(ep, ssrc):
+        packetizer = RtpPacketizer(ssrc)
+        ep.wire.ingest(torn_fragment(packetizer))
+        for _ in range(REORDER_WINDOW + 1):  # traffic pushes it out of the window
+            ep.wire.ingest(packetizer.packetize(FILLER)[0].encode())
+
     def test_abandonment_before_a_tick_is_reported_after_it(self, fabric):
-        """The endpoint's 0.5 s tick must not swallow what ``expire()`` owes."""
         sched, net, group = fabric
         ep = endpoint(net, group, "a", [])
-        packetizer = RtpPacketizer(ssrc=7)
-        wire = encode_message(SemanticMessage.create("z", "false"))
-        torn = packetizer.packetize(wire + bytes(2 * 1400))
-        ep.wire.ingest(torn[0].encode())
-        for _ in range(REORDER_WINDOW + 1):  # traffic pushes it out of the window
-            ep.wire.ingest(packetizer.packetize(wire)[0].encode())
-        assert ep.wire.reassembler.report(7).messages_abandoned == 1
+        r = ep.wire.reassembler
+        self.abandon_one(ep, 7)
+        assert r.report(7).messages_abandoned == 1
         sched.run_for(3 * EXPIRE_INTERVAL)  # ticks fire
-        assert ep.expire() == 1
-        assert ep.expire() == 0  # reported once
+        assert r.abandoned == 1
+        self.abandon_one(ep, 8)
+        sched.run_for(EXPIRE_INTERVAL)
+        self.abandon_one(ep, 9)
+        assert r.abandoned == 3  # before and after a tick, nothing zeroed
+
+    def test_abandonments_of_evicted_sources_are_kept(self, fabric):
+        sched, net, group = fabric
+        ep = endpoint(net, group, "a", [])
+        r = ep.wire.reassembler
+        before = r.abandoned
+        for ssrc in range(MAX_TRACKED_SOURCES + 3):
+            ep.wire.ingest(torn_fragment(RtpPacketizer(ssrc)))
+            if ssrc == MAX_TRACKED_SOURCES // 2:
+                sched.run_for(EXPIRE_INTERVAL)  # a tick mid-flood
+        # the three stalest sources were evicted, their torn messages with them
+        assert 0 not in r._stats and r.report(0).messages_abandoned == 0
+        assert r.abandoned - before == 3
 
 
 @pytest.mark.parametrize(
@@ -346,3 +327,34 @@ def test_no_fragment_repair_options(callable_):
     """Loss is repaired by receiver request above the wire; nothing here selects another way."""
     removed = {"nack", "mtu", "expire_interval", "retransmit"}
     assert not removed & set(inspect.signature(callable_).parameters)
+
+
+#: broker-API options no caller set, by the callable that took them
+REMOVED_OPTIONS = [
+    (ShardedSemanticBus.__init__, {"queue_capacity", "slow_policy", "validate_profiles"}),
+    (
+        make_broker,
+        {"expected_subscribers", "sharded_options", "queue_capacity", "slow_policy", "workers",
+         "validate_profiles"},
+    ),
+    (SemanticEndpoint.publish, {"exclude"}),
+    (SemanticEndpoint.publish_many, {"exclude", "suppress_errors"}),
+    (SemanticBus.__init__, {"validate_profiles"}),
+    (PolicyDatabase.__init__, {"validate"}),
+    (offer, {"reject"}),
+]
+
+
+@pytest.mark.parametrize(
+    "callable_,removed", REMOVED_OPTIONS, ids=[c.__qualname__ for c, _ in REMOVED_OPTIONS]
+)
+def test_no_broker_options_without_a_caller(callable_, removed):
+    """One profile per endpoint, one delivery policy per bus, linting on demand."""
+    params = inspect.signature(callable_).parameters
+    assert not removed & set(params)
+    assert not any(p.kind is inspect.Parameter.VAR_KEYWORD for p in params.values())
+
+
+def test_endpoint_is_one_receiver_not_a_bus():
+    for name in ("attach", "detach", "subscribers", "stats", "expire", "published"):
+        assert not hasattr(SemanticEndpoint, name), name

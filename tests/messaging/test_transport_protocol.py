@@ -133,8 +133,8 @@ class TestEndpointOverTransport:
     def test_over_transport_without_scheduler_manual_expire(self):
         t = LoopbackUDP()
         e = SemanticEndpoint.over_transport(t, ClientProfile("x"), lambda d: None)
-        assert e.scheduler is None
-        assert e.expire() == 0  # nothing pending; callable without a clock
+        assert e.scheduler is None and e._expire_event is None  # no tick without a clock
+        assert e.wire.reassembler.abandoned == 0  # readable without a clock
         e.close()
 
     def test_sim_endpoint_still_uses_sim_transport(self, sim):

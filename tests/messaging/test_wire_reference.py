@@ -12,9 +12,10 @@ pinned:
 * several sources with a small MTU (so most messages span fragments),
   interleaved and put through loss, duplication, late delivery and
   header corruption, give the same ``on_message`` sequence, the same
-  exception per datagram, the same ``expire()`` answers, the same
-  ``report()`` for every source and the same bounded state on
-  :class:`RtpReassembler` and :class:`ReferenceRtpReassembler`;
+  exception per datagram, the same abandonment counts (the reference's
+  ``expire()`` answers against differences of the monotone ``abandoned``
+  total), the same ``report()`` for every source and the same bounded
+  state on :class:`RtpReassembler` and :class:`ReferenceRtpReassembler`;
 * more sources than ``MAX_TRACKED_SOURCES``, each leaving a torn
   message, evict identically;
 * a single-fragment message reaches ``on_message`` without a partial,
@@ -166,16 +167,36 @@ def traffic(draw):
     return ssrcs, received
 
 
+def abandoned_tally(r):
+    """A callable returning the messages ``r`` abandoned since its previous call.
+
+    The reference answers with ``expire()``, which zeroes its count; the
+    fast reassembler keeps a monotone ``abandoned`` total, so its tally is
+    a difference of two readings.
+    """
+    if isinstance(r, ReferenceRtpReassembler):
+        return r.expire
+    last = 0
+
+    def since() -> int:
+        nonlocal last
+        before, last = last, r.abandoned
+        return last - before
+
+    return since
+
+
 def replay(reassembler_cls, datagrams, ssrcs):
     """Everything observable about feeding ``datagrams`` to a reassembler."""
     delivered = []
     r = reassembler_cls(lambda ssrc, payload: delivered.append((ssrc, payload)))
+    tally = abandoned_tally(r)
     per_datagram, expired = [], []
     for i, dg in enumerate(datagrams):
         per_datagram.append((outcome(r.ingest, dg), len(delivered)))
         if i % 25 == 24:
-            expired.append(r.expire())
-    expired.append(r.expire())
+            expired.append(tally())
+    expired.append(tally())
     heard = set(ssrcs) | set(r._stats)
     return {
         "delivered": delivered,
