@@ -4,7 +4,9 @@ Asserts the ISSUE 10 acceptance criterion directly: a group send to a
 256-member group spread over the two-domain topology costs O(tree edges)
 physical packets (measured by ``Network.packets_transmitted``), at least
 5× fewer than the flat per-member unicast fan-out — and both modes
-deliver to the identical member set.
+deliver to the identical member set.  The per-send packet counts are
+deterministic, so every group size's (flat, tree, delivered) triple is
+pinned exactly.
 """
 
 import pytest
@@ -24,9 +26,11 @@ def test_tree_reduction_at_256(benchmark):
         f"\nM=256: flat={row['flat_tx_per_send']} tree={row['tree_tx_per_send']} "
         f"({row['reduction']:.2f}x), delivered={row['delivered_each']}/send"
     )
-    # every member hears every send, in both modes (equality is asserted
-    # inside run_multicast_scale; here we pin the absolute count)
-    assert row["delivered_each"] == 256
+    # the counters are deterministic, so they are pinned exactly:
+    # (flat, tree, delivered) packets per send at each group size
+    assert {
+        m: (r["flat_tx_per_send"], r["tree_tx_per_send"], r["delivered_each"]) for m, r in by_m.items()
+    } == {16: (102, 39, 16), 64: (408, 87, 64), 256: (1632, 279, 256)}
     # tree cost is exactly one transmission per tree edge
     assert row["tree_tx_per_send"] == row["tree_edges"]
     # the acceptance criterion: >=5x packet reduction at M=256

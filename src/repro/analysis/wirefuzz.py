@@ -110,81 +110,32 @@ def _u32(rng: random.Random) -> int:
     return rng.randrange(2**32)
 
 
-def _event_samplers() -> dict[str, Callable[[random.Random], Any]]:
-    from ..core import events as ev
+#: one sampler per event wire type (see :mod:`repro.core.events`)
+_WIRE_SAMPLERS: dict[str, Callable[[random.Random], Any]] = {
+    "str": _s,
+    "str2": lambda rng: (_s(rng), _s(rng)),
+    "u32": _u32,
+    "i32": lambda rng: rng.randrange(-(2**31), 2**31),
+    "u64": lambda rng: rng.randrange(2**64),
+    "f64": lambda rng: rng.uniform(-1e6, 1e6),
+    "bool": lambda rng: rng.random() < 0.5,
+    "bytes": _b,
+}
 
-    def whiteboard(rng: random.Random) -> Any:
-        return ev.WhiteboardEvent(
-            object_id=_s(rng),
-            op=rng.choice(("draw", "move", "erase")),
-            points=tuple(rng.uniform(-1e3, 1e3) for _ in range(rng.randrange(6))),
-            author=_s(rng),
-            version=_u32(rng),
-            timestamp=rng.uniform(0, 1e6),
-        )
 
-    def announce(rng: random.Random) -> Any:
-        return ev.ImageShareAnnounce(
-            image_id=_s(rng),
-            height=rng.randrange(2**16),
-            width=rng.randrange(2**16),
-            channels=rng.choice((1, 3)),
-            n_packets=rng.choice((1, 2, 4, 8, 16)),
-            total_bits=rng.randrange(2**40),
-            description=_s(rng),
-            levels=rng.randrange(1, 8),
-            t0_exps=tuple(rng.randrange(-64, 64) for _ in range(rng.randrange(4))),
-        )
+def _wire_value(wire_type: str, rng: random.Random) -> Any:
+    if wire_type.endswith("*"):
+        item = _WIRE_SAMPLERS[wire_type[:-1]]
+        return tuple(item(rng) for _ in range(rng.randrange(5)))
+    return _WIRE_SAMPLERS[wire_type](rng)
 
-    return {
-        "ChatEvent": lambda rng: ev.ChatEvent(author=_s(rng), text=_s(rng)),
-        "WhiteboardEvent": whiteboard,
-        "ImageShareAnnounce": announce,
-        "ImagePacketEvent": lambda rng: ev.ImagePacketEvent(
-            image_id=_s(rng),
-            packet_index=rng.randrange(16),
-            packet_total=16,
-            payload=_b(rng),
-        ),
-        "TextShareEvent": lambda rng: ev.TextShareEvent(ref_id=_s(rng), text=_s(rng)),
-        "SketchShareEvent": lambda rng: ev.SketchShareEvent(
-            ref_id=_s(rng),
-            sketch_h=rng.randrange(64),
-            sketch_w=rng.randrange(64),
-            encoded=_b(rng),
-        ),
-        "SpeechShareEvent": lambda rng: ev.SpeechShareEvent(
-            ref_id=_s(rng), sample_rate=8000, samples_u8=_b(rng)
-        ),
-        "JoinEvent": lambda rng: ev.JoinEvent(client_id=_s(rng), objective=_s(rng)),
-        "LeaveEvent": lambda rng: ev.LeaveEvent(client_id=_s(rng)),
-        "ProfileUpdateEvent": lambda rng: ev.ProfileUpdateEvent(
-            client_id=_s(rng),
-            changes=tuple((_s(rng), _s(rng)) for _ in range(rng.randrange(4))),
-        ),
-        "PowerControlRequest": lambda rng: ev.PowerControlRequest(
-            client_id=_s(rng), new_power=rng.uniform(0.1, 2.0), reason=_s(rng)
-        ),
-        "HistoryRequest": lambda rng: ev.HistoryRequest(
-            client_id=_s(rng),
-            since=rng.uniform(0, 1e5),
-            kinds=tuple(_s(rng) for _ in range(rng.randrange(3))),
-        ),
-        "ImageRepairRequest": lambda rng: ev.ImageRepairRequest(
-            client_id=_s(rng),
-            image_id=_s(rng),
-            packet_indices=tuple(_u32(rng) for _ in range(rng.randrange(5))),
-        ),
-        "LockRequestEvent": lambda rng: ev.LockRequestEvent(
-            client_id=_s(rng), object_id=_s(rng)
-        ),
-        "LockReleaseEvent": lambda rng: ev.LockReleaseEvent(
-            client_id=_s(rng), object_id=_s(rng)
-        ),
-        "LockGrantEvent": lambda rng: ev.LockGrantEvent(
-            client_id=_s(rng), object_id=_s(rng), granted=rng.random() < 0.5
-        ),
-    }
+
+def _event_sampler(cls: Any) -> Callable[[random.Random], Any]:
+    """Sample ``cls`` field by field from its ``wire`` layout."""
+    from ..core.events import wire_fields
+
+    layout = wire_fields(cls)
+    return lambda rng: cls(**{name: _wire_value(wire_type, rng) for name, wire_type in layout})
 
 
 def _sample_ber(rng: random.Random, depth: int = 0) -> Any:
@@ -267,15 +218,16 @@ def default_registry() -> list[FuzzCodecPair]:
 
     events_file = os.path.join(_SRC_ROOT, "repro", "core", "events.py")
     pairs: list[FuzzCodecPair] = []
-    samplers = _event_samplers()
-    for cls_name, sampler in sorted(samplers.items()):
+    for cls_name in sorted(ev.__all__):
         cls = getattr(ev, cls_name)
+        if not (isinstance(cls, type) and issubclass(cls, ev.Event)) or cls is ev.Event:
+            continue
         pairs.append(
             FuzzCodecPair(
                 name=f"events.{cls_name}",
                 encode=lambda e: e.to_body(),
                 decode=cls.from_body,
-                sample=sampler,
+                sample=_event_sampler(cls),
                 expected_errors=(ev.EventError,),
                 static_file=events_file,
             )
@@ -322,13 +274,18 @@ def default_registry() -> list[FuzzCodecPair]:
         )
     )
 
+    sample_announce = _event_sampler(ev.ImageShareAnnounce)
+
     def sample_geometry(rng: random.Random) -> ev.ImageShareAnnounce:
-        a = samplers["ImageShareAnnounce"](rng)
+        levels, channels = rng.randrange(1, 8), rng.choice((1, 3))
         return replace(
-            a,
-            height=rng.randrange(1, 9) << a.levels,
-            width=rng.randrange(1, 9) << a.levels,
-            t0_exps=tuple(rng.randrange(-64, 64) for _ in range(a.channels)),
+            sample_announce(rng),
+            height=rng.randrange(1, 9) << levels,
+            width=rng.randrange(1, 9) << levels,
+            channels=channels,
+            n_packets=rng.choice((1, 2, 4, 8, 16)),
+            levels=levels,
+            t0_exps=tuple(rng.randrange(-64, 64) for _ in range(channels)),
         )
 
     def assemble(body: bytes) -> ReceivedImage:

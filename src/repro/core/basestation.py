@@ -26,6 +26,7 @@ Responsibilities implemented here:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,6 +62,7 @@ from .events import (
 from .policies import ModalityTier, PolicyDatabase, default_policy_database
 from .profiles import ClientProfile
 from .session import SessionDescriptor
+from .wireless_client import channel_value, reportable
 
 __all__ = ["Attachment", "QosSnapshot", "BaseStation"]
 
@@ -125,6 +127,9 @@ class BaseStation:
     power_margin_db:
         Excess over the image threshold that triggers a power-down
         request (paper's 7 dB vs 4 dB example → margin 3 dB).
+    min_power:
+        The least power a request asks for (``ValueError`` unless
+        ``reportable``: a mobile could neither hold nor report less).
     """
 
     def __init__(
@@ -147,7 +152,7 @@ class BaseStation:
         self.noise = noise if noise is not None else NoiseModel(reference_power=1.0, snr_ref_db=40.0)
         self.policies = policies if policies is not None else default_policy_database()
         self.power_margin_db = power_margin_db
-        self.min_power = min_power
+        self.min_power = channel_value("min_power", min_power)
 
         self.profile = ClientProfile(
             name, {"session": session.name, "role": "base-station", "client_id": name}
@@ -576,12 +581,21 @@ class BaseStation:
         if att is None:
             return
         changes = dict(event.changes)
-        if "distance" in changes:
-            att.distance = float(changes["distance"])
-        if "tx_power" in changes:
-            att.tx_power = float(changes["tx_power"])
-        if "battery" in changes:
-            att.battery = float(changes["battery"])
+        # radio input: the whole report is dropped (and counted) unless
+        # distance and power are ``reportable`` (the mobile holds no other
+        # values) and battery is finite and >= 0
+        try:
+            state = {k: float(changes[k]) for k in ("distance", "tx_power", "battery") if k in changes}
+            valid = all(
+                (math.isfinite(v) and v >= 0) if k == "battery" else reportable(v) for k, v in state.items()
+            )
+        except ValueError:
+            valid = False
+        if not valid:
+            self.radio.wire.decode_failures += 1
+            return
+        for k, v in state.items():
+            setattr(att, k, v)
         att.profile_attrs.update(**changes)
 
     # ------------------------------------------------------------------

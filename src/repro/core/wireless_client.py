@@ -14,6 +14,7 @@ the BS as control events.
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 from ..messaging.message import SemanticMessage
@@ -34,7 +35,21 @@ from .events import (
 )
 from .profiles import ClientProfile
 
-__all__ = ["UnicastSemanticLink", "WirelessClient"]
+__all__ = ["UnicastSemanticLink", "WirelessClient", "reportable", "channel_value"]
+
+
+def reportable(value: float) -> bool:
+    """Whether a channel report can carry ``value`` as a distance or power
+    the base station accepts: finite and at least 1e-6, since reports give
+    both to six decimals and a smaller value would read as zero."""
+    return math.isfinite(value) and value >= 1e-6
+
+
+def channel_value(name: str, value: float) -> float:
+    """``value`` as a float, or ``ValueError`` unless it is :func:`reportable`."""
+    if not reportable(value):
+        raise ValueError(f"{name} must be finite and >= 1e-6, got {value!r}")
+    return float(value)
 
 
 class WirelessClient:
@@ -70,8 +85,8 @@ class WirelessClient:
         self.profile = profile if profile is not None else ClientProfile(
             name, {"role": "participant", "client_id": name, "device": "wireless"}
         )
-        self.distance = float(distance)
-        self.tx_power = float(tx_power)
+        self.distance = channel_value("distance", distance)
+        self.tx_power = channel_value("tx_power", tx_power)
         self.battery = float(battery)
         self.link = UnicastSemanticLink(network, name, self._on_message)
         # what actually reached this client, by modality
@@ -107,16 +122,12 @@ class WirelessClient:
 
     def move_to(self, distance: float) -> None:
         """Mobility: change distance from the BS and report it."""
-        if distance <= 0:
-            raise ValueError("distance must be positive")
-        self.distance = float(distance)
+        self.distance = channel_value("distance", distance)
         self.report_channel_state()
 
     def set_power(self, tx_power: float) -> None:
         """Change transmit power (device capability permitting)."""
-        if tx_power <= 0:
-            raise ValueError("tx_power must be positive")
-        self.tx_power = float(tx_power)
+        self.tx_power = channel_value("tx_power", tx_power)
         self.report_channel_state()
 
     def set_modality_preference(self, modality: str) -> None:
@@ -158,6 +169,10 @@ class WirelessClient:
         elif isinstance(event, ImageShareAnnounce):
             self.announces.append(event)
         elif isinstance(event, PowerControlRequest) and event.client_id == self.name:
+            if not reportable(event.new_power):
+                # a power no transmitter has or could report: ignored, counted
+                self.link.wire.decode_failures += 1
+                return
             self.power_requests.append(event)
             if self.comply_with_power_control:
                 self.tx_power = float(event.new_power)

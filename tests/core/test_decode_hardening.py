@@ -22,6 +22,8 @@ from repro.core.events import (
     EventError,
     ImagePacketEvent,
     ImageShareAnnounce,
+    PowerControlRequest,
+    ProfileUpdateEvent,
     decode_event,
 )
 from repro.core.framework import CollaborationFramework
@@ -173,6 +175,91 @@ class TestHostileImageShares:
         fw.run_for(0.5)
         assert bs.radio.wire.decode_failures == 1
         assert any(isinstance(e, ChatEvent) and e.text == "still here" for _, e in bob.events_received)
+
+
+class TestRadioControlInputs:
+    """Channel reports and power requests arrive as strings and floats over
+    the radio: one that names no real distance, power or battery is one
+    counted drop, and changes nothing in the cell."""
+
+    @pytest.fixture
+    def cell(self):
+        fw = CollaborationFramework("t", objective="radio control inputs", seed=0)
+        bs = fw.add_base_station("bs")
+        m1 = fw.add_wireless_client("m1", bs, distance=40.0)
+        m2 = fw.add_wireless_client("m2", bs, distance=60.0)
+        fw.run_for(0.5)
+        return fw, bs, m1, m2
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            (("distance", "abc"),),
+            (("distance", "0"),),
+            (("distance", "-5"),),
+            (("distance", "nan"),),
+            (("tx_power", "inf"),),
+            (("tx_power", "0"),),
+            (("battery", "-1"),),
+            (("battery", "nan"),),
+            (("distance", "30"), ("modality", "speech"), ("tx_power", "nan")),
+        ],
+        ids=lambda c: ",".join(f"{k}={v}" for k, v in c),
+    )
+    def test_bad_channel_report_is_counted_and_changes_nothing(self, cell, changes):
+        fw, bs, m1, m2 = cell
+        before = bs.evaluate_qos()
+        state = [(a.distance, a.tx_power, a.battery, a.profile_attrs.snapshot()) for a in bs.attachments.values()]
+        failures = bs.radio.wire.decode_failures
+        m1.send_event(ProfileUpdateEvent(client_id="m1", changes=changes))
+        fw.run_for(0.5)  # "abc" raised ValueError out of the scheduler before
+        assert bs.radio.wire.decode_failures == failures + 1
+        assert [(a.distance, a.tx_power, a.battery, a.profile_attrs.snapshot()) for a in bs.attachments.values()] == state
+        after = bs.evaluate_qos()
+        assert (after.sir_db, after.tiers) == (before.sir_db, before.tiers)
+
+    def test_good_channel_report_still_applies(self, cell):
+        fw, bs, m1, _ = cell
+        m1.send_event(ProfileUpdateEvent(client_id="m1", changes=(("distance", "30"), ("battery", "0"))))
+        fw.run_for(0.5)
+        assert (bs.attachments["m1"].distance, bs.attachments["m1"].battery) == (30.0, 0.0)
+        assert bs.radio.wire.decode_failures == 0
+
+    @pytest.mark.parametrize("power", [-1.0, 0.0, 1e-7, float("nan"), float("inf")])
+    def test_impossible_power_request_is_counted_and_ignored(self, cell, power):
+        fw, bs, m1, _ = cell
+        request = PowerControlRequest(client_id="m1", new_power=power, reason="hostile")
+        bs.radio.send(request.to_message("bs", "true"), m1.link.address)
+        fw.run_for(0.5)
+        assert m1.link.wire.decode_failures == 1
+        assert m1.tx_power == 1.0 and m1.power_requests == []
+        assert bs.attachments["m1"].tx_power == 1.0
+
+    def test_legitimate_power_request_still_applies(self, cell):
+        fw, bs, m1, _ = cell
+        bs.radio.send(PowerControlRequest(client_id="m1", new_power=0.25).to_message("bs", "true"), m1.link.address)
+        fw.run_for(0.5)
+        assert m1.tx_power == bs.attachments["m1"].tx_power == 0.25
+        assert m1.link.wire.decode_failures == 0
+
+    def test_mobile_holds_only_values_its_report_carries(self, cell):
+        # reports give six decimals: 1e-7 would reach the BS as "0.000000"
+        # and the whole report would be dropped as hostile
+        fw, bs, m1, _ = cell
+        with pytest.raises(ValueError):
+            m1.set_power(1e-7)
+        with pytest.raises(ValueError):
+            m1.move_to(4e-7)
+        with pytest.raises(ValueError):
+            fw.add_wireless_client("m3", bs, tx_power=1e-7)
+        with pytest.raises(ValueError):
+            fw.add_base_station("bs2", min_power=1e-7)
+        m1.set_power(1e-6)
+        m1.move_to(1e-6)
+        fw.run_for(0.5)
+        att = bs.attachments["m1"]
+        assert (att.tx_power, att.distance) == (m1.tx_power, m1.distance) == (1e-6, 1e-6)
+        assert bs.radio.wire.decode_failures == 0
 
 
 class TestSemanticMessages:

@@ -1,11 +1,17 @@
 """Tests for the collaboration event model and its codecs."""
 
+import struct
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import ClassVar
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import events
 from repro.core.events import (
     ChatEvent,
+    Event,
     EventError,
     ImagePacketEvent,
     ImageShareAnnounce,
@@ -52,16 +58,56 @@ class TestRoundtrip:
 
 
 class TestFixedLayoutTable:
-    def test_peer_sized_layouts_are_never_compiled_into_the_table(self):
-        size = len(events._STRUCTS)
+    def test_peer_sized_layouts_are_never_compiled_into_the_table(self, monkeypatch):
+        """A count off the wire sizes a layout only once the body is known
+        to hold that many elements; a larger count is an EventError first."""
+        formats = []
+
+        def unpack_from(fmt, buffer, offset=0):
+            formats.append(fmt)
+            return struct.unpack_from(fmt, buffer, offset)
+
+        monkeypatch.setattr(events, "struct", SimpleNamespace(pack=struct.pack, unpack_from=unpack_from))
         for nexp in range(1000):
             exps = tuple(range(nexp))
             event = ImageShareAnnounce("img", 8, 8, 1, 16, 64, "d", 3, exps)
             assert decode_event(event.kind, event.to_body()) == event
+            assert formats.pop() == f">{nexp}i"
             # the count says more exponents than the body holds
             with pytest.raises(EventError):
                 decode_event(event.kind, event.to_body()[:-1] if exps else event.to_body()[:-4])
-        assert len(events._STRUCTS) == size
+        head = ImageShareAnnounce("img", 8, 8, 1, 16, 64, "d", 3).to_body()[:-4]
+        for count in (1, 2**20, 2**32 - 1):
+            with pytest.raises(EventError, match="overruns"):
+                decode_event("image-share", head + struct.pack(">I", count))
+        assert formats == []
+
+
+class TestRegistration:
+    @pytest.mark.parametrize(
+        "wire",
+        ["a:str", "a:str b:u32 b:u32", "a:str b:u32 c:u32", "a:str b:u33", "a:bytes b:u32", "a:str b"],
+        ids=["missing", "repeated", "unknown", "no-such-type", "bytes-not-last", "untyped"],
+    )
+    def test_register_refuses_a_layout_that_is_not_the_fields(self, wire):
+        @dataclass(frozen=True)
+        class Broken(Event):
+            a: str = ""
+            b: int = 0
+            kind: ClassVar[str] = "broken"
+
+        Broken.wire = wire
+        with pytest.raises(TypeError):
+            events._register(Broken)
+        with pytest.raises(EventError):
+            decode_event("broken", b"")
+
+    def test_body_order_may_differ_from_field_order(self):
+        e = WhiteboardEvent(object_id="o", op="draw", points=(1.0,), author="ann", version=7, timestamp=2.5)
+        body = e.to_body()
+        assert body.index(b"ann") < body.index(struct.pack(">Id", 7, 2.5))
+        a = ImageShareAnnounce("img", 8, 8, 1, 16, 64, "desc", 3, (5,))
+        assert a.to_body().index(struct.pack(">i", 3) + struct.pack(">I", 4) + b"desc") > 0
 
 
 class TestHeaders:
