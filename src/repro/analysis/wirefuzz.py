@@ -162,6 +162,22 @@ def _sample_ber(rng: random.Random, depth: int = 0) -> Any:
     return ber.TaggedPdu(0xA0 | rng.randrange(4), items)
 
 
+def _sample_snmp_message(rng: random.Random) -> Any:
+    from ..snmp import pdu
+    from ..snmp.oids import OID
+
+    v1_tags = (pdu.PDU_GET, pdu.PDU_GETNEXT, pdu.PDU_RESPONSE, pdu.PDU_SET)
+    tag = rng.choice(v1_tags + (pdu.PDU_GETBULK, pdu.PDU_TRAP_V2))
+    version = pdu.VERSION_1 if tag in v1_tags and rng.random() < 0.5 else pdu.VERSION_2C
+    request_id, slot1, slot2 = (rng.randrange(-(2**31), 2**31) for _ in range(3))
+    varbinds = tuple(
+        (OID((1, 3, *(rng.randrange(2**14) for _ in range(rng.randrange(6))))), _sample_ber(rng))
+        for _ in range(rng.randrange(4))
+    )
+    community = _b(rng, 16).decode("latin-1")
+    return pdu.SnmpMessage(version, community, tag, request_id, slot1, slot2, varbinds)
+
+
 def _sample_message(rng: random.Random) -> Any:
     from ..core.matching_engine import compile_selector
     from ..messaging.message import MessageId, SemanticMessage
@@ -214,7 +230,8 @@ def default_registry() -> list[FuzzCodecPair]:
     from ..media.progressive import ImagePacket, ImagePacketError, ReceivedImage
     from ..messaging import rtp
     from ..messaging.serialization import WireError, decode_message, encode_message
-    from ..snmp import ber
+    from ..snmp import ber, pdu
+    from ..snmp.errors import SnmpProtocolError
 
     events_file = os.path.join(_SRC_ROOT, "repro", "core", "events.py")
     pairs: list[FuzzCodecPair] = []
@@ -334,6 +351,16 @@ def default_registry() -> list[FuzzCodecPair]:
             sample=_sample_ber,
             expected_errors=(ber.BerError,),
             static_file=os.path.join(_SRC_ROOT, "repro", "snmp", "ber.py"),
+        )
+    )
+    pairs.append(
+        FuzzCodecPair(
+            name="snmp.SnmpMessage",
+            encode=lambda m: m.to_bytes(),
+            decode=pdu.SnmpMessage.from_bytes,
+            sample=_sample_snmp_message,
+            expected_errors=(ber.BerError, SnmpProtocolError),
+            static_file=os.path.join(_SRC_ROOT, "repro", "snmp", "pdu.py"),
         )
     )
     return pairs

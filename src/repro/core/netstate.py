@@ -13,7 +13,7 @@ memory, access-link metrics) and the LAN switch's ifTable (link speed →
 available bandwidth).
 
 Failure semantics: a probe whose agent times out serves its *last known
-value* for up to ``stale_grace`` virtual seconds (marked in
+value* for up to :data:`STALE_GRACE` virtual seconds (marked in
 ``stale_parameters``); past the grace window the parameter drops out of
 the observed dict and the engine runs on whatever remains.  When *every*
 probe has gone dark the interface reports :attr:`~NetworkStateInterface.is_dark`
@@ -35,7 +35,14 @@ from ..snmp.errors import SnmpError
 from ..snmp.manager import SnmpManager
 from ..snmp.oids import MIB2, OID, TASSL
 
-__all__ = ["Probe", "NetworkStateInterface"]
+__all__ = ["Probe", "NetworkStateInterface", "POLL_TIMEOUT", "POLL_RETRIES", "STALE_GRACE"]
+
+#: Per-attempt timeout (virtual seconds) and retries of the GETs a poll issues.
+POLL_TIMEOUT = 0.5
+POLL_RETRIES = 1
+#: How long (virtual seconds) a failed probe may serve its last known
+#: value before the parameter goes dark.
+STALE_GRACE = 3.0
 
 #: Converts a raw BER value into a float for the observed dict.
 Transform = Callable[[object], float]
@@ -80,22 +87,16 @@ class NetworkStateInterface:
         network: Network,
         host: str,
         community: str = "public",
-        timeout: float = 0.5,
-        retries: int = 1,
-        stale_grace: float = 3.0,
     ) -> None:
         self.network = network
         self.manager = SnmpManager(
             DatagramSocket(network, host),
             network.scheduler,
             community=community,
-            timeout=timeout,
-            retries=retries,
+            timeout=POLL_TIMEOUT,
+            retries=POLL_RETRIES,
         )
         self.probes: list[Probe] = []
-        #: how long (virtual seconds) a failed probe may serve its last
-        #: known value before the parameter goes dark
-        self.stale_grace = stale_grace
         self.poll_count = 0
         self.probe_failures = 0
         self.stale_served = 0
@@ -154,7 +155,7 @@ class NetworkStateInterface:
 
         Probes against the same host are batched into a single GET —
         one round trip per agent per cycle.  A probe that fails serves
-        its last known value for up to :attr:`stale_grace` virtual
+        its last known value for up to :data:`STALE_GRACE` virtual
         seconds (and lands in :attr:`stale_parameters`); beyond that the
         parameter drops out.  Failures are counted either way.
         """
@@ -194,7 +195,7 @@ class NetworkStateInterface:
     def _serve_stale(self, parameter: str, now: float, observed: dict[str, float]) -> None:
         """Reuse the last fresh value of ``parameter`` while in grace."""
         last = self._last_fresh.get(parameter)
-        if last is None or now - last > self.stale_grace:
+        if last is None or now - last > STALE_GRACE:
             return
         if parameter in self.last_observed:
             observed[parameter] = self.last_observed[parameter]
@@ -219,7 +220,7 @@ class NetworkStateInterface:
     def degraded(self) -> bool:
         """Dark for longer than the grace window: stale values are gone
         and the inference layer should fall back conservatively."""
-        return self.dark_for() > self.stale_grace
+        return self.dark_for() > STALE_GRACE
 
     def close(self) -> None:
         """Release the underlying manager socket."""

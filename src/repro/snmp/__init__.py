@@ -25,7 +25,8 @@ from .ber import (
 )
 from .oids import MIB2, OID, TASSL
 from .mib import MibAccessError, MibBinding, MibTree
-from .agent import SNMP_PORT, SnmpAgent
+from .pdu import SNMP_PORT, SnmpMessage
+from .agent import SnmpAgent
 from .manager import SnmpManager
 from .switch_binding import attach_switch_agent, build_switch_mib
 from .traps import (
@@ -68,6 +69,7 @@ __all__ = [
     "MibBinding",
     "MibTree",
     "SNMP_PORT",
+    "SnmpMessage",
     "SnmpAgent",
     "SnmpManager",
     "attach_switch_agent",

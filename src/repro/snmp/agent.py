@@ -1,22 +1,10 @@
 """SNMP agent: services GET / GETNEXT / SET over a datagram socket.
 
 This is the "embedded extension agent that runs on each host and is
-serviced by instrumentation routines" (paper Sec. 5.5).  It decodes
-RFC 1157-framed messages, checks the community string, dispatches to its
-:class:`~repro.snmp.mib.MibTree` and replies with a GetResponse PDU.
-
-Message framing (SNMPv1/v2c)::
-
-    SEQUENCE {
-        INTEGER version          -- 0 = v1, 1 = v2c
-        OCTET STRING community
-        PDU {                     -- context tag 0xA0..0xA3
-            INTEGER request-id
-            INTEGER error-status
-            INTEGER error-index
-            SEQUENCE OF SEQUENCE { OID, value }   -- varbind list
-        }
-    }
+serviced by instrumentation routines" (paper Sec. 5.5).  It parses each
+datagram as an :class:`~repro.snmp.pdu.SnmpMessage`, checks the community
+string, dispatches to its :class:`~repro.snmp.mib.MibTree` and replies
+with a GetResponse PDU.
 """
 
 from __future__ import annotations
@@ -26,34 +14,17 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:
     from ..messaging.transport import DatagramTransport
 
-from .ber import (
-    BerError,
-    Integer,
-    Null,
-    ObjectIdentifierValue,
-    OctetString,
-    Sequence,
-    TaggedPdu,
-    decode,
-    encode,
-)
+from .ber import BerError, EndOfMibView
 from .errors import ErrorStatus, SnmpProtocolError
 from .mib import MibAccessError, MibTree
 from .oids import OID
+from .pdu import PDU_GET, PDU_GETBULK, PDU_GETNEXT, PDU_RESPONSE, PDU_SET, SNMP_PORT, VERSION_1, VERSION_2C
+from .pdu import SnmpMessage, VarBind
 
-__all__ = ["SnmpAgent", "PDU_GET", "PDU_GETNEXT", "PDU_RESPONSE", "PDU_SET", "SNMP_PORT"]
-
-PDU_GET = 0xA0
-PDU_GETNEXT = 0xA1
-PDU_RESPONSE = 0xA2
-PDU_SET = 0xA3
-PDU_GETBULK = 0xA5
-
-#: Standard agent port.
-SNMP_PORT = 161
-
-VERSION_1 = 0
-VERSION_2C = 1
+__all__ = [
+    "SnmpAgent", "PDU_GET", "PDU_GETNEXT", "PDU_RESPONSE", "PDU_SET", "PDU_GETBULK", "SNMP_PORT",
+    "VERSION_1", "VERSION_2C",
+]
 
 
 class SnmpAgent:
@@ -119,110 +90,48 @@ class SnmpAgent:
             self._sock.sendto(reply, src)
 
     def _process(self, data: bytes) -> Optional[bytes]:
-        msg, _ = decode(data)
-        if not isinstance(msg, Sequence) or len(msg.items) != 3:
-            raise SnmpProtocolError("message is not a 3-element SEQUENCE")
-        version, community, pdu = msg.items
-        if not isinstance(version, Integer) or version.value not in (VERSION_1, VERSION_2C):
-            raise SnmpProtocolError(f"unsupported version {version!r}")
-        if not isinstance(community, OctetString) or not isinstance(pdu, TaggedPdu):
-            raise SnmpProtocolError("malformed community or PDU")
-        if pdu.tag_value not in (PDU_GET, PDU_GETNEXT, PDU_SET, PDU_GETBULK):
-            raise SnmpProtocolError(f"unexpected PDU tag 0x{pdu.tag_value:02X}")
-        if pdu.tag_value == PDU_GETBULK and version.value != VERSION_2C:
-            raise SnmpProtocolError("GETBULK requires SNMPv2c")
-
-        community_text = community.value.decode("latin-1")
-        allowed = {self.read_community}
-        if pdu.tag_value == PDU_SET:
-            allowed = {self.write_community}
+        request = SnmpMessage.from_bytes(data)
+        if request.tag not in (PDU_GET, PDU_GETNEXT, PDU_SET, PDU_GETBULK):
+            raise SnmpProtocolError(f"unexpected PDU tag 0x{request.tag:02X}")
+        if request.tag == PDU_SET:
+            allowed = (self.write_community,)
         else:
-            allowed.add(self.write_community)
-        if community_text not in allowed:
+            allowed = (self.read_community, self.write_community)
+        if request.community not in allowed:
             self.auth_failures += 1
             return None  # v1 behaviour: silent drop (+ authenticationFailure trap)
 
-        if len(pdu.items) != 4:
-            raise SnmpProtocolError("PDU must have 4 elements")
-        request_id, _estatus, _eindex, varbind_list = pdu.items
-        if not isinstance(request_id, Integer) or not isinstance(varbind_list, Sequence):
-            raise SnmpProtocolError("malformed PDU fields")
-
-        varbinds = []
-        for vb in varbind_list.items:
-            if not isinstance(vb, Sequence) or len(vb.items) != 2:
-                raise SnmpProtocolError("malformed varbind")
-            name, value = vb.items
-            if not isinstance(name, ObjectIdentifierValue):
-                raise SnmpProtocolError("varbind name is not an OID")
-            varbinds.append((OID.from_ber(name), value))
-
         self.requests_served += 1
-        if pdu.tag_value == PDU_GETBULK:
-            # error-status/-index slots carry non-repeaters / max-repetitions
-            non_repeaters = max(0, _estatus.value if isinstance(_estatus, Integer) else 0)
-            max_reps = max(0, _eindex.value if isinstance(_eindex, Integer) else 0)
-            out_varbinds = self._serve_bulk(varbinds, non_repeaters, max_reps)
-            response = Sequence(
-                (
-                    Integer(version.value),
-                    OctetString(community.value),
-                    TaggedPdu(
-                        PDU_RESPONSE,
-                        (
-                            Integer(request_id.value),
-                            Integer(ErrorStatus.NO_ERROR),
-                            Integer(0),
-                            Sequence(tuple(out_varbinds)),
-                        ),
-                    ),
-                )
-            )
-            return encode(response)
         status = ErrorStatus.NO_ERROR
         err_index = 0
-        out_varbinds: list[Sequence] = []
-        for i, (oid, value) in enumerate(varbinds, start=1):
-            try:
-                if pdu.tag_value == PDU_GET:
-                    result = self.mib.get(oid)
-                    out_varbinds.append(Sequence((oid.to_ber(), result)))
-                elif pdu.tag_value == PDU_GETNEXT:
-                    next_oid, result = self.mib.get_next(oid)
-                    out_varbinds.append(Sequence((next_oid.to_ber(), result)))
-                else:  # SET
-                    self.mib.set(oid, value)
-                    out_varbinds.append(Sequence((oid.to_ber(), value)))
-            except MibAccessError as exc:
-                status = exc.status
-                err_index = i
-                break
-        if status != ErrorStatus.NO_ERROR:
-            # v1 error semantics: echo the request varbinds unchanged
-            out_varbinds = [
-                Sequence((oid.to_ber(), value)) for oid, value in varbinds
-            ]
-
-        response = Sequence(
-            (
-                Integer(version.value),
-                OctetString(community.value),
-                TaggedPdu(
-                    PDU_RESPONSE,
-                    (
-                        Integer(request_id.value),
-                        Integer(status),
-                        Integer(err_index),
-                        Sequence(tuple(out_varbinds)),
-                    ),
-                ),
-            )
+        if request.tag == PDU_GETBULK:
+            # error-status/-index slots carry non-repeaters / max-repetitions
+            out = self._serve_bulk(request.varbinds, max(0, request.slot1), max(0, request.slot2))
+        else:
+            out = []
+            for i, (oid, value) in enumerate(request.varbinds, start=1):
+                try:
+                    if request.tag == PDU_GET:
+                        out.append((oid, self.mib.get(oid)))
+                    elif request.tag == PDU_GETNEXT:
+                        out.append(self.mib.get_next(oid))
+                    else:  # SET
+                        self.mib.set(oid, value)
+                        out.append((oid, value))
+                except MibAccessError as exc:
+                    status = exc.status
+                    err_index = i
+                    # v1 error semantics: echo the request varbinds unchanged
+                    out = list(request.varbinds)
+                    break
+        response = SnmpMessage(
+            request.version, request.community, PDU_RESPONSE, request.request_id, status, err_index, tuple(out)
         )
-        return encode(response)
+        return response.to_bytes()
 
     def _serve_bulk(
-        self, varbinds: list, non_repeaters: int, max_reps: int
-    ) -> list[Sequence]:
+        self, varbinds: tuple[VarBind, ...], non_repeaters: int, max_reps: int
+    ) -> list[VarBind]:
         """RFC 3416 GETBULK semantics.
 
         The first ``non_repeaters`` varbinds get one GETNEXT each; the
@@ -230,24 +139,21 @@ class SnmpAgent:
         Walking off the MIB yields ``endOfMibView`` values, never an
         error (v2c exception semantics).
         """
-        from .ber import EndOfMibView
+        out: list[VarBind] = []
 
-        out: list[Sequence] = []
-
-        def one_next(oid: OID) -> tuple[OID, object]:
+        def one_next(oid: OID) -> VarBind:
             try:
                 return self.mib.get_next(oid)
             except MibAccessError:
                 return oid, EndOfMibView()
 
         for oid, _value in varbinds[:non_repeaters]:
-            next_oid, result = one_next(oid)
-            out.append(Sequence((next_oid.to_ber(), result)))
+            out.append(one_next(oid))
         for oid, _value in varbinds[non_repeaters:]:
             current = oid
             for _ in range(max_reps):
                 next_oid, result = one_next(current)
-                out.append(Sequence((next_oid.to_ber(), result)))
+                out.append((next_oid, result))
                 if isinstance(result, EndOfMibView):
                     break
                 current = next_oid

@@ -13,7 +13,7 @@ surface over an asynchronous wire, with virtual-time timeouts and retries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional, Sequence as Seq
+from typing import TYPE_CHECKING, Sequence as Seq
 
 from .._locks import make_lock
 from ..network.clock import Scheduler
@@ -21,98 +21,29 @@ from ..network.clock import Scheduler
 if TYPE_CHECKING:
     from ..messaging.transport import DatagramTransport
 
-from .agent import (
-    PDU_GET,
-    PDU_GETBULK,
-    PDU_GETNEXT,
-    PDU_RESPONSE,
-    PDU_SET,
-    SNMP_PORT,
-    VERSION_2C,
-)
-from .ber import (
-    BerError,
-    Integer,
-    Null,
-    ObjectIdentifierValue,
-    OctetString,
-    Sequence,
-    TaggedPdu,
-    decode,
-    encode,
-)
-from .errors import (
-    ErrorStatus,
-    SnmpCircuitOpen,
-    SnmpErrorResponse,
-    SnmpProtocolError,
-    SnmpTimeout,
-)
+from .ber import BerError, EndOfMibView, Null
+from .errors import ErrorStatus, SnmpCircuitOpen, SnmpErrorResponse, SnmpProtocolError, SnmpTimeout
 from .oids import OID
+from .pdu import PDU_GET, PDU_GETBULK, PDU_GETNEXT, PDU_RESPONSE, PDU_SET, SNMP_PORT, VERSION_2C
+from .pdu import SnmpMessage, VarBind
 
-__all__ = ["SnmpManager", "CircuitBreaker", "VarBind", "encode_request", "response_pdu", "parse_response"]
+__all__ = ["SnmpManager", "CircuitBreaker", "VarBind"]
 
-#: A (oid, value) result pair.
-VarBind = tuple[OID, object]
+#: Retry backoff, in multiples of the attempt timeout: after the *k*-th
+#: failed attempt the manager sleeps ``min(BACKOFF_MAX, BACKOFF_BASE *
+#: BACKOFF_MULTIPLIER**k)`` timeouts, scaled by a deterministic jitter
+#: factor in ``1 ± JITTER_FRAC``.
+BACKOFF_BASE = 0.5
+BACKOFF_MULTIPLIER = 2.0
+BACKOFF_MAX = 8.0
+JITTER_FRAC = 0.1
 
-
-def encode_request(
-    version: int,
-    community: str,
-    pdu_tag: int,
-    request_id: int,
-    varbinds: Seq[tuple[OID, object]],
-    slot1: int = 0,
-    slot2: int = 0,
-) -> bytes:
-    """Wire form of one request; the error-status/-index slots carry
-    GETBULK's non-repeaters / max-repetitions."""
-    vb_seq = Sequence(tuple(Sequence((oid.to_ber(), value)) for oid, value in varbinds))
-    message = Sequence(
-        (
-            Integer(version),
-            OctetString(community.encode("latin-1")),
-            TaggedPdu(pdu_tag, (Integer(request_id), Integer(slot1), Integer(slot2), vb_seq)),
-        )
-    )
-    return encode(message)
-
-
-def response_pdu(data: bytes) -> Optional[TaggedPdu]:
-    """The GetResponse PDU a datagram carries (``items[0]`` is its integer
-    request-id), or None when it is not a well-formed response."""
-    try:
-        msg, _ = decode(data)
-    except BerError:
-        return None
-    if not isinstance(msg, Sequence) or len(msg.items) != 3:
-        return None
-    pdu = msg.items[2]
-    if not isinstance(pdu, TaggedPdu) or pdu.tag_value != PDU_RESPONSE:
-        return None
-    if len(pdu.items) != 4 or not isinstance(pdu.items[0], Integer):
-        return None
-    return pdu
-
-
-def parse_response(pdu: TaggedPdu) -> list[VarBind]:
-    """Varbinds of a :func:`response_pdu`; raises on an error status."""
-    _rid, status, index, vb_list = pdu.items
-    if not isinstance(status, Integer) or not isinstance(index, Integer):
-        raise SnmpProtocolError("malformed response PDU")
-    if status.value != ErrorStatus.NO_ERROR:
-        raise SnmpErrorResponse(status.value, index.value)
-    if not isinstance(vb_list, Sequence):
-        raise SnmpProtocolError("malformed varbind list")
-    out: list[VarBind] = []
-    for vb in vb_list.items:
-        if not isinstance(vb, Sequence) or len(vb.items) != 2:
-            raise SnmpProtocolError("malformed varbind")
-        name, value = vb.items
-        if not isinstance(name, ObjectIdentifierValue):
-            raise SnmpProtocolError("varbind name is not an OID")
-        out.append((OID.from_ber(name), value))
-    return out
+#: Per-agent circuit breaker (see :class:`CircuitBreaker`): this many
+#: consecutive request failures open it for ``BREAKER_COOLDOWN`` virtual
+#: seconds, doubling per failed probe up to ``BREAKER_MAX_COOLDOWN``.
+BREAKER_THRESHOLD = 4
+BREAKER_COOLDOWN = 5.0
+BREAKER_MAX_COOLDOWN = 60.0
 
 
 def _wake() -> None:
@@ -180,7 +111,7 @@ class CircuitBreaker:
 
 
 class SnmpManager:
-    """Issues SNMP requests and synchronously collects replies.
+    """Issues SNMPv2c requests and synchronously collects replies.
 
     Parameters
     ----------
@@ -196,22 +127,12 @@ class SnmpManager:
     timeout / retries:
         Virtual-time seconds to wait per attempt, and attempts beyond the
         first before raising :class:`~repro.snmp.errors.SnmpTimeout`.
-    backoff_base / backoff_multiplier / backoff_max:
-        Exponential inter-attempt backoff: after the *k*-th failed attempt
-        the manager sleeps ``min(backoff_max, backoff_base *
-        backoff_multiplier**k)`` virtual seconds (plus deterministic
-        jitter) before retrying.  ``backoff_base=None`` defaults to
-        ``timeout / 2``; pass ``0.0`` for legacy back-to-back retries.
-    jitter_frac:
-        Jitter half-width as a fraction of the backoff delay.  The jitter
-        is a pure function of (request id, attempt), so runs replay
-        byte-identically while concurrent managers still decorrelate.
-    breaker_threshold / breaker_cooldown / breaker_max_cooldown:
-        Per-agent circuit breaker (see :class:`CircuitBreaker`):
-        ``breaker_threshold`` consecutive request failures open the
-        circuit for ``breaker_cooldown`` virtual seconds and requests
-        fail fast with :class:`~repro.snmp.errors.SnmpCircuitOpen`.
-        ``breaker_threshold=0`` disables the breaker.
+        Failed attempts back off exponentially (``BACKOFF_*``, with
+        jitter that is a pure function of (request id, attempt), so runs
+        replay byte-identically while concurrent managers still
+        decorrelate), and each agent has a circuit breaker
+        (``BREAKER_*``) that makes requests to a dark agent fail fast
+        with :class:`~repro.snmp.errors.SnmpCircuitOpen`.
     """
 
     def __init__(
@@ -221,14 +142,6 @@ class SnmpManager:
         community: str = "public",
         timeout: float = 1.0,
         retries: int = 2,
-        version: int = VERSION_2C,
-        backoff_base: Optional[float] = None,
-        backoff_multiplier: float = 2.0,
-        backoff_max: Optional[float] = None,
-        jitter_frac: float = 0.1,
-        breaker_threshold: int = 4,
-        breaker_cooldown: float = 5.0,
-        breaker_max_cooldown: float = 60.0,
     ) -> None:
         self._sock = socket
         if self._sock.port is None:
@@ -238,17 +151,12 @@ class SnmpManager:
         self.community = community
         self.timeout = timeout
         self.retries = retries
-        self.version = version
-        self.backoff_base = timeout / 2.0 if backoff_base is None else backoff_base
-        self.backoff_multiplier = backoff_multiplier
-        self.backoff_max = 8.0 * timeout if backoff_max is None else backoff_max
-        self.jitter_frac = jitter_frac
-        self.breaker_threshold = breaker_threshold
-        self.breaker_cooldown = breaker_cooldown
-        self.breaker_max_cooldown = breaker_max_cooldown
         self._breakers: dict[tuple[str, int], CircuitBreaker] = {}
         self._next_request_id = 1
-        self._responses: dict[int, TaggedPdu] = {}
+        #: ids of the requests waiting for a reply; more than one when a
+        #: callback run by the scheduler pump issues a request of its own
+        self._in_flight: set[int] = set()
+        self._responses: dict[int, SnmpMessage] = {}
         # Guards the shared maps and counters against a datagram callback
         # running on a poll/transport thread.  Held only for short
         # dict/counter critical sections — never across
@@ -267,82 +175,87 @@ class SnmpManager:
     # wire handling
     # ------------------------------------------------------------------
     def _on_datagram(self, data: bytes, src: tuple[str, int]) -> None:
-        pdu = response_pdu(data)
-        if pdu is not None:
-            with self._mu:
-                self._responses[pdu.items[0].value] = pdu
+        try:
+            message = SnmpMessage.from_bytes(data)
+        except (BerError, SnmpProtocolError):
+            return
+        if message.tag != PDU_RESPONSE:
+            return
+        with self._mu:
+            # a reply nobody waits for (unsolicited, or late for a request
+            # that gave up) would otherwise stay in the map forever
+            if message.request_id in self._in_flight:
+                self._responses[message.request_id] = message
 
     def _request(
         self,
         agent: tuple[str, int],
         pdu_tag: int,
-        varbinds: Seq[tuple[OID, object]],
+        varbinds: Seq[VarBind],
         slot1: int = 0,
         slot2: int = 0,
     ) -> list[VarBind]:
         with self._mu:
             request_id = self._next_request_id
             self._next_request_id += 1
-        wire = encode_request(
-            self.version, self.community, pdu_tag, request_id, varbinds, slot1, slot2
-        )
+        request = SnmpMessage(VERSION_2C, self.community, pdu_tag, request_id, slot1, slot2, tuple(varbinds))
+        wire = request.to_bytes()
 
         breaker = self._breaker(agent)
-        now = self.scheduler.clock.now
-        if breaker is not None and not breaker.admit(now):
+        if not breaker.admit(self.scheduler.clock.now):
             with self._mu:
                 self.fast_failures += 1
             raise SnmpCircuitOpen(agent, breaker.open_until)
 
         with self._mu:
             self.last_attempt_times = []
-        for attempt in range(self.retries + 1):
-            with self._mu:
-                self.requests_sent += 1
-                self.last_attempt_times.append(self.scheduler.clock.now)
-            self._sock.sendto(wire, agent)
-            deadline = self.scheduler.clock.now + self.timeout
-            # Pump the simulation until our response lands or time expires.
-            while self.scheduler.clock.now < deadline:
-                if request_id in self._responses:
-                    break
-                if not self.scheduler.step():
-                    # Event queue drained: nothing can arrive before the
-                    # deadline, but retries must still be spaced in virtual
-                    # time — schedule a sentinel wake-up at the deadline so
-                    # the next step() advances the clock instead of burning
-                    # every attempt in the same instant.
-                    self.scheduler.call_at(deadline, _wake)
-                if self.scheduler.clock.now > deadline:
-                    break
-            # Atomic claim: check-then-pop as two steps would race with a
-            # late datagram landing between them on a transport thread.
-            with self._mu:
-                response = self._responses.pop(request_id, None)
-            if response is not None:
-                if breaker is not None:
+            self._in_flight.add(request_id)
+        try:
+            for attempt in range(self.retries + 1):
+                with self._mu:
+                    self.requests_sent += 1
+                    self.last_attempt_times.append(self.scheduler.clock.now)
+                self._sock.sendto(wire, agent)
+                deadline = self.scheduler.clock.now + self.timeout
+                # Pump the simulation until our response lands or time expires.
+                while self.scheduler.clock.now < deadline:
+                    if request_id in self._responses:
+                        break
+                    if not self.scheduler.step():
+                        # Event queue drained: nothing can arrive before the
+                        # deadline, but retries must still be spaced in virtual
+                        # time — schedule a sentinel wake-up at the deadline so
+                        # the next step() advances the clock instead of burning
+                        # every attempt in the same instant.
+                        self.scheduler.call_at(deadline, _wake)
+                    if self.scheduler.clock.now > deadline:
+                        break
+                # Atomic claim: check-then-pop as two steps would race with a
+                # late datagram landing between them on a transport thread.
+                with self._mu:
+                    response = self._responses.pop(request_id, None)
+                if response is not None:
                     breaker.record_success()
-                return parse_response(response)
+                    return response.result()
+                with self._mu:
+                    self.timeouts += 1
+                if attempt < self.retries:
+                    self._sleep(self._backoff_delay(request_id, attempt))
+        finally:
             with self._mu:
-                self.timeouts += 1
-            if attempt < self.retries:
-                self._sleep(self._backoff_delay(request_id, attempt))
-        if breaker is not None:
-            breaker.record_failure(self.scheduler.clock.now)
+                self._in_flight.discard(request_id)
+                self._responses.pop(request_id, None)
+        breaker.record_failure(self.scheduler.clock.now)
         raise SnmpTimeout(f"no response from {agent} after {self.retries + 1} attempts")
 
     # ------------------------------------------------------------------
     # retry/backoff machinery
     # ------------------------------------------------------------------
-    def _breaker(self, agent: tuple[str, int]) -> Optional[CircuitBreaker]:
-        if self.breaker_threshold <= 0:
-            return None
+    def _breaker(self, agent: tuple[str, int]) -> CircuitBreaker:
         with self._mu:
             breaker = self._breakers.get(agent)
             if breaker is None:
-                breaker = CircuitBreaker(
-                    self.breaker_threshold, self.breaker_cooldown, self.breaker_max_cooldown
-                )
+                breaker = CircuitBreaker(BREAKER_THRESHOLD, BREAKER_COOLDOWN, BREAKER_MAX_COOLDOWN)
                 self._breakers[agent] = breaker
         return breaker
 
@@ -357,19 +270,15 @@ class SnmpManager:
         """Exponential backoff with deterministic jitter.
 
         The jitter factor is a hash of (request id, attempt) mapped into
-        ``1 ± jitter_frac`` — reproducible across replays of the same run
+        ``1 ± JITTER_FRAC`` — reproducible across replays of the same run
         without any shared RNG state.
         """
-        if self.backoff_base <= 0.0:
-            return 0.0
         delay = min(
-            self.backoff_max,
-            self.backoff_base * self.backoff_multiplier ** attempt,
+            BACKOFF_MAX * self.timeout,
+            BACKOFF_BASE * self.timeout * BACKOFF_MULTIPLIER ** attempt,
         )
-        if self.jitter_frac > 0.0:
-            h = (request_id * 2654435761 + attempt * 40503) % 10_000
-            delay *= 1.0 + self.jitter_frac * (h / 5_000.0 - 1.0)
-        return delay
+        h = (request_id * 2654435761 + attempt * 40503) % 10_000
+        return delay * (1.0 + JITTER_FRAC * (h / 5_000.0 - 1.0))
 
     def _sleep(self, duration: float) -> None:
         """Pump the scheduler for ``duration`` virtual seconds."""
@@ -413,9 +322,9 @@ class SnmpManager:
             current = oid
         return out
 
-    def set(self, host: str, varbinds: Seq[tuple[OID, object]], port: int = SNMP_PORT) -> list[VarBind]:
+    def set(self, host: str, varbinds: Seq[VarBind], port: int = SNMP_PORT) -> list[VarBind]:
         """SET one or more writable objects."""
-        return self._request((host, port), PDU_SET, list(varbinds))
+        return self._request((host, port), PDU_SET, varbinds)
 
     def get_bulk(
         self,
@@ -425,9 +334,7 @@ class SnmpManager:
         max_repetitions: int = 10,
         port: int = SNMP_PORT,
     ) -> list[VarBind]:
-        """GETBULK (v2c): batched GETNEXT traversal in one round trip."""
-        if self.version != VERSION_2C:
-            raise SnmpProtocolError("GETBULK requires SNMPv2c")
+        """GETBULK: batched GETNEXT traversal in one round trip."""
         return self._request(
             (host, port),
             PDU_GETBULK,
@@ -441,8 +348,6 @@ class SnmpManager:
     ) -> list[VarBind]:
         """Traverse a subtree with GETBULK — far fewer round trips than
         :meth:`walk` on large tables."""
-        from .ber import EndOfMibView
-
         out: list[VarBind] = []
         root = OID(root)
         current = root

@@ -6,23 +6,24 @@ this module exists to prove the BER layer is *wire-real*.
 :class:`~repro.messaging.transport.DatagramTransport` protocol, so the
 very :class:`~repro.snmp.agent.SnmpAgent` the simulator runs serves a
 MIB on 127.0.0.1 (:class:`RealSnmpAgent`), and a
-:class:`RealSnmpManager` queries it with the simulator manager's
-request/response codec, blocking on OS timeouts.  Used by tests (skipped
-where sockets are unavailable) and usable against third-party SNMP tools
-on the same host.
+:class:`RealSnmpManager` queries it with the same
+:class:`~repro.snmp.pdu.SnmpMessage` codec, blocking on OS timeouts.
+Used by tests (skipped where sockets are unavailable) and usable against
+third-party SNMP tools on the same host.
 """
 
 from __future__ import annotations
 
 import socket
+import time
 from typing import Callable, Optional, Sequence as Seq
 
-from .agent import PDU_GET, PDU_GETBULK, PDU_GETNEXT, PDU_SET, VERSION_2C, SnmpAgent
-from .ber import Null
+from .agent import SnmpAgent
+from .ber import BerError, Null
 from .errors import SnmpProtocolError, SnmpTimeout
-from .manager import VarBind, encode_request, parse_response, response_pdu
 from .mib import MibTree
 from .oids import OID
+from .pdu import PDU_GET, PDU_GETBULK, PDU_GETNEXT, PDU_RESPONSE, PDU_SET, VERSION_2C, SnmpMessage, VarBind
 
 __all__ = ["RealUdpSocket", "RealSnmpAgent", "RealSnmpManager"]
 
@@ -141,31 +142,37 @@ class RealSnmpManager:
         self.timeout = timeout
         self.retries = retries
         self._request_id = 1
+        #: datagrams that were not an SNMP message, skipped while waiting
+        self.decode_failures = 0
 
     def _request(
         self,
         agent: Address,
         pdu_tag: int,
-        varbinds: Seq[tuple[OID, object]],
+        varbinds: Seq[VarBind],
         slot1: int = 0,
         slot2: int = 0,
     ) -> list[VarBind]:
         request_id = self._request_id
         self._request_id += 1
-        wire = encode_request(
-            VERSION_2C, self.community, pdu_tag, request_id, varbinds, slot1, slot2
-        )
+        request = SnmpMessage(VERSION_2C, self.community, pdu_tag, request_id, slot1, slot2, tuple(varbinds))
+        wire = request.to_bytes()
         for _ in range(self.retries + 1):
             self._sock.sendto(wire, agent)
-            received = self._sock.recv(self.timeout)
-            if received is None:
-                continue
-            pdu = response_pdu(received[0])
-            if pdu is None:
-                raise SnmpProtocolError("bad response")
-            if pdu.items[0].value != request_id:
-                continue  # stale datagram: ask again
-            return parse_response(pdu)
+            deadline = time.monotonic() + self.timeout
+            # a stale reply or a garbage datagram does not end the attempt:
+            # keep reading until its deadline
+            while (remaining := deadline - time.monotonic()) > 0:
+                received = self._sock.recv(remaining)
+                if received is None:
+                    break
+                try:
+                    response = SnmpMessage.from_bytes(received[0])
+                except (BerError, SnmpProtocolError):
+                    self.decode_failures += 1
+                    continue
+                if response.tag == PDU_RESPONSE and response.request_id == request_id:
+                    return response.result()
         raise SnmpTimeout(f"no response from {agent}")
 
     def get(self, agent: Address, oids: Seq[OID]) -> list[VarBind]:
@@ -176,9 +183,9 @@ class RealSnmpManager:
         """GETNEXT over the real wire."""
         return self._request(agent, PDU_GETNEXT, [(OID(oid), Null())])[0]
 
-    def set(self, agent: Address, varbinds: Seq[tuple[OID, object]]) -> list[VarBind]:
+    def set(self, agent: Address, varbinds: Seq[VarBind]) -> list[VarBind]:
         """SET over the real wire."""
-        return self._request(agent, PDU_SET, list(varbinds))
+        return self._request(agent, PDU_SET, varbinds)
 
     def get_bulk(
         self, agent: Address, oids: Seq[OID], non_repeaters: int = 0, max_repetitions: int = 10

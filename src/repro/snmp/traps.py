@@ -18,32 +18,17 @@ one-way message whose varbind list leads with ``sysUpTime.0`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import Callable, Optional
 
 from ..network.clock import Scheduler
 from ..network.simnet import Network
 from ..network.udp import DatagramSocket
-
-if TYPE_CHECKING:
-    from ..messaging.transport import DatagramTransport
-from .agent import VERSION_2C
-from .ber import (
-    BerError,
-    Integer,
-    ObjectIdentifierValue,
-    OctetString,
-    Sequence,
-    TaggedPdu,
-    TimeTicks,
-    decode,
-    encode,
-)
+from .ber import BerError, Gauge32, ObjectIdentifierValue, TimeTicks
+from .errors import SnmpProtocolError
 from .oids import MIB2, OID
+from .pdu import PDU_TRAP_V2, TRAP_PORT, VERSION_2C, SnmpMessage, VarBind
 
 __all__ = ["PDU_TRAP_V2", "TRAP_PORT", "snmpTrapOID", "TrapSender", "ThresholdWatch", "TrapListener", "Notification"]
-
-PDU_TRAP_V2 = 0xA7
-TRAP_PORT = 162
 
 #: snmpTrapOID.0 — names which trap this is.
 snmpTrapOID = OID("1.3.6.1.6.3.1.1.4.1.0")
@@ -56,24 +41,15 @@ class Notification:
     source: tuple[str, int]
     uptime_ticks: int
     trap_oid: OID
-    varbinds: tuple[tuple[OID, object], ...]
+    varbinds: tuple[VarBind, ...]
 
 
 class TrapSender:
     """Agent-side trap emission."""
 
-    def __init__(
-        self,
-        network: Network,
-        host: str,
-        community: str = "public",
-        socket: Optional["DatagramTransport"] = None,
-    ) -> None:
-        self._sock: "DatagramTransport" = (
-            socket if socket is not None else DatagramSocket(network, host)
-        )
-        if self._sock.port is None:
-            self._sock.bind_ephemeral()
+    def __init__(self, network: Network, host: str, community: str = "public") -> None:
+        self._sock = DatagramSocket(network, host)
+        self._sock.bind_ephemeral()
         self.network = network
         self.community = community
         self._request_id = 1
@@ -83,35 +59,17 @@ class TrapSender:
         self,
         dest: tuple[str, int],
         trap_oid: OID,
-        varbinds: list[tuple[OID, object]],
+        varbinds: list[VarBind],
         uptime_ticks: Optional[int] = None,
     ) -> bool:
         """Fire one SNMPv2-Trap (no acknowledgement, like the real thing)."""
         if uptime_ticks is None:
             uptime_ticks = int(self.network.scheduler.clock.now * 100) % 2**32
-        vbs = [
-            Sequence((MIB2.sysUpTime.to_ber(), TimeTicks(uptime_ticks))),
-            Sequence((snmpTrapOID.to_ber(), trap_oid.to_ber())),
-        ]
-        vbs.extend(Sequence((oid.to_ber(), value)) for oid, value in varbinds)
-        message = Sequence(
-            (
-                Integer(VERSION_2C),
-                OctetString(self.community.encode("latin-1")),
-                TaggedPdu(
-                    PDU_TRAP_V2,
-                    (
-                        Integer(self._request_id),
-                        Integer(0),
-                        Integer(0),
-                        Sequence(tuple(vbs)),
-                    ),
-                ),
-            )
-        )
+        vbs = ((MIB2.sysUpTime, TimeTicks(uptime_ticks)), (snmpTrapOID, trap_oid.to_ber()), *varbinds)
+        message = SnmpMessage(VERSION_2C, self.community, PDU_TRAP_V2, self._request_id, 0, 0, vbs)
         self._request_id += 1
         self.traps_sent += 1
-        return self._sock.sendto(encode(message), dest)
+        return self._sock.sendto(message.to_bytes(), dest)
 
     def close(self) -> None:
         self._sock.close()
@@ -137,12 +95,9 @@ class ThresholdWatch:
         trap_oid: OID,
         direction: str = "above",
         interval: float = 0.5,
-        value_factory: Callable[[float], object] = None,
     ) -> None:
         if direction not in ("above", "below"):
             raise ValueError("direction must be 'above' or 'below'")
-        from .ber import Gauge32
-
         self.scheduler = scheduler
         self.sender = sender
         self.dest = dest
@@ -152,7 +107,6 @@ class ThresholdWatch:
         self.trap_oid = trap_oid
         self.direction = direction
         self.interval = interval
-        self.value_factory = value_factory or (lambda v: Gauge32(int(round(v))))
         self._armed = True
         self._running = False
         self.crossings = 0
@@ -167,9 +121,7 @@ class ThresholdWatch:
             if self._armed:
                 self._armed = False
                 self.crossings += 1
-                self.sender.send(
-                    self.dest, self.trap_oid, [(self.oid, self.value_factory(value))]
-                )
+                self.sender.send(self.dest, self.trap_oid, [(self.oid, Gauge32(int(round(value))))])
                 return True
         else:
             self._armed = True
@@ -194,7 +146,7 @@ class ThresholdWatch:
 
 
 class TrapListener:
-    """Manager-side trap receiver (port 162 by default)."""
+    """Manager-side trap receiver on port 162."""
 
     def __init__(
         self,
@@ -202,14 +154,9 @@ class TrapListener:
         host: str,
         on_trap: Callable[[Notification], None],
         community: str = "public",
-        port: int = TRAP_PORT,
-        socket: Optional["DatagramTransport"] = None,
     ) -> None:
-        self._sock: "DatagramTransport" = (
-            socket if socket is not None else DatagramSocket(network, host)
-        )
-        if self._sock.port is None:
-            self._sock.bind(port)
+        self._sock = DatagramSocket(network, host)
+        self._sock.bind(TRAP_PORT)
         self._sock.on_receive = self._on_datagram
         self.on_trap = on_trap
         self.community = community
@@ -218,32 +165,35 @@ class TrapListener:
 
     def _on_datagram(self, data: bytes, src: tuple[str, int]) -> None:
         try:
-            msg, _ = decode(data)
-            if not isinstance(msg, Sequence) or len(msg.items) != 3:
-                raise BerError("bad frame")
-            _version, community, pdu = msg.items
-            if not isinstance(pdu, TaggedPdu) or pdu.tag_value != PDU_TRAP_V2:
-                raise BerError("not a v2 trap")
-            if community.value.decode("latin-1") != self.community:
-                return  # silently drop wrong community
-            vb_list = pdu.items[3]
-            pairs = []
-            for vb in vb_list.items:
-                name, value = vb.items
-                pairs.append((OID.from_ber(name), value))
-            uptime = pairs[0][1].value if pairs else 0
-            trap_oid = OID.from_ber(pairs[1][1]) if len(pairs) > 1 else OID("0.0")
-            notification = Notification(
-                source=src,
-                uptime_ticks=uptime,
-                trap_oid=trap_oid,
-                varbinds=tuple(pairs[2:]),
-            )
-        except (BerError, AttributeError, IndexError):
+            message = SnmpMessage.from_bytes(data)
+        except (BerError, SnmpProtocolError):
+            self.decode_failures += 1
+            return
+        if message.tag != PDU_TRAP_V2:
+            self.decode_failures += 1
+            return
+        if message.community != self.community:
+            return  # silently drop wrong community
+        # RFC 3416 §4.2.6: sysUpTime.0 and snmpTrapOID.0 lead the list
+        head = message.varbinds[:2]
+        if not (
+            len(head) == 2
+            and head[0][0] == MIB2.sysUpTime
+            and isinstance(head[0][1], TimeTicks)
+            and head[1][0] == snmpTrapOID
+            and isinstance(head[1][1], ObjectIdentifierValue)
+        ):
             self.decode_failures += 1
             return
         self.traps_received += 1
-        self.on_trap(notification)
+        self.on_trap(
+            Notification(
+                source=src,
+                uptime_ticks=head[0][1].value,
+                trap_oid=OID.from_ber(head[1][1]),
+                varbinds=message.varbinds[2:],
+            )
+        )
 
     def close(self) -> None:
         self._sock.close()

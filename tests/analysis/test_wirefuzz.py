@@ -33,6 +33,7 @@ class TestRegistry:
             "progressive.ImagePacket",
             "serialization.SemanticMessage",
             "ber.BerValue",
+            "snmp.SnmpMessage",
         ):
             assert any(n.startswith(needle) or n == needle for n in names), needle
 

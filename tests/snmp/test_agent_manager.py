@@ -11,6 +11,8 @@ from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
+from repro.snmp.pdu import PDU_RESPONSE, VERSION_2C, SnmpMessage
+from repro.snmp.traps import TrapListener, TrapSender
 
 
 @pytest.fixture
@@ -146,3 +148,39 @@ class TestRobustness:
         assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
         assert mgr2.get_scalar("host1", TASSL.hostPageFaults).value == 7
         assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+
+    def test_unsolicited_responses_are_not_kept(self, stack):
+        sched, net, _, mgr, _ = stack
+        mallory = DatagramSocket(net, "host1")
+        for request_id in range(1000, 3000):
+            response = SnmpMessage(
+                VERSION_2C, "public", PDU_RESPONSE, request_id, 0, 0, ((TASSL.hostCpuLoad, Gauge32(1)),)
+            )
+            mallory.sendto(response.to_bytes(), ("mgr", mgr._sock.port))
+        sched.run()
+        assert mgr._responses == {}
+        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr._responses == {}
+
+    def test_late_reply_is_not_kept(self, stack):
+        sched, _, _, mgr, _ = stack
+        mgr.timeout = 0.001  # shorter than the 4 ms round trip
+        mgr.retries = 0
+        with pytest.raises(SnmpTimeout):
+            mgr.get_scalar("host1", TASSL.hostCpuLoad)
+        sched.run()  # the reply lands after the request gave up
+        assert mgr._responses == {}
+
+    def test_trap_driven_get_nested_in_a_poll(self, stack):
+        """A trap callback re-adapts (a GET of its own) while a GET is
+        pumping the scheduler; the outer reply lands during the inner
+        GET and both complete."""
+        sched, net, _, mgr, _ = stack
+        inner = []
+        TrapListener(net, "mgr", lambda n: inner.append(mgr.get_scalar("host1", TASSL.hostPageFaults).value))
+        sender = TrapSender(net, "host1")
+        sched.call_at(0.001, lambda: sender.send(("mgr", 162), TASSL.pageFaultHighTrap, []))
+        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert inner == [7]
+        assert mgr.timeouts == 0
+        assert mgr._responses == {}

@@ -8,7 +8,14 @@ from repro.network.udp import DatagramSocket
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.ber import Gauge32
 from repro.snmp.errors import SnmpCircuitOpen, SnmpTimeout
-from repro.snmp.manager import CircuitBreaker, SnmpManager
+from repro.snmp.manager import (
+    BACKOFF_MAX,
+    BREAKER_COOLDOWN,
+    BREAKER_THRESHOLD,
+    JITTER_FRAC,
+    CircuitBreaker,
+    SnmpManager,
+)
 from repro.snmp.mib import MibTree
 from repro.snmp.oids import TASSL
 
@@ -59,11 +66,20 @@ class TestRetrySpacing:
         assert d1 == d2  # pure function of (request_id, attempt)
         assert d1 != mgr._backoff_delay(18, 0)  # decorrelated across requests
         for attempt in range(12):
-            assert mgr._backoff_delay(5, attempt) <= mgr.backoff_max * 1.1
+            assert mgr._backoff_delay(5, attempt) <= BACKOFF_MAX * mgr.timeout * (1 + JITTER_FRAC)
 
-    def test_zero_backoff_base_restores_legacy_spacing(self):
-        _, _, _, mgr = build(backoff_base=0.0)
-        assert mgr._backoff_delay(1, 0) == 0.0
+    @pytest.mark.parametrize("timeout", [1.0, 0.5, 0.1, 0.05, 0.3, 2.5])
+    def test_backoff_delay_bit_identical_to_the_keyword_defaults(self, timeout):
+        """The constants replaced ``backoff_base=timeout / 2.0``,
+        ``backoff_multiplier=2.0``, ``backoff_max=8.0 * timeout`` and
+        ``jitter_frac=0.1``; every delay keeps its exact float value."""
+        _, _, _, mgr = build(timeout=timeout)
+        for request_id in (1, 2, 17, 1000, 2**31):
+            for attempt in range(8):
+                delay = min(8.0 * timeout, timeout / 2.0 * 2.0 ** attempt)
+                h = (request_id * 2654435761 + attempt * 40503) % 10_000
+                delay *= 1.0 + 0.1 * (h / 5_000.0 - 1.0)
+                assert mgr._backoff_delay(request_id, attempt) == delay
 
     def test_successful_request_single_attempt(self):
         _, _, _, mgr = build()
@@ -73,16 +89,14 @@ class TestRetrySpacing:
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_and_fails_fast(self):
-        sched, _, _, mgr = build(
-            agent_present=False,
-            timeout=0.2,
-            retries=0,
-            breaker_threshold=2,
-            breaker_cooldown=5.0,
-        )
-        for _ in range(2):
+        sched, _, _, mgr = build(agent_present=False, timeout=0.2, retries=0)
+        assert BREAKER_THRESHOLD == 4
+        for _ in range(BREAKER_THRESHOLD - 1):
             with pytest.raises(SnmpTimeout):
                 mgr.get("host1", [TASSL.hostCpuLoad])
+        assert mgr.breaker_state("host1") == "closed"
+        with pytest.raises(SnmpTimeout):
+            mgr.get("host1", [TASSL.hostCpuLoad])
         assert mgr.breaker_state("host1") == "open"
         sent_before = mgr.requests_sent
         with pytest.raises(SnmpCircuitOpen) as ei:
@@ -90,24 +104,19 @@ class TestCircuitBreaker:
         assert mgr.requests_sent == sent_before  # nothing hit the wire
         assert mgr.fast_failures == 1
         assert ei.value.agent == ("host1", 161)
-        assert ei.value.retry_at > sched.clock.now
+        assert ei.value.retry_at == pytest.approx(sched.clock.now + BREAKER_COOLDOWN)
 
     def test_half_open_probe_after_cooldown_then_close_on_success(self):
-        sched, net, _, mgr = build(
-            agent_present=False,
-            timeout=0.2,
-            retries=0,
-            breaker_threshold=1,
-            breaker_cooldown=1.0,
-        )
-        with pytest.raises(SnmpTimeout):
-            mgr.get("host1", [TASSL.hostCpuLoad])
+        sched, net, _, mgr = build(agent_present=False, timeout=0.2, retries=0)
+        for _ in range(BREAKER_THRESHOLD):
+            with pytest.raises(SnmpTimeout):
+                mgr.get("host1", [TASSL.hostCpuLoad])
         assert mgr.breaker_state("host1") == "open"
         # bring the agent up while the breaker cools down
         tree = MibTree()
         tree.register_scalar(TASSL.hostCpuLoad, Gauge32(7))
         SnmpAgent(DatagramSocket(net, "host1"), tree)
-        sched.call_at(sched.clock.now + 1.5, lambda: None)
+        sched.call_at(sched.clock.now + BREAKER_COOLDOWN + 0.5, lambda: None)
         sched.run()
         assert mgr.breaker_state("host1") == "half-open"
         assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 7
@@ -135,23 +144,13 @@ class TestCircuitBreaker:
         assert not breaker.is_open
         assert breaker._current_cooldown == 1.0
 
-    def test_threshold_zero_disables_breaker(self):
-        _, _, _, mgr = build(
-            agent_present=False, timeout=0.1, retries=0, breaker_threshold=0
-        )
-        for _ in range(6):
-            with pytest.raises(SnmpTimeout):
-                mgr.get("host1", [TASSL.hostCpuLoad])
-        assert mgr.fast_failures == 0  # never fails fast
-
     def test_breakers_are_per_agent(self):
-        sched, net, _, mgr = build(
-            agent_present=True, timeout=0.2, retries=0, breaker_threshold=1
-        )
+        sched, net, _, mgr = build(agent_present=True, timeout=0.2, retries=0)
         net.add_node("host2")
         net.add_link("mgr", "host2", latency=0.002, bandwidth=1e6)
-        with pytest.raises(SnmpTimeout):
-            mgr.get("host2", [TASSL.hostCpuLoad])  # host2 has no agent
+        for _ in range(BREAKER_THRESHOLD):
+            with pytest.raises(SnmpTimeout):
+                mgr.get("host2", [TASSL.hostCpuLoad])  # host2 has no agent
         assert mgr.breaker_state("host2") == "open"
         assert mgr.breaker_state("host1") == "closed"
         assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42

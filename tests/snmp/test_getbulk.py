@@ -5,12 +5,12 @@ import pytest
 from repro.network.clock import Scheduler
 from repro.network.simnet import Network
 from repro.network.udp import DatagramSocket
-from repro.snmp.agent import SnmpAgent, VERSION_1
-from repro.snmp.ber import EndOfMibView, Gauge32, OctetString
-from repro.snmp.errors import SnmpProtocolError, SnmpTimeout
+from repro.snmp.agent import PDU_GETBULK, VERSION_1, SnmpAgent
+from repro.snmp.ber import EndOfMibView, Gauge32, Null, OctetString
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
+from repro.snmp.pdu import SnmpMessage
 
 
 @pytest.fixture
@@ -61,29 +61,20 @@ class TestGetBulk:
         out = mgr.get_bulk("host1", [MIB2.ifInOctets], max_repetitions=0)
         assert out == []
 
-    def test_v1_manager_rejects_getbulk(self, stack):
-        sched, net, _, _ = stack
-        v1 = SnmpManager(DatagramSocket(net, "mgr"), sched, version=0)
-        with pytest.raises(SnmpProtocolError):
-            v1.get_bulk("host1", [MIB2.ifInOctets])
-
     def test_v1_agent_frame_dropped(self, stack):
         """An agent receiving GETBULK in a v1 frame must drop it."""
         sched, net, agent, _ = stack
-        hack = SnmpManager(
-            DatagramSocket(net, "mgr"), sched, version=VERSION_1,
-            timeout=0.05, retries=0,
-        )
-        hack.version = 1  # lie about v2c to pass the client check
-        # craft: set version back to v1 on the wire by monkeypatching
-        hack.version = 0
-        hack_get_bulk = lambda: hack._request(
-            ("host1", 161), 0xA5, [(MIB2.ifInOctets, __import__("repro.snmp.ber", fromlist=["Null"]).Null())],
-            slot1=0, slot2=3,
-        )
-        with pytest.raises(SnmpTimeout):
-            hack_get_bulk()
-        assert agent.decode_failures >= 1
+        frame = SnmpMessage(
+            VERSION_1, "public", PDU_GETBULK, 1, 0, 3, ((MIB2.ifInOctets, Null()),)
+        ).to_bytes()
+        sock = DatagramSocket(net, "mgr")
+        replies = []
+        sock.on_receive = lambda data, src: replies.append(data)
+        sock.sendto(frame, ("host1", 161))
+        sched.run()
+        assert agent.decode_failures == 1
+        assert agent.requests_served == 0
+        assert replies == []
 
 
 class TestBulkWalk:

@@ -145,6 +145,19 @@ class TestHostileDatagrams:
         t.join()
         assert out[0][1].value == 33
 
+    def test_manager_reads_past_garbage(self, stack):
+        """A datagram that is not a response does not end the attempt;
+        the manager used to raise ``SnmpProtocolError("bad response")``."""
+        agent, mgr, _ = stack
+        with socket.socket(socket.AF_INET, socket.SOCK_DGRAM) as mallory:
+            mallory.sendto(b"\x00garbage", mgr._sock.address)
+            mallory.sendto(HOSTILE["two-item PDU"], mgr._sock.address)
+        t = serve_async(agent, 1)
+        out = mgr.get(agent.address, [TASSL.hostCpuLoad])
+        t.join()
+        assert out[0][1].value == 33
+        assert mgr.decode_failures == 2
+
 
 class TestSocketLifecycle:
     """Regression (RES002/RES003): idempotent close, guarded use-after-close."""

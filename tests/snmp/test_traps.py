@@ -5,9 +5,29 @@ import pytest
 from repro.hosts.workload import Trace
 from repro.network.clock import Scheduler
 from repro.network.simnet import Network
-from repro.snmp.ber import Gauge32
-from repro.snmp.oids import TASSL
-from repro.snmp.traps import Notification, ThresholdWatch, TrapListener, TrapSender
+from repro.network.udp import DatagramSocket
+from repro.snmp.ber import Gauge32, Integer, OctetString, Sequence, TaggedPdu, TimeTicks, encode
+from repro.snmp.oids import MIB2, TASSL
+from repro.snmp.traps import Notification, ThresholdWatch, TrapListener, TrapSender, snmpTrapOID
+
+
+def trap_frame(version=1, uptime=TimeTicks(5), extra=()):
+    """A v2c trap written field by field, so each field can be wrong."""
+    varbinds = (
+        Sequence((MIB2.sysUpTime.to_ber(), uptime, *extra)),
+        Sequence((snmpTrapOID.to_ber(), TASSL.cpuHighTrap.to_ber())),
+    )
+    pdu = TaggedPdu(0xA7, (Integer(1), Integer(0), Integer(0), Sequence(varbinds)))
+    return encode(Sequence((Integer(version), OctetString(b"public"), pdu)))
+
+
+#: each was accepted or raised by the listener before it parsed traps
+#: with the shared message codec
+HOSTILE_TRAPS = {
+    "3-element varbind": trap_frame(extra=(Integer(3),)),
+    "version 99": trap_frame(version=99),
+    "OCTET STRING sysUpTime": trap_frame(uptime=OctetString(b"x")),
+}
 
 
 @pytest.fixture
@@ -59,6 +79,17 @@ class TestTrapWire:
         junk.sendto(b"\x00\x01garbage", ("mgr-host", 162))
         sched.run()
         assert listener.decode_failures == 1
+        assert got == []
+
+    @pytest.mark.parametrize("frame", HOSTILE_TRAPS.values(), ids=HOSTILE_TRAPS.keys())
+    def test_malformed_trap_counted_not_delivered(self, fabric, frame):
+        sched, net = fabric
+        got = []
+        listener = TrapListener(net, "mgr-host", got.append)
+        DatagramSocket(net, "agent-host").sendto(frame, ("mgr-host", 162))
+        sched.run()
+        assert listener.decode_failures == 1
+        assert listener.traps_received == 0
         assert got == []
 
     def test_uptime_carried(self, fabric):
@@ -157,6 +188,18 @@ class TestEventDrivenAdaptation:
         assert watch.crossings == 2
         assert len(client.traps_received) == 2
         assert [d.packets for _, d in client.decision_log] == [1, 1]
+
+    def test_hostile_trap_does_not_stop_the_dispatch_loop(self):
+        from repro.core.framework import CollaborationFramework
+
+        fw = CollaborationFramework("traptest4")
+        client = fw.add_wired_client("alice")
+        fw.add_threshold_trap(client, "page_faults", threshold=80.0)
+        mallory = DatagramSocket(fw.network, "alice")
+        mallory.sendto(HOSTILE_TRAPS["3-element varbind"], ("alice", 162))
+        fw.run_for(1.0)  # raised ValueError out of the scheduler before
+        assert client._trap_listener.decode_failures == 1
+        assert client.traps_received == []
 
     def test_trap_listener_idempotent(self):
         from repro.core.framework import CollaborationFramework
