@@ -164,14 +164,13 @@ def diag(code: str, message: str, subject: str, path: str, node: ast.AST) -> Dia
 # delivery-callback registrations
 # ======================================================================
 #: kwarg / attribute names whose value is a delivery/receive callback
-DELIVERY_CALLBACK_KWARGS = frozenset({"on_receive", "on_delivery", "on_payload", "on_rejected"})
+DELIVERY_CALLBACK_KWARGS = frozenset({"on_receive", "on_delivery", "on_payload"})
 
 #: callable short name -> positional indices carrying a delivery callback
 DELIVERY_CALLBACK_POSITIONS: dict[str, tuple[int, ...]] = {
     "RtpReassembler": (0,),
     "SemanticEndpoint": (4,),
     "UnicastSemanticLink": (2,),
-    "over_transport": (2,),
     "TrapListener": (2,),
 }
 

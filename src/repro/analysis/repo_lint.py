@@ -11,12 +11,11 @@ two kinds of checks:
     error; elsewhere it is a warning.
   - ``LNT002`` — mutable default arguments (``def f(x=[])``): shared
     state across calls; error inside ``core/``, warning elsewhere.
-  - ``LNT003`` — constructing a transport (``SimTransport``,
-    ``LoopbackUDP``, ...) anywhere but the transport modules themselves:
-    transports must be injected so tests and simulations can substitute
-    them; and constructing a half of the wire stack (``RtpPacketizer``,
-    ``RtpReassembler``) outside ``messaging/``: message ↔ fragment ↔
-    datagram exists once, in ``SemanticWire``.
+  - ``LNT003`` — constructing an OS socket (``RealUdpSocket``) anywhere
+    but its own module: sockets must be injected so tests and
+    simulations can substitute them; and constructing a half of the wire
+    stack (``RtpPacketizer``, ``RtpReassembler``) outside ``messaging/``:
+    message ↔ fragment ↔ datagram exists once, in ``SemanticWire``.
 
 * **Config extraction**: string literals that are clearly selector
   sources — ``Selector("...")``, ``parse("...")``,
@@ -51,12 +50,8 @@ __all__ = [
     "TRANSPORT_MODULE_ALLOWLIST",
 ]
 
-#: path fragments where constructing a transport is legitimate
-TRANSPORT_MODULE_ALLOWLIST = (
-    "messaging/transport.py",
-    "network/udp.py",
-    "snmp/realudp.py",
-)
+#: path fragments where constructing an OS socket is legitimate
+TRANSPORT_MODULE_ALLOWLIST = ("snmp/realudp.py",)
 
 _INJECT = "transports must be injected so simulations and tests can substitute them"
 _ONE_WIRE = "the wire stack has one construction site, messaging.SemanticWire: bind that"
@@ -64,10 +59,7 @@ _ONE_WIRE = "the wire stack has one construction site, messaging.SemanticWire: b
 #: class name -> (path fragments where constructing it directly is
 #: legitimate, why it is flagged anywhere else)
 TRANSPORT_NAMES: dict[str, tuple[tuple[str, ...], str]] = {
-    "SimTransport": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
-    "LoopbackUDP": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
     "RealUdpSocket": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
-    "DatagramTransport": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
     "RtpPacketizer": (("messaging/",), _ONE_WIRE),
     "RtpReassembler": (("messaging/",), _ONE_WIRE),
 }

@@ -116,7 +116,7 @@ class ImageViewer:
         return view
 
     def on_packet(self, event: ImagePacketEvent) -> bool:
-        """Offer a packet; returns True if it was accepted into the budget.
+        """Offer a packet; returns True if it added a new index within the budget.
 
         "The resolution threshold is used to determine the number of image
         segments (i.e. the number of image packets) to be received."
@@ -135,7 +135,10 @@ class ImageViewer:
         view.packets_offered += 1
         if event.packet_index >= self.packet_budget:
             return False
+        held = view.assembly.received
         view.assembly.add_packet(ImagePacket.from_bytes(event.payload))
+        if view.assembly.received == held:
+            return False  # an index already held: a late original or a repeat
         view.packets_accepted += 1
         return True
 

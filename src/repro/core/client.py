@@ -18,6 +18,7 @@ The client owns:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -61,6 +62,7 @@ from .events import (
 )
 from .concurrency import LockError
 from .inference import AdaptationDecision, InferenceEngine
+from .matching_engine import compile_selector
 from .contracts import QoSContract
 from .policies import PolicyDatabase, default_policy_database
 from .profiles import ClientProfile
@@ -240,7 +242,8 @@ class WiredClient:
     def _on_delivery(self, delivery: Delivery) -> None:
         now = self.scheduler.clock.now
         msg = delivery.message
-        self.archive.record(now, msg)
+        if not self.archive.record(now, msg):
+            return  # a history replay of a message this peer already holds
         try:
             event = decode_event(msg.kind, msg.body)
         except EventError:
@@ -350,23 +353,20 @@ class WiredClient:
         """Replay archived traffic, re-addressed to the requester only.
 
         History/control kinds are never replayed, nor is traffic the
-        requester originated itself.
+        requester originated itself.  A replay keeps the original
+        ``msg_id``, so a requester that already holds the message (from
+        the live session or from another archivist) drops it.
         """
         if not self.serve_history or request.client_id == self.name:
             return
         selector = self._requester_selector(request.client_id)
         if selector is None:
             return
+        audience = compile_selector(selector)
         skip = {"history-request", "image-repair", "join", "leave"}
         wanted = set(request.kinds) if request.kinds else None
         replays = [
-            SemanticMessage.create(
-                sender=self.name,
-                selector=selector,
-                headers=dict(msg.headers),
-                body=msg.body,
-                kind=msg.kind,
-            )
+            replace(msg, selector=audience, sender=self.name)
             for _t, msg in self.archive.replay(since=request.since)
             if msg.kind not in skip
             and msg.sender != request.client_id

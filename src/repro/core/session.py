@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..messaging.message import SemanticMessage
+from ..messaging.message import MessageId, SemanticMessage
 
 __all__ = ["SessionDescriptor", "SessionArchive", "Membership"]
 
@@ -81,20 +81,33 @@ class SessionArchive:
     """Time-ordered record of session traffic for late joiners.
 
     Bounded: keeps the newest ``capacity`` messages (images dominate
-    volume; a real deployment would spool to disk).
+    volume; a real deployment would spool to disk).  Holds each
+    ``msg_id`` once: a set of the held ids, kept in step with the ring,
+    answers in O(1) whether a message is new.
     """
 
     def __init__(self, capacity: int = 10_000) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.capacity = capacity
-        self._entries: deque[tuple[float, SemanticMessage]] = deque(maxlen=capacity)
+        self._entries: deque[tuple[float, SemanticMessage]] = deque()
+        self._ids: set[MessageId] = set()
         self.archived = 0
 
-    def record(self, time: float, message: SemanticMessage) -> None:
-        """Append one message; evicts the oldest beyond capacity."""
+    def record(self, time: float, message: SemanticMessage) -> bool:
+        """Append a message whose id is not held; evicts the oldest beyond capacity.
+
+        Returns False, recording nothing, for an id already held.
+        """
+        held = len(self._ids)
+        self._ids.add(message.msg_id)
+        if len(self._ids) == held:
+            return False
+        if len(self._entries) == self.capacity:
+            self._ids.discard(self._entries.popleft()[1].msg_id)
         self._entries.append((time, message))
         self.archived += 1
+        return True
 
     def replay(self, since: float = 0.0, kinds: Optional[set[str]] = None) -> list[tuple[float, SemanticMessage]]:
         """Messages after ``since``, optionally filtered by kind."""

@@ -20,17 +20,7 @@ from .rtp import (
 )
 from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription
 from .sharded import ShardedSemanticBus, ShardSubscription
-from .transport import (
-    BrokerAPI,
-    DatagramTransport,
-    LoopbackUDP,
-    SemanticEndpoint,
-    SemanticWire,
-    SimTransport,
-    Transport,
-    UnicastSemanticLink,
-    make_broker,
-)
+from .transport import BrokerAPI, SemanticEndpoint, SemanticWire, UnicastSemanticLink, make_broker
 
 __all__ = [
     "MessageId",
@@ -54,10 +44,6 @@ __all__ = [
     "ShardSubscription",
     "BrokerAPI",
     "make_broker",
-    "Transport",
-    "DatagramTransport",
-    "SimTransport",
-    "LoopbackUDP",
     "SemanticWire",
     "SemanticEndpoint",
     "UnicastSemanticLink",

@@ -1,4 +1,4 @@
-"""Networked transport: semantic messages over RTP over pluggable datagram fabrics.
+"""Networked transport: semantic messages over RTP over simulated multicast.
 
 This is the client's *event communication module* wire path (paper
 Sec. 5.3): outgoing messages are serialized, fragmented by the RTP-thin
@@ -7,34 +7,24 @@ semantically interpreted against the local profile before anything
 reaches the application.  An endpoint serves exactly one profile: each
 received message is interpreted once, against it (paper Sec. 5.3).
 
-The wire fabric is abstracted behind the :class:`Transport` protocol:
-
-* :class:`SimTransport` — the default, riding the discrete-event
-  simulator's multicast groups (:mod:`repro.network`);
-* :class:`LoopbackUDP` — real OS UDP sockets on 127.0.0.1 with an
-  explicit peer set, proving the stack is wire-real (poll-driven, no
-  threads).
-
-:class:`SemanticEndpoint` itself only ever touches the protocol surface
-(``send`` / ``unicast`` / ``close`` / ``local_address``), so any object
-implementing it plugs in via :meth:`SemanticEndpoint.over_transport`.
-
-Message ↔ RTP fragments ↔ datagram exists once, in :class:`SemanticWire`;
-the group-attached :class:`SemanticEndpoint` and the point-to-point
-:class:`UnicastSemanticLink` (base station ↔ wireless client legs) are
-its two bindings to a fabric.
+Message ↔ RTP fragments ↔ datagram exists once, in :class:`SemanticWire`.
+It has two bindings to the network: the group-attached
+:class:`SemanticEndpoint`, on one
+:class:`~repro.network.multicast.MulticastSocket`, and the point-to-point
+:class:`UnicastSemanticLink` (base station ↔ wireless client legs), on
+one :class:`~repro.network.udp.DatagramSocket`.  The wire itself needs
+only a callable that puts a datagram somewhere, so it runs unchanged
+over OS sockets too (:class:`~repro.snmp.realudp.RealUdpSocket`).
 """
 
 from __future__ import annotations
 
-import socket as _socketlib
 import warnings
 import zlib
 from typing import Callable, Iterable, Optional, Protocol, runtime_checkable
 
 from ..core.matching import Decision, interpret
 from ..core.profiles import ClientProfile
-from ..network.clock import Scheduler
 from ..network.multicast import MulticastGroup, MulticastSocket
 from ..network.simnet import Network
 from ..network.udp import DatagramSocket
@@ -44,21 +34,14 @@ from .rtp import RtpError, RtpPacketizer, RtpReassembler
 from .serialization import WireError, decode_message, encode_message
 
 __all__ = [
-    "Transport",
-    "DatagramTransport",
     "BrokerAPI",
     "make_broker",
-    "SimTransport",
-    "LoopbackUDP",
     "SemanticWire",
     "SemanticEndpoint",
     "UnicastSemanticLink",
 ]
 
-#: ``on_receive`` signature shared by every transport: (payload, (host, port)).
-ReceiveCallback = Callable[[bytes, tuple[str, int]], None]
-
-#: Virtual seconds between a scheduler-driven endpoint's housekeeping ticks.
+#: Virtual seconds between an endpoint's housekeeping ticks.
 EXPIRE_INTERVAL = 0.5
 
 
@@ -108,180 +91,6 @@ def make_broker(*, shards: Optional[int] = None, indexed: bool = True) -> Broker
     from .sharded import ShardedSemanticBus
 
     return ShardedSemanticBus(shards=shards)
-
-
-@runtime_checkable
-class Transport(Protocol):
-    """Group-capable datagram fabric the semantic endpoint runs over.
-
-    Implementations deliver inbound datagrams by invoking the
-    ``on_receive`` attribute (when set) with ``(data, (src_host, src_port))``.
-    """
-
-    on_receive: Optional[ReceiveCallback]
-
-    @property
-    def local_address(self) -> tuple[str, int]:
-        """(host, port) peers can unicast replies to."""
-        ...
-
-    def send(self, data: bytes) -> int:
-        """Fan ``data`` out to the whole group; returns datagrams sent."""
-        ...
-
-    def unicast(self, data: bytes, dest: tuple[str, int]) -> bool:
-        """Point-to-point send; returns False when the datagram was dropped."""
-        ...
-
-    def close(self) -> None:
-        """Release the underlying socket(s).  Idempotent."""
-        ...
-
-
-@runtime_checkable
-class DatagramTransport(Protocol):
-    """Point-to-point datagram surface (what the SNMP layers consume).
-
-    :class:`repro.network.udp.DatagramSocket` satisfies this
-    structurally; so would a thin wrapper over a real UDP socket.
-    """
-
-    on_receive: Optional[ReceiveCallback]
-    port: Optional[int]
-
-    def bind(self, port: int) -> None: ...
-
-    def bind_ephemeral(self) -> int: ...
-
-    def sendto(self, data: bytes, dest: tuple[str, int]) -> bool: ...
-
-    def close(self) -> None: ...
-
-
-class SimTransport:
-    """:class:`Transport` over the simulated network's multicast fabric."""
-
-    def __init__(
-        self,
-        network: Network,
-        host: str,
-        group: MulticastGroup,
-        on_receive: Optional[ReceiveCallback] = None,
-        loopback: bool = False,
-    ) -> None:
-        self.network = network
-        self.host = host
-        self.group = group
-        self.on_receive = on_receive
-        self._socket = MulticastSocket(
-            network, host, group, on_receive=self._dispatch, loopback=loopback
-        )
-        self._closed = False
-
-    @property
-    def scheduler(self) -> Scheduler:
-        """The simulator clock this transport runs on."""
-        return self.network.scheduler
-
-    @property
-    def local_address(self) -> tuple[str, int]:
-        return (self.host, self._socket.local_port)
-
-    def _dispatch(self, data: bytes, src: tuple[str, int]) -> None:
-        if self.on_receive is not None:
-            self.on_receive(data, src)
-
-    def send(self, data: bytes) -> int:
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        return self._socket.send(data)
-
-    def unicast(self, data: bytes, dest: tuple[str, int]) -> bool:
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        return self._socket.unicast(data, dest)
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._socket.leave()
-
-
-class LoopbackUDP:
-    """:class:`Transport` over real OS UDP sockets on the loopback device.
-
-    Group semantics are emulated with an explicit peer set: ``send``
-    unicasts to every registered peer (multicast groups on loopback are
-    not portable).  Reception is poll-driven — call :meth:`poll` to
-    drain ready datagrams into ``on_receive`` — so no threads are
-    involved and tests stay deterministic.
-    """
-
-    def __init__(
-        self,
-        peers: tuple[tuple[str, int], ...] = (),
-        host: str = "127.0.0.1",
-        port: int = 0,
-        on_receive: Optional[ReceiveCallback] = None,
-    ) -> None:
-        self.on_receive = on_receive
-        self._sock = _socketlib.socket(_socketlib.AF_INET, _socketlib.SOCK_DGRAM)
-        self._sock.bind((host, port))
-        self._sock.setblocking(False)
-        self.peers: list[tuple[str, int]] = list(peers)
-        self._closed = False
-        self.sent_datagrams = 0
-        self.received_datagrams = 0
-
-    @property
-    def local_address(self) -> tuple[str, int]:
-        return self._sock.getsockname()
-
-    def add_peer(self, addr: tuple[str, int]) -> None:
-        """Register a peer to fan ``send`` out to (duplicates ignored)."""
-        if addr not in self.peers:
-            self.peers.append(addr)
-
-    def send(self, data: bytes) -> int:
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        me = self.local_address
-        n = 0
-        for peer in self.peers:
-            if peer == me:
-                continue  # no self-loopback, matching multicast semantics
-            self._sock.sendto(data, peer)
-            n += 1
-        self.sent_datagrams += n
-        return n
-
-    def unicast(self, data: bytes, dest: tuple[str, int]) -> bool:
-        if self._closed:
-            raise RuntimeError("transport is closed")
-        self._sock.sendto(data, dest)
-        self.sent_datagrams += 1
-        return True
-
-    def poll(self, max_datagrams: int = 64) -> int:
-        """Drain up to ``max_datagrams`` ready datagrams; returns count."""
-        drained = 0
-        while drained < max_datagrams:
-            try:
-                data, src = self._sock.recvfrom(65535)
-            except BlockingIOError:
-                break
-            except OSError:
-                break
-            drained += 1
-            self.received_datagrams += 1
-            if self.on_receive is not None:
-                self.on_receive(data, src)
-        return drained
-
-    def close(self) -> None:
-        if not self._closed:
-            self._closed = True
-            self._sock.close()
 
 
 class SemanticWire:
@@ -402,17 +211,13 @@ class SemanticEndpoint:
     Parameters
     ----------
     network, host, group:
-        Where to attach; the endpoint joins ``group`` on ``host`` via a
-        :class:`SimTransport`.  (Use :meth:`over_transport` to run on
-        any other :class:`Transport`.)
+        Where to attach: the endpoint joins ``group`` on ``host`` with its
+        own :class:`~repro.network.multicast.MulticastSocket`, ``sock``.
     profile:
         The local profile all incoming messages are interpreted against.
     on_delivery:
-        Application callback for accepted messages.
-    promiscuous:
-        When true, rejected messages are also surfaced (``on_rejected``) —
-        the base station uses this to interpret *on behalf of* its
-        wireless clients.
+        Application callback for accepted messages.  A message the profile
+        rejects is counted in ``received_messages`` only.
     """
 
     def __init__(
@@ -422,76 +227,19 @@ class SemanticEndpoint:
         group: MulticastGroup,
         profile: ClientProfile,
         on_delivery: Callable[[Delivery], None],
-        on_rejected: Optional[Callable[[SemanticMessage], None]] = None,
-        promiscuous: bool = False,
     ) -> None:
-        self._init_over(
-            SimTransport(network, host, group),
-            profile,
-            on_delivery,
-            scheduler=network.scheduler,
-            on_rejected=on_rejected,
-            promiscuous=promiscuous,
-        )
-
-    @classmethod
-    def over_transport(
-        cls,
-        transport: Transport,
-        profile: ClientProfile,
-        on_delivery: Callable[[Delivery], None],
-        scheduler: Optional[Scheduler] = None,
-        on_rejected: Optional[Callable[[SemanticMessage], None]] = None,
-        promiscuous: bool = False,
-    ) -> "SemanticEndpoint":
-        """Build an endpoint on any :class:`Transport` implementation.
-
-        Without a ``scheduler`` there is no periodic housekeeping tick.
-        """
-        self = cls.__new__(cls)
-        self._init_over(
-            transport,
-            profile,
-            on_delivery,
-            scheduler=scheduler,
-            on_rejected=on_rejected,
-            promiscuous=promiscuous,
-        )
-        return self
-
-    def _init_over(
-        self,
-        transport: Transport,
-        profile: ClientProfile,
-        on_delivery: Callable[[Delivery], None],
-        scheduler: Optional[Scheduler],
-        on_rejected: Optional[Callable[[SemanticMessage], None]],
-        promiscuous: bool,
-    ) -> None:
-        self._transport = transport
-        #: the simulator the transport rides, when it rides one
-        self.network: Optional[Network] = getattr(transport, "network", None)
         self.profile = profile
         self.on_delivery = on_delivery
-        self.on_rejected = on_rejected
-        self.promiscuous = promiscuous
-        self.wire = SemanticWire(transport.local_address, self._on_wire_message)
-        transport.on_receive = self._on_datagram
-        self.scheduler: Optional[Scheduler] = scheduler
-        self._expire_event = (
-            scheduler.call_after(EXPIRE_INTERVAL, self._expire_tick)  # repro: ignore[EXC002]
-            if scheduler is not None
-            else None
+        self.sock = MulticastSocket(network, host, group, on_receive=self._on_datagram)
+        self.wire = SemanticWire(self.address, self._on_wire_message)
+        self.scheduler = network.scheduler
+        self._expire_event = self.scheduler.call_after(  # repro: ignore[EXC002]
+            EXPIRE_INTERVAL, self._expire_tick
         )
         self._closed = False
         # observability (sent_*/decode_failures live on the wire)
         self.received_messages = 0
         self.accepted_messages = 0
-
-    @property
-    def transport(self) -> Transport:
-        """The fabric this endpoint sends and receives on."""
-        return self._transport
 
     @property
     def ssrc(self) -> int:
@@ -501,7 +249,7 @@ class SemanticEndpoint:
     @property
     def address(self) -> tuple[str, int]:
         """(host, port) other endpoints can unicast to."""
-        return self._transport.local_address
+        return (self.sock.host, self.sock.local_port)
 
     @property
     def sent_messages(self) -> int:
@@ -527,7 +275,7 @@ class SemanticEndpoint:
         """
         if self._closed:
             raise RuntimeError("endpoint is closed")
-        return self.wire.send(message, self._transport.send)
+        return self.wire.send(message, self.sock.send)
 
     def publish_many(self, messages: Iterable[SemanticMessage]) -> list[Optional[int]]:
         """Multicast a batch; returns per-message fragment counts.
@@ -547,7 +295,7 @@ class SemanticEndpoint:
         """Point-to-point send (BS → wireless client leg)."""
         if self._closed:
             raise RuntimeError("endpoint is closed")
-        return self.wire.send(message, lambda data: self._transport.unicast(data, dest))
+        return self.wire.send(message, lambda data: self.sock.unicast(data, dest))
 
     # ------------------------------------------------------------------
     # receiving
@@ -560,8 +308,6 @@ class SemanticEndpoint:
         self.received_messages += 1
         result = interpret(message.selector, message.effective_headers(), self.profile)
         if result.decision is Decision.REJECT:
-            if self.promiscuous and self.on_rejected is not None:
-                self.on_rejected(message)
             return
         self.accepted_messages += 1
         self.on_delivery(Delivery(message, result))
@@ -571,7 +317,7 @@ class SemanticEndpoint:
         # and counts them in its monotone ``abandoned`` total, so the tick
         # has nothing to do.  The timer stays because its scheduler events
         # are pinned in bench/expected/seed0.json.
-        if self._closed or self.scheduler is None:
+        if self._closed:
             return
         self._expire_event = self.scheduler.call_after(  # repro: ignore[EXC002]
             EXPIRE_INTERVAL, self._expire_tick
@@ -586,6 +332,5 @@ class SemanticEndpoint:
         """Leave the group and stop housekeeping."""
         if not self._closed:
             self._closed = True
-            if self._expire_event is not None:
-                self._expire_event.cancel()
-            self._transport.close()
+            self._expire_event.cancel()
+            self.sock.leave()

@@ -16,7 +16,7 @@ from .simnet import (
     Packet,
     PortInUseError,
 )
-from .udp import DatagramSocket
+from .udp import DatagramSocket, DatagramTransport
 from .multicast import MulticastGroup, MulticastSocket
 from .routing import MulticastFabric, Router, RoutingError, TrustDomain
 from .faults import (
@@ -48,6 +48,7 @@ __all__ = [
     "Packet",
     "PortInUseError",
     "DatagramSocket",
+    "DatagramTransport",
     "MulticastGroup",
     "MulticastSocket",
     "MulticastFabric",

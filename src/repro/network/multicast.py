@@ -196,7 +196,7 @@ class MulticastSocket:
         self._sock.close()
 
     def close(self) -> None:
-        """Alias for :meth:`leave`, matching the transport surface."""
+        """Alias for :meth:`leave`, so it closes like every other socket."""
         self.leave()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

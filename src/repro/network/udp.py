@@ -2,7 +2,10 @@
 
 :class:`DatagramSocket` gives higher layers (SNMP agent/manager, the
 RTP-thin messaging transport) a familiar ``bind / sendto / recv`` surface
-while everything underneath runs on the discrete-event simulator.
+while everything underneath runs on the discrete-event simulator.  The
+surface the SNMP layers consume is the :class:`DatagramTransport`
+protocol; :class:`DatagramSocket` is its reference implementation and
+:class:`repro.snmp.realudp.RealUdpSocket` puts an OS socket behind it.
 
 Two receive styles are supported:
 
@@ -16,16 +19,35 @@ Two receive styles are supported:
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Optional
+from typing import Callable, Optional, Protocol, runtime_checkable
 
 from .simnet import Address, Network, NetworkError, Packet, PortInUseError
 
-__all__ = ["DatagramSocket", "EPHEMERAL_BASE", "EPHEMERAL_MAX"]
+__all__ = ["DatagramSocket", "DatagramTransport", "EPHEMERAL_BASE", "EPHEMERAL_MAX"]
 
 #: First port handed out by :meth:`DatagramSocket.bind_ephemeral`.
 EPHEMERAL_BASE = 49152
 #: Last port in the ephemeral range (inclusive).
 EPHEMERAL_MAX = 65535
+
+
+@runtime_checkable
+class DatagramTransport(Protocol):
+    """Point-to-point datagram surface (what the SNMP layers consume).
+
+    Inbound datagrams go to ``on_receive(data, (src_host, src_port))``.
+    """
+
+    on_receive: Optional[Callable[[bytes, tuple[Address, int]], None]]
+    port: Optional[int]
+
+    def bind(self, port: int) -> None: ...
+
+    def bind_ephemeral(self) -> int: ...
+
+    def sendto(self, data: bytes, dest: tuple[Address, int]) -> bool: ...
+
+    def close(self) -> None: ...
 
 
 class DatagramSocket:

@@ -9,11 +9,9 @@ with a GetResponse PDU.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
-if TYPE_CHECKING:
-    from ..messaging.transport import DatagramTransport
-
+from ..network.udp import DatagramTransport
 from .ber import BerError, EndOfMibView
 from .errors import ErrorStatus, SnmpProtocolError
 from .mib import MibAccessError, MibTree
@@ -34,7 +32,7 @@ class SnmpAgent:
     ----------
     socket:
         A bound-or-bindable datagram endpoint — anything satisfying the
-        :class:`~repro.messaging.transport.DatagramTransport` protocol
+        :class:`~repro.network.udp.DatagramTransport` protocol
         (e.g. :class:`~repro.network.udp.DatagramSocket`).
     mib:
         The tree of managed objects to serve.
@@ -45,7 +43,7 @@ class SnmpAgent:
 
     def __init__(
         self,
-        socket: "DatagramTransport",
+        socket: DatagramTransport,
         mib: MibTree,
         read_community: str = "public",
         write_community: str = "private",

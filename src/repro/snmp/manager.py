@@ -13,13 +13,11 @@ surface over an asynchronous wire, with virtual-time timeouts and retries.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Sequence as Seq
+from typing import Sequence as Seq
 
 from .._locks import make_lock
 from ..network.clock import Scheduler
-
-if TYPE_CHECKING:
-    from ..messaging.transport import DatagramTransport
+from ..network.udp import DatagramTransport
 
 from .ber import BerError, EndOfMibView, Null
 from .errors import ErrorStatus, SnmpCircuitOpen, SnmpErrorResponse, SnmpProtocolError, SnmpTimeout
@@ -118,7 +116,7 @@ class SnmpManager:
     socket:
         An unbound datagram endpoint on the management station's host —
         anything satisfying the
-        :class:`~repro.messaging.transport.DatagramTransport` protocol
+        :class:`~repro.network.udp.DatagramTransport` protocol
         (e.g. :class:`~repro.network.udp.DatagramSocket`).
     scheduler:
         The shared simulation scheduler; pumped while waiting for replies.
@@ -137,7 +135,7 @@ class SnmpManager:
 
     def __init__(
         self,
-        socket: "DatagramTransport",
+        socket: DatagramTransport,
         scheduler: Scheduler,
         community: str = "public",
         timeout: float = 1.0,

@@ -3,7 +3,7 @@
 Everything else in the repository runs on the virtual-time simulator;
 this module exists to prove the BER layer is *wire-real*.
 :class:`RealUdpSocket` is an OS datagram socket behind the
-:class:`~repro.messaging.transport.DatagramTransport` protocol, so the
+:class:`~repro.network.udp.DatagramTransport` protocol, so the
 very :class:`~repro.snmp.agent.SnmpAgent` the simulator runs serves a
 MIB on 127.0.0.1 (:class:`RealSnmpAgent`), and a
 :class:`RealSnmpManager` queries it with the same
@@ -31,7 +31,7 @@ Address = tuple[str, int]
 
 
 class RealUdpSocket:
-    """An OS UDP socket as a :class:`~repro.messaging.transport.DatagramTransport`.
+    """An OS UDP socket as a :class:`~repro.network.udp.DatagramTransport`.
 
     Poll-driven, no threads of its own: :meth:`poll` blocks up to a
     timeout for one datagram and hands it to ``on_receive``.

@@ -197,15 +197,6 @@ BAD_EXC = [
         "EXC001",
     ),
     (
-        "leaking-callback-passed-positionally-to-over-transport",
-        _WIRE_PRELUDE
-        + "def deliver(delivery):\n"
-        "    parse(delivery)\n"
-        "def wire(SemanticEndpoint, transport, profile):\n"
-        "    return SemanticEndpoint.over_transport(transport, profile, deliver)\n",
-        "EXC001",
-    ),
-    (
         "leaking-callback-passed-positionally-to-trap-listener",
         _WIRE_PRELUDE
         + "def on_trap(trap):\n"

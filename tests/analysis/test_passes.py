@@ -123,11 +123,11 @@ class Bus:
 class Client:
     def __init__(self, net, bus: SemanticBus, sock):
         self.ep = SemanticEndpoint(net, "h", "g", None, self._on_delivery)
-        self.alt = SemanticEndpoint.over_transport(sock, None, self._on_alt)
+        self.alt = UnicastSemanticLink(net, "h", self._on_alt)
         self.traps = TrapListener(net, "h", self._on_trap)
         self.reasm = RtpReassembler(self._on_payload)
         sock.on_receive = self._on_datagram
-        self.link = Link(on_rejected=self._on_rejected)
+        self.link = Link(on_delivery=self._on_link)
         bus.attach(None, self._on_bus)
         self.fabric.attach(None, self._not_a_bus)
 
@@ -136,7 +136,7 @@ class Client:
     def _on_trap(self, t): pass
     def _on_payload(self, s, p): pass
     def _on_datagram(self, d, s): pass
-    def _on_rejected(self, m): pass
+    def _on_link(self, m): pass
     def _on_bus(self, d): pass
     def _not_a_bus(self, d): pass
     def _helper(self): self._leaf()
@@ -156,8 +156,8 @@ class TestSharedScans:
             "_on_bus",
             "_on_datagram",
             "_on_delivery",
+            "_on_link",
             "_on_payload",
-            "_on_rejected",
             "_on_trap",
         ]
         assert {r.registrar.name for r in regs} == {"__init__"}

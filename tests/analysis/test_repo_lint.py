@@ -22,9 +22,9 @@ MUTABLE_DEFAULT = (
 )
 
 TRANSPORT_CONSTRUCTION = (
-    "from repro.messaging.transport import SimTransport\n"
+    "from repro.snmp.realudp import RealUdpSocket\n"
     "\n"
-    "transport = SimTransport()\n"
+    "sock = RealUdpSocket()\n"
 )
 
 
@@ -68,7 +68,7 @@ class TestTransportInjection:
         assert [d.code for d in diags] == ["LNT003"]
 
     def test_transport_modules_are_exempt(self):
-        assert lint_source(TRANSPORT_CONSTRUCTION, "src/repro/messaging/transport.py") == []
+        assert lint_source(TRANSPORT_CONSTRUCTION, "src/repro/snmp/realudp.py") == []
 
     def test_attribute_call_flagged_too(self):
         source = "import repro.snmp.realudp as realudp\nt = realudp.RealUdpSocket()\n"
@@ -126,7 +126,7 @@ class TestSuppression:
         assert lint_source(source, "a.py") == []
 
     def test_bare_ignore_suppresses_everything(self):
-        source = "transport = SimTransport()  # repro: ignore\n"
+        source = "sock = RealUdpSocket()  # repro: ignore\n"
         assert lint_source(source, "examples/demo.py") == []
 
     def test_other_codes_still_reported(self):

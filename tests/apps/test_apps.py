@@ -167,3 +167,14 @@ class TestImageViewerReceiver:
         view = rx.viewed["img"]
         assert view.packets_offered == 16
         assert view.packets_accepted == 2
+
+    def test_a_repeated_packet_index_is_accepted_once(self, shared):
+        # a history replay, or a late original after its repair
+        _, announce, packets = shared
+        rx = ImageViewer("bob")
+        rx.on_announce(announce)
+        assert rx.on_packet(packets[0]) is True
+        assert rx.on_packet(packets[0]) is False
+        view = rx.viewed["img"]
+        assert (view.packets_offered, view.packets_accepted) == (2, 1)
+        assert view.assembly.received == 1

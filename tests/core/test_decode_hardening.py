@@ -32,7 +32,7 @@ from repro.core.selectors import Selector
 from repro.media.images import collaboration_scene
 from repro.media.progressive import ImagePacket, ImagePacketError
 from repro.messaging.broker import Delivery
-from repro.messaging.message import MessageId, SemanticMessage
+from repro.messaging.message import MessageId, SemanticMessage, next_message_id
 from repro.messaging.rtp import RtpPacket
 from repro.messaging.serialization import WireError, decode_message, encode_message
 from repro.messaging.transport import SemanticWire
@@ -323,8 +323,9 @@ class TestDispatchCounters:
 
     @staticmethod
     def _delivery(body):
+        # a fresh id each: a client drops an id its archive already holds
         msg = SemanticMessage(
-            MessageId("mallory", 9),
+            next_message_id("mallory"),
             Selector("true"),
             {},
             body=body,

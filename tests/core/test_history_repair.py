@@ -97,6 +97,40 @@ class TestHistoryReplay:
         assert any("new" in l for l in carol.chat.transcript)
         assert not any("old" in l for l in carol.chat.transcript)
 
+    def test_late_joiner_gets_each_message_once_from_three_archivists(self, fw):
+        peers = [fw.add_wired_client(n) for n in ("alice", "bob", "carol")]
+        for x in peers:
+            x.join()
+        fw.run_for(0.5)
+        peers[0].send_chat("hi")
+        peers[0].share_image("map", collaboration_scene(64, 64))
+        fw.run_for(2.0)
+        dave = fw.add_wired_client("dave")
+        dave.join()
+        fw.run_for(0.5)
+        dave.request_history()  # all three peers archive and answer
+        fw.run_for(2.0)
+        assert dave.chat.transcript == ["alice: hi"]
+        view = dave.viewer.viewed["map"]
+        assert view.packets_accepted == view.assembly.received == 16
+        # own join and request, then chat + announce + 16 packets, once each
+        assert len(dave.archive) == 20
+
+    def test_peer_that_heard_it_live_drops_the_replay(self, fw):
+        a = fw.add_wired_client("alice")
+        b = fw.add_wired_client("bob")
+        a.join()
+        b.join()
+        fw.run_for(0.5)
+        a.send_chat("hi")
+        a.draw("s1", (1.0, 2.0))
+        fw.run_for(0.5)
+        assert b.chat.transcript == ["alice: hi"]
+        b.request_history()
+        fw.run_for(1.0)
+        assert b.chat.transcript == ["alice: hi"]
+        assert b.whiteboard.arbiter.total_conflicts == 0
+
     def test_non_serving_peer_stays_silent(self, fw):
         a = fw.add_wired_client("alice")
         a.serve_history = False

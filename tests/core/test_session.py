@@ -89,7 +89,8 @@ class TestArchive:
 
 
 class ListArchive:
-    """The archive as it was before it became a ring: a re-sliced list."""
+    """The archive as it was before it became a ring: a re-sliced list,
+    here holding each ``msg_id`` once by a linear scan."""
 
     def __init__(self, capacity):
         self.capacity = capacity
@@ -97,10 +98,13 @@ class ListArchive:
         self.archived = 0
 
     def record(self, time, message):
+        if any(m.msg_id == message.msg_id for _, m in self._entries):
+            return False
         self._entries.append((time, message))
         self.archived += 1
         if len(self._entries) > self.capacity:
             self._entries = self._entries[-self.capacity :]
+        return True
 
     def replay(self, since=0.0, kinds=None):
         return [(t, m) for t, m in self._entries if t >= since and (kinds is None or m.kind in kinds)]
@@ -112,6 +116,8 @@ class ListArchive:
 KINDS = ["chat", "join", "image-share"]
 ARCHIVE_OPS = st.one_of(
     st.tuples(st.just("record"), st.floats(0, 10), st.sampled_from(KINDS)),
+    # the k-th recorded message again: a replay, held or already evicted
+    st.tuples(st.just("again"), st.floats(0, 10), st.integers(0, 39)),
     st.tuples(st.just("replay"), st.floats(0, 10), st.none() | st.sets(st.sampled_from(KINDS))),
 )
 
@@ -120,11 +126,15 @@ ARCHIVE_OPS = st.one_of(
 def test_ring_archive_equals_list_reference(capacity, program):
     # capacity <= 6 against up to 40 records: most programs cross the edge
     ring, ref = SessionArchive(capacity), ListArchive(capacity)
+    recorded = []
     for op, t, arg in program:
         if op == "record":
-            message = SemanticMessage.create("x", "true", kind=arg)
-            ring.record(t, message)
-            ref.record(t, message)
+            recorded.append(SemanticMessage.create("x", "true", kind=arg))
+            assert ring.record(t, recorded[-1]) is ref.record(t, recorded[-1]) is True
+        elif op == "again":
+            if recorded:
+                message = recorded[arg % len(recorded)]
+                assert ring.record(t, message) == ref.record(t, message)
         else:
             assert ring.replay(since=t, kinds=arg) == ref.replay(since=t, kinds=arg)
         assert (len(ring), ring.archived) == (len(ref), ref.archived)

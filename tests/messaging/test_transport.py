@@ -21,7 +21,7 @@ from repro.messaging.transport import (
     make_broker,
 )
 from repro.network.clock import Scheduler
-from repro.network.multicast import MulticastGroup
+from repro.network.multicast import MulticastGroup, MulticastSocket
 from repro.network.simnet import Network
 
 
@@ -212,7 +212,7 @@ class TestOneWireStack:
 
     @staticmethod
     def tap(owner, sink):
-        """Record every datagram ``owner`` (a socket or transport) receives."""
+        """Record every datagram the socket ``owner`` receives."""
         deliver = owner.on_receive
 
         def on_receive(data, src):
@@ -245,7 +245,7 @@ class TestOneWireStack:
         from_endpoint: list[bytes] = []
         self.tap(link_rx.sock, from_endpoint)
         # net 2: a link on "a" — same (host, port), so same ssrc — sends
-        # to an endpoint on "b" (promiscuous: whatever the selector says)
+        # to an endpoint on "b" whose profile accepts every sampled selector
         sched2, net2, group2 = self.twin()
         link_tx = UnicastSemanticLink(net2, "a", lambda m: None, port=ep_tx.address[1])
         by_endpoint: list[SemanticMessage] = []
@@ -253,13 +253,11 @@ class TestOneWireStack:
             net2,
             "b",
             group2,
-            ClientProfile("b"),
+            ClientProfile("b", {"role": "medic", "load": 5, "busy": False}),
             lambda d: by_endpoint.append(d.message),
-            on_rejected=by_endpoint.append,
-            promiscuous=True,
         )
         from_link: list[bytes] = []
-        self.tap(ep_rx.transport, from_link)
+        self.tap(ep_rx.sock, from_link)
         assert ep_tx.ssrc == link_tx.wire.ssrc
 
         assert ep_tx.unicast(message, link_rx.address) == link_tx.send(message, ep_rx.address)
@@ -320,7 +318,7 @@ class TestExpireAcrossTicks:
 
 @pytest.mark.parametrize(
     "callable_",
-    [SemanticEndpoint.__init__, SemanticEndpoint.over_transport, SemanticWire.__init__],
+    [SemanticEndpoint.__init__, SemanticWire.__init__],
     ids=lambda c: c.__qualname__,
 )
 def test_no_fragment_repair_options(callable_):
@@ -358,3 +356,24 @@ def test_no_broker_options_without_a_caller(callable_, removed):
 def test_endpoint_is_one_receiver_not_a_bus():
     for name in ("attach", "detach", "subscribers", "stats", "expire", "published"):
         assert not hasattr(SemanticEndpoint, name), name
+
+
+def test_endpoint_sits_on_one_socket(fabric):
+    """No second constructor, no pluggable fabric, no reject tap."""
+    import repro.messaging
+
+    params = list(inspect.signature(SemanticEndpoint.__init__).parameters)
+    assert params == ["self", "network", "host", "group", "profile", "on_delivery"]
+    for name in ("over_transport", "transport", "promiscuous", "on_rejected"):
+        assert not hasattr(SemanticEndpoint, name), name
+    removed = {"Transport", "DatagramTransport", "SimTransport", "LoopbackUDP"}
+    assert not removed & set(repro.messaging.__all__)
+    assert not removed & set(vars(repro.messaging))
+    _, net, group = fabric
+    ep = SemanticEndpoint(net, "a", group, ClientProfile("a"), lambda d: None)
+    assert isinstance(ep.sock, MulticastSocket)
+    assert ep.address == (ep.sock.host, ep.sock.local_port)
+    assert group.members == [ep.address]
+    assert ep.scheduler is net.scheduler
+    ep.close()
+    assert ep.sock.closed

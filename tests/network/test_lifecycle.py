@@ -1,6 +1,6 @@
 """Lifecycle regression tests: idempotent close and use-after-close guards.
 
-These pin the RES-family fixes: every transport-like object in the tree
+These pin the RES-family fixes: every socket and endpoint in the tree
 must tolerate a second ``close()`` (RES002) and refuse sends after it
 (RES003) instead of silently writing into a dead fabric.
 """
@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.profiles import ClientProfile
 from repro.messaging.message import SemanticMessage
-from repro.messaging.transport import LoopbackUDP, SemanticEndpoint, SimTransport
+from repro.messaging.transport import SemanticEndpoint
 from repro.network.clock import Scheduler
 from repro.network.multicast import MulticastGroup, MulticastSocket
 from repro.network.simnet import Network, NetworkError
@@ -75,32 +75,6 @@ class TestMulticastSocketLifecycle:
             sock.send(b"x")
         with pytest.raises(NetworkError):
             sock.unicast(b"x", ("b", 5000))
-
-
-class TestSimTransportLifecycle:
-    def test_send_after_close_raises(self, fabric):
-        net, group = fabric
-        t = SimTransport(net, "a", group)
-        t.close()
-        t.close()
-        with pytest.raises(RuntimeError):
-            t.send(b"x")
-        with pytest.raises(RuntimeError):
-            t.unicast(b"x", ("b", 5000))
-
-
-class TestLoopbackUDPLifecycle:
-    def test_send_after_close_raises(self):
-        try:
-            t = LoopbackUDP()
-        except OSError:
-            pytest.skip("loopback UDP unavailable")
-        t.close()
-        t.close()
-        with pytest.raises(RuntimeError):
-            t.send(b"x")
-        with pytest.raises(RuntimeError):
-            t.unicast(b"x", ("127.0.0.1", 9))
 
 
 class TestSemanticEndpointLifecycle:
