@@ -6,7 +6,9 @@ quality; a ward terminal prefers text; a consultant dials in on a
 speech-only channel.  The same shared scan reaches all three, each in
 the modality and quality its profile and contract allow — "each of the
 users may access the same visual information but at different
-resolutions or using different modalities" (paper Sec. 5.4).
+resolutions or using different modalities" (paper Sec. 5.4).  The
+consultant's speech is two transformer modules called in turn:
+``describe_image`` then ``text_to_speech``.
 
 Run:  python examples/telediagnosis.py
 """
@@ -14,9 +16,9 @@ Run:  python examples/telediagnosis.py
 from repro import ClientProfile, CollaborationFramework
 from repro.core.contracts import Constraint, QoSContract
 from repro.hosts.workload import Trace
+from repro.media.describe import describe_image
 from repro.media.images import collaboration_scene, to_rgb
-from repro.media.speech import speech_to_text
-from repro.media.transformers import Modality, default_registry
+from repro.media.speech import speech_to_text, text_to_speech
 
 
 def main() -> None:
@@ -76,8 +78,7 @@ def main() -> None:
           f"psnr={r.psnr_db:.1f} dB — contract honoured")
 
     # --- the dial-in consultant: image -> text -> synthetic speech --------
-    registry = default_registry()
-    clip = registry.apply(scan, Modality.IMAGE, Modality.SPEECH)
+    clip = text_to_speech(describe_image(scan).text)
     print(f"\nconsultant's speech channel: {clip.duration:.1f} s of audio")
     print(f"  (recognised back: \"{speech_to_text(clip)[:72]}...\")")
 

@@ -11,8 +11,8 @@ Public API highlights
 * :mod:`repro.snmp` — from-scratch SNMP (BER codec, MIB, agent, manager).
 * :mod:`repro.network` — the discrete-event packet network.
 * :mod:`repro.wireless` — path loss, SIR (paper Eq. 1), power control.
-* :mod:`repro.media` — progressive EZW image coding, sketch, description,
-  synthetic speech, the information-transformer registry.
+* :mod:`repro.media` — progressive EZW image coding and the
+  information-transformer modules: sketch, description, synthetic speech.
 * :mod:`repro.hosts` — simulated workstations + SNMP extension agents.
 * :mod:`repro.experiments` — the figure reproductions (FIG6–FIG10).
 """

@@ -12,7 +12,6 @@ from .matching import Decision, MatchResult, interpret, match_selector
 from .matching_engine import (
     MatchingEngine,
     ProfileIndex,
-    SelectorCache,
     Shortlist,
     compile_selector,
     selector_cache_info,
@@ -82,7 +81,6 @@ __all__ = [
     "match_selector",
     "MatchingEngine",
     "ProfileIndex",
-    "SelectorCache",
     "Shortlist",
     "compile_selector",
     "selector_cache_info",

@@ -317,11 +317,8 @@ class BaseStation:
         distances = np.array([self.attachments[c].distance for c in ids])
         powers = np.array([self.attachments[c].tx_power for c in ids])
         gains = self.pathloss.gain(distances)
-        if len(ids) == 1:
-            # single client: SNR against receiver noise only
-            sirs = 10.0 * np.log10(powers * gains / self.noise.sigma2)
-        else:
-            sirs = compute_sir_db(powers, np.asarray(gains), self.noise.sigma2)
+        # Eq. (1); a lone client's interference is exactly 0.0, so its SIR is its SNR
+        sirs = compute_sir_db(powers, np.asarray(gains), self.noise.sigma2)
         tiers = tuple(self.policies.decide_tier(float(s)) for s in sirs)
         for cid, s, t in zip(ids, sirs, tiers):
             self.attachments[cid].sir_db = float(s)

@@ -28,12 +28,12 @@ from ..apps.imageviewer import ImageViewer
 from ..apps.whiteboard import Whiteboard
 from ..media.progressive import ImagePacketError
 from ..media.sketch import Sketch, extract_sketch
-from ..media.transformers import Modality, TransformerRegistry, default_registry
 from ..messaging.broker import Delivery
 from ..messaging.message import SemanticMessage
 from ..messaging.rtp import RtpError
 from ..messaging.serialization import WireError
 from ..messaging.transport import SemanticEndpoint
+from ..network import clock
 from ..network.multicast import MulticastGroup
 from ..network.simnet import Network
 from ..snmp.ber import Gauge32
@@ -64,6 +64,7 @@ from .concurrency import LockError
 from .inference import AdaptationDecision, InferenceEngine
 from .matching_engine import compile_selector
 from .contracts import QoSContract
+from .netstate import STALE_GRACE, NetworkStateInterface
 from .policies import PolicyDatabase, default_policy_database
 from .profiles import ClientProfile
 from .session import Membership, SessionArchive, SessionDescriptor
@@ -102,7 +103,6 @@ class WiredClient:
         profile: Optional[ClientProfile] = None,
         policies: Optional[PolicyDatabase] = None,
         contract: Optional[QoSContract] = None,
-        transformer_registry: Optional[TransformerRegistry] = None,
         snmp_host: Optional[str] = None,
         n_packets: int = 16,
         image_target_bpp: Optional[float] = 2.2,
@@ -122,15 +122,14 @@ class WiredClient:
         self.repository = StateRepository()
         self.whiteboard = Whiteboard(name, self.repository)
         self.viewer = ImageViewer(name, n_packets=n_packets, target_bpp=image_target_bpp)
-        self.transformers = (
-            transformer_registry if transformer_registry is not None else default_registry()
-        )
 
         # adaptation
         self.policies = policies if policies is not None else default_policy_database()
         self.engine = InferenceEngine(self.policies, contract=contract, max_packets=n_packets)
         self.last_decision: Optional[AdaptationDecision] = None
         self.decision_log: list[tuple[float, AdaptationDecision]] = []
+        #: the pending tick of :meth:`start_adaptation_loop`, if running
+        self._adaptation_tick: Optional[clock.Event] = None
 
         # communication module
         self.endpoint = SemanticEndpoint(
@@ -139,10 +138,7 @@ class WiredClient:
         self.snmp = SnmpManager(DatagramSocket(network, name), self.scheduler)
         self.snmp_host = snmp_host if snmp_host is not None else name
         #: optional aggregated poller (see :meth:`enable_network_monitoring`)
-        self.netstate = None
-        #: how long (virtual seconds) SNMP may stay unreachable before
-        #: adaptation decisions fall back to the conservative floor
-        self.stale_grace = 3.0
+        self.netstate: Optional[NetworkStateInterface] = None
         self._dark_since: Optional[float] = None
         #: adaptation cycles that found the SNMP plane unreachable
         self.snmp_failures = 0
@@ -527,7 +523,7 @@ class WiredClient:
 
     def enable_network_monitoring(
         self, switch: Optional[str] = None, switch_if_index: Optional[int] = None
-    ) -> "NetworkStateInterface":
+    ) -> NetworkStateInterface:
         """Upgrade to the aggregated network-state interface.
 
         Registers the full host-extension probe set (CPU, page faults,
@@ -535,8 +531,6 @@ class WiredClient:
         a switch-port speed probe.  Subsequent adaptation cycles observe
         network parameters too, so the bandwidth policy participates.
         """
-        from .netstate import NetworkStateInterface
-
         ns = NetworkStateInterface(self.network, self.name)
         ns.add_standard_host_probes(self.snmp_host)
         if switch is not None and switch_if_index is not None:
@@ -559,15 +553,13 @@ class WiredClient:
 
         self._trap_listener = TrapListener(self.network, self.name, on_trap)
 
-    def monitor_and_adapt(self, extra_observed: Optional[dict[str, float]] = None) -> AdaptationDecision:
+    def monitor_and_adapt(self) -> AdaptationDecision:
         """One adaptation cycle: observe, infer, actuate.
 
-        Returns the decision (also logged).  ``extra_observed`` lets the
-        base-station / experiment layers inject network observations
-        (e.g. ``sir_db``) alongside the SNMP readings.  When SNMP has
-        been unreachable for longer than :attr:`stale_grace` virtual
-        seconds the engine is told the plane is degraded and decides
-        conservatively (see :meth:`PolicyDatabase.decide_packets`).
+        Returns the decision (also logged).  When SNMP has been
+        unreachable for longer than :data:`~repro.core.netstate.STALE_GRACE`
+        virtual seconds the engine is told the plane is degraded and
+        decides conservatively (see :meth:`PolicyDatabase.decide_packets`).
         """
         from ..snmp.errors import SnmpError
 
@@ -590,11 +582,7 @@ class WiredClient:
         if self.netstate is not None:
             degraded = self.netstate.degraded
         else:
-            degraded = (
-                self._dark_since is not None and now - self._dark_since > self.stale_grace
-            )
-        if extra_observed:
-            observed.update(extra_observed)
+            degraded = self._dark_since is not None and now - self._dark_since > STALE_GRACE
         decision = self.engine.infer(self.profile, observed, degraded=degraded)
         self.viewer.set_packet_budget(decision.packets)
         self.last_decision = decision
@@ -602,16 +590,20 @@ class WiredClient:
         return decision
 
     def start_adaptation_loop(self, interval: float = 1.0) -> None:
-        """Schedule periodic :meth:`monitor_and_adapt` on the sim clock."""
+        """Schedule periodic :meth:`monitor_and_adapt` on the sim clock
+        (until :meth:`close`)."""
         def tick() -> None:
             self.monitor_and_adapt()
-            self.scheduler.call_after(interval, tick)
+            self._adaptation_tick = self.scheduler.call_after(interval, tick)
 
-        self.scheduler.call_after(interval, tick)
+        self._adaptation_tick = self.scheduler.call_after(interval, tick)
 
     # ------------------------------------------------------------------
     def close(self) -> None:
         """Release every resource this client holds (idempotent)."""
+        if self._adaptation_tick is not None:
+            self._adaptation_tick.cancel()
+            self._adaptation_tick = None
         self.endpoint.close()
         self.snmp.close()
         if self.netstate is not None:

@@ -9,20 +9,24 @@ transformer" (paper Sec. 5.2).
 
 :meth:`InferenceEngine.infer` is a pure function of its inputs so the
 whole adaptation path is unit-testable; the client object wires it to the
-SNMP-backed system-state interface and to the image viewer.
+SNMP-backed system-state interface and to the image viewer.  It decides
+the packet budget and the profile's modality; the wireless tier is the
+base station's decision (:meth:`~repro.core.basestation.BaseStation.evaluate_qos`),
+and the transformer modules are plain functions called where the
+conversion happens.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from enum import Enum
 from typing import Optional
 
-from ..media.transformers import Modality
 from .contracts import ContractViolation, QoSContract
-from .policies import ModalityTier, PolicyDatabase
+from .policies import PolicyDatabase
 from .profiles import ClientProfile
 
-__all__ = ["AdaptationDecision", "InferenceEngine"]
+__all__ = ["AdaptationDecision", "InferenceEngine", "Modality"]
 
 #: packet budgets the engine snaps to (paper: powers of two, 1..16)
 _PACKET_STEPS = (0, 1, 2, 4, 8, 16)
@@ -37,6 +41,35 @@ def _snap_packets(value: int, ceiling: int) -> int:
     return best
 
 
+def _contract_packets(contract: QoSContract, packets: int, ceiling: int) -> int:
+    """The packet step ``contract`` lets a client accept.
+
+    The contract's clamp is snapped down to a step; when that lands below
+    the contract's floor, the next step up is granted instead if the
+    contract's ceiling and ``ceiling`` both admit it.  Otherwise the
+    snapped value stands (and is reported as a violation).
+    """
+    clamped = int(contract.clamp("packets", packets))
+    granted = _snap_packets(clamped, ceiling)
+    if granted < clamped:
+        up = next((s for s in _PACKET_STEPS if s >= clamped), None)
+        if up is not None and up <= ceiling and contract.clamp("packets", up) == up:
+            return up
+    return granted
+
+
+class Modality(str, Enum):
+    """Media modalities the framework can carry."""
+
+    IMAGE = "image"
+    SKETCH = "sketch"
+    TEXT = "text"
+    SPEECH = "speech"
+
+    def __str__(self) -> str:  # pragma: no cover - cosmetic
+        return self.value
+
+
 @dataclass(frozen=True)
 class AdaptationDecision:
     """What the client should do right now.
@@ -46,11 +79,7 @@ class AdaptationDecision:
     packets:
         Progressive-image packets to accept (0..n_packets).
     modality:
-        Richest modality to render (may be downgraded from the source's).
-    tier:
-        The wireless tier (only meaningful behind a base station).
-    transforms:
-        Transformer chain names the client must activate.
+        The modality the client's profile asks to render.
     violations:
         Contract constraints the environment made unsatisfiable.
     reasons:
@@ -59,8 +88,6 @@ class AdaptationDecision:
 
     packets: int
     modality: Modality
-    tier: ModalityTier = ModalityTier.FULL_IMAGE
-    transforms: tuple[str, ...] = ()
     violations: tuple[ContractViolation, ...] = ()
     reasons: tuple[str, ...] = ()
 
@@ -105,8 +132,8 @@ class InferenceEngine:
         """Produce a decision from the current profile and system state.
 
         ``observed`` holds system/network parameters (``page_faults``,
-        ``cpu_load``, ``bandwidth_bps``, ``sir_db``, ...); the profile
-        contributes the user's modality preference and device class.
+        ``cpu_load``, ``bandwidth_bps``, ...); the profile contributes
+        the user's modality preference.
         ``degraded`` signals that the management plane has been dark
         beyond its stale grace — the policy database then caps the
         decision at its conservative floor instead of assuming health.
@@ -126,42 +153,19 @@ class InferenceEngine:
             reasons.append(f"policy packet budget {policy_packets}")
         packets = _snap_packets(int(packets), self.max_packets)
 
-        # -- wireless tier ------------------------------------------------
-        tier = ModalityTier.FULL_IMAGE
-        if "sir_db" in observed:
-            tier = self.policies.decide_tier(observed["sir_db"], degraded=degraded)
-            reasons.append(f"sir {observed['sir_db']:.1f} dB -> tier {tier.name}")
-            if tier is ModalityTier.NOTHING:
-                packets = 0
-            elif tier is not ModalityTier.FULL_IMAGE:
-                packets = 0  # image packets are gated off below full tier
-
-        # -- modality from profile preference + tier -----------------------
+        # -- modality from the profile's preference ------------------------
         preferred = profile.get("modality", "image")
         modality = Modality(preferred) if preferred in Modality._value2member_map_ else Modality.IMAGE
-        transforms: list[str] = []
-        if tier is ModalityTier.TEXT_ONLY and modality in (Modality.IMAGE, Modality.SKETCH):
-            modality = Modality.TEXT
-            transforms.append("image-to-text")
-            reasons.append("tier forces text modality")
-        elif tier is ModalityTier.TEXT_AND_SKETCH and modality is Modality.IMAGE:
-            modality = Modality.SKETCH
-            transforms.append("image-to-sketch")
-            reasons.append("tier forces sketch modality")
-        elif modality is Modality.TEXT and preferred == "text":
-            transforms.append("image-to-text")
-            reasons.append("profile prefers text modality")
-        elif modality is Modality.SPEECH:
-            transforms.extend(("image-to-text", "text-to-speech"))
-            reasons.append("profile prefers speech modality")
+        if modality in (Modality.TEXT, Modality.SPEECH):
+            reasons.append(f"profile prefers {modality.value} modality")
 
         # -- contract enforcement ------------------------------------------
         violations: tuple[ContractViolation, ...] = ()
         if self.contract is not None:
-            clamped = int(self.contract.clamp("packets", packets))
-            if clamped != packets:
-                reasons.append(f"contract clamps packets {packets} -> {clamped}")
-            packets = _snap_packets(clamped, self.max_packets) if clamped != packets else packets
+            granted = _contract_packets(self.contract, packets, self.max_packets)
+            if granted != packets:
+                reasons.append(f"contract clamps packets {packets} -> {granted}")
+            packets = granted
             violations = tuple(self.contract.violations({"packets": packets, **observed}))
             if violations:
                 reasons.append("contract violations: " + "; ".join(map(str, violations)))
@@ -169,8 +173,6 @@ class InferenceEngine:
         return AdaptationDecision(
             packets=packets,
             modality=modality,
-            tier=tier,
-            transforms=tuple(transforms),
             violations=violations,
             reasons=tuple(reasons),
         )

@@ -6,8 +6,9 @@ against every profile.  A naive bus therefore pays
 string and re-walking every profile.  S-ToPSS-style content-based
 pub/sub practice shows both costs are avoidable:
 
-* :class:`SelectorCache` — an LRU-bounded, module-level cache so each
-  distinct selector *string* is lexed/parsed exactly once per process;
+* :func:`compile_selector` — routes through the LRU-cached
+  :func:`~repro.core.selectors.parse`, so each distinct selector *string*
+  is lexed/parsed exactly once per process, for profiles and messages alike;
 * :class:`ProfileIndex` — inverted indexes over subscriber profile
   attributes (equality hash, sorted lists for ordered comparisons, an
   existence set, a list-membership index);
@@ -28,16 +29,14 @@ removed on detach, and re-indexed when their profile notifies a change
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Optional
 
 from .attributes import AttributeValue
 from .profiles import ClientProfile
-from .selectors import Predicate, Selector
+from .selectors import Predicate, Selector, parse
 
 __all__ = [
-    "SelectorCache",
     "compile_selector",
     "selector_cache_info",
     "ProfileIndex",
@@ -49,71 +48,25 @@ __all__ = [
 # ----------------------------------------------------------------------
 # compiled-selector cache
 # ----------------------------------------------------------------------
-class SelectorCache:
-    """LRU-bounded cache of compiled :class:`Selector` objects.
-
-    Selectors are immutable once built, so sharing one instance across
-    every message that carries the same text is safe — and it also
-    shares the memoised conjunctive decomposition.
-    """
-
-    def __init__(self, maxsize: int = 1024) -> None:
-        if maxsize < 1:
-            raise ValueError("maxsize must be >= 1")
-        self.maxsize = maxsize
-        self._entries: OrderedDict[str, Selector] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, text: str) -> Selector:
-        """Compiled selector for ``text`` (parse on first sight only)."""
-        sel = self._entries.get(text)
-        if sel is not None:
-            self.hits += 1
-            self._entries.move_to_end(text)
-            return sel
-        self.misses += 1
-        sel = Selector(text)  # may raise SelectorError; nothing cached then
-        self._entries[text] = sel
-        if len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-            self.evictions += 1
-        return sel
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __contains__(self, text: str) -> bool:
-        return text in self._entries
-
-    def clear(self) -> None:
-        self._entries.clear()
-
-
-#: process-wide cache used by :func:`compile_selector`
-_GLOBAL_CACHE = SelectorCache()
-
-
 def compile_selector(text: str | Selector) -> Selector:
-    """Compile ``text`` through the process-wide LRU cache.
+    """Compile ``text`` through the process-wide LRU cache of :func:`parse`.
 
     Passing an already-compiled :class:`Selector` returns it unchanged,
     so callers can accept either form.
     """
     if isinstance(text, Selector):
         return text
-    return _GLOBAL_CACHE.get(text)
+    return parse(text)
 
 
 def selector_cache_info() -> dict[str, int]:
     """Counters of the process-wide selector cache (observability)."""
+    info = parse.cache_info()
     return {
-        "size": len(_GLOBAL_CACHE),
-        "maxsize": _GLOBAL_CACHE.maxsize,
-        "hits": _GLOBAL_CACHE.hits,
-        "misses": _GLOBAL_CACHE.misses,
-        "evictions": _GLOBAL_CACHE.evictions,
+        "size": info.currsize,
+        "maxsize": info.maxsize or 0,
+        "hits": info.hits,
+        "misses": info.misses,
     }
 
 

@@ -185,19 +185,14 @@ class PolicyDatabase:
     :meth:`lint` reports static diagnostics for the registered policies.
     """
 
-    def __init__(
-        self,
-        conservative_packets: int = 1,
-        conservative_tier: ModalityTier = ModalityTier.TEXT_ONLY,
-    ) -> None:
+    def __init__(self, conservative_packets: int = 1) -> None:
         self._step: dict[str, StepPolicy] = {}
         self._sir: SirTierPolicy = default_sir_tier_policy()
         if conservative_packets < 0:
             raise PolicyError("conservative_packets must be non-negative")
-        #: ceilings applied when the management plane is dark (see
-        #: ``degraded=`` on :meth:`decide_packets` / :meth:`decide_tier`)
+        #: ceiling applied when the management plane is dark (see
+        #: ``degraded=`` on :meth:`decide_packets`)
         self.conservative_packets = conservative_packets
-        self.conservative_tier = conservative_tier
 
     def add_step(self, name: str, policy: StepPolicy) -> None:
         """Register/replace a step policy under ``name``."""
@@ -249,16 +244,9 @@ class PolicyDatabase:
             budget = min(budget, self.conservative_packets)
         return budget
 
-    def decide_tier(self, sir_db: float, degraded: bool = False) -> ModalityTier:
-        """Wireless tier for one client's SIR.
-
-        With ``degraded`` set (channel state unobservable or ancient) the
-        tier is capped at :attr:`conservative_tier`.
-        """
-        tier = self._sir.tier(sir_db)
-        if degraded and tier > self.conservative_tier:
-            tier = self.conservative_tier
-        return tier
+    def decide_tier(self, sir_db: float) -> ModalityTier:
+        """Wireless tier for one client's SIR (the base station's gate)."""
+        return self._sir.tier(sir_db)
 
 
 def default_policy_database() -> PolicyDatabase:

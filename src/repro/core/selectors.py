@@ -623,8 +623,9 @@ class Selector:
             )
         #: lazily memoised result of :func:`decompose`
         self._plan: Optional[tuple[Predicate, ...]] | str = "unset"
-        #: lazily memoised result of :func:`required_attributes`
-        self._required: Optional[frozenset[str]] = None
+        #: :func:`required_attributes`, computed here so a selector shared
+        #: through the parse cache is never written after construction
+        self._required = _required_attrs(self._ast)
 
     def matches(self, env: AttributeMap) -> bool:
         """Evaluate against an attribute map (profile or message headers)."""
@@ -641,9 +642,7 @@ class Selector:
         return self._plan
 
     def required_attributes(self) -> frozenset[str]:
-        """Memoised :func:`required_attributes` of this selector."""
-        if self._required is None:
-            self._required = required_attributes(self)
+        """:func:`required_attributes` of this selector."""
         return self._required
 
     def __eq__(self, other: object) -> bool:

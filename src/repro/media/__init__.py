@@ -1,5 +1,8 @@
-"""Media substrate: progressive image coding, sketch extraction, verbal
-description, synthetic speech, and the information-transformer registry."""
+"""Media substrate: progressive image coding and the information-transformer
+modules (sketch extraction, verbal description, synthetic speech).
+
+The transformer modules are plain functions; each is called where its
+conversion takes effect (the client, the base station, the image viewer)."""
 
 from .wavelet import WaveletError, haar_dwt2, haar_idwt2, max_levels, subband_slices
 from .ezw import EzwEncoded, decode_image, encode_image, ezw_decode, ezw_encode
@@ -16,13 +19,6 @@ from .progressive import PACKET_COUNTS, ImagePacket, ProgressiveImage, ReceivedI
 from .sketch import Sketch, SketchError, decode_sketch, extract_sketch, sobel_magnitude
 from .describe import ImageDescription, describe_image
 from .speech import SpeechClip, SpeechError, speech_to_text, text_to_speech
-from .transformers import (
-    Modality,
-    TransformError,
-    Transformer,
-    TransformerRegistry,
-    default_registry,
-)
 
 __all__ = [
     "WaveletError",
@@ -62,9 +58,4 @@ __all__ = [
     "SpeechError",
     "speech_to_text",
     "text_to_speech",
-    "Modality",
-    "TransformError",
-    "Transformer",
-    "TransformerRegistry",
-    "default_registry",
 ]

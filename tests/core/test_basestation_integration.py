@@ -57,6 +57,13 @@ class TestSirEvaluation:
         assert snap.sir_db[0] == pytest.approx(32.04, abs=0.1)
         assert snap.tiers[0] is ModalityTier.FULL_IMAGE
 
+    def test_single_client_snr_is_exact(self, cell):
+        fw, _, bs = cell
+        fw.add_wireless_client("w1", bs, distance=50.0, tx_power=1.0)
+        snap = bs.evaluate_qos()
+        received = np.array([1.0]) * bs.pathloss.gain(np.array([50.0]))
+        assert snap.sir_db[0] == float(10.0 * np.log10(received / bs.noise.sigma2)[0])
+
     def test_two_clients_interfere(self, cell):
         fw, _, bs = cell
         fw.add_wireless_client("near", bs, distance=50.0)

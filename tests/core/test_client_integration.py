@@ -153,6 +153,15 @@ class TestAdaptationLoop:
         fw.run_for(3.5)
         assert len(a.decision_log) >= 3
 
+    def test_close_stops_periodic_loop(self, fw):
+        a = fw.add_wired_client("alice", fault_workload=Constant(50.0))
+        a.start_adaptation_loop(interval=1.0)
+        fw.run_for(2.5)
+        a.close()
+        logged = len(a.decision_log)
+        fw.run_for(3.0)  # a tick on the closed sockets would raise here
+        assert len(a.decision_log) == logged
+
     def test_contract_respected_in_loop(self, fw):
         contract = QoSContract("floor", [Constraint("packets", minimum=4)])
         a = fw.add_wired_client(

@@ -1,12 +1,16 @@
 """Tests for the inference engine."""
 
+import dataclasses
+import inspect
+
 import pytest
 
+from repro.core.basestation import BaseStation
+from repro.core.client import WiredClient
 from repro.core.contracts import Constraint, QoSContract
-from repro.core.inference import InferenceEngine
-from repro.core.policies import ModalityTier, default_policy_database
+from repro.core.inference import AdaptationDecision, InferenceEngine, Modality
+from repro.core.policies import PolicyDatabase, default_policy_database
 from repro.core.profiles import ClientProfile
-from repro.media.transformers import Modality
 
 
 @pytest.fixture
@@ -60,47 +64,28 @@ class TestPacketDecision:
         assert any("policy packet budget" in r for r in d.reasons)
 
 
-class TestWirelessTier:
-    def test_full_tier_keeps_packets(self, engine, profile):
-        d = engine.infer(profile, {"sir_db": 10.0})
-        assert d.tier is ModalityTier.FULL_IMAGE
-        assert d.packets == 16
-
-    def test_sketch_tier_gates_image_packets(self, engine, profile):
-        d = engine.infer(profile, {"sir_db": 2.0})
-        assert d.tier is ModalityTier.TEXT_AND_SKETCH
-        assert d.packets == 0
-        assert d.modality is Modality.SKETCH
-        assert "image-to-sketch" in d.transforms
-
-    def test_text_tier(self, engine, profile):
-        d = engine.infer(profile, {"sir_db": -3.0})
-        assert d.tier is ModalityTier.TEXT_ONLY
-        assert d.modality is Modality.TEXT
-        assert "image-to-text" in d.transforms
-
-    def test_dead_channel(self, engine, profile):
-        d = engine.infer(profile, {"sir_db": -30.0})
-        assert d.tier is ModalityTier.NOTHING
-        assert d.packets == 0
-
-
 class TestModalityPreference:
     def test_profile_text_preference(self, engine):
         p = ClientProfile("c", {"modality": "text"})
         d = engine.infer(p, {})
         assert d.modality is Modality.TEXT
-        assert "image-to-text" in d.transforms
+        assert "profile prefers text modality" in d.reasons
 
     def test_profile_speech_preference_chains(self, engine):
         p = ClientProfile("c", {"modality": "speech"})
         d = engine.infer(p, {})
         assert d.modality is Modality.SPEECH
-        assert d.transforms == ("image-to-text", "text-to-speech")
+        assert "profile prefers speech modality" in d.reasons
 
     def test_unknown_preference_falls_back_to_image(self, engine):
         p = ClientProfile("c", {"modality": "hologram"})
         assert engine.infer(p, {}).modality is Modality.IMAGE
+
+    def test_sir_observation_does_not_gate(self, engine, profile):
+        # the wireless tier is the base station's decision, not the engine's
+        d = engine.infer(profile, {"sir_db": -30.0})
+        assert d.packets == 16
+        assert d.modality is Modality.IMAGE
 
 
 class TestContractEnforcement:
@@ -122,3 +107,69 @@ class TestContractEnforcement:
         engine = InferenceEngine(default_policy_database(), contract=contract)
         d = engine.infer(profile, {"page_faults": 40})
         assert not d.degraded
+
+    @pytest.mark.parametrize("floor, granted", [(3, 4), (5, 8)])
+    def test_floor_between_steps_grants_next_step(self, profile, floor, granted):
+        contract = QoSContract("floor", [Constraint("packets", minimum=floor)])
+        engine = InferenceEngine(default_policy_database(), contract=contract)
+        d = engine.infer(profile, {"page_faults": 100})  # policy says 1
+        assert d.packets == granted
+        assert not d.degraded
+        assert f"contract clamps packets 1 -> {granted}" in d.reasons
+
+    def test_no_step_in_range_keeps_snapped_value(self, profile):
+        contract = QoSContract("band", [Constraint("packets", minimum=5, maximum=7)])
+        engine = InferenceEngine(default_policy_database(), contract=contract)
+        d = engine.infer(profile, {"page_faults": 100})
+        assert d.packets == 4
+        assert d.degraded
+        assert str(d.violations[0]) == "packets=4 outside [5, 7]"
+
+    def test_next_step_above_max_packets_not_granted(self, profile):
+        contract = QoSContract("floor", [Constraint("packets", minimum=5)])
+        engine = InferenceEngine(default_policy_database(), contract=contract, max_packets=4)
+        d = engine.infer(profile, {"page_faults": 100})
+        assert d.packets == 4
+        assert d.degraded
+
+    def test_ceiling_reason_names_granted_value(self, profile):
+        contract = QoSContract("cap", [Constraint("packets", maximum=3)])
+        engine = InferenceEngine(default_policy_database(), contract=contract)
+        d = engine.infer(profile, {"page_faults": 30})  # policy says 16
+        assert d.packets == 2
+        assert "contract clamps packets 16 -> 2" in d.reasons
+        assert not d.degraded
+
+
+class TestDecisionSurface:
+    """The two decision points: the engine's budget and modality, and
+    the base station's tier gate."""
+
+    def test_decision_fields(self):
+        names = [f.name for f in dataclasses.fields(AdaptationDecision)]
+        assert names == ["packets", "modality", "violations", "reasons"]
+        d = AdaptationDecision(packets=1, modality=Modality.IMAGE)
+        assert not d.degraded
+
+    def test_decide_tier_signature(self):
+        assert list(inspect.signature(PolicyDatabase.decide_tier).parameters) == [
+            "self",
+            "sir_db",
+        ]
+
+    def test_monitor_and_adapt_signature(self):
+        assert list(inspect.signature(WiredClient.monitor_and_adapt).parameters) == ["self"]
+
+    def test_infer_signature(self):
+        assert list(inspect.signature(InferenceEngine.infer).parameters) == [
+            "self",
+            "profile",
+            "observed",
+            "degraded",
+        ]
+
+    def test_methods_defined_on_their_classes(self):
+        assert "infer" in InferenceEngine.__dict__
+        assert "decide_tier" in PolicyDatabase.__dict__
+        assert "monitor_and_adapt" in WiredClient.__dict__
+        assert "evaluate_qos" in BaseStation.__dict__

@@ -5,7 +5,6 @@ import pytest
 from repro.core.matching_engine import (
     MatchingEngine,
     ProfileIndex,
-    SelectorCache,
     compile_selector,
     selector_cache_info,
 )
@@ -14,43 +13,27 @@ from repro.core.selectors import Predicate, Selector, SelectorError, decompose
 
 
 # ----------------------------------------------------------------------
-# selector cache
+# selector cache (the LRU of selectors.parse, shared with profiles)
 # ----------------------------------------------------------------------
 class TestSelectorCache:
     def test_parse_once_then_hit(self):
-        cache = SelectorCache(maxsize=4)
-        a = cache.get("role == 'medic'")
-        b = cache.get("role == 'medic'")
+        before = selector_cache_info()
+        a = compile_selector("role == 'cache-probe-medic'")
+        b = compile_selector("role == 'cache-probe-medic'")
+        after = selector_cache_info()
         assert a is b
-        assert cache.hits == 1
-        assert cache.misses == 1
-
-    def test_lru_eviction_order(self):
-        cache = SelectorCache(maxsize=2)
-        s1 = cache.get("a == 1")
-        cache.get("b == 2")
-        cache.get("a == 1")  # touch s1: now b is least-recent
-        cache.get("c == 3")  # evicts b
-        assert cache.evictions == 1
-        assert "b == 2" not in cache
-        assert cache.get("a == 1") is s1  # survived
+        assert after["hits"] - before["hits"] == 1
+        assert after["misses"] - before["misses"] == 1
 
     def test_parse_errors_not_cached(self):
-        cache = SelectorCache(maxsize=4)
-        with pytest.raises(SelectorError):
-            cache.get("role ==")
-        assert len(cache) == 0
-        assert cache.misses == 1
-
-    def test_clear(self):
-        cache = SelectorCache()
-        cache.get("true")
-        cache.clear()
-        assert len(cache) == 0
-
-    def test_maxsize_validation(self):
-        with pytest.raises(ValueError):
-            SelectorCache(maxsize=0)
+        before = selector_cache_info()
+        for _ in range(2):
+            with pytest.raises(SelectorError):
+                compile_selector("role ==")
+        after = selector_cache_info()
+        assert after["size"] == before["size"]
+        assert after["misses"] - before["misses"] == 2
+        assert after["hits"] == before["hits"]
 
     def test_compile_selector_global_cache(self):
         a = compile_selector("battery >= 42 and role == 'medic'")
@@ -62,7 +45,16 @@ class TestSelectorCache:
 
     def test_compile_selector_passthrough(self):
         sel = Selector("role == 'medic'")
+        before = selector_cache_info()
         assert compile_selector(sel) is sel
+        assert selector_cache_info() == before
+
+    def test_profiles_and_messages_share_one_cache(self):
+        profile = ClientProfile("c", {"role": "medic"})
+        profile.set_interest("kind == 'cache-probe-shared'")
+        before = selector_cache_info()
+        compile_selector("kind == 'cache-probe-shared'")
+        assert selector_cache_info()["hits"] - before["hits"] == 1
 
 
 # ----------------------------------------------------------------------

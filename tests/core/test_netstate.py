@@ -167,13 +167,6 @@ class TestDegradedPolicies:
         assert db.decide_packets({}) is None
         assert db.decide_packets({}, degraded=True) == 1
 
-    def test_decide_tier_caps_at_conservative(self):
-        from repro.core.policies import ModalityTier, default_policy_database
-
-        db = default_policy_database()
-        assert db.decide_tier(30.0) > ModalityTier.TEXT_ONLY
-        assert db.decide_tier(30.0, degraded=True) == ModalityTier.TEXT_ONLY
-
     def test_inference_records_fallback_reason(self, fw):
         from repro.core.inference import InferenceEngine
         from repro.core.policies import default_policy_database

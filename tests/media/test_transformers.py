@@ -1,100 +1,28 @@
-"""Tests for the information-transformer registry."""
+"""Tests for the information-transformer modules (paper Sec. 5.4).
 
-import numpy as np
-import pytest
+The modules are plain functions, called in the shapes the framework uses
+them: the client and base station describe and sketch a shared image,
+and a speech-only consumer gets the description synthesised.
+"""
 
+from repro.media.describe import describe_image
 from repro.media.images import collaboration_scene
-from repro.media.sketch import Sketch
-from repro.media.speech import SpeechClip
-from repro.media.transformers import (
-    Modality,
-    TransformError,
-    Transformer,
-    TransformerRegistry,
-    default_registry,
-)
-
-
-@pytest.fixture(scope="module")
-def reg():
-    return default_registry()
-
-
-class TestRegistry:
-    def test_default_modules_present(self, reg):
-        names = {t.name for t in reg.transformers}
-        assert {
-            "image-to-sketch",
-            "image-to-text",
-            "text-to-speech",
-            "speech-to-text",
-        } <= names
-
-    def test_direct_edge_lookup(self, reg):
-        t = reg.get(Modality.TEXT, Modality.SPEECH)
-        assert t is not None and t.name == "text-to-speech"
-        assert reg.get(Modality.SPEECH, Modality.IMAGE) is None
-
-    def test_register_replaces_edge(self):
-        r = TransformerRegistry()
-        r.register(Transformer("a", Modality.TEXT, Modality.SPEECH, lambda x: 1))
-        r.register(Transformer("b", Modality.TEXT, Modality.SPEECH, lambda x: 2))
-        assert len(r.transformers) == 1
-        assert r.transformers[0].name == "b"
-
-
-class TestPlanning:
-    def test_same_modality_empty_plan(self, reg):
-        assert reg.plan(Modality.TEXT, Modality.TEXT) == []
-
-    def test_single_hop(self, reg):
-        plan = reg.plan(Modality.TEXT, Modality.SPEECH)
-        assert [t.name for t in plan] == ["text-to-speech"]
-
-    def test_multi_hop_cheapest(self, reg):
-        plan = reg.plan(Modality.IMAGE, Modality.SPEECH)
-        assert [t.name for t in plan] == ["image-to-text", "text-to-speech"]
-
-    def test_no_chain_raises(self, reg):
-        # nothing produces IMAGE
-        with pytest.raises(TransformError):
-            reg.plan(Modality.SPEECH, Modality.IMAGE)
-
-    def test_can_transform(self, reg):
-        assert reg.can_transform(Modality.IMAGE, Modality.SPEECH)
-        assert not reg.can_transform(Modality.TEXT, Modality.IMAGE)
-
-    def test_cost_steers_choice(self):
-        r = TransformerRegistry()
-        r.register(Transformer("direct", Modality.IMAGE, Modality.SPEECH, lambda x: "d", cost=10.0))
-        r.register(Transformer("i2t", Modality.IMAGE, Modality.TEXT, lambda x: "t", cost=1.0))
-        r.register(Transformer("t2s", Modality.TEXT, Modality.SPEECH, lambda x: "s", cost=1.0))
-        assert [t.name for t in r.plan(Modality.IMAGE, Modality.SPEECH)] == ["i2t", "t2s"]
+from repro.media.sketch import Sketch, extract_sketch
+from repro.media.speech import SpeechClip, speech_to_text, text_to_speech
 
 
 class TestApply:
-    def test_image_to_sketch(self, reg):
-        out = reg.apply(collaboration_scene(64, 64), Modality.IMAGE, Modality.SKETCH)
+    def test_image_to_sketch(self):
+        out = extract_sketch(collaboration_scene(64, 64))
         assert isinstance(out, Sketch)
 
-    def test_image_to_text(self, reg):
-        out = reg.apply(collaboration_scene(64, 64), Modality.IMAGE, Modality.TEXT)
+    def test_image_to_text(self):
+        out = describe_image(collaboration_scene(64, 64)).text
         assert isinstance(out, str) and "64x64" in out
 
-    def test_image_to_speech_chain(self, reg):
-        out = reg.apply(collaboration_scene(64, 64), Modality.IMAGE, Modality.SPEECH)
+    def test_image_to_speech_chain(self):
+        text = describe_image(collaboration_scene(64, 64)).text
+        out = text_to_speech(text)
         assert isinstance(out, SpeechClip)
         assert out.duration > 0
-
-    def test_speech_text_roundtrip_via_registry(self, reg):
-        clip = reg.apply("status ok", Modality.TEXT, Modality.SPEECH)
-        back = reg.apply(clip, Modality.SPEECH, Modality.TEXT)
-        assert back == "status ok"
-
-    def test_module_failure_wrapped(self):
-        r = TransformerRegistry()
-        r.register(
-            Transformer("boom", Modality.TEXT, Modality.SPEECH, lambda x: 1 / 0)
-        )
-        with pytest.raises(TransformError):
-            r.apply("x", Modality.TEXT, Modality.SPEECH)
+        assert speech_to_text(out).startswith("a 64x64 grayscale image")
