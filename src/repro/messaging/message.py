@@ -26,7 +26,7 @@ __all__ = ["SemanticMessage", "MessageId", "next_message_id"]
 _counter = itertools.count(1)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class MessageId:
     """Globally unique (within a run) message identity: (sender, seq)."""
 
@@ -42,7 +42,7 @@ def next_message_id(sender: str) -> MessageId:
     return MessageId(sender, next(_counter))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SemanticMessage:
     """One state-based multicast message.
 

@@ -16,8 +16,12 @@ body       varint length + raw bytes
 ========== ==========================================================
 
 Typed values: 1-byte tag then payload — ``s`` UTF-8 varstr, ``i`` zigzag
-varint, ``f`` 8-byte IEEE754 big-endian, ``b`` 0/1, ``l`` varint count +
-items (no nesting, matching the attribute model).
+varint (so an integer must lie in [-2**69, 2**69): a varint carries at
+most 70 bits), ``f`` 8-byte IEEE754 big-endian, ``b`` 0/1, ``l`` varint
+count + items (no nesting, matching the attribute model).
+
+Decoded strings come from :func:`shared_str`, so every message a session
+archives shares one copy of each name, kind and sender id.
 """
 
 from __future__ import annotations
@@ -34,10 +38,46 @@ __all__ = ["encode_message", "decode_message", "WireError"]
 
 _MAGIC = b"SM"
 _VERSION = 1
+#: a varint is at most ten bytes of seven bits (``_read_varint``)
+_VARINT_BITS = 70
 
 
 class WireError(ValueError):
     """Raised on corrupt or unsupported wire data."""
+
+
+# ----------------------------------------------------------------------
+# shared strings
+# ----------------------------------------------------------------------
+#: the table holds at most this many strings, and starts over when full
+_SHARED_STRINGS = 4096
+#: a longer string (chat text, a description) is decoded afresh each time
+_SHARED_BYTES = 64
+
+#: raw UTF-8 -> its decoded string, for the short strings the wire repeats
+_strings: dict[bytes, str] = {}
+
+
+def shared_str(raw: bytes) -> str:
+    """``raw`` decoded as UTF-8, and the same ``str`` for the same bytes.
+
+    Every receiver decodes the same few header names, kinds, sender ids
+    and image ids, and keeps each decoded message; sharing them keeps one
+    copy per process instead of one per received message.  A bounded
+    table, not ``sys.intern``: peers choose these strings, and CPython
+    3.12 never frees an interned one.  Invalid UTF-8 raises
+    :class:`UnicodeDecodeError` and is not kept.  No lock: each dict call is
+    atomic, so a racing caller could at worst clear the table early or
+    add one string past the count, never return a wrong string.
+    """
+    s = _strings.get(raw)
+    if s is None:
+        s = raw.decode("utf-8")
+        if len(raw) <= _SHARED_BYTES:
+            if len(_strings) >= _SHARED_STRINGS:
+                _strings.clear()
+            _strings[raw] = s
+    return s
 
 
 # ----------------------------------------------------------------------
@@ -73,7 +113,7 @@ def _read_varint(data: bytes, pos: int) -> tuple[int, int]:
 
 
 def _zigzag(v: int) -> int:
-    return (v << 1) ^ (v >> 63) if v < 0 else v << 1
+    return ~(v << 1) if v < 0 else v << 1
 
 
 def _unzigzag(v: int) -> int:
@@ -90,9 +130,8 @@ def _read_str(data: bytes, pos: int) -> tuple[str, int]:
     n, pos = _read_varint(data, pos)
     if pos + n > len(data):
         raise WireError("truncated string")
-    raw = data[pos : pos + n]
     try:
-        return raw.decode("utf-8"), pos + n
+        return shared_str(data[pos : pos + n]), pos + n
     except UnicodeDecodeError as exc:
         raise WireError("wire string is not valid UTF-8") from exc
 
@@ -102,8 +141,11 @@ def _write_value(out: bytearray, value: Any, allow_list: bool = True) -> None:
         out += b"b"
         out.append(1 if value else 0)
     elif isinstance(value, int):
+        zigzag = _zigzag(value)
+        if zigzag >> _VARINT_BITS:
+            raise WireError(f"header integer {value} is outside the wire's [-2**69, 2**69)")
         out += b"i"
-        _write_varint(out, _zigzag(value))
+        _write_varint(out, zigzag)
     elif isinstance(value, float):
         out += b"f"
         out += struct.pack(">d", value)
@@ -175,6 +217,8 @@ def decode_message(data: bytes) -> SemanticMessage:
     header values, are read in place; longer varints and the other value
     tags go through :func:`_read_varint` / :func:`_read_value`.  Every
     malformed input raises the :class:`WireError` the helpers would.
+    Each string is looked up in the shared table in place; a miss (or an
+    empty string, which is falsy) takes :func:`shared_str`.
     """
     if data[:2] != _MAGIC:
         raise WireError(f"bad magic {data[:2]!r}")
@@ -193,7 +237,8 @@ def decode_message(data: bytes) -> SemanticMessage:
             n, pos = _read_varint(data, pos)
         if pos + n > end:
             raise WireError("truncated string")
-        id_sender = data[pos : pos + n].decode("utf-8")
+        raw = data[pos : pos + n]
+        id_sender = _strings.get(raw) or shared_str(raw)
         pos += n
         seq = data[pos] if pos < end else 0x80
         if seq < 0x80:
@@ -207,7 +252,8 @@ def decode_message(data: bytes) -> SemanticMessage:
             n, pos = _read_varint(data, pos)
         if pos + n > end:
             raise WireError("truncated string")
-        kind = data[pos : pos + n].decode("utf-8")
+        raw = data[pos : pos + n]
+        kind = _strings.get(raw) or shared_str(raw)
         pos += n
         n = data[pos] if pos < end else 0x80
         if n < 0x80:
@@ -216,7 +262,8 @@ def decode_message(data: bytes) -> SemanticMessage:
             n, pos = _read_varint(data, pos)
         if pos + n > end:
             raise WireError("truncated string")
-        sender = data[pos : pos + n].decode("utf-8")
+        raw = data[pos : pos + n]
+        sender = _strings.get(raw) or shared_str(raw)
         pos += n
         n = data[pos] if pos < end else 0x80
         if n < 0x80:
@@ -225,7 +272,8 @@ def decode_message(data: bytes) -> SemanticMessage:
             n, pos = _read_varint(data, pos)
         if pos + n > end:
             raise WireError("truncated string")
-        selector_text = data[pos : pos + n].decode("utf-8")
+        raw = data[pos : pos + n]
+        selector_text = _strings.get(raw) or shared_str(raw)
         pos += n
         n_headers = data[pos] if pos < end else 0x80
         if n_headers < 0x80:
@@ -241,7 +289,8 @@ def decode_message(data: bytes) -> SemanticMessage:
                 n, pos = _read_varint(data, pos)
             if pos + n > end:
                 raise WireError("truncated string")
-            name = data[pos : pos + n].decode("utf-8")
+            raw = data[pos : pos + n]
+            name = _strings.get(raw) or shared_str(raw)
             pos += n
             # a short b"s" string or b"i" integer: tag and one-byte varint
             tag, n = data[pos : pos + 2] if pos + 2 <= end else (None, 0x80)
@@ -249,7 +298,8 @@ def decode_message(data: bytes) -> SemanticMessage:
                 pos += 2
                 if pos + n > end:
                     raise WireError("truncated string")
-                headers[name] = data[pos : pos + n].decode("utf-8")
+                raw = data[pos : pos + n]
+                headers[name] = _strings.get(raw) or shared_str(raw)
                 pos += n
             elif tag == 0x69 and n < 0x80:
                 headers[name] = (n >> 1) ^ -(n & 1)

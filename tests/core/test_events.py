@@ -1,5 +1,6 @@
 """Tests for the collaboration event model and its codecs."""
 
+import re
 import struct
 from dataclasses import dataclass
 from types import SimpleNamespace
@@ -81,6 +82,23 @@ class TestFixedLayoutTable:
             with pytest.raises(EventError, match="overruns"):
                 decode_event("image-share", head + struct.pack(">I", count))
         assert formats == []
+
+
+class TestEncodeRange:
+    @pytest.mark.parametrize(
+        "event, field, wire_type",
+        [
+            (ImagePacketEvent(image_id="x", packet_index=-1), "packet_index", "u32"),
+            (ImagePacketEvent(image_id="x", packet_total=2**32), "packet_total", "u32"),
+            (ImageShareAnnounce("img", 8, 8, 1, 16, 64, "d", 2**31), "levels", "i32"),
+            (ImageShareAnnounce("img", 8, 8, 1, 16, 2**64, "d", 3), "total_bits", "u64"),
+            (ImageShareAnnounce("img", 8, 8, 1, 16, 64, "d", 3, (1, -(2**31) - 1)), "t0_exps", "i32*"),
+        ],
+        ids=["u32-negative", "u32-too-large", "i32", "u64", "i32-array-item"],
+    )
+    def test_a_value_its_wire_type_cannot_hold_is_an_event_error(self, event, field, wire_type):
+        with pytest.raises(EventError, match=rf"\.{field}: .* does not fit wire type {re.escape(wire_type)}$"):
+            event.to_body()
 
 
 class TestRegistration:

@@ -5,7 +5,8 @@ wrote its own ``to_body`` / ``from_body``.  For each of the 16 classes:
 
 * values drawn from the field types (integers in and out of every wire
   width, any float, any text) encode to the same bytes on both, or fail
-  with the same exception type;
+  with the same exception type (except that where a per-class codec let
+  ``struct.error`` out, the one codec raises ``EventError``);
 * a valid body, every truncation of it, bit-flipped copies, copies with
   trailing bytes, and arbitrary bytes decode to equal events on both, or
   to an ``EventError`` on both.
@@ -14,6 +15,7 @@ CI runs this file again under ``--hypothesis-profile=deep``.
 """
 
 import dataclasses
+import struct
 import typing
 
 import pytest
@@ -87,9 +89,9 @@ def decodes_alike(name, data):
 @given(data=st.data())
 def test_encoding_is_byte_identical(name, data):
     kw = data.draw(kwargs_of(name))
-    assert outcome(lambda: getattr(events, name)(**kw).to_body()) == outcome(
-        lambda: getattr(ref, name)(**kw).to_body()
-    )
+    new = outcome(lambda: getattr(events, name)(**kw).to_body())
+    old = outcome(lambda: getattr(ref, name)(**kw).to_body())
+    assert new == (("EventError",) if old == ("raised", struct.error) else old)
 
 
 @pytest.mark.parametrize("name", CLASSES)

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from repro.core.selectors import Selector
 from repro.messaging.message import MessageId, SemanticMessage, next_message_id
-from repro.messaging.serialization import WireError, decode_message, encode_message
+from repro.messaging.serialization import WireError, _zigzag, decode_message, encode_message
 
 
 class TestMessage:
@@ -108,3 +108,32 @@ class TestWireCodec:
         )
         with pytest.raises(WireError):
             encode_message(m)
+
+
+class TestIntegerRange:
+    """A header integer arrives as itself, or is refused at publish."""
+
+    @given(st.integers(-(2**80), 2**80))
+    def test_round_trips_or_is_refused_at_encode(self, value):
+        m = SemanticMessage.create("s", "true", headers={"n": value, "l": [value]})
+        try:
+            data = encode_message(m)
+        except WireError:
+            assert not -(2**69) <= value < 2**69
+            return
+        assert -(2**69) <= value < 2**69
+        assert decode_message(data).headers == {"n": value, "l": [value]}
+
+    @pytest.mark.parametrize("value", [-(2**63) - 1, -(2**64), 2**69 - 1, -(2**69)])
+    def test_values_past_int64_arrive_unchanged(self, value):
+        m = SemanticMessage.create("s", "true", headers={"n": value})
+        assert decode_message(encode_message(m)).headers["n"] == value
+
+    @pytest.mark.parametrize("value", [2**69, -(2**69) - 1, 2**80, -(2**80)])
+    def test_values_no_receiver_could_read_are_refused(self, value):
+        with pytest.raises(WireError, match="outside"):
+            encode_message(SemanticMessage.create("s", "true", headers={"n": value}))
+
+    @given(st.integers(-(2**63), 2**69 - 1))
+    def test_bytes_are_unchanged_where_the_64_bit_zigzag_was_right(self, value):
+        assert _zigzag(value) == ((value << 1) ^ (value >> 63) if value < 0 else value << 1)

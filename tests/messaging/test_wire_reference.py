@@ -57,7 +57,7 @@ def outcome(fn, *args):
 TEXT = st.text(max_size=12) | st.text(min_size=120, max_size=200)
 SCALARS = st.one_of(
     st.booleans(),
-    st.integers(-(2**62), 2**62),
+    st.integers(-(2**63), 2**63 - 1),
     st.integers(-64, 63),
     st.floats(allow_nan=False),
     TEXT,
