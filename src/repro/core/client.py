@@ -238,14 +238,16 @@ class WiredClient:
     def _on_delivery(self, delivery: Delivery) -> None:
         now = self.scheduler.clock.now
         msg = delivery.message
-        if not self.archive.record(now, msg):
+        if msg.msg_id in self.archive:
             return  # a history replay of a message this peer already holds
         try:
             event = decode_event(msg.kind, msg.body)
         except EventError:
-            # undecodable event: drop and count, never abort the dispatch loop
+            # undecodable event: drop and count, never abort the dispatch
+            # loop, and keep its id free for an intact copy
             self.endpoint.wire.decode_failures += 1
             return
+        self.archive.record(now, msg)
         self.events_received.append((now, event))
         try:
             self._react(event, delivery, now)

@@ -117,5 +117,9 @@ class SessionArchive:
             if t >= since and (kinds is None or m.kind in kinds)
         ]
 
+    def __contains__(self, msg_id: object) -> bool:
+        """Whether a message with this ``msg_id`` is held."""
+        return msg_id in self._ids
+
     def __len__(self) -> int:
         return len(self._entries)

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .._recent import RecentDecodes
 from .ezw import EzwEncoded, decode_image, encode_image, ezw_decode
 from .metrics import bpp, compression_ratio, psnr
 from .wavelet import haar_idwt2_partial, max_levels
@@ -31,6 +32,10 @@ class ImagePacketError(ValueError):
 
 #: The packet counts the paper's inference engine selects among (FIG6).
 PACKET_COUNTS = (1, 2, 4, 8, 16)
+#: The largest image a receiver assembles (64x the 128x128 the repo
+#: shares): the geometry comes off the wire, and a reconstruction
+#: allocates arrays of this many pixels.
+MAX_RECEIVED_PIXELS = 1024 * 1024
 
 
 @dataclass(frozen=True)
@@ -68,7 +73,11 @@ class ImagePacket:
     def from_bytes(cls, raw: bytes) -> "ImagePacket":
         """Inverse of :meth:`to_bytes`; :class:`ImagePacketError` on
         truncated or corrupt input (short slices would otherwise decode
-        silently-wrong values, not just crash)."""
+        silently-wrong values, not just crash).  Bytes equal to a recent
+        successful decode's return that same packet."""
+        kept = _packets.recall(raw)
+        if kept is not None:
+            return kept
         if len(raw) < 5:
             raise ImagePacketError(f"packet header needs 5 bytes, have {len(raw)}")
         index = int.from_bytes(raw[0:2], "big")
@@ -90,7 +99,11 @@ class ImagePacket:
             pos = end
         if pos != len(raw):
             raise ImagePacketError(f"{len(raw) - pos} byte(s) after the last chunk")
-        return cls(index, total, tuple(chunks))
+        return _packets.keep(cls(index, total, tuple(chunks)), raw)
+
+
+#: packet bytes -> the packet they decoded to, for the payloads receivers share
+_packets: RecentDecodes[ImagePacket] = RecentDecodes()
 
 
 @dataclass
@@ -233,7 +246,10 @@ class ReceivedImage:
         # every argument may come straight off the wire (ImageShareAnnounce)
         if len(t0_exps) != channels:
             raise ImagePacketError(f"need one t0_exp per channel: {len(t0_exps)} vs {channels}")
-        if levels < 1 or height < 1 or width < 1 or height % (1 << levels) or width % (1 << levels):
+        if height < 1 or width < 1 or height * width > MAX_RECEIVED_PIXELS:
+            raise ImagePacketError(f"a {height}x{width} image is outside 1..{MAX_RECEIVED_PIXELS} pixels")
+        # compared, never shifted: a peer's levels may be 2**31 - 1
+        if not 1 <= levels <= max_levels((height, width)):
             raise ImagePacketError(f"no {levels}-level pyramid on a {height}x{width} image")
         if n_packets < 1:
             raise ImagePacketError(f"n_packets must be >= 1, got {n_packets}")

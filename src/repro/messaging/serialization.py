@@ -21,7 +21,8 @@ most 70 bits), ``f`` 8-byte IEEE754 big-endian, ``b`` 0/1, ``l`` varint
 count + items (no nesting, matching the attribute model).
 
 Decoded strings come from :func:`shared_str`, so every message a session
-archives shares one copy of each name, kind and sender id.
+archives shares one copy of each name, kind and sender id; and a datagram
+every receiver decodes alike is decoded once (:mod:`repro._recent`).
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 import struct
 from typing import Any
 
+from .._recent import RecentDecodes
 from ..core.attributes import AttributeValue
 from ..core.matching_engine import compile_selector
 from ..core.selectors import SelectorError
@@ -56,6 +58,8 @@ _SHARED_BYTES = 64
 
 #: raw UTF-8 -> its decoded string, for the short strings the wire repeats
 _strings: dict[bytes, str] = {}
+#: wire bytes -> the message they decoded to, for the datagrams receivers share
+_messages: RecentDecodes[SemanticMessage] = RecentDecodes()
 
 
 def shared_str(raw: bytes) -> str:
@@ -218,8 +222,12 @@ def decode_message(data: bytes) -> SemanticMessage:
     tags go through :func:`_read_varint` / :func:`_read_value`.  Every
     malformed input raises the :class:`WireError` the helpers would.
     Each string is looked up in the shared table in place; a miss (or an
-    empty string, which is falsy) takes :func:`shared_str`.
+    empty string, which is falsy) takes :func:`shared_str`.  Bytes equal
+    to a recent successful decode's return that same message.
     """
+    kept = _messages.recall(data)
+    if kept is not None:
+        return kept
     if data[:2] != _MAGIC:
         raise WireError(f"bad magic {data[:2]!r}")
     if len(data) < 3 or data[2] != _VERSION:
@@ -321,4 +329,5 @@ def decode_message(data: bytes) -> SemanticMessage:
     except SelectorError as exc:
         raise WireError(f"message carries an unparseable selector: {exc}") from exc
     # positional: the dataclass's field order (msg_id, selector, headers, body, kind, sender)
-    return SemanticMessage(MessageId(id_sender, seq), selector, headers, body, kind, sender)
+    message = SemanticMessage(MessageId(id_sender, seq), selector, headers, body, kind, sender)
+    return _messages.keep(message, data)

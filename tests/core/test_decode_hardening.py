@@ -8,6 +8,7 @@ truncations, bit flips, invalid UTF-8, hostile nesting — into its
 dispatch layers must count those failures and keep running.
 """
 
+import dataclasses
 import random
 import struct
 import warnings
@@ -152,6 +153,20 @@ class TestHostileImageShares:
 
     @pytest.mark.parametrize("fields", BAD_GEOMETRY, ids=[",".join(f) for f in BAD_GEOMETRY])
     def test_announce_with_impossible_geometry_is_counted_and_dropped(self, session, fields):
+        self._announce_is_counted_and_dropped(session, fields)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [dict(levels=2**31 - 1), dict(height=8192, width=8192, levels=1)],
+        ids=["huge-depth", "huge-area"],
+    )
+    def test_announce_too_large_to_assemble_is_counted_and_dropped(self, session, fields):
+        # the depth built a 256 MiB integer at every peer before it was
+        # refused; the area was accepted, and one packet then made the base
+        # station reconstruct 64 Mpixel
+        self._announce_is_counted_and_dropped(session, fields)
+
+    def _announce_is_counted_and_dropped(self, session, fields):
         fw, alice, bob, bs = session
         good = dict(image_id="evil", height=32, width=32, channels=1, n_packets=16, levels=4, t0_exps=(11,))
         before = bob.endpoint.wire.decode_failures, bs.endpoint.wire.decode_failures
@@ -345,6 +360,21 @@ class TestDispatchCounters:
             isinstance(e, ChatEvent) and e.text == "still here"
             for _, e in client.events_received
         )
+
+    def test_undecodable_body_leaves_its_id_for_an_intact_copy(self, client):
+        # a damaged copy, then the intact one under the same id (as a
+        # history replay brings it): the intact copy lands and is archived
+        intact = ChatEvent(author="bob", text="hello").to_message("bob", "true")
+        damaged = dataclasses.replace(intact, body=b"\xff\xff\xff\xff")
+        before = client.endpoint.decode_failures
+        client._on_delivery(Delivery(message=damaged, result=MatchResult(decision=Decision.ACCEPT)))
+        assert client.endpoint.decode_failures == before + 1
+        assert intact.msg_id not in client.archive
+        for _ in range(2):  # the second is a duplicate: dropped before decoding
+            client._on_delivery(Delivery(message=intact, result=MatchResult(decision=Decision.ACCEPT)))
+        assert [e.text for _, e in client.events_received if isinstance(e, ChatEvent)] == ["hello"]
+        assert [m for _, m in client.archive.replay() if m.msg_id == intact.msg_id] == [intact]
+        assert client.endpoint.decode_failures == before + 1
 
     def test_wireless_client_counts_and_survives(self):
         # a corrupt event body arriving over the radio leg (BS -> mobile)

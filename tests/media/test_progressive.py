@@ -1,10 +1,14 @@
 """Tests for progressive packetization and receiver assembly."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.media.images import collaboration_scene, to_rgb
 from repro.media.progressive import (
+    MAX_RECEIVED_PIXELS,
     PACKET_COUNTS,
     ImagePacket,
     ImagePacketError,
@@ -129,6 +133,7 @@ class TestReceivedImage:
             dict(width=0),
             dict(t0_exps=(5000,)),
             dict(n_packets=0),
+            dict(height=2048, width=1024, levels=1),
         ],
         ids=",".join,
     )
@@ -138,6 +143,32 @@ class TestReceivedImage:
         good = dict(height=64, width=64, channels=1, levels=5, t0_exps=(12,), n_packets=16)
         with pytest.raises(ImagePacketError):
             ReceivedImage(**{**good, **geometry})
+
+    def test_hostile_depth_is_refused_before_any_shift(self):
+        # 1 << 2**28 alone is a 32 MiB integer
+        tracemalloc.start()
+        try:
+            with pytest.raises(ImagePacketError):
+                ReceivedImage(64, 64, 1, 2**28, (12,), 16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("height,width", [(1024, 1024), (2048, 512)])
+    def test_an_area_up_to_the_cap_is_accepted(self, height, width):
+        assert height * width == MAX_RECEIVED_PIXELS
+        assert ReceivedImage(height, width, 1, 1, (12,), 16).height == height
+
+    @given(st.integers(1, 300), st.integers(1, 300), st.integers(-2, 12))
+    def test_accepted_depths_are_those_the_pyramid_divides(self, height, width, levels):
+        divides = levels >= 1 and height % (1 << levels) == 0 and width % (1 << levels) == 0
+        try:
+            ReceivedImage(height, width, 1, levels, (12,), 16)
+        except ImagePacketError:
+            assert not divides
+        else:
+            assert divides
 
     def test_packet_with_the_wrong_chunk_count_rejected(self, gray_prog, color_prog):
         rx = ReceivedImage(64, 64, 1, gray_prog.levels, gray_prog.t0_exps, 16)

@@ -41,15 +41,23 @@ TABLE = serialization._strings
 MODES = st.sampled_from(["cold", "warm", "cleared"])
 
 
+def clear_table():
+    """Empty the string table, and the tables of recent decodes whose hits
+    would skip it."""
+    TABLE.clear()
+    serialization._messages.clear()
+    events._events.clear()
+
+
 def decode_stream(decode, items, mode, clear_at):
     """``decode`` over ``items`` with the table in ``mode``."""
-    TABLE.clear()
+    clear_table()
     if mode == "warm":
         [outcome(decode, *item) for item in items]
     out = []
     for i, item in enumerate(items):
         if mode == "cold" or (mode == "cleared" and i == clear_at):
-            TABLE.clear()
+            clear_table()
         out.append(outcome(decode, *item))
     return out
 
