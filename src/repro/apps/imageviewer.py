@@ -19,7 +19,8 @@ import numpy as np
 
 from ..core.events import ImagePacketEvent, ImageShareAnnounce
 from ..media.describe import describe_image
-from ..media.progressive import ImagePacket, ProgressiveImage, ReceivedImage, ReceptionReport
+from ..media.progressive import ImagePacket, ImagePacketError, ProgressiveImage
+from ..media.progressive import ReceivedImage, ReceptionReport
 
 __all__ = ["ImageViewer", "ViewedImage"]
 
@@ -118,6 +119,9 @@ class ImageViewer:
     def on_packet(self, event: ImagePacketEvent) -> bool:
         """Offer a packet; returns True if it added a new index within the budget.
 
+        A payload that is not the packet its event names raises
+        :class:`ImagePacketError` and leaves the assembly untouched.
+
         "The resolution threshold is used to determine the number of image
         segments (i.e. the number of image packets) to be received."
         Packets arriving before their announce are buffered briefly.
@@ -135,8 +139,15 @@ class ImageViewer:
         view.packets_offered += 1
         if event.packet_index >= self.packet_budget:
             return False
+        packet = ImagePacket.from_bytes(event.payload)
+        if (packet.index, packet.total) != (event.packet_index, event.packet_total):
+            # the budget read the header: the payload must be that packet
+            raise ImagePacketError(
+                f"payload is packet {packet.index}/{packet.total}, "
+                f"its event says {event.packet_index}/{event.packet_total}"
+            )
         held = view.assembly.received
-        view.assembly.add_packet(ImagePacket.from_bytes(event.payload))
+        view.assembly.add_packet(packet)
         if view.assembly.received == held:
             return False  # an index already held: a late original or a repeat
         view.packets_accepted += 1

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .._recent import RecentDecodes
+from .._recent import CAPACITY, Recent
 from .ezw import EzwEncoded, decode_image, encode_image, ezw_decode
 from .metrics import bpp, compression_ratio, psnr
 from .wavelet import haar_idwt2_partial, max_levels
@@ -103,7 +103,7 @@ class ImagePacket:
 
 
 #: packet bytes -> the packet they decoded to, for the payloads receivers share
-_packets: RecentDecodes[ImagePacket] = RecentDecodes()
+_packets: Recent[ImagePacket] = Recent(CAPACITY)
 
 
 @dataclass

@@ -30,7 +30,7 @@ from __future__ import annotations
 import struct
 from typing import Any
 
-from .._recent import RecentDecodes
+from .._recent import CAPACITY, Recent
 from ..core.attributes import AttributeValue
 from ..core.matching_engine import compile_selector
 from ..core.selectors import SelectorError
@@ -51,15 +51,15 @@ class WireError(ValueError):
 # ----------------------------------------------------------------------
 # shared strings
 # ----------------------------------------------------------------------
-#: the table holds at most this many strings, and starts over when full
+#: the table holds at most this many strings
 _SHARED_STRINGS = 4096
 #: a longer string (chat text, a description) is decoded afresh each time
 _SHARED_BYTES = 64
 
 #: raw UTF-8 -> its decoded string, for the short strings the wire repeats
-_strings: dict[bytes, str] = {}
+_strings: Recent[str] = Recent(_SHARED_STRINGS)
 #: wire bytes -> the message they decoded to, for the datagrams receivers share
-_messages: RecentDecodes[SemanticMessage] = RecentDecodes()
+_messages: Recent[SemanticMessage] = Recent(CAPACITY)
 
 
 def shared_str(raw: bytes) -> str:
@@ -70,17 +70,13 @@ def shared_str(raw: bytes) -> str:
     copy per process instead of one per received message.  A bounded
     table, not ``sys.intern``: peers choose these strings, and CPython
     3.12 never frees an interned one.  Invalid UTF-8 raises
-    :class:`UnicodeDecodeError` and is not kept.  No lock: each dict call is
-    atomic, so a racing caller could at worst clear the table early or
-    add one string past the count, never return a wrong string.
+    :class:`UnicodeDecodeError` and is not kept.
     """
     s = _strings.get(raw)
     if s is None:
         s = raw.decode("utf-8")
         if len(raw) <= _SHARED_BYTES:
-            if len(_strings) >= _SHARED_STRINGS:
-                _strings.clear()
-            _strings[raw] = s
+            _strings.put(raw, s)
     return s
 
 
@@ -215,15 +211,9 @@ def encode_message(msg: SemanticMessage) -> bytes:
 
 
 def decode_message(data: bytes) -> SemanticMessage:
-    """Inverse of :func:`encode_message`.
+    """Inverse of :func:`encode_message`; :class:`WireError` on malformed input.
 
-    One pass over ``data``: a one-byte varint, and the ``s`` / ``i``
-    header values, are read in place; longer varints and the other value
-    tags go through :func:`_read_varint` / :func:`_read_value`.  Every
-    malformed input raises the :class:`WireError` the helpers would.
-    Each string is looked up in the shared table in place; a miss (or an
-    empty string, which is falsy) takes :func:`shared_str`.  Bytes equal
-    to a recent successful decode's return that same message.
+    Bytes equal to a recent successful decode's return that same message.
     """
     kept = _messages.recall(data)
     if kept is not None:
@@ -232,96 +222,18 @@ def decode_message(data: bytes) -> SemanticMessage:
         raise WireError(f"bad magic {data[:2]!r}")
     if len(data) < 3 or data[2] != _VERSION:
         raise WireError("unsupported wire version")
-    end = len(data)
-    pos = 3
-    # Each varint is read in place when it is one byte (< 0x80) and by
-    # _read_varint otherwise; a byte past the end reads as 0x80, so the
-    # helper reports the truncation.
-    try:
-        n = data[pos] if pos < end else 0x80
-        if n < 0x80:
-            pos += 1
-        else:
-            n, pos = _read_varint(data, pos)
-        if pos + n > end:
-            raise WireError("truncated string")
-        raw = data[pos : pos + n]
-        id_sender = _strings.get(raw) or shared_str(raw)
-        pos += n
-        seq = data[pos] if pos < end else 0x80
-        if seq < 0x80:
-            pos += 1
-        else:
-            seq, pos = _read_varint(data, pos)
-        n = data[pos] if pos < end else 0x80
-        if n < 0x80:
-            pos += 1
-        else:
-            n, pos = _read_varint(data, pos)
-        if pos + n > end:
-            raise WireError("truncated string")
-        raw = data[pos : pos + n]
-        kind = _strings.get(raw) or shared_str(raw)
-        pos += n
-        n = data[pos] if pos < end else 0x80
-        if n < 0x80:
-            pos += 1
-        else:
-            n, pos = _read_varint(data, pos)
-        if pos + n > end:
-            raise WireError("truncated string")
-        raw = data[pos : pos + n]
-        sender = _strings.get(raw) or shared_str(raw)
-        pos += n
-        n = data[pos] if pos < end else 0x80
-        if n < 0x80:
-            pos += 1
-        else:
-            n, pos = _read_varint(data, pos)
-        if pos + n > end:
-            raise WireError("truncated string")
-        raw = data[pos : pos + n]
-        selector_text = _strings.get(raw) or shared_str(raw)
-        pos += n
-        n_headers = data[pos] if pos < end else 0x80
-        if n_headers < 0x80:
-            pos += 1
-        else:
-            n_headers, pos = _read_varint(data, pos)
-        headers: dict[str, AttributeValue] = {}
-        for _ in range(n_headers):
-            n = data[pos] if pos < end else 0x80
-            if n < 0x80:
-                pos += 1
-            else:
-                n, pos = _read_varint(data, pos)
-            if pos + n > end:
-                raise WireError("truncated string")
-            raw = data[pos : pos + n]
-            name = _strings.get(raw) or shared_str(raw)
-            pos += n
-            # a short b"s" string or b"i" integer: tag and one-byte varint
-            tag, n = data[pos : pos + 2] if pos + 2 <= end else (None, 0x80)
-            if tag == 0x73 and n < 0x80:
-                pos += 2
-                if pos + n > end:
-                    raise WireError("truncated string")
-                raw = data[pos : pos + n]
-                headers[name] = _strings.get(raw) or shared_str(raw)
-                pos += n
-            elif tag == 0x69 and n < 0x80:
-                headers[name] = (n >> 1) ^ -(n & 1)
-                pos += 2
-            else:
-                headers[name], pos = _read_value(data, pos)
-    except UnicodeDecodeError as exc:
-        raise WireError("wire string is not valid UTF-8") from exc
-    body_len = data[pos] if pos < end else 0x80
-    if body_len < 0x80:
-        pos += 1
-    else:
-        body_len, pos = _read_varint(data, pos)
-    if pos + body_len > end:
+    id_sender, pos = _read_str(data, 3)
+    seq, pos = _read_varint(data, pos)
+    kind, pos = _read_str(data, pos)
+    sender, pos = _read_str(data, pos)
+    selector_text, pos = _read_str(data, pos)
+    n_headers, pos = _read_varint(data, pos)
+    headers: dict[str, AttributeValue] = {}
+    for _ in range(n_headers):
+        name, pos = _read_str(data, pos)
+        headers[name], pos = _read_value(data, pos)
+    body_len, pos = _read_varint(data, pos)
+    if pos + body_len > len(data):
         raise WireError("truncated body")
     body = data[pos : pos + body_len]
     try:

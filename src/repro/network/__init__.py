@@ -9,7 +9,6 @@ from .simnet import (
     Address,
     CastPlan,
     Link,
-    LruCache,
     Network,
     NetworkError,
     Node,
@@ -41,7 +40,6 @@ __all__ = [
     "Address",
     "CastPlan",
     "Link",
-    "LruCache",
     "Network",
     "NetworkError",
     "Node",

@@ -51,9 +51,13 @@ from bisect import insort
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .simnet import Address, CastPlan, LruCache, Network, NetworkError, Packet
+from .._recent import Recent
+from .simnet import Address, CastPlan, Network, NetworkError, Packet
 
 __all__ = ["MulticastFabric", "Router", "RoutingError", "TrustDomain"]
+
+#: ``(group, sender) -> (epoch, CastPlan)`` entries a fabric keeps
+PLAN_CACHE_SIZE = 1024
 
 
 class RoutingError(NetworkError):
@@ -148,7 +152,7 @@ class MulticastFabric:
         self._trees: dict[Address, dict[Address, Optional[Address]]] = {}
         #: router -> hierarchy chain, top-level root first (parents are fixed)
         self._chains: dict[Address, list[Address]] = {}
-        self._plan_cache: LruCache = LruCache(Network.DEFAULT_PLAN_CACHE)
+        self._plan_cache: Recent[tuple[int, CastPlan]] = Recent(PLAN_CACHE_SIZE)
         # telemetry (deterministic)
         self.grafts = 0
         self.prunes = 0

@@ -16,7 +16,6 @@ the SNMP agent exports (``ifInOctets``-style octet counts).
 from __future__ import annotations
 
 from bisect import insort
-from collections import OrderedDict
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from math import inf
@@ -24,6 +23,7 @@ from typing import TYPE_CHECKING, Callable, Container, Iterable, Optional, Seque
 
 import numpy as np
 
+from .._recent import Recent
 from .clock import Scheduler, SimulationError
 
 if TYPE_CHECKING:
@@ -33,7 +33,6 @@ __all__ = [
     "Address",
     "CastPlan",
     "Link",
-    "LruCache",
     "Node",
     "Network",
     "NetworkError",
@@ -44,6 +43,9 @@ __all__ = [
 #: A network address is just a string host name; ports live in udp.py.
 Address = str
 
+#: routes :meth:`Network.route` keeps; city-scale topologies have O(N^2)
+#: host pairs, so the cache is bounded, not grow-forever
+ROUTE_CACHE_SIZE = 4096
 #: route-cache sentinel distinguishing "not cached" from "cached None
 #: (unroutable)"
 _ROUTE_MISS = object()
@@ -60,55 +62,6 @@ class PortInUseError(NetworkError):
     retry on genuine conflicts without swallowing unrelated network
     errors (closed sockets, unknown hosts) as "port occupied".
     """
-
-
-class LruCache:
-    """A bounded mapping with least-recently-used eviction.
-
-    Backs the route cache and the multicast fabric's cast-plan cache so
-    that city-scale topologies (thousands of routers, long-running
-    sessions) cannot grow lookup state without bound.  ``get`` refreshes
-    recency; ``put`` evicts the stalest entry once ``capacity`` is
-    exceeded.
-    """
-
-    __slots__ = ("capacity", "_data", "hits", "misses", "evictions")
-
-    def __init__(self, capacity: int) -> None:
-        if capacity <= 0:
-            raise ValueError("LruCache capacity must be positive")
-        self.capacity = capacity
-        self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
-    def get(self, key, default=None):
-        try:
-            value = self._data[key]
-        except KeyError:
-            self.misses += 1
-            return default
-        self._data.move_to_end(key)
-        self.hits += 1
-        return value
-
-    def put(self, key, value) -> None:
-        if key in self._data:
-            self._data.move_to_end(key)
-        self._data[key] = value
-        if len(self._data) > self.capacity:
-            self._data.popitem(last=False)
-            self.evictions += 1
-
-    def clear(self) -> None:
-        self._data.clear()
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
 
 
 @dataclass(slots=True)
@@ -297,18 +250,7 @@ class Network:
     [b'hi']
     """
 
-    #: default bound on cached routes; city-scale topologies have O(N^2)
-    #: host pairs, so the cache must be LRU-bounded, not grow-forever
-    DEFAULT_ROUTE_CACHE = 4096
-    #: bound on the multicast fabric's ``(group, sender) -> CastPlan`` cache
-    DEFAULT_PLAN_CACHE = 1024
-
-    def __init__(
-        self,
-        scheduler: Scheduler,
-        seed: int = 0,
-        route_cache_size: int = DEFAULT_ROUTE_CACHE,
-    ) -> None:
+    def __init__(self, scheduler: Scheduler, seed: int = 0) -> None:
         self.scheduler = scheduler
         self.rng = np.random.default_rng(seed)
         self._nodes: dict[Address, Node] = {}
@@ -319,7 +261,7 @@ class Network:
         #: node -> neighbor names, kept in name order by add/remove_link so
         #: the path walk visits them deterministically without sorting
         self._adj: dict[Address, list[Address]] = {}
-        self._route_cache: LruCache = LruCache(route_cache_size)
+        self._route_cache: Recent[Optional[list[Link]]] = Recent(ROUTE_CACHE_SIZE)
         #: observers of administrative topology change, called as
         #: ``listener(a, b, up)`` after a link is added (up), removed
         #: (down), or flapped; the multicast fabric uses this to repair
@@ -491,9 +433,9 @@ class Network:
     def route(self, src: Address, dst: Address) -> Optional[list[Link]]:
         """Lowest-latency path from ``src`` to ``dst`` (Dijkstra), or None.
 
-        Routes live in a bounded :class:`LruCache` (so arbitrarily many
-        host pairs cannot grow memory without bound) and the cache is
-        invalidated on any topology change.
+        Routes live in a bounded :class:`~repro._recent.Recent` table (so
+        arbitrarily many host pairs cannot grow memory without bound) and
+        the table is emptied on any topology change.
         """
         if src not in self._nodes or dst not in self._nodes:
             raise NetworkError(f"unknown endpoint: {src!r} or {dst!r}")

@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
+from .._recent import Recent
+
 __all__ = [
     "BerError",
     "Integer",
@@ -264,10 +266,10 @@ class EndOfMibView(_VarBindException):
 # ----------------------------------------------------------------------
 # OID body encoding (shared with oids.py)
 # ----------------------------------------------------------------------
-#: OID bodies :func:`encode_oid_body` remembers; a poll names the same few
-#: OIDs every time, and the table is emptied when it fills
+#: OID bodies :func:`encode_oid_body` remembers (a :class:`~repro._recent.Recent`
+#: table): a poll names the same few OIDs every time
 _OID_MEMO_SIZE = 256
-_oid_memo: dict[tuple[int, ...], bytes] = {}
+_oid_memo: Recent[bytes] = Recent(_OID_MEMO_SIZE)
 
 
 def encode_oid_body(arcs: tuple[int, ...]) -> bytes:
@@ -298,9 +300,7 @@ def encode_oid_body(arcs: tuple[int, ...]) -> bytes:
         out.append(arc & 0x7F)
     body = bytes(out)
     if memo:
-        if len(_oid_memo) >= _OID_MEMO_SIZE:
-            _oid_memo.clear()
-        _oid_memo[arcs] = body
+        _oid_memo.put(arcs, body)
     return body
 
 

@@ -48,6 +48,13 @@ def _wake() -> None:
     """Sentinel scheduler event: exists only to advance the virtual clock."""
 
 
+def _check_increasing(previous: OID, oid: OID) -> None:
+    """A walk's answers must ascend; an agent that repeats or rewinds an
+    OID would keep the walk going forever."""
+    if not previous < oid:
+        raise SnmpProtocolError(f"OID not increasing: {oid} after {previous}")
+
+
 class CircuitBreaker:
     """Per-agent failure gate: closed → open → half-open → closed.
 
@@ -303,7 +310,8 @@ class SnmpManager:
         return self._request((host, port), PDU_GETNEXT, [(OID(oid), Null())])[0]
 
     def walk(self, host: str, root: OID, port: int = SNMP_PORT) -> list[VarBind]:
-        """Traverse the subtree under ``root`` via repeated GETNEXT."""
+        """Traverse the subtree under ``root`` via repeated GETNEXT; an
+        answer not past the OID asked for raises :class:`SnmpProtocolError`."""
         out: list[VarBind] = []
         root = OID(root)
         current = root
@@ -316,6 +324,7 @@ class SnmpManager:
                 raise
             if not root.is_prefix_of(oid):
                 break
+            _check_increasing(current, oid)
             out.append((oid, value))
             current = oid
         return out
@@ -345,7 +354,8 @@ class SnmpManager:
         self, host: str, root: OID, max_repetitions: int = 20, port: int = SNMP_PORT
     ) -> list[VarBind]:
         """Traverse a subtree with GETBULK — far fewer round trips than
-        :meth:`walk` on large tables."""
+        :meth:`walk` on large tables; an OID not past the previous one is
+        refused as :meth:`walk` refuses it."""
         out: list[VarBind] = []
         root = OID(root)
         current = root
@@ -359,6 +369,7 @@ class SnmpManager:
                 if isinstance(value, EndOfMibView) or not root.is_prefix_of(oid):
                     done = True
                     break
+                _check_increasing(current, oid)
                 out.append((oid, value))
                 current = oid
                 progressed = True

@@ -5,8 +5,10 @@ Two families, both referenced by the paper:
 * **Target-SIR tracking** (Foschini–Miljanic 1993): each client scales its
   power by ``gamma_target / gamma_achieved`` every iteration.  Converges to
   the minimal power vector meeting all targets when the system is feasible
-  (spectral radius of the normalized gain matrix < 1).  The base station
-  uses this to issue "transmit at lower power" requests (paper: SIR
+  (spectral radius of the normalized gain matrix < 1).  Nothing in the
+  session runs it: ``BaseStation.apply_power_control`` takes one step of
+  its own, scaling an over-powered client toward the image threshold plus
+  a margin, to issue "transmit at lower power" requests (paper: SIR
   threshold 4 dB, achieved 7 dB → request lower power, conserving battery).
 
 * **Utility-based power economics** (Goodman & Mandayam 2000, paper ref

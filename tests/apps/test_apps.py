@@ -1,5 +1,7 @@
 """Tests for the headless applications (chat, whiteboard, image viewer)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from repro.apps.whiteboard import Whiteboard
 from repro.core.events import ChatEvent, ImagePacketEvent, TextShareEvent, WhiteboardEvent
 from repro.media.images import collaboration_scene, to_rgb
 from repro.media.metrics import psnr
+from repro.media.progressive import ImagePacketError
 
 
 class TestChatArea:
@@ -178,3 +181,19 @@ class TestImageViewerReceiver:
         view = rx.viewed["img"]
         assert (view.packets_offered, view.packets_accepted) == (2, 1)
         assert view.assembly.received == 1
+
+    @pytest.mark.parametrize(
+        ("source", "header"),
+        [(15, {"packet_index": 0}), (0, {"packet_total": 8})],
+        ids=["index", "total"],
+    )
+    def test_a_payload_that_is_not_its_events_packet_is_refused(self, shared, source, header):
+        # the budget reads the event's header, the assembly the payload's
+        _, announce, packets = shared
+        rx = ImageViewer("bob")
+        rx.set_packet_budget(1)
+        rx.on_announce(announce)
+        forged = dataclasses.replace(packets[source], **header)
+        with pytest.raises(ImagePacketError, match="payload is packet"):
+            rx.on_packet(forged)
+        assert rx.viewed["img"].assembly.received == 0

@@ -18,6 +18,7 @@ import pytest
 
 from repro.analysis.diagnostics import DiagnosticWarning
 from repro.analysis.wirefuzz import default_registry
+from repro.apps.imageviewer import ImageViewer
 from repro.core.events import (
     ChatEvent,
     EventError,
@@ -149,6 +150,21 @@ class TestHostileImageShares:
         fw.run_for(0.5)  # raised ImagePacketError out of the scheduler before
         assert bob.endpoint.wire.decode_failures == before[0] + 1
         assert bs.endpoint.wire.decode_failures == before[1] + 1
+        self._share_and_check(fw, alice, bob, "img-2")
+
+    def test_a_payload_that_is_not_its_events_packet_is_counted_and_dropped(self, session):
+        # the budget gate reads the event's index, the assembly filed the
+        # payload's own: packet 15 rode in under index 0
+        fw, alice, bob, bs = session
+        announce, packets = ImageViewer("mallory").share("img-x", collaboration_scene(32, 32, seed=4))
+        alice._publish_event(announce)
+        fw.run_for(0.5)
+        before = bob.endpoint.wire.decode_failures, bs.endpoint.wire.decode_failures
+        alice._publish_event(dataclasses.replace(packets[0], payload=packets[15].payload))
+        fw.run_for(0.5)
+        assert bob.endpoint.wire.decode_failures == before[0] + 1
+        assert bs.endpoint.wire.decode_failures == before[1] + 1
+        assert bob.viewer.viewed["img-x"].assembly.received == bs.viewer.viewed["img-x"].assembly.received == 0
         self._share_and_check(fw, alice, bob, "img-2")
 
     @pytest.mark.parametrize("fields", BAD_GEOMETRY, ids=[",".join(f) for f in BAD_GEOMETRY])

@@ -1,7 +1,7 @@
 """The tables of recent decodes under the three receive-path decoders.
 
 ``decode_message``, ``decode_event`` and ``ImagePacket.from_bytes`` each
-look their input up in a :class:`repro._recent.RecentDecodes` before
+look their input up in a :class:`repro._recent.Recent` table before
 decoding, so the receivers of one multicast datagram share one decode.
 What is pinned:
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.network import routing
 from repro.network.clock import Scheduler
 from repro.network.routing import MulticastFabric, RoutingError
 from repro.network.simnet import Network, Packet
@@ -170,15 +171,19 @@ class TestPlans:
 
     def test_plan_cache_is_bounded(self, fabric):
         _, fab = fabric
-        bound = Network.DEFAULT_PLAN_CACHE
+        bound = routing.PLAN_CACHE_SIZE
+        first = None
+        most = 0
         for i in range(bound + 50):
             fab.join(f"g{i}", "e0")
-            fab.plan(f"g{i}", "e0")
-        assert len(fab._plan_cache) == bound
-        assert fab._plan_cache.evictions == 50
-        # an evicted plan is rebuilt on demand, not lost
+            plan = fab.plan(f"g{i}", "e0")
+            first = first or plan
+            most = max(most, len(fab._plan_cache))
+        assert most == bound and len(fab._plan_cache) == 50
+        # a plan dropped when the table started over is rebuilt on demand, equal
         builds = fab.plan_builds
-        assert fab.plan("g0", "e0").root == "e0"
+        rebuilt = fab.plan("g0", "e0")
+        assert rebuilt == first and rebuilt is not first
         assert fab.plan_builds == builds + 1
 
 

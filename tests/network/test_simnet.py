@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.network import simnet
 from repro.network.clock import Scheduler
 from repro.network.simnet import (
     CastPlan,
     Link,
-    LruCache,
     Network,
     NetworkError,
     Packet,
@@ -214,48 +214,28 @@ class TestFifoUnderJitter:
 
 
 class TestLruCache:
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            LruCache(0)
+    """The route cache: a bounded :class:`repro._recent.Recent` table."""
 
-    def test_eviction_order_is_lru(self):
-        cache = LruCache(2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == 1  # refresh "a"
-        cache.put("c", 3)  # evicts "b", the stalest
-        assert "b" not in cache
-        assert cache.get("a") == 1
-        assert cache.get("c") == 3
-        assert cache.evictions == 1
-
-    def test_hit_miss_counters(self):
-        cache = LruCache(4)
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        assert cache.get("absent") is None
-        assert (cache.hits, cache.misses) == (1, 1)
-
-    def test_route_cache_bounded(self):
-        """The network's route cache evicts instead of growing forever."""
-        sched = Scheduler()
-        net = Network(sched, seed=0, route_cache_size=4)
+    def test_route_cache_bounded(self, monkeypatch):
+        """The network's route cache starts over instead of growing forever."""
+        monkeypatch.setattr(simnet, "ROUTE_CACHE_SIZE", 4)
+        net = Network(Scheduler(), seed=0)
         hosts = [f"h{i}" for i in range(6)]
         net.add_node("hub")
         for h in hosts:
             net.add_node(h)
             net.add_link(h, "hub")
+        sizes = []
         for h in hosts[1:]:
             net.route(hosts[0], h)
-        assert len(net._route_cache) <= 4
-        assert net._route_cache.evictions >= 1
+            sizes.append(len(net._route_cache))
+        assert sizes == [1, 2, 3, 4, 1]
 
     def test_unroutable_none_is_cached(self, net):
         net.add_node("island")
         assert net.route("a", "island") is None
-        misses = net._route_cache.misses
-        assert net.route("a", "island") is None  # cached None, not re-Dijkstra
-        assert net._route_cache.misses == misses
+        # a cached None, told from a miss by the sentinel: no second Dijkstra
+        assert net._route_cache.get(("a", "island"), simnet._ROUTE_MISS) is None
 
 
 class TestCast:

@@ -7,7 +7,7 @@ from repro.network.simnet import Network
 from repro.network.udp import DatagramSocket
 from repro.snmp.agent import SnmpAgent
 from repro.snmp.ber import Gauge32, OctetString
-from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
+from repro.snmp.errors import SnmpErrorResponse, SnmpProtocolError, SnmpTimeout
 from repro.snmp.manager import SnmpManager
 from repro.snmp.mib import MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
@@ -80,6 +80,50 @@ class TestGetNextWalk:
         _, _, _, mgr, _ = stack
         out = mgr.walk("host1", OID("1.3"))
         assert len(out) == 3  # sysName + 2 TASSL scalars
+
+
+def scripted_agent(net, host, answers):
+    """A fake agent on ``host``: its n-th reply, to a GETNEXT or a GETBULK
+    alike, is the one varbind ``answers[n]``.  Returns the OIDs served."""
+    sock = DatagramSocket(net, host)
+    sock.bind(161)
+    served = []
+
+    def reply(data, src):
+        request = SnmpMessage.from_bytes(data)
+        oid = answers[len(served)]
+        served.append(oid)
+        response = SnmpMessage(
+            request.version, request.community, PDU_RESPONSE, request.request_id, 0, 0, ((oid, Gauge32(1)),)
+        )
+        sock.sendto(response.to_bytes(), src)
+
+    sock.on_receive = reply
+    return served
+
+
+class TestWalkRefusesAnOidThatDoesNotIncrease:
+    """An agent that repeats or rewinds an OID would keep a walk asking
+    forever; both walks refuse the answer ("OID not increasing", as
+    net-snmp reports it) instead of returning duplicate rows."""
+
+    @pytest.mark.parametrize("walk", ["walk", "bulk_walk"])
+    @pytest.mark.parametrize(
+        "answers",
+        [
+            [MIB2.ifInOctets.child(1)] * 50 + [OID("1.3.6.1.9")],
+            [MIB2.ifInOctets.child(2), MIB2.ifInOctets.child(1), OID("1.3.6.1.9")],
+        ],
+        ids=["repeats", "rewinds"],
+    )
+    def test_refused(self, stack, walk, answers):
+        _, net, _, mgr, _ = stack
+        net.add_node("liar")
+        net.add_link("mgr", "liar", latency=0.002, bandwidth=1e6)
+        served = scripted_agent(net, "liar", answers)
+        with pytest.raises(SnmpProtocolError, match="OID not increasing"):
+            getattr(mgr, walk)("liar", MIB2.ifInOctets)
+        assert len(served) == 2
 
 
 class TestSet:
