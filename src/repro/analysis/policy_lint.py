@@ -33,6 +33,7 @@ from ..core.contracts import QoSContract
 from ..core.policies import PolicyDatabase, SirTierPolicy, StepPolicy
 from ..core.profiles import ClientProfile, TransformRule
 from ..core.selectors import Selector, _And, _Attr, _Compare, _Literal
+from ..media.progressive import FULL_BUDGET, PACKET_COUNTS
 from .diagnostics import Diagnostic, rule_severity
 from .selector_analysis import MAX_CLAUSES, Verdict, _verdict_of_ast
 
@@ -47,7 +48,7 @@ __all__ = [
 ]
 
 #: the paper's admissible packet budgets (powers of two, plus "gated off")
-PACKET_STEPS = frozenset({0, 1, 2, 4, 8, 16})
+PACKET_STEPS = frozenset((0, *PACKET_COUNTS))
 
 
 def _diag(code: str, message: str, subject: str) -> Diagnostic:
@@ -131,12 +132,7 @@ def lint_sir_policy(policy: SirTierPolicy, name: str = "sir") -> list[Diagnostic
 # ----------------------------------------------------------------------
 # contracts × policies
 # ----------------------------------------------------------------------
-def lint_contract_against(
-    contract: QoSContract,
-    policies: PolicyDatabase,
-    *,
-    max_packets: int = 16,
-) -> list[Diagnostic]:
+def lint_contract_against(contract: QoSContract, policies: PolicyDatabase) -> list[Diagnostic]:
     """Cross-check one contract against the policy database."""
     out: list[Diagnostic] = []
     step = policies.step_policies
@@ -148,7 +144,7 @@ def lint_contract_against(
         vals.update(v for _, v in p.breakpoints)
         vals.add(p.floor)
     # with no applicable policy the engine grants the full budget
-    outputs.setdefault("packets", set()).add(float(max_packets))
+    outputs.setdefault("packets", set()).add(float(FULL_BUDGET))
 
     for param in contract.parameters:
         c = contract.constraint(param)
@@ -186,7 +182,6 @@ def lint_policy_database(
     policies: PolicyDatabase,
     *,
     contracts: Iterable[QoSContract] = (),
-    max_packets: int = 16,
 ) -> list[Diagnostic]:
     """All policy/contract diagnostics for one database."""
     out: list[Diagnostic] = []
@@ -194,7 +189,7 @@ def lint_policy_database(
         out.extend(lint_step_policy(policy, name))
     out.extend(lint_sir_policy(policies.sir_policy))
     for contract in contracts:
-        out.extend(lint_contract_against(contract, policies, max_packets=max_packets))
+        out.extend(lint_contract_against(contract, policies))
     return out
 
 

@@ -227,7 +227,7 @@ def _message_equal(a: Any, b: Any) -> bool:
 def default_registry() -> list[FuzzCodecPair]:
     """Every shipped codec pair, with samplers and declared errors."""
     from ..core import events as ev
-    from ..media.progressive import ImagePacket, ImagePacketError, ReceivedImage
+    from ..media.progressive import FULL_BUDGET, PACKET_COUNTS, ImagePacket, ImagePacketError, ReceivedImage
     from ..messaging import rtp
     from ..messaging.serialization import WireError, decode_message, encode_message
     from ..snmp import ber, pdu
@@ -282,8 +282,8 @@ def default_registry() -> list[FuzzCodecPair]:
             encode=lambda p: p.to_bytes(),
             decode=ImagePacket.from_bytes,
             sample=lambda rng: ImagePacket(
-                index=rng.randrange(16),
-                total=16,
+                index=rng.randrange(FULL_BUDGET),
+                total=FULL_BUDGET,
                 chunks=tuple(sample_chunk(rng) for _ in range(rng.randrange(1, 4))),
             ),
             expected_errors=(ImagePacketError,),
@@ -300,7 +300,7 @@ def default_registry() -> list[FuzzCodecPair]:
             height=rng.randrange(1, 9) << levels,
             width=rng.randrange(1, 9) << levels,
             channels=channels,
-            n_packets=rng.choice((1, 2, 4, 8, 16)),
+            n_packets=rng.choice(PACKET_COUNTS),
             levels=levels,
             t0_exps=tuple(rng.randrange(-64, 64) for _ in range(channels)),
         )

@@ -19,7 +19,7 @@ import numpy as np
 
 from ..core.events import ImagePacketEvent, ImageShareAnnounce
 from ..media.describe import describe_image
-from ..media.progressive import ImagePacket, ImagePacketError, ProgressiveImage
+from ..media.progressive import FULL_BUDGET, ImagePacket, ImagePacketError, ProgressiveImage
 from ..media.progressive import ReceivedImage, ReceptionReport
 
 __all__ = ["ImageViewer", "ViewedImage"]
@@ -48,7 +48,7 @@ class ViewedImage:
 class ImageViewer:
     """One client's image viewer instance."""
 
-    def __init__(self, owner: str, n_packets: int = 16, target_bpp: Optional[float] = 2.2) -> None:
+    def __init__(self, owner: str, n_packets: int = FULL_BUDGET, target_bpp: Optional[float] = 2.2) -> None:
         self.owner = owner
         self.n_packets = n_packets
         self.target_bpp = target_bpp
@@ -61,15 +61,9 @@ class ImageViewer:
     # ------------------------------------------------------------------
     # sender side
     # ------------------------------------------------------------------
-    def share(
-        self, image_id: str, image: np.ndarray, target_bpp: Optional[float] = None
-    ) -> tuple[ImageShareAnnounce, list[ImagePacketEvent]]:
+    def share(self, image_id: str, image: np.ndarray) -> tuple[ImageShareAnnounce, list[ImagePacketEvent]]:
         """Encode an image; returns (announce, packet events) to publish."""
-        prog = ProgressiveImage(
-            image,
-            n_packets=self.n_packets,
-            target_bpp=target_bpp if target_bpp is not None else self.target_bpp,
-        )
+        prog = ProgressiveImage(image, n_packets=self.n_packets, target_bpp=self.target_bpp)
         self.shared[image_id] = prog
         description = describe_image(image).text
         announce = ImageShareAnnounce(

@@ -62,12 +62,21 @@ from .events import (
 from .policies import ModalityTier, PolicyDatabase, default_policy_database
 from .profiles import ClientProfile
 from .session import SessionDescriptor
-from .wireless_client import channel_value, reportable
+from .wireless_client import reportable
 
 __all__ = ["Attachment", "QosSnapshot", "BaseStation"]
 
 #: Well-known port wireless clients send to on the BS node.
 WIRELESS_PORT = 5100
+#: The radio link between a mobile and its BS: ~11 Mb/s 802.11b, in bytes/s.
+RADIO_BANDWIDTH = 1_375_000.0
+#: The radio link's one-way latency, in seconds.
+RADIO_LATENCY = 0.002
+#: Excess SIR over the image threshold that triggers a power-down request
+#: (the paper's 7 dB achieved against a 4 dB threshold: a 3 dB margin).
+POWER_MARGIN_DB = 3.0
+#: The least power a request asks for (``reportable``: a mobile can hold it).
+MIN_POWER = 0.05
 
 
 @dataclass
@@ -124,12 +133,6 @@ class BaseStation:
         noise tied to unit reference power — see DESIGN.md).
     policies:
         Tier thresholds (and anything else) come from here.
-    power_margin_db:
-        Excess over the image threshold that triggers a power-down
-        request (paper's 7 dB vs 4 dB example → margin 3 dB).
-    min_power:
-        The least power a request asks for (``ValueError`` unless
-        ``reportable``: a mobile could neither hold nor report less).
     """
 
     def __init__(
@@ -141,8 +144,6 @@ class BaseStation:
         pathloss: Optional[PathLossModel] = None,
         noise: Optional[NoiseModel] = None,
         policies: Optional[PolicyDatabase] = None,
-        power_margin_db: float = 3.0,
-        min_power: float = 0.05,
     ) -> None:
         self.name = name
         self.network = network
@@ -151,8 +152,6 @@ class BaseStation:
         self.pathloss = pathloss if pathloss is not None else PathLossModel(alpha=4.0, k=1e6)
         self.noise = noise if noise is not None else NoiseModel(reference_power=1.0, snr_ref_db=40.0)
         self.policies = policies if policies is not None else default_policy_database()
-        self.power_margin_db = power_margin_db
-        self.min_power = channel_value("min_power", min_power)
 
         self.profile = ClientProfile(
             name, {"session": session.name, "role": "base-station", "client_id": name}
@@ -172,12 +171,11 @@ class BaseStation:
         #: when true, each QoS evaluation writes SIR-derived loss onto the
         #: client's radio link (see repro.wireless.linkquality)
         self.channel_coupling = False
-        self._coupling_packet_bits = 8000
         self.qos_history: list[QosSnapshot] = []
         self.power_requests_sent: list[tuple[float, str, float]] = []
         # BS keeps a full-budget viewer to reconstruct shared images for
         # centralized transformation (sketch tier)
-        self.viewer = ImageViewer(name, n_packets=16, target_bpp=None)
+        self.viewer = ImageViewer(name, target_bpp=None)
         self._sketched: set[str] = set()
 
     # ------------------------------------------------------------------
@@ -336,7 +334,7 @@ class BaseStation:
             self._apply_channel_coupling(snap)
         return snap
 
-    def couple_channel(self, packet_bits: int = 8000) -> None:
+    def couple_channel(self) -> None:
         """Tie each radio link's loss rate to the client's live SIR.
 
         After this, every :meth:`evaluate_qos` maps SIR → BER → packet
@@ -344,7 +342,6 @@ class BaseStation:
         clients physically lose fragments in addition to being tier-gated.
         """
         self.channel_coupling = True
-        self._coupling_packet_bits = packet_bits
         if self.qos_history:
             self._apply_channel_coupling(self.qos_history[-1])
 
@@ -366,7 +363,7 @@ class BaseStation:
                 link = self.network.link(self.name, cid)
             except NetworkError:
                 continue  # relayed/multi-hop client: no direct radio link
-            data_loss = float(loss_for_sir_db(s, self._coupling_packet_bits))
+            data_loss = float(loss_for_sir_db(s))
             link.loss = data_loss
 
             def loss_fn(size: int, sir_db: float = s) -> float:
@@ -381,19 +378,19 @@ class BaseStation:
         """Ask over-powered clients to transmit lower (battery + SIR).
 
         A client whose SIR exceeds the image threshold by more than
-        ``power_margin_db`` is asked to scale power down to the level
-        that would sit at threshold+margin (clamped to ``min_power``).
+        :data:`POWER_MARGIN_DB` is asked to scale power down to the level
+        that would sit at threshold+margin (clamped to :data:`MIN_POWER`).
         """
         snap = self.evaluate_qos()
         requests: list[PowerControlRequest] = []
-        threshold = self.policies.sir_policy.image_db + self.power_margin_db
+        threshold = self.policies.sir_policy.image_db + POWER_MARGIN_DB
         for cid, s in zip(snap.client_ids, snap.sir_db):
             if s > threshold:
                 att = self.attachments[cid]
                 # lowering P_i lowers own SIR ~linearly (interference from
                 # others fixed); scale to land at the threshold
                 scale = 10.0 ** ((threshold - s) / 10.0)
-                new_power = max(self.min_power, att.tx_power * scale)
+                new_power = max(MIN_POWER, att.tx_power * scale)
                 if new_power < att.tx_power * 0.999:
                     req = PowerControlRequest(
                         client_id=cid,

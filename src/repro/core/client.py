@@ -104,7 +104,6 @@ class WiredClient:
         policies: Optional[PolicyDatabase] = None,
         contract: Optional[QoSContract] = None,
         snmp_host: Optional[str] = None,
-        n_packets: int = 16,
         image_target_bpp: Optional[float] = 2.2,
     ) -> None:
         self.name = name
@@ -121,11 +120,11 @@ class WiredClient:
         self.chat = ChatArea(name)
         self.repository = StateRepository()
         self.whiteboard = Whiteboard(name, self.repository)
-        self.viewer = ImageViewer(name, n_packets=n_packets, target_bpp=image_target_bpp)
+        self.viewer = ImageViewer(name, target_bpp=image_target_bpp)
 
         # adaptation
         self.policies = policies if policies is not None else default_policy_database()
-        self.engine = InferenceEngine(self.policies, contract=contract, max_packets=n_packets)
+        self.engine = InferenceEngine(self.policies, contract=contract)
         self.last_decision: Optional[AdaptationDecision] = None
         self.decision_log: list[tuple[float, AdaptationDecision]] = []
         #: the pending tick of :meth:`start_adaptation_loop`, if running
@@ -402,7 +401,8 @@ class WiredClient:
             return
         packets = prog.packets()
         repairs: list[SemanticMessage] = []
-        for idx in request.packet_indices:
+        # the indices come off the wire: each distinct one is served once
+        for idx in dict.fromkeys(request.packet_indices):
             if 0 <= idx < len(packets):
                 event = ImagePacketEvent(
                     image_id=request.image_id,
@@ -593,7 +593,10 @@ class WiredClient:
 
     def start_adaptation_loop(self, interval: float = 1.0) -> None:
         """Schedule periodic :meth:`monitor_and_adapt` on the sim clock
-        (until :meth:`close`)."""
+        (until :meth:`close`); a running loop is replaced, not doubled."""
+        if self._adaptation_tick is not None:
+            self._adaptation_tick.cancel()
+
         def tick() -> None:
             self.monitor_and_adapt()
             self._adaptation_tick = self.scheduler.call_after(interval, tick)

@@ -26,6 +26,9 @@ from .state import StateEntry, StateRepository
 
 __all__ = ["Conflict", "Arbiter", "LockManager", "LockError"]
 
+#: Conflict records an :class:`Arbiter` keeps before evicting the oldest.
+MAX_CONFLICTS = 4096
+
 
 @dataclass(frozen=True)
 class Conflict:
@@ -40,7 +43,7 @@ class Arbiter:
     """LWW arbitration with bounded conflict retention.
 
     The conflict history is a :class:`~collections.deque` capped at
-    ``max_conflicts`` (generous by default) so a chatty session cannot
+    :data:`MAX_CONFLICTS` (generous) so a chatty session cannot
     grow it without bound; "nothing is lost" is preserved accountably —
     when the cap evicts the oldest record, :attr:`conflicts_dropped`
     counts it, so ``len(conflicts) + conflicts_dropped`` is always the
@@ -58,10 +61,9 @@ class Arbiter:
     'from-a'
     """
 
-    def __init__(self, repository: StateRepository, max_conflicts: int = 4096) -> None:
+    def __init__(self, repository: StateRepository) -> None:
         self.repository = repository
-        self.max_conflicts = max_conflicts
-        self.conflicts: deque[Conflict] = deque(maxlen=max_conflicts)
+        self.conflicts: deque[Conflict] = deque(maxlen=MAX_CONFLICTS)
         self.conflicts_dropped = 0  #: records evicted by the cap
 
     def submit(self, entry: StateEntry) -> bool:
@@ -76,7 +78,7 @@ class Arbiter:
             winner = self.repository.get(entry.key)
             loser = entry if not applied else current
             assert winner is not None
-            if len(self.conflicts) == self.max_conflicts:
+            if len(self.conflicts) == self.conflicts.maxlen:
                 self.conflicts_dropped += 1
             self.conflicts.append(Conflict(entry.key, winner, loser))
         return applied

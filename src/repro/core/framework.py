@@ -23,7 +23,7 @@ from ..network.multicast import MulticastGroup
 from ..network.simnet import Link, Network
 from ..snmp.agent import SnmpAgent
 from ..wireless.channel import NoiseModel, PathLossModel
-from .basestation import BaseStation
+from .basestation import RADIO_BANDWIDTH, RADIO_LATENCY, BaseStation
 from .client import WiredClient
 from .contracts import QoSContract
 from .policies import PolicyDatabase, default_policy_database
@@ -130,7 +130,6 @@ class CollaborationFramework:
         pathloss: Optional[PathLossModel] = None,
         noise: Optional[NoiseModel] = None,
         policies: Optional[PolicyDatabase] = None,
-        **bs_kwargs: Any,
     ) -> BaseStation:
         """Create a base station peer (its own workstation on the LAN)."""
         link = self._add_lan_node(name)
@@ -145,7 +144,6 @@ class CollaborationFramework:
             pathloss=pathloss,
             noise=noise,
             policies=policies,
-            **bs_kwargs,
         )
         self.base_stations[name] = bs
         return bs
@@ -157,18 +155,14 @@ class CollaborationFramework:
         distance: float = 100.0,
         tx_power: float = 1.0,
         profile: Optional[ClientProfile] = None,
-        radio_bandwidth: float = 1_375_000.0,  # ~11 Mb/s 802.11b
-        radio_latency: float = 0.002,
-        radio_loss: float = 0.0,
     ) -> WirelessClient:
         """Create a wireless client: radio node + link to its BS."""
         self.network.add_node(name)
         self.network.add_link(
             name,
             base_station.name,
-            bandwidth=radio_bandwidth,
-            latency=radio_latency,
-            loss=radio_loss,
+            bandwidth=RADIO_BANDWIDTH,
+            latency=RADIO_LATENCY,
         )
         client = WirelessClient(
             name,

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..network.simnet import Network, NetworkError
 from ..wireless.sir import sir_matrix, to_db
-from .basestation import BaseStation
+from .basestation import RADIO_BANDWIDTH, RADIO_LATENCY, BaseStation
 from .wireless_client import WirelessClient
 
 __all__ = ["Position", "HandoffEvent", "HandoffManager"]
@@ -61,23 +61,13 @@ class HandoffManager:
     hysteresis_db:
         A candidate station must beat the serving one by this margin —
         prevents ping-pong at cell boundaries.
-    radio_kwargs:
-        Link parameters for newly created radio links.
     """
 
-    def __init__(
-        self,
-        network: Network,
-        hysteresis_db: float = 3.0,
-        radio_bandwidth: float = 1_375_000.0,
-        radio_latency: float = 0.002,
-    ) -> None:
+    def __init__(self, network: Network, hysteresis_db: float = 3.0) -> None:
         if hysteresis_db < 0:
             raise ValueError("hysteresis must be non-negative")
         self.network = network
         self.hysteresis_db = hysteresis_db
-        self.radio_bandwidth = radio_bandwidth
-        self.radio_latency = radio_latency
         self._stations: dict[str, tuple[BaseStation, Position]] = {}
         self._clients: dict[str, tuple[WirelessClient, Position]] = {}
         self._serving: dict[str, str] = {}  # client_id -> bs name
@@ -194,8 +184,8 @@ class HandoffManager:
             self.network.add_link(
                 client.name,
                 to_bs,
-                bandwidth=self.radio_bandwidth,
-                latency=self.radio_latency,
+                bandwidth=RADIO_BANDWIDTH,
+                latency=RADIO_LATENCY,
             )
 
         # 3. control-plane re-point

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
+from ..media.progressive import FULL_BUDGET, PACKET_COUNTS
 from .contracts import ContractViolation, QoSContract
 from .policies import PolicyDatabase
 from .profiles import ClientProfile
@@ -29,31 +30,31 @@ from .profiles import ClientProfile
 __all__ = ["AdaptationDecision", "InferenceEngine", "Modality"]
 
 #: packet budgets the engine snaps to (paper: powers of two, 1..16)
-_PACKET_STEPS = (0, 1, 2, 4, 8, 16)
+_PACKET_STEPS = (0, *PACKET_COUNTS)
 
 
-def _snap_packets(value: int, ceiling: int) -> int:
-    """Largest allowed power-of-two step <= value (and <= ceiling)."""
+def _snap_packets(value: int) -> int:
+    """Largest allowed power-of-two step <= value."""
     best = 0
     for step in _PACKET_STEPS:
-        if step <= value and step <= ceiling:
+        if step <= value:
             best = step
     return best
 
 
-def _contract_packets(contract: QoSContract, packets: int, ceiling: int) -> int:
+def _contract_packets(contract: QoSContract, packets: int) -> int:
     """The packet step ``contract`` lets a client accept.
 
     The contract's clamp is snapped down to a step; when that lands below
     the contract's floor, the next step up is granted instead if the
-    contract's ceiling and ``ceiling`` both admit it.  Otherwise the
-    snapped value stands (and is reported as a violation).
+    contract's ceiling admits it.  Otherwise the snapped value stands
+    (and is reported as a violation).
     """
     clamped = int(contract.clamp("packets", packets))
-    granted = _snap_packets(clamped, ceiling)
+    granted = _snap_packets(clamped)
     if granted < clamped:
         up = next((s for s in _PACKET_STEPS if s >= clamped), None)
-        if up is not None and up <= ceiling and contract.clamp("packets", up) == up:
+        if up is not None and contract.clamp("packets", up) == up:
             return up
     return granted
 
@@ -77,7 +78,7 @@ class AdaptationDecision:
     Attributes
     ----------
     packets:
-        Progressive-image packets to accept (0..n_packets).
+        Progressive-image packets to accept (0..FULL_BUDGET).
     modality:
         The modality the client's profile asks to render.
     violations:
@@ -107,19 +108,11 @@ class InferenceEngine:
     contract:
         The client's QoS contract; decision parameters are clamped into
         it and residual violations reported.
-    max_packets:
-        The image viewer's full budget (paper: 16).
     """
 
-    def __init__(
-        self,
-        policies: PolicyDatabase,
-        contract: Optional[QoSContract] = None,
-        max_packets: int = 16,
-    ) -> None:
+    def __init__(self, policies: PolicyDatabase, contract: Optional[QoSContract] = None) -> None:
         self.policies = policies
         self.contract = contract
-        self.max_packets = max_packets
         self.decisions_made = 0
 
     # ------------------------------------------------------------------
@@ -146,12 +139,12 @@ class InferenceEngine:
         # -- packet budget from system-state policies ---------------------
         policy_packets = self.policies.decide_packets(observed, degraded=degraded)
         if policy_packets is None:
-            packets = self.max_packets
+            packets = FULL_BUDGET
             reasons.append("no packet policy applicable; full budget")
         else:
             packets = policy_packets
             reasons.append(f"policy packet budget {policy_packets}")
-        packets = _snap_packets(int(packets), self.max_packets)
+        packets = _snap_packets(int(packets))
 
         # -- modality from the profile's preference ------------------------
         preferred = profile.get("modality", "image")
@@ -162,7 +155,7 @@ class InferenceEngine:
         # -- contract enforcement ------------------------------------------
         violations: tuple[ContractViolation, ...] = ()
         if self.contract is not None:
-            granted = _contract_packets(self.contract, packets, self.max_packets)
+            granted = _contract_packets(self.contract, packets)
             if granted != packets:
                 reasons.append(f"contract clamps packets {packets} -> {granted}")
             packets = granted

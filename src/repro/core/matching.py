@@ -26,6 +26,9 @@ from .selectors import Selector
 
 __all__ = ["Decision", "MatchResult", "interpret", "match_selector"]
 
+#: The longest transformation chain :func:`interpret` tries.
+MAX_TRANSFORMS = 2
+
 
 class Decision(Enum):
     """Outcome of the semantic interpretation process."""
@@ -66,7 +69,6 @@ def interpret(
     selector: Selector | str,
     headers: dict[str, AttributeValue],
     profile: ClientProfile,
-    max_transforms: int = 2,
 ) -> MatchResult:
     """Full receiver-side interpretation of one message.
 
@@ -76,7 +78,7 @@ def interpret(
        not for us — reject).
     2. If the profile's interest accepts the headers as-is → accept.
     3. Otherwise search transform-rule applications (chains up to
-       ``max_transforms`` long, breadth-first so shorter chains win) for a
+       :data:`MAX_TRANSFORMS` long, breadth-first so shorter chains win) for a
        rewritten header map the interest accepts → accept-with-transform.
     4. Nothing helps → reject.
     """
@@ -90,7 +92,7 @@ def interpret(
         (dict(headers), ())
     ]
     seen: set[tuple[tuple[str, str], ...]] = set()
-    for _depth in range(max_transforms):
+    for _depth in range(MAX_TRANSFORMS):
         next_frontier: list[tuple[dict[str, AttributeValue], tuple[TransformRule, ...]]] = []
         for hdrs, chain in frontier:
             for rule in profile.transforms:

@@ -25,6 +25,8 @@ from dataclasses import dataclass
 from enum import IntEnum
 from typing import TYPE_CHECKING, Optional, Sequence
 
+from ..media.progressive import FULL_BUDGET
+
 if TYPE_CHECKING:
     from ..analysis.diagnostics import Diagnostic
     from .contracts import QoSContract
@@ -40,6 +42,11 @@ __all__ = [
     "default_sir_tier_policy",
     "default_policy_database",
 ]
+
+
+#: The packet ceiling while the management plane is dark (see
+#: ``degraded=`` on :meth:`PolicyDatabase.decide_packets`).
+CONSERVATIVE_PACKETS = 1
 
 
 class PolicyError(ValueError):
@@ -172,7 +179,7 @@ def default_bandwidth_policy() -> StepPolicy:
         parameter="bandwidth_bps",
         output="packets",
         breakpoints=[(1_024_000, 1), (2_560_000, 2), (5_120_000, 4), (10_000_000, 8)],
-        floor=16,
+        floor=FULL_BUDGET,
     )
 
 
@@ -185,14 +192,9 @@ class PolicyDatabase:
     :meth:`lint` reports static diagnostics for the registered policies.
     """
 
-    def __init__(self, conservative_packets: int = 1) -> None:
+    def __init__(self) -> None:
         self._step: dict[str, StepPolicy] = {}
         self._sir: SirTierPolicy = default_sir_tier_policy()
-        if conservative_packets < 0:
-            raise PolicyError("conservative_packets must be non-negative")
-        #: ceiling applied when the management plane is dark (see
-        #: ``degraded=`` on :meth:`decide_packets`)
-        self.conservative_packets = conservative_packets
 
     def add_step(self, name: str, policy: StepPolicy) -> None:
         """Register/replace a step policy under ``name``."""
@@ -204,14 +206,12 @@ class PolicyDatabase:
     def set_sir_policy(self, policy: SirTierPolicy) -> None:
         self._sir = policy
 
-    def lint(
-        self, contracts: Sequence["QoSContract"] = (), max_packets: int = 16
-    ) -> "list[Diagnostic]":
+    def lint(self, contracts: Sequence["QoSContract"] = ()) -> "list[Diagnostic]":
         """Static diagnostics for the current database (see
         :func:`repro.analysis.lint_policy_database`)."""
         from ..analysis import lint_policy_database
 
-        return lint_policy_database(self, contracts=contracts, max_packets=max_packets)
+        return lint_policy_database(self, contracts=contracts)
 
     @property
     def sir_policy(self) -> SirTierPolicy:
@@ -229,7 +229,7 @@ class PolicyDatabase:
         Returns None when no policy's input parameter was observed —
         unless ``degraded`` is set (the system-state plane has gone dark
         beyond its stale grace), in which case the budget is capped at
-        :attr:`conservative_packets`: unobservable hosts are assumed
+        :data:`CONSERVATIVE_PACKETS`: unobservable hosts are assumed
         loaded, not idle.
         """
         decisions = [
@@ -238,10 +238,10 @@ class PolicyDatabase:
             if p.output == "packets" and p.parameter in observed
         ]
         if not decisions:
-            return self.conservative_packets if degraded else None
+            return CONSERVATIVE_PACKETS if degraded else None
         budget = int(min(decisions))
         if degraded:
-            budget = min(budget, self.conservative_packets)
+            budget = min(budget, CONSERVATIVE_PACKETS)
         return budget
 
     def decide_tier(self, sir_db: float) -> ModalityTier:

@@ -77,19 +77,21 @@ class Membership:
         return len(self._members)
 
 
+#: Messages a :class:`SessionArchive` keeps.
+ARCHIVE_CAPACITY = 10_000
+
+
 class SessionArchive:
     """Time-ordered record of session traffic for late joiners.
 
-    Bounded: keeps the newest ``capacity`` messages (images dominate
-    volume; a real deployment would spool to disk).  Holds each
+    Bounded: keeps the newest :data:`ARCHIVE_CAPACITY` messages (images
+    dominate volume; a real deployment would spool to disk).  Holds each
     ``msg_id`` once: a set of the held ids, kept in step with the ring,
     answers in O(1) whether a message is new.
     """
 
-    def __init__(self, capacity: int = 10_000) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
-        self.capacity = capacity
+    def __init__(self) -> None:
+        self.capacity = ARCHIVE_CAPACITY
         self._entries: deque[tuple[float, SemanticMessage]] = deque()
         self._ids: set[MessageId] = set()
         self.archived = 0

@@ -38,6 +38,10 @@ from .profiles import ClientProfile
 __all__ = ["UnicastSemanticLink", "WirelessClient", "reportable", "channel_value"]
 
 
+#: A mobile's battery when it joins, in percent.
+FULL_BATTERY = 100.0
+
+
 def reportable(value: float) -> bool:
     """Whether a channel report can carry ``value`` as a distance or power
     the base station accepts: finite and at least 1e-6, since reports give
@@ -76,7 +80,6 @@ class WirelessClient:
         profile: Optional[ClientProfile] = None,
         distance: float = 100.0,
         tx_power: float = 1.0,
-        battery: float = 100.0,
     ) -> None:
         self.name = name
         self.network = network
@@ -87,7 +90,7 @@ class WirelessClient:
         )
         self.distance = channel_value("distance", distance)
         self.tx_power = channel_value("tx_power", tx_power)
-        self.battery = float(battery)
+        self.battery = FULL_BATTERY
         self.link = UnicastSemanticLink(network, name, self._on_message)
         # what actually reached this client, by modality
         self.received_events: list[tuple[float, Event]] = []

@@ -126,7 +126,7 @@ def run_fig8_dataflow(
     )
     fw, bs, a, _b, wired = build_two_client_cell(seed=seed, d_a=far, d_b=d_b, power=power)
     image = collaboration_scene(64, 64, seed=seed + 3)
-    camera = ImageViewer("client-a", n_packets=16, target_bpp=2.2)
+    camera = ImageViewer("client-a")
     trace = approach_and_retreat(far=far, near=near, in_steps=3, out_steps=2)
 
     for step, distance in enumerate(trace):

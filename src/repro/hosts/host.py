@@ -15,10 +15,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..network.clock import Scheduler
+from ..network.clock import Event, Scheduler
 from .workload import Constant, Workload
 
 __all__ = ["SimulatedHost", "HostSample"]
+
+#: Installed memory of every simulated host: 256 MiB, era-appropriate.
+TOTAL_MEMORY_KIB = 262_144
+#: Processes running on an idle host; load adds one per 10 % CPU.
+BASE_PROCESSES = 40
 
 
 @dataclass(frozen=True)
@@ -55,19 +60,16 @@ class SimulatedHost:
         scheduler: Scheduler,
         cpu_workload: Optional[Workload] = None,
         fault_workload: Optional[Workload] = None,
-        total_memory_kib: int = 262_144,  # 256 MiB, era-appropriate
         interval: float = 1.0,
-        base_processes: int = 40,
     ) -> None:
         self.name = name
         self.scheduler = scheduler
         self.cpu_workload = cpu_workload if cpu_workload is not None else Constant(20.0)
         self.fault_workload = fault_workload if fault_workload is not None else Constant(10.0)
-        self.total_memory_kib = total_memory_kib
         self.interval = interval
-        self.base_processes = base_processes
         self.tick = 0
-        self._running = False
+        #: the pending tick while running, else ``None``
+        self._pending: Optional[Event] = None
         self._update()
 
     # ------------------------------------------------------------------
@@ -76,25 +78,24 @@ class SimulatedHost:
         self.page_faults = float(max(0.0, self.fault_workload.value(self.tick)))
         # paging pressure model: free memory shrinks as fault rate grows
         pressure = min(self.page_faults / 120.0, 0.95)
-        self.free_memory_kib = int(self.total_memory_kib * (0.6 * (1.0 - pressure) + 0.05))
-        self.processes = self.base_processes + int(self.cpu_load / 10.0)
+        self.free_memory_kib = int(TOTAL_MEMORY_KIB * (0.6 * (1.0 - pressure) + 0.05))
+        self.processes = BASE_PROCESSES + int(self.cpu_load / 10.0)
 
     def _tick(self) -> None:
-        if not self._running:
-            return
         self.tick += 1
         self._update()
-        self.scheduler.call_after(self.interval, self._tick)
+        self._pending = self.scheduler.call_after(self.interval, self._tick)
 
     def start(self) -> None:
-        """Begin periodic self-updates on the scheduler."""
-        if not self._running:
-            self._running = True
-            self.scheduler.call_after(self.interval, self._tick)
+        """Begin periodic self-updates on the scheduler (idempotent)."""
+        if self._pending is None:
+            self._pending = self.scheduler.call_after(self.interval, self._tick)
 
     def stop(self) -> None:
-        """Freeze the host's state (pending tick becomes a no-op)."""
-        self._running = False
+        """Freeze the host's state: the pending tick is cancelled."""
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
 
     def advance_to_tick(self, tick: int) -> None:
         """Jump the workload position directly (sweep-style experiments)."""
@@ -112,7 +113,7 @@ class SimulatedHost:
             cpu_load=self.cpu_load,
             page_faults=self.page_faults,
             free_memory_kib=self.free_memory_kib,
-            total_memory_kib=self.total_memory_kib,
+            total_memory_kib=TOTAL_MEMORY_KIB,
             processes=self.processes,
         )
 

@@ -18,7 +18,7 @@ from ..snmp.agent import SnmpAgent
 from ..snmp.ber import Gauge32, OctetString, TimeTicks
 from ..snmp.mib import MibTree
 from ..snmp.oids import MIB2, TASSL
-from .host import SimulatedHost
+from .host import TOTAL_MEMORY_KIB, SimulatedHost
 
 __all__ = ["build_host_mib", "attach_extension_agent"]
 
@@ -57,7 +57,7 @@ def build_host_mib(host: SimulatedHost, access_link: Optional[Link] = None) -> M
         description="free memory KiB",
     )
     tree.register_scalar(
-        TASSL.hostTotalMemory, Gauge32(host.total_memory_kib), "total memory KiB"
+        TASSL.hostTotalMemory, Gauge32(TOTAL_MEMORY_KIB), "total memory KiB"
     )
     tree.register_callable(
         TASSL.hostProcesses,

@@ -57,6 +57,9 @@ FloatArray = npt.NDArray[np.float64]
 
 #: symbol kinds, as the decoder numbers them (POS and NEG are ``>= 2``)
 _ZTR, _NEG = 0, 3
+#: The last threshold coded: 0.5 is near lossless for integer inputs under
+#: the orthonormal Haar, up to rounding.  Encoder and decoder both stop here.
+MIN_THRESHOLD = 0.5
 
 
 # ----------------------------------------------------------------------
@@ -146,15 +149,12 @@ class EzwEncoded:
 # ----------------------------------------------------------------------
 # encoder
 # ----------------------------------------------------------------------
-def ezw_encode(
-    coeffs: np.ndarray, levels: int, max_bits: int | None = None, min_threshold: float = 0.5
-) -> EzwEncoded:
+def ezw_encode(coeffs: np.ndarray, levels: int, max_bits: int | None = None) -> EzwEncoded:
     """Encode a wavelet-coefficient array into an embedded bitstream.
 
     ``max_bits`` stops the encoder early (rate control; the symbol that
-    crosses the budget is still written whole); ``min_threshold`` bounds
-    the deepest refinement (0.5 ≈ lossless for integer inputs under the
-    orthonormal Haar up to rounding).
+    crosses the budget is still written whole); :data:`MIN_THRESHOLD`
+    bounds the deepest refinement.
     """
     c = np.asarray(coeffs, dtype=float)
     h, w = c.shape
@@ -181,7 +181,7 @@ def ezw_encode(
     budget = sys.maxsize if max_bits is None else max_bits
     chunks: list[BitArray] = [np.zeros(0, dtype=np.uint8)]  # so that no pass at all still concatenates
     written = 0
-    while T >= min_threshold and written < budget:
+    while T >= MIN_THRESHOLD and written < budget:
         # ---- dominant pass --------------------------------------------
         visit = (~significant & (above >= T)).nonzero()[0]
         if visit.size:
@@ -262,7 +262,7 @@ class _Symbols:
 _OPEN: BoolArray = np.ones(1, dtype=bool)  # the virtual node above the roots: never in a zerotree
 
 
-def ezw_decode(encoded: EzwEncoded, min_threshold: float = 0.5) -> np.ndarray:
+def ezw_decode(encoded: EzwEncoded) -> np.ndarray:
     """Decode (a possibly truncated) EZW stream back to coefficients.
 
     Runs the same scan as the encoder, reconstructing each significant
@@ -286,7 +286,7 @@ def ezw_decode(encoded: EzwEncoded, min_threshold: float = 0.5) -> np.ndarray:
     width = np.empty(n)
     n_sig = 0
     p = 0                                # bits consumed
-    while T >= min_threshold and p < limit:
+    while T >= MIN_THRESHOLD and p < limit:
         # ---- dominant pass: which nodes are coded, one group (LL, level L,
         # ..., level 1) at a time; then what their symbols say, all at once
         kinds = symbols.dominant(p, n - n_sig)

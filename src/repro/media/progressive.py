@@ -1,9 +1,9 @@
 """Progressive image transmission: packetization of embedded bitstreams.
 
 The image viewer splits a coded image into up to 16 packets; the inference
-engine tells the receiver how many to accept (1, 2, 4, 8, 16).  Because
-the EZW stream is embedded, the first *k* packets form a decodable prefix
-and "image detail is hierarchically added" as more packets arrive.
+engine tells the receiver how many to accept (one of :data:`PACKET_COUNTS`).
+Because the EZW stream is embedded, the first *k* packets form a decodable
+prefix and "image detail is hierarchically added" as more packets arrive.
 
 Multi-channel (color) images are handled by splitting every channel's
 stream into the same number of prefix increments and bundling increment
@@ -32,6 +32,8 @@ class ImagePacketError(ValueError):
 
 #: The packet counts the paper's inference engine selects among (FIG6).
 PACKET_COUNTS = (1, 2, 4, 8, 16)
+#: The packets a shared image is cut into: the largest budget (paper: 16).
+FULL_BUDGET = PACKET_COUNTS[-1]
 #: The largest image a receiver assembles (64x the 128x128 the repo
 #: shares): the geometry comes off the wire, and a reconstruction
 #: allocates arrays of this many pixels.
@@ -130,16 +132,16 @@ class ProgressiveImage:
         Optional rate control: cap the full-quality stream at this many
         bits per pixel (channel bits share the pixel budget).  ``None``
         encodes to (near-)lossless depth.
-    levels:
-        Wavelet decomposition depth; defaults to the deepest supported.
+
+    The wavelet decomposition is the deepest the image supports, at most 5
+    levels.
     """
 
     def __init__(
         self,
         image: np.ndarray,
-        n_packets: int = 16,
+        n_packets: int = FULL_BUDGET,
         target_bpp: Optional[float] = None,
-        levels: Optional[int] = None,
     ) -> None:
         img = np.asarray(image)
         if img.ndim == 2:
@@ -154,7 +156,7 @@ class ProgressiveImage:
         self.shape = img.shape
         self.n_packets = n_packets
         h, w = img.shape[0], img.shape[1]
-        self.levels = levels if levels is not None else min(5, max_levels((h, w)))
+        self.levels = min(5, max_levels((h, w)))
         if self.levels < 1:
             raise ValueError(f"image {h}x{w} supports no wavelet levels")
 

@@ -42,7 +42,7 @@ class Delivery:
     result: MatchResult
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PublishResult:
     """Structured outcome of one :meth:`SemanticBus.publish`.
 
@@ -53,10 +53,6 @@ class PublishResult:
     full interpreter (the index's shortlist size); ``matched_via_index``
     tells whether the predicate index served this publish or the bus
     fell back to a linear scan.
-
-    Compares equal to a bare ``int`` (the historical return type) so
-    pre-existing callers like ``bus.publish(...) == 2`` keep working;
-    use ``int(result)`` to get the delivery count explicitly.
     """
 
     delivered: int
@@ -64,37 +60,6 @@ class PublishResult:
     rejected: int
     candidates_checked: int
     matched_via_index: bool
-
-    def __int__(self) -> int:
-        return self.delivered
-
-    def __index__(self) -> int:
-        return self.delivered
-
-    def __bool__(self) -> bool:
-        return self.delivered > 0
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, PublishResult):
-            return (
-                self.delivered,
-                self.transformed,
-                self.rejected,
-                self.candidates_checked,
-                self.matched_via_index,
-            ) == (
-                other.delivered,
-                other.transformed,
-                other.rejected,
-                other.candidates_checked,
-                other.matched_via_index,
-            )
-        if isinstance(other, int):
-            return self.delivered == other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.delivered)
 
 
 @dataclass(frozen=True)
@@ -136,12 +101,6 @@ class BatchPublishResult:
 
     def __getitem__(self, i: int) -> PublishResult:
         return self.results[i]
-
-    def __int__(self) -> int:
-        return self.delivered
-
-    def __bool__(self) -> bool:
-        return self.delivered > 0
 
 
 class Subscription:

@@ -8,7 +8,7 @@ ways, both ending in the network's single delivery primitive:
 
 * without a fabric, one unicast per member through the sender's socket.
   Observable semantics match real multicast (independent per-path
-  delay/loss, no sender loopback unless requested) but every shared
+  delay/loss, no sender loopback) but every shared
   link is billed once per member — O(members × path) physical packets
   per send.  This is the flat oracle the tree is tested against;
 * with a :class:`~repro.network.routing.MulticastFabric`, one
@@ -87,8 +87,8 @@ class MulticastGroup:
         """Current members as (host, port) pairs, sorted for determinism."""
         return list(self._members)
 
-    def fan_out(self, data: bytes, sender: "MulticastSocket", loopback: bool) -> int:
-        """Deliver ``data`` to every member; returns datagrams scheduled.
+    def fan_out(self, data: bytes, sender: "MulticastSocket") -> int:
+        """Deliver ``data`` to every member but the sender; returns datagrams scheduled.
 
         Either way the sender's own :class:`DatagramSocket` counts what
         leaves the host in ``sent_datagrams`` (the counter host
@@ -96,7 +96,7 @@ class MulticastGroup:
         send over a tree.
         """
         me = (sender.host, sender.local_port)
-        targets = [key for key in self._members if loopback or key != me]
+        targets = [key for key in self._members if key != me]
         if self.fabric is None:
             return sum(sender._sock.sendto(data, key) for key in targets)
         packet = Packet(sender.host, sender.local_port, self.group, self.port, bytes(data))
@@ -135,12 +135,10 @@ class MulticastSocket:
         host: Address,
         group: MulticastGroup,
         on_receive: Optional[Callable[[bytes, tuple[Address, int]], None]] = None,
-        loopback: bool = False,
     ) -> None:
         self.network = network
         self.host = host
         self.group = group
-        self.loopback = loopback
         self._sock = DatagramSocket(network, host)
         self._sock.bind_ephemeral()
         self._sock.on_receive = self._dispatch
@@ -179,7 +177,7 @@ class MulticastSocket:
         """Multicast ``data`` to the group; returns datagrams scheduled."""
         if self._closed:
             raise NetworkError("multicast socket is closed")
-        return self.group.fan_out(data, self, self.loopback)
+        return self.group.fan_out(data, self)
 
     def unicast(self, data: bytes, dest: tuple[Address, int]) -> bool:
         """Point-to-point send from the same local port (BS→wireless path)."""

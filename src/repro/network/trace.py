@@ -20,6 +20,9 @@ from .simnet import Network, Packet
 
 __all__ = ["TraceRecord", "FlowStats", "PacketTracer"]
 
+#: Per-packet records a :class:`PacketTracer` keeps (flows are always counted).
+TRACE_CAPACITY = 100_000
+
 
 @dataclass(frozen=True)
 class TraceRecord:
@@ -53,8 +56,8 @@ class PacketTracer:
     """Records traffic on a :class:`~repro.network.simnet.Network`.
 
     Attach with :meth:`attach`; :meth:`detach` stops the recording.
-    ``capacity`` bounds the per-record buffer (the flow table is always
-    complete).
+    :data:`TRACE_CAPACITY` bounds the per-record buffer (the flow table is
+    always complete).
 
     Example
     -------
@@ -68,11 +71,8 @@ class PacketTracer:
     31
     """
 
-    def __init__(self, network: Network, capacity: int = 100_000) -> None:
-        if capacity < 1:
-            raise ValueError("capacity must be >= 1")
+    def __init__(self, network: Network) -> None:
         self.network = network
-        self.capacity = capacity
         self.records: list[TraceRecord] = []
         self.flows: dict[tuple[str, str, int], FlowStats] = defaultdict(FlowStats)
         self.total_packets = 0
@@ -93,7 +93,7 @@ class PacketTracer:
         now = self.network.scheduler.clock.now
         self.total_packets += 1
         self.total_octets += packet.size
-        if len(self.records) < self.capacity:
+        if len(self.records) < TRACE_CAPACITY:
             self.records.append(
                 TraceRecord(
                     time=now,

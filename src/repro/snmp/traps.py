@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ..network.clock import Scheduler
+from ..network.clock import Event, Scheduler
 from ..network.simnet import Network
 from ..network.udp import DatagramSocket
 from .ber import BerError, Gauge32, ObjectIdentifierValue, TimeTicks
@@ -108,7 +108,8 @@ class ThresholdWatch:
         self.direction = direction
         self.interval = interval
         self._armed = True
-        self._running = False
+        #: the pending check while running, else ``None``
+        self._pending: Optional[Event] = None
         self.crossings = 0
 
     def _breached(self, value: float) -> bool:
@@ -128,21 +129,19 @@ class ThresholdWatch:
         return False
 
     def start(self) -> None:
-        """Begin periodic checks on the scheduler."""
-        if self._running:
-            return
-        self._running = True
+        """Begin periodic checks on the scheduler (idempotent)."""
+        if self._pending is None:
+            self._pending = self.scheduler.call_after(self.interval, self._tick)
 
-        def tick() -> None:
-            if not self._running:
-                return
-            self.check()
-            self.scheduler.call_after(self.interval, tick)
-
-        self.scheduler.call_after(self.interval, tick)
+    def _tick(self) -> None:
+        self.check()
+        self._pending = self.scheduler.call_after(self.interval, self._tick)
 
     def stop(self) -> None:
-        self._running = False
+        """End the periodic checks: the pending one is cancelled."""
+        if self._pending is not None:
+            self._pending.cancel()
+            self._pending = None
 
 
 class TrapListener:

@@ -26,6 +26,9 @@ __all__ = ["bit_error_rate", "packet_loss_probability", "loss_for_sir_db", "effe
 
 ArrayLike = Union[float, np.ndarray]
 
+#: A bulk data frame: 1000 bytes, the size an image fragment travels in.
+FRAME_BITS = 8000
+
 
 def bit_error_rate(gamma: ArrayLike) -> ArrayLike:
     """Non-coherent FSK BER at linear SIR ``gamma`` (capped at 0.5)."""
@@ -36,7 +39,7 @@ def bit_error_rate(gamma: ArrayLike) -> ArrayLike:
     return float(ber) if np.ndim(gamma) == 0 else ber
 
 
-def packet_loss_probability(gamma: ArrayLike, packet_bits: int = 8000) -> ArrayLike:
+def packet_loss_probability(gamma: ArrayLike, packet_bits: int = FRAME_BITS) -> ArrayLike:
     """Probability a ``packet_bits``-bit frame is lost at SIR ``gamma``.
 
     Assumes independent bit errors and no FEC — the pessimistic bound the
@@ -51,7 +54,7 @@ def packet_loss_probability(gamma: ArrayLike, packet_bits: int = 8000) -> ArrayL
 
 def loss_for_sir_db(
     sir_db: ArrayLike,
-    packet_bits: int = 8000,
+    packet_bits: int = FRAME_BITS,
     cap: float = 0.98,
     coding_gain_db: float = 10.0,
 ) -> ArrayLike:
@@ -74,7 +77,7 @@ def loss_for_sir_db(
 
 
 def effective_throughput(
-    gamma: ArrayLike, rate_bps: float = 11_000_000.0, packet_bits: int = 8000
+    gamma: ArrayLike, rate_bps: float = 11_000_000.0, packet_bits: int = FRAME_BITS
 ) -> ArrayLike:
     """Goodput after loss: ``rate_bps * (1 - P_loss)`` in bits/second.
 

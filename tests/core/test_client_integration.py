@@ -162,6 +162,17 @@ class TestAdaptationLoop:
         fw.run_for(3.0)  # a tick on the closed sockets would raise here
         assert len(a.decision_log) == logged
 
+    def test_restarted_loop_replaces_the_running_one(self, fw):
+        a = fw.add_wired_client("alice", fault_workload=Constant(50.0))
+        a.start_adaptation_loop(interval=1.0)
+        fw.run_for(0.5)
+        a.start_adaptation_loop(interval=1.0)
+        fw.run_for(3.0)  # one tick a second from 1.5 s on, not two chains
+        assert [t for t, _ in a.decision_log] == [1.5, 2.5, 3.5]
+        a.close()
+        fw.run_for(3.0)  # an orphaned chain would raise "socket is closed" here
+        assert len(a.decision_log) == 3
+
     def test_contract_respected_in_loop(self, fw):
         contract = QoSContract("floor", [Constraint("packets", minimum=4)])
         a = fw.add_wired_client(

@@ -214,6 +214,25 @@ class TestImageRepair:
         fw.run_for(1.0)
         assert c.viewer.viewed["map"].packets_offered == carol_offered
 
+    def test_repeated_indices_are_served_once(self, fw):
+        """The indices come off the wire: 300 copies of one index is one repair."""
+        a = fw.add_wired_client("alice")
+        b = fw.add_wired_client("bob")
+        a.join()
+        b.join()
+        fw.run_for(0.5)
+        a.share_image("map", collaboration_scene(64, 64))
+        fw.run_for(2.0)
+        sent = a.endpoint.sent_messages
+        b._publish_event(ImageRepairRequest(client_id="bob", image_id="map", packet_indices=(0,) * 300))
+        fw.run_for(1.0)
+        assert a.endpoint.sent_messages - sent == 1
+        b._publish_event(
+            ImageRepairRequest(client_id="bob", image_id="map", packet_indices=tuple(range(40)) * 3)
+        )
+        fw.run_for(1.0)
+        assert a.endpoint.sent_messages - sent == 1 + len(a.viewer.shared["map"].packets())
+
 
 class TestHostileRequesterIds:
     """``request.client_id`` is wire input: it is quoted, never spliced."""

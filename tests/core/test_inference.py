@@ -50,10 +50,6 @@ class TestPacketDecision:
         assert engine.infer(profile, {"x": 5}).packets == 8   # 13 -> 8
         assert engine.infer(profile, {"x": 50}).packets == 4  # 5 -> 4
 
-    def test_max_packets_ceiling(self, profile):
-        engine = InferenceEngine(default_policy_database(), max_packets=8)
-        assert engine.infer(profile, {"page_faults": 30}).packets == 8
-
     def test_decision_counter(self, engine, profile):
         engine.infer(profile, {})
         engine.infer(profile, {})
@@ -124,13 +120,6 @@ class TestContractEnforcement:
         assert d.packets == 4
         assert d.degraded
         assert str(d.violations[0]) == "packets=4 outside [5, 7]"
-
-    def test_next_step_above_max_packets_not_granted(self, profile):
-        contract = QoSContract("floor", [Constraint("packets", minimum=5)])
-        engine = InferenceEngine(default_policy_database(), contract=contract, max_packets=4)
-        d = engine.infer(profile, {"page_faults": 100})
-        assert d.packets == 4
-        assert d.degraded
 
     def test_ceiling_reason_names_granted_value(self, profile):
         contract = QoSContract("cap", [Constraint("packets", maximum=3)])

@@ -1,8 +1,11 @@
 """Tests for profiles, transform rules, and the Figure 3 interpretation."""
 
+from unittest import mock
+
 import pytest
 
 from repro.core.attributes import MISSING, coerce_value, values_equal
+from repro.core import matching
 from repro.core.matching import Decision, interpret, match_selector
 from repro.core.profiles import ClientProfile, ProfileError, TransformRule
 from repro.core.selectors import Selector
@@ -155,9 +158,11 @@ class TestTransformChains:
                 TransformRule("m", "c", "d"),
             ],
         )
-        r = interpret(Selector("true"), {"m": "a"}, p, max_transforms=2)
+        assert matching.MAX_TRANSFORMS == 2
+        r = interpret(Selector("true"), {"m": "a"}, p)
         assert r.decision is Decision.REJECT
-        r3 = interpret(Selector("true"), {"m": "a"}, p, max_transforms=3)
+        with mock.patch.object(matching, "MAX_TRANSFORMS", 3):
+            r3 = interpret(Selector("true"), {"m": "a"}, p)
         assert r3.decision is Decision.ACCEPT_WITH_TRANSFORM
 
     def test_shortest_chain_preferred(self):
@@ -191,5 +196,6 @@ class TestTransformChains:
                 TransformRule("m", "b", "a"),
             ],
         )
-        r = interpret(Selector("true"), {"m": "a"}, p, max_transforms=10)
+        with mock.patch.object(matching, "MAX_TRANSFORMS", 10):
+            r = interpret(Selector("true"), {"m": "a"}, p)
         assert r.decision is Decision.REJECT

@@ -1,8 +1,10 @@
 """Tests for session descriptors, membership, and archival."""
 
-import pytest
+from unittest import mock
+
 from hypothesis import given, strategies as st
 
+from repro.core import session
 from repro.core.session import Membership, SessionArchive, SessionDescriptor
 from repro.messaging.message import SemanticMessage
 
@@ -76,16 +78,13 @@ class TestArchive:
         assert len(a.replay(kinds={"chat"})) == 1
 
     def test_capacity_evicts_oldest(self):
-        a = SessionArchive(capacity=3)
+        with mock.patch.object(session, "ARCHIVE_CAPACITY", 3):
+            a = SessionArchive()
         for i in range(5):
             a.record(float(i), SemanticMessage.create("x", "true", kind=f"k{i}"))
         assert len(a) == 3
         assert [m.kind for _, m in a.replay()] == ["k2", "k3", "k4"]
         assert a.archived == 5
-
-    def test_invalid_capacity(self):
-        with pytest.raises(ValueError):
-            SessionArchive(capacity=0)
 
 
 class ListArchive:
@@ -125,7 +124,8 @@ ARCHIVE_OPS = st.one_of(
 @given(st.integers(1, 6), st.lists(ARCHIVE_OPS, max_size=40))
 def test_ring_archive_equals_list_reference(capacity, program):
     # capacity <= 6 against up to 40 records: most programs cross the edge
-    ring, ref = SessionArchive(capacity), ListArchive(capacity)
+    with mock.patch.object(session, "ARCHIVE_CAPACITY", capacity):
+        ring, ref = SessionArchive(), ListArchive(capacity)
     recorded = []
     for op, t, arg in program:
         if op == "record":

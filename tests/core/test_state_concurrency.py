@@ -1,8 +1,11 @@
 """Tests for the state repository and concurrency control."""
 
+from unittest import mock
+
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import concurrency
 from repro.core.concurrency import Arbiter, LockError, LockManager
 from repro.core.state import StateEntry, StateRepository
 
@@ -105,7 +108,8 @@ class TestArbiter:
     def test_history_bounded_with_overflow_counter(self):
         """The cap evicts oldest records but the total stays accountable."""
         repo = StateRepository()
-        arb = Arbiter(repo, max_conflicts=3)
+        with mock.patch.object(concurrency, "MAX_CONFLICTS", 3):
+            arb = Arbiter(repo)
         for i in range(5):
             arb.submit(StateEntry(f"k{i}", "a", 1, 1.0, "alice"))
             arb.submit(StateEntry(f"k{i}", "b", 1, 1.0, "bob"))
@@ -118,8 +122,7 @@ class TestArbiter:
     def test_default_cap_is_generous(self):
         repo = StateRepository()
         arb = Arbiter(repo)
-        assert arb.max_conflicts >= 1024
-        assert arb.conflicts.maxlen == arb.max_conflicts
+        assert arb.conflicts.maxlen == concurrency.MAX_CONFLICTS >= 1024
 
 
 class TestLockManager:

@@ -96,6 +96,16 @@ class TestSimulatedHost:
         sched.run_until(5.0)
         assert host.tick == tick
 
+    def test_stop_then_start_keeps_one_tick_chain(self):
+        sched = Scheduler()
+        host = SimulatedHost("h", sched, interval=1.0)
+        host.start()
+        sched.run_until(0.5)
+        host.stop()
+        host.start()  # before the pending tick: it must not survive
+        sched.run_until(10.0)
+        assert host.tick == 9  # 1.5, 2.5, ..., 9.5
+
     def test_advance_to_tick(self):
         host = SimulatedHost("h", Scheduler(), fault_workload=Trace([10, 20, 30]))
         host.advance_to_tick(2)

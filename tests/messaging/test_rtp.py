@@ -214,7 +214,8 @@ class TestWindowBound:
         alice = fw.add_wired_client("alice")
         bob = fw.add_wired_client("bob")
         bs = fw.add_base_station("bs")
-        mobile = fw.add_wireless_client("mob", bs, radio_loss=0.2)
+        mobile = fw.add_wireless_client("mob", bs)
+        fw.network.link("mob", "bs").loss = 0.2
         for c in (alice, bob):
             c.join()
         fw.run_for(0.5)

@@ -59,16 +59,6 @@ class TestFanOut:
         net.scheduler.run()
         assert sorted(got) == [("b", b"ev"), ("c", b"ev")]
 
-    def test_loopback_delivers_to_sender(self, fabric):
-        net, group = fabric
-        got = []
-        sender = MulticastSocket(
-            net, "a", group, on_receive=lambda d, s: got.append(d), loopback=True
-        )
-        sender.send(b"self")
-        net.scheduler.run()
-        assert got == [b"self"]
-
     def test_send_returns_member_count(self, fabric):
         net, group = fabric
         socks = [MulticastSocket(net, h, group) for h in ("a", "b", "c")]

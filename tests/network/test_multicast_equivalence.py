@@ -210,12 +210,12 @@ def test_tree_conservation_with_jitter(scenario, seed):
 def test_loopback_copy_bypasses_fault_interceptor_like_flat(seed):
     """A self-addressed copy crosses no link, so no fault may touch it.
 
-    With ``loopback=True`` the sender is among its own targets.  Flat
-    fan-out sends it a ``src == dst`` unicast, which never reaches the
-    fault interceptor; the tree's copy has an empty hop path and must be
-    settled by the same rule — otherwise a network-wide spike,
+    A second member socket on the sender's host is among the sender's
+    targets.  Flat fan-out sends it a ``src == dst`` unicast, which never
+    reaches the fault interceptor; the tree's copy has an empty hop path
+    and must be settled by the same rule — otherwise a network-wide spike,
     reordering, duplication or corruption window perturbs the tree's
-    loopback copy and draws chaos RNG the flat oracle never draws.
+    same-host copy and draws chaos RNG the flat oracle never draws.
     """
     hosts = ["h0", "h1", "h2", "h3"]
     window = dict(start=0.5, duration=20.0)
@@ -233,16 +233,11 @@ def test_loopback_copy_bypasses_fault_interceptor_like_flat(seed):
         chaos = ChaosController(net, plan, seed=seed)
         chaos.install()
         received = {h: [] for h in hosts}
-        socks = [
+        socks = [MulticastSocket(net, h, group) for h in hosts]
+        for h in hosts:  # a second member on each host hears that host's sends
             MulticastSocket(
-                net,
-                h,
-                group,
-                on_receive=lambda d, s, h=h: received[h].append((sched.clock.now, s[0], d)),
-                loopback=True,
+                net, h, group, on_receive=lambda d, s, h=h: received[h].append((sched.clock.now, s[0], d))
             )
-            for h in hosts
-        ]
         sends = []
         for i in range(8):
             sched.run_until(1.0 + i)
@@ -262,7 +257,7 @@ def test_loopback_copy_bypasses_fault_interceptor_like_flat(seed):
     flat = run(False)
     tree = run(True)
     assert tree == flat
-    # the sender's own copy: exactly once, at the send instant, undamaged
+    # the same-host copy: exactly once, at the send instant, undamaged
     received, *_rest, sends = tree
     for host in hosts:
         own = [(t, d) for t, src, d in received[host] if src == host]

@@ -1,7 +1,10 @@
 """Tests for the packet tracer."""
 
+from unittest import mock
+
 import pytest
 
+from repro.network import trace
 from repro.network.clock import Scheduler
 from repro.network.multicast import MulticastGroup, MulticastSocket
 from repro.network.routing import MulticastFabric
@@ -62,10 +65,11 @@ class TestTracing:
 
     def test_capacity_bounds_records_not_flows(self, fabric):
         _, net = fabric
-        tracer = PacketTracer(net, capacity=3)
+        tracer = PacketTracer(net)
         tracer.attach()
-        for _ in range(10):
-            net.send(Packet("a", 1, "b", 9, b"x"))
+        with mock.patch.object(trace, "TRACE_CAPACITY", 3):
+            for _ in range(10):
+                net.send(Packet("a", 1, "b", 9, b"x"))
         assert len(tracer.records) == 3
         assert tracer.flows[("a", "b", 9)].packets == 10
 
@@ -176,8 +180,3 @@ class TestAnalysis:
         fw.run_for(1.0)
         assert tracer.total_packets >= 3  # joins + chat
         assert tracer.top_talkers()[0][0] in ("alice", "bob")
-
-    def test_invalid_capacity(self, fabric):
-        _, net = fabric
-        with pytest.raises(ValueError):
-            PacketTracer(net, capacity=0)

@@ -172,6 +172,18 @@ class TestThresholdWatch:
         sched.run_until(10.0)
         assert watch.crossings == 0
 
+    def test_stop_then_start_keeps_one_check_chain(self, fabric):
+        sched, watch, got = self.make_watch(fabric, [30])
+        checks = []
+        sample = watch.sample
+        watch.sample = lambda: checks.append(sched.clock.now) or sample()
+        watch.start()
+        sched.run_until(0.25)
+        watch.stop()
+        watch.start()  # before the pending check: it must not survive
+        sched.run_until(5.25)
+        assert checks == [1.25, 2.25, 3.25, 4.25, 5.25]
+
 
 class TestEventDrivenAdaptation:
     def test_trap_triggers_immediate_decision(self):
