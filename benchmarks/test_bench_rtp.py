@@ -3,7 +3,7 @@
 "Reliable and ordered delivery of these packets is critical for
 successful reconstruction" (Sec. 5.1).  Raw datagrams deliver fragments
 out of order and torn; the RTP layer reassembles whole messages and
-accounts loss.  The bench measures completion rates and layer overhead.
+never hands up a torn one.  The bench measures completion rates and layer overhead.
 """
 
 import numpy as np
@@ -36,28 +36,25 @@ def transmit(loss_rate: float, seed: int = 0):
             survivors[i], survivors[i + 1] = survivors[i + 1], survivors[i]
     for w in survivors:
         reassembler.ingest(w)
-    return sent_payloads, out, reassembler.report(1)
+    return sent_payloads, out, reassembler
 
 
 @pytest.mark.benchmark(group="ablations")
 def test_rtp_lossless_channel_complete(benchmark):
-    sent, received, report = run_once(benchmark, transmit, 0.0)
+    sent, received, reassembler = run_once(benchmark, transmit, 0.0)
     assert received == sent  # all messages, in order, byte-exact
-    assert report.fraction_lost == 0.0
+    assert not reassembler._partial and reassembler.abandoned == 0
 
 
 @pytest.mark.benchmark(group="ablations")
 def test_rtp_under_loss_degrades_gracefully(benchmark):
-    sent, received, report = run_once(benchmark, transmit, 0.05)
+    sent, received, reassembler = run_once(benchmark, transmit, 0.05)
     # every completed message is byte-exact (no torn reassembly)
     assert all(r in sent for r in received)
     # a useful fraction still completes at 5% fragment loss
     assert len(received) >= 0.5 * len(sent)
-    assert report.cumulative_lost > 0
-    print(
-        f"\nloss=5%: {len(received)}/{len(sent)} messages complete,"
-        f" fraction_lost={report.fraction_lost:.3f}"
-    )
+    assert len(received) < len(sent) and reassembler._partial  # the torn ones wait, unreported
+    print(f"\nloss=5%: {len(received)}/{len(sent)} messages complete")
 
 
 @pytest.mark.benchmark(group="ablations")

@@ -4,13 +4,16 @@
 Three workstations collaborate while a seeded fault plan degrades the
 deployment — the sender's access link flaps, one client is partitioned
 off, another host's SNMP agent crashes, and the LAN suffers burst loss,
-a latency spike, and duplication/reordering windows.  The run shows the
-robustness layer absorbing all of it:
+payload corruption, a latency spike, and duplication/reordering windows.
+The run shows the robustness layer absorbing all of it:
 
 * SNMP retries back off (in virtual time) and the per-agent circuit
   breaker fails fast while an agent is down;
 * adaptation falls back to a conservative packet budget when the
   management plane goes dark beyond its stale grace;
+* once the faults are over, every peer asks the session for its history
+  and gets back what it lost (every peer ends with all 16 chat lines, and
+  carol sees the image shared while she was partitioned off);
 * the packet-disposition invariant sent == delivered + dropped +
   duplicated holds at the end of the run;
 * re-running with the same seed prints byte-identical telemetry.

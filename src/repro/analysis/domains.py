@@ -270,9 +270,10 @@ class AttrDomain:
         ``None`` when construction failed (caller degrades to UNKNOWN)."""
         if self.missing:
             return MISSING
-        if self.num.pinned is not None and self.num.pinned:
+        # a pin survives in a band another atom killed: only a live one counts
+        if self.num.pinned and not self.num.dead:
             return self.num.sample()
-        if self.strs.pinned is not None and self.strs.pinned:
+        if self.strs.pinned and not self.strs.dead:
             return self.strs.sample()
         if not self.num.provably_empty():
             v = self.num.sample()

@@ -11,10 +11,8 @@ two kinds of checks:
     error; elsewhere it is a warning.
   - ``LNT002`` — mutable default arguments (``def f(x=[])``): shared
     state across calls; error inside ``core/``, warning elsewhere.
-  - ``LNT003`` — constructing an OS socket (``RealUdpSocket``) anywhere
-    but its own module: sockets must be injected so tests and
-    simulations can substitute them; and constructing a half of the wire
-    stack (``RtpPacketizer``, ``RtpReassembler``) outside ``messaging/``:
+  - ``LNT003`` — constructing a half of the wire stack
+    (``RtpPacketizer``, ``RtpReassembler``) outside ``messaging/``:
     message ↔ fragment ↔ datagram exists once, in ``SemanticWire``.
 
 * **Config extraction**: string literals that are clearly selector
@@ -47,19 +45,13 @@ __all__ = [
     "lint_paths",
     "extract_selector_literals",
     "TRANSPORT_NAMES",
-    "TRANSPORT_MODULE_ALLOWLIST",
 ]
 
-#: path fragments where constructing an OS socket is legitimate
-TRANSPORT_MODULE_ALLOWLIST = ("snmp/realudp.py",)
-
-_INJECT = "transports must be injected so simulations and tests can substitute them"
 _ONE_WIRE = "the wire stack has one construction site, messaging.SemanticWire: bind that"
 
 #: class name -> (path fragments where constructing it directly is
 #: legitimate, why it is flagged anywhere else)
 TRANSPORT_NAMES: dict[str, tuple[tuple[str, ...], str]] = {
-    "RealUdpSocket": (TRANSPORT_MODULE_ALLOWLIST, _INJECT),
     "RtpPacketizer": (("messaging/",), _ONE_WIRE),
     "RtpReassembler": (("messaging/",), _ONE_WIRE),
 }

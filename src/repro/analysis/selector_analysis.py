@@ -210,7 +210,9 @@ def _apply_compare(
                 strs=dom.strs.pin(strs),
                 lst=dom.lst.kill(),
             )
-            demanded.setdefault(left.name, set()).update(_sort_of(v) for v in values)
+            sorts = {_sort_of(v) for v in values}
+            if len(sorts) == 1:  # a mixed list demands one of its sorts, not each
+                demanded.setdefault(left.name, set()).update(sorts)
         else:
             for v in values:
                 dom = _exclude_eq(dom, v)

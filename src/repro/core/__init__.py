@@ -34,7 +34,6 @@ from .netstate import NetworkStateInterface, Probe
 from .events import (
     ChatEvent,
     HistoryRequest,
-    ImageRepairRequest,
     Event,
     EventError,
     ImagePacketEvent,
@@ -101,7 +100,6 @@ __all__ = [
     "Probe",
     "ChatEvent",
     "HistoryRequest",
-    "ImageRepairRequest",
     "Event",
     "EventError",
     "ImagePacketEvent",

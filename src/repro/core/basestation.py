@@ -171,8 +171,10 @@ class BaseStation:
         #: when true, each QoS evaluation writes SIR-derived loss onto the
         #: client's radio link (see repro.wireless.linkquality)
         self.channel_coupling = False
-        self.qos_history: list[QosSnapshot] = []
-        self.power_requests_sent: list[tuple[float, str, float]] = []
+        #: QoS evaluations so far, and the newest one's snapshot
+        self.qos_snapshots = 0
+        self.last_snapshot: Optional[QosSnapshot] = None
+        self.power_requests_sent = 0
         # BS keeps a full-budget viewer to reconstruct shared images for
         # centralized transformation (sketch tier)
         self.viewer = ImageViewer(name, target_bpp=None)
@@ -310,7 +312,8 @@ class BaseStation:
         ids = tuple(sorted(self.attachments))
         if not ids:
             snap = QosSnapshot(self.scheduler.clock.now, (), (), (), (), ())
-            self.qos_history.append(snap)
+            self.qos_snapshots += 1
+            self.last_snapshot = snap
             return snap
         distances = np.array([self.attachments[c].distance for c in ids])
         powers = np.array([self.attachments[c].tx_power for c in ids])
@@ -329,7 +332,8 @@ class BaseStation:
             sir_db=tuple(float(s) for s in sirs),
             tiers=tiers,
         )
-        self.qos_history.append(snap)
+        self.qos_snapshots += 1
+        self.last_snapshot = snap
         if self.channel_coupling:
             self._apply_channel_coupling(snap)
         return snap
@@ -342,8 +346,8 @@ class BaseStation:
         clients physically lose fragments in addition to being tier-gated.
         """
         self.channel_coupling = True
-        if self.qos_history:
-            self._apply_channel_coupling(self.qos_history[-1])
+        if self.last_snapshot is not None:
+            self._apply_channel_coupling(self.last_snapshot)
 
     def _apply_channel_coupling(self, snap: QosSnapshot) -> None:
         """Write SIR-derived, size-dependent loss onto each radio link.
@@ -398,7 +402,7 @@ class BaseStation:
                         reason=f"sir {s:.1f} dB above {threshold:.1f} dB target",
                     )
                     self._unicast_event(req, att.address)
-                    self.power_requests_sent.append((snap.time, cid, new_power))
+                    self.power_requests_sent += 1
                     requests.append(req)
         return requests
 

@@ -46,7 +46,6 @@ from .events import (
     Event,
     HistoryRequest,
     ImagePacketEvent,
-    ImageRepairRequest,
     ImageShareAnnounce,
     JoinEvent,
     LeaveEvent,
@@ -141,7 +140,6 @@ class WiredClient:
         self._last_observed: dict[str, float] = {}
         #: see :meth:`enable_trap_listener`
         self._trap_listener: Optional[TrapListener] = None
-        self.traps_received: list[tuple[float, Notification]] = []
 
         # session observability
         self.membership = Membership()
@@ -151,8 +149,6 @@ class WiredClient:
         self.peer_profiles: dict[str, ClientProfile] = {}
         self.archive = SessionArchive()
         self.events_received: list[tuple[float, Event]] = []
-        #: when true, this peer answers history requests from its archive
-        self.serve_history = True
 
     # ------------------------------------------------------------------
     # outbound
@@ -232,11 +228,11 @@ class WiredClient:
         try:
             self._react(event, delivery, now)
         except (RtpError, WireError, ImagePacketError):
-            # a reaction that re-publishes (history replay, image repair)
-            # could not encode or fragment its answer, or an image
-            # announce/packet that decoded as an event carries geometry or
-            # a payload the viewer refuses: the answer or the packet is
-            # lost and counted, the dispatch loop is not
+            # a reaction that re-publishes (a history replay) could not
+            # encode or fragment its answer, or an image announce/packet
+            # that decoded as an event carries geometry or a payload the
+            # viewer refuses: the answer or the packet is lost and
+            # counted, the dispatch loop is not
             self.endpoint.wire.decode_failures += 1
 
     def _react(self, event: Event, delivery: Delivery, now: float) -> None:
@@ -293,32 +289,20 @@ class WiredClient:
             peer.update(**dict(event.changes))
         elif isinstance(event, HistoryRequest):
             self._serve_history(event)
-        elif isinstance(event, ImageRepairRequest):
-            self._serve_image_repair(event)
 
     # ------------------------------------------------------------------
-    # session history (late joiners) and image repair
+    # session history: the one way a peer gets back what it missed
     # ------------------------------------------------------------------
     def request_history(self, since: float = 0.0, kinds: tuple[str, ...] = ()) -> None:
-        """Ask archivist peers to replay the session since ``since``."""
+        """Ask the other peers to replay the session since ``since``.
+
+        Serves late joiners and peers that lost traffic alike: every
+        peer answers from its archive, and what this peer already holds
+        is dropped on arrival.
+        """
         self._publish_event(
             HistoryRequest(client_id=self.name, since=since, kinds=kinds)
         )
-
-    def _requester_selector(self, client_id: str) -> Optional[str]:
-        """Session audience narrowed to one requester, or ``None``.
-
-        ``client_id`` arrives off the wire and selector string literals
-        have no escapes, so it is quoted with whichever quote character
-        it does not contain and can only ever be compared as a value.
-        An id holding both quotes is not addressable: the request is
-        dropped and counted, never spliced into the expression.
-        """
-        quote = next((q for q in "'\"" if q not in client_id), None)
-        if quote is None:
-            self.endpoint.wire.decode_failures += 1
-            return None
-        return self.session.selector_text(f"client_id == {quote}{client_id}{quote}")
 
     def _serve_history(self, request: HistoryRequest) -> None:
         """Replay archived traffic, re-addressed to the requester only.
@@ -327,65 +311,32 @@ class WiredClient:
         requester originated itself.  A replay keeps the original
         ``msg_id``, so a requester that already holds the message (from
         the live session or from another archivist) drops it.
+
+        ``client_id`` arrives off the wire and selector string literals
+        have no escapes, so it is quoted with whichever quote character
+        it does not contain and can only ever be compared as a value.
+        An id holding both quotes is not addressable: the request is
+        dropped and counted, never spliced into the expression.
         """
-        if not self.serve_history or request.client_id == self.name:
+        client_id = request.client_id
+        if client_id == self.name:
             return
-        selector = self._requester_selector(request.client_id)
-        if selector is None:
+        quote = next((q for q in "'\"" if q not in client_id), None)
+        if quote is None:
+            self.endpoint.wire.decode_failures += 1
             return
+        selector = self.session.selector_text(f"client_id == {quote}{client_id}{quote}")
         audience = compile_selector(selector)
-        skip = {"history-request", "image-repair", "join", "leave"}
+        skip = {"history-request", "join", "leave"}
         wanted = set(request.kinds) if request.kinds else None
         replays = [
             replace(msg, selector=audience, sender=self.name)
             for _t, msg in self.archive.replay(since=request.since)
             if msg.kind not in skip
-            and msg.sender != request.client_id
+            and msg.sender != client_id
             and (wanted is None or msg.kind in wanted)
         ]
         self.endpoint.publish_many(replays)
-
-    def request_image_repair(self, image_id: str) -> tuple[int, ...]:
-        """Request the packets blocking an image's reconstruction.
-
-        Returns the packet indices requested (empty = nothing missing
-        within the current budget).
-        """
-        view = self.viewer.viewed.get(image_id)
-        if view is None:
-            return ()
-        budget = min(self.viewer.packet_budget, view.announce.n_packets)
-        have = set(view.assembly._packets)
-        missing = tuple(i for i in range(budget) if i not in have)
-        if missing:
-            self._publish_event(
-                ImageRepairRequest(
-                    client_id=self.name, image_id=image_id, packet_indices=missing
-                )
-            )
-        return missing
-
-    def _serve_image_repair(self, request: ImageRepairRequest) -> None:
-        """Re-publish requested packets of an image this client shared."""
-        prog = self.viewer.shared.get(request.image_id)
-        if prog is None or request.client_id == self.name:
-            return
-        selector = self._requester_selector(request.client_id)
-        if selector is None:
-            return
-        packets = prog.packets()
-        repairs: list[SemanticMessage] = []
-        # the indices come off the wire: each distinct one is served once
-        for idx in dict.fromkeys(request.packet_indices):
-            if 0 <= idx < len(packets):
-                event = ImagePacketEvent(
-                    image_id=request.image_id,
-                    packet_index=idx,
-                    packet_total=packets[idx].total,
-                    payload=packets[idx].to_bytes(),
-                )
-                repairs.append(event.to_message(sender=self.name, selector=selector))
-        self.endpoint.publish_many(repairs)
 
     # ------------------------------------------------------------------
     # the adaptation loop (SNMP → inference → viewer budget)
@@ -433,14 +384,13 @@ class WiredClient:
     def enable_trap_listener(self) -> None:
         """Accept SNMP traps (port 162) and adapt immediately on each.
 
-        Idempotent.  Received notifications are logged in
-        :attr:`traps_received` for observability.
+        Idempotent.  The listener counts what it accepts
+        (``traps_received``).
         """
         if self._trap_listener is not None:
             return
 
-        def on_trap(notification: Notification) -> None:
-            self.traps_received.append((self.scheduler.clock.now, notification))
+        def on_trap(_notification: Notification) -> None:
             self.monitor_and_adapt()
 
         self._trap_listener = TrapListener(self.network, self.name, on_trap)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..messaging.message import MessageId, SemanticMessage
 
@@ -111,13 +110,9 @@ class SessionArchive:
         self.archived += 1
         return True
 
-    def replay(self, since: float = 0.0, kinds: Optional[set[str]] = None) -> list[tuple[float, SemanticMessage]]:
-        """Messages after ``since``, optionally filtered by kind."""
-        return [
-            (t, m)
-            for t, m in self._entries
-            if t >= since and (kinds is None or m.kind in kinds)
-        ]
+    def replay(self, since: float = 0.0) -> list[tuple[float, SemanticMessage]]:
+        """Messages recorded at or after ``since``, oldest first."""
+        return [(t, m) for t, m in self._entries if t >= since]
 
     def __contains__(self, msg_id: object) -> bool:
         """Whether a message with this ``msg_id`` is held."""

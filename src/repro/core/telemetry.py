@@ -51,14 +51,14 @@ def deployment_report(fw: CollaborationFramework) -> dict[str, Any]:
             "tx_power": wc.tx_power,
             "battery_pct": wc.battery,
             "events_received": len(wc.received_events),
-            "power_requests": len(wc.power_requests),
+            "power_requests": wc.power_requests,
             **counts,
         }
     for name, bs in sorted(fw.base_stations.items()):
         report["base_stations"][name] = {
             "attached": sorted(bs.attachments),
-            "qos_snapshots": len(bs.qos_history),
-            "power_requests_sent": len(bs.power_requests_sent),
+            "qos_snapshots": bs.qos_snapshots,
+            "power_requests_sent": bs.power_requests_sent,
             "session_messages": bs.endpoint.received_messages,
             "channel_coupling": bs.channel_coupling,
             "last_sir_db": {

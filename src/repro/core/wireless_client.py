@@ -98,7 +98,7 @@ class WirelessClient:
         self.sketches: list[SketchShareEvent] = []
         self.image_packets: list[ImagePacketEvent] = []
         self.announces: list[ImageShareAnnounce] = []
-        self.power_requests: list[PowerControlRequest] = []
+        self.power_requests = 0
         self.comply_with_power_control = True
 
     # ------------------------------------------------------------------
@@ -176,7 +176,7 @@ class WirelessClient:
                 # a power no transmitter has or could report: ignored, counted
                 self.link.wire.decode_failures += 1
                 return
-            self.power_requests.append(event)
+            self.power_requests += 1
             if self.comply_with_power_control:
                 self.tx_power = float(event.new_power)
                 try:

@@ -13,10 +13,12 @@ to end:
   breaker fails fast while an agent is down;
 * adaptation decisions fall back to the conservative floor once the
   management plane is dark beyond its stale grace;
-* a receiver missing image packets asks the sharer for exactly those
-  (``request_image_repair``), the only loss repair there is;
+* once the last fault window closes, every peer asks the session for
+  its history (``request_history``), the one way a peer gets back what
+  it missed — chat lines, strokes and image packets alike;
 * corrupted datagrams hit every receiver's hardened decode path: they
-  are counted (``decode_failures``) and dropped, never fatal;
+  are counted (``decode_failures``) and dropped, never fatal, and a
+  damaged RTP header does not silence its sender;
 * the packet-disposition conservation invariant
   (``sent == delivered + dropped + duplicated``) holds throughout —
   corruption damages a delivered packet's payload, it is neither a drop
@@ -79,9 +81,8 @@ def _run(seed: int, duration: float) -> tuple[CollaborationFramework, ChaosContr
     carol = fw.add_wired_client("carol")
     for client in (alice, bob, carol):
         client.join()
-    controller = ChaosController(
-        fw.network, default_chaos_plan(), seed=seed, agents=fw.agents
-    ).install()
+    plan = default_chaos_plan()
+    controller = ChaosController(fw.network, plan, seed=seed, agents=fw.agents).install()
 
     # steady traffic + adaptation across every fault window
     for client in (alice, bob, carol):
@@ -98,6 +99,9 @@ def _run(seed: int, duration: float) -> tuple[CollaborationFramework, ChaosContr
     image = collaboration_scene(32, 32, seed=seed + 7)
     fw.scheduler.call_after(2.5, lambda: alice.share_image("img-calm", image))
     fw.scheduler.call_after(11.0, lambda: bob.share_image("img-storm", image))
+    # the faults are over: each peer catches up on what it lost
+    for client in (alice, bob, carol):
+        fw.scheduler.call_at(plan.horizon, client.request_history)
     fw.run_for(duration)
     return fw, controller
 

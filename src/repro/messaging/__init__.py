@@ -1,9 +1,10 @@
 """Semantic publisher/subscriber messaging substrate.
 
 Profile-addressed multicast with an RTP-thin fragmentation / in-order
-reassembly layer (loss is repaired above it, by receiver request); in-process
-(:class:`SemanticBus`) and networked (:class:`SemanticEndpoint`) flavours
-share the receiver-side interpretation semantics.  The networked
+reassembly layer (a peer gets back what it missed from the session
+history, one layer up); in-process (:class:`SemanticBus`) and networked
+(:class:`SemanticEndpoint`) flavours share the receiver-side
+interpretation semantics.  The networked
 flavours — the endpoint and the point-to-point
 :class:`UnicastSemanticLink` — share one wire stack, :class:`SemanticWire`.
 """
@@ -12,7 +13,6 @@ from .message import MessageId, SemanticMessage, next_message_id
 from .serialization import WireError, decode_message, encode_message
 from .rtp import (
     DEFAULT_MTU,
-    RtcpReport,
     RtpError,
     RtpPacket,
     RtpPacketizer,
@@ -30,7 +30,6 @@ __all__ = [
     "decode_message",
     "encode_message",
     "DEFAULT_MTU",
-    "RtcpReport",
     "RtpError",
     "RtpPacket",
     "RtpPacketizer",

@@ -1,4 +1,4 @@
-"""RTP/RTCP-thin layer: fragmentation, reordering, reassembly, reports.
+"""RTP-thin layer: fragmentation, reordering, reassembly.
 
 "A thin layer based on the RTP-RTCP scheme is built on top of the
 communication substrate to provide limited in-order delivery assurance.
@@ -9,14 +9,13 @@ these packets is critical" (paper Sec. 5.1).
 * :class:`RtpPacketizer` splits an application payload into MTU-sized
   fragments, each with a 16-byte header (ssrc, seq, message seq,
   fragment index/count).
-* :class:`RtpReassembler` reorders fragments per message, detects loss,
-  completes messages, and produces RTCP-style receiver reports (fraction
-  lost, cumulative lost, highest seq, interarrival jitter).
+* :class:`RtpReassembler` reorders fragments per message and completes
+  messages inside a bounded window per source.
 
 A lost fragment is not retransmitted at this layer: its message is
-abandoned (and counted in :class:`RtcpReport`), and the receiver asks the
-application above for what it still wants — image packets through
-``ImageRepairRequest``, session events through ``HistoryRequest``.
+abandoned and counted (:attr:`RtpReassembler.abandoned`).  A peer gets
+back what it missed one layer up, from the session history
+(``HistoryRequest``).
 """
 
 from __future__ import annotations
@@ -24,13 +23,12 @@ from __future__ import annotations
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 __all__ = [
     "RtpPacket",
     "RtpPacketizer",
     "RtpReassembler",
-    "RtcpReport",
     "RtpError",
     "DEFAULT_MTU",
     "REORDER_WINDOW",
@@ -50,8 +48,6 @@ REORDER_WINDOW = 64
 #: the least recently heard, so corrupted or hostile ssrcs cannot grow it.
 MAX_TRACKED_SOURCES = 1024
 
-_ZERO_STAT = {"received": 0, "highest_seq": -1, "completed": 0, "abandoned": 0, "newest_msg": -1}
-
 
 class RtpError(ValueError):
     """Raised on malformed RTP fragments."""
@@ -65,7 +61,7 @@ class RtpPacket:
     msg_seq: int
     frag_index: int
     frag_count: int
-    seq: int          # global per-sender sequence number (loss detection)
+    seq: int          # global per-sender sequence number (the reassembler ignores it)
     payload: bytes
 
     def encode(self) -> bytes:
@@ -110,20 +106,6 @@ class RtpPacketizer:
 
 
 @dataclass
-class RtcpReport:
-    """Receiver-side statistics in RTCP RR spirit."""
-
-    ssrc: int
-    packets_received: int
-    packets_expected: int
-    cumulative_lost: int
-    highest_seq: int
-    fraction_lost: float
-    messages_completed: int
-    messages_abandoned: int
-
-
-@dataclass
 class _PartialMessage:
     frag_count: int
     fragments: dict[int, bytes] = field(default_factory=dict)
@@ -136,44 +118,62 @@ class _PartialMessage:
         return b"".join(self.fragments[i] for i in range(self.frag_count))
 
 
+class _Source:
+    """What the reorder window needs of one source."""
+
+    __slots__ = ("newest", "prior", "kept")
+
+    def __init__(self) -> None:
+        #: newest message-seq heard
+        self.newest = -1
+        #: ``newest`` before a forward jump not yet confirmed, else None
+        self.prior: Optional[int] = None
+        #: message-seqs delivered in the window before that jump
+        self.kept: tuple[int, ...] = ()
+
+
 class RtpReassembler:
     """Receiver side: fragments → complete payloads, per source (ssrc).
 
     ``on_message`` is called with ``(ssrc, payload_bytes)`` when a message
     completes.  Per source, only the newest message-seq and the
-    :data:`REORDER_WINDOW` before it are tracked: :meth:`ingest` abandons
-    a partial message the moment newer traffic pushes it out of that
-    window, and drops a late fragment from behind it instead of
-    re-opening the message — so memory is bounded by the window under any
-    loss pattern, with no timer needed, and delivery stays exactly-once.
-    The number of sources is bounded too (:data:`MAX_TRACKED_SOURCES`):
-    the least recently heard source is evicted — its statistics and
-    delivered keys dropped, its partial messages abandoned.
+    :data:`REORDER_WINDOW` before it are tracked: newer traffic pushing a
+    partial message out of that window abandons it, and a fragment from
+    behind the window is dropped (and counted) rather than re-opening its
+    message — so memory is bounded under any loss pattern, with no timer,
+    and delivery stays exactly-once.
+
+    A forward jump past the window (a unicast sender's seqs jump between
+    the messages one receiver gets) is taken at once, but stays
+    provisional so that one damaged header cannot strand its source: a
+    fragment within the jumped-to window confirms it, and one from behind
+    that window but not behind the old one restores the old sequence.  A
+    source's first fragment sets its window.  The least recently heard
+    source beyond :data:`MAX_TRACKED_SOURCES` is evicted, its partial
+    messages abandoned.
     """
 
     def __init__(self, on_message: Callable[[int, bytes], None]) -> None:
         self.on_message = on_message
         self._partial: dict[tuple[int, int], _PartialMessage] = {}
-        #: per-source counters, least recently heard first
-        self._stats: OrderedDict[int, dict] = OrderedDict()
+        #: per-source window state, least recently heard first
+        self._sources: OrderedDict[int, _Source] = OrderedDict()
         self._delivered: set[tuple[int, int]] = set()
         #: messages abandoned since construction, evicted sources included;
         #: monotone — readers take differences
         self.abandoned = 0
+        #: fragments dropped from behind their source's window; monotone
+        self.behind_window = 0
 
-    def _heard(self, ssrc: int) -> dict:
-        """The stats of a source a fragment just arrived from (now newest)."""
-        st = self._stats.get(ssrc)
-        if st is not None:
-            self._stats.move_to_end(ssrc)
-            return st
-        st = self._stats[ssrc] = dict(_ZERO_STAT)
-        if len(self._stats) > MAX_TRACKED_SOURCES:
-            stalest, old = next(iter(self._stats.items()))
+    def _heard(self, ssrc: int) -> _Source:
+        """The state of a source heard for the first time (now newest)."""
+        src = self._sources[ssrc] = _Source()
+        if len(self._sources) > MAX_TRACKED_SOURCES:
+            stalest, old = next(iter(self._sources.items()))
             # sliding its window past everything settles all it holds
-            self._slide_window(stalest, old, old["newest_msg"] + REORDER_WINDOW + 1)
-            del self._stats[stalest]
-        return st
+            self._slide_window(stalest, old, old.newest + REORDER_WINDOW + 1)
+            del self._sources[stalest]
+        return src
 
     # ------------------------------------------------------------------
     def ingest(self, data: bytes) -> None:
@@ -185,20 +185,27 @@ class RtpReassembler:
         """
         if len(data) < HEADER_SIZE:
             raise RtpError(f"fragment shorter than header: {len(data)}")
-        ssrc, msg_seq, frag_index, frag_count, seq = _HEADER.unpack_from(data)
+        ssrc, msg_seq, frag_index, frag_count, _seq = _HEADER.unpack_from(data)
         if frag_count == 0 or frag_index >= frag_count:
             raise RtpError(f"bad fragment indices {frag_index}/{frag_count}")
-        st = self._stats.get(ssrc)
-        if st is None:
-            st = self._heard(ssrc)
+        src = self._sources.get(ssrc)
+        if src is None:
+            src = self._heard(ssrc)
         else:
-            self._stats.move_to_end(ssrc)
-        st["received"] += 1
-        if seq > st["highest_seq"]:
-            st["highest_seq"] = seq
-        if msg_seq > st["newest_msg"]:
-            self._slide_window(ssrc, st, msg_seq)
-        elif st["newest_msg"] - msg_seq > REORDER_WINDOW:
+            self._sources.move_to_end(ssrc)
+            if src.prior is not None:
+                self._settle_jump(ssrc, src, src.prior, msg_seq)
+        newest = src.newest
+        if msg_seq > newest:
+            if msg_seq - newest > REORDER_WINDOW and newest >= 0 and src.prior is None:
+                src.prior = newest
+                src.kept = tuple(
+                    s for s in range(max(0, newest - REORDER_WINDOW), newest + 1)
+                    if (ssrc, s) in self._delivered
+                )
+            self._slide_window(ssrc, src, msg_seq)
+        elif newest - msg_seq > REORDER_WINDOW:
+            self.behind_window += 1
             return  # from behind the window: that message is settled
         key = (ssrc, msg_seq)
         if key in self._delivered:
@@ -207,7 +214,6 @@ class RtpReassembler:
         if part is None:
             if frag_count == 1:
                 self._delivered.add(key)
-                st["completed"] += 1
                 self.on_message(ssrc, data[HEADER_SIZE:])
                 return
             part = _PartialMessage(frag_count)
@@ -219,40 +225,31 @@ class RtpReassembler:
             payload = part.assemble()
             del self._partial[key]
             self._delivered.add(key)
-            st["completed"] += 1
             self.on_message(ssrc, payload)
 
-    def _slide_window(self, ssrc: int, st: dict, newest: int) -> None:
+    def _settle_jump(self, ssrc: int, src: _Source, prior: int, msg_seq: int) -> None:
+        """Confirm or undo the unconfirmed jump from ``prior``, given the next fragment."""
+        if msg_seq - src.newest > REORDER_WINDOW or prior - msg_seq > REORDER_WINDOW:
+            return  # a further jump, or from behind both windows: nothing settled
+        if src.newest - msg_seq > REORDER_WINDOW:
+            # behind the new window, not the old one: the sequence from
+            # before the jump goes on, so the jump was a damaged header —
+            # settle its window and reopen the old one
+            self._slide_window(ssrc, src, src.newest + REORDER_WINDOW + 1)
+            src.newest = prior
+            self._delivered.update((ssrc, s) for s in src.kept)
+        src.prior = None
+        src.kept = ()
+
+    def _slide_window(self, ssrc: int, src: _Source, newest: int) -> None:
         """Advance a source's newest message-seq; settle what falls out."""
-        old = st["newest_msg"]
-        st["newest_msg"] = newest
+        old = src.newest
+        src.newest = newest
         # everything tracked for this source sits in [old - window, old]
         for msg_seq in range(
             max(0, old - REORDER_WINDOW), min(old + 1, newest - REORDER_WINDOW)
         ):
             self._delivered.discard((ssrc, msg_seq))
             if (ssrc, msg_seq) in self._partial:
-                self._abandon(ssrc, msg_seq)
-
-    def _abandon(self, ssrc: int, msg_seq: int) -> None:
-        del self._partial[ssrc, msg_seq]
-        self._stats[ssrc]["abandoned"] += 1
-        self.abandoned += 1
-
-    # ------------------------------------------------------------------
-    def report(self, ssrc: int) -> RtcpReport:
-        """RTCP-style receiver report for one source (all zero if untracked)."""
-        st = self._stats.get(ssrc, _ZERO_STAT)
-        expected = st["highest_seq"] + 1 if st["highest_seq"] >= 0 else 0
-        lost = max(0, expected - st["received"])
-        return RtcpReport(
-            ssrc=ssrc,
-            packets_received=st["received"],
-            packets_expected=expected,
-            cumulative_lost=lost,
-            highest_seq=st["highest_seq"],
-            fraction_lost=(lost / expected) if expected else 0.0,
-            messages_completed=st["completed"],
-            messages_abandoned=st["abandoned"],
-        )
-
+                del self._partial[ssrc, msg_seq]
+                self.abandoned += 1

@@ -14,7 +14,7 @@ It has two bindings to the network: the group-attached
 :class:`UnicastSemanticLink` (base station ↔ wireless client legs), on
 one :class:`~repro.network.udp.DatagramSocket`.  The wire itself needs
 only a callable that puts a datagram somewhere, so it runs unchanged
-over OS sockets too (:class:`~repro.snmp.realudp.RealUdpSocket`).
+over OS sockets too (the tests bind it to one, ``tests/snmp/realudp.py``).
 """
 
 from __future__ import annotations
@@ -324,10 +324,6 @@ class SemanticEndpoint:
         )
 
     # ------------------------------------------------------------------
-    def reception_report(self, ssrc: int):
-        """RTCP-style stats for a peer source."""
-        return self.wire.reassembler.report(ssrc)
-
     def close(self) -> None:
         """Leave the group and stop housekeeping."""
         if not self._closed:

@@ -4,8 +4,8 @@
 RTP-thin messaging transport) a familiar ``bind / sendto / recv`` surface
 while everything underneath runs on the discrete-event simulator.  The
 surface the SNMP layers consume is the :class:`DatagramTransport`
-protocol; :class:`DatagramSocket` is its reference implementation and
-:class:`repro.snmp.realudp.RealUdpSocket` puts an OS socket behind it.
+protocol; :class:`DatagramSocket` is its reference implementation, and
+the tests put an OS socket behind it (``tests/snmp/realudp.py``).
 
 Two receive styles are supported:
 

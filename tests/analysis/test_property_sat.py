@@ -14,7 +14,7 @@ MISSING — enough to land in every truth-relevant region):
 
 import itertools
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import Verdict, analyze_selector, interesting_values
@@ -89,6 +89,7 @@ def test_verdict_agrees_with_brute_force(text):
 
 
 @given(_selectors)
+@example("(x in [1, 'a'] and x == 'a')")
 @settings(max_examples=150, deadline=None)
 def test_unknown_only_outside_exact_fragment(text):
     # the exact fragment has no attr-vs-attr comparisons; within it the

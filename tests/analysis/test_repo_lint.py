@@ -22,9 +22,9 @@ MUTABLE_DEFAULT = (
 )
 
 TRANSPORT_CONSTRUCTION = (
-    "from repro.snmp.realudp import RealUdpSocket\n"
+    "from repro.messaging.rtp import RtpReassembler\n"
     "\n"
-    "sock = RealUdpSocket()\n"
+    "reassembler = RtpReassembler(print)\n"
 )
 
 
@@ -68,10 +68,10 @@ class TestTransportInjection:
         assert [d.code for d in diags] == ["LNT003"]
 
     def test_transport_modules_are_exempt(self):
-        assert lint_source(TRANSPORT_CONSTRUCTION, "src/repro/snmp/realudp.py") == []
+        assert lint_source(TRANSPORT_CONSTRUCTION, "src/repro/messaging/rtp.py") == []
 
     def test_attribute_call_flagged_too(self):
-        source = "import repro.snmp.realudp as realudp\nt = realudp.RealUdpSocket()\n"
+        source = "import repro.messaging.rtp as rtp\nt = rtp.RtpReassembler(print)\n"
         assert [d.code for d in lint_source(source, "examples/demo.py")] == ["LNT003"]
 
     WIRE_STACK_COPY = (
@@ -126,7 +126,7 @@ class TestSuppression:
         assert lint_source(source, "a.py") == []
 
     def test_bare_ignore_suppresses_everything(self):
-        source = "sock = RealUdpSocket()  # repro: ignore\n"
+        source = "reassembler = RtpReassembler(print)  # repro: ignore\n"
         assert lint_source(source, "examples/demo.py") == []
 
     def test_other_codes_still_reported(self):

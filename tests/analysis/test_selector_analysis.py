@@ -37,6 +37,17 @@ class TestSatisfiability:
 
     @pytest.mark.parametrize(
         "text",
+        ["x == 'a' and x in ['a', 1]", "x in [1, 'a'] and x == 'a'", "x in ['a', 1] and x == 'a'"],
+    )
+    def test_mixed_type_membership_is_decided_in_either_order(self, text):
+        # a mixed list asks for one of its sorts, so no conflict; and the
+        # numeric pin that ``x == 'a'`` killed is not sampled for a witness
+        report = analyze_selector(text)
+        assert report.verdict is Verdict.SAT and report.witness == {"x": "a"}
+        assert report.type_conflicts == ()
+
+    @pytest.mark.parametrize(
+        "text",
         [
             "x > 5 and x < 5",
             "x >= 5 and x < 5",

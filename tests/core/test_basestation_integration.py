@@ -79,7 +79,7 @@ class TestSirEvaluation:
         fw.add_wireless_client("w1", bs, distance=50.0)
         bs.evaluate_qos()
         bs.evaluate_qos()
-        assert len(bs.qos_history) == 2
+        assert bs.qos_snapshots == 2
 
     def test_empty_cell_snapshot(self, cell):
         _, _, bs = cell
@@ -103,7 +103,7 @@ class TestDownlinkGating:
         near = fw.add_wireless_client("near", bs, distance=40.0)
         far = fw.add_wireless_client("far", bs, distance=95.0)
         bs.evaluate_qos()
-        _, far_tier = bs.qos_history[-1].for_client("far")
+        _, far_tier = bs.last_snapshot.for_client("far")
         assert far_tier in (ModalityTier.TEXT_ONLY, ModalityTier.NOTHING)
         wired.share_image("map", collaboration_scene(64, 64))
         fw.run_for(3.0)
@@ -166,7 +166,7 @@ class TestUplinkGating:
         # drag the client down with an interferer
         fw.add_wireless_client("jammer", bs, distance=40.0)
         bs.evaluate_qos()
-        _, tier = bs.qos_history[-1].for_client("w1")
+        _, tier = bs.last_snapshot.for_client("w1")
         assert tier in (ModalityTier.TEXT_ONLY, ModalityTier.TEXT_AND_SKETCH, ModalityTier.NOTHING)
         from repro.apps.imageviewer import ImageViewer
 
@@ -213,7 +213,7 @@ class TestPowerControl:
         bs.apply_power_control()
         fw.run_for(1.0)
         assert w.tx_power == 4.0
-        assert len(w.power_requests) == 1
+        assert w.power_requests == 1
 
     def test_power_reduction_conserves_battery(self, cell):
         fw, _, bs = cell

@@ -265,7 +265,7 @@ class TestRadioControlInputs:
         bs.radio.send(request.to_message("bs", "true"), m1.link.address)
         fw.run_for(0.5)
         assert m1.link.wire.decode_failures == 1
-        assert m1.tx_power == 1.0 and m1.power_requests == []
+        assert m1.tx_power == 1.0 and m1.power_requests == 0
         assert bs.attachments["m1"].tx_power == 1.0
 
     def test_legitimate_power_request_still_applies(self, cell):
@@ -396,13 +396,14 @@ class TestDispatchCounters:
     @pytest.mark.parametrize(
         "kind, body",
         [
-            # the body layouts the session-lock events had: a peer on an
-            # older build may still send them
+            # the body layouts the session-lock and image-repair events
+            # had: a peer on an older build may still send them
             ("lock-request", b"\x00\x00\x00\x03bob\x00\x00\x00\x02s1"),
             ("lock-release", b"\x00\x00\x00\x03bob\x00\x00\x00\x02s1"),
             ("lock-grant", b"\x00\x00\x00\x03bob\x00\x00\x00\x02s1\x01"),
+            ("image-repair", b"\x00\x00\x00\x03bob\x00\x00\x00\x03map\x00\x00\x00\x01\x00\x00\x00\x05"),
         ],
-        ids=["lock-request", "lock-release", "lock-grant"],
+        ids=["lock-request", "lock-release", "lock-grant", "image-repair"],
     )
     def test_retired_lock_kinds_are_counted_and_dropped(self, kind, body):
         fw = CollaborationFramework("t", objective="decode hardening", seed=0)

@@ -125,7 +125,7 @@ def test_arbitrary_bytes_decode_alike(name, data):
 
 
 def test_every_event_class_is_compared():
-    assert len(CLASSES) == 13
+    assert len(CLASSES) == 12
     assert CLASSES == sorted(
         name
         for name in ref.__all__

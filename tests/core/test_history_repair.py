@@ -1,8 +1,8 @@
-"""Tests for session-history replay and NACK-based image repair."""
+"""Tests for session-history replay, the one way a peer gets back what it missed."""
 
 import pytest
 
-from repro.core.events import HistoryRequest, ImageRepairRequest, decode_event
+from repro.core.events import HistoryRequest, decode_event
 from repro.core.framework import CollaborationFramework
 from repro.media.images import collaboration_scene
 
@@ -15,10 +15,6 @@ def fw():
 class TestEventCodecs:
     def test_history_request_roundtrip(self):
         e = HistoryRequest(client_id="late", since=12.5, kinds=("chat", "whiteboard"))
-        assert decode_event(e.kind, e.to_body()) == e
-
-    def test_repair_request_roundtrip(self):
-        e = ImageRepairRequest(client_id="c", image_id="img", packet_indices=(3, 7, 11))
         assert decode_event(e.kind, e.to_body()) == e
 
 
@@ -131,51 +127,31 @@ class TestHistoryReplay:
         assert b.chat.transcript == ["alice: hi"]
         assert b.whiteboard.arbiter.total_conflicts == 0
 
-    def test_non_serving_peer_stays_silent(self, fw):
-        a = fw.add_wired_client("alice")
-        a.serve_history = False
-        a.join()
-        fw.run_for(0.2)
-        a.send_chat("unarchived for others")
-        fw.run_for(0.5)
-        carol = fw.add_wired_client("carol")
-        carol.join()
-        fw.run_for(0.2)
-        carol.request_history()
-        fw.run_for(1.0)
-        assert carol.chat.transcript == []
+
+def lose_the_share(fw, receiver, image_id="map"):
+    """Share an image from alice while ``receiver``'s access link drops everything."""
+    link = fw.network.link(receiver.name, "lan-switch")
+    link.loss = 1.0
+    fw.wired_clients["alice"].share_image(image_id, collaboration_scene(64, 64))
+    fw.run_for(2.0)
+    link.loss = 0.0
+    assert image_id not in receiver.viewer.viewed
 
 
 class TestImageRepair:
+    """Image packets lost on the wire come back with the session history."""
+
     def test_missing_packets_repaired(self, fw):
         a = fw.add_wired_client("alice")
         b = fw.add_wired_client("bob")
         a.join()
         b.join()
         fw.run_for(0.5)
-        img = collaboration_scene(64, 64)
-        a.share_image("map", img)
-        fw.run_for(2.0)
-        view = b.viewer.viewed["map"]
-        # simulate loss: drop two mid-stream packets from the assembly
-        del view.assembly._packets[5]
-        del view.assembly._packets[9]
-        assert view.assembly.usable_prefix == 5
-
-        missing = b.request_image_repair("map")
-        assert missing == (5, 9)
+        lose_the_share(fw, b)
+        b.request_history()
         fw.run_for(1.0)
-        assert view.assembly.usable_prefix == 16
-
-    def test_no_request_when_complete(self, fw):
-        a = fw.add_wired_client("alice")
-        b = fw.add_wired_client("bob")
-        a.join()
-        b.join()
-        fw.run_for(0.5)
-        a.share_image("map", collaboration_scene(64, 64))
-        fw.run_for(2.0)
-        assert b.request_image_repair("map") == ()
+        view = b.viewer.viewed["map"]
+        assert view.assembly.usable_prefix == 16 and view.packets_offered == 16
 
     def test_repair_respects_budget(self, fw):
         a = fw.add_wired_client("alice")
@@ -184,54 +160,25 @@ class TestImageRepair:
         b.join()
         fw.run_for(0.5)
         b.viewer.set_packet_budget(4)
-        a.share_image("map", collaboration_scene(64, 64))
-        fw.run_for(2.0)
-        view = b.viewer.viewed["map"]
-        del view.assembly._packets[2]
-        missing = b.request_image_repair("map")
-        assert missing == (2,)  # only within the 4-packet budget
+        lose_the_share(fw, b)
+        b.request_history()
         fw.run_for(1.0)
-        assert view.assembly.usable_prefix == 4
-
-    def test_unknown_image_noop(self, fw):
-        b = fw.add_wired_client("bob")
-        assert b.request_image_repair("ghost") == ()
+        assert b.viewer.viewed["map"].assembly.usable_prefix == 4  # only within the 4-packet budget
 
     def test_repair_unicast_semantics(self, fw):
-        """Only the requester receives the repair packets."""
+        """Only the requester receives the replayed packets."""
         a = fw.add_wired_client("alice")
         b = fw.add_wired_client("bob")
         c = fw.add_wired_client("carol")
         for x in (a, b, c):
             x.join()
         fw.run_for(0.5)
-        a.share_image("map", collaboration_scene(64, 64))
-        fw.run_for(2.0)
+        lose_the_share(fw, b)
         carol_offered = c.viewer.viewed["map"].packets_offered
-        view = b.viewer.viewed["map"]
-        del view.assembly._packets[3]
-        b.request_image_repair("map")
+        b.request_history()
         fw.run_for(1.0)
+        assert b.viewer.viewed["map"].assembly.usable_prefix == 16
         assert c.viewer.viewed["map"].packets_offered == carol_offered
-
-    def test_repeated_indices_are_served_once(self, fw):
-        """The indices come off the wire: 300 copies of one index is one repair."""
-        a = fw.add_wired_client("alice")
-        b = fw.add_wired_client("bob")
-        a.join()
-        b.join()
-        fw.run_for(0.5)
-        a.share_image("map", collaboration_scene(64, 64))
-        fw.run_for(2.0)
-        sent = a.endpoint.sent_messages
-        b._publish_event(ImageRepairRequest(client_id="bob", image_id="map", packet_indices=(0,) * 300))
-        fw.run_for(1.0)
-        assert a.endpoint.sent_messages - sent == 1
-        b._publish_event(
-            ImageRepairRequest(client_id="bob", image_id="map", packet_indices=tuple(range(40)) * 3)
-        )
-        fw.run_for(1.0)
-        assert a.endpoint.sent_messages - sent == 1 + len(a.viewer.shared["map"].packets())
 
 
 class TestHostileRequesterIds:
@@ -266,18 +213,8 @@ class TestHostileRequesterIds:
     def test_unquotable_id_is_dropped_and_counted(self, session):
         fw, a, b, m = session
         m._publish_event(HistoryRequest(client_id="""b'o"b"""))
-        m._publish_event(
-            ImageRepairRequest(client_id="""b'o"b""", image_id="map", packet_indices=(0,))
-        )
         fw.run_for(1.0)
-        assert a.endpoint.decode_failures == 1  # history only: alice shared no image
-        a.share_image("map", collaboration_scene(64, 64))
-        fw.run_for(2.0)
-        m._publish_event(
-            ImageRepairRequest(client_id="""b'o"b""", image_id="map", packet_indices=(0,))
-        )
-        fw.run_for(1.0)
-        assert a.endpoint.decode_failures == 2
+        assert a.endpoint.decode_failures == b.endpoint.decode_failures == 1
 
     def test_unencodable_reaction_is_counted_not_raised(self, session):
         fw, a, b, m = session

@@ -71,12 +71,6 @@ class TestArchive:
         a.record(5.0, SemanticMessage.create("x", "true", kind="new"))
         assert [m.kind for _, m in a.replay(since=2.0)] == ["new"]
 
-    def test_replay_kind_filter(self):
-        a = SessionArchive()
-        a.record(1.0, SemanticMessage.create("x", "true", kind="chat"))
-        a.record(2.0, SemanticMessage.create("x", "true", kind="join"))
-        assert len(a.replay(kinds={"chat"})) == 1
-
     def test_capacity_evicts_oldest(self):
         with mock.patch.object(session, "ARCHIVE_CAPACITY", 3):
             a = SessionArchive()
@@ -105,8 +99,8 @@ class ListArchive:
             self._entries = self._entries[-self.capacity :]
         return True
 
-    def replay(self, since=0.0, kinds=None):
-        return [(t, m) for t, m in self._entries if t >= since and (kinds is None or m.kind in kinds)]
+    def replay(self, since=0.0):
+        return [(t, m) for t, m in self._entries if t >= since]
 
     def __len__(self):
         return len(self._entries)
@@ -117,7 +111,7 @@ ARCHIVE_OPS = st.one_of(
     st.tuples(st.just("record"), st.floats(0, 10), st.sampled_from(KINDS)),
     # the k-th recorded message again: a replay, held or already evicted
     st.tuples(st.just("again"), st.floats(0, 10), st.integers(0, 39)),
-    st.tuples(st.just("replay"), st.floats(0, 10), st.none() | st.sets(st.sampled_from(KINDS))),
+    st.tuples(st.just("replay"), st.floats(0, 10), st.none()),
 )
 
 
@@ -136,6 +130,6 @@ def test_ring_archive_equals_list_reference(capacity, program):
                 message = recorded[arg % len(recorded)]
                 assert ring.record(t, message) == ref.record(t, message)
         else:
-            assert ring.replay(since=t, kinds=arg) == ref.replay(since=t, kinds=arg)
+            assert ring.replay(since=t) == ref.replay(since=t)
         assert (len(ring), ring.archived) == (len(ref), ref.archived)
     assert ring.replay() == ref.replay()

@@ -1,19 +1,30 @@
 """Regression suite for the seeded chaos drill.
 
-Pins the two properties the fault-injection subsystem promises: the
-packet-disposition conservation invariant, and byte-identical replay of
-a full collaboration session under the same seed.
+Pins the properties the fault-injection subsystem promises: the
+packet-disposition conservation invariant, byte-identical replay of a
+full collaboration session under the same seed, and recovery — once the
+faults are over, the session history gives every peer what it missed.
 """
+
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.experiments.chaos import (
     DURATION,
+    _run,
     chaos_telemetry,
     default_chaos_plan,
     run_chaos,
 )
+
+#: kinds a history replay never carries
+NOT_REPLAYED = {"history-request", "join", "leave"}
+
+#: tier-1 runs seed 0 and two seeds at which the drill damages an RTP
+#: header (2, 5); the deep profile runs seeds 0-39
+RECOVERY_SEEDS = range(40) if settings().max_examples > 100 else (0, 2, 5)
 
 
 class TestChaosDrill:
@@ -72,3 +83,37 @@ class TestChaosDeterminism:
         blob = chaos_telemetry(seed=0)
         for marker in ("network: sent=", "chaos: ", "breakers: "):
             assert marker in blob
+
+
+class TestChaosRecovery:
+    @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
+    def test_catch_up_holds_every_message_once(self, seed):
+        fw, _ = _run(seed, DURATION)
+        peers = fw.wired_clients
+        published = {
+            name: {m.msg_id for _, m in c.archive.replay() if m.msg_id.sender == name and m.kind not in NOT_REPLAYED}
+            for name, c in peers.items()
+        }
+        for name, client in peers.items():
+            held = Counter(m.msg_id for _, m in client.archive.replay())
+            assert set(held.values()) == {1}
+            for other, ids in published.items():
+                if other != name:
+                    assert ids <= held.keys(), (name, other, sorted(map(str, ids - held.keys())))
+        net = fw.network
+        assert net.packets_sent == net.packets_delivered + net.packets_dropped + net.packets_duplicated
+
+    def test_damaged_header_does_not_silence_a_sender(self):
+        # at seed 2, t = 17.0, bob receives alice's message-seq 29 with bit
+        # 23 flipped; before the catch-up he must still be hearing her live
+        fw, _ = _run(2, default_chaos_plan().horizon - 0.5)
+        bob = fw.wired_clients["bob"]
+        assert any(line.author == "alice" and line.time > 18.0 for line in bob.chat.lines)
+        assert bob.endpoint.wire.reassembler.behind_window == 0
+
+    def test_catch_up_brings_carol_the_image_she_missed(self):
+        # carol is partitioned off while bob shares img-storm (t = 11)
+        fw, _ = _run(0, DURATION)
+        carol = fw.wired_clients["carol"]
+        assert carol.viewer.viewed["img-storm"].assembly.usable_prefix == 16
+        assert [len(c.chat.lines) for _, c in sorted(fw.wired_clients.items())] == [16, 16, 16]

@@ -12,9 +12,16 @@ datagram became one flat pass, kept verbatim as the test oracle:
   ``(value, pos)``-returning helper call per field, with the helpers it
   called (``_read_varint``, ``_read_str``, ``_read_value``).
 
-The header layout, window and source bounds, report type and error types
-are imported from the module under test, so a fast and a reference
-receiver differ in nothing but the path being compared.
+The header layout, window and source bounds and error types are
+imported from the module under test, so a fast and a reference receiver
+differ in nothing but the path being compared.  The receiver report
+(``RtcpReport`` and the per-source counters behind it), which ``rtp.py``
+no longer has, is kept here with the code that reads it.
+
+The reference keeps the parent's window rule: a forward jump of more
+than the window is final, and every later fragment from behind it is
+dropped uncounted.  ``test_wire_reference.py`` compares against it only
+on traffic up to the first such fragment.
 """
 
 import struct
@@ -28,11 +35,9 @@ from repro.core.selectors import SelectorError
 from repro.messaging.message import MessageId, SemanticMessage
 from repro.messaging.rtp import (
     _HEADER,
-    _ZERO_STAT,
     HEADER_SIZE,
     MAX_TRACKED_SOURCES,
     REORDER_WINDOW,
-    RtcpReport,
     RtpError,
 )
 from repro.messaging.serialization import _MAGIC, _VERSION, WireError
@@ -41,6 +46,23 @@ from repro.messaging.serialization import _MAGIC, _VERSION, WireError
 # ----------------------------------------------------------------------
 # rtp.py
 # ----------------------------------------------------------------------
+_ZERO_STAT = {"received": 0, "highest_seq": -1, "completed": 0, "abandoned": 0, "newest_msg": -1}
+
+
+@dataclass
+class RtcpReport:
+    """Receiver-side statistics in RTCP RR spirit."""
+
+    ssrc: int
+    packets_received: int
+    packets_expected: int
+    cumulative_lost: int
+    highest_seq: int
+    fraction_lost: float
+    messages_completed: int
+    messages_abandoned: int
+
+
 @dataclass(frozen=True)
 class ReferenceRtpPacket:
     """One wire fragment."""

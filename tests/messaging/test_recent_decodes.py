@@ -40,7 +40,7 @@ from ..core import reference_events as ref_events
 from ..core.test_events_reference import CLASSES, kwargs_of
 from ..media.reference_packets import reference_packet_from_bytes
 from .reference_wire import reference_decode_message
-from .test_wire_reference import MESSAGES, outcome
+from .test_wire_reference import MESSAGES, alike, outcome
 
 # explicit settings would shadow --hypothesis-profile=deep, so tier-1's
 # budget steps aside when a larger profile is loaded
@@ -98,9 +98,9 @@ def with_repeats_and_a_break(data, items):
 @given(st.lists(MESSAGES, min_size=1, max_size=8), MODES, st.integers(0, 11), st.data())
 def test_decode_message_matches_reference_cold_warm_and_cleared(messages, mode, clear_at, data):
     items = with_repeats_and_a_break(data, [(encode_message(m),) for m in messages])
-    assert decode_stream(decode_message, items, mode, clear_at) == [
+    assert alike(decode_stream(decode_message, items, mode, clear_at), [
         outcome(reference_decode_message, *item) for item in items
-    ]
+    ])
 
 
 @BUDGET

@@ -142,13 +142,17 @@ class TestReassembly:
 
 class TestLossAccounting:
     def test_report_counts_loss(self):
-        p, r, _ = pipe(mtu=100)
+        p, r, out = pipe(mtu=100)
         frags = p.packetize(bytes(1000))
         for f in frags[::2]:  # drop every other fragment
             r.ingest(f.encode())
-        rep = r.report(7)
-        assert rep.cumulative_lost > 0
-        assert 0.0 < rep.fraction_lost < 1.0
+        for _ in range(REORDER_WINDOW + 1):  # newer traffic settles the torn message
+            r.ingest(p.packetize(b"ok")[0].encode())
+        assert r.abandoned == 1 and r.behind_window == 0
+        for f in frags[1::2]:  # the rest arrives too late
+            r.ingest(f.encode())
+        assert r.behind_window == len(frags[1::2])
+        assert out == [(7, b"ok")] * (REORDER_WINDOW + 1)
 
     def test_expire_abandons_old_messages(self):
         out = []
@@ -162,17 +166,14 @@ class TestLossAccounting:
         r.ingest(p.packetize(b"ok")[0].encode())  # pushes msg 0 out
         assert r.abandoned == 1
         assert r.abandoned == 1  # reading it zeroes nothing
-        assert r.report(7).messages_abandoned == 1
         assert out == [b"ok"] * (REORDER_WINDOW + 1) and not r._partial  # never delivered
 
     def test_clean_report(self):
-        p, r, _ = pipe()
+        p, r, out = pipe()
         for f in p.packetize(b"all good"):
             r.ingest(f.encode())
-        rep = r.report(7)
-        assert rep.cumulative_lost == 0
-        assert rep.fraction_lost == 0.0
-        assert rep.messages_completed == 1
+        assert out == [(7, b"all good")]
+        assert r.abandoned == r.behind_window == 0
 
 
 class TestWindowBound:
@@ -191,13 +192,14 @@ class TestWindowBound:
             r.ingest(p.packetize(b"m%d" % i)[0].encode())
         assert len(r._partial) == 0
         assert len(r._delivered) <= REORDER_WINDOW + 1
-        assert r.report(7).messages_abandoned == 1 and r.abandoned == 1
+        assert r.abandoned == 1
         # late fragments from behind the window neither re-open the torn
-        # message nor re-deliver the completed one
+        # message nor re-deliver the completed one: they are dropped and counted
         delivered = len(out)
         r.ingest(torn[1].encode())
         r.ingest(first)
         assert len(r._partial) == 0 and len(out) == delivered
+        assert r.behind_window == 2
 
     def test_hostile_msg_seq_jump_is_constant_work(self):
         p, r, out = pipe()
@@ -229,15 +231,14 @@ class TestWindowBound:
             "base station radio side": bs.radio.wire.reassembler,
         }
         for who, r in reassemblers.items():
-            assert r._stats, who  # saw traffic
-            for ssrc in r._stats:
+            assert r._sources, who  # saw traffic
+            for ssrc in r._sources:
                 held = sum(1 for s, _ in r._partial if s == ssrc)
                 done = sum(1 for s, _ in r._delivered if s == ssrc)
                 bound = REORDER_WINDOW + 1
                 assert held <= bound and done <= bound, (who, held, done)
         for who in ("wireless link", "base station radio side"):
-            stats = reassemblers[who]._stats.values()
-            assert sum(st["abandoned"] for st in stats) > 0, who  # the bound did work
+            assert reassemblers[who].abandoned > 0, who  # the bound did work
 
 
 class TestSourceBound:
@@ -257,19 +258,72 @@ class TestSourceBound:
             if i % every == 0 and frags:
                 r.ingest(frags.pop(0).encode())
         assert not frags
-        assert len(r._stats) <= MAX_TRACKED_SOURCES
+        assert len(r._sources) <= MAX_TRACKED_SOURCES
         assert len(r._partial) <= MAX_TRACKED_SOURCES
         assert len(r._delivered) <= MAX_TRACKED_SOURCES * (REORDER_WINDOW + 1)
-        assert {s for s, _ in r._partial} | {s for s, _ in r._delivered} <= set(r._stats)
+        assert {s for s, _ in r._partial} | {s for s, _ in r._delivered} <= set(r._sources)
         assert out == [(7, b"hello"), (7, bytes(range(200)) * 5)]
         # every evicted source's partial went through the abandon accounting
         assert r.abandoned == flood - len(r._partial)
-        assert r.report(7).messages_abandoned == 0  # nothing of the real source was torn
 
-    def test_report_of_unknown_source_creates_no_state(self):
+
+def single(msg_seq, payload=b"", ssrc=7):
+    """One single-fragment message with a given message-seq, as on the wire."""
+    return RtpPacket(ssrc, msg_seq, 0, 1, msg_seq, payload or b"m%d" % msg_seq).encode()
+
+
+class TestForwardJumps:
+    """A forward jump of more than the window is provisional: one damaged
+    header must not silence its source for the rest of the run."""
+
+    def test_one_corrupted_header_does_not_silence_its_source(self):
+        # the chaos drill at seed 2: bob holds alice up to message-seq 28,
+        # then 29 arrives with bit 23 of its message-seq flipped
+        out = []
+        r = RtpReassembler(lambda s, payload: out.append(payload))
+        for m in range(29):
+            r.ingest(single(m))
+        r.ingest(single(29 | 1 << 23, b"m29"))  # the first fragment after a jump is taken
+        for m in range(30, 40):
+            r.ingest(single(m))
+        assert out == [b"m%d" % m for m in range(40)]
+        assert r.behind_window == 0 and r._sources[7].newest == 39
+        r.ingest(single(27))  # the restored window still knows what it delivered
+        assert len(out) == 40
+
+    def test_unicast_jumps_are_taken_at_once(self):
+        # a base station's one packetizer serves every mobile: the
+        # message-seqs one mobile hears jump past the window each time
+        out = []
+        r = RtpReassembler(lambda s, payload: out.append(payload))
+        seqs = [0, 1, 100, 300, 301, 900, 2000]
+        for m in seqs:
+            r.ingest(single(m))
+        assert out == [b"m%d" % m for m in seqs] and r.behind_window == 0
+
+    def test_confirmed_jump_drops_the_old_sequence(self):
+        _, r, out = pipe()
+        for m in (0, 1, 2, 500, 501):  # 501 lands in 500's window: the jump is real
+            r.ingest(single(m))
+        assert r._sources[7].prior is None
+        r.ingest(single(3))
+        assert r.behind_window == 1 and len(out) == 5
+
+    def test_second_damaged_header_does_not_confirm_the_first(self):
+        _, r, out = pipe()
+        for m in range(10):
+            r.ingest(single(m))
+        r.ingest(single(10 | 1 << 23))
+        r.ingest(single(11 | 1 << 30))  # outside both windows: nothing settled
+        assert r.behind_window == 0 and r._sources[7].prior == 9
+        r.ingest(single(12))
+        assert r._sources[7].newest == 12 and r._sources[7].prior is None
+        assert len(out) == 13
+
+    def test_restore_settles_the_jumped_window(self):
         _, r, _ = pipe()
-        rep = r.report(12345)
-        assert (rep.packets_received, rep.packets_expected, rep.highest_seq) == (0, 0, -1)
-        assert (rep.messages_completed, rep.messages_abandoned) == (0, 0)
-        assert rep.fraction_lost == 0.0
-        assert 12345 not in r._stats
+        r.ingest(single(0))
+        r.ingest(RtpPacket(7, 1 << 20, 0, 2, 1, b"half").encode())  # a torn jumped message
+        r.ingest(single(1))
+        assert r.abandoned == 1 and not r._partial
+        assert {m for _, m in r._delivered} == {0, 1}

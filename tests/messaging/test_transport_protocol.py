@@ -11,7 +11,7 @@ from repro.messaging.transport import SemanticWire
 from repro.network.clock import Scheduler
 from repro.network.simnet import Network
 from repro.network.udp import DatagramSocket, DatagramTransport
-from repro.snmp.realudp import RealUdpSocket
+from ..snmp.realudp import RealUdpSocket
 
 
 def _loopback_available() -> bool:

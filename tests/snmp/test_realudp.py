@@ -11,7 +11,7 @@ from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
 from repro.snmp.mib import MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
 from repro.snmp.pdu import PDU_GETBULK, PDU_GETNEXT, PDU_RESPONSE, PDU_SET, VERSION_2C, SnmpMessage
-from repro.snmp.realudp import RealSnmpAgent, RealSnmpManager
+from .realudp import RealSnmpAgent, RealSnmpManager
 
 
 def _loopback_available() -> bool:

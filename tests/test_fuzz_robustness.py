@@ -36,7 +36,6 @@ EVENT_KINDS = [
     "profile-update",
     "power-control",
     "history-request",
-    "image-repair",
 ]
 
 
