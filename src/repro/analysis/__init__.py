@@ -25,12 +25,11 @@ framework (:mod:`~repro.analysis.passes`):
   project call graph (:mod:`~repro.analysis.callgraph`): physical-unit
   propagation (dB vs linear, bit/s vs byte/s, s/ms/µs) and
   exception-escape summaries for dispatch boundaries;
-* :mod:`~repro.analysis.wireformat` — wire-format symmetry and decode
-  safety over auto-discovered encoder/decoder pairs (byte-layout
-  abstract interpretation; WIRE001–005), with a runtime twin in
-  :mod:`~repro.analysis.wirefuzz`: registry-driven differential fuzzing
-  (round-trip, truncation, bit-flip) cross-checked against the static
-  findings.
+* :mod:`~repro.analysis.wireformat` — decode safety (WIRE002) of every
+  encoder/decoder pair discovered by naming convention; symmetry is
+  :mod:`~repro.analysis.wirefuzz`'s: registry-driven differential
+  fuzzing (round-trip, truncation, bit-flip) cross-checked against the
+  static findings.
 
 CI gates on *new* findings only via a checked-in baseline
 (:mod:`~repro.analysis.baseline`), and emits SARIF for code-scanning
@@ -47,7 +46,6 @@ from .callgraph import (
 )
 from .concurrency import (
     LOCK_FACTORIES,
-    THREAD_ROOT_SUFFIXES,
     LockInfo,
     analyze_concurrency,
     check_sanitizer_report,
@@ -184,7 +182,6 @@ __all__ = [
     "analyze_hotpath",
     "perf_diagnostics",
     "LOCK_FACTORIES",
-    "THREAD_ROOT_SUFFIXES",
     "LockInfo",
     "collect_locks",
     "lock_order_edges",

@@ -32,8 +32,7 @@ while holding ``H`` adds the edge ``H -> M``.
 **Shared-state races.**  Thread-root reachability labels every function
 with the roots that can run it: ``ThreadPoolExecutor.submit`` targets
 and ``Thread(target=...)`` (true threads), delivery-callback
-registrations, SNMP poll loops (:data:`THREAD_ROOT_SUFFIXES`), and the
-main/API surface.
+registrations, and the main/API surface.
 
 * **RACE001** — a field written from two or more distinct roots, at
   least one a *free-running* thread, with at least one write not under
@@ -70,7 +69,6 @@ from typing import Iterable, Iterator, Optional
 from .callgraph import (
     CallGraph,
     FunctionInfo,
-    matches_suffix,
     module_name_for_path,
     name_binding,
     rightmost_name,
@@ -89,7 +87,6 @@ from .passes import (
 
 __all__ = [
     "LOCK_FACTORIES",
-    "THREAD_ROOT_SUFFIXES",
     "LockInfo",
     "collect_locks",
     "lock_order_edges",
@@ -105,11 +102,6 @@ LOCK_FACTORIES: frozenset[str] = frozenset({"Lock", "RLock", "make_lock", "Track
 
 #: factories producing re-entrant locks (self-acquire is not a 1-cycle)
 _REENTRANT_FACTORIES: frozenset[str] = frozenset({"RLock"})
-
-#: qualname suffixes treated as true thread roots even without a visible
-#: ``Thread(target=...)``: deployments drive the SNMP poll loop from a
-#: timer thread (the paper's network-state monitor)
-THREAD_ROOT_SUFFIXES: tuple[str, ...] = ("NetworkStateInterface.poll",)
 
 #: held-context fan-out cap per function (worklist safety valve; real
 #: code holds one or two locks, corpus files a handful)
@@ -249,18 +241,12 @@ class _LockFlow:
     # -- public ---------------------------------------------------------
     def run(self) -> None:
         for q in sorted(self.graph.functions):
-            if not self.graph.callers_of(q) or self._is_thread_root_suffix(q):
+            if not self.graph.callers_of(q):
                 self._push(q, frozenset())
-            if self._is_thread_root_suffix(q):
-                self.thread_roots.add(q)
-                self.free_thread_roots.add(q)
         while self._work:
             q, ctx = self._work.pop()
             fn = self.graph.functions[q]
             self._walk_block(fn, fn.node.body, ctx)
-
-    def _is_thread_root_suffix(self, q: str) -> bool:
-        return any(matches_suffix(q, s) for s in THREAD_ROOT_SUFFIXES)
 
     # -- worklist -------------------------------------------------------
     def _push(self, q: str, ctx: frozenset[str]) -> None:

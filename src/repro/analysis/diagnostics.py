@@ -31,6 +31,10 @@ from dataclasses import dataclass, replace
 from enum import IntEnum
 from typing import Iterable, Mapping, Optional
 
+#: the data path defines it beside ``WireError`` so that a dropped
+#: datagram never loads this package
+from ..messaging.serialization import DiagnosticWarning
+
 __all__ = [
     "Severity",
     "Diagnostic",
@@ -59,11 +63,6 @@ class Severity(IntEnum):
 
     def __str__(self) -> str:
         return self.name.lower()
-
-
-class DiagnosticWarning(UserWarning):
-    """Category of run-time reports (wire input dropped at a :class:`SemanticWire
-    <repro.messaging.transport.SemanticWire>`)."""
 
 
 #: Stable rule registry: code -> (default severity, one-line description).
@@ -110,12 +109,8 @@ RULES: dict[str, tuple[Severity, str]] = {
     # -- hot-path cost (interprocedural loop-cost propagation) ------------
     "PERF001": (Severity.WARNING, "population-sized scan or copy on a per-packet hot path (O(subscribers) work per message)"),
     "PERF004": (Severity.WARNING, "loop-invariant pure call or uncached selector re-parse on a hot path (hoist or route through the parse cache)"),
-    # -- wire-format symmetry & decode safety ------------------------------
-    "WIRE001": (Severity.ERROR, "encoder and decoder disagree on field order, width, or endianness"),
+    # -- wire-format decode safety ----------------------------------------
     "WIRE002": (Severity.ERROR, "decoder reads past len(data) on truncated input without a bounds guard"),
-    "WIRE003": (Severity.ERROR, "length-prefix field disagrees with the loop that produces or consumes it"),
-    "WIRE004": (Severity.WARNING, "magic-prefix message discrimination can collide with a peer codec's leading field"),
-    "WIRE005": (Severity.WARNING, "non-canonical encoding: unordered container iterated into wire bytes"),
 }
 
 

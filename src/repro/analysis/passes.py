@@ -49,7 +49,6 @@ __all__ = [
     "DELIVERY_CALLBACK_POSITIONS",
     "MUTATING_METHODS",
     "is_container_value",
-    "is_set_expr",
     "Registration",
     "bus_like_receiver",
     "resolve_callback_ref",
@@ -208,16 +207,6 @@ def is_container_value(value: ast.expr) -> bool:
     if isinstance(value, (ast.Dict, ast.List, ast.Set, ast.ListComp, ast.SetComp, ast.DictComp)):
         return True
     return isinstance(value, ast.Call) and rightmost_name(value.func) in _CONTAINER_CTORS
-
-
-def is_set_expr(expr: ast.expr, set_locals: set[str]) -> bool:
-    """Definitely-unordered iterable: a set display/comprehension/call or
-    a local known to hold one (WIRE005)."""
-    if isinstance(expr, ast.Name):
-        return expr.id in set_locals
-    if isinstance(expr, (ast.Set, ast.SetComp)):
-        return True
-    return isinstance(expr, ast.Call) and rightmost_name(expr.func) in ("set", "frozenset")
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,9 @@
-"""Differential fuzz harness: the WIRE pass's runtime twin.
+"""Differential fuzz harness: the one codec-symmetry oracle.
 
-Where :mod:`repro.analysis.wireformat` proves codec-pair symmetry and
-decode safety *statically*, this module derives the corresponding
-runtime properties from an importing registry of the same codec pairs
-and drives them with deterministic, seeded inputs:
+:mod:`repro.analysis.wireformat` checks decode safety *statically*
+(WIRE002); this module checks symmetry and decode safety at run time,
+from an importing registry of the codec pairs, with deterministic,
+seeded inputs:
 
 * **round-trip** — ``decode(encode(v))`` must equal ``v`` for sampled
   valid values;
@@ -226,8 +226,11 @@ def _message_equal(a: Any, b: Any) -> bool:
 # ----------------------------------------------------------------------
 def default_registry() -> list[FuzzCodecPair]:
     """Every shipped codec pair, with samplers and declared errors."""
+    import numpy as np
+
     from ..core import events as ev
     from ..media.progressive import FULL_BUDGET, PACKET_COUNTS, ImagePacket, ImagePacketError, ReceivedImage
+    from ..media.sketch import Sketch, SketchError, decode_sketch, extract_sketch
     from ..messaging import rtp
     from ..messaging.serialization import WireError, decode_message, encode_message
     from ..snmp import ber, pdu
@@ -334,6 +337,30 @@ def default_registry() -> list[FuzzCodecPair]:
                 _SRC_ROOT, "repro", "messaging", "serialization.py"
             ),
             equal=_message_equal,
+        )
+    )
+
+    # the sketch's shape travels beside its bytes (SketchShareEvent's
+    # sketch_h / sketch_w); 32x32 is what extract_sketch aims for
+    def sample_sketch(rng: random.Random) -> Sketch:
+        img = np.zeros((32, 32))
+        for _ in range(rng.randrange(6)):
+            y, x = rng.randrange(32), rng.randrange(32)
+            img[y : y + rng.randrange(1, 32), x : x + rng.randrange(1, 32)] = rng.randrange(256)
+        if rng.random() < 0.5:
+            img += np.frombuffer(rng.randbytes(32 * 32), dtype=np.uint8).reshape(32, 32)
+        # a low percentile marks dense noise, where bit-packing beats RLE
+        return extract_sketch(img, edge_percentile=rng.uniform(50.0, 99.0))
+
+    pairs.append(
+        FuzzCodecPair(
+            name="sketch.Sketch",
+            encode=lambda sk: sk.encoded,
+            decode=lambda data: decode_sketch(data, (32, 32), (32, 32)),
+            sample=sample_sketch,
+            expected_errors=(SketchError,),
+            static_file=os.path.join(_SRC_ROOT, "repro", "media", "sketch.py"),
+            equal=lambda a, b: bool(np.array_equal(a.mask, b.mask)),
         )
     )
 

@@ -50,7 +50,8 @@ class Constant(Workload):
 class Ramp(Workload):
     """Linear sweep ``start → stop`` over ``ticks`` steps, then hold.
 
-    The FIG6/FIG7 sweeps are ``Ramp(30, 100, n)``.
+    The FIG6/FIG7 sweeps do not use it: they replay their levels as a
+    :class:`Trace` and step the host with ``advance_to_tick``.
     """
 
     start: float

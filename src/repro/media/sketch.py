@@ -128,6 +128,8 @@ def _bitpack_encode(bits: np.ndarray) -> bytes:
 
 
 def _bitpack_decode(data: bytes, size: int) -> np.ndarray:
+    if len(data) != (size + 7) // 8:
+        raise SketchError(f"bit-packed sketch of {len(data)} bytes, {size} bits declared")
     out = np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=size)
     return out.astype(bool)
 

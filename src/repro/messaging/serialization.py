@@ -36,7 +36,7 @@ from ..core.matching_engine import compile_selector
 from ..core.selectors import SelectorError
 from .message import MessageId, SemanticMessage
 
-__all__ = ["encode_message", "decode_message", "WireError"]
+__all__ = ["encode_message", "decode_message", "WireError", "DiagnosticWarning"]
 
 _MAGIC = b"SM"
 _VERSION = 1
@@ -46,6 +46,11 @@ _VARINT_BITS = 70
 
 class WireError(ValueError):
     """Raised on corrupt or unsupported wire data."""
+
+
+class DiagnosticWarning(UserWarning):
+    """Category of run-time reports (wire input dropped at a :class:`SemanticWire
+    <repro.messaging.transport.SemanticWire>`)."""
 
 
 # ----------------------------------------------------------------------

@@ -31,7 +31,6 @@ batch matches first, then delivers.
 
 from __future__ import annotations
 
-import os
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from heapq import merge as _ordered_merge
@@ -100,8 +99,8 @@ class ShardedSemanticBus:
         engine (still batch-capable).
     workers:
         Worker threads for per-shard matching fan-out.  Defaults to
-        ``min(shards, cpu_count)``; values ``<= 1`` run matching inline
-        (the ordered merge makes either mode deterministic).
+        ``shards``; values ``<= 1`` run matching inline (the ordered
+        merge makes either mode deterministic).
     """
 
     def __init__(self, shards: int = 8, workers: Optional[int] = None) -> None:
@@ -113,9 +112,9 @@ class ShardedSemanticBus:
         self._seq_counter = 0
         self._attach_lock = make_lock("ShardedSemanticBus._attach_lock")
         self._by_profile: dict[int, list[ShardSubscription]] = {}
-        if workers is None:
-            workers = min(shards, os.cpu_count() or 1)
-        self._workers = max(1, workers)
+        # one worker per shard, never the host's CPU count: what runs
+        # inline and what runs on the pool must not depend on the machine
+        self._workers = max(1, shards if workers is None else workers)
         self._pool: Optional[ThreadPoolExecutor] = None
         self._closed = False
         # observability

@@ -31,7 +31,7 @@ from ..network.udp import DatagramSocket
 from .broker import BatchPublishResult, Delivery, PublishResult, SemanticBus, Subscription
 from .message import SemanticMessage
 from .rtp import RtpError, RtpPacketizer, RtpReassembler
-from .serialization import WireError, decode_message, encode_message
+from .serialization import DiagnosticWarning, WireError, decode_message, encode_message
 
 __all__ = [
     "BrokerAPI",
@@ -102,7 +102,7 @@ class SemanticWire:
     datagram on its wire and feeds received datagrams to :meth:`ingest`;
     messages that reassemble and decode arrive through ``on_message``.
     Input that does not is dropped, counted on ``decode_failures`` and
-    reported as a :class:`~repro.analysis.diagnostics.DiagnosticWarning`,
+    reported as a :class:`~repro.messaging.serialization.DiagnosticWarning`,
     never raised into the fabric's dispatch loop.  :meth:`send` raises
     :class:`~repro.messaging.rtp.RtpError` or
     :class:`~repro.messaging.serialization.WireError` for a message that
@@ -156,8 +156,6 @@ class SemanticWire:
 
     def drop(self, what: str) -> None:
         """Count and report wire input that must not kill the dispatch loop."""
-        from ..analysis.diagnostics import DiagnosticWarning
-
         self.decode_failures += 1
         warnings.warn(f"endpoint {self.host}: dropped {what}", DiagnosticWarning, stacklevel=3)
 

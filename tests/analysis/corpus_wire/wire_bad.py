@@ -1,35 +1,11 @@
-"""Known-bad wire-format corpus: one seeded violation per WIRE rule.
+"""Known-bad wire-format corpus: one seeded WIRE002 violation.
 
-Each codec pair below is minimal and self-contained; the golden set in
-``expected_diagnostics.json`` pins exactly which rule fires on which
-line.  The corrected twins live in ``wire_clean.py``.
+The codec pair below is minimal and self-contained; the golden set in
+``expected_diagnostics.json`` pins exactly which line the rule fires
+on.  The corrected twins live in ``wire_clean.py``.
 """
 
 import struct
-
-FRAME_MAGIC = b"FR"
-
-
-class WireDemoError(ValueError):
-    pass
-
-
-class BadHeader:
-    """WIRE001: encoder writes a u16 kind, decoder reads a u32."""
-
-    def __init__(self, kind: int, flags: int) -> None:
-        self.kind = kind
-        self.flags = flags
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">HB", self.kind, self.flags)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "BadHeader":
-        if len(raw) < 5:
-            raise WireDemoError("truncated header")
-        kind, flags = struct.unpack_from(">IB", raw, 0)
-        return cls(kind, flags)
 
 
 def encode_probe(kind: int, value: int) -> bytes:
@@ -41,86 +17,3 @@ def decode_probe(raw: bytes) -> tuple:
     kind = raw[0]
     (value,) = struct.unpack_from(">I", raw, 1)
     return kind, value
-
-
-def encode_table(rows: list, extras: list) -> bytes:
-    """WIRE003: the length prefix counts ``rows`` but the loop emits
-    ``extras``."""
-    out = bytearray()
-    out += struct.pack(">H", len(rows))
-    for value in extras:
-        out += struct.pack(">I", value)
-    return bytes(out)
-
-
-def decode_table(raw: bytes) -> list:
-    if len(raw) < 2:
-        raise WireDemoError("truncated table")
-    (count,) = struct.unpack_from(">H", raw, 0)
-    values = []
-    pos = 2
-    for _ in range(count):
-        if pos + 4 > len(raw):
-            raise WireDemoError("truncated row")
-        (value,) = struct.unpack_from(">I", raw, pos)
-        values.append(value)
-        pos += 4
-    return values
-
-
-class Frame:
-    """Magic-discriminated frame; its own codec is symmetric and safe."""
-
-    def __init__(self, seq: int) -> None:
-        self.seq = seq
-
-    def to_bytes(self) -> bytes:
-        return FRAME_MAGIC + struct.pack(">H", self.seq)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Frame":
-        if len(raw) != 4:
-            raise WireDemoError("bad frame length")
-        if raw[:2] != FRAME_MAGIC:
-            raise WireDemoError("bad frame magic")
-        (seq,) = struct.unpack_from(">H", raw, 2)
-        return cls(seq)
-
-
-class Telemetry:
-    """WIRE004 victim: the leading u32 can collide with FRAME_MAGIC, so
-    ``Frame.from_bytes``'s 2-byte dispatch can mis-claim a telemetry
-    datagram."""
-
-    def __init__(self, source: int, value: int) -> None:
-        self.source = source
-        self.value = value
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">II", self.source, self.value)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "Telemetry":
-        if len(raw) < 8:
-            raise WireDemoError("truncated telemetry")
-        source, value = struct.unpack_from(">II", raw, 0)
-        return cls(source, value)
-
-
-def encode_tags(tags: list) -> bytes:
-    """WIRE005: iterating a set into wire bytes breaks replay."""
-    out = bytearray()
-    chosen = set(tags)
-    for tag in chosen:
-        out += struct.pack(">H", tag)
-    return bytes(out)
-
-
-def decode_tags(raw: bytes) -> list:
-    tags = []
-    pos = 0
-    while pos + 2 <= len(raw):
-        (tag,) = struct.unpack_from(">H", raw, pos)
-        tags.append(tag)
-        pos += 2
-    return tags

@@ -1,39 +1,17 @@
-"""Known-good twins of ``wire_bad.py``: every violation corrected.
+"""Known-good twins of ``wire_bad.py``: one codec per bounds-guard idiom.
 
-The corpus gate insists this file stays silent — the rules must not
-regress into flagging symmetric, bounds-checked, deterministic codecs.
+The corpus gate insists this file stays silent — WIRE002 must not
+regress into flagging decoders that check the buffer's length before
+they read.
 """
 
 import struct
 
 GOOD_FRAME_MAGIC = b"GF"
-GOOD_TELEMETRY_MAGIC = b"GT"
 
 
 class WireCleanError(ValueError):
     pass
-
-
-class GoodHeader:
-    """Symmetric twin of ``BadHeader``: both sides agree on ``>BH``.
-
-    The leading field is a single byte (< the 2-byte magic width used by
-    :class:`GoodFrame`), so magic dispatch cannot mis-claim a header.
-    """
-
-    def __init__(self, kind: int, flags: int) -> None:
-        self.kind = kind
-        self.flags = flags
-
-    def to_bytes(self) -> bytes:
-        return struct.pack(">BH", self.kind, self.flags)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "GoodHeader":
-        if len(raw) < 3:
-            raise WireCleanError("truncated header")
-        kind, flags = struct.unpack_from(">BH", raw, 0)
-        return cls(kind, flags)
 
 
 def encode_beacon(kind: int, value: int) -> bytes:
@@ -50,8 +28,6 @@ def decode_beacon(raw: bytes) -> tuple:
 
 
 def encode_ledger(rows: list) -> bytes:
-    """The length prefix and the loop agree on ``rows`` (one-byte count
-    so the leading field stays under the module's magic width)."""
     out = bytearray()
     out += struct.pack(">B", len(rows))
     for value in rows:
@@ -60,6 +36,7 @@ def encode_ledger(rows: list) -> bytes:
 
 
 def decode_ledger(raw: bytes) -> list:
+    """A length guard before the count, and one per row."""
     if len(raw) < 1:
         raise WireCleanError("truncated ledger")
     (count,) = struct.unpack_from(">B", raw, 0)
@@ -75,8 +52,7 @@ def decode_ledger(raw: bytes) -> list:
 
 
 class GoodFrame:
-    """Magic dispatch is safe here: every peer codec leads with its own
-    distinct magic, not a variable field."""
+    """An exact-length guard."""
 
     def __init__(self, seq: int) -> None:
         self.seq = seq
@@ -94,35 +70,15 @@ class GoodFrame:
         return cls(seq)
 
 
-class GoodTelemetry:
-    """Twin of ``Telemetry``: a magic prefix removes the collision."""
-
-    def __init__(self, source: int, value: int) -> None:
-        self.source = source
-        self.value = value
-
-    def to_bytes(self) -> bytes:
-        return GOOD_TELEMETRY_MAGIC + struct.pack(">II", self.source, self.value)
-
-    @classmethod
-    def from_bytes(cls, raw: bytes) -> "GoodTelemetry":
-        if len(raw) < 10:
-            raise WireCleanError("truncated telemetry")
-        if raw[:2] != GOOD_TELEMETRY_MAGIC:
-            raise WireCleanError("bad telemetry magic")
-        source, value = struct.unpack_from(">II", raw, 2)
-        return cls(source, value)
-
-
 def encode_labels(labels: list) -> bytes:
-    """Deterministic twin of ``encode_tags``: sorted before iterating."""
     out = bytearray()
-    for label in sorted(set(labels)):
+    for label in labels:
         out += struct.pack(">H", label)
     return bytes(out)
 
 
 def decode_labels(raw: bytes) -> list:
+    """The ``while`` condition bounds every read in its body."""
     labels = []
     pos = 0
     while pos + 2 <= len(raw):

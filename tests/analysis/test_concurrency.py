@@ -8,10 +8,13 @@ The hypothesis suite at the bottom pins the determinism contract:
 cycle verdicts are invariant under edge insertion order.
 """
 
+import os
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import (
+    analyze_concurrency,
     build_call_graph_from_sources,
     check_sanitizer_report,
     collect_locks,
@@ -383,6 +386,17 @@ class R:
 """
         )
         assert "RACE003" not in codes(concurrency_diagnostics(g))
+
+    def test_snmp_poll_is_not_a_thread_root(self):
+        """Nothing runs ``NetworkStateInterface.poll`` on a thread, so its
+        writes, driven from the main surface and from a test, are no race."""
+        root = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
+        found = analyze_concurrency(
+            [os.path.join(root, "src", "repro"), os.path.join(root, "tests", "core", "test_netstate.py")]
+        )
+        assert [
+            (d.code, d.line) for d in found if d.code == "RACE001" and d.file.endswith("netstate.py")
+        ] == []
 
 
 class TestSanitizerCrossCheck:

@@ -1,15 +1,12 @@
-"""Unit suite for the wire-format symmetry & decode-safety verifier.
+"""Unit suite for the wire-format decode-safety verifier.
 
 The golden corpus (``corpus_wire/``) pins whole-file behaviour; these
-tests pin the individual rule mechanics on minimal inline codecs —
-pair discovery, the abstract layout interpreter, each WIRE rule's
-trigger and non-trigger, suppressions, and parallel-run identity.
+tests pin the rule mechanics on minimal inline codecs — pair discovery,
+WIRE002's trigger and non-trigger, and suppressions.
 """
 
 import os
 import textwrap
-
-import pytest
 
 from repro.analysis import Severity
 from repro.analysis.wireformat import (
@@ -29,22 +26,14 @@ def codes(source, **kw):
     return [d.code for d in diags(source, **kw)]
 
 
-SYMMETRIC = """
+UNGUARDED = """
     import struct
 
-    class Err(ValueError):
-        pass
+    def encode_probe(kind):
+        return struct.pack(">B", kind)
 
-    class Header:
-        def to_bytes(self):
-            return struct.pack(">HB", self.kind, self.flags)
-
-        @classmethod
-        def from_bytes(cls, raw: bytes):
-            if len(raw) < 3:
-                raise Err("truncated")
-            kind, flags = struct.unpack_from(">HB", raw, 0)
-            return cls(kind, flags)
+    def decode_probe(raw: bytes):
+        return raw[0]
 """
 
 
@@ -63,31 +52,17 @@ class TestPairDiscovery:
                 return struct.pack(">H", seq)
 
             def decode_ping(raw: bytes):
-                (seq,) = struct.unpack_from(">I", raw, 0)
+                (seq,) = struct.unpack_from(">H", raw, 0)
                 return seq
+
+            def pong_encode(seq):
+                return struct.pack(">H", seq)
+
+            def pong_decode(raw: bytes):
+                return raw[0]
             """
         )
-        assert "WIRE001" in found
-
-    def test_explicit_wire_pairs_table(self):
-        found = codes(
-            """
-            import struct
-
-            WIRE_PAIRS = (("pack_kv", "unpack_kv"),)
-
-            def pack_kv(key, value):
-                return struct.pack(">B", key) + struct.pack(">H", value)
-
-            def unpack_kv(raw: bytes):
-                if len(raw) < 3:
-                    raise ValueError("short")
-                key = raw[0]
-                (value,) = struct.unpack_from(">I", raw, 1)
-                return key, value
-            """
-        )
-        assert "WIRE001" in found
+        assert found == ["WIRE002", "WIRE002"]
 
     def test_unpaired_functions_are_not_analyzed(self):
         assert codes(
@@ -98,54 +73,11 @@ class TestPairDiscovery:
         ) == []
 
 
-class TestWire001Symmetry:
-    def test_symmetric_codec_is_clean(self):
-        assert codes(SYMMETRIC) == []
-
-    def test_width_mismatch_flagged(self):
-        found = diags(SYMMETRIC.replace('">HB", raw', '">IB", raw'))
-        assert [d.code for d in found] == ["WIRE001"]
-        assert found[0].severity is Severity.ERROR
-        assert "u16(be)" in found[0].message and "u32(be)" in found[0].message
-
-    def test_endianness_mismatch_flagged(self):
-        assert codes(SYMMETRIC.replace('"<HB", raw', '">HB", raw')) == []
-        assert "WIRE001" in codes(SYMMETRIC.replace('">HB", raw', '"<HB", raw'))
-
-    def test_field_order_mismatch_flagged(self):
-        assert "WIRE001" in codes(SYMMETRIC.replace('">HB", raw', '">BH", raw'))
-
-    def test_opaque_constructs_stop_comparison_without_flagging(self):
-        # the encoder tail is unmodellable; nothing definite => silence
-        assert codes(
-            """
-            import struct
-
-            def encode_blob(kind, payload):
-                return struct.pack(">B", kind) + transform(payload)
-
-            def decode_blob(raw: bytes):
-                if len(raw) < 1:
-                    raise ValueError("short")
-                return raw[0], raw[1:]
-            """
-        ) == []
-
-
 class TestWire002DecodeSafety:
     def test_unguarded_subscript_flagged(self):
-        found = diags(
-            """
-            import struct
-
-            def encode_probe(kind):
-                return struct.pack(">B", kind)
-
-            def decode_probe(raw: bytes):
-                return raw[0]
-            """
-        )
+        found = diags(UNGUARDED)
         assert [d.code for d in found] == ["WIRE002"]
+        assert found[0].severity is Severity.ERROR
         assert "decode_probe" in found[0].message
 
     def test_len_guard_suppresses(self):
@@ -221,177 +153,13 @@ class TestWire002DecodeSafety:
         assert "WIRE002" in found  # the helper itself has no guard
 
 
-class TestWire003CountConsistency:
-    def test_encoder_prefix_loop_mismatch_flagged(self):
-        found = diags(
-            """
-            import struct
-
-            def encode_table(rows, extras):
-                out = bytearray()
-                out += struct.pack(">H", len(rows))
-                for value in extras:
-                    out += struct.pack(">I", value)
-                return bytes(out)
-
-            def decode_table(raw: bytes):
-                if len(raw) < 2:
-                    raise ValueError("short")
-                (count,) = struct.unpack_from(">H", raw, 0)
-                values = []
-                pos = 2
-                for _ in range(count):
-                    if pos + 4 > len(raw):
-                        raise ValueError("short row")
-                    (value,) = struct.unpack_from(">I", raw, pos)
-                    values.append(value)
-                    pos += 4
-                return values
-            """
-        )
-        assert [d.code for d in found] == ["WIRE003"]
-        assert "'rows'" in found[0].message and "'extras'" in found[0].message
-
-    def test_consistent_prefix_is_clean(self):
-        assert codes(
-            """
-            import struct
-
-            def encode_table(rows):
-                out = bytearray()
-                out += struct.pack(">H", len(rows))
-                for value in rows:
-                    out += struct.pack(">I", value)
-                return bytes(out)
-
-            def decode_table(raw: bytes):
-                if len(raw) < 2:
-                    raise ValueError("short")
-                (count,) = struct.unpack_from(">H", raw, 0)
-                values = []
-                pos = 2
-                for _ in range(count):
-                    if pos + 4 > len(raw):
-                        raise ValueError("short row")
-                    (value,) = struct.unpack_from(">I", raw, pos)
-                    values.append(value)
-                    pos += 4
-                return values
-            """
-        ) == []
-
-
-MAGIC_MODULE = """
-    import struct
-
-    MAGIC = b"MG"
-
-    class Err(ValueError):
-        pass
-
-    class Frame:
-        def to_bytes(self):
-            return MAGIC + struct.pack(">H", self.seq)
-
-        @classmethod
-        def from_bytes(cls, raw: bytes):
-            if len(raw) != 4:
-                raise Err("length")
-            if raw[:2] != MAGIC:
-                raise Err("magic")
-            (seq,) = struct.unpack_from(">H", raw, 2)
-            return cls(seq)
-
-    class Telemetry:
-        def to_bytes(self):
-            return struct.pack(">II", self.source, self.value)
-
-        @classmethod
-        def from_bytes(cls, raw: bytes):
-            if len(raw) < 8:
-                raise Err("short")
-            source, value = struct.unpack_from(">II", raw, 0)
-            return cls(source, value)
-"""
-
-
-class TestWire004MagicCollision:
-    def test_variable_leading_field_collides_with_magic(self):
-        found = diags(MAGIC_MODULE)
-        assert [d.code for d in found] == ["WIRE004"]
-        assert found[0].severity is Severity.WARNING
-        assert "mis-dispatches" in found[0].message
-
-    def test_magic_prefixed_peer_is_clean(self):
-        clean = MAGIC_MODULE.replace(
-            'return struct.pack(">II", self.source, self.value)',
-            'return b"TL" + struct.pack(">II", self.source, self.value)',
-        ).replace(
-            'source, value = struct.unpack_from(">II", raw, 0)',
-            'if raw[:2] != b"TL":\n'
-            '                raise Err("magic")\n'
-            '            source, value = struct.unpack_from(">II", raw, 2)',
-        )
-        assert codes(clean) == []
-
-    def test_inline_suppression_respected(self):
-        suppressed = MAGIC_MODULE.replace(
-            'if raw[:2] != MAGIC:',
-            'if raw[:2] != MAGIC:  # repro: ignore[WIRE004]',
-        )
-        assert codes(suppressed) == []
-
-
-class TestWire005UnorderedIteration:
-    def test_set_iteration_flagged(self):
-        found = diags(
-            """
-            import struct
-
-            def encode_tags(tags):
-                out = bytearray()
-                for tag in set(tags):
-                    out += struct.pack(">H", tag)
-                return bytes(out)
-
-            def decode_tags(raw: bytes):
-                tags = []
-                pos = 0
-                while pos + 2 <= len(raw):
-                    (tag,) = struct.unpack_from(">H", raw, pos)
-                    tags.append(tag)
-                    pos += 2
-                return tags
-            """
-        )
-        assert [d.code for d in found] == ["WIRE005"]
-
-    def test_sorted_iteration_is_clean(self):
-        assert codes(
-            """
-            import struct
-
-            def encode_tags(tags):
-                out = bytearray()
-                for tag in sorted(set(tags)):
-                    out += struct.pack(">H", tag)
-                return bytes(out)
-
-            def decode_tags(raw: bytes):
-                tags = []
-                pos = 0
-                while pos + 2 <= len(raw):
-                    (tag,) = struct.unpack_from(">H", raw, pos)
-                    tags.append(tag)
-                    pos += 2
-                return tags
-            """
-        ) == []
-
-
 class TestEntryPoints:
     def test_ignore_filters_codes(self):
-        assert diags(MAGIC_MODULE, ignore=("WIRE004",)) == []
+        assert diags(UNGUARDED, ignore=("WIRE002",)) == []
+
+    def test_inline_suppression_respected(self):
+        suppressed = UNGUARDED.replace("return raw[0]", "return raw[0]  # repro: ignore[WIRE002]")
+        assert codes(suppressed) == []
 
     def test_syntax_error_produces_no_diagnostics(self):
         assert wire_source("def broken(:", "mem.py") == []

@@ -95,6 +95,13 @@ class TestWireCodec:
         with pytest.raises(SketchError):
             _rle_decode(data, 100)  # declared size exceeds stream
 
+    def test_bitpack_length_mismatch_detected(self):
+        sk = extract_sketch(np.arange(32 * 32).reshape(32, 32) % 7 * 40.0, edge_percentile=50.0)
+        assert sk.encoded[:1] == b"P"
+        for damaged in (sk.encoded[:-1], sk.encoded + b"\x00"):
+            with pytest.raises(SketchError):
+                decode_sketch(damaged, sk.shape, sk.source_shape)
+
     def test_rle_overrun_detected(self):
         data = _rle_encode(np.array([True] * 10))
         with pytest.raises(SketchError):

@@ -1,6 +1,7 @@
 """Tests for the sharded batch broker and the unified BrokerAPI."""
 
 import threading
+from unittest import mock
 
 import pytest
 
@@ -308,6 +309,19 @@ class TestBrokerAPIProtocol:
         attach(bus, "c", [], attrs={"role": "medic"})
         bus.publish(msg("role == 'medic'"))
         bus.close()
+        bus.close()
+
+    def test_default_pool_does_not_depend_on_the_cpu_count(self):
+        with mock.patch("os.cpu_count", return_value=1):
+            bus = ShardedSemanticBus(shards=4)
+        sink = []
+        for i in range(16):
+            attach(bus, f"c{i}", sink, attrs={"role": "medic", f"k{i}": i})
+        assert sum(1 for size in bus.shard_sizes() if size) > 1
+        bus.publish_many([msg("role == 'medic'")])
+        assert len(sink) == 16
+        assert bus.stats()["workers"] == 4
+        assert bus._pool is not None  # the batch fanned out to the pool
         bus.close()
 
 

@@ -1,9 +1,13 @@
 """The datagram protocol the SNMP layers consume, and the wire over real OS sockets."""
 
+import os
 import socket
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.analysis.diagnostics import DiagnosticWarning
 from repro.messaging.message import SemanticMessage
 from repro.messaging.serialization import encode_message
@@ -63,3 +67,38 @@ class TestWireOverRealUdp:
         finally:
             tx.close()
             rx.close()
+
+
+_ONE_GARBAGE_DATAGRAM = """
+import sys
+import warnings
+
+from repro.core.framework import CollaborationFramework
+from repro.network.udp import DatagramSocket
+
+fw = CollaborationFramework("t", objective="one garbage datagram", seed=0)
+alice = fw.add_wired_client("alice")
+fw.add_wired_client("bob")
+alice.join()
+fw.run_for(0.5)
+with warnings.catch_warnings(record=True) as caught:
+    warnings.simplefilter("always")
+    DatagramSocket(fw.network, "bob").sendto(b"\\x00garbage", alice.endpoint.address)
+    fw.run_for(0.5)
+print(alice.endpoint.decode_failures, len(caught), "repro.analysis" in sys.modules)
+"""
+
+
+def test_a_dropped_datagram_does_not_load_the_analyzer():
+    """The drop is counted and warned about from the messaging layer
+    alone: the static analyzer stays out of a running deployment."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _ONE_GARBAGE_DATAGRAM],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert proc.stdout.split() == ["1", "1", "False"]
