@@ -11,7 +11,7 @@ import pytest
 from conftest import run_once
 from repro.media.images import collaboration_scene
 from repro.media.metrics import psnr
-from repro.media.progressive import PACKET_COUNTS, ProgressiveImage
+from repro.media.progressive import PACKET_COUNTS, ProgressiveImage, ReceivedImage
 
 
 @pytest.mark.benchmark(group="ablations")
@@ -20,7 +20,10 @@ def test_coder_rate_distortion_curve(benchmark):
 
     def build_curve():
         prog = ProgressiveImage(img, n_packets=16, target_bpp=2.2)
-        return [prog.report(k) for k in PACKET_COUNTS]
+        rx = ReceivedImage(128, 128, 1, prog.levels, prog.t0_exps, 16)
+        for p in prog.packets():
+            rx.add_packet(p)
+        return [rx.report(img, k) for k in PACKET_COUNTS]
 
     reports = run_once(benchmark, build_curve)
     print("\npackets  bpp    CR      PSNR")

@@ -15,8 +15,8 @@ def test_fig10_join_degradation(benchmark):
     result = run_once(benchmark, run_fig10)
     print("\n" + result.format_table())
 
-    sirs = result.column("sir_a_linear")
-    drops = result.column("drop_vs_prev_pct")
+    sirs = [row["sir_a_linear"] for row in result.rows]
+    drops = [row["drop_vs_prev_pct"] for row in result.rows]
 
     # every join strictly degrades the incumbent
     assert sirs == sorted(sirs, reverse=True)

@@ -16,9 +16,9 @@ def test_fig6_page_fault_sweep(benchmark):
     result = run_once(benchmark, run_fig6)
     print("\n" + result.format_table())
 
-    packets = result.column("packets")
-    bpps = result.column("bpp")
-    crs = result.column("compression_ratio")
+    packets = [row["packets"] for row in result.rows]
+    bpps = [row["bpp"] for row in result.rows]
+    crs = [row["compression_ratio"] for row in result.rows]
 
     # paper shape 1: packets 16 -> 1, powers of two, monotone non-increasing
     assert packets[0] == 16

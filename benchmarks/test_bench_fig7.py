@@ -15,9 +15,9 @@ def test_fig7_cpu_load_sweep(benchmark):
     result = run_once(benchmark, run_fig7)
     print("\n" + result.format_table())
 
-    packets = result.column("packets")
-    bpps = result.column("bpp")
-    crs = [c for c in result.column("compression_ratio") if c is not None]
+    packets = [row["packets"] for row in result.rows]
+    bpps = [row["bpp"] for row in result.rows]
+    crs = [row["compression_ratio"] for row in result.rows if row["compression_ratio"] is not None]
 
     # packets drop from 16 all the way to 0 at saturation
     assert packets[0] == 16

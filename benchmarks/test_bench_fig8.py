@@ -16,10 +16,10 @@ def test_fig8_distance_sweep(benchmark):
     result = run_once(benchmark, run_fig8)
     print("\n" + result.format_table())
 
-    sa = np.array(result.column("sir_a_db"))
-    sb = np.array(result.column("sir_b_db"))
-    tiers_a = result.column("tier_a")
-    tiers_b = result.column("tier_b")
+    sa = np.array([row["sir_a_db"] for row in result.rows])
+    sb = np.array([row["sir_b_db"] for row in result.rows])
+    tiers_a = [row["tier_a"] for row in result.rows]
+    tiers_b = [row["tier_b"] for row in result.rows]
 
     # approaching (points 0-3) monotonically improves A and degrades B
     assert np.all(np.diff(sa[:4]) > 0)
@@ -54,5 +54,5 @@ def test_fig8_uplink_dataflow(benchmark):
         elif row["tier_a"] != "NOTHING":
             assert row["session_got_text"] and not row["session_got_packets"]
     # the sweep exercises both regimes
-    tiers = set(result.column("tier_a"))
+    tiers = {row["tier_a"] for row in result.rows}
     assert "FULL_IMAGE" in tiers and len(tiers) >= 2

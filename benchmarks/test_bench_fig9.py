@@ -17,13 +17,13 @@ def test_fig9_power_sweep(benchmark):
     result = run_once(benchmark, run_fig9)
     print("\n" + result.format_table())
 
-    sa = np.array(result.column("sir_a_db"))
-    sb = np.array(result.column("sir_b_db"))
+    sa = np.array([row["sir_a_db"] for row in result.rows])
+    sb = np.array([row["sir_b_db"] for row in result.rows])
     assert np.all(np.diff(sa) > 0)   # A rises with its power
     assert np.all(np.diff(sb) < 0)   # B falls (A is B's interference)
 
     # crossing the 4 dB image threshold happens inside the sweep
-    tiers = result.column("tier_a")
+    tiers = [row["tier_a"] for row in result.rows]
     assert tiers[0] != "FULL_IMAGE" and tiers[-1] == "FULL_IMAGE"
 
 

@@ -12,10 +12,12 @@ The run shows the robustness layer absorbing all of it:
 * adaptation falls back to a conservative packet budget when the
   management plane goes dark beyond its stale grace;
 * once the faults are over, every peer asks the session for its history
-  and gets back what it lost (every peer ends with all 16 chat lines, and
-  carol sees the image shared while she was partitioned off);
+  and gets back what it lost (carol sees the image shared while she was
+  partitioned off); then carol leaves, so alice and bob end with all 16
+  chat lines and carol with the 15 sent while she was a member;
 * the packet-disposition invariant sent == delivered + dropped +
-  duplicated holds at the end of the run;
+  duplicated holds at the end of the run, and the packet tracer's
+  per-flow delivered / dropped counts add up to it;
 * re-running with the same seed prints byte-identical telemetry.
 
 Run:  python examples/chaos_drill.py

@@ -9,14 +9,19 @@ responders on wireless devices behind a base station.  Demonstrates:
 * BS-side SIR evaluation and modality tiering as a responder moves;
 * power control conserving a responder's battery;
 * a field image reaching the wired peers, and the degraded-tier
-  responder still following along via text descriptions.
+  responder still following along via text descriptions;
+* a responder in the sketch band rendering the base sketch the BS
+  extracts from a shared map (paper Sec. 5.4).
 
 Run:  python examples/crisis_management.py
 """
 
+import numpy as np
+
 from repro import ClientProfile, CollaborationFramework
 from repro.core.events import ChatEvent
 from repro.media.images import collaboration_scene
+from repro.media.sketch import extract_sketch
 from repro.wireless.channel import NoiseModel, PathLossModel
 
 
@@ -107,6 +112,19 @@ def main() -> None:
     print(f"\nresponder-2 moved to 50 m: SIR {sir:.1f} dB -> {tier.name}")
     command.send_chat("responder-2, send photos when you arrive")
     fw.run_for(0.5)
+
+    # --- responder-2 falls back into the sketch band: text + base sketch ---
+    responder2.move_to(58.0)
+    fw.run_for(0.5)
+    sir, tier = bs.evaluate_qos().for_client("responder-2")
+    command.share_image("evac-map", collaboration_scene(64, 64, seed=11))
+    fw.run_for(3.0)
+    sketch = responder2.sketches["evac-map"]
+    # what it renders is the sketch the BS extracted from its own replica
+    assert np.array_equal(sketch, extract_sketch(bs.viewer.reconstruct("evac-map")).mask)
+    print(f"responder-2 at 58 m: SIR {sir:.1f} dB -> {tier.name}; renders the BS's "
+          f"{sketch.shape[0]}x{sketch.shape[1]} sketch of the evacuation map "
+          f"({int(sketch.sum())} feature pixels)")
 
     # --- end-of-run telemetry ---------------------------------------------
     from repro.core.telemetry import deployment_report, format_report

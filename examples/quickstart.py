@@ -4,7 +4,8 @@
 Builds a two-workstation session on the simulated LAN, exchanges chat
 and whiteboard events, shares an image progressively, and shows the
 inference engine adapting the receiver's packet budget to host load
-observed over SNMP.
+observed over SNMP.  Last, the network-state interface reads a network
+element too: the LAN switch's standard agent.
 
 Run:  python examples/quickstart.py
 """
@@ -12,6 +13,7 @@ Run:  python examples/quickstart.py
 from repro import CollaborationFramework
 from repro.hosts.workload import Trace
 from repro.media.images import collaboration_scene
+from repro.snmp.switch_binding import attach_switch_agent
 
 def main() -> None:
     # 1. a session with a clearly defined objective (paper Sec. 2)
@@ -57,6 +59,20 @@ def main() -> None:
     print(f"  received {r.packets_used} packet(s)  "
           f"bpp={r.bpp:.2f}  CR={r.compression_ratio:.1f}  psnr={r.psnr_db:.1f} dB")
     print("\nsemantic content preserved at both rates — that is the point.")
+
+    # 6. the state interface reads network elements too (paper Sec. 5.5):
+    #    alice polls the LAN switch's standard agent about bob's port
+    attach_switch_agent(fw.network, "lan-switch")
+    bob_port = 2  # ifTable rows follow the peers' sorted names: alice, bob
+    netstate = alice.enable_network_monitoring("lan-switch", bob_port)
+    netstate.add_switch_octet_probes("lan-switch", bob_port)
+    observed = netstate.poll()
+    link = fw.network.link("lan-switch", "bob")
+    assert observed["if2_in_octets"] == link.rx_octets
+    assert observed["if2_out_octets"] == link.tx_octets
+    print(f"\nswitch port {bob_port} (to bob): {observed['bandwidth_bps'] / 1e6:.0f} Mb/s, "
+          f"{observed['if2_in_octets']:.0f} octets in, {observed['if2_out_octets']:.0f} out "
+          "(the link's own counters)")
 
 
 if __name__ == "__main__":

@@ -179,7 +179,6 @@ SIGNATURES: dict[str, UnitSig] = {
     "sir.to_db": UnitSig({0: Unit.LINEAR, "x": Unit.LINEAR}, Unit.DB),
     "sir.from_db": UnitSig({0: Unit.DB, "x_db": Unit.DB}, Unit.LINEAR),
     "sir.sir": UnitSig({}, Unit.LINEAR),
-    "sir.sir_sweep": UnitSig({}, Unit.LINEAR),
     "sir.sir_matrix": UnitSig({}, Unit.LINEAR),
     "sir.sir_db": UnitSig({}, Unit.DB),
     "linkquality.bit_error_rate": UnitSig({0: Unit.LINEAR, "gamma": Unit.LINEAR}, Unit.LINEAR),

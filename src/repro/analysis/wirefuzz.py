@@ -356,11 +356,11 @@ def default_registry() -> list[FuzzCodecPair]:
         FuzzCodecPair(
             name="sketch.Sketch",
             encode=lambda sk: sk.encoded,
-            decode=lambda data: decode_sketch(data, (32, 32), (32, 32)),
+            decode=lambda data: decode_sketch(data, (32, 32)),
             sample=sample_sketch,
             expected_errors=(SketchError,),
             static_file=os.path.join(_SRC_ROOT, "repro", "media", "sketch.py"),
-            equal=lambda a, b: bool(np.array_equal(a.mask, b.mask)),
+            equal=lambda a, mask: bool(np.array_equal(a.mask, mask)),
         )
     )
 

@@ -195,31 +195,6 @@ class BaseStation:
         ``endpoint.decode_failures`` like any wired peer)."""
         return self.radio.decode_failures
 
-    def assess_admission(
-        self, distance: float, tx_power: float, min_tier: ModalityTier = ModalityTier.TEXT_ONLY
-    ) -> tuple[bool, float, ModalityTier]:
-        """The paper's "basic service assessment": would a client at
-        ``distance`` with ``tx_power`` get at least ``min_tier`` service,
-        given the currently attached interferers?
-
-        Returns ``(admissible, predicted_sir_db, predicted_tier)``.  Also
-        the BS's "decision-making for the minimum device specifications
-        required for the collaboration": callers can sweep ``tx_power``
-        to find the weakest device that still meets ``min_tier``.
-        """
-        if distance <= 0 or tx_power <= 0:
-            raise ValueError("distance and tx_power must be positive")
-        gain = float(self.pathloss.gain(distance))
-        received = tx_power * gain
-        interference = sum(
-            att.tx_power * float(self.pathloss.gain(att.distance))
-            for att in self.attachments.values()
-        )
-        sir = received / (interference + self.noise.sigma2)
-        sir_db = 10.0 * np.log10(sir)
-        tier = self.policies.decide_tier(sir_db)
-        return tier >= min_tier, float(sir_db), tier
-
     def attach(
         self,
         client_id: str,
@@ -227,26 +202,14 @@ class BaseStation:
         distance: float,
         tx_power: float,
         battery: float = 100.0,
-        min_tier: Optional[ModalityTier] = None,
     ) -> Attachment:
         """Register a wireless client (its connection establishment).
 
-        When ``min_tier`` is given, admission control runs first: the
-        client is refused (``ValueError``) if the predicted service —
-        against the current interference environment — falls below its
-        required tier.  Returns the attachment record; the first
-        :meth:`evaluate_qos` snapshot after this is the paper's "basic
-        service assessment".
+        Returns the attachment record; the first :meth:`evaluate_qos`
+        snapshot after this is the paper's "basic service assessment".
         """
         if distance <= 0 or tx_power <= 0:
             raise ValueError("distance and tx_power must be positive")
-        if min_tier is not None:
-            ok, sir_db, tier = self.assess_admission(distance, tx_power, min_tier)
-            if not ok:
-                raise ValueError(
-                    f"admission refused for {client_id!r}: predicted"
-                    f" {sir_db:.1f} dB -> {tier.name} < required {min_tier.name}"
-                )
         att = Attachment(
             client_id=client_id,
             address=address,
@@ -257,32 +220,6 @@ class BaseStation:
         )
         self.attachments[client_id] = att
         return att
-
-    def minimum_power_for(
-        self,
-        distance: float,
-        min_tier: ModalityTier = ModalityTier.TEXT_ONLY,
-        max_power: float = 10.0,
-        tolerance: float = 1e-3,
-    ) -> Optional[float]:
-        """Smallest transmit power meeting ``min_tier`` at ``distance``.
-
-        Binary search over :meth:`assess_admission`; None when even
-        ``max_power`` does not suffice (the device cannot participate —
-        the "minimum device specification" is above its capability).
-        """
-        ok, _, _ = self.assess_admission(distance, max_power, min_tier)
-        if not ok:
-            return None
-        lo, hi = tolerance, max_power
-        while hi - lo > tolerance:
-            mid = (lo + hi) / 2.0
-            ok, _, _ = self.assess_admission(distance, mid, min_tier)
-            if ok:
-                hi = mid
-            else:
-                lo = mid
-        return hi
 
     def detach(self, client_id: str) -> None:
         """Remove a wireless client (left the session / out of range)."""

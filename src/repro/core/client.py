@@ -169,16 +169,19 @@ class WiredClient:
         self._publish_event(JoinEvent(client_id=self.name, objective=self.session.objective))
 
     def leave(self) -> None:
-        """Announce departure and detach from the group."""
+        """Announce departure and detach from the group (idempotent)."""
+        if self.endpoint.sock.closed:
+            return
         self._publish_event(LeaveEvent(client_id=self.name))
         self.membership.leave(self.name)
         self.endpoint.close()
 
     def send_chat(self, text: str) -> None:
-        """Type a line into the chat area (rendered locally immediately)."""
+        """Type a line into the chat area: published, then rendered locally
+        (a client that has left refuses the line and renders nothing)."""
         event = self.chat.compose(text)
-        self.chat.on_chat(event, self.scheduler.clock.now)
         self._publish_event(event)
+        self.chat.on_chat(event, self.scheduler.clock.now)
 
     def draw(self, object_id: str, points: tuple[float, ...]) -> None:
         """Draw a whiteboard stroke."""

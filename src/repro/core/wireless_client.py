@@ -17,6 +17,9 @@ from __future__ import annotations
 import math
 from typing import Optional
 
+import numpy as np
+
+from ..media.sketch import SketchError, decode_sketch
 from ..messaging.message import SemanticMessage
 from ..messaging.rtp import RtpError
 from ..messaging.serialization import WireError
@@ -95,7 +98,8 @@ class WirelessClient:
         # what actually reached this client, by modality
         self.received_events: list[tuple[float, Event]] = []
         self.texts: list[TextShareEvent] = []
-        self.sketches: list[SketchShareEvent] = []
+        #: decoded sketch masks (what this client renders), by image id
+        self.sketches: dict[str, np.ndarray] = {}
         self.image_packets: list[ImagePacketEvent] = []
         self.announces: list[ImageShareAnnounce] = []
         self.power_requests = 0
@@ -166,7 +170,13 @@ class WirelessClient:
         if isinstance(event, TextShareEvent):
             self.texts.append(event)
         elif isinstance(event, SketchShareEvent):
-            self.sketches.append(event)
+            try:
+                self.sketches[event.ref_id] = decode_sketch(
+                    event.encoded, (event.sketch_h, event.sketch_w)
+                )
+            except SketchError:
+                # a geometry or an encoding no sketch has: counted, not rendered
+                self.link.wire.decode_failures += 1
         elif isinstance(event, ImagePacketEvent):
             self.image_packets.append(event)
         elif isinstance(event, ImageShareAnnounce):

@@ -15,14 +15,17 @@ to end:
   management plane is dark beyond its stale grace;
 * once the last fault window closes, every peer asks the session for
   its history (``request_history``), the one way a peer gets back what
-  it missed — chat lines, strokes and image packets alike;
+  it missed — chat lines, strokes and image packets alike; then carol
+  leaves (``leave``), and the session's later traffic goes on without her;
 * corrupted datagrams hit every receiver's hardened decode path: they
   are counted (``decode_failures``) and dropped, never fatal, and a
   damaged RTP header does not silence its sender;
 * the packet-disposition conservation invariant
   (``sent == delivered + dropped + duplicated``) holds throughout —
   corruption damages a delivered packet's payload, it is neither a drop
-  nor a duplicate.
+  nor a duplicate — and a :class:`~repro.network.trace.PacketTracer`
+  sees every transmission: its per-flow delivered and dropped counts add
+  up to the network's counters.
 
 Everything is driven by the virtual clock and seeded RNGs, so two runs
 with the same seed produce *byte-identical* telemetry
@@ -46,12 +49,17 @@ from ..network.faults import (
     Partition,
     Reordering,
 )
+from ..network.trace import PacketTracer
 from .harness import ExperimentResult
 
 __all__ = ["default_chaos_plan", "run_chaos", "chaos_telemetry", "main"]
 
 #: Virtual seconds the drill runs for (past the last fault window).
 DURATION = 24.0
+#: The peer that leaves after the catch-up, and when: past the plan's
+#: horizon (22.5 s) and before alice's last chat line (23.0 s).
+LEAVER = "carol"
+LEAVE_AT = 22.75
 
 
 def default_chaos_plan() -> FaultPlan:
@@ -76,6 +84,7 @@ def _run(seed: int, duration: float) -> tuple[CollaborationFramework, ChaosContr
     fw = CollaborationFramework(
         "chaos", objective="degraded-conditions drill", seed=seed
     )
+    PacketTracer(fw.network).attach()
     alice = fw.add_wired_client("alice")
     bob = fw.add_wired_client("bob")
     carol = fw.add_wired_client("carol")
@@ -99,9 +108,10 @@ def _run(seed: int, duration: float) -> tuple[CollaborationFramework, ChaosContr
     image = collaboration_scene(32, 32, seed=seed + 7)
     fw.scheduler.call_after(2.5, lambda: alice.share_image("img-calm", image))
     fw.scheduler.call_after(11.0, lambda: bob.share_image("img-storm", image))
-    # the faults are over: each peer catches up on what it lost
+    # the faults are over: each peer catches up on what it lost, then one leaves
     for client in (alice, bob, carol):
         fw.scheduler.call_at(plan.horizon, client.request_history)
+    fw.scheduler.call_at(LEAVE_AT, fw.wired_clients[LEAVER].leave)
     fw.run_for(duration)
     return fw, controller
 
@@ -110,9 +120,9 @@ def chaos_telemetry(seed: int = 0, duration: float = DURATION) -> str:
     """One drill run rendered as a deterministic telemetry blob.
 
     Same seed → byte-identical output: the deployment report, the
-    network's packet-disposition counters, and the chaos controller's
-    event counters are all functions of the virtual clock and the seeded
-    RNGs only.
+    network's packet-disposition counters, the tracer's per-flow counts
+    and the chaos controller's event counters are all functions of the
+    virtual clock and the seeded RNGs only.
     """
     fw, controller = _run(seed, duration)
     net = fw.network
@@ -123,6 +133,8 @@ def chaos_telemetry(seed: int = 0, duration: float = DURATION) -> str:
         f"dropped={net.packets_dropped} duplicated={net.packets_duplicated} "
         f"copies={net.copies_delivered}"
     )
+    assert net.tracer is not None
+    lines.append(net.tracer.summary())
     lines.append(
         "chaos: " + " ".join(f"{k}={v}" for k, v in sorted(controller.report().items()))
     )
@@ -166,16 +178,33 @@ def run_chaos(seed: int = 0, duration: float = DURATION) -> ExperimentResult:
     conserved = net.packets_sent == (
         net.packets_delivered + net.packets_dropped + net.packets_duplicated
     )
+    assert net.tracer is not None
+    flows = net.tracer.flows.values()
+    traced = (
+        sum(f.packets for f in flows),
+        sum(f.delivered for f in flows),
+        sum(f.dropped for f in flows),
+    )
+    reconciled = traced == (
+        net.packets_sent,
+        net.packets_delivered + net.packets_duplicated,
+        net.packets_dropped,
+    )
     result.note(
         f"packet disposition: sent={net.packets_sent} "
         f"delivered={net.packets_delivered} dropped={net.packets_dropped} "
         f"duplicated={net.packets_duplicated} (conserved={conserved})"
     )
     result.note(
+        f"packet trace: {traced[0]} packets in {len(flows)} flows, "
+        f"delivered={traced[1]} dropped={traced[2]} (reconciled={reconciled})"
+    )
+    result.note(
         "chaos events: "
         + " ".join(f"{k}={v}" for k, v in sorted(controller.report().items()))
     )
     assert conserved, "packet disposition counters must be conserved"
+    assert reconciled, "the tracer's flows must add up to the network's counters"
     return result
 
 

@@ -9,7 +9,7 @@ assert the shape invariants.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any
 
 __all__ = ["ExperimentResult"]
 
@@ -30,12 +30,6 @@ class ExperimentResult:
         if unknown:
             raise KeyError(f"unknown columns {sorted(unknown)}; declared {self.columns}")
         self.rows.append(values)
-
-    def column(self, name: str) -> list[Any]:
-        """One column as a list (missing cells become None)."""
-        if name not in self.columns:
-            raise KeyError(f"no column {name!r}")
-        return [row.get(name) for row in self.rows]
 
     def note(self, text: str) -> None:
         """Attach a free-form observation (printed under the table)."""
@@ -73,31 +67,6 @@ class ExperimentResult:
         for note in self.notes:
             lines.append(f"  note: {note}")
         return "\n".join(lines)
-
-    def to_csv(self) -> str:
-        """Render as CSV (header row + data rows; RFC 4180 quoting)."""
-
-        def cell(v: Any) -> str:
-            if v is None:
-                return ""
-            if isinstance(v, float):
-                if v != v:
-                    return ""
-                return repr(v)
-            text = str(v)
-            if any(ch in text for ch in ',"\n'):
-                return '"' + text.replace('"', '""') + '"'
-            return text
-
-        lines = [",".join(self.columns)]
-        for row in self.rows:
-            lines.append(",".join(cell(row.get(c)) for c in self.columns))
-        return "\n".join(lines) + "\n"
-
-    def save_csv(self, path) -> None:
-        """Write :meth:`to_csv` to ``path``."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
 
     def __len__(self) -> int:
         return len(self.rows)

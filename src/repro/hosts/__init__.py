@@ -1,18 +1,13 @@
 """Simulated host substrate: workstation dynamics, workloads, SNMP binding."""
 
 from .host import HostSample, SimulatedHost
-from .workload import Add, Clamp, Constant, Ramp, RandomWalk, Square, Trace, Workload
+from .workload import Constant, Trace, Workload
 from .snmp_binding import attach_extension_agent, build_host_mib
 
 __all__ = [
     "HostSample",
     "SimulatedHost",
-    "Add",
-    "Clamp",
     "Constant",
-    "Ramp",
-    "RandomWalk",
-    "Square",
     "Trace",
     "Workload",
     "attach_extension_agent",

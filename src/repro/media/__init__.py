@@ -4,16 +4,9 @@ modules (sketch extraction, verbal description, synthetic speech).
 The transformer modules are plain functions; each is called where its
 conversion takes effect (the client, the base station, the image viewer)."""
 
-from .wavelet import WaveletError, haar_dwt2, haar_idwt2, max_levels, subband_slices
+from .wavelet import WaveletError, haar_dwt2, haar_idwt2, max_levels
 from .ezw import EzwEncoded, decode_image, encode_image, ezw_decode, ezw_encode
-from .images import (
-    ImageError,
-    checkerboard,
-    collaboration_scene,
-    gaussian_blobs,
-    gradient,
-    to_rgb,
-)
+from .images import ImageError, collaboration_scene, to_rgb
 from .metrics import bpp, compression_ratio, mse, psnr, raw_bits
 from .progressive import PACKET_COUNTS, ImagePacket, ProgressiveImage, ReceivedImage, ReceptionReport
 from .sketch import Sketch, SketchError, decode_sketch, extract_sketch, sobel_magnitude
@@ -25,17 +18,13 @@ __all__ = [
     "haar_dwt2",
     "haar_idwt2",
     "max_levels",
-    "subband_slices",
     "EzwEncoded",
     "decode_image",
     "encode_image",
     "ezw_decode",
     "ezw_encode",
     "ImageError",
-    "checkerboard",
     "collaboration_scene",
-    "gaussian_blobs",
-    "gradient",
     "to_rgb",
     "bpp",
     "compression_ratio",

@@ -340,6 +340,12 @@ def encode_image(image: np.ndarray, levels: int, max_bits: int | None = None) ->
 
 
 def decode_image(encoded: EzwEncoded) -> np.ndarray:
-    """Decode one channel and invert the DWT (float output)."""
+    """Decode one channel and invert the DWT (float output).
+
+    An empty prefix (a budget of 0 packets) decodes to zeros, the inverse
+    transform of all-zero coefficients, without running either.
+    """
+    if min(encoded.payload_bits, 8 * len(encoded.payload)) <= 0:
+        return np.zeros(encoded.shape)
     coeffs = ezw_decode(encoded)
     return haar_idwt2(coeffs, encoded.levels)

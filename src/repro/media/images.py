@@ -12,9 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "gradient",
-    "checkerboard",
-    "gaussian_blobs",
     "collaboration_scene",
     "to_rgb",
     "ImageError",
@@ -28,49 +25,6 @@ class ImageError(ValueError):
 def _validate(h: int, w: int) -> None:
     if h < 8 or w < 8:
         raise ImageError(f"image too small: {h}x{w}")
-
-
-def gradient(h: int = 128, w: int = 128, direction: str = "diagonal") -> np.ndarray:
-    """A smooth ramp; the easiest content for the coder (near-zero detail).
-
-    ``direction`` is one of ``"horizontal"``, ``"vertical"``, ``"diagonal"``.
-    """
-    _validate(h, w)
-    ii, jj = np.mgrid[0:h, 0:w]
-    if direction == "horizontal":
-        ramp = jj / max(w - 1, 1)
-    elif direction == "vertical":
-        ramp = ii / max(h - 1, 1)
-    elif direction == "diagonal":
-        ramp = (ii + jj) / max(h + w - 2, 1)
-    else:
-        raise ImageError(f"unknown direction {direction!r}")
-    return (ramp * 255).astype(np.uint8)
-
-
-def checkerboard(h: int = 128, w: int = 128, cell: int = 16) -> np.ndarray:
-    """Maximum-edge content; the coder's worst case."""
-    _validate(h, w)
-    if cell < 1:
-        raise ImageError("cell must be >= 1")
-    ii, jj = np.mgrid[0:h, 0:w]
-    return (((ii // cell + jj // cell) % 2) * 255).astype(np.uint8)
-
-
-def gaussian_blobs(
-    h: int = 128, w: int = 128, n_blobs: int = 5, seed: int = 0
-) -> np.ndarray:
-    """Soft bright regions on a dark field (smooth, mid compressibility)."""
-    _validate(h, w)
-    rng = np.random.default_rng(seed)
-    ii, jj = np.mgrid[0:h, 0:w]
-    img = np.zeros((h, w))
-    for _ in range(n_blobs):
-        ci, cj = rng.uniform(0, h), rng.uniform(0, w)
-        s = rng.uniform(min(h, w) / 16, min(h, w) / 6)
-        amp = rng.uniform(100, 255)
-        img += amp * np.exp(-((ii - ci) ** 2 + (jj - cj) ** 2) / (2 * s * s))
-    return np.clip(img, 0, 255).astype(np.uint8)
 
 
 def collaboration_scene(h: int = 128, w: int = 128, seed: int = 7) -> np.ndarray:

@@ -20,9 +20,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .._recent import CAPACITY, Recent
-from .ezw import EzwEncoded, decode_image, encode_image, ezw_decode
+from .ezw import EzwEncoded, decode_image, encode_image
 from .metrics import bpp, compression_ratio, psnr
-from .wavelet import haar_idwt2_partial, max_levels
+from .wavelet import max_levels
 
 __all__ = ["ImagePacket", "ImagePacketError", "ProgressiveImage", "ReceptionReport", "PACKET_COUNTS"]
 
@@ -199,23 +199,6 @@ class ProgressiveImage:
             return recon_channels[0]
         return np.stack(recon_channels, axis=-1)
 
-    def report(self, n_received: int) -> ReceptionReport:
-        """Reconstruct and compute the paper's three metrics (+PSNR)."""
-        k = max(0, min(self.n_packets, int(n_received)))
-        bits_used = sum(edges[k] for edges in self._edges)
-        recon = self.reconstruct(k)
-        return ReceptionReport(
-            packets_used=k,
-            bits_used=bits_used,
-            bpp=bpp(bits_used, self.shape[:2]),
-            compression_ratio=compression_ratio(bits_used, self.shape),
-            psnr_db=psnr(self.image, recon),
-        )
-
-    def reports(self, packet_counts: Sequence[int] = PACKET_COUNTS) -> list[ReceptionReport]:
-        """Reception reports for a series of packet counts (FIG6/7 rows)."""
-        return [self.report(k) for k in packet_counts]
-
     @property
     def t0_exps(self) -> tuple[int, ...]:
         """Per-channel EZW threshold exponents (decode parameters)."""
@@ -314,23 +297,6 @@ class ReceivedImage:
         k = self.usable_prefix if max_packets is None else min(self.usable_prefix, max_packets)
         return self._stack(
             [np.clip(decode_image(self._prefix_stream(c, k)), 0, 255) for c in range(self.n_channels)]
-        )
-
-    def thumbnail(self, scale_levels: int = 2, max_packets: Optional[int] = None) -> np.ndarray:
-        """A reduced-resolution view of the current reconstruction.
-
-        "Each of the users may access the same visual information but at
-        different resolutions" — a thin client renders the 2^-k-scale
-        approximation directly from the wavelet pyramid, paying no
-        full-resolution inverse transform.
-        """
-        k = self.usable_prefix if max_packets is None else min(self.usable_prefix, max_packets)
-        skip = min(scale_levels, self.levels)
-        return self._stack(
-            [
-                np.clip(haar_idwt2_partial(ezw_decode(self._prefix_stream(c, k)), self.levels, skip), 0, 255)
-                for c in range(self.n_channels)
-            ]
         )
 
     def report(self, original: Optional[np.ndarray] = None, max_packets: Optional[int] = None) -> ReceptionReport:

@@ -17,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["sobel_magnitude", "extract_sketch", "Sketch", "SketchError"]
+from .progressive import MAX_RECEIVED_PIXELS
+
+__all__ = ["sobel_magnitude", "extract_sketch", "decode_sketch", "Sketch", "SketchError"]
 
 
 class SketchError(ValueError):
@@ -185,16 +187,21 @@ def extract_sketch(
     )
 
 
-def decode_sketch(encoded: bytes, shape: tuple[int, int], source_shape: tuple[int, ...]) -> Sketch:
-    """Rebuild a :class:`Sketch` from its wire encoding."""
+def decode_sketch(encoded: bytes, shape: tuple[int, int]) -> np.ndarray:
+    """Rebuild a sketch's mask from its wire encoding.
+
+    ``shape`` comes off the wire beside the bytes (a peer's
+    ``SketchShareEvent``): an area outside 1..``MAX_RECEIVED_PIXELS`` is
+    refused before anything is allocated.
+    """
+    h, w = shape
+    if h < 1 or w < 1 or h * w > MAX_RECEIVED_PIXELS:
+        raise SketchError(f"a {h}x{w} sketch is outside 1..{MAX_RECEIVED_PIXELS} pixels")
     if not encoded:
         raise SketchError("empty sketch encoding")
     fmt, body = encoded[:1], encoded[1:]
-    size = shape[0] * shape[1]
     if fmt == b"R":
-        mask = _rle_decode(body, size).reshape(shape)
-    elif fmt == b"P":
-        mask = _bitpack_decode(body, size).reshape(shape)
-    else:
-        raise SketchError(f"unknown sketch format {fmt!r}")
-    return Sketch(shape=shape, source_shape=source_shape, mask=mask, encoded=encoded)
+        return _rle_decode(body, h * w).reshape(shape)
+    if fmt == b"P":
+        return _bitpack_decode(body, h * w).reshape(shape)
+    raise SketchError(f"unknown sketch format {fmt!r}")

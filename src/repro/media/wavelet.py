@@ -24,9 +24,7 @@ import numpy as np
 __all__ = [
     "haar_dwt2",
     "haar_idwt2",
-    "haar_idwt2_partial",
     "max_levels",
-    "subband_slices",
     "WaveletError",
 ]
 
@@ -114,58 +112,4 @@ def haar_idwt2(coeffs: np.ndarray, levels: int) -> np.ndarray:
         block = _idwt_rows(block.swapaxes(0, 1)).swapaxes(0, 1)  # cols
         block = _idwt_rows(block)                                 # rows
         out[:h, :w] = block
-    return out
-
-
-def haar_idwt2_partial(coeffs: np.ndarray, levels: int, skip_finest: int) -> np.ndarray:
-    """Inverse DWT stopping ``skip_finest`` levels early: a 2^-k-scale view.
-
-    Returns the approximation image at resolution ``(h >> k, w >> k)``
-    with correct intensity (the orthonormal transform scales DC by 2 per
-    level, which is divided back out).  ``skip_finest = 0`` equals
-    :func:`haar_idwt2`.
-
-    >>> x = np.arange(64.0).reshape(8, 8)
-    >>> thumb = haar_idwt2_partial(haar_dwt2(x, 3), 3, skip_finest=2)
-    >>> thumb.shape
-    (2, 2)
-    >>> bool(abs(thumb.mean() - x.mean()) < 1e-9)
-    True
-    """
-    a = np.asarray(coeffs, dtype=float)
-    if a.ndim != 2:
-        raise WaveletError(f"expected 2-D array, got ndim={a.ndim}")
-    _check(a.shape, levels)
-    if not (0 <= skip_finest <= levels):
-        raise WaveletError(f"skip_finest must be in [0, {levels}]")
-    if skip_finest == 0:
-        return haar_idwt2(a, levels)
-    out = a.copy()
-    H, W = a.shape
-    sizes = [(H >> k, W >> k) for k in range(levels)]
-    for h, w in reversed(sizes[skip_finest:]):  # invert coarse levels only
-        block = out[:h, :w]
-        block = _idwt_rows(block.swapaxes(0, 1)).swapaxes(0, 1)
-        block = _idwt_rows(block)
-        out[:h, :w] = block
-    h, w = H >> skip_finest, W >> skip_finest
-    return out[:h, :w] / (2.0 ** skip_finest)
-
-
-def subband_slices(shape: tuple[int, int], levels: int) -> dict[str, tuple[slice, slice]]:
-    """Index map of the pyramid layout.
-
-    Keys: ``"LL"`` (deepest approximation) and ``"HL<k>"/"LH<k>"/"HH<k>"``
-    for each detail level ``k`` (1 = finest).
-    """
-    _check(shape, levels)
-    h, w = shape
-    out: dict[str, tuple[slice, slice]] = {}
-    for k in range(1, levels + 1):
-        h2, w2 = h // 2, w // 2
-        out[f"HL{k}"] = (slice(0, h2), slice(w2, w))
-        out[f"LH{k}"] = (slice(h2, h), slice(0, w2))
-        out[f"HH{k}"] = (slice(h2, h), slice(w2, w))
-        h, w = h2, w2
-    out["LL"] = (slice(0, h), slice(0, w))
     return out

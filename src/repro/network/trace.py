@@ -48,8 +48,9 @@ class FlowStats:
     last_time: float = 0.0
 
     @property
-    def loss_rate(self) -> float:
-        return self.dropped / self.packets if self.packets else 0.0
+    def delivered(self) -> int:
+        """Packets that reached their target (once or, duplicated, more)."""
+        return self.packets - self.dropped
 
 
 class PacketTracer:
@@ -127,14 +128,8 @@ class PacketTracer:
         return sorted(per_host.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
 
     def summary(self) -> str:
-        """One-paragraph human rendering."""
-        lines = [
-            f"trace: {self.total_packets} packets, {self.total_octets} octets,"
-            f" {len(self.flows)} flows"
-        ]
+        """One line per flow: what the network delivered and dropped."""
+        lines = [f"trace: {self.total_packets} packets, {len(self.flows)} flows"]
         for (src, dst, port), st in sorted(self.flows.items()):
-            lines.append(
-                f"  {src} -> {dst}:{port}  {st.packets} pkts  {st.octets} B"
-                f"  loss {100 * st.loss_rate:.1f}%"
-            )
+            lines.append(f"  {src} -> {dst}:{port}  delivered={st.delivered} dropped={st.dropped}")
         return "\n".join(lines)

@@ -3,7 +3,7 @@ mobility traces.  The paper simulates its wireless network; this package is
 that simulation, vectorized."""
 
 from .channel import ChannelError, NoiseModel, PathLossModel
-from .sir import from_db, sir, sir_db, sir_matrix, sir_sweep, to_db
+from .sir import from_db, sir, sir_db, sir_matrix, to_db
 from .powercontrol import frame_success_rate, uniform_power_scaling, utility
 from .linkquality import (
     bit_error_rate,
@@ -11,13 +11,7 @@ from .linkquality import (
     loss_for_sir_db,
     packet_loss_probability,
 )
-from .mobility import (
-    MobilityTrace,
-    PiecewiseLinearTrace,
-    RandomWaypointTrace,
-    StaticTrace,
-    approach_and_retreat,
-)
+from .mobility import MobilityTrace, PiecewiseLinearTrace, approach_and_retreat
 
 __all__ = [
     "ChannelError",
@@ -27,7 +21,6 @@ __all__ = [
     "sir",
     "sir_db",
     "sir_matrix",
-    "sir_sweep",
     "to_db",
     "frame_success_rate",
     "uniform_power_scaling",
@@ -38,7 +31,5 @@ __all__ = [
     "packet_loss_probability",
     "MobilityTrace",
     "PiecewiseLinearTrace",
-    "RandomWaypointTrace",
-    "StaticTrace",
     "approach_and_retreat",
 ]

@@ -2,9 +2,8 @@
 
 FIG8's experiment moves client A from 100 m in to 50 m (x-axis points
 0–3) and back out (points 3–5) while client B holds position.  A
-:class:`MobilityTrace` yields the distance at each experiment step; the
-composable generators below cover the sweeps used in the benches plus a
-random-waypoint model for the extension experiments.
+:class:`MobilityTrace` yields the distance at each experiment step;
+:func:`approach_and_retreat` is that sweep.
 """
 
 from __future__ import annotations
@@ -16,10 +15,8 @@ import numpy as np
 
 __all__ = [
     "MobilityTrace",
-    "StaticTrace",
     "PiecewiseLinearTrace",
     "approach_and_retreat",
-    "RandomWaypointTrace",
 ]
 
 
@@ -35,23 +32,6 @@ class MobilityTrace:
 
     def __iter__(self) -> Iterator[float]:
         return iter(self.distances().tolist())
-
-
-@dataclass
-class StaticTrace(MobilityTrace):
-    """A client that does not move."""
-
-    distance: float
-    steps: int
-
-    def __post_init__(self) -> None:
-        if self.distance <= 0:
-            raise ValueError("distance must be positive")
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-
-    def distances(self) -> np.ndarray:
-        return np.full(self.steps, float(self.distance))
 
 
 @dataclass
@@ -92,48 +72,3 @@ def approach_and_retreat(
     return PiecewiseLinearTrace(
         [(0, far), (in_steps, near), (in_steps + out_steps, far)]
     )
-
-
-class RandomWaypointTrace(MobilityTrace):
-    """Random-waypoint mobility within an annulus around the BS.
-
-    Picks uniformly random target distances in ``[d_min, d_max]`` and
-    moves toward each at ``speed`` metres/step.  Deterministic under a
-    seeded generator.
-    """
-
-    def __init__(
-        self,
-        steps: int,
-        d_min: float = 10.0,
-        d_max: float = 150.0,
-        speed: float = 10.0,
-        rng: np.random.Generator | None = None,
-        seed: int = 0,
-    ) -> None:
-        if not (0 < d_min < d_max):
-            raise ValueError("require 0 < d_min < d_max")
-        if speed <= 0 or steps < 1:
-            raise ValueError("speed must be positive and steps >= 1")
-        self.steps = steps
-        self.d_min = d_min
-        self.d_max = d_max
-        self.speed = speed
-        self._rng = rng if rng is not None else np.random.default_rng(seed)
-        self._trace: np.ndarray | None = None
-
-    def distances(self) -> np.ndarray:
-        if self._trace is None:
-            rng = self._rng
-            pos = float(rng.uniform(self.d_min, self.d_max))
-            target = float(rng.uniform(self.d_min, self.d_max))
-            out = np.empty(self.steps)
-            for i in range(self.steps):
-                out[i] = pos
-                if abs(target - pos) <= self.speed:
-                    pos = target
-                    target = float(rng.uniform(self.d_min, self.d_max))
-                else:
-                    pos += self.speed if target > pos else -self.speed
-            self._trace = out
-        return self._trace

@@ -4,9 +4,9 @@ For client *i* among *n* clients transmitting to one base station::
 
     SIR_i = P_i * g_i / ( sum_{j != i} P_j * g_j  +  sigma^2 )
 
-All functions accept numpy arrays; the sweep variants evaluate a whole
-experiment series in one vectorized call (per the HPC guide: vectorize the
-hot loop, no per-step Python arithmetic).
+All functions accept numpy arrays and evaluate every client in one
+vectorized call (per the HPC guide: vectorize the hot loop, no per-client
+Python arithmetic).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["sir", "sir_db", "sir_sweep", "to_db", "from_db", "sir_matrix"]
+__all__ = ["sir", "sir_db", "to_db", "from_db", "sir_matrix"]
 
 
 def to_db(x: Union[float, np.ndarray]) -> Union[float, np.ndarray]:
@@ -62,38 +62,6 @@ def sir(powers: np.ndarray, gains: np.ndarray, sigma2: float) -> np.ndarray:
 def sir_db(powers: np.ndarray, gains: np.ndarray, sigma2: float) -> np.ndarray:
     """Per-client SIR in dB (see :func:`sir`)."""
     return to_db(sir(powers, gains, sigma2))
-
-
-def sir_sweep(powers: np.ndarray, gains: np.ndarray, sigma2: float) -> np.ndarray:
-    """Vectorized SIR over a sweep of system states.
-
-    Parameters
-    ----------
-    powers, gains:
-        Shape ``(m, n)``: *m* sweep points × *n* clients.  Either may also
-        be shape ``(n,)`` and will broadcast across the sweep.
-    sigma2:
-        Noise power, scalar or shape ``(m,)``.
-
-    Returns
-    -------
-    ndarray ``(m, n)`` of linear SIRs.
-    """
-    p = np.atleast_2d(np.asarray(powers, dtype=float))
-    g = np.atleast_2d(np.asarray(gains, dtype=float))
-    p, g = np.broadcast_arrays(p, g)
-    if np.any(p < 0) or np.any(g < 0):
-        raise ValueError("powers and gains must be non-negative")
-    received = p * g  # (m, n)
-    total = received.sum(axis=1, keepdims=True)  # (m, 1)
-    interference = total - received
-    s2 = np.asarray(sigma2, dtype=float)
-    if s2.ndim == 1:
-        s2 = s2[:, None]
-    denom = interference + s2
-    if np.any(denom <= 0):
-        raise ValueError("zero denominator in sweep")
-    return received / denom
 
 
 def sir_matrix(powers: np.ndarray, gain_matrix: np.ndarray, sigma2: np.ndarray) -> np.ndarray:

@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.events import ChatEvent, ImageShareAnnounce, TextShareEvent
+from repro.core.events import ChatEvent, ImageShareAnnounce, SketchShareEvent, TextShareEvent
 from repro.core.framework import CollaborationFramework
 from repro.core.policies import ModalityTier
 from repro.media.images import collaboration_scene
+from repro.media.sketch import _rle_encode, extract_sketch
 from repro.wireless.channel import NoiseModel, PathLossModel
 
 
@@ -126,6 +127,34 @@ class TestDownlinkGating:
         assert counts["text"] == 1
         assert counts["sketch"] == 1
         assert counts["image_packets"] == 0
+
+    def test_sketch_tier_renders_the_base_stations_sketch(self, cell):
+        fw, wired, bs = cell
+        fw.add_wireless_client("w1", bs, distance=75.0)
+        sk = fw.add_wireless_client("w2", bs, distance=70.0)
+        bs.evaluate_qos()
+        wired.share_image("map", collaboration_scene(64, 64))
+        fw.run_for(3.0)
+        expected = extract_sketch(bs.viewer.reconstruct("map"))
+        assert list(sk.sketches) == ["map"]
+        assert sk.sketches["map"].shape == expected.shape
+        assert np.array_equal(sk.sketches["map"], expected.mask)
+        assert sk.link.decode_failures == 0
+
+    @pytest.mark.parametrize("h,w", [(1025, 1024), (0, 32)])
+    def test_a_sketch_geometry_past_the_cap_is_counted_not_rendered(self, cell, h, w):
+        fw, _, bs = cell
+        mobile = fw.add_wireless_client("w1", bs, distance=60.0)
+        encoded = b"R" + _rle_encode(np.zeros(max(h * w, 1), dtype=bool))
+        bs.radio.send(
+            SketchShareEvent(ref_id="huge", sketch_h=h, sketch_w=w, encoded=encoded).to_message(
+                sender="bs", selector="true"
+            ),
+            mobile.link.address,
+        )
+        fw.run_for(1.0)
+        assert mobile.sketches == {}
+        assert mobile.link.decode_failures == 1
 
     def test_chat_reaches_all_usable_tiers(self, cell):
         fw, wired, bs = cell

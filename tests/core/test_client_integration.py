@@ -60,6 +60,24 @@ class TestChat:
         fw.run_for(0.5)
         assert a.membership.members == ["alice"]
 
+    def test_second_leave_is_a_no_op(self, fw):
+        a, b = two_clients(fw)
+        b.leave()
+        sent = b.endpoint.sent_messages
+        b.leave()
+        fw.run_for(0.5)
+        assert b.endpoint.sent_messages == sent
+        assert a.membership.leaves == 1
+
+    def test_chat_after_leave_is_refused_before_rendering(self, fw):
+        a, b = two_clients(fw)
+        b.leave()
+        with pytest.raises(RuntimeError, match="endpoint is closed"):
+            b.send_chat("still here?")
+        fw.run_for(0.5)
+        assert b.chat.transcript == []
+        assert a.chat.transcript == []
+
 
 class TestWhiteboard:
     def test_stroke_replication(self, fw):

@@ -39,10 +39,10 @@ class TestFrameworkFacade:
         assert fw.now == 3.5
 
     def test_start_hosts(self):
-        from repro.hosts.workload import Ramp
+        from repro.hosts.workload import Trace
 
         fw = CollaborationFramework("f")
-        fw.add_wired_client("a", cpu_workload=Ramp(0, 100, 5))
+        fw.add_wired_client("a", cpu_workload=Trace([0, 25, 50, 75, 100]))
         fw.start_hosts()
         fw.run_for(3.0)
         assert fw.hosts["a"].tick == 3

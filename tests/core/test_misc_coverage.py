@@ -2,8 +2,6 @@
 local sketch, QoS loop with power control, switch octet probes,
 telemetry + netstate."""
 
-import pytest
-
 from repro.core.framework import CollaborationFramework
 from repro.core.netstate import NetworkStateInterface
 from repro.hosts.workload import Constant
@@ -86,11 +84,3 @@ class TestTelemetryWithNetstate:
         a.monitor_and_adapt()
         report = deployment_report(fw)
         assert report["wired_clients"]["alice"]["snmp_requests"] >= 1
-
-
-class TestSubbandSlicesValidation:
-    def test_bad_shape_rejected(self):
-        from repro.media.wavelet import WaveletError, subband_slices
-
-        with pytest.raises(WaveletError):
-            subband_slices((6, 8), 2)

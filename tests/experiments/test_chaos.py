@@ -1,9 +1,11 @@
 """Regression suite for the seeded chaos drill.
 
 Pins the properties the fault-injection subsystem promises: the
-packet-disposition conservation invariant, byte-identical replay of a
-full collaboration session under the same seed, and recovery — once the
-faults are over, the session history gives every peer what it missed.
+packet-disposition conservation invariant, which the drill's packet
+tracer reconciles flow by flow, byte-identical replay of a full
+collaboration session under the same seed, and recovery — once the
+faults are over, the session history gives every peer what it missed —
+followed by a clean leave.
 """
 
 from collections import Counter
@@ -13,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.experiments.chaos import (
     DURATION,
+    LEAVE_AT,
+    LEAVER,
     _run,
     chaos_telemetry,
     default_chaos_plan,
@@ -23,7 +27,7 @@ from repro.experiments.chaos import (
 NOT_REPLAYED = {"history-request", "join", "leave"}
 
 #: tier-1 runs seed 0 and two seeds at which the drill damages an RTP
-#: header (2, 5); the deep profile runs seeds 0-39
+#: header (2, 5); the deep profile runs seeds 0-39 (recovery, leave, trace)
 RECOVERY_SEEDS = range(40) if settings().max_examples > 100 else (0, 2, 5)
 
 
@@ -50,17 +54,17 @@ class TestChaosDrill:
         assert any("conserved=True" in note for note in result.notes)
 
     def test_all_peers_reported(self, result):
-        assert result.column("peer") == ["alice", "bob", "carol"]
+        assert [row["peer"] for row in result.rows] == ["alice", "bob", "carol"]
 
     def test_session_survives_the_faults(self, result):
         # receivers still accept traffic despite the fault windows
-        assert all(r > 0 for r in result.column("received"))
+        assert all(row["received"] > 0 for row in result.rows)
         # adaptation loops kept deciding through the darkness
-        assert all(d > 0 for d in result.column("decisions"))
+        assert all(row["decisions"] > 0 for row in result.rows)
 
     def test_faults_actually_bite(self, result):
         # the crashed agent forces SNMP failures and fast-fails on bob
-        by_peer = dict(zip(result.column("peer"), result.column("snmp_failures")))
+        by_peer = {row["peer"]: row["snmp_failures"] for row in result.rows}
         assert by_peer["bob"] > 0
 
 
@@ -81,7 +85,7 @@ class TestChaosDeterminism:
 
     def test_telemetry_reports_all_sections(self):
         blob = chaos_telemetry(seed=0)
-        for marker in ("network: sent=", "chaos: ", "breakers: "):
+        for marker in ("network: sent=", "trace: ", "chaos: ", "breakers: "):
             assert marker in blob
 
 
@@ -94,12 +98,17 @@ class TestChaosRecovery:
             name: {m.msg_id for _, m in c.archive.replay() if m.msg_id.sender == name and m.kind not in NOT_REPLAYED}
             for name, c in peers.items()
         }
+        published_late = {
+            name: {m.msg_id for t, m in c.archive.replay() if t > LEAVE_AT} for name, c in peers.items()
+        }
         for name, client in peers.items():
             held = Counter(m.msg_id for _, m in client.archive.replay())
             assert set(held.values()) == {1}
             for other, ids in published.items():
                 if other != name:
-                    assert ids <= held.keys(), (name, other, sorted(map(str, ids - held.keys())))
+                    # the leaver holds what was published while she was a member
+                    want = ids - published_late[other] if name == LEAVER else ids
+                    assert want <= held.keys(), (name, other, sorted(map(str, want - held.keys())))
         net = fw.network
         assert net.packets_sent == net.packets_delivered + net.packets_dropped + net.packets_duplicated
 
@@ -116,4 +125,56 @@ class TestChaosRecovery:
         fw, _ = _run(0, DURATION)
         carol = fw.wired_clients["carol"]
         assert carol.viewer.viewed["img-storm"].assembly.usable_prefix == 16
-        assert [len(c.chat.lines) for _, c in sorted(fw.wired_clients.items())] == [16, 16, 16]
+        # ... and every chat line but alice's last (t = 23.0), sent after she left
+        assert [len(c.chat.lines) for _, c in sorted(fw.wired_clients.items())] == [16, 16, 15]
+
+
+class TestChaosLeaver:
+    def test_leave_falls_between_the_catch_up_and_the_last_chat_line(self):
+        assert default_chaos_plan().horizon < LEAVE_AT < 23.0 < DURATION
+
+    @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
+    def test_the_leaver_is_out_of_every_roster_and_every_later_delivery(self, seed):
+        fw, _ = _run(seed, DURATION)
+        peers = fw.wired_clients
+        leaver = peers[LEAVER]
+        others = [c for name, c in sorted(peers.items()) if name != LEAVER]
+        assert leaver.endpoint.sock.closed
+        assert LEAVER not in {host for host, _ in fw.group.members}
+        for client in peers.values():
+            assert client.membership.members == sorted(c.name for c in others)
+        # after her leave event, nothing of hers reaches the others ...
+        for client in others:
+            late = [m.kind for t, m in client.archive.replay() if t > LEAVE_AT and m.sender == LEAVER]
+            assert late == ["leave"]
+        # ... and nothing of the session reaches her: no transmission to
+        # her host but her own SNMP polls, and no delivery in her archive
+        assert not [
+            r for r in fw.network.tracer.records if r.time > LEAVE_AT and r.dst == LEAVER and r.src != LEAVER
+        ]
+        assert all(t <= LEAVE_AT for t, _ in leaver.archive.replay())
+        # while the others go on: alice's last chat line reaches bob
+        alice, bob = others
+        late_lines = [line for line in bob.chat.lines if line.time > LEAVE_AT]
+        assert [line.author for line in late_lines] == ["alice"]
+
+
+class TestChaosTrace:
+    @pytest.mark.parametrize("seed", RECOVERY_SEEDS)
+    def test_flows_add_up_to_the_network_counters(self, seed):
+        fw, _ = _run(seed, DURATION)
+        net = fw.network
+        tracer = net.tracer
+        flows = tracer.flows.values()
+        assert sum(f.packets for f in flows) == tracer.total_packets == net.packets_sent
+        assert len(tracer.records) == net.packets_sent
+        assert sum(f.delivered for f in flows) == net.packets_delivered + net.packets_duplicated
+        assert sum(f.dropped for f in flows) == net.packets_dropped
+        assert sum(not r.delivered for r in tracer.records) == net.packets_dropped
+        assert sum(f.octets for f in flows) == tracer.total_octets
+
+    def test_telemetry_lists_every_flow(self):
+        fw, _ = _run(0, DURATION)
+        blob = chaos_telemetry(seed=0)
+        for src, dst, port in fw.network.tracer.flows:
+            assert f"  {src} -> {dst}:{port} " in blob

@@ -28,15 +28,6 @@ class TestHarness:
         with pytest.raises(KeyError):
             r.add_row(a=1, z=9)
 
-    def test_column_extraction(self):
-        r = ExperimentResult("X", "t", columns=("a", "b"))
-        r.add_row(a=1, b=2)
-        r.add_row(a=3)
-        assert r.column("a") == [1, 3]
-        assert r.column("b") == [2, None]
-        with pytest.raises(KeyError):
-            r.column("zzz")
-
     def test_format_table_renders(self):
         r = ExperimentResult("X", "title", columns=("a",))
         r.add_row(a=1.234)
@@ -58,17 +49,17 @@ class TestFig6:
         return run_fig6(fault_levels=[30, 60, 100], image_size=32)
 
     def test_packets_non_increasing_powers_of_two(self, result):
-        packets = result.column("packets")
+        packets = [row["packets"] for row in result.rows]
         assert packets == sorted(packets, reverse=True)
         assert set(packets) <= {0, 1, 2, 4, 8, 16}
         assert packets[0] == 16 and packets[-1] == 1
 
     def test_cr_rises_as_packets_fall(self, result):
-        crs = result.column("compression_ratio")
+        crs = [row["compression_ratio"] for row in result.rows]
         assert crs == sorted(crs)
 
     def test_bpp_falls(self, result):
-        bpps = result.column("bpp")
+        bpps = [row["bpp"] for row in result.rows]
         assert bpps == sorted(bpps, reverse=True)
         assert bpps[0] == pytest.approx(2.2, rel=0.1)
 
@@ -79,17 +70,17 @@ class TestFig7:
         return run_fig7(cpu_levels=[30, 70, 100], image_size=32)
 
     def test_packets_reach_zero(self, result):
-        packets = result.column("packets")
+        packets = [row["packets"] for row in result.rows]
         assert packets[0] == 16
         assert packets[-1] == 0
 
     def test_color_bpp_range(self, result):
-        bpps = result.column("bpp")
+        bpps = [row["bpp"] for row in result.rows]
         assert bpps[0] == pytest.approx(14.3, rel=0.1)
         assert bpps[-1] == 0.0
 
     def test_cr_near_paper_at_full_quality(self, result):
-        crs = result.column("compression_ratio")
+        crs = [row["compression_ratio"] for row in result.rows]
         assert crs[0] == pytest.approx(1.68, rel=0.1)  # 24 / 14.3
         assert crs[-1] is None  # zero packets: undefined
 
@@ -100,18 +91,18 @@ class TestFig8:
         return run_fig8()
 
     def test_a_sir_peaks_at_closest_point(self, result):
-        sirs = result.column("sir_a_db")
+        sirs = [row["sir_a_db"] for row in result.rows]
         assert int(np.argmax(sirs)) == 3  # the 50 m point
         assert sirs[0] == pytest.approx(sirs[5], abs=0.2)  # symmetric trace
 
     def test_b_sir_mirrors_a(self, result):
-        sa = np.array(result.column("sir_a_db"))
-        sb = np.array(result.column("sir_b_db"))
+        sa = np.array([row["sir_a_db"] for row in result.rows])
+        sb = np.array([row["sir_b_db"] for row in result.rows])
         assert np.all(np.diff(sa[:4]) > 0)
         assert np.all(np.diff(sb[:4]) < 0)
 
     def test_tiers_cross_thresholds(self, result):
-        tiers_a = result.column("tier_a")
+        tiers_a = [row["tier_a"] for row in result.rows]
         assert tiers_a[0] == "TEXT_ONLY"
         assert tiers_a[3] == "FULL_IMAGE"
 
@@ -119,8 +110,8 @@ class TestFig8:
 class TestFig9:
     def test_power_sweep_monotone(self):
         result = run_fig9(power_steps=[0.5, 1.0, 2.0, 4.0])
-        sa = result.column("sir_a_db")
-        sb = result.column("sir_b_db")
+        sa = [row["sir_a_db"] for row in result.rows]
+        sb = [row["sir_b_db"] for row in result.rows]
         assert sa == sorted(sa)
         assert sb == sorted(sb, reverse=True)
 
@@ -144,11 +135,11 @@ class TestFig10:
         return run_fig10()
 
     def test_each_join_degrades_sir(self, result):
-        sirs = result.column("sir_a_linear")
+        sirs = [row["sir_a_linear"] for row in result.rows]
         assert sirs == sorted(sirs, reverse=True)
 
     def test_paper_drop_percentages(self, result):
-        drops = result.column("drop_vs_prev_pct")
+        drops = [row["drop_vs_prev_pct"] for row in result.rows]
         assert drops[0] is None
         assert drops[1] == pytest.approx(90.0, abs=2.0)
         assert drops[2] == pytest.approx(23.0, abs=2.0)
@@ -177,33 +168,13 @@ class TestFig8Dataflow:
                 assert not row["session_got_packets"]
 
 
-class TestCsvExport:
-    def test_to_csv_roundtrippable(self, tmp_path):
-        r = ExperimentResult("X", "t", columns=("a", "b", "name"))
-        r.add_row(a=1, b=2.5, name="plain")
-        r.add_row(a=2, name='quoted, "text"')
-        csv_text = r.to_csv()
-        lines = csv_text.strip().split("\n")
-        assert lines[0] == "a,b,name"
-        assert lines[1] == "1,2.5,plain"
-        assert lines[2] == '2,,"quoted, ""text"""'
-        path = tmp_path / "out.csv"
-        r.save_csv(path)
-        assert path.read_text() == csv_text
-
-    def test_fig10_csv_has_anchor_values(self):
-        csv_text = run_fig10().to_csv()
-        assert "n_clients" in csv_text.splitlines()[0]
-        assert len(csv_text.splitlines()) == 4
-
-
 class TestBrokerScale:
     def test_backends_agree_and_sharding_cuts_work(self):
         from repro.experiments import run_broker_scale
 
         res = run_broker_scale(subscribers=600, messages=24, shard_counts=(1, 8))
         assert res.columns[0] == "backend"
-        delivered = res.column("delivered")
+        delivered = [row["delivered"] for row in res.rows]
         assert len(set(delivered)) == 1  # every backend, same outcome
         by_backend = {
             (row["backend"], row["shards"]): row for row in res.rows

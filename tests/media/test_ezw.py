@@ -1,13 +1,40 @@
 """Tests for the embedded zerotree coder."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.media import ezw
 from repro.media.ezw import EzwEncoded, decode_image, encode_image, ezw_decode, ezw_encode
-from repro.media.images import checkerboard, collaboration_scene, gradient
+from repro.media.images import collaboration_scene
 from repro.media.metrics import psnr
-from repro.media.wavelet import haar_dwt2
+from repro.media.wavelet import haar_dwt2, haar_idwt2
+
+
+def ramp(h, w):
+    """A smooth diagonal ramp: the easiest content for the coder."""
+    return (np.add.outer(np.arange(h), np.arange(w)) / (h + w - 2) * 255).astype(np.uint8)
+
+
+class TestEmptyPrefix:
+    """A budget of 0 packets: zeros, with neither the decoder nor the
+    inverse transform run."""
+
+    @pytest.mark.parametrize("cut", ["no bits", "bits but no bytes"])
+    def test_empty_prefix_is_the_inverse_of_zeros_without_decoding(self, cut):
+        enc = encode_image(collaboration_scene(32, 48), 4)
+        if cut == "no bits":
+            empty = enc.truncated(0)
+        else:
+            empty = EzwEncoded(enc.shape, enc.levels, enc.t0_exp, b"", enc.payload_bits)
+        expected = haar_idwt2(np.zeros((32, 48)), 4)
+        with mock.patch.object(ezw, "ezw_decode", side_effect=AssertionError("decoder entered")), \
+                mock.patch.object(ezw, "haar_idwt2", side_effect=AssertionError("inverse DWT entered")):
+            out = decode_image(empty)
+        assert (out.dtype, out.shape) == (expected.dtype, expected.shape)
+        assert out.tobytes() == expected.tobytes()
 
 
 class TestLossless:
@@ -68,7 +95,7 @@ class TestEmbedded:
         assert np.all(np.isfinite(rec))
 
     def test_truncated_bits_clamped(self):
-        enc = encode_image(gradient(16, 16), 3)
+        enc = encode_image(ramp(16, 16), 3)
         assert enc.truncated(10**9).payload_bits == enc.payload_bits
         assert enc.truncated(-5).payload_bits == 0
 
@@ -83,7 +110,7 @@ class TestRateControl:
     def test_harder_content_costs_more(self):
         rng = np.random.default_rng(0)
         noise = rng.integers(0, 256, (64, 64)).astype(np.uint8)
-        easy = encode_image(gradient(64, 64), 5)
+        easy = encode_image(ramp(64, 64), 5)
         hard = encode_image(noise, 5)  # white noise is incompressible
         assert hard.payload_bits > easy.payload_bits
 

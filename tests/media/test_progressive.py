@@ -55,32 +55,44 @@ class TestPacketization:
             ProgressiveImage(np.zeros((2, 2, 2, 2)))
 
 
+def received(prog):
+    """A receiver that holds every packet of ``prog``."""
+    rx = ReceivedImage(*prog.shape[:2], prog.channels, prog.levels, prog.t0_exps, prog.n_packets)
+    for p in prog.packets():
+        rx.add_packet(p)
+    return rx
+
+
 class TestReports:
+    """The paper's metrics of a reception, as a receiver reports them."""
+
     def test_bpp_scales_with_packets(self, gray_prog):
-        reports = gray_prog.reports(PACKET_COUNTS)
+        rx = received(gray_prog)
+        reports = [rx.report(gray_prog.image, k) for k in PACKET_COUNTS]
         bpps = [r.bpp for r in reports]
         assert bpps == sorted(bpps)
         assert reports[-1].bpp == pytest.approx(2.2, rel=0.05)
 
     def test_compression_ratio_inverse_of_bpp(self, gray_prog):
-        r = gray_prog.report(16)
+        r = received(gray_prog).report(gray_prog.image, 16)
         assert r.compression_ratio == pytest.approx(8.0 / r.bpp, rel=1e-6)
 
     def test_color_cr_uses_24bpp_raw(self, color_prog):
-        r = color_prog.report(16)
+        r = received(color_prog).report(color_prog.image, 16)
         assert r.compression_ratio == pytest.approx(24.0 / r.bpp, rel=1e-6)
 
     def test_psnr_improves_with_packets(self, gray_prog):
-        reports = gray_prog.reports((1, 4, 16))
+        rx = received(gray_prog)
+        reports = [rx.report(gray_prog.image, k) for k in (1, 4, 16)]
         assert reports[0].psnr_db < reports[1].psnr_db < reports[2].psnr_db
 
     def test_zero_packets(self, gray_prog):
-        r = gray_prog.report(0)
+        r = received(gray_prog).report(gray_prog.image, 0)
         assert r.bits_used == 0
         assert r.compression_ratio == float("inf")
 
     def test_out_of_range_clamped(self, gray_prog):
-        assert gray_prog.report(99).packets_used == 16
+        assert received(gray_prog).report(gray_prog.image, 99).packets_used == 16
 
 
 class TestReceivedImage:

@@ -1,10 +1,12 @@
 """Tests for sketch extraction and its wire codec."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.media.images import collaboration_scene, gradient, to_rgb
+from repro.media.images import collaboration_scene, to_rgb
 from repro.media.sketch import (
     SketchError,
     _rle_decode,
@@ -73,16 +75,34 @@ class TestExtract:
 class TestWireCodec:
     def test_roundtrip(self):
         sk = extract_sketch(collaboration_scene(128, 128))
-        rt = decode_sketch(sk.encoded, sk.shape, sk.source_shape)
-        assert np.array_equal(rt.mask, sk.mask)
+        assert np.array_equal(decode_sketch(sk.encoded, sk.shape), sk.mask)
 
     def test_empty_encoding_rejected(self):
         with pytest.raises(SketchError):
-            decode_sketch(b"", (4, 4), (16, 16))
+            decode_sketch(b"", (4, 4))
+
+    def test_an_area_over_the_cap_is_refused_before_allocating(self):
+        # a well-formed encoding of an all-zero 1025x1024 mask: one run
+        encoded = b"R" + _rle_encode(np.zeros(1025 * 1024, dtype=bool))
+        tracemalloc.start()
+        try:
+            with pytest.raises(SketchError, match="outside"):
+                decode_sketch(encoded, (1025, 1024))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 16
+        at_cap = b"R" + _rle_encode(np.zeros(1024 * 1024, dtype=bool))
+        assert decode_sketch(at_cap, (1024, 1024)).shape == (1024, 1024)
+
+    @pytest.mark.parametrize("shape", [(0, 4), (4, -1), (-4, -4)])
+    def test_an_empty_or_negative_geometry_is_refused(self, shape):
+        with pytest.raises(SketchError):
+            decode_sketch(b"R\x00\x10", shape)
 
     def test_unknown_format_rejected(self):
         with pytest.raises(SketchError):
-            decode_sketch(b"Zxxxx", (4, 4), (16, 16))
+            decode_sketch(b"Zxxxx", (4, 4))
 
     @settings(max_examples=50)
     @given(st.lists(st.booleans(), min_size=1, max_size=300))
@@ -100,7 +120,7 @@ class TestWireCodec:
         assert sk.encoded[:1] == b"P"
         for damaged in (sk.encoded[:-1], sk.encoded + b"\x00"):
             with pytest.raises(SketchError):
-                decode_sketch(damaged, sk.shape, sk.source_shape)
+                decode_sketch(damaged, sk.shape)
 
     def test_rle_overrun_detected(self):
         data = _rle_encode(np.array([True] * 10))

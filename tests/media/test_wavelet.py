@@ -9,7 +9,6 @@ from repro.media.wavelet import (
     haar_dwt2,
     haar_idwt2,
     max_levels,
-    subband_slices,
 )
 
 
@@ -71,21 +70,5 @@ class TestTransform:
         x = np.zeros((8, 8))
         x[:3, :] = 10.0  # boundary splits a 2x2 analysis block -> LH detail
         c = haar_dwt2(x, 1)
-        bands = subband_slices((8, 8), 1)
-        assert np.abs(c[bands["LH1"]]).sum() > 0
-        assert np.abs(c[bands["HL1"]]).sum() == pytest.approx(0.0)
-
-
-class TestSubbandSlices:
-    def test_partition_covers_everything_once(self):
-        shape = (32, 32)
-        slices = subband_slices(shape, 3)
-        cover = np.zeros(shape, dtype=int)
-        for sl in slices.values():
-            cover[sl] += 1
-        assert np.all(cover == 1)
-
-    def test_ll_is_smallest_corner(self):
-        slices = subband_slices((64, 64), 4)
-        ll = slices["LL"]
-        assert ll == (slice(0, 4), slice(0, 4))
+        assert np.abs(c[4:, :4]).sum() > 0  # LH1: bottom-left quadrant
+        assert np.abs(c[:4, 4:]).sum() == pytest.approx(0.0)  # HL1: top-right

@@ -44,7 +44,7 @@ class TestTracing:
         flow = tracer.flows[("a", "c", 9)]
         assert flow.packets == 100
         assert 20 <= flow.dropped <= 80
-        assert flow.loss_rate == flow.dropped / 100
+        assert flow.delivered == 100 - flow.dropped
 
     def test_detach_restores(self, fabric):
         _, net = fabric

@@ -146,7 +146,7 @@ class TestEventFuzz:
     @given(st.binary(max_size=100), st.integers(2, 8), st.integers(2, 8))
     def test_sketch_decode(self, data, h, w):
         try:
-            decode_sketch(data, (h, w), (h * 4, w * 4))
+            decode_sketch(data, (h, w))
         except (SketchError, ValueError):
             pass
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.policies import StepPolicy
 from repro.core.state import StateEntry, StateRepository
 from repro.media.images import collaboration_scene
-from repro.media.progressive import ProgressiveImage
+from repro.media.progressive import ProgressiveImage, ReceivedImage
 from repro.snmp.ber import Gauge32
 from repro.snmp.mib import MibAccessError, MibTree
 from repro.snmp.oids import OID
@@ -136,8 +136,11 @@ class TestProgressivePartitionProperty:
             collaboration_scene(32, 32), n_packets=16, target_bpp=2.0
         )
         lo, hi = sorted((k1, k2))
-        r_lo = prog.report(lo)
-        r_hi = prog.report(hi)
+        rx = ReceivedImage(32, 32, 1, prog.levels, prog.t0_exps, 16)
+        for p in prog.packets():
+            rx.add_packet(p)
+        r_lo = rx.report(prog.image, lo)
+        r_hi = rx.report(prog.image, hi)
         assert r_hi.bits_used >= r_lo.bits_used
         if r_lo.psnr_db == r_lo.psnr_db and r_hi.psnr_db == r_hi.psnr_db:
             assert r_hi.psnr_db >= r_lo.psnr_db - 0.75

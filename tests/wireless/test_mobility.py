@@ -3,25 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.wireless.mobility import (
-    PiecewiseLinearTrace,
-    RandomWaypointTrace,
-    StaticTrace,
-    approach_and_retreat,
-)
-
-
-class TestStatic:
-    def test_constant(self):
-        t = StaticTrace(80.0, steps=5)
-        assert t.distances().tolist() == [80.0] * 5
-        assert len(t) == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            StaticTrace(-1.0, 5)
-        with pytest.raises(ValueError):
-            StaticTrace(1.0, 0)
+from repro.wireless.mobility import PiecewiseLinearTrace, approach_and_retreat
 
 
 class TestPiecewise:
@@ -54,29 +36,3 @@ class TestApproachRetreat:
         assert d[5] == 100.0
         assert np.all(np.diff(d[:4]) < 0)  # approaching
         assert np.all(np.diff(d[3:]) > 0)  # retreating
-
-
-class TestRandomWaypoint:
-    def test_deterministic_under_seed(self):
-        a = RandomWaypointTrace(50, seed=3).distances()
-        b = RandomWaypointTrace(50, seed=3).distances()
-        assert np.array_equal(a, b)
-
-    def test_stays_in_annulus(self):
-        d = RandomWaypointTrace(200, d_min=10.0, d_max=150.0, seed=1).distances()
-        assert d.min() >= 10.0 - 1e-9
-        assert d.max() <= 150.0 + 1e-9
-
-    def test_speed_bounds_step(self):
-        d = RandomWaypointTrace(200, speed=7.0, seed=2).distances()
-        assert np.abs(np.diff(d)).max() <= 7.0 + 1e-9
-
-    def test_cached_trace_stable(self):
-        t = RandomWaypointTrace(20, seed=4)
-        assert np.array_equal(t.distances(), t.distances())
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            RandomWaypointTrace(10, d_min=100.0, d_max=50.0)
-        with pytest.raises(ValueError):
-            RandomWaypointTrace(0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.wireless.sir import from_db, sir, sir_db, sir_matrix, sir_sweep, to_db
+from repro.wireless.sir import from_db, sir, sir_db, sir_matrix, to_db
 
 positive_floats = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -75,28 +75,6 @@ class TestSir:
         s = sir_db(np.array([1.0, 1.0]), gains, 1e-6)
         assert s[0] > 15.0
         assert s[1] < -15.0
-
-
-class TestSweep:
-    def test_matches_pointwise(self):
-        rng = np.random.default_rng(0)
-        P = rng.uniform(0.1, 2.0, (20, 4))
-        G = rng.uniform(1e-4, 1e-2, (20, 4))
-        swept = sir_sweep(P, G, 1e-5)
-        for i in range(20):
-            assert np.allclose(swept[i], sir(P[i], G[i], 1e-5))
-
-    def test_broadcast_powers(self):
-        G = np.array([[1e-2, 1e-3], [1e-3, 1e-2]])
-        swept = sir_sweep(np.array([1.0, 1.0]), G, 1e-6)
-        assert swept.shape == (2, 2)
-        assert np.allclose(swept[0], sir(np.array([1.0, 1.0]), G[0], 1e-6))
-
-    def test_per_row_sigma(self):
-        P = np.ones((3, 2))
-        G = np.full((3, 2), 1e-3)
-        s = sir_sweep(P, G, np.array([1e-6, 1e-4, 1e-2]))
-        assert s[0, 0] > s[1, 0] > s[2, 0]
 
 
 class TestMultiCell:
