@@ -27,7 +27,6 @@ from ..apps.chat import ChatArea
 from ..apps.imageviewer import ImageViewer
 from ..apps.whiteboard import Whiteboard
 from ..media.progressive import ImagePacketError
-from ..media.sketch import Sketch, extract_sketch
 from ..messaging.broker import Delivery
 from ..messaging.message import SemanticMessage
 from ..messaging.rtp import RtpError
@@ -169,9 +168,11 @@ class WiredClient:
         self._publish_event(JoinEvent(client_id=self.name, objective=self.session.objective))
 
     def leave(self) -> None:
-        """Announce departure and detach from the group (idempotent)."""
+        """Announce departure, stop adapting and detach from the group
+        (idempotent)."""
         if self.endpoint.sock.closed:
             return
+        self._stop_adapting()
         self._publish_event(LeaveEvent(client_id=self.name))
         self.membership.leave(self.name)
         self.endpoint.close()
@@ -188,11 +189,6 @@ class WiredClient:
         event = self.whiteboard.draw(object_id, points, self.scheduler.clock.now)
         self._publish_event(event)
 
-    def erase(self, object_id: str) -> None:
-        """Erase a whiteboard object."""
-        event = self.whiteboard.erase(object_id, self.scheduler.clock.now)
-        self._publish_event(event)
-
     def share_image(self, image_id: str, image: np.ndarray) -> None:
         """Share an image through the viewer: announce + packets."""
         if not self.session.supports("image"):
@@ -201,15 +197,6 @@ class WiredClient:
         self._publish_event(announce)
         for pe in packet_events:
             self._publish_event(pe)
-
-    def announce_profile_change(self, **changes: str) -> None:
-        """Advertise a local profile change (e.g. modality preference)."""
-        self.profile.update(**changes)
-        event = ProfileUpdateEvent(
-            client_id=self.name,
-            changes=tuple((k, str(v)) for k, v in changes.items()),
-        )
-        self._publish_event(event)
 
     # ------------------------------------------------------------------
     # inbound
@@ -436,7 +423,8 @@ class WiredClient:
 
     def start_adaptation_loop(self, interval: float = 1.0) -> None:
         """Schedule periodic :meth:`monitor_and_adapt` on the sim clock
-        (until :meth:`close`); a running loop is replaced, not doubled."""
+        (until :meth:`leave` or :meth:`close`); a running loop is replaced,
+        not doubled."""
         if self._adaptation_tick is not None:
             self._adaptation_tick.cancel()
 
@@ -447,23 +435,23 @@ class WiredClient:
         self._adaptation_tick = self.scheduler.call_after(interval, tick)
 
     # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Release every resource this client holds (idempotent)."""
+    def _stop_adapting(self) -> None:
+        """Cancel the periodic loop and stop listening for traps."""
         if self._adaptation_tick is not None:
             self._adaptation_tick.cancel()
             self._adaptation_tick = None
-        self.endpoint.close()
-        self.snmp.close()
-        if self.netstate is not None:
-            self.netstate.close()
         if self._trap_listener is not None:
             self._trap_listener.close()
             self._trap_listener = None
 
     # ------------------------------------------------------------------
-    def local_sketch(self, image_id: str) -> Sketch:
-        """Extract a sketch from the current reconstruction of an image."""
-        return extract_sketch(self.viewer.reconstruct(image_id))
+    def close(self) -> None:
+        """Release every resource this client holds (idempotent)."""
+        self._stop_adapting()
+        self.endpoint.close()
+        self.snmp.close()
+        if self.netstate is not None:
+            self.netstate.close()
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"WiredClient({self.name!r}, session={self.session.name!r})"

@@ -1,7 +1,6 @@
 """Figure reproductions (FIG6–FIG10) and the shared experiment harness."""
 
 from .harness import ExperimentResult
-from .broker_scale import run_broker_scale
 from .fig6 import run_fig6
 from .fig7 import run_fig7
 from .fig8 import run_fig8, run_fig8_dataflow
@@ -10,7 +9,6 @@ from .fig10 import run_fig10, solve_join_geometry
 
 __all__ = [
     "ExperimentResult",
-    "run_broker_scale",
     "run_fig6",
     "run_fig7",
     "run_fig8",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import sys
 
-from .broker_scale import run_broker_scale
 from .chaos import run_chaos
 from .fig6 import run_fig6
 from .fig7 import run_fig7
@@ -26,7 +25,6 @@ _RUNNERS = {
     "fig9": lambda: [run_fig9(), run_fig9_scaling()],
     "fig10": lambda: [run_fig10()],
     "chaos": lambda: [run_chaos()],
-    "broker": lambda: [run_broker_scale()],
     "multicast": lambda: [run_multicast_scale()],
 }
 

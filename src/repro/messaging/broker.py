@@ -1,10 +1,11 @@
 """In-process semantic bus: the pub/sub substrate without a network.
 
-Useful on its own (single-process collaboration, tests, the quickstart
-example) and as the reference semantics the networked transport must
-match: *delivery is decided at each receiver by interpreting the selector
-against that receiver's current profile* — the bus holds no roster of
-interests, only opaque endpoints to offer every message to.
+No figure, example or client runs on it: the ``broker_match_scale``
+bench workload and the tests do, where it is the reference semantics the
+networked transport must match: *delivery is decided at each receiver by
+interpreting the selector against that receiver's current profile* — the
+bus holds no roster of interests, only opaque endpoints to offer every
+message to.
 
 Dispatch is accelerated by the :mod:`repro.core.matching_engine`: each
 publish first shortlists candidate subscribers through the predicate

@@ -20,8 +20,8 @@ calls out (PAPERS.md):
   across a whole batch: each *distinct* selector is shortlisted once per
   touched shard, not once per message.
 
-Matching fans out on a per-shard worker pool (when more than one CPU is
-available) and an **ordered merge** reassembles the per-shard decision
+Matching fans out on a pool of one worker per shard, whatever the CPU
+count, and an **ordered merge** reassembles the per-shard decision
 streams by ``(message index, attach ordinal)``; each merged entry goes
 straight to its subscriber's callback.  Deliveries are therefore
 decision- *and order-identical* to publishing the same messages one by

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.contracts import Constraint, QoSContract
+from repro.core.events import ProfileUpdateEvent
 from repro.core.framework import CollaborationFramework
 from repro.hosts.workload import Constant, Trace
 from repro.media.images import collaboration_scene
@@ -90,7 +91,7 @@ class TestWhiteboard:
         a, b = two_clients(fw)
         a.draw("s", (1.0, 2.0))
         fw.run_for(0.5)
-        b.erase("s")
+        b._publish_event(b.whiteboard.erase("s", b.scheduler.clock.now))
         fw.run_for(0.5)
         assert a.whiteboard.objects() == {}
 
@@ -126,8 +127,7 @@ class TestImageShare:
 
     def test_text_mode_client_gets_description_not_packets(self, fw):
         a, b = two_clients(fw)
-        b.announce_profile_change(modality="text")
-        fw.run_for(0.5)
+        b.profile.update(modality="text")
         a.share_image("map", collaboration_scene(64, 64))
         fw.run_for(2.0)
         assert "map" not in b.viewer.viewed or b.viewer.viewed["map"].packets_accepted == 0
@@ -202,7 +202,8 @@ class TestAdaptationLoop:
 class TestProfileDynamics:
     def test_profile_update_event_propagates(self, fw):
         a, b = two_clients(fw)
-        b.announce_profile_change(modality="text", battery="15")
+        changes = (("modality", "text"), ("battery", "15"))
+        b._publish_event(ProfileUpdateEvent(client_id="bob", changes=changes))
         fw.run_for(0.5)
         entry = a.repository.get("peer-profile/bob")
         assert entry is not None

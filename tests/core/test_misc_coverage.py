@@ -6,6 +6,7 @@ from repro.core.framework import CollaborationFramework
 from repro.core.netstate import NetworkStateInterface
 from repro.hosts.workload import Constant
 from repro.media.images import collaboration_scene
+from repro.media.sketch import extract_sketch
 from repro.snmp.switch_binding import attach_switch_agent
 
 
@@ -50,7 +51,7 @@ class TestLocalSketch:
         fw.run_for(0.3)
         a.share_image("img", collaboration_scene(128, 128))
         fw.run_for(2.0)
-        sketch = b.local_sketch("img")
+        sketch = extract_sketch(b.viewer.reconstruct("img"))
         assert sketch.mask.any()
         assert sketch.n_bytes < 500
 

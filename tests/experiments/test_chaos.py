@@ -148,11 +148,13 @@ class TestChaosLeaver:
             late = [m.kind for t, m in client.archive.replay() if t > LEAVE_AT and m.sender == LEAVER]
             assert late == ["leave"]
         # ... and nothing of the session reaches her: no transmission to
-        # her host but her own SNMP polls, and no delivery in her archive
+        # her host from another, and no delivery in her archive
         assert not [
             r for r in fw.network.tracer.records if r.time > LEAVE_AT and r.dst == LEAVER and r.src != LEAVER
         ]
         assert all(t <= LEAVE_AT for t, _ in leaver.archive.replay())
+        # her adaptation loop ends with her membership: no later decision
+        assert leaver.decision_log and all(t < LEAVE_AT for t, _ in leaver.decision_log)
         # while the others go on: alice's last chat line reaches bob
         alice, bob = others
         late_lines = [line for line in bob.chat.lines if line.time > LEAVE_AT]

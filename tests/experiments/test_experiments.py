@@ -166,29 +166,3 @@ class TestFig8Dataflow:
             elif row["tier_a"] != "NOTHING":
                 assert row["session_got_text"]
                 assert not row["session_got_packets"]
-
-
-class TestBrokerScale:
-    def test_backends_agree_and_sharding_cuts_work(self):
-        from repro.experiments import run_broker_scale
-
-        res = run_broker_scale(subscribers=600, messages=24, shard_counts=(1, 8))
-        assert res.columns[0] == "backend"
-        delivered = [row["delivered"] for row in res.rows]
-        assert len(set(delivered)) == 1  # every backend, same outcome
-        by_backend = {
-            (row["backend"], row["shards"]): row for row in res.rows
-        }
-        # linear scans everyone for every message
-        assert by_backend[("linear", 1)]["checked"] == 600 * 24
-        # 8-way sharding skips shards and checks strictly less than 1-way
-        assert (
-            by_backend[("sharded", 8)]["checked"]
-            < by_backend[("sharded", 1)]["checked"]
-        )
-        assert by_backend[("sharded", 8)]["shard_skips"] > 0
-
-    def test_registered_in_cli(self):
-        from repro.experiments.__main__ import _RUNNERS
-
-        assert "broker" in _RUNNERS

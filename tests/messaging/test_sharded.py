@@ -240,6 +240,37 @@ class TestShardSkip:
         assert bus.shard_skips == 0
         assert [n for n, _ in got] == ["urgent-only"]
 
+    def test_backends_agree_and_sharding_cuts_work(self):
+        """Mixed attribute signatures, half the batch unindexable
+        disjunctions: every backend delivers the same; the linear bus
+        checks everyone for every message, and eight shards check strictly
+        less than one because they skip the shards that cannot match."""
+        signatures = [("role", "team"), ("role", "zone"), ("modality", "team"), ("role",)]
+        values = ["medic", "scout", "alpha", "north", "image", "text"]
+        population = [
+            {attr: values[(i + j) % len(values)] for j, attr in enumerate(signatures[i % len(signatures)])}
+            for i in range(60)
+        ]
+        batch = [msg("role == 'medic' and team == 'alpha'"), msg("modality == 'image' or modality == 'text'")]
+        batch *= 3
+        outcome = {}
+        for label, bus in [
+            ("linear", SemanticBus(indexed=False)),
+            ("indexed", SemanticBus()),
+            ("sharded-1", ShardedSemanticBus(shards=1)),
+            ("sharded-8", ShardedSemanticBus(shards=8)),
+        ]:
+            for i, attrs in enumerate(population):
+                attach(bus, f"c{i}", [], attrs=attrs)
+            out = bus.publish_many(batch)
+            outcome[label] = (out.delivered, out.candidates_checked, getattr(bus, "shard_skips", 0))
+            getattr(bus, "close", lambda: None)()
+        delivered = {d for d, _, _ in outcome.values()}
+        assert len(delivered) == 1 and delivered != {0}
+        assert outcome["linear"][1] == len(population) * len(batch)
+        assert outcome["sharded-8"][1] < outcome["sharded-1"][1]
+        assert outcome["sharded-8"][2] > 0
+
 
 class TestBackpressure:
     def test_block_delivers_everything_in_order(self):

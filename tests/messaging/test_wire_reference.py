@@ -30,7 +30,7 @@ pinned:
 CI runs this file again under ``--hypothesis-profile=deep``.
 """
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from repro.messaging.message import SemanticMessage
 from repro.messaging.rtp import (
@@ -259,14 +259,24 @@ def test_reassembler_matches_reference(case):
     assert replay(RtpReassembler, datagrams) == replay(ReferenceRtpReassembler, datagrams)
 
 
+def fragments(*msg_seqs, ssrc=0):
+    """One whole-message fragment of ``ssrc`` per message-seq, in order."""
+    return [_HEADER.pack(ssrc, m, 0, 1, i) for i, m in enumerate(msg_seqs)]
+
+
 @BUDGET
 @given(traffic())
+# a damaged header jumps the source far ahead; the next fragment is behind
+# the new window but more than a window ahead of the restored one
+@example(([0], fragments(1, 2**24 + 2, 2**16 + 3)))
+@example(([0], fragments(0, 2**24 + 1, 2**16 + 2)))
 def test_reassembler_follows_the_jump_rule(case):
     """Each fragment, against its source's window before it arrives:
 
     * from behind the window it is dropped and counted, unless a jump is
       unconfirmed and it is not behind the window before the jump: then
-      that window is restored and the fragment taken against it;
+      that window is restored and the fragment taken against it — as a
+      fresh out-of-window jump from the restored window, when it is one;
     * a fragment within the window of an unconfirmed jump confirms it;
     * a forward jump of more than the window is taken at once, and is
       unconfirmed until then;
@@ -293,7 +303,9 @@ def test_reassembler_follows_the_jump_rule(case):
         assert r.behind_window - dropped_before == dropped
         if not dropped:
             assert after.newest == max(base, m)
-        if restored or (prior is not None and abs(m - newest) <= W):
+        if restored and m - prior > W:
+            assert (after.prior, after.newest) == (prior, m)
+        elif restored or (prior is not None and abs(m - newest) <= W):
             assert after.prior is None
         elif prior is None and newest >= 0 and m - newest > W:
             assert after.prior == newest

@@ -201,6 +201,20 @@ class TestEventDrivenAdaptation:
         assert client._trap_listener.traps_received == 2
         assert [d.packets for _, d in client.decision_log] == [1, 1]
 
+    def test_a_trap_after_leave_decides_nothing(self):
+        from repro.core.framework import CollaborationFramework
+
+        fw = CollaborationFramework("traptest5")
+        client = fw.add_wired_client("alice", fault_workload=Trace([30, 95, 30, 95]))
+        watch = fw.add_threshold_trap(client, "page_faults", threshold=80.0)
+        fw.start_hosts()
+        client.join()
+        client.start_adaptation_loop()
+        client.leave()
+        fw.run_for(5.0)
+        assert watch.crossings == 2  # the host's agent still sends its traps
+        assert client.decision_log == []
+
     def test_hostile_trap_does_not_stop_the_dispatch_loop(self):
         from repro.core.framework import CollaborationFramework
 
