@@ -189,9 +189,6 @@ SIGNATURES: dict[str, UnitSig] = {
         {0: Unit.DB, "sir_db": Unit.DB, "coding_gain_db": Unit.DB, "packet_bits": Unit.BITS},
         Unit.LINEAR,
     ),
-    "linkquality.effective_throughput": UnitSig(
-        {0: Unit.LINEAR, "gamma": Unit.LINEAR, "rate_bps": Unit.BPS}, Unit.BPS
-    ),
     "powercontrol.frame_success_rate": UnitSig(
         {0: Unit.LINEAR, "gamma": Unit.LINEAR, "frame_bits": Unit.BITS}, Unit.LINEAR
     ),

@@ -48,7 +48,6 @@ from .events import (
     ImageShareAnnounce,
     JoinEvent,
     LeaveEvent,
-    ProfileUpdateEvent,
     SketchShareEvent,
     TextShareEvent,
     WhiteboardEvent,
@@ -142,10 +141,6 @@ class WiredClient:
 
         # session observability
         self.membership = Membership()
-        #: watchable mirrors of peers' announced profiles; observers can
-        #: :meth:`~repro.core.profiles.ClientProfile.watch` an entry to be
-        #: notified when that peer announces a change
-        self.peer_profiles: dict[str, ClientProfile] = {}
         self.archive = SessionArchive()
         self.events_received: list[tuple[float, Event]] = []
 
@@ -266,17 +261,6 @@ class WiredClient:
             self.membership.join(event.client_id, now)
         elif isinstance(event, LeaveEvent):
             self.membership.leave(event.client_id)
-        elif isinstance(event, ProfileUpdateEvent):
-            self.repository.put(
-                f"peer-profile/{event.client_id}",
-                dict(event.changes),
-                timestamp=now,
-                author=event.client_id,
-            )
-            peer = self.peer_profiles.get(event.client_id)
-            if peer is None:
-                peer = self.peer_profiles[event.client_id] = ClientProfile(event.client_id)
-            peer.update(**dict(event.changes))
         elif isinstance(event, HistoryRequest):
             self._serve_history(event)
 

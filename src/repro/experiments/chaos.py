@@ -17,15 +17,18 @@ to end:
   its history (``request_history``), the one way a peer gets back what
   it missed — chat lines, strokes and image packets alike; then carol
   leaves (``leave``), and the session's later traffic goes on without her;
-* corrupted datagrams hit every receiver's hardened decode path: they
-  are counted (``decode_failures``) and dropped, never fatal, and a
-  damaged RTP header does not silence its sender;
+* a corrupted datagram fails its UDP checksum and is dropped (the
+  controller's ``checksum_drops``), so the history brings it back like
+  any other loss; damage the checksum cannot see would reach every
+  receiver's hardened decode path, which counts (``decode_failures``)
+  and drops what it cannot decode, never fatally;
 * the packet-disposition conservation invariant
-  (``sent == delivered + dropped + duplicated``) holds throughout —
-  corruption damages a delivered packet's payload, it is neither a drop
-  nor a duplicate — and a :class:`~repro.network.trace.PacketTracer`
-  sees every transmission: its per-flow delivered and dropped counts add
-  up to the network's counters.
+  (``sent == delivered + dropped + duplicated``) holds throughout — a
+  packet whose every copy fails the checksum is dropped, a damaged copy
+  delivered is neither a drop nor a duplicate — and a
+  :class:`~repro.network.trace.PacketTracer` sees every transmission:
+  its per-flow delivered and dropped counts add up to the network's
+  counters.
 
 Everything is driven by the virtual clock and seeded RNGs, so two runs
 with the same seed produce *byte-identical* telemetry

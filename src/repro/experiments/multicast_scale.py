@@ -16,8 +16,8 @@ actually carried:
   branch points — O(tree edges) ≈ members + routers.
 
 Every number here is a deterministic packet count on the virtual-time
-simulator (no wall clock), so the benchmark gate can compare exact
-values across machines.
+simulator (no wall clock), so the test suite pins exact values across
+machines.
 """
 
 from __future__ import annotations

@@ -22,8 +22,9 @@ Supported fault events
 * :class:`LatencySpike` — constant extra delay on every delivered packet
   (optionally only traffic crossing chosen links).
 * :class:`Corruption` — delivered packets have 1..``max_flips`` payload
-  bits flipped with a given probability during the window (the receiving
-  decoder, not the network, must survive the damage).
+  bits flipped with a given probability during the window; a damaged
+  copy whose UDP checksum no longer matches is dropped, as the receiving
+  host's UDP layer would drop it, and the rest reach the decoder.
 * :class:`AgentCrash` — an SNMP agent stops answering for the window
   (managers see timeouts; the management plane itself degrades).
 
@@ -211,10 +212,12 @@ class Corruption:
     """Flip 1..``max_flips`` payload bits of a delivered packet with
     ``probability`` during the window.
 
-    Corruption happens *after* routing and loss: the packet still arrives
-    on time, but its payload is damaged, so the receiving codec's decode
-    path — not the transport — is what the fault exercises.  Empty
-    payloads pass through untouched.
+    Corruption happens *after* routing and loss.  The receiving UDP layer
+    checks the RFC 768 checksum, so a damaged copy whose ones'-complement
+    sum differs from the original's is dropped there (``checksum_drops``);
+    flips whose changes cancel in the sum arrive on time with the damage,
+    for the receiving codec's decode path to survive.  Empty payloads
+    pass through untouched.
     """
 
     start: float
@@ -295,6 +298,18 @@ class FaultPlan:
         return [
             f"t={ev.start:g}s +{ev.duration:g}s {type(ev).__name__}" for ev in self.events
         ]
+
+
+def _ones_complement_sum(data: bytes) -> int:
+    """The RFC 768 ones'-complement sum of ``data``'s 16-bit words.
+
+    Big-endian words, an odd last byte padded with zero.  Since
+    ``2**16 == 1 (mod 0xFFFF)``, the words' end-around-carry sum is the
+    integer the bytes spell, modulo 0xFFFF; taken that way, the sum's two
+    zeros (0x0000 and 0xFFFF), which a receiver's check cannot tell
+    apart, compare equal.
+    """
+    return int.from_bytes(data + b"\0" * (len(data) & 1), "big") % 0xFFFF
 
 
 class _GilbertElliott:
@@ -378,6 +393,7 @@ class ChaosController:
         self.reordered = 0
         self.delayed = 0
         self.corrupted = 0
+        self.checksum_drops = 0
         self.links_cut = 0
         self.events_started = 0
         self.events_ended = 0
@@ -531,12 +547,15 @@ class ChaosController:
                 times.append(t + extra + float(self.rng.uniform(0.0, dup.spread)))
                 self.duplicated += 1
         # each delivery copy rolls corruption independently; a corrupted
-        # copy becomes a (time, substitute) entry carrying damaged bytes
+        # copy that fails the UDP checksum is dropped, one that passes
+        # becomes a (time, substitute) entry carrying damaged bytes
         entries: list[Union[float, tuple[float, Packet]]] = []
         for td in times:
             damaged = self._corrupt_payload(packet.payload)
             if damaged is None:
                 entries.append(td)
+            elif _ones_complement_sum(damaged) != _ones_complement_sum(packet.payload):
+                self.checksum_drops += 1
             else:
                 entries.append((td, replace(packet, payload=damaged)))
         return entries
@@ -568,6 +587,7 @@ class ChaosController:
         """Deterministic counter snapshot (sorted keys, ints only)."""
         return {
             "bursts": self.bursts,
+            "checksum_drops": self.checksum_drops,
             "corrupted": self.corrupted,
             "crashes": self.crashes,
             "delayed": self.delayed,

@@ -295,7 +295,7 @@ class Network:
         #: physical link transmissions (one per link hop actually carried,
         #: lost hops excluded).  A unicast costs path-length transmissions;
         #: a tree cast costs one per live tree edge — the counter the
-        #: multicast-scale benchmark gates on.
+        #: multicast-scale experiment's pinned counts are read from.
         self.packets_transmitted: int = 0
 
     # ------------------------------------------------------------------

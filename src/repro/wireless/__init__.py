@@ -7,7 +7,6 @@ from .sir import from_db, sir, sir_db, sir_matrix, to_db
 from .powercontrol import frame_success_rate, uniform_power_scaling, utility
 from .linkquality import (
     bit_error_rate,
-    effective_throughput,
     loss_for_sir_db,
     packet_loss_probability,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "uniform_power_scaling",
     "utility",
     "bit_error_rate",
-    "effective_throughput",
     "loss_for_sir_db",
     "packet_loss_probability",
     "MobilityTrace",

@@ -22,7 +22,7 @@ import numpy as np
 
 from .sir import from_db
 
-__all__ = ["bit_error_rate", "packet_loss_probability", "loss_for_sir_db", "effective_throughput"]
+__all__ = ["bit_error_rate", "packet_loss_probability", "loss_for_sir_db"]
 
 ArrayLike = Union[float, np.ndarray]
 
@@ -74,17 +74,3 @@ def loss_for_sir_db(
     loss = packet_loss_probability(from_db(np.asarray(sir_db) + coding_gain_db), packet_bits)
     clipped = np.minimum(loss, cap)
     return float(clipped) if np.ndim(sir_db) == 0 else clipped
-
-
-def effective_throughput(
-    gamma: ArrayLike, rate_bps: float = 11_000_000.0, packet_bits: int = FRAME_BITS
-) -> ArrayLike:
-    """Goodput after loss: ``rate_bps * (1 - P_loss)`` in bits/second.
-
-    The default raw rate is the 802.11b-style 11 Mb/s channel the
-    paper's wireless experiments assume.
-    """
-    if rate_bps <= 0:
-        raise ValueError("rate_bps must be positive")
-    loss = packet_loss_probability(gamma, packet_bits)
-    return rate_bps * (1.0 - np.asarray(loss, dtype=float))

@@ -322,3 +322,39 @@ def test_findings_carry_location_and_severity():
     assert diag.file == "corpus/units.py"
     assert diag.line == 2
     assert diag.severity.name == "WARNING"
+
+
+#: one module of every clean idiom at once: a decoder error caught at the
+#: dispatch boundary, a callback wired to it, unit-suffixed arithmetic in
+#: one unit, and a socket closed in ``finally``
+CLEAN_MODULE = (
+    "class WireError(Exception):\n"
+    "    pass\n"
+    "def parse_{i}(data):\n"
+    "    if not data:\n"
+    "        raise WireError('empty')\n"
+    "    return data\n"
+    "def deliver_{i}(data, src):\n"
+    "    try:\n"
+    "        parse_{i}(data)\n"
+    "    except WireError:\n"
+    "        return\n"
+    "def attach_{i}(sock):\n"
+    "    sock.on_receive = deliver_{i}\n"
+    "def budget_{i}(rate_bps, margin_db):\n"
+    "    window_bps = rate_bps + {i}\n"
+    "    return window_bps\n"
+    "def poll_{i}(net):\n"
+    "    sock = DatagramSocket(net, 'a')\n"
+    "    try:\n"
+    "        sock.sendto(b'x', ('b', 7))\n"
+    "    finally:\n"
+    "        sock.close()\n"
+)
+
+
+def test_a_tree_of_clean_modules_has_no_finding():
+    sources = [(f"src/pkg/mod{i}.py", CLEAN_MODULE.replace("{i}", str(i))) for i in range(10)]
+    graph = build_call_graph_from_sources(sources)
+    assert len(graph) == 10 * 5  # five functions per module
+    assert dataflow_diagnostics(graph) == []

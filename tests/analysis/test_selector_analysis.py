@@ -135,3 +135,32 @@ class TestInterestingValues:
         domains = interesting_values("caps contains 'jpeg'")
         assert ["jpeg"] in domains["caps"]
         assert [] in domains["caps"]
+
+
+def selector_corpus(n):
+    """``n`` selectors in the five shapes the repository writes: role
+    equalities with thresholds, bands, membership, negations, kinds."""
+    roles = ("medic", "logistics", "command", "observer")
+    encodings = ("jpeg", "mpeg2", "h261", "png")
+    out = []
+    for i in range(n):
+        role, enc, lo = roles[i % 4], encodings[i % 4], 10 + (i * 7) % 60
+        out.append(
+            (
+                f"role == '{role}' and battery >= {lo}",
+                f"load > {lo} and load < {lo + 25} and exists(device)",
+                f"encoding in ['{enc}', 'jpeg'] and caps contains '{enc}'",
+                f"not (role == '{role}') or battery < {lo}",
+                f"kind == 'alert' or (kind == 'chat' and priority >= {lo % 10})",
+            )[i % 5]
+        )
+    return out
+
+
+class TestGeneratedCorpus:
+    def test_every_generated_selector_is_satisfiable(self):
+        assert {analyze_selector(text).verdict for text in selector_corpus(100)} == {Verdict.SAT}
+
+    def test_audit_finds_the_repeated_shapes_equivalent(self):
+        labelled = [(f"s{i}", text) for i, text in enumerate(selector_corpus(40))]
+        assert any(d.code == "SEL005" for d in analyze_selector_set(labelled, max_pairs=400))

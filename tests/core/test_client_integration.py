@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.contracts import Constraint, QoSContract
-from repro.core.events import ProfileUpdateEvent
 from repro.core.framework import CollaborationFramework
 from repro.hosts.workload import Constant, Trace
 from repro.media.images import collaboration_scene
@@ -200,15 +199,6 @@ class TestAdaptationLoop:
 
 
 class TestProfileDynamics:
-    def test_profile_update_event_propagates(self, fw):
-        a, b = two_clients(fw)
-        changes = (("modality", "text"), ("battery", "15"))
-        b._publish_event(ProfileUpdateEvent(client_id="bob", changes=changes))
-        fw.run_for(0.5)
-        entry = a.repository.get("peer-profile/bob")
-        assert entry is not None
-        assert entry.value["modality"] == "text"
-
     def test_interest_narrowing_is_local_and_immediate(self, fw):
         a, b = two_clients(fw)
         b.profile.set_interest("kind != 'chat'")

@@ -1,5 +1,6 @@
 """Tests for multi-base-station handoff."""
 
+import numpy as np
 import pytest
 
 from repro.core.events import ChatEvent
@@ -108,3 +109,41 @@ class TestHandoff:
         hm.move_client("roamer", Position(370.0, 0.0))
         hm.step()
         assert east.attachments["roamer"].battery == pytest.approx(42.0)
+
+
+def walk_across(with_handoff):
+    """Walk a client 20 -> 380 m between cells 400 m apart; the serving
+    station's SIR at each of 19 points, and the handoffs made."""
+    fw = CollaborationFramework("ho-walk", seed=0)
+    west = fw.add_base_station("bs-west")
+    east = fw.add_base_station("bs-east")
+    client = fw.add_wireless_client("roamer", west, distance=20.0)
+    hm = HandoffManager(fw.network, hysteresis_db=3.0)
+    hm.add_station(west, Position(0.0, 0.0))
+    hm.add_station(east, Position(400.0, 0.0))
+    hm.add_client(client, Position(20.0, 0.0), serving_bs="bs-west")
+    serving_sir = []
+    for x in np.linspace(20.0, 380.0, 19):
+        hm.move_client("roamer", Position(float(x), 0.0))
+        if with_handoff:
+            hm.step()
+        serving_sir.append(hm.evaluate()["roamer"][hm.serving_station("roamer")])
+    return np.array(serving_sir), hm.events
+
+
+def test_handoff_preserves_service_across_the_walk():
+    """Path updates of the wireless user: with handoff the client keeps
+    usable SIR; stuck to one station, its service decays with d^-4."""
+    with_ho, events = walk_across(True)
+    without_ho, _ = walk_across(False)
+    # exactly one handoff, into the east cell, once east is clearly better
+    assert len(events) == 1
+    assert events[0].to_bs == "bs-east"
+    assert events[0].to_sir_db > events[0].from_sir_db + 3.0
+    # the worst serving SIR of the walk is bounded by the crossover, not
+    # by the far cell's decay (hysteresis holds the old cell a little)
+    assert with_ho.min() > without_ho.min() + 8.0
+    # far side: handoff keeps near-cell service, no-handoff decays
+    assert with_ho[-1] > without_ho[-1] + 30.0
+    # both equal while still in the west cell
+    assert with_ho[0] == pytest.approx(without_ho[0])

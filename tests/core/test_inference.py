@@ -8,9 +8,12 @@ import pytest
 from repro.core.basestation import BaseStation
 from repro.core.client import WiredClient
 from repro.core.contracts import Constraint, QoSContract
-from repro.core.inference import AdaptationDecision, InferenceEngine, Modality
+from repro.core.inference import AdaptationDecision, InferenceEngine, Modality, _snap_packets
 from repro.core.policies import PolicyDatabase, default_policy_database
 from repro.core.profiles import ClientProfile
+from repro.media.images import collaboration_scene
+from repro.media.metrics import psnr
+from repro.media.progressive import ProgressiveImage
 
 
 @pytest.fixture
@@ -162,3 +165,16 @@ class TestDecisionSurface:
         assert "decide_tier" in PolicyDatabase.__dict__
         assert "monitor_and_adapt" in WiredClient.__dict__
         assert "evaluate_qos" in BaseStation.__dict__
+
+
+def test_power_of_two_snapping_costs_at_most_one_halving():
+    """The paper's budgets {0, 1, 2, 4, 8, 16} against a continuous budget:
+    snapping never helps, and the worst loss sits just below a power of
+    two, where a budget falls a whole step."""
+    img = collaboration_scene(64, 64)
+    prog = ProgressiveImage(img, n_packets=16, target_bpp=2.2)
+    quality = {k: psnr(img, prog.reconstruct(k)) for k in range(17)}
+    loss = {k: quality[k] - quality[_snap_packets(k)] for k in range(1, 17)}
+    assert all(delta >= -0.3 for delta in loss.values())
+    assert max(loss, key=loss.get) in (3, 7, 15)
+    assert max(loss.values()) < 15.0

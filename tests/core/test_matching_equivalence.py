@@ -329,3 +329,28 @@ def test_shortlist_never_loses_a_match(attrs, selector):
     matches = interpret(Selector(selector), {}, profile).accepted
     if matches and not sl.linear:
         assert "c" in sl.keys
+
+
+@pytest.mark.parametrize("n", [10, 100, 1000])
+def test_selective_publish_agrees_and_interprets_only_the_shortlist(n):
+    """A selective selector over a growing population: the index plans
+    every publish and interprets a shortlist, the linear path every
+    subscriber, and both deliver the same."""
+    selector = "role == 'medic' and battery >= 80"
+    results = {}
+    for indexed in (True, False):
+        bus = SemanticBus(indexed=indexed)
+        for i in range(n):
+            attrs = {"role": ROLES[i % 4], "battery": 10 + (i * 7) % 90}
+            bus.attach(ClientProfile(f"c{i}", attrs), lambda d: None)
+        alert = SemanticMessage.create("hq", selector, kind="alert")
+        results[indexed] = [bus.publish(alert) for _ in range(30)]
+        if indexed:
+            assert bus.engine.indexed_publishes == 30
+    index, linear = results[True], results[False]
+    assert [(r.delivered, r.rejected) for r in index] == [(r.delivered, r.rejected) for r in linear]
+    assert all(r.matched_via_index and not l.matched_via_index for r, l in zip(index, linear))
+    assert all(l.candidates_checked == n for l in linear)
+    assert all(r.candidates_checked < n for r in index)
+    # the 10-client population has no medic at battery >= 80
+    assert (index[0].delivered > 0) == (n >= 100)

@@ -225,3 +225,12 @@ class TestErrorPositions:
         with pytest.raises(SelectorError) as ei:
             Selector("a == 1 and 5")
         assert ei.value.pos == 11
+
+
+def test_compound_selector_over_the_session_vocabulary():
+    s = Selector(
+        "role == 'medic' and (battery >= 30 or priority == 'urgent') and device in ['wired', 'wireless']"
+    )
+    assert s.matches({"role": "medic", "battery": 50, "device": "wired"})
+    assert s.matches({"role": "medic", "battery": 5, "priority": "urgent", "device": "wireless"})
+    assert not s.matches({"role": "medic", "battery": 5, "device": "wired"})

@@ -26,9 +26,12 @@ from repro.experiments.chaos import (
 #: kinds a history replay never carries
 NOT_REPLAYED = {"history-request", "join", "leave"}
 
-#: tier-1 runs seed 0 and two seeds at which the drill damages an RTP
+#: tier-1 runs seed 0 and two seeds at which the drill corrupts an RTP
 #: header (2, 5); the deep profile runs seeds 0-39 (recovery, leave, trace)
 RECOVERY_SEEDS = range(40) if settings().max_examples > 100 else (0, 2, 5)
+#: without the UDP checksum, a corrupted copy that still decoded rendered
+#: one of alice's lines twice at seeds 17, 30 and 37
+RENDER_SEEDS = range(40) if settings().max_examples > 100 else (17, 30, 37)
 
 
 class TestChaosDrill:
@@ -112,9 +115,26 @@ class TestChaosRecovery:
         net = fw.network
         assert net.packets_sent == net.packets_delivered + net.packets_dropped + net.packets_duplicated
 
+    @pytest.mark.parametrize("seed", RENDER_SEEDS)
+    def test_every_peer_renders_each_line_once(self, seed):
+        fw, controller = _run(seed, DURATION)
+        peers = fw.wired_clients
+        sent = [(line.time, line.text) for line in peers["alice"].chat.lines if line.author == "alice"]
+        for name in ("bob", LEAVER):
+            held = Counter(line.text for line in peers[name].chat.lines if line.author == "alice")
+            # the leaver holds the lines alice sent while she was a member
+            want = Counter(text for t, text in sent if name != LEAVER or t < LEAVE_AT)
+            assert held == want, (name, held - want, want - held)
+        # every corrupted copy of these seeds fails the checksum
+        report = controller.report()
+        assert report["checksum_drops"] == report["corrupted"]
+        net = fw.network
+        assert net.packets_sent == net.packets_delivered + net.packets_dropped + net.packets_duplicated
+
     def test_damaged_header_does_not_silence_a_sender(self):
-        # at seed 2, t = 17.0, bob receives alice's message-seq 29 with bit
-        # 23 flipped; before the catch-up he must still be hearing her live
+        # at seed 2, t = 17.0, alice's message-seq 29 to bob has bit 23
+        # flipped and fails the checksum; before the catch-up he must
+        # still be hearing her live
         fw, _ = _run(2, default_chaos_plan().horizon - 0.5)
         bob = fw.wired_clients["bob"]
         assert any(line.author == "alice" and line.time > 18.0 for line in bob.chat.lines)

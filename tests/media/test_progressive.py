@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.media.images import collaboration_scene, to_rgb
+from repro.media.metrics import psnr
 from repro.media.progressive import (
     MAX_RECEIVED_PIXELS,
     PACKET_COUNTS,
@@ -200,3 +201,27 @@ class TestReceivedImage:
         rx = ReceivedImage(64, 64, 1, gray_prog.levels, gray_prog.t0_exps, 16)
         rx.add_packet(gray_prog.packets()[0])
         assert np.isnan(rx.report().psnr_db)
+
+
+class TestEmbeddedStream:
+    """Why one embedded stream: every client tier is a prefix of it."""
+
+    def test_rate_distortion_curve_at_128(self):
+        img = collaboration_scene(128, 128)
+        rx = received(ProgressiveImage(img, n_packets=16, target_bpp=2.2))
+        psnrs = [rx.report(img, k).psnr_db for k in PACKET_COUNTS]
+        assert all(b >= a - 0.25 for a, b in zip(psnrs, psnrs[1:]))  # monotone-ish
+        assert psnrs[-1] > 35.0
+
+    def test_one_embedded_stream_costs_fewer_bits_than_fixed_re_encodes(self):
+        """Serving K quality tiers, a fixed-quality design runs the coder K
+        times; the embedded design runs it once and truncates."""
+        img = collaboration_scene(64, 64)
+        tiers = (1, 4, 16)
+        fixed_bits = sum(
+            ProgressiveImage(img, n_packets=16, target_bpp=2.2 * k / 16).total_bits for k in tiers
+        )
+        embedded = ProgressiveImage(img, n_packets=16, target_bpp=2.2)
+        assert embedded.total_bits < fixed_bits
+        for k in tiers:
+            assert psnr(img, embedded.reconstruct(k)) > 15.0

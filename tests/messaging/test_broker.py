@@ -246,3 +246,40 @@ class TestAttachOrdinals:
         sub.detach()
         bus.publish(SemanticMessage.create("hq", "true"))
         assert [name for name, _ in got] == ["first", "third"]
+
+
+class TestProfileChurn:
+    """Semantic delivery against roster naming: the group of interacting
+    clients is determined only at run time, so no roster is kept in sync."""
+
+    ROLES = ("medic", "logistics", "command", "observer")
+
+    def populate(self, bus, n=200):
+        sinks, profiles = {}, []
+        for i in range(n):
+            attrs = {"role": self.ROLES[i % 4], "battery": 10 + (i * 7) % 90}
+            sink = sinks.setdefault(f"c{i}", [])
+            profile, _ = attach(bus, f"c{i}", sink, attrs=attrs, interest="kind == 'alert' or kind == 'chat'")
+            profiles.append(profile)
+        return profiles, sinks
+
+    def test_a_selector_picks_its_audience_per_message(self, bus):
+        profiles, sinks = self.populate(bus)
+        result = bus.publish(SemanticMessage.create("hq", "role == 'medic' and battery >= 30", kind="alert"))
+        want = {p.client_id for p in profiles if p.get("role") == "medic" and p.get("battery") >= 30}
+        assert {name for name, got in sinks.items() if got} == want
+        assert 0 < result.delivered == len(want) < len(profiles)
+
+    def test_profile_churn_needs_no_control_message(self, bus):
+        """50 clients drain their batteries, one alert each time: a roster
+        design tells the 199 other peers of every change (50 x 199 = 9 950
+        control messages); here each change is a local mutation, and the
+        next message already sees it."""
+        profiles, sinks = self.populate(bus)
+        for p in profiles[:50]:
+            p.update(battery=5)
+            bus.publish(SemanticMessage.create("hq", "battery <= 10", kind="alert"))
+        # c_i hears every alert from its own drain on; c90 and c180 sit at
+        # battery 10 from the start
+        got = {name: len(s) for name, s in sinks.items() if s}
+        assert got == {**{f"c{i}": 50 - i for i in range(50)}, "c90": 50, "c180": 50}

@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.network import faults
 from repro.network.clock import Scheduler
 from repro.network.faults import (
     AgentCrash,
     BurstLoss,
     ChaosController,
+    Corruption,
     Duplication,
     FaultPlan,
     FaultPlanError,
@@ -226,12 +228,115 @@ class TestInterceptorEvents:
         ChaosController(net, FaultPlan(), seed=0).install()
         assert net.delivery_interceptor is None
 
+    def test_empty_plan_hooks_nothing(self):
+        """An installed empty plan leaves the network as it found it: no
+        interceptor, no topology listener, no loss hook, no scheduled
+        event; a packet storm then settles exactly as with no controller."""
+
+        def storm(plan):
+            net = line_net()
+            if plan is not None:
+                ChaosController(net, plan, seed=0).install()
+                assert net.delivery_interceptor is None
+                assert net._topology_listeners == []
+                assert all(link.loss_fn is None for link in net.links)
+                assert net.scheduler.pending == 0
+            blast(net, n=3_000, interval=1e-5)
+            net.scheduler.run()
+            return (
+                net.packets_sent,
+                net.packets_delivered,
+                net.packets_dropped,
+                net.packets_duplicated,
+                net.copies_delivered,
+                net.rng.bit_generator.state,
+            )
+
+        bare = storm(None)
+        assert bare[:2] == (3_000, 3_000)
+        assert storm(FaultPlan()) == bare
+
     def test_second_interceptor_rejected(self):
         net = line_net()
         plan = FaultPlan(events=(Duplication(start=0.0, duration=1.0),))
         ChaosController(net, plan, seed=0).install()
         with pytest.raises(FaultPlanError):
             ChaosController(net, plan, seed=0).install()
+
+
+def rfc1071_sum(data):
+    """RFC 1071's loop: add the 16-bit big-endian words (odd byte padded
+    with zero), folding each carry back in; 0..0xFFFF."""
+    if len(data) % 2:
+        data += b"\0"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += data[i] << 8 | data[i + 1]
+        total = (total & 0xFFFF) + (total >> 16)
+    return total
+
+
+def checksum_accepts(sent, received):
+    """A receiver's RFC 768 check of ``received`` against the checksum the
+    sender computed over ``sent``: the complement of the sum, zero sent as
+    all ones, and the received words plus it must fold to all ones."""
+    checksum = ~rfc1071_sum(sent) & 0xFFFF or 0xFFFF
+    total = rfc1071_sum(received) + checksum
+    return (total & 0xFFFF) + (total >> 16) == 0xFFFF
+
+
+class TestChecksum:
+    def test_reference_check(self):
+        assert checksum_accepts(b"\x12\x34\x56", b"\x12\x34\x56")
+        assert not checksum_accepts(b"\x12\x34\x56", b"\x12\x35\x56")
+        # swapped words keep the sum; so does 0xFFFF, through the end-around carry
+        assert checksum_accepts(b"\x12\x34\x56\x78", b"\x56\x78\x12\x34")
+        assert checksum_accepts(b"\x00\x01\xff\xff", b"\x00\x00\x00\x01")
+        # the sum's two zeros: the check cannot tell 0x0000 from 0xFFFF
+        assert checksum_accepts(b"\xff\xff", b"\x00\x00")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.binary(min_size=1, max_size=80),
+        flips=st.lists(st.integers(0, 80 * 8 - 1), min_size=1, max_size=4),
+    )
+    def test_controller_sum_agrees_with_the_reference(self, data, flips):
+        damaged = bytearray(data)
+        for bit in flips:
+            damaged[bit // 8 % len(data)] ^= 1 << bit % 8
+        damaged = bytes(damaged)
+        same = faults._ones_complement_sum(damaged) == faults._ones_complement_sum(data)
+        assert same == checksum_accepts(data, damaged)
+
+    def test_a_copy_failing_the_checksum_is_dropped(self):
+        # one flipped bit always changes the sum
+        net = line_net()
+        got = []
+        net.node("c").bind(11, got.append)
+        plan = FaultPlan(events=(Corruption(start=0.0, duration=10.0, probability=1.0, max_flips=1),))
+        controller = ChaosController(net, plan, seed=0).install()
+        for i in range(20):
+            net.scheduler.call_at(i * 0.1, net.send, Packet("a", 1, "c", 11, bytes([i]) * 50))
+        net.scheduler.run()
+        assert got == []
+        assert controller.corrupted == controller.checksum_drops == 20
+        assert controller.report()["checksum_drops"] == 20
+        assert (net.packets_sent, net.packets_dropped) == (20, 20)
+
+    def test_damage_the_checksum_cannot_see_is_delivered(self, monkeypatch):
+        net = line_net()
+        got = []
+        net.node("c").bind(11, lambda p: got.append(p.payload))
+        plan = FaultPlan(events=(Corruption(start=0.0, duration=10.0, probability=1.0),))
+        controller = ChaosController(net, plan, seed=0).install()
+        # swapping the first two words keeps the ones'-complement sum
+        monkeypatch.setattr(controller, "_corrupt_payload", lambda p: p[2:4] + p[:2] + p[4:])
+        net.scheduler.call_at(0.5, net.send, Packet("a", 1, "c", 11, b"\x12\x34\x56\x78\x9a"))
+        net.scheduler.run()
+        assert got == [b"\x56\x78\x12\x34\x9a"]
+        assert controller.checksum_drops == 0
+        assert net.packets_delivered == 1
+
 
 
 class TestAgentCrash:

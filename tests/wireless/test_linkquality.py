@@ -5,7 +5,6 @@ import pytest
 
 from repro.wireless.linkquality import (
     bit_error_rate,
-    effective_throughput,
     loss_for_sir_db,
     packet_loss_probability,
 )
@@ -69,17 +68,6 @@ class TestCoupledLoss:
         )
 
 
-class TestThroughput:
-    def test_scales_with_quality(self):
-        low = effective_throughput(from_db(6.0))
-        high = effective_throughput(from_db(20.0))
-        assert high > low
-
-    def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            effective_throughput(1.0, rate_bps=0)
-
-
 class TestBasestationCoupling:
     def test_coupling_writes_link_loss(self):
         from repro.core.framework import CollaborationFramework
@@ -135,20 +123,3 @@ class TestBasestationCoupling:
         # with gating off but physics on, the weak client misses fragments
         counts = w.modality_counts()
         assert counts["image_packets"] < 16
-
-
-class TestThroughputUnits:
-    """Regression (UNI003): goodput is bits/second, not a unitless ratio."""
-
-    def test_default_rate_is_11_megabit(self):
-        # at very high SIR essentially nothing is lost, so goodput
-        # approaches the 802.11b channel rate of 11 Mb/s
-        assert effective_throughput(from_db(40.0)) == pytest.approx(
-            11_000_000.0, rel=1e-3
-        )
-
-    def test_explicit_rate_scales_linearly(self):
-        gamma = from_db(12.0)
-        one = effective_throughput(gamma, rate_bps=1_000_000.0)
-        two = effective_throughput(gamma, rate_bps=2_000_000.0)
-        assert two == pytest.approx(2.0 * one)
