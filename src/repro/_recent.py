@@ -19,7 +19,7 @@ Dijkstra, a plan checked against its tree epoch, a decode of its bytes),
 so starting over changes only which entries are rebuilt, never an
 answer.  No lock: each dict call is atomic, so a racing caller could at
 worst clear the table early or add one entry past the count.  This
-module sits beside ``_locks.py`` because ``snmp`` and ``media`` import
+module sits at the package root because ``snmp`` and ``media`` import
 nothing from ``messaging``.
 """
 

@@ -5,7 +5,7 @@ semantic selectors and a policy database — a misconfigured selector or a
 contradictory policy silently drops traffic at run time.  This package
 catches those bugs *statically*: on demand (:func:`lint_profile`,
 :meth:`~repro.core.policies.PolicyDatabase.lint`) and in CI
-(``python -m repro.analysis --fail-on=error``).
+(``python -m repro.analysis``).
 
 Every analyzer reports structured
 :class:`~repro.analysis.diagnostics.Diagnostic` objects with stable rule
@@ -29,14 +29,18 @@ framework (:mod:`~repro.analysis.passes`):
   encoder/decoder pair discovered by naming convention; symmetry is
   :mod:`~repro.analysis.wirefuzz`'s: registry-driven differential
   fuzzing (round-trip, truncation, bit-flip) cross-checked against the
-  static findings.
+  static findings;
+* :mod:`~repro.analysis.hotpath` — per-event work on the hot paths
+  (PERF);
+* :mod:`~repro.analysis.concurrency` — lock order and shared-state
+  races (DLK/RACE).
 
-CI gates on *new* findings only via a checked-in baseline
-(:mod:`~repro.analysis.baseline`), and emits SARIF for code-scanning
-annotations (:mod:`~repro.analysis.sarif`).
+CI gates on every warning-or-worse finding
+(``python -m repro.analysis --fail-on warning``) and emits SARIF for
+code-scanning annotations (:mod:`~repro.analysis.sarif`).  The analyzer
+is a static pass only: no runtime module imports it.
 """
 
-from .baseline import apply_baseline, dump_baseline, fingerprint, load_baseline
 from .callgraph import (
     CallGraph,
     CallSite,
@@ -48,7 +52,6 @@ from .concurrency import (
     LOCK_FACTORIES,
     LockInfo,
     analyze_concurrency,
-    check_sanitizer_report,
     collect_locks,
     concurrency_diagnostics,
     find_cycles,
@@ -99,7 +102,6 @@ from .runner import (
     render_text,
     run_analysis,
 )
-from .sanitizer import LockOrderSanitizer, TrackedLock, make_lock
 from .sarif import render_sarif
 from .selector_analysis import (
     SelectorReport,
@@ -188,14 +190,6 @@ __all__ = [
     "find_cycles",
     "concurrency_diagnostics",
     "analyze_concurrency",
-    "check_sanitizer_report",
-    "LockOrderSanitizer",
-    "TrackedLock",
-    "make_lock",
-    "fingerprint",
-    "load_baseline",
-    "dump_baseline",
-    "apply_baseline",
     "PAIR_METHOD_NAMES",
     "CodecPair",
     "analyze_wireformat",

@@ -5,11 +5,8 @@ Examples::
     # lint the shipped defaults + the source tree + the examples
     python -m repro.analysis
 
-    # gate CI: non-zero exit on any new warning-or-worse diagnostic
-    python -m repro.analysis --baseline analysis-baseline.json --fail-on warning
-
-    # accept the current findings as the baseline
-    python -m repro.analysis --write-baseline analysis-baseline.json
+    # gate CI: non-zero exit on any warning-or-worse diagnostic
+    python -m repro.analysis --fail-on warning
 
     # analyze one selector expression
     python -m repro.analysis --selector "role == 'medic' and role == 'clerk'"
@@ -30,9 +27,8 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .baseline import apply_baseline, dump_baseline, load_baseline, stale_entries
 from .diagnostics import RULES, Severity
-from .runner import AnalysisReport, render_json, render_text, run_analysis
+from .runner import render_json, render_text, run_analysis
 from .sarif import render_sarif
 
 DEFAULT_PATHS = ("src/repro", "examples")
@@ -92,25 +88,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        help="drop findings recorded in FILE; only new findings remain",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        metavar="FILE",
-        help="record the current findings to FILE and exit 0",
-    )
-    parser.add_argument(
         "--no-defaults",
         action="store_true",
         help="skip linting the shipped default policy database",
-    )
-    parser.add_argument(
-        "--sanitize",
-        metavar="REPORT",
-        help="cross-check a runtime sanitizer JSON report (REPRO_SANITIZE=1"
-        " test run) against the static lock graph",
     )
     parser.add_argument(
         "--profile",
@@ -128,14 +108,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.explain is not None:
         return _explain(args.explain)
 
-    baseline = None
-    if args.baseline and not args.write_baseline:
-        try:
-            baseline = load_baseline(args.baseline)
-        except FileNotFoundError:
-            print(f"baseline {args.baseline} not found; treating as empty", file=sys.stderr)
-            baseline = {}
-
     paths = args.paths or ([] if args.selector else _default_paths())
     timings: Optional[dict[str, float]] = {} if args.profile else None
     report = run_analysis(
@@ -145,45 +117,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         ignore=args.ignore,
         profile=timings,
     )
-    if args.sanitize:
-        import json
-
-        from .callgraph import build_call_graph
-        from .concurrency import check_sanitizer_report
-
-        with open(args.sanitize, encoding="utf-8") as fh:
-            sanitizer_report = json.load(fh)
-        extra = check_sanitizer_report(
-            build_call_graph(paths), sanitizer_report, ignore=args.ignore
-        )
-        report = AnalysisReport(tuple(list(report.diagnostics) + extra))
     if timings is not None:
         total = sum(timings.values())
         parts = ", ".join(
             f"{family} {seconds:.3f}s" for family, seconds in sorted(timings.items())
         )
         print(f"profile: {parts} (total {total:.3f}s)", file=sys.stderr)
-
-    if args.write_baseline:
-        with open(args.write_baseline, "w", encoding="utf-8") as fh:
-            fh.write(dump_baseline(list(report.diagnostics)))
-        print(
-            f"wrote {len(report.diagnostics)} finding(s) to {args.write_baseline}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if baseline is not None:
-        stale = stale_entries(list(report.diagnostics), baseline)
-        report = AnalysisReport(
-            tuple(apply_baseline(list(report.diagnostics), baseline))
-        )
-        if stale:
-            print(
-                f"note: {sum(stale.values())} baseline entr(ies) no longer match"
-                " any finding; consider re-writing the baseline",
-                file=sys.stderr,
-            )
 
     if args.format == "sarif":
         print(render_sarif(list(report.diagnostics)), end="")

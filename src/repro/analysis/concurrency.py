@@ -10,8 +10,7 @@ hot-path passes walk.
 
 **Lock-acquisition graph.**  Locks are identified by *attribute path +
 owner class* (``SemanticBus._attach_lock``) or module-level name,
-collected from ``threading.Lock()``/``RLock()``/``make_lock()``
-construction sites.  A worklist propagates *held-lock contexts*
+collected from ``threading.Lock()``/``RLock()`` construction sites.  A worklist propagates *held-lock contexts*
 interprocedurally: from every entry point (functions without in-graph
 callers, thread roots, delivery callbacks) through resolved call edges,
 through ``with lock:`` blocks and ``acquire()``/``release()`` pairs, and
@@ -53,11 +52,6 @@ registrations, and the main/API surface.
 Constructor writes (``__init__``/``__new__``/``_init*`` helpers and
 functions reachable *only* from them) are exempt everywhere: they
 happen-before any thread can see the object.
-
-The runtime half lives in :mod:`repro.analysis.sanitizer`;
-:func:`check_sanitizer_report` merges a sanitizer JSON report's observed
-edges into the static graph and re-runs cycle detection, so a runtime
-order the static pass could not resolve still gates.
 """
 
 from __future__ import annotations
@@ -74,7 +68,7 @@ from .callgraph import (
     rightmost_name,
     self_attr,
 )
-from .diagnostics import Diagnostic, filter_diagnostics
+from .diagnostics import Diagnostic
 from .passes import (
     MUTATING_METHODS,
     delivery_registrations,
@@ -94,11 +88,10 @@ __all__ = [
     "concurrency_findings",
     "concurrency_diagnostics",
     "analyze_concurrency",
-    "check_sanitizer_report",
 ]
 
 #: callables whose result is a lock (rightmost name of the constructor)
-LOCK_FACTORIES: frozenset[str] = frozenset({"Lock", "RLock", "make_lock", "TrackedLock"})
+LOCK_FACTORIES: frozenset[str] = frozenset({"Lock", "RLock"})
 
 #: factories producing re-entrant locks (self-acquire is not a 1-cycle)
 _REENTRANT_FACTORIES: frozenset[str] = frozenset({"RLock"})
@@ -160,11 +153,7 @@ def _lock_ctor(value: ast.expr) -> Optional[tuple[str, bool]]:
     name = rightmost_name(value.func)
     if name not in LOCK_FACTORIES:
         return None
-    reentrant = name in _REENTRANT_FACTORIES
-    for kw in value.keywords:
-        if kw.arg == "reentrant" and isinstance(kw.value, ast.Constant):
-            reentrant = bool(kw.value.value)
-    return name, reentrant
+    return name, name in _REENTRANT_FACTORIES
 
 
 def collect_locks(graph: CallGraph) -> dict[str, LockInfo]:
@@ -172,9 +161,7 @@ def collect_locks(graph: CallGraph) -> dict[str, LockInfo]:
 
     ``self.attr = threading.Lock()`` inside a class, class-body
     ``attr = Lock()``, and module-level ``NAME = Lock()`` assignments
-    all count; :func:`~repro.analysis.sanitizer.make_lock` and
-    ``TrackedLock`` are recognised as lock factories so instrumented
-    code analyzes identically to plain code.
+    all count.
     """
     locks: dict[str, LockInfo] = {}
 
@@ -493,7 +480,7 @@ def _walk_skipping_lambdas(expr: ast.expr) -> Iterator[ast.AST]:
 
 
 # ----------------------------------------------------------------------
-# cycle detection (shared with the sanitizer cross-check)
+# cycle detection
 # ----------------------------------------------------------------------
 def find_cycles(edges: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
     """Canonical cycles of the directed graph ``edges``.
@@ -566,11 +553,7 @@ def find_cycles(edges: Iterable[tuple[str, str]]) -> list[tuple[str, ...]]:
 
 
 def lock_order_edges(graph: CallGraph) -> list[tuple[str, str]]:
-    """The static lock-acquisition-order edges of ``graph``, sorted.
-
-    This is the relation the runtime sanitizer asserts against
-    (:meth:`~repro.analysis.sanitizer.LockOrderSanitizer.check_against`).
-    """
+    """The static lock-acquisition-order edges of ``graph``, sorted."""
     locks = collect_locks(graph)
     flow = _LockFlow(graph, locks)
     flow.run()
@@ -905,50 +888,3 @@ def concurrency_findings(graph: CallGraph) -> list[Diagnostic]:
 #: paths, *, ignore=())``: the findings above with suppressions applied
 concurrency_diagnostics, analyze_concurrency = graph_entry_points(concurrency_findings)
 
-
-def check_sanitizer_report(
-    graph: CallGraph, report: dict[str, object], *, ignore: Iterable[str] = ()
-) -> list[Diagnostic]:
-    """Cross-check a sanitizer JSON report against the static lock graph.
-
-    Runtime-recorded inversions become DLK001 findings directly; the
-    observed edges are then merged into the static graph and cycle
-    detection re-run, so a runtime order closing a statically-known
-    half-cycle also gates.
-    """
-    static = lock_order_edges(graph)
-    out: list[Diagnostic] = []
-
-    def finding(message: str) -> Diagnostic:
-        return diag("DLK001", message, "sanitizer", "<sanitizer-report>", ast.Pass())
-
-    inversions = report.get("inversions") or []
-    if isinstance(inversions, list):
-        for pair in inversions:
-            if isinstance(pair, (list, tuple)) and len(pair) == 2:
-                a, b = str(pair[0]), str(pair[1])
-                out.append(
-                    finding(
-                        f"runtime lock-order inversion observed: {a} and {b}"
-                        " were each acquired while the other was held"
-                    )
-                )
-    runtime_edges: list[tuple[str, str]] = []
-    raw_edges = report.get("edges") or []
-    if isinstance(raw_edges, list):
-        for entry in raw_edges:
-            if isinstance(entry, dict) and "held" in entry and "acquired" in entry:
-                runtime_edges.append((str(entry["held"]), str(entry["acquired"])))
-    known = set(find_cycles(static))
-    for cycle in find_cycles(list(static) + runtime_edges):
-        if cycle in known:
-            continue
-        chain = " -> ".join(cycle + (cycle[0],)) if len(cycle) > 1 else cycle[0]
-        out.append(
-            finding(
-                f"lock-order cycle {chain} closed by runtime-observed"
-                " edges: the static graph alone did not contain it, the"
-                " sanitized run did"
-            )
-        )
-    return filter_diagnostics(out, ignore=ignore)

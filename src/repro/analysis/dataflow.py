@@ -19,8 +19,8 @@ must not leak codec/wire errors; scheduler callbacks must not leak at
 all; handlers on dispatch paths must not silently swallow failures.
 
 Every finding flows through the shared :class:`~repro.analysis.diagnostics.Diagnostic`
-model, so ``# repro: ignore[CODE]`` suppression, severity gating, the
-baseline file, and SARIF output all apply.
+model, so ``# repro: ignore[CODE]`` suppression, severity gating and
+SARIF output all apply.
 """
 
 from __future__ import annotations

@@ -26,8 +26,8 @@ context 1 once per candidate per packet, and so on.  The rules:
 
 Everything reports through the shared
 :class:`~repro.analysis.diagnostics.Diagnostic` model, so
-``# repro: ignore[PERF001]`` suppressions, ``--ignore``, baseline
-fingerprints, and SARIF rendering all apply unchanged.
+``# repro: ignore[PERF001]`` suppressions, ``--ignore`` and SARIF
+rendering all apply unchanged.
 """
 
 from __future__ import annotations

@@ -93,16 +93,14 @@ def run_analysis(
     selectors: Iterable[str] = (),
     include_defaults: bool = True,
     ignore: Iterable[str] = (),
-    baseline: Optional[dict[str, int]] = None,
     profile: Optional[dict[str, float]] = None,
 ) -> AnalysisReport:
     """Run every pass and aggregate the findings.
 
     ``paths`` are files/directories every row of :data:`FAMILIES` runs
     over; ``selectors`` are ad-hoc selector expressions to analyze
-    directly.  A ``baseline`` (see :mod:`~repro.analysis.baseline`) drops
-    known findings so only new ones remain in the report.  Pass a dict
-    as ``profile`` to receive per-rule-family wall times (seconds) in it.
+    directly.  Pass a dict as ``profile`` to receive per-rule-family
+    wall times (seconds) in it.
     """
     ignore = tuple(ignore)
     files = walk_py_files(paths)
@@ -159,10 +157,6 @@ def run_analysis(
                 selector_diagnostics(expr), ignore=ignore
             ),
         )
-    if baseline:
-        from .baseline import apply_baseline
-
-        diags = apply_baseline(diags, baseline)
     diags.sort(key=lambda d: (d.file or "", d.line or 0, -int(d.severity), d.code))
     return AnalysisReport(tuple(diags))
 

@@ -16,10 +16,10 @@ construct the bus with ``indexed=False`` to force the linear path.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Optional
 
-from .._locks import make_lock
 from ..core.matching import Decision, MatchResult, interpret
 from ..core.matching_engine import MatchingEngine
 from ..core.profiles import ClientProfile
@@ -222,7 +222,7 @@ class SemanticBus:
         # per-bus attach ordinal, allocated under the lock: two buses (or
         # two threads attaching to one bus) never contend on shared state
         self._seq_counter = 0
-        self._attach_lock = make_lock("SemanticBus._attach_lock")
+        self._attach_lock = threading.Lock()
         # profile identity -> subscriptions, so sender-loopback exclusion
         # is O(subs sharing that profile) instead of a full-bus walk
         self._by_profile: dict[int, list[Subscription]] = {}

@@ -31,12 +31,12 @@ batch matches first, then delivers.
 
 from __future__ import annotations
 
+import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from heapq import merge as _ordered_merge
 from typing import Callable, Iterable, Optional
 
-from .._locks import make_lock
 from ..core.matching_engine import MatchingEngine, compile_selector
 from ..core.profiles import ClientProfile
 from ..core.selectors import Selector
@@ -110,7 +110,7 @@ class ShardedSemanticBus:
         self.published = 0
         self._size = 0
         self._seq_counter = 0
-        self._attach_lock = make_lock("ShardedSemanticBus._attach_lock")
+        self._attach_lock = threading.Lock()
         self._by_profile: dict[int, list[ShardSubscription]] = {}
         # one worker per shard, never the host's CPU count: what runs
         # inline and what runs on the pool must not depend on the machine

@@ -13,9 +13,9 @@ surface over an asynchronous wire, with virtual-time timeouts and retries.
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence as Seq
 
-from .._locks import make_lock
 from ..network.clock import Scheduler
 from ..network.udp import DatagramTransport
 
@@ -161,7 +161,7 @@ class SnmpManager:
         # dict/counter critical sections — never across
         # ``scheduler.step()``, which re-enters ``_on_datagram`` on the
         # *same* thread and would self-deadlock.
-        self._mu = make_lock("SnmpManager._mu")
+        self._mu = threading.Lock()
         # observability
         self.requests_sent = 0
         self.timeouts = 0

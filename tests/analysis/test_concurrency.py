@@ -3,7 +3,7 @@
 The golden corpus (``corpus_concurrency/``) pins whole-file behaviour;
 these tests pin the analysis *mechanics*: lock identity, interprocedural
 held-context propagation, scoped-fan-out vs free-thread labelling,
-constructor exemption, suppressions, and the sanitizer cross-check.
+constructor exemption, and suppressions.
 The hypothesis suite at the bottom pins the determinism contract:
 cycle verdicts are invariant under edge insertion order.
 """
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from repro.analysis import (
     analyze_concurrency,
+    build_call_graph,
     build_call_graph_from_sources,
-    check_sanitizer_report,
     collect_locks,
     concurrency_diagnostics,
     find_cycles,
@@ -57,21 +57,18 @@ class Box:
         assert locks["Box.mu"].reentrant
         assert not locks["Box.CLASS_MU"].reentrant
 
-    def test_make_lock_factory_recognised(self):
-        g = graph_of(
-            """
-from repro._locks import make_lock
-
-
-class Bus:
-    def __init__(self):
-        self.mu = make_lock("Bus.mu")
-        self.rmu = make_lock("Bus.rmu", reentrant=True)
-"""
-        )
+    def test_the_tree_builds_three_plain_locks_and_nests_none(self):
+        """The runtime's locks, as the DLK/RACE family sees them: each a
+        ``threading.Lock()``, none taken while another is held."""
+        root = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
+        g = build_call_graph([os.path.join(root, "src", "repro")])
         locks = collect_locks(g)
-        assert "Bus.mu" in locks and not locks["Bus.mu"].reentrant
-        assert "Bus.rmu" in locks and locks["Bus.rmu"].reentrant
+        assert {name: info.reentrant for name, info in locks.items()} == {
+            "SemanticBus._attach_lock": False,
+            "ShardedSemanticBus._attach_lock": False,
+            "SnmpManager._mu": False,
+        }
+        assert lock_order_edges(g) == []
 
 
 class TestLockOrderEdges:
@@ -397,43 +394,6 @@ class R:
         assert [
             (d.code, d.line) for d in found if d.code == "RACE001" and d.file.endswith("netstate.py")
         ] == []
-
-
-class TestSanitizerCrossCheck:
-    def test_runtime_inversion_becomes_dlk001(self):
-        g = graph_of("")
-        report = {"inversions": [["A.mu", "B.mu"]], "edges": []}
-        diags = check_sanitizer_report(g, report)
-        assert codes(diags) == ["DLK001"]
-
-    def test_runtime_edge_closing_static_half_cycle(self):
-        g = graph_of(
-            """
-import threading
-
-
-class P:
-    def __init__(self):
-        self.a = threading.Lock()
-        self.b = threading.Lock()
-
-    def fwd(self):
-        with self.a:
-            with self.b:
-                pass
-"""
-        )
-        report = {
-            "inversions": [],
-            "edges": [{"held": "P.b", "acquired": "P.a"}],
-        }
-        diags = check_sanitizer_report(g, report)
-        assert codes(diags) == ["DLK001"]
-
-    def test_consistent_runtime_order_is_clean(self):
-        g = graph_of("")
-        report = {"inversions": [], "edges": [{"held": "A.mu", "acquired": "B.mu"}]}
-        assert check_sanitizer_report(g, report) == []
 
 
 # ----------------------------------------------------------------------

@@ -8,7 +8,9 @@ faults are over, the session history gives every peer what it missed —
 followed by a clean leave.
 """
 
+import struct
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -22,6 +24,9 @@ from repro.experiments.chaos import (
     default_chaos_plan,
     run_chaos,
 )
+from repro.messaging.rtp import RtpReassembler
+from repro.network.faults import ChaosController
+from repro.network.simnet import Packet
 
 #: kinds a history replay never carries
 NOT_REPLAYED = {"history-request", "join", "leave"}
@@ -132,11 +137,49 @@ class TestChaosRecovery:
         assert net.packets_sent == net.packets_delivered + net.packets_dropped + net.packets_duplicated
 
     def test_damaged_header_does_not_silence_a_sender(self):
-        # at seed 2, t = 17.0, alice's message-seq 29 to bob has bit 23
-        # flipped and fails the checksum; before the catch-up he must
-        # still be hearing her live
-        fw, _ = _run(2, default_chaos_plan().horizon - 0.5)
+        # At seed 2, t = 17.0, the drill corrupts the copy of alice's
+        # message-seq 29 that goes to bob.  Here that copy's damage is one
+        # bit flipped 0 -> 1 in the message-seq's high word and 1 -> 0 in
+        # the low word of the packet seq, which the reassembler ignores:
+        # the ones'-complement sum holds, so the copy passes the checksum
+        # and bob's reassembler sees an unconfirmed forward jump of 2**16.
+        # Before the catch-up he must still be hearing her live.
+        intercept, corrupt = ChaosController._intercept, ChaosController._corrupt_payload
+        ingest = RtpReassembler.ingest
+        packet: list[Packet] = []
+        damaged: list[bytes] = []
+        reached: list[RtpReassembler] = []
+
+        def watch(controller, pkt, path, t):
+            packet[:] = [pkt]
+            return intercept(controller, pkt, path, t)
+
+        def pair_flip(controller, payload):
+            out = corrupt(controller, payload)  # the controller's draws pick the copy
+            if out is None or (packet[0].src, packet[0].dst) != ("alice", "bob"):
+                return out
+            words = list(struct.unpack_from(">8H", payload))
+            bit = words[7] & -words[7]
+            assert bit and not words[2] & bit
+            words[2] |= bit
+            words[7] ^= bit
+            damaged.append(struct.pack(">8H", *words) + payload[16:])
+            return damaged[-1]
+
+        def spy(reassembler, data):
+            if data in damaged:
+                reached.append(reassembler)
+            ingest(reassembler, data)
+
+        with mock.patch.object(ChaosController, "_intercept", watch), mock.patch.object(
+            ChaosController, "_corrupt_payload", pair_flip
+        ), mock.patch.object(RtpReassembler, "ingest", spy):
+            fw, controller = _run(2, default_chaos_plan().horizon - 0.5)
         bob = fw.wired_clients["bob"]
+        report = controller.report()
+        assert len(damaged) == 1
+        assert report["checksum_drops"] == report["corrupted"] - 1
+        assert reached == [bob.endpoint.wire.reassembler]
         assert any(line.author == "alice" and line.time > 18.0 for line in bob.chat.lines)
         assert bob.endpoint.wire.reassembler.behind_window == 0
 

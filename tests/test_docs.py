@@ -2,8 +2,8 @@
 
 Every backticked path under one of the repository's top-level code
 directories — whole, or as one word of a backticked command — that
-README.md, DESIGN.md or EXPERIMENTS.md cites must name a file or a
-directory of this tree.  Globs are allowed; a ``:line`` or a ``::test``
+a document of :data:`DOCS` cites must name a file or a directory of this
+tree.  Globs are allowed; a ``:line`` or a ``::test``
 suffix is ignored.  Every experiment a ``python -m repro.experiments
 <name> ...`` command in those documents names must be one the command
 runs.
@@ -17,7 +17,13 @@ import pytest
 from repro.experiments.__main__ import _RUNNERS
 
 ROOT = Path(__file__).resolve().parents[1]
-DOCS = ("README.md", "DESIGN.md", "EXPERIMENTS.md")
+DOCS = (
+    "README.md",
+    "DESIGN.md",
+    "EXPERIMENTS.md",
+    "docs/analysis.md",
+    ".claude/skills/verify/SKILL.md",
+)
 TOP = ("src/", "tests/", "examples/", "bench/", "docs/", ".github/")
 CODE_SPAN = re.compile(r"`([^`\n]+)`")
 SUFFIX = re.compile(r"::.*|:\d.*")
