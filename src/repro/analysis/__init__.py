@@ -4,7 +4,7 @@ The paper's delivery and adaptation decisions hinge on propositional
 semantic selectors and a policy database — a misconfigured selector or a
 contradictory policy silently drops traffic at run time.  This package
 catches those bugs *statically*: on demand (:func:`lint_profile`,
-:meth:`~repro.core.policies.PolicyDatabase.lint`) and in CI
+:func:`lint_policy_database`) and in CI
 (``python -m repro.analysis``).
 
 Every analyzer reports structured

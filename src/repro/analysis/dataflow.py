@@ -37,6 +37,7 @@ from .passes import (
     diag,
     graph_entry_points,
     resolve_callback_ref,
+    solve,
 )
 
 __all__ = [
@@ -476,39 +477,42 @@ class _UnitChecker:
             )
 
 
-def compute_return_units(graph: CallGraph, rounds: int = 3) -> dict[str, str]:
-    """Fixpoint return-unit summaries for project functions."""
+def _return_unit(fn: FunctionInfo, checker: _UnitChecker) -> Optional[str]:
+    """The unit ``fn`` returns, given the callee summaries ``checker``
+    holds (None: unknown, or its returns disagree)."""
+    sig = _own_signature(fn)
+    if sig is not None and sig.returns is not None:
+        return sig.returns
+    env = _UnitEnv(fn, sig)
+    checker._sites = checker.graph.sites_by_node(fn.qualname)
+    units: set[Optional[str]] = set()
+    for stmt in ast.walk(fn.node):
+        # seed env from simple assignments first (walk order is
+        # document order for a function body)
+        bound = name_binding(stmt)
+        if bound is not None:
+            u = checker.unit_of(bound[1], env) or unit_from_name(bound[0])
+            if u is not None:
+                env.vars[bound[0]] = u
+        elif isinstance(stmt, ast.Return) and stmt.value is not None:
+            units.add(checker.unit_of(stmt.value, env))
+    return units.pop() if len(units) == 1 else None
+
+
+def compute_return_units(graph: CallGraph) -> dict[str, str]:
+    """Fixpoint return-unit summaries for project functions: a changed
+    summary re-queues its callers (:func:`~repro.analysis.passes.solve`)."""
     out: dict[str, str] = {}
-    for _ in range(rounds):
-        changed = False
-        checker = _UnitChecker(graph, out)
-        for fn in graph.functions.values():
-            sig = _own_signature(fn)
-            if sig is not None and sig.returns is not None:
-                if out.get(fn.qualname) != sig.returns:
-                    out[fn.qualname] = sig.returns
-                    changed = True
-                continue
-            env = _UnitEnv(fn, sig)
-            checker._sites = graph.sites_by_node(fn.qualname)
-            units: set[Optional[str]] = set()
-            for stmt in ast.walk(fn.node):
-                # seed env from simple assignments first (walk order is
-                # document order for a function body)
-                bound = name_binding(stmt)
-                if bound is not None:
-                    u = checker.unit_of(bound[1], env) or unit_from_name(bound[0])
-                    if u is not None:
-                        env.vars[bound[0]] = u
-                elif isinstance(stmt, ast.Return) and stmt.value is not None:
-                    units.add(checker.unit_of(stmt.value, env))
-            if len(units) == 1:
-                (u,) = units
-                if u is not None and out.get(fn.qualname) != u:
-                    out[fn.qualname] = u
-                    changed = True
-        if not changed:
-            break
+    checker = _UnitChecker(graph, out)
+
+    def visit(q: str) -> list[str]:
+        u = _return_unit(graph.functions[q], checker)
+        if u is None or out.get(q) == u:
+            return []
+        out[q] = u
+        return sorted(graph.callers_of(q))
+
+    solve(graph.functions, visit)
     return out
 
 
@@ -797,18 +801,19 @@ class _EscapeAnalyzer:
         self.graph = graph
         self.summaries: dict[str, frozenset[str]] = {}
 
-    def compute(self, rounds: int = 6) -> dict[str, frozenset[str]]:
-        for q in self.graph.functions:
-            self.summaries[q] = frozenset()
-        for _ in range(rounds):
-            changed = False
-            for q, fn in self.graph.functions.items():
-                esc = frozenset(self._escapes(fn.node.body, q, caught_stack=()))
-                if esc != self.summaries[q]:
-                    self.summaries[q] = esc
-                    changed = True
-            if not changed:
-                break
+    def compute(self) -> dict[str, frozenset[str]]:
+        """Escape sets to fixpoint: a changed set re-queues the callers
+        (:func:`~repro.analysis.passes.solve`)."""
+        self.summaries = {q: frozenset() for q in self.graph.functions}
+
+        def visit(q: str) -> list[str]:
+            esc = frozenset(self._escapes(self.graph.functions[q].node.body, q, caught_stack=()))
+            if esc == self.summaries[q]:
+                return []
+            self.summaries[q] = esc
+            return sorted(self.graph.callers_of(q))
+
+        solve(self.graph.functions, visit)
         return self.summaries
 
     def _escapes(

@@ -37,7 +37,7 @@ from typing import Iterable, Iterator, Optional
 
 from .callgraph import CallGraph, FunctionInfo, matches_suffix, rightmost_name
 from .diagnostics import Diagnostic
-from .passes import diag, graph_entry_points
+from .passes import diag, graph_entry_points, solve
 
 __all__ = [
     "HOT_ENTRY_SUFFIXES",
@@ -202,29 +202,34 @@ class _DepthIndex:
         return got
 
 
-def hot_contexts(
-    graph: CallGraph, *, entries: Iterable[str] = HOT_ENTRY_SUFFIXES
-) -> dict[str, int]:
+def hot_contexts(graph: CallGraph) -> dict[str, int]:
     """Loop context of every hot-reachable function.
 
     ``context[q]`` is the maximum number of loops enclosing any call
-    chain from a registered entry point down to ``q`` (capped at
-    :data:`_DEPTH_CAP`): 0 means "runs once per packet", 1 "once per
-    candidate per packet", etc.  Monotone max-propagation to fixpoint.
+    chain from an entry point (:data:`HOT_ENTRY_SUFFIXES`) down to ``q``
+    (capped at :data:`_DEPTH_CAP`): 0 means "runs once per packet", 1
+    "once per candidate per packet", etc.  Monotone max-propagation to
+    fixpoint: a raised context re-queues the callee
+    (:func:`~repro.analysis.passes.solve`).
     """
     index = _DepthIndex(graph)
-    context: dict[str, int] = {q: 0 for q in _entry_functions(graph, entries)}
-    work = list(context)
-    while work:
-        q = work.pop()
+    context: dict[str, int] = dict.fromkeys(
+        sorted(_entry_functions(graph, HOT_ENTRY_SUFFIXES)), 0
+    )
+
+    def visit(q: str) -> list[str]:
         base = context[q]
+        raised: list[str] = []
         for site in graph.calls_from(q):
             if site.callee is None or site.callee not in graph.functions:
                 continue
             cand = min(_DEPTH_CAP, base + index.depths(q).get(id(site.node), 0))
             if cand > context.get(site.callee, -1):
                 context[site.callee] = cand
-                work.append(site.callee)
+                raised.append(site.callee)
+        return raised
+
+    solve(context, visit)
     return context
 
 

@@ -16,6 +16,10 @@ What the graph families share lives here rather than in each of them:
   table of registration slots (:data:`DELIVERY_CALLBACK_KWARGS`,
   :data:`DELIVERY_CALLBACK_POSITIONS`).  EXC001 checks what escapes the
   registered callbacks, RACE001–003 label them as concurrency roots.
+* :func:`solve` — the one worklist every call-graph fixpoint runs on
+  (return units, escape sets, hot loop contexts, reachability): it
+  revisits a function only when something it reads has changed, and
+  stops only when nothing has, so no call chain is cut off.
 * :func:`reachable` — forward closure over resolved call edges (root
   labels for RACE).
 * :func:`diag`, :data:`MUTATING_METHODS`, :func:`resolve_callback_ref`.
@@ -24,8 +28,9 @@ What the graph families share lives here rather than in each of them:
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from .callgraph import (
     CallGraph,
@@ -53,6 +58,7 @@ __all__ = [
     "bus_like_receiver",
     "resolve_callback_ref",
     "delivery_registrations",
+    "solve",
     "reachable",
 ]
 
@@ -112,14 +118,11 @@ def suppressed(
 
 def file_entry_points(produce: Producer) -> tuple[Producer, Producer, Producer]:
     """The three public fronts of a per-file family: ``from_source(source,
-    path, *, ignore=(), **options)`` (options go to the producer),
-    ``from_file(path, *, ignore=())`` and ``from_paths(paths, *,
-    ignore=())``; all end in :func:`suppressed`."""
+    path, *, ignore=())``, ``from_file(path, *, ignore=())`` and
+    ``from_paths(paths, *, ignore=())``; all end in :func:`suppressed`."""
 
-    def from_source(
-        source: str, path: str, *, ignore: Iterable[str] = (), **options: Any
-    ) -> list[Diagnostic]:
-        raw = produce(source, path, **options)
+    def from_source(source: str, path: str, *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
+        raw = produce(source, path)
         return suppressed(raw, suppression_lookup({path: source}.get), ignore)
 
     def from_file(path: str, *, ignore: Iterable[str] = ()) -> list[Diagnostic]:
@@ -283,18 +286,38 @@ def delivery_registrations(graph: CallGraph) -> list[Registration]:
 
 
 # ======================================================================
-# call-graph reachability
+# call-graph fixpoints
 # ======================================================================
+def solve(work: Iterable[str], visit: Callable[[str], Iterable[str]]) -> None:
+    """Visit functions until nothing is left to revisit.
+
+    ``visit(q)`` recomputes what the analysis knows at ``q`` and returns
+    the functions that read what changed: the callers of ``q`` when its
+    own summary changed (bottom-up summaries), or the callees whose value
+    it raised (top-down propagation).  A function sits in the queue at
+    most once; the loop ends when a visit of every function would change
+    nothing, which on a finite lattice it does.
+    """
+    queue = deque(dict.fromkeys(work))
+    queued = set(queue)
+    while queue:
+        q = queue.popleft()
+        queued.discard(q)
+        for r in visit(q):
+            if r not in queued:
+                queued.add(r)
+                queue.append(r)
+
+
 def reachable(graph: CallGraph, roots: Iterable[str]) -> set[str]:
     """Functions reachable from ``roots`` over resolved call edges
     (the roots themselves included when they are in the graph)."""
     seen = {r for r in roots if r in graph.functions}
-    frontier = list(seen)
-    while frontier:
-        q = frontier.pop()
-        for site in graph.calls_from(q):
-            callee = site.callee
-            if callee is not None and callee in graph.functions and callee not in seen:
-                seen.add(callee)
-                frontier.append(callee)
+
+    def visit(q: str) -> set[str]:
+        fresh = graph.callees_of(q).intersection(graph.functions) - seen
+        seen.update(fresh)
+        return fresh
+
+    solve(seen, visit)
     return seen

@@ -1,8 +1,8 @@
 """Lint for the policy database, QoS contracts, and profile transforms.
 
 These checks run over *live config objects* (not source text), so the
-same pass backs the ``repro.analysis`` CLI, :meth:`PolicyDatabase.lint
-<repro.core.policies.PolicyDatabase.lint>` and :func:`lint_profile`.
+same pass backs the ``repro.analysis`` CLI, :func:`lint_policy_database`
+and :func:`lint_profile`.
 
 Rules
 -----
@@ -35,7 +35,7 @@ from ..core.profiles import ClientProfile, TransformRule
 from ..core.selectors import Selector, _And, _Attr, _Compare, _Literal
 from ..media.progressive import FULL_BUDGET, PACKET_COUNTS
 from .diagnostics import Diagnostic, rule_severity
-from .selector_analysis import MAX_CLAUSES, Verdict, _verdict_of_ast
+from .selector_analysis import Verdict, _verdict_of_ast
 
 __all__ = [
     "PACKET_STEPS",
@@ -106,7 +106,7 @@ def lint_step_policy(policy: StepPolicy, name: str = "") -> list[Diagnostic]:
 # ----------------------------------------------------------------------
 # SIR tiers
 # ----------------------------------------------------------------------
-def lint_sir_policy(policy: SirTierPolicy, name: str = "sir") -> list[Diagnostic]:
+def lint_sir_policy(policy: SirTierPolicy) -> list[Diagnostic]:
     out: list[Diagnostic] = []
     if policy.sketch_db == policy.image_db:
         out.append(
@@ -114,7 +114,7 @@ def lint_sir_policy(policy: SirTierPolicy, name: str = "sir") -> list[Diagnostic
                 "POL004",
                 f"sketch threshold equals image threshold ({policy.image_db} dB):"
                 " the TEXT_AND_SKETCH tier is unreachable",
-                name,
+                "sir",
             )
         )
     if policy.text_db == policy.sketch_db:
@@ -123,7 +123,7 @@ def lint_sir_policy(policy: SirTierPolicy, name: str = "sir") -> list[Diagnostic
                 "POL004",
                 f"text threshold equals sketch threshold ({policy.sketch_db} dB):"
                 " the TEXT_ONLY tier is unreachable",
-                name,
+                "sir",
             )
         )
     return out
@@ -179,11 +179,10 @@ def lint_contract_against(contract: QoSContract, policies: PolicyDatabase) -> li
 # whole database
 # ----------------------------------------------------------------------
 def lint_policy_database(
-    policies: PolicyDatabase,
-    *,
-    contracts: Iterable[QoSContract] = (),
+    policies: PolicyDatabase, contracts: Iterable[QoSContract]
 ) -> list[Diagnostic]:
-    """All policy/contract diagnostics for one database."""
+    """All policy diagnostics for one database, and each contract's
+    against it."""
     out: list[Diagnostic] = []
     for name, policy in sorted(policies.step_policies.items()):
         out.extend(lint_step_policy(policy, name))
@@ -201,7 +200,7 @@ def _interest_admits(interest: Selector, attribute: str, value: object) -> Optio
     if isinstance(value, (list, tuple)):
         return None  # equality atoms over lists are outside the fragment
     probe = _And((interest._ast, _Compare("==", _Attr(attribute), _Literal(value))))
-    verdict, _, _, _ = _verdict_of_ast(probe, MAX_CLAUSES)
+    verdict, _, _, _ = _verdict_of_ast(probe)
     if verdict is Verdict.SAT:
         return True
     if verdict is Verdict.UNSAT:

@@ -118,9 +118,7 @@ def extract_selector_literals(
 # ----------------------------------------------------------------------
 # per-file lint
 # ----------------------------------------------------------------------
-def lint_findings(
-    source: str, path: str, *, analyze_selectors: bool = True
-) -> list[Diagnostic]:
+def lint_findings(source: str, path: str) -> list[Diagnostic]:
     """Raw repo-lint findings for one file's source text."""
     try:
         tree = ast.parse(source, filename=path)
@@ -192,15 +190,14 @@ def lint_findings(
                     )
                 )
 
-    if analyze_selectors:
-        for text, line, column in extract_selector_literals(tree):
-            for d in selector_diagnostics(text, subject=f"{path}:{line}"):
-                out.append(d.at(path, line, column))
+    for text, line, column in extract_selector_literals(tree):
+        for d in selector_diagnostics(text, subject=f"{path}:{line}"):
+            out.append(d.at(path, line, column))
 
     return out
 
 
-#: ``lint_source(source, path, *, ignore=(), analyze_selectors=True)``,
+#: ``lint_source(source, path, *, ignore=())``,
 #: ``lint_file(path, *, ignore=())``, ``lint_paths(paths, *, ignore=())``:
 #: the findings above with suppressions applied
 lint_source, lint_file, lint_paths = file_entry_points(lint_findings)

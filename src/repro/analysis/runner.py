@@ -83,7 +83,7 @@ def analyze_defaults(*, ignore: Iterable[str] = ()) -> list[Diagnostic]:
     """Lint the policy database the framework ships with."""
     from ..core.policies import default_policy_database
 
-    diags = lint_policy_database(default_policy_database())
+    diags = lint_policy_database(default_policy_database(), ())
     return filter_diagnostics(diags, ignore=ignore)
 
 

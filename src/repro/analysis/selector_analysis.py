@@ -12,7 +12,7 @@ per-attribute regions (every atom constrains one attribute), so
   **re-evaluated against the original selector** before SAT is claimed.
 
 Anything outside the exact fragment (attribute-vs-attribute comparisons
-between different attributes, DNF blowup past ``max_clauses``) degrades
+between different attributes, DNF blowup past :data:`MAX_CLAUSES`) degrades
 the verdict to UNKNOWN rather than guessing.
 
 Vacuity (tautology) is satisfiability of the negation; implication
@@ -54,10 +54,13 @@ __all__ = [
     "analyze_selector_set",
     "interesting_values",
     "MAX_CLAUSES",
+    "MAX_PAIRS",
 ]
 
-#: default DNF clause budget before the analyzer gives up (UNKNOWN)
+#: DNF clause budget before the analyzer gives up (UNKNOWN)
 MAX_CLAUSES = 256
+#: selector pairs :func:`analyze_selector_set` compares at most
+MAX_PAIRS = 400
 
 _COMPLEMENT = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
@@ -377,12 +380,10 @@ def _clause_witness(state: dict[str, AttrDomain]) -> Optional[dict[str, Any]]:
 # ----------------------------------------------------------------------
 # verdicts
 # ----------------------------------------------------------------------
-def _verdict_of_ast(
-    ast: _Node, max_clauses: int
-) -> tuple[Verdict, Optional[dict[str, Any]], list[str], bool]:
+def _verdict_of_ast(ast: _Node) -> tuple[Verdict, Optional[dict[str, Any]], list[str], bool]:
     """(verdict, witness, type-conflict notes, truncated)."""
     try:
-        clauses = _dnf(ast, False, max_clauses)
+        clauses = _dnf(ast, False, MAX_CLAUSES)
     except _TooComplex:
         return Verdict.UNKNOWN, None, [], True
     unknown = False
@@ -421,16 +422,14 @@ class SelectorReport:
         return None
 
 
-def analyze_selector(
-    selector: Union[Selector, str], *, max_clauses: int = MAX_CLAUSES
-) -> SelectorReport:
+def analyze_selector(selector: Union[Selector, str]) -> SelectorReport:
     """Full static report for one selector (raises
     :class:`~repro.core.selectors.SelectorError` on parse failure)."""
     sel = selector if isinstance(selector, Selector) else Selector(selector)
-    verdict, witness, conflicts, truncated = _verdict_of_ast(sel._ast, max_clauses)
+    verdict, witness, conflicts, truncated = _verdict_of_ast(sel._ast)
     taut: Optional[bool] = None
     if not truncated:
-        neg_verdict, _, _, neg_trunc = _verdict_of_ast(_Not(sel._ast), max_clauses)
+        neg_verdict, _, _, neg_trunc = _verdict_of_ast(_Not(sel._ast))
         truncated = truncated or neg_trunc
         if neg_verdict is Verdict.UNSAT:
             taut = True
@@ -450,7 +449,7 @@ def implies(a: Union[Selector, str], b: Union[Selector, str]) -> Optional[bool]:
     """Does every profile matching ``a`` match ``b``?  (None = unknown.)"""
     sa = a if isinstance(a, Selector) else Selector(a)
     sb = b if isinstance(b, Selector) else Selector(b)
-    verdict, _, _, _ = _verdict_of_ast(_And((sa._ast, _Not(sb._ast))), MAX_CLAUSES)
+    verdict, _, _, _ = _verdict_of_ast(_And((sa._ast, _Not(sb._ast))))
     if verdict is Verdict.UNSAT:
         return True
     if verdict is Verdict.SAT:
@@ -462,7 +461,7 @@ def overlaps(a: Union[Selector, str], b: Union[Selector, str]) -> Optional[bool]
     """Can one profile match both selectors?  (None = unknown.)"""
     sa = a if isinstance(a, Selector) else Selector(a)
     sb = b if isinstance(b, Selector) else Selector(b)
-    verdict, _, _, _ = _verdict_of_ast(_And((sa._ast, sb._ast)), MAX_CLAUSES)
+    verdict, _, _, _ = _verdict_of_ast(_And((sa._ast, sb._ast)))
     if verdict is Verdict.SAT:
         return True
     if verdict is Verdict.UNSAT:
@@ -525,9 +524,7 @@ def selector_diagnostics(
     return out
 
 
-def analyze_selector_set(
-    selectors: list[tuple[str, Union[Selector, str]]], *, max_pairs: int = 400
-) -> list[Diagnostic]:
+def analyze_selector_set(selectors: list[tuple[str, Union[Selector, str]]]) -> list[Diagnostic]:
     """Pairwise implication/overlap audit (SEL005) over labelled selectors.
 
     Reports equivalent pairs and strict subsumptions — both usually mean
@@ -542,7 +539,7 @@ def analyze_selector_set(
     out: list[Diagnostic] = []
     pairs = 0
     for (la, a), (lb, b) in combinations(compiled, 2):
-        if pairs >= max_pairs:
+        if pairs >= MAX_PAIRS:
             break
         pairs += 1
         ab = implies(a, b)

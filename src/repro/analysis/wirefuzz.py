@@ -408,10 +408,13 @@ def _flip_bits(data: bytes, rng: random.Random, max_flips: int = 3) -> bytes:
     return bytes(out)
 
 
-def fuzz_pair(
-    pair: FuzzCodecPair, *, seed: int, rounds: int = 8, flips_per_round: int = 16
-) -> FuzzReport:
-    """Round-trip + truncation-at-every-offset + seeded bit flips."""
+#: corrupted copies decoded per round-trip sample
+FLIPS_PER_ROUND = 16
+
+
+def fuzz_pair(pair: FuzzCodecPair, *, seed: int, rounds: int = 8) -> FuzzReport:
+    """Round-trip + truncation-at-every-offset + seeded bit flips
+    (:data:`FLIPS_PER_ROUND` per sample)."""
     rng = random.Random(_pair_seed(seed, pair.name))
     report = FuzzReport()
 
@@ -455,7 +458,7 @@ def fuzz_pair(
                 crash("truncation", exc, data[:k])
                 break
         if data:
-            for _ in range(flips_per_round):
+            for _ in range(FLIPS_PER_ROUND):
                 report.flips += 1
                 corrupted = _flip_bits(data, rng)
                 try:
@@ -468,15 +471,10 @@ def fuzz_pair(
     return report
 
 
-def fuzz_registry(
-    pairs: Optional[Sequence[FuzzCodecPair]] = None,
-    *,
-    seed: int = 1337,
-    rounds: int = 8,
-) -> FuzzReport:
+def fuzz_registry(*, seed: int = 1337, rounds: int = 8) -> FuzzReport:
     """Fuzz every registered pair; one merged report."""
     report = FuzzReport()
-    for pair in pairs if pairs is not None else default_registry():
+    for pair in default_registry():
         report.merge(fuzz_pair(pair, seed=seed, rounds=rounds))
     return report
 

@@ -179,40 +179,39 @@ class CollaborationFramework:
         return client
 
     def add_threshold_trap(
-        self,
-        client: WiredClient,
-        parameter: str,
-        threshold: float,
-        direction: str = "above",
-        interval: float = 0.5,
+        self, client: WiredClient, parameter: str, threshold: float
     ) -> ThresholdWatch:
         """Event-driven adaptation: trap the client when its host's
         ``parameter`` crosses ``threshold``; the client re-runs the
         inference engine immediately instead of waiting for the next poll.
 
-        ``parameter`` ∈ {"cpu_load", "page_faults", "free_memory_kib"}.
-        Returns the armed :class:`~repro.snmp.traps.ThresholdWatch`.
+        ``parameter`` ∈ {"cpu_load", "page_faults", "free_memory_kib"}:
+        the first two trap when they rise above ``threshold``, free
+        memory when it falls below.  Returns the armed
+        :class:`~repro.snmp.traps.ThresholdWatch`.
         """
         from ..snmp.oids import TASSL
         from ..snmp.traps import ThresholdWatch, TrapSender
 
         host = self.hosts[client.snmp_host]
         param_map = {
-            "cpu_load": (lambda: host.cpu_load, TASSL.hostCpuLoad, TASSL.cpuHighTrap),
+            "cpu_load": (lambda: host.cpu_load, TASSL.hostCpuLoad, TASSL.cpuHighTrap, "above"),
             "page_faults": (
                 lambda: host.page_faults,
                 TASSL.hostPageFaults,
                 TASSL.pageFaultHighTrap,
+                "above",
             ),
             "free_memory_kib": (
                 lambda: host.free_memory_kib,
                 TASSL.hostFreeMemory,
                 TASSL.memoryLowTrap,
+                "below",
             ),
         }
         if parameter not in param_map:
             raise ValueError(f"unknown trap parameter {parameter!r}")
-        sample, oid, trap_oid = param_map[parameter]
+        sample, oid, trap_oid, direction = param_map[parameter]
         client.enable_trap_listener()
         sender = TrapSender(self.network, host.name)
         watch = ThresholdWatch(
@@ -224,7 +223,6 @@ class CollaborationFramework:
             threshold=threshold,
             trap_oid=trap_oid,
             direction=direction,
-            interval=interval,
         )
         watch.start()
         return watch

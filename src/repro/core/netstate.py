@@ -132,19 +132,19 @@ class NetworkStateInterface:
         ):
             self.add_probe(Probe(host, oid, parameter, transform))
 
-    def add_switch_bandwidth_probe(
-        self, element: str, if_index: int, parameter: str = "bandwidth_bps"
-    ) -> None:
-        """Monitor a switch port's speed (MIB-II ifSpeed is already bits/s)."""
-        self.add_probe(Probe(element, MIB2.ifSpeed.child(if_index), parameter))
+    def add_switch_bandwidth_probe(self, element: str, if_index: int) -> None:
+        """Monitor a switch port's speed as ``bandwidth_bps`` (MIB-II
+        ifSpeed is already bits/s)."""
+        self.add_probe(Probe(element, MIB2.ifSpeed.child(if_index), "bandwidth_bps"))
 
-    def add_switch_octet_probes(self, element: str, if_index: int, prefix: str = "if") -> None:
-        """Monitor a switch port's octet counters (utilisation estimation)."""
+    def add_switch_octet_probes(self, element: str, if_index: int) -> None:
+        """Monitor a switch port's octet counters as ``if<N>_in_octets`` /
+        ``if<N>_out_octets`` (utilisation estimation)."""
         self.add_probe(
-            Probe(element, MIB2.ifInOctets.child(if_index), f"{prefix}{if_index}_in_octets")
+            Probe(element, MIB2.ifInOctets.child(if_index), f"if{if_index}_in_octets")
         )
         self.add_probe(
-            Probe(element, MIB2.ifOutOctets.child(if_index), f"{prefix}{if_index}_out_octets")
+            Probe(element, MIB2.ifOutOctets.child(if_index), f"if{if_index}_out_octets")
         )
 
     # ------------------------------------------------------------------

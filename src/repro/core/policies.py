@@ -23,13 +23,9 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import Optional, Sequence
 
 from ..media.progressive import FULL_BUDGET
-
-if TYPE_CHECKING:
-    from ..analysis.diagnostics import Diagnostic
-    from .contracts import QoSContract
 
 __all__ = [
     "StepPolicy",
@@ -205,13 +201,6 @@ class PolicyDatabase:
 
     def set_sir_policy(self, policy: SirTierPolicy) -> None:
         self._sir = policy
-
-    def lint(self, contracts: Sequence["QoSContract"] = ()) -> "list[Diagnostic]":
-        """Static diagnostics for the current database (see
-        :func:`repro.analysis.lint_policy_database`)."""
-        from ..analysis import lint_policy_database
-
-        return lint_policy_database(self, contracts=contracts)
 
     @property
     def sir_policy(self) -> SirTierPolicy:

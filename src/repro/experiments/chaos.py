@@ -119,7 +119,7 @@ def _run(seed: int, duration: float) -> tuple[CollaborationFramework, ChaosContr
     return fw, controller
 
 
-def chaos_telemetry(seed: int = 0, duration: float = DURATION) -> str:
+def chaos_telemetry(seed: int = 0) -> str:
     """One drill run rendered as a deterministic telemetry blob.
 
     Same seed → byte-identical output: the deployment report, the
@@ -127,7 +127,7 @@ def chaos_telemetry(seed: int = 0, duration: float = DURATION) -> str:
     and the chaos controller's event counters are all functions of the
     virtual clock and the seeded RNGs only.
     """
-    fw, controller = _run(seed, duration)
+    fw, controller = _run(seed, DURATION)
     net = fw.network
     lines = [format_report(deployment_report(fw))]
     lines.append(
@@ -149,9 +149,9 @@ def chaos_telemetry(seed: int = 0, duration: float = DURATION) -> str:
     return "\n".join(lines)
 
 
-def run_chaos(seed: int = 0, duration: float = DURATION) -> ExperimentResult:
+def run_chaos(seed: int = 0) -> ExperimentResult:
     """Run the drill; one row per peer plus the disposition invariant."""
-    fw, controller = _run(seed, duration)
+    fw, controller = _run(seed, DURATION)
     result = ExperimentResult(
         "CHAOS",
         "collaboration under injected faults (seeded, deterministic)",

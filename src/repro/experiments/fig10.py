@@ -24,37 +24,32 @@ from .harness import ExperimentResult
 
 __all__ = ["run_fig10", "solve_join_geometry", "main"]
 
+#: client A's distance (m)
+D_A = 60.0
+#: every client's transmit power
+POWER = 1.0
+#: the paper's drops of SIR_A: 90 % when client 2 joins, 23 % more at client 3
+DROP2, DROP3 = 0.90, 0.23
 
-def solve_join_geometry(
-    pathloss: PathLossModel,
-    noise: NoiseModel,
-    power: float = 1.0,
-    drop2: float = 0.90,
-    drop3: float = 0.23,
-) -> tuple[float, float]:
+
+def solve_join_geometry(pathloss: PathLossModel, noise: NoiseModel) -> tuple[float, float]:
     """Distances for clients 2 and 3 producing the paper's SIR drops.
 
-    After client 2 joins, SIR_A scales by σ²/(P·g₂+σ²) = 1−drop2;
-    after client 3, by (P·g₂+σ²)/(P·g₂+P·g₃+σ²) = 1−drop3.
+    After client 2 joins, SIR_A scales by σ²/(P·g₂+σ²) = 1−DROP2;
+    after client 3, by (P·g₂+σ²)/(P·g₂+P·g₃+σ²) = 1−DROP3.
     """
     s2 = noise.sigma2
-    g2 = s2 * (drop2 / (1.0 - drop2)) / power
-    i2 = power * g2 + s2
-    g3 = i2 * (drop3 / (1.0 - drop3)) / power
+    g2 = s2 * (DROP2 / (1.0 - DROP2)) / POWER
+    i2 = POWER * g2 + s2
+    g3 = i2 * (DROP3 / (1.0 - DROP3)) / POWER
     return pathloss.distance_for_gain(g2), pathloss.distance_for_gain(g3)
 
 
-def run_fig10(
-    d_a: float = 60.0,
-    power: float = 1.0,
-    drop2: float = 0.90,
-    drop3: float = 0.23,
-    seed: int = 0,
-) -> ExperimentResult:
+def run_fig10() -> ExperimentResult:
     """Sequential joins; records SIR_A (and all SIRs) after each join."""
     pathloss = PathLossModel(alpha=4.0, k=1e6)
     noise = NoiseModel(reference_power=1.0, snr_ref_db=40.0)
-    d2, d3 = solve_join_geometry(pathloss, noise, power, drop2, drop3)
+    d2, d3 = solve_join_geometry(pathloss, noise)
 
     result = ExperimentResult(
         "FIG10",
@@ -68,15 +63,15 @@ def run_fig10(
             "joined",
         ),
     )
-    fw = CollaborationFramework("fig10", objective="join-degradation sweep", seed=seed)
+    fw = CollaborationFramework("fig10", objective="join-degradation sweep", seed=0)
     bs = fw.add_base_station("bs", pathloss=pathloss, noise=noise)
-    fw.add_wireless_client("client-a", bs, distance=d_a, tx_power=power)
+    fw.add_wireless_client("client-a", bs, distance=D_A, tx_power=POWER)
 
     prev_sir: Optional[float] = None
     joins = [("client-a", None), ("client-b", d2), ("client-c", d3)]
     for n, (cid, dist) in enumerate(joins, start=1):
         if dist is not None:
-            fw.add_wireless_client(cid, bs, distance=dist, tx_power=power)
+            fw.add_wireless_client(cid, bs, distance=dist, tx_power=POWER)
         snap = bs.evaluate_qos()
         sir_a_db, tier_a = snap.for_client("client-a")
         sir_a_lin = 10.0 ** (sir_a_db / 10.0)
@@ -94,7 +89,7 @@ def run_fig10(
         prev_sir = sir_a_lin
     result.note(
         f"geometry solved for paper drops: d2={d2:.0f} m, d3={d3:.0f} m;"
-        f" expected drops ~{100*drop2:.0f}% then ~{100*drop3:.0f}%"
+        f" expected drops ~{100*DROP2:.0f}% then ~{100*DROP3:.0f}%"
     )
     return result
 

@@ -12,10 +12,6 @@ budget → multicast image share → progressive reconstruction → metrics.
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
-
 from ..core.framework import CollaborationFramework
 from ..hosts.workload import Trace
 from ..media.images import collaboration_scene
@@ -23,45 +19,34 @@ from .harness import ExperimentResult
 
 __all__ = ["run_fig6", "main"]
 
+#: page-fault levels visited: 30..100 in steps of 10, the paper's x-axis
+FAULT_LEVELS = (30, 40, 50, 60, 70, 80, 90, 100)
+#: side of the shared (grayscale) test image
+IMAGE_SIZE = 64
+#: full-quality rate of the coder; 2.2 matches the paper's top BPP
+TARGET_BPP = 2.2
 
-def run_fig6(
-    fault_levels: Optional[list[float]] = None,
-    image_size: int = 64,
-    target_bpp: float = 2.2,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Run the page-fault sweep; one row per swept level.
 
-    Parameters
-    ----------
-    fault_levels:
-        Page-fault levels to visit (default: 30..100 in steps of 10,
-        the paper's x-axis).
-    image_size:
-        Side of the shared (grayscale) test image.
-    target_bpp:
-        Full-quality rate of the coder; 2.2 matches the paper's top BPP.
-    """
-    if fault_levels is None:
-        fault_levels = [30, 40, 50, 60, 70, 80, 90, 100]
+def run_fig6() -> ExperimentResult:
+    """Run the page-fault sweep; one row per level of :data:`FAULT_LEVELS`."""
     result = ExperimentResult(
         "FIG6",
         "image viewer parameters vs page faults",
         columns=("page_faults", "packets", "bpp", "compression_ratio", "psnr_db"),
     )
-    fw = CollaborationFramework("fig6", objective="page-fault adaptation sweep", seed=seed)
-    sender = fw.add_wired_client("sender", image_target_bpp=target_bpp)
+    fw = CollaborationFramework("fig6", objective="page-fault adaptation sweep", seed=0)
+    sender = fw.add_wired_client("sender", image_target_bpp=TARGET_BPP)
     viewer = fw.add_wired_client(
         "viewer",
-        fault_workload=Trace(fault_levels),
-        image_target_bpp=target_bpp,
+        fault_workload=Trace(FAULT_LEVELS),
+        image_target_bpp=TARGET_BPP,
     )
     sender.join()
     viewer.join()
     fw.run_for(0.5)
-    image = collaboration_scene(image_size, image_size, seed=seed + 7)
+    image = collaboration_scene(IMAGE_SIZE, IMAGE_SIZE, seed=7)
 
-    for step, level in enumerate(fault_levels):
+    for step, level in enumerate(FAULT_LEVELS):
         fw.hosts["viewer"].advance_to_tick(step)
         decision = viewer.monitor_and_adapt()  # SNMP → inference → budget
         image_id = f"img-pf-{step}"

@@ -10,8 +10,6 @@ paper point, ~0.7 BPP, is our 1-packet row).
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.framework import CollaborationFramework
 from ..hosts.workload import Trace
 from ..media.images import collaboration_scene, to_rgb
@@ -19,34 +17,35 @@ from .harness import ExperimentResult
 
 __all__ = ["run_fig7", "main"]
 
+#: CPU-load levels visited (percent), the paper's x-axis
+CPU_LEVELS = (30, 40, 50, 60, 70, 80, 90, 95, 100)
+#: side of the shared (color) test image
+IMAGE_SIZE = 64
+#: full-quality rate of the coder; 14.3 matches the paper's top BPP
+TARGET_BPP = 14.3
 
-def run_fig7(
-    cpu_levels: Optional[list[float]] = None,
-    image_size: int = 64,
-    target_bpp: float = 14.3,
-    seed: int = 0,
-) -> ExperimentResult:
-    """Run the CPU-load sweep with a color image."""
-    if cpu_levels is None:
-        cpu_levels = [30, 40, 50, 60, 70, 80, 90, 95, 100]
+
+def run_fig7() -> ExperimentResult:
+    """Run the CPU-load sweep with a color image; one row per level of
+    :data:`CPU_LEVELS`."""
     result = ExperimentResult(
         "FIG7",
         "image viewer parameters vs CPU load (color image)",
         columns=("cpu_load", "packets", "bpp", "compression_ratio", "psnr_db"),
     )
-    fw = CollaborationFramework("fig7", objective="cpu-load adaptation sweep", seed=seed)
-    sender = fw.add_wired_client("sender", image_target_bpp=target_bpp)
+    fw = CollaborationFramework("fig7", objective="cpu-load adaptation sweep", seed=0)
+    sender = fw.add_wired_client("sender", image_target_bpp=TARGET_BPP)
     viewer = fw.add_wired_client(
         "viewer",
-        cpu_workload=Trace(cpu_levels),
-        image_target_bpp=target_bpp,
+        cpu_workload=Trace(CPU_LEVELS),
+        image_target_bpp=TARGET_BPP,
     )
     sender.join()
     viewer.join()
     fw.run_for(0.5)
-    image = to_rgb(collaboration_scene(image_size, image_size, seed=seed + 11))
+    image = to_rgb(collaboration_scene(IMAGE_SIZE, IMAGE_SIZE, seed=11))
 
-    for step, level in enumerate(cpu_levels):
+    for step, level in enumerate(CPU_LEVELS):
         fw.hosts["viewer"].advance_to_tick(step)
         decision = viewer.monitor_and_adapt()
         image_id = f"img-cpu-{step}"

@@ -14,8 +14,6 @@ client tracks its SIR across the thresholds.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..core.framework import CollaborationFramework
 from ..wireless.channel import NoiseModel, PathLossModel
 from ..wireless.mobility import approach_and_retreat
@@ -23,35 +21,32 @@ from .harness import ExperimentResult
 
 __all__ = ["run_fig8", "main", "build_two_client_cell"]
 
+#: client A's far and near distances (m): it walks 100 → 50 → 100
+FAR, NEAR = 100.0, 50.0
+#: client B's fixed distance (m)
+D_B = 80.0
+#: both clients' transmit power
+POWER = 1.0
 
-def build_two_client_cell(
-    seed: int = 0,
-    d_a: float = 100.0,
-    d_b: float = 80.0,
-    power: float = 1.0,
-):
-    """The FIG8/FIG9 testbed: BS + two wireless clients + a wired peer."""
-    fw = CollaborationFramework("fig8", objective="wireless distance sweep", seed=seed)
+
+def build_two_client_cell(d_a: float, d_b: float):
+    """The FIG8/FIG9 testbed: BS + two wireless clients at ``d_a`` and
+    ``d_b`` metres, both at :data:`POWER`, + a wired peer."""
+    fw = CollaborationFramework("fig8", objective="wireless distance sweep", seed=0)
     wired = fw.add_wired_client("wired")
     bs = fw.add_base_station(
         "bs",
         pathloss=PathLossModel(alpha=4.0, k=1e6),
         noise=NoiseModel(reference_power=1.0, snr_ref_db=40.0),
     )
-    a = fw.add_wireless_client("client-a", bs, distance=d_a, tx_power=power)
-    b = fw.add_wireless_client("client-b", bs, distance=d_b, tx_power=power)
+    a = fw.add_wireless_client("client-a", bs, distance=d_a, tx_power=POWER)
+    b = fw.add_wireless_client("client-b", bs, distance=d_b, tx_power=POWER)
     wired.join()
     fw.run_for(0.5)
     return fw, bs, a, b, wired
 
 
-def run_fig8(
-    far: float = 100.0,
-    near: float = 50.0,
-    d_b: float = 80.0,
-    power: float = 1.0,
-    seed: int = 0,
-) -> ExperimentResult:
+def run_fig8() -> ExperimentResult:
     """Distance sweep: A 100→50→100 m, B fixed, constant powers."""
     result = ExperimentResult(
         "FIG8",
@@ -66,8 +61,8 @@ def run_fig8(
             "tier_b",
         ),
     )
-    fw, bs, a, b, _wired = build_two_client_cell(seed=seed, d_a=far, d_b=d_b, power=power)
-    trace = approach_and_retreat(far=far, near=near, in_steps=3, out_steps=2)
+    fw, bs, a, b, _wired = build_two_client_cell(FAR, D_B)
+    trace = approach_and_retreat(far=FAR, near=NEAR, in_steps=3, out_steps=2)
     for step, distance in enumerate(trace):
         a.move_to(distance)          # client reports its new position...
         fw.run_for(0.5)              # ...the control event reaches the BS
@@ -77,7 +72,7 @@ def run_fig8(
         result.add_row(
             step=step,
             distance_a=distance,
-            distance_b=d_b,
+            distance_b=D_B,
             sir_a_db=sir_a,
             sir_b_db=sir_b,
             tier_a=tier_a.name,
@@ -90,13 +85,7 @@ def run_fig8(
     return result
 
 
-def run_fig8_dataflow(
-    far: float = 100.0,
-    near: float = 50.0,
-    d_b: float = 80.0,
-    power: float = 1.0,
-    seed: int = 0,
-) -> ExperimentResult:
+def run_fig8_dataflow() -> ExperimentResult:
     """FIG8's narrative as actual data flow: A shares an image at every
     mobility step and the table records which *modality* the BS let
     through to the session.
@@ -124,10 +113,10 @@ def run_fig8_dataflow(
             "session_got_text",
         ),
     )
-    fw, bs, a, _b, wired = build_two_client_cell(seed=seed, d_a=far, d_b=d_b, power=power)
-    image = collaboration_scene(64, 64, seed=seed + 3)
+    fw, bs, a, _b, wired = build_two_client_cell(FAR, D_B)
+    image = collaboration_scene(64, 64, seed=3)
     camera = ImageViewer("client-a")
-    trace = approach_and_retreat(far=far, near=near, in_steps=3, out_steps=2)
+    trace = approach_and_retreat(far=FAR, near=NEAR, in_steps=3, out_steps=2)
 
     for step, distance in enumerate(trace):
         a.move_to(distance)

@@ -14,8 +14,6 @@ A's SIR rises, B's falls.  Two further claims are exercised:
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from ..wireless.channel import NoiseModel, PathLossModel
@@ -25,23 +23,26 @@ from .harness import ExperimentResult
 
 __all__ = ["run_fig9", "run_fig9_scaling", "main"]
 
+#: client A's transmit-power steps
+POWER_STEPS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+#: both clients' fixed distance (m) in the power sweep
+DISTANCE = 80.0
+#: the uniform scaling: both clients start at SCALING_POWER at
+#: SCALING_DISTANCES (m) and scale their power by SCALING_FACTOR
+SCALING_FACTOR = 0.5
+SCALING_DISTANCES = (80.0, 100.0)
+SCALING_POWER = 2.0
 
-def run_fig9(
-    power_steps: Optional[list[float]] = None,
-    d_a: float = 80.0,
-    d_b: float = 80.0,
-    seed: int = 0,
-) -> ExperimentResult:
+
+def run_fig9() -> ExperimentResult:
     """Power sweep for client A at fixed, equal distances."""
-    if power_steps is None:
-        power_steps = [0.5, 1.0, 1.5, 2.0, 3.0, 4.0]
     result = ExperimentResult(
         "FIG9",
         "2 wireless clients, varying power of A",
         columns=("step", "power_a", "power_b", "sir_a_db", "sir_b_db", "tier_a", "tier_b"),
     )
-    fw, bs, a, b, _wired = build_two_client_cell(seed=seed, d_a=d_a, d_b=d_b)
-    for step, power in enumerate(power_steps):
+    fw, bs, a, b, _wired = build_two_client_cell(DISTANCE, DISTANCE)
+    for step, power in enumerate(POWER_STEPS):
         a.set_power(power)
         fw.run_for(0.5)
         snap = bs.evaluate_qos()
@@ -60,21 +61,16 @@ def run_fig9(
     return result
 
 
-def run_fig9_scaling(
-    factor: float = 0.5,
-    d_a: float = 80.0,
-    d_b: float = 100.0,
-    base_power: float = 2.0,
-) -> ExperimentResult:
+def run_fig9_scaling() -> ExperimentResult:
     """Goodman–Mandayam uniform power reduction (both clients × factor)."""
     pathloss = PathLossModel(alpha=4.0, k=1e6)
     noise = NoiseModel(reference_power=1.0, snr_ref_db=40.0)
-    gains = np.array([pathloss.gain(d_a), pathloss.gain(d_b)])
-    powers = np.array([base_power, base_power])
-    out = uniform_power_scaling(powers, gains, noise.sigma2, factor)
+    gains = np.array([pathloss.gain(d) for d in SCALING_DISTANCES])
+    powers = np.array([SCALING_POWER, SCALING_POWER])
+    out = uniform_power_scaling(powers, gains, noise.sigma2, SCALING_FACTOR)
     result = ExperimentResult(
         "FIG9b",
-        f"uniform power scaling x{factor} (Goodman-Mandayam)",
+        f"uniform power scaling x{SCALING_FACTOR} (Goodman-Mandayam)",
         columns=("client", "power_before", "power_after", "sir_db_before", "sir_db_after", "utility_before", "utility_after"),
     )
     for i, cid in enumerate(("client-a", "client-b")):

@@ -22,8 +22,6 @@ machines.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..network.clock import Scheduler
 from ..network.multicast import MulticastGroup, MulticastSocket
 from ..network.routing import MulticastFabric
@@ -42,10 +40,12 @@ DOMAINS = ("east", "west")
 SUBAGGS_PER_DOMAIN = 2
 ACCESS_PER_SUBAGG = 4
 
+#: group sizes measured, and group sends per size and mode
+MEMBER_COUNTS = (16, 64, 256)
+SENDS = 4
 
-def build_fabric_world(
-    members: int, seed: int = 0
-) -> tuple[Scheduler, Network, MulticastFabric, list[str]]:
+
+def build_fabric_world(members: int) -> tuple[Scheduler, Network, MulticastFabric, list[str]]:
     """Two-domain hierarchy with ``members`` hosts spread round-robin.
 
     Returns ``(scheduler, network, fabric, member_hosts)``; the sender
@@ -53,7 +53,7 @@ def build_fabric_world(
     in the returned member list.
     """
     sched = Scheduler()
-    net = Network(sched, seed=seed)
+    net = Network(sched, seed=0)
     fab = MulticastFabric(net)
     fab.add_domain("core")
     fab.add_router("core0", "core", latency=0.0005)
@@ -78,9 +78,9 @@ def build_fabric_world(
     return sched, net, fab, hosts
 
 
-def _measure(tree: bool, members: int, sends: int, seed: int) -> dict:
+def _measure(tree: bool, members: int) -> dict:
     """Packets per group send for one mode at one group size."""
-    sched, net, fab, hosts = build_fabric_world(members, seed=seed)
+    sched, net, fab, hosts = build_fabric_world(members)
     group = MulticastGroup(net, GROUP, PORT, fabric=fab if tree else None)
     received = [0]
 
@@ -91,7 +91,7 @@ def _measure(tree: bool, members: int, sends: int, seed: int) -> dict:
     sender = MulticastSocket(net, "tx", group)
     try:
         base_tx = net.packets_transmitted
-        for i in range(sends):
+        for i in range(SENDS):
             sender.send(b"frame-%d" % i)
             sched.run()
         tree_edges = len(fab.group_edges(GROUP)) if tree else 0
@@ -100,17 +100,13 @@ def _measure(tree: bool, members: int, sends: int, seed: int) -> dict:
         for sock in sockets:
             sock.leave()
     return {
-        "tx_per_send": (net.packets_transmitted - base_tx) // sends,
+        "tx_per_send": (net.packets_transmitted - base_tx) // SENDS,
         "delivered": received[0],
         "tree_edges": tree_edges,
     }
 
 
-def run_multicast_scale(
-    member_counts: Sequence[int] = (16, 64, 256),
-    sends: int = 4,
-    seed: int = 0,
-) -> ExperimentResult:
+def run_multicast_scale() -> ExperimentResult:
     """Flat vs. tree physical packet cost across group sizes."""
     result = ExperimentResult(
         "MCAST",
@@ -124,9 +120,9 @@ def run_multicast_scale(
             "delivered_each",
         ),
     )
-    for members in member_counts:
-        flat = _measure(False, members, sends, seed)
-        tree = _measure(True, members, sends, seed)
+    for members in MEMBER_COUNTS:
+        flat = _measure(False, members)
+        tree = _measure(True, members)
         if flat["delivered"] != tree["delivered"]:  # pragma: no cover
             raise AssertionError(
                 f"M={members}: flat delivered {flat['delivered']} "
@@ -138,7 +134,7 @@ def run_multicast_scale(
             tree_tx_per_send=tree["tx_per_send"],
             tree_edges=tree["tree_edges"],
             reduction=flat["tx_per_send"] / tree["tx_per_send"],
-            delivered_each=tree["delivered"] // sends,
+            delivered_each=tree["delivered"] // SENDS,
         )
     result.note(
         "tx_per_send is Network.packets_transmitted (physical link hops) per "

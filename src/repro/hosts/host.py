@@ -24,6 +24,8 @@ __all__ = ["SimulatedHost", "HostSample"]
 TOTAL_MEMORY_KIB = 262_144
 #: Processes running on an idle host; load adds one per 10 % CPU.
 BASE_PROCESSES = 40
+#: Virtual seconds between a running host's self-updates (its sampling interval).
+TICK_INTERVAL = 1.0
 
 
 @dataclass(frozen=True)
@@ -48,7 +50,7 @@ class SimulatedHost:
         Host name; should match its network node.
     scheduler:
         Shared simulation scheduler; the host ticks itself every
-        ``interval`` seconds once :meth:`start` is called.
+        :data:`TICK_INTERVAL` seconds once :meth:`start` is called.
     cpu_workload / fault_workload:
         Generators for the two swept parameters.  Free memory is derived:
         heavy paging (high fault rate) correlates with low free memory.
@@ -60,13 +62,11 @@ class SimulatedHost:
         scheduler: Scheduler,
         cpu_workload: Optional[Workload] = None,
         fault_workload: Optional[Workload] = None,
-        interval: float = 1.0,
     ) -> None:
         self.name = name
         self.scheduler = scheduler
         self.cpu_workload = cpu_workload if cpu_workload is not None else Constant(20.0)
         self.fault_workload = fault_workload if fault_workload is not None else Constant(10.0)
-        self.interval = interval
         self.tick = 0
         #: the pending tick while running, else ``None``
         self._pending: Optional[Event] = None
@@ -84,12 +84,12 @@ class SimulatedHost:
     def _tick(self) -> None:
         self.tick += 1
         self._update()
-        self._pending = self.scheduler.call_after(self.interval, self._tick)
+        self._pending = self.scheduler.call_after(TICK_INTERVAL, self._tick)
 
     def start(self) -> None:
         """Begin periodic self-updates on the scheduler (idempotent)."""
         if self._pending is None:
-            self._pending = self.scheduler.call_after(self.interval, self._tick)
+            self._pending = self.scheduler.call_after(TICK_INTERVAL, self._tick)
 
     def stop(self) -> None:
         """Freeze the host's state: the pending tick is cancelled."""

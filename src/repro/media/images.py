@@ -59,15 +59,19 @@ def collaboration_scene(h: int = 128, w: int = 128, seed: int = 7) -> np.ndarray
     return np.clip(img, 0, 255).astype(np.uint8)
 
 
-def to_rgb(gray: np.ndarray, tint: tuple[float, float, float] = (1.0, 0.85, 0.6)) -> np.ndarray:
-    """Colorize a grayscale image with a per-channel tint (RGB uint8).
+#: per-channel (R, G, B) gain :func:`to_rgb` applies to a grayscale image
+TINT = (1.0, 0.85, 0.6)
+
+
+def to_rgb(gray: np.ndarray) -> np.ndarray:
+    """Colorize a grayscale image with the per-channel :data:`TINT` (RGB uint8).
 
     Adds channel-dependent structure so color coding is non-trivial.
     """
     g = np.asarray(gray, dtype=float)
     if g.ndim != 2:
         raise ImageError("to_rgb expects a 2-D grayscale image")
-    channels = [np.clip(g * t, 0, 255) for t in tint]
+    channels = [np.clip(g * t, 0, 255) for t in TINT]
     # add a gentle opposing ramp in the blue channel for decorrelation
     ii, jj = np.mgrid[0 : g.shape[0], 0 : g.shape[1]]
     channels[2] = np.clip(channels[2] + 30.0 * jj / max(g.shape[1] - 1, 1), 0, 255)

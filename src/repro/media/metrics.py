@@ -6,8 +6,8 @@ The paper reports three quantities for the image viewer (Figs. 6–7):
 * **BPP** — bits per pixel actually used, ``bits / (h*w)`` (for color
   images the channel bits all count against the same pixel budget, which
   is how the paper's 14.3-BPP color numbers arise);
-* **compression ratio** — raw bits over coded bits, with raw = 8 bits per
-  channel per pixel.
+* **compression ratio** — raw bits over coded bits, with raw =
+  :data:`BITS_PER_SAMPLE` (8) bits per channel per pixel.
 
 PSNR supplements these as the standard distortion measure.
 """
@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["mse", "psnr", "bpp", "compression_ratio", "raw_bits"]
+__all__ = ["mse", "psnr", "bpp", "compression_ratio", "raw_bits", "BITS_PER_SAMPLE"]
+
+#: bits per channel sample of an uncompressed image (PSNR's peak is 255)
+BITS_PER_SAMPLE = 8
 
 
 def mse(original: np.ndarray, reconstructed: np.ndarray) -> float:
@@ -28,20 +31,21 @@ def mse(original: np.ndarray, reconstructed: np.ndarray) -> float:
     return float(np.mean((a - b) ** 2))
 
 
-def psnr(original: np.ndarray, reconstructed: np.ndarray, peak: float = 255.0) -> float:
+def psnr(original: np.ndarray, reconstructed: np.ndarray) -> float:
     """Peak signal-to-noise ratio in dB (``inf`` for identical images)."""
     m = mse(original, reconstructed)
     if m == 0.0:
         return float("inf")
+    peak = 2.0**BITS_PER_SAMPLE - 1
     return 10.0 * np.log10(peak * peak / m)
 
 
-def raw_bits(shape: tuple[int, ...], bits_per_sample: int = 8) -> int:
+def raw_bits(shape: tuple[int, ...]) -> int:
     """Uncompressed size in bits of an image of ``shape``."""
     n = 1
     for s in shape:
         n *= int(s)
-    return n * bits_per_sample
+    return n * BITS_PER_SAMPLE
 
 
 def bpp(bits_used: int, shape: tuple[int, ...]) -> float:
@@ -52,8 +56,8 @@ def bpp(bits_used: int, shape: tuple[int, ...]) -> float:
     return bits_used / (h * w)
 
 
-def compression_ratio(bits_used: int, shape: tuple[int, ...], bits_per_sample: int = 8) -> float:
+def compression_ratio(bits_used: int, shape: tuple[int, ...]) -> float:
     """Raw bits over coded bits (``inf`` when nothing was coded)."""
     if bits_used <= 0:
         return float("inf")
-    return raw_bits(shape, bits_per_sample) / bits_used
+    return raw_bits(shape) / bits_used

@@ -17,9 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .metrics import raw_bits
 from .progressive import MAX_RECEIVED_PIXELS
 
 __all__ = ["sobel_magnitude", "extract_sketch", "decode_sketch", "Sketch", "SketchError"]
+
+#: the sketch's target side: an image is block-downsampled so that its
+#: shorter side lands near this many pixels
+SKETCH_SIDE = 32
 
 
 class SketchError(ValueError):
@@ -60,10 +65,9 @@ class Sketch:
         """Wire size of the sketch."""
         return len(self.encoded)
 
-    def reduction_factor(self, bits_per_sample: int = 8) -> float:
+    def reduction_factor(self) -> float:
         """Raw image bytes / sketch bytes — the paper's "2000 times"."""
-        raw = int(np.prod(self.source_shape)) * bits_per_sample // 8
-        return raw / max(self.n_bytes, 1)
+        return raw_bits(self.source_shape) // 8 / max(self.n_bytes, 1)
 
     def to_image(self) -> np.ndarray:
         """Render the sketch as uint8 (features white on black)."""
@@ -136,31 +140,19 @@ def _bitpack_decode(data: bytes, size: int) -> np.ndarray:
     return out.astype(bool)
 
 
-def extract_sketch(
-    image: np.ndarray,
-    edge_percentile: float = 94.0,
-    downsample: int | None = None,
-) -> Sketch:
+def extract_sketch(image: np.ndarray, edge_percentile: float = 94.0) -> Sketch:
     """Extract the main-feature sketch of ``image``.
 
-    Parameters
-    ----------
-    edge_percentile:
-        Gradient-magnitude percentile above which a pixel is a feature.
-    downsample:
-        Block size for block-mean downsampling the image *before* edge
-        detection (coarser sketch, smaller encoding).  1 disables
-        downsampling.  ``None`` (default) adapts so the sketch lands near
-        32×32 — a fixed tiny footprint that yields the paper's "up to
-        2000×" reduction on large images.
+    ``edge_percentile`` is the gradient-magnitude percentile above which
+    a pixel is a feature.  Before edge detection the image is block-mean
+    downsampled so that the sketch lands near :data:`SKETCH_SIDE` pixels
+    a side — a fixed tiny footprint that yields the paper's "up to
+    2000×" reduction on large images.
     """
     if not (50.0 <= edge_percentile < 100.0):
         raise SketchError("edge_percentile must be in [50, 100)")
     img = np.asarray(image)
-    if downsample is None:
-        downsample = max(1, min(img.shape[0], img.shape[1]) // 32)
-    if downsample < 1:
-        raise SketchError("downsample must be >= 1")
+    downsample = max(1, min(img.shape[0], img.shape[1]) // SKETCH_SIDE)
     gray = np.asarray(img, dtype=float)
     if gray.ndim == 3:
         gray = gray.mean(axis=-1)

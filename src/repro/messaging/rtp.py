@@ -80,11 +80,11 @@ class RtpPacket:
 class RtpPacketizer:
     """Sender side: application payload → sequence of fragments."""
 
-    def __init__(self, ssrc: int, mtu: int = DEFAULT_MTU) -> None:
-        if mtu <= HEADER_SIZE:
+    def __init__(self, ssrc: int) -> None:
+        if DEFAULT_MTU <= HEADER_SIZE:
             raise RtpError(f"mtu must exceed header size {HEADER_SIZE}")
         self.ssrc = ssrc
-        self.mtu = mtu
+        self.mtu = DEFAULT_MTU
         self._msg_seq = 0
         self._seq = 0
 

@@ -36,8 +36,8 @@ class SimClock:
 
     __slots__ = ("_now",)
 
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
+    def __init__(self) -> None:
+        self._now = 0.0
 
     @property
     def now(self) -> float:
@@ -107,8 +107,8 @@ class Scheduler:
     1.5
     """
 
-    def __init__(self, start: float = 0.0) -> None:
-        self.clock = SimClock(start)
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._heap: list[tuple[float, int, Event]] = []
         self._counter = itertools.count()
         #: cancelled events the heap still holds (they leave it lazily)

@@ -198,9 +198,9 @@ class OctetString:
     def encode_body(self) -> bytes:
         return bytes(self.value)
 
-    def text(self, encoding: str = "utf-8") -> str:
-        """Decode the octets as text (DisplayString convention)."""
-        return self.value.decode(encoding)
+    def text(self) -> str:
+        """Decode the octets as UTF-8 text (DisplayString convention)."""
+        return self.value.decode("utf-8")
 
 
 @dataclass(frozen=True)

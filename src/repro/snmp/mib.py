@@ -86,15 +86,10 @@ class MibTree:
         """Register a constant value object."""
         self.register(MibBinding(oid, lambda v=value: v, description=description))
 
-    def register_callable(
-        self,
-        oid: OID,
-        getter: Getter,
-        setter: Optional[Setter] = None,
-        description: str = "",
-    ) -> None:
-        """Register an instrumentation routine (and optional setter)."""
-        self.register(MibBinding(oid, getter, setter, description))
+    def register_callable(self, oid: OID, getter: Getter, description: str = "") -> None:
+        """Register a read-only instrumentation routine (a writable object
+        is a :class:`MibBinding` with a setter, given to :meth:`register`)."""
+        self.register(MibBinding(oid, getter, description=description))
 
     def unregister(self, oid: OID) -> None:
         """Remove a binding; unknown OIDs are ignored."""

@@ -32,6 +32,8 @@ __all__ = ["PDU_TRAP_V2", "TRAP_PORT", "snmpTrapOID", "TrapSender", "ThresholdWa
 
 #: snmpTrapOID.0 — names which trap this is.
 snmpTrapOID = OID("1.3.6.1.6.3.1.1.4.1.0")
+#: Virtual seconds between a :class:`ThresholdWatch`'s samples.
+CHECK_INTERVAL = 0.5
 
 
 @dataclass(frozen=True)
@@ -76,7 +78,8 @@ class TrapSender:
 
 
 class ThresholdWatch:
-    """Samples an instrumentation routine; traps on threshold crossings.
+    """Samples an instrumentation routine every :data:`CHECK_INTERVAL`
+    seconds; traps on threshold crossings.
 
     One trap fires when the value first crosses ``threshold`` in the
     watched direction and the watch then disarms until the value returns
@@ -94,7 +97,6 @@ class ThresholdWatch:
         threshold: float,
         trap_oid: OID,
         direction: str = "above",
-        interval: float = 0.5,
     ) -> None:
         if direction not in ("above", "below"):
             raise ValueError("direction must be 'above' or 'below'")
@@ -106,7 +108,7 @@ class ThresholdWatch:
         self.threshold = threshold
         self.trap_oid = trap_oid
         self.direction = direction
-        self.interval = interval
+        self.interval = CHECK_INTERVAL
         self._armed = True
         #: the pending check while running, else ``None``
         self._pending: Optional[Event] = None

@@ -28,6 +28,8 @@ ArrayLike = Union[float, np.ndarray]
 
 #: A bulk data frame: 1000 bytes, the size an image fragment travels in.
 FRAME_BITS = 8000
+#: highest loss probability :func:`loss_for_sir_db` reports
+LOSS_CAP = 0.98
 
 
 def bit_error_rate(gamma: ArrayLike) -> ArrayLike:
@@ -55,7 +57,6 @@ def packet_loss_probability(gamma: ArrayLike, packet_bits: int = FRAME_BITS) -> 
 def loss_for_sir_db(
     sir_db: ArrayLike,
     packet_bits: int = FRAME_BITS,
-    cap: float = 0.98,
     coding_gain_db: float = 10.0,
 ) -> ArrayLike:
     """Convenience: dB in, loss probability out (capped below 1.0).
@@ -68,9 +69,9 @@ def loss_for_sir_db(
     threshold are effectively dead for bulk data (the physical
     justification for the BS's modality tiers).
 
-    The cap keeps a coupled simulator link formally usable for short,
-    retried control frames even on a dead data channel.
+    The cap (:data:`LOSS_CAP`) keeps a coupled simulator link formally
+    usable for short, retried control frames even on a dead data channel.
     """
     loss = packet_loss_probability(from_db(np.asarray(sir_db) + coding_gain_db), packet_bits)
-    clipped = np.minimum(loss, cap)
+    clipped = np.minimum(loss, LOSS_CAP)
     return float(clipped) if np.ndim(sir_db) == 0 else clipped

@@ -190,5 +190,5 @@ def test_default_database_lint_method_clean():
     db.add_step("cpu-load", default_cpu_load_policy())
     db.add_step("bandwidth", default_bandwidth_policy())
     contract = QoSContract("viewer", [Constraint("packets", minimum=1)])
-    diags = db.lint(contracts=[contract])
+    diags = lint_policy_database(db, [contract])
     assert [d for d in diags if d.severity is Severity.ERROR] == []

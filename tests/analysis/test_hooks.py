@@ -1,13 +1,18 @@
 """Static diagnostics are asked for, never raised by registration.
 
 Registering a policy or attaching a profile stays silent; the findings
-come from the direct calls, :meth:`PolicyDatabase.lint` and
-:func:`~repro.analysis.lint_profile`.
+come from the direct calls, :func:`~repro.analysis.lint_policy_database`
+and :func:`~repro.analysis.lint_profile`.  The runtime does not know the
+analyzer: no module outside ``repro.analysis`` imports it.
 """
 
+import ast
 import warnings
+from pathlib import Path
 
-from repro.analysis import DiagnosticWarning, lint_profile, lint_step_policy
+import repro
+
+from repro.analysis import DiagnosticWarning, lint_policy_database, lint_profile, lint_step_policy
 from repro.core.policies import PolicyDatabase, SirTierPolicy, StepPolicy
 from repro.core.profiles import ClientProfile
 from repro.messaging.broker import SemanticBus
@@ -21,16 +26,16 @@ def codes(diagnostics):
 
 class TestPolicyDatabaseHook:
     def test_validating_database_warns_on_bad_policy(self):
-        """``lint()`` reports what a registration lets through."""
+        """``lint_policy_database`` reports what a registration lets through."""
         db = PolicyDatabase()
         db.add_step("zigzag", ZIGZAG)
         assert "zigzag" in db.step_policies
-        assert "POL001" in codes(db.lint())
+        assert "POL001" in codes(lint_policy_database(db, ()))
 
     def test_validating_database_warns_on_collapsed_tiers(self):
         db = PolicyDatabase()
         db.set_sir_policy(SirTierPolicy(image_db=4.0, sketch_db=4.0, text_db=-6.0))
-        assert "POL004" in codes(db.lint())
+        assert "POL004" in codes(lint_policy_database(db, ()))
 
     def test_default_database_is_silent(self):
         db = PolicyDatabase()
@@ -62,3 +67,26 @@ class TestSemanticBusHook:
         profile = ClientProfile("nobody", interest="load > 80 and load < 20")
         assert lint_profile(profile)
         assert SemanticBus().attach(profile, lambda delivery: None).active
+
+
+def test_the_runtime_imports_nothing_from_the_analyzer():
+    """Not even lazily or for a type: only ``repro.analysis`` imports itself."""
+    root = Path(repro.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        parts = path.relative_to(root).parts
+        if parts[0] == "analysis":
+            continue
+        package = ["repro", *parts[:-1]]
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                base = ".".join(package[: len(package) - node.level + 1] if node.level else [])
+                module = ".".join(filter(None, [base, node.module]))
+                modules = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            if any(m == "repro.analysis" or m.startswith("repro.analysis.") for m in modules):
+                found.append(f"{'/'.join(parts)}:{node.lineno}")
+    assert found == []

@@ -115,10 +115,6 @@ class TestSelectorExtraction:
         tree = ast.parse('x = Selector("true")\n')
         assert list(extract_selector_literals(tree)) == [("true", 1, 14)]
 
-    def test_analyze_selectors_flag_disables_pass(self):
-        source = 'sel = Selector("load > 80 and load < 20")\n'
-        assert lint_source(source, "a.py", analyze_selectors=False) == []
-
 
 class TestSuppression:
     def test_named_code_suppressed_on_line(self):

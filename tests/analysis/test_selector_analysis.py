@@ -1,5 +1,7 @@
 """Unit tests for the selector analyzer (SAT, vacuity, subsumption)."""
 
+from unittest import mock
+
 import pytest
 
 from repro.analysis import (
@@ -10,6 +12,7 @@ from repro.analysis import (
     interesting_values,
     overlaps,
 )
+from repro.analysis import selector_analysis
 from repro.core.attributes import MISSING
 from repro.core.selectors import Selector
 
@@ -84,7 +87,8 @@ class TestSatisfiability:
     def test_clause_budget_truncates_to_unknown(self):
         clause = " or ".join(f"(a{i} == 1 and b{i} == 2)" for i in range(6))
         text = " and ".join(f"({clause})" for _ in range(5))
-        report = analyze_selector(text, max_clauses=16)
+        with mock.patch.object(selector_analysis, "MAX_CLAUSES", 16):
+            report = analyze_selector(text)
         assert report.verdict is Verdict.UNKNOWN
         assert report.truncated
 
@@ -163,4 +167,4 @@ class TestGeneratedCorpus:
 
     def test_audit_finds_the_repeated_shapes_equivalent(self):
         labelled = [(f"s{i}", text) for i, text in enumerate(selector_corpus(40))]
-        assert any(d.code == "SEL005" for d in analyze_selector_set(labelled, max_pairs=400))
+        assert any(d.code == "SEL005" for d in analyze_selector_set(labelled))

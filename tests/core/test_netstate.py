@@ -78,11 +78,11 @@ class TestNetworkStateInterface:
 
     def test_switch_probe(self, fw):
         ns = NetworkStateInterface(fw.network, "alice")
-        ns.add_switch_bandwidth_probe("lan-switch", 1, parameter="path_bw")
+        ns.add_switch_bandwidth_probe("lan-switch", 1)
         observed = ns.poll()
         link = fw.network.link("alice", "lan-switch")
         # regression (UNI003): MIB-II ifSpeed is already bits/s — no /8
-        assert observed["path_bw"] == pytest.approx(link.bandwidth * 8)
+        assert observed["bandwidth_bps"] == pytest.approx(link.bandwidth * 8)
 
     def test_batched_one_get_per_host(self, fw):
         ns = NetworkStateInterface(fw.network, "alice")

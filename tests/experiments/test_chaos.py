@@ -15,6 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.experiments import chaos
 from repro.experiments.chaos import (
     DURATION,
     LEAVE_AT,
@@ -87,9 +88,8 @@ class TestChaosDeterminism:
     @given(seed=st.integers(0, 2**16 - 1))
     def test_replay_property_short_horizon(self, seed):
         """Any seed replays byte-identically (shorter run for speed)."""
-        assert chaos_telemetry(seed=seed, duration=8.0) == chaos_telemetry(
-            seed=seed, duration=8.0
-        )
+        with mock.patch.object(chaos, "DURATION", 8.0):
+            assert chaos_telemetry(seed=seed) == chaos_telemetry(seed=seed)
 
     def test_telemetry_reports_all_sections(self):
         blob = chaos_telemetry(seed=0)

@@ -3,17 +3,19 @@
 ``TestPaperShapes`` asserts the paper's qualitative shapes on the
 full-size experiments, each run once, and ``test_report_is_pinned``
 pins every row ``python -m repro.experiments`` prints for them; the
-other classes check the shapes on reduced sweeps through each runner's
-parameters.
+other classes check the shapes on reduced sweeps, patching each
+runner's module constants.
 """
 
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from repro.core.policies import ModalityTier
 from repro.experiments import __main__ as cli
+from repro.experiments import fig6, fig7, fig9, fig10
 from repro.experiments import (
     ExperimentResult,
     run_fig6,
@@ -52,7 +54,10 @@ class TestHarness:
 class TestFig6:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig6(fault_levels=[30, 60, 100], image_size=32)
+        with mock.patch.object(fig6, "FAULT_LEVELS", (30, 60, 100)), mock.patch.object(
+            fig6, "IMAGE_SIZE", 32
+        ):
+            return run_fig6()
 
     def test_packets_non_increasing_powers_of_two(self, result):
         packets = [row["packets"] for row in result.rows]
@@ -73,7 +78,10 @@ class TestFig6:
 class TestFig7:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_fig7(cpu_levels=[30, 70, 100], image_size=32)
+        with mock.patch.object(fig7, "CPU_LEVELS", (30, 70, 100)), mock.patch.object(
+            fig7, "IMAGE_SIZE", 32
+        ):
+            return run_fig7()
 
     def test_packets_reach_zero(self, result):
         packets = [row["packets"] for row in result.rows]
@@ -115,14 +123,15 @@ class TestFig8:
 
 class TestFig9:
     def test_power_sweep_monotone(self):
-        result = run_fig9(power_steps=[0.5, 1.0, 2.0, 4.0])
+        with mock.patch.object(fig9, "POWER_STEPS", (0.5, 1.0, 2.0, 4.0)):
+            result = run_fig9()
         sa = [row["sir_a_db"] for row in result.rows]
         sb = [row["sir_b_db"] for row in result.rows]
         assert sa == sorted(sa)
         assert sb == sorted(sb, reverse=True)
 
     def test_goodman_mandayam_utility_improves(self):
-        result = run_fig9_scaling(factor=0.5)
+        result = run_fig9_scaling()
         for row in result.rows:
             assert row["utility_after"] > row["utility_before"]
             assert row["power_after"] == row["power_before"] / 2
@@ -153,7 +162,8 @@ class TestFig10:
     def test_geometry_solver_inverts(self):
         pl = PathLossModel(alpha=4.0, k=1e6)
         noise = NoiseModel(reference_power=1.0, snr_ref_db=40.0)
-        d2, d3 = solve_join_geometry(pl, noise, power=1.0, drop2=0.5, drop3=0.5)
+        with mock.patch.object(fig10, "DROP2", 0.5), mock.patch.object(fig10, "DROP3", 0.5):
+            d2, d3 = solve_join_geometry(pl, noise)
         # verify by direct computation
         s2 = noise.sigma2
         sir_alone = pl.gain(60.0) / s2

@@ -33,8 +33,7 @@ class TestSimulatedHost:
 
     def test_periodic_ticks_advance_workload(self):
         sched = Scheduler()
-        host = SimulatedHost("h", sched, cpu_workload=Trace([0.0, 25.0, 50.0, 75.0, 100.0]),
-                             interval=1.0)
+        host = SimulatedHost("h", sched, cpu_workload=Trace([0.0, 25.0, 50.0, 75.0, 100.0]))
         host.start()
         sched.run_until(3.5)
         assert host.tick == 3
@@ -42,7 +41,7 @@ class TestSimulatedHost:
 
     def test_stop_freezes(self):
         sched = Scheduler()
-        host = SimulatedHost("h", sched, interval=1.0)
+        host = SimulatedHost("h", sched)
         host.start()
         sched.run_until(1.5)
         host.stop()
@@ -52,7 +51,7 @@ class TestSimulatedHost:
 
     def test_stop_then_start_keeps_one_tick_chain(self):
         sched = Scheduler()
-        host = SimulatedHost("h", sched, interval=1.0)
+        host = SimulatedHost("h", sched)
         host.start()
         sched.run_until(0.5)
         host.stop()

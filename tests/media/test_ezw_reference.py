@@ -146,12 +146,15 @@ class TestFiguresUnchanged:
 
     @pytest.mark.parametrize("figure", ["fig6", "fig7"])
     def test_rows_equal_under_the_reference_coder(self, figure, monkeypatch):
-        from repro import experiments
+        from repro.experiments import fig6, fig7
 
-        run = {
-            "fig6": lambda: experiments.run_fig6(fault_levels=[30, 60, 80, 100], image_size=32),
-            "fig7": lambda: experiments.run_fig7(cpu_levels=[30, 70, 90], image_size=32),
+        module, levels, sweep = {
+            "fig6": (fig6, "FAULT_LEVELS", (30, 60, 80, 100)),
+            "fig7": (fig7, "CPU_LEVELS", (30, 70, 90)),
         }[figure]
+        monkeypatch.setattr(module, levels, sweep)
+        monkeypatch.setattr(module, "IMAGE_SIZE", 32)
+        run = getattr(module, f"run_{figure}")
         shipped = run().rows
         # encode_image/decode_image look these two up in the module at call time
         monkeypatch.setattr(ezw, "ezw_encode", reference.ezw_encode)

@@ -1,11 +1,13 @@
 """Tests for sketch extraction and its wire codec."""
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.media import sketch
 from repro.media.images import collaboration_scene, to_rgb
 from repro.media.sketch import (
     SketchError,
@@ -54,12 +56,13 @@ class TestExtract:
         assert large.reduction_factor() > small.reduction_factor()
 
     def test_explicit_downsample(self):
-        sk = extract_sketch(collaboration_scene(64, 64), downsample=2)
+        """A 64x64 image is halved to the 32-pixel sketch side."""
+        sk = extract_sketch(collaboration_scene(64, 64))
         assert sk.shape == (32, 32)
 
     def test_downsample_too_large_rejected(self):
-        with pytest.raises(SketchError):
-            extract_sketch(collaboration_scene(32, 32), downsample=16)
+        with mock.patch.object(sketch, "SKETCH_SIDE", 2), pytest.raises(SketchError):
+            extract_sketch(collaboration_scene(32, 32))
 
     def test_bad_percentile(self):
         with pytest.raises(SketchError):

@@ -1,9 +1,12 @@
 """Tests for the RTP-thin layer."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.messaging import rtp
 from repro.messaging.rtp import (
     DEFAULT_MTU,
     HEADER_SIZE,
@@ -16,12 +19,18 @@ from repro.messaging.rtp import (
 )
 
 
+def packetizer(ssrc, mtu):
+    """A packetizer whose fragments fit ``mtu`` bytes, not the deployed
+    :data:`~repro.messaging.rtp.DEFAULT_MTU`."""
+    with mock.patch.object(rtp, "DEFAULT_MTU", mtu):
+        return RtpPacketizer(ssrc)
+
+
 def pipe(mtu=200):
     """A packetizer feeding a reassembler; returns (pktzr, reasm, out)."""
     out = []
-    packetizer = RtpPacketizer(ssrc=7, mtu=mtu)
     reassembler = RtpReassembler(lambda ssrc, payload: out.append((ssrc, payload)))
-    return packetizer, reassembler, out
+    return packetizer(7, mtu), reassembler, out
 
 
 class TestPacketizer:
@@ -58,7 +67,7 @@ class TestPacketizer:
 
     def test_tiny_mtu_rejected(self):
         with pytest.raises(RtpError):
-            RtpPacketizer(1, mtu=HEADER_SIZE)
+            packetizer(1, HEADER_SIZE)
 
     def test_header_roundtrip(self):
         pkt = RtpPacket(0xDEADBEEF, 42, 3, 9, 1000, b"chunk")
@@ -127,8 +136,8 @@ class TestReassembly:
     def test_two_sources_independent(self):
         out = []
         r = RtpReassembler(lambda ssrc, payload: out.append(ssrc))
-        pa = RtpPacketizer(ssrc=1, mtu=100)
-        pb = RtpPacketizer(ssrc=2, mtu=100)
+        pa = packetizer(1, 100)
+        pb = packetizer(2, 100)
         for f in pa.packetize(b"a" * 150) + pb.packetize(b"b" * 150):
             r.ingest(f.encode())
         assert sorted(out) == [1, 2]
@@ -156,7 +165,7 @@ class TestLossAccounting:
 
     def test_expire_abandons_old_messages(self):
         out = []
-        p = RtpPacketizer(ssrc=7, mtu=100)
+        p = packetizer(7, 100)
         r = RtpReassembler(lambda s, payload: out.append(payload))
         incomplete = p.packetize(bytes(500))
         r.ingest(incomplete[0].encode())  # fragment 0 only of msg 0
@@ -182,7 +191,7 @@ class TestWindowBound:
 
     def test_ingest_abandons_and_forgets_behind_the_window(self):
         out = []
-        p = RtpPacketizer(ssrc=7, mtu=100)
+        p = packetizer(7, 100)
         r = RtpReassembler(lambda s, payload: out.append(payload))
         torn = p.packetize(bytes(500))
         r.ingest(torn[0].encode())  # msg 0 never completes
@@ -247,7 +256,7 @@ class TestSourceBound:
     def test_ssrc_flood_stays_bounded_and_established_source_completes_once(self):
         out = []
         r = RtpReassembler(lambda s, payload: out.append((s, payload)))
-        p = RtpPacketizer(ssrc=7, mtu=100)
+        p = packetizer(7, 100)
         r.ingest(p.packetize(b"hello")[0].encode())  # source 7 is established
         frags = p.packetize(bytes(range(200)) * 5)  # in-window message, 12 fragments
         flood = 10_000
@@ -336,14 +345,13 @@ class TestAgainstRawDatagrams:
 
     MESSAGES = 60
     SIZE = 6000
-    MTU = 1400
 
     def transmit(self, loss_rate):
         """60 messages through an iid-loss channel that swaps neighbouring
         fragments with probability 0.3; (sent, received, reassembler)."""
         rng = np.random.default_rng(0)
         out = []
-        packetizer = RtpPacketizer(ssrc=1, mtu=self.MTU)
+        packetizer = RtpPacketizer(ssrc=1)
         reassembler = RtpReassembler(lambda s, payload: out.append(payload))
         sent = [bytes([i % 256]) * self.SIZE for i in range(self.MESSAGES)]
         wire = [f.encode() for payload in sent for f in packetizer.packetize(payload)]
@@ -369,7 +377,7 @@ class TestAgainstRawDatagrams:
         assert len(received) < len(sent) and reassembler._partial  # the torn ones wait, unreported
 
     def test_header_overhead_under_two_percent(self):
-        frags = RtpPacketizer(ssrc=1, mtu=self.MTU).packetize(b"x" * self.SIZE)
+        frags = RtpPacketizer(ssrc=1).packetize(b"x" * self.SIZE)
         assert sum(len(f.encode()) for f in frags) / self.SIZE < 1.02
 
     def test_raw_concatenation_corrupts_messages(self):
@@ -377,7 +385,7 @@ class TestAgainstRawDatagrams:
         concatenates what arrives corrupts > 10 % of the transfers at 5 %
         loss and the same reordering."""
         rng = np.random.default_rng(1)
-        packetizer = RtpPacketizer(ssrc=1, mtu=self.MTU)
+        packetizer = RtpPacketizer(ssrc=1)
         corrupted = 0
         for i in range(self.MESSAGES):
             payload = bytes([i % 256]) * self.SIZE

@@ -39,12 +39,12 @@ from repro.messaging.rtp import (
     MAX_TRACKED_SOURCES,
     REORDER_WINDOW,
     RtpPacket,
-    RtpPacketizer,
     RtpReassembler,
 )
 from repro.messaging.serialization import decode_message, encode_message
 
 from .reference_wire import ReferenceRtpPacket, ReferenceRtpReassembler, reference_decode_message
+from .test_rtp import packetizer as packetizer_for
 
 # explicit settings would shadow --hypothesis-profile=deep, so tier-1's
 # budget steps aside when a larger profile is loaded
@@ -155,7 +155,7 @@ def traffic(draw):
     ssrcs = draw(st.lists(st.sampled_from([0, 7, 9, 0xFFFFFFFF]), min_size=1, max_size=3, unique=True))
     streams = []
     for ssrc in ssrcs:
-        packetizer = RtpPacketizer(ssrc, mtu)
+        packetizer = packetizer_for(ssrc, mtu)
         payloads = draw(st.lists(st.binary(max_size=3 * (mtu - HEADER_SIZE)), max_size=90))
         streams.append([f.encode() for p in payloads for f in packetizer.packetize(p)])
     # round-robin across sources: the order a shared LAN would give
@@ -322,7 +322,7 @@ def one_damaged_header(draw):
     """In-order traffic of one source, lossy and duplicated, in which one
     fragment's message-seq jumps far forward; and that fragment's index."""
     mtu = draw(st.integers(HEADER_SIZE + 1, HEADER_SIZE + 8))
-    packetizer = RtpPacketizer(7, mtu)
+    packetizer = packetizer_for(7, mtu)
     payloads = draw(st.lists(st.binary(max_size=3 * (mtu - HEADER_SIZE)), min_size=2, max_size=90))
     received = []
     for dg in (f.encode() for p in payloads for f in packetizer.packetize(p)):
@@ -361,10 +361,10 @@ def test_one_damaged_header_costs_at_most_its_own_message(case):
 def test_source_eviction_matches_reference():
     datagrams = []
     for ssrc in range(MAX_TRACKED_SOURCES + 40):
-        torn = RtpPacketizer(ssrc, HEADER_SIZE + 2).packetize(b"abcdef")
+        torn = packetizer_for(ssrc, HEADER_SIZE + 2).packetize(b"abcdef")
         datagrams += [torn[0].encode(), torn[2].encode()]
     # the first sources come back after eviction: stats start over
-    datagrams += [RtpPacketizer(ssrc, 64).packetize(b"again")[0].encode() for ssrc in range(5)]
+    datagrams += [packetizer_for(ssrc, 64).packetize(b"again")[0].encode() for ssrc in range(5)]
     fast = replay(RtpReassembler, datagrams)
     assert fast == replay(ReferenceRtpReassembler, datagrams)
     assert len(fast["windows"]) == MAX_TRACKED_SOURCES

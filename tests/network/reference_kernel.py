@@ -47,8 +47,8 @@ class ReferenceEvent:
 
 
 class ReferenceScheduler:
-    def __init__(self, start: float = 0.0) -> None:
-        self.clock = SimClock(start)
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._heap: list = []
         self._counter = itertools.count()
 

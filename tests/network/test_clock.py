@@ -9,9 +9,6 @@ class TestSimClock:
     def test_starts_at_zero(self):
         assert Scheduler().clock.now == 0.0
 
-    def test_custom_start(self):
-        assert Scheduler(start=5.0).clock.now == 5.0
-
     def test_clock_advances_with_events(self):
         s = Scheduler()
         s.call_after(2.5, lambda: None)
@@ -121,7 +118,8 @@ class TestRunModes:
         assert fired == ["edge"]
 
     def test_run_for_relative(self):
-        s = Scheduler(start=10.0)
+        s = Scheduler()
+        s.run_for(10.0)
         s.run_for(3.0)
         assert s.clock.now == 13.0
 

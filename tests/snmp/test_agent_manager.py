@@ -9,7 +9,7 @@ from repro.snmp.agent import SnmpAgent
 from repro.snmp.ber import Gauge32, Null, OctetString
 from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
 from repro.snmp.manager import SnmpManager
-from repro.snmp.mib import MibTree
+from repro.snmp.mib import MibBinding, MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
 from repro.snmp.pdu import PDU_GETNEXT, PDU_RESPONSE, PDU_SET, VERSION_2C, SnmpMessage
 from repro.snmp.traps import TrapListener, TrapSender
@@ -25,10 +25,12 @@ def stack():
     tree = MibTree()
     tree.register_scalar(MIB2.sysName, OctetString(b"host1"))
     box = {"cpu": 42}
-    tree.register_callable(
-        TASSL.hostCpuLoad,
-        lambda: Gauge32(box["cpu"]),
-        setter=lambda v: box.__setitem__("cpu", v.value),
+    tree.register(
+        MibBinding(
+            TASSL.hostCpuLoad,
+            lambda: Gauge32(box["cpu"]),
+            setter=lambda v: box.__setitem__("cpu", v.value),
+        )
     )
     tree.register_scalar(TASSL.hostPageFaults, Gauge32(7))
     agent = SnmpAgent(DatagramSocket(net, "host1"), tree)

@@ -60,10 +60,12 @@ class TestSet:
     def test_set_through_setter(self):
         t = MibTree()
         box = {"v": 1}
-        t.register_callable(
-            TASSL.hostCpuLoad,
-            lambda: Gauge32(box["v"]),
-            setter=lambda val: box.__setitem__("v", val.value),
+        t.register(
+            MibBinding(
+                TASSL.hostCpuLoad,
+                lambda: Gauge32(box["v"]),
+                setter=lambda val: box.__setitem__("v", val.value),
+            )
         )
         t.set(TASSL.hostCpuLoad, Gauge32(42))
         assert box["v"] == 42

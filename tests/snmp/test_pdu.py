@@ -94,9 +94,7 @@ class TestSnmpMessage:
 SIGNATURES = {
     SnmpManager: ["socket", "scheduler", "community", "timeout", "retries"],
     NetworkStateInterface: ["network", "host", "community"],
-    ThresholdWatch: [
-        "scheduler", "sender", "dest", "oid", "sample", "threshold", "trap_oid", "direction", "interval"
-    ],
+    ThresholdWatch: ["scheduler", "sender", "dest", "oid", "sample", "threshold", "trap_oid", "direction"],
     TrapSender: ["network", "host", "community"],
     TrapListener: ["network", "host", "on_trap", "community"],
 }

@@ -50,7 +50,7 @@ from repro.snmp.ber import (
 )
 from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
 from repro.snmp.manager import SnmpManager
-from repro.snmp.mib import MibTree
+from repro.snmp.mib import MibBinding, MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
 from repro.snmp.pdu import (
     PDU_GET,
@@ -293,7 +293,7 @@ def build_mib():
     tree.register_scalar(MIB2.sysName, OctetString(b"host1"))
     tree.register_scalar(MIB2.ifInOctets.child(1), Counter32(100))
     tree.register_scalar(MIB2.ifInOctets.child(2), Counter32(200))
-    tree.register_callable(TASSL.hostCpuLoad, lambda: box["cpu"], setter=lambda v: box.__setitem__("cpu", v))
+    tree.register(MibBinding(TASSL.hostCpuLoad, lambda: box["cpu"], setter=lambda v: box.__setitem__("cpu", v)))
     tree.register_scalar(TASSL.hostPageFaults, Gauge32(7))
     return tree
 

@@ -8,7 +8,7 @@ import pytest
 from repro.snmp.agent import PDU_GET
 from repro.snmp.ber import Gauge32, Integer, Null, OctetString, Sequence, TaggedPdu, encode
 from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
-from repro.snmp.mib import MibTree
+from repro.snmp.mib import MibBinding, MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
 from repro.snmp.pdu import PDU_GETBULK, PDU_GETNEXT, PDU_RESPONSE, PDU_SET, VERSION_2C, SnmpMessage
 from .realudp import RealSnmpAgent, RealSnmpManager
@@ -34,10 +34,12 @@ def stack():
     tree = MibTree()
     tree.register_scalar(MIB2.sysName, OctetString(b"realhost"))
     box = {"cpu": 33}
-    tree.register_callable(
-        TASSL.hostCpuLoad,
-        lambda: Gauge32(box["cpu"]),
-        setter=lambda v: box.__setitem__("cpu", v.value),
+    tree.register(
+        MibBinding(
+            TASSL.hostCpuLoad,
+            lambda: Gauge32(box["cpu"]),
+            setter=lambda v: box.__setitem__("cpu", v.value),
+        )
     )
     agent = RealSnmpAgent(tree)
     mgr = RealSnmpManager(timeout=2.0, retries=1)

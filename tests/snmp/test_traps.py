@@ -125,8 +125,8 @@ class TestThresholdWatch:
             threshold=threshold,
             trap_oid=TASSL.pageFaultHighTrap,
             direction=direction,
-            interval=1.0,
         )
+        watch.interval = 1.0
         return sched, watch, got
 
     def test_single_crossing_single_trap(self, fabric):
@@ -200,6 +200,26 @@ class TestEventDrivenAdaptation:
         assert watch.crossings == 2
         assert client._trap_listener.traps_received == 2
         assert [d.packets for _, d in client.decision_log] == [1, 1]
+
+    def test_low_memory_traps_when_free_memory_falls(self):
+        """``memoryLowTrap`` fires once free memory drops below the
+        threshold, not while it is plentiful."""
+        from repro.core.framework import CollaborationFramework
+
+        fw = CollaborationFramework("traptest6")
+        # free memory: 131 071 KiB at 30 faults, 39 321 KiB at 100
+        client = fw.add_wired_client("alice", fault_workload=Trace([30, 30, 100, 100, 30, 30]))
+        host = fw.hosts["alice"]
+        watch = fw.add_threshold_trap(client, "free_memory_kib", threshold=100_000)
+        assert watch.trap_oid == TASSL.memoryLowTrap
+        fw.start_hosts()
+        fw.run_for(1.9)
+        assert host.free_memory_kib > 100_000 and watch.crossings == 0
+        fw.run_for(2.0)
+        assert host.free_memory_kib < 100_000 and watch.crossings == 1
+        fw.run_for(2.0)
+        assert host.free_memory_kib > 100_000 and watch.crossings == 1
+        assert client._trap_listener.traps_received == 1
 
     def test_a_trap_after_leave_decides_nothing(self):
         from repro.core.framework import CollaborationFramework

@@ -7,12 +7,15 @@ declared error type — never ``IndexError``/``struct.error``/segfault-by-
 another-name, and never an infinite loop.
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core.events import EventError, decode_event
 from repro.media.sketch import SketchError, decode_sketch
+from repro.messaging import rtp
 from repro.messaging.message import SemanticMessage
 from repro.messaging.rtp import RtpError, RtpPacket, RtpPacketizer, RtpReassembler
 from repro.messaging.serialization import WireError, decode_message, encode_message
@@ -116,7 +119,8 @@ class TestRtpFuzz:
     def test_reassembler_survives_corruption(self, payload, pos, newbyte):
         out = []
         reasm = RtpReassembler(lambda s, p: out.append(p))
-        frags = RtpPacketizer(ssrc=1, mtu=64).packetize(payload)
+        with mock.patch.object(rtp, "DEFAULT_MTU", 64):
+            frags = RtpPacketizer(ssrc=1).packetize(payload)
         for i, frag in enumerate(frags):
             wire = bytearray(frag.encode())
             if i == 0:

@@ -1,8 +1,11 @@
 """Tests for the SIR → BER → packet-loss model."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.wireless import linkquality
 from repro.wireless.linkquality import (
     bit_error_rate,
     loss_for_sir_db,
@@ -55,7 +58,8 @@ class TestCoupledLoss:
         assert loss_for_sir_db(20.0) < 1e-6
 
     def test_cap_respected(self):
-        assert loss_for_sir_db(-30.0, cap=0.9) == pytest.approx(0.9)
+        with mock.patch.object(linkquality, "LOSS_CAP", 0.9):
+            assert loss_for_sir_db(-30.0) == pytest.approx(0.9)
 
     def test_monotone_in_sir(self):
         sirs = np.linspace(-10, 20, 50)
