@@ -121,14 +121,6 @@ from .wireformat import (
     wire_paths,
     wire_source,
 )
-from .wirefuzz import (
-    FuzzCodecPair,
-    FuzzFailure,
-    FuzzReport,
-    default_registry,
-    fuzz_pair,
-    fuzz_registry,
-)
 
 __all__ = [
     "Diagnostic",
@@ -196,10 +188,4 @@ __all__ = [
     "wire_source",
     "wire_file",
     "wire_paths",
-    "FuzzCodecPair",
-    "FuzzFailure",
-    "FuzzReport",
-    "default_registry",
-    "fuzz_pair",
-    "fuzz_registry",
 ]

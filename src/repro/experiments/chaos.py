@@ -55,7 +55,7 @@ from ..network.faults import (
 from ..network.trace import PacketTracer
 from .harness import ExperimentResult
 
-__all__ = ["default_chaos_plan", "run_chaos", "chaos_telemetry", "main"]
+__all__ = ["default_chaos_plan", "run_chaos", "chaos_telemetry"]
 
 #: Virtual seconds the drill runs for (past the last fault window).
 DURATION = 24.0
@@ -209,13 +209,3 @@ def run_chaos(seed: int = 0) -> ExperimentResult:
     assert conserved, "packet disposition counters must be conserved"
     assert reconciled, "the tracer's flows must add up to the network's counters"
     return result
-
-
-def main() -> ExperimentResult:  # pragma: no cover - exercised via tests
-    res = run_chaos()
-    print(res.format_table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

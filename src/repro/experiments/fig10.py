@@ -22,7 +22,7 @@ from ..core.framework import CollaborationFramework
 from ..wireless.channel import NoiseModel, PathLossModel
 from .harness import ExperimentResult
 
-__all__ = ["run_fig10", "solve_join_geometry", "main"]
+__all__ = ["run_fig10", "solve_join_geometry"]
 
 #: client A's distance (m)
 D_A = 60.0
@@ -92,13 +92,3 @@ def run_fig10() -> ExperimentResult:
         f" expected drops ~{100*DROP2:.0f}% then ~{100*DROP3:.0f}%"
     )
     return result
-
-
-def main() -> ExperimentResult:  # pragma: no cover - exercised via bench
-    res = run_fig10()
-    print(res.format_table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

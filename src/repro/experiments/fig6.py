@@ -17,7 +17,7 @@ from ..hosts.workload import Trace
 from ..media.images import collaboration_scene
 from .harness import ExperimentResult
 
-__all__ = ["run_fig6", "main"]
+__all__ = ["run_fig6"]
 
 #: page-fault levels visited: 30..100 in steps of 10, the paper's x-axis
 FAULT_LEVELS = (30, 40, 50, 60, 70, 80, 90, 100)
@@ -69,13 +69,3 @@ def run_fig6() -> ExperimentResult:
         " CR rises ~3.6->131; BPP falls ~2.1->0.1"
     )
     return result
-
-
-def main() -> ExperimentResult:  # pragma: no cover - exercised via bench
-    res = run_fig6()
-    print(res.format_table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -15,7 +15,7 @@ from ..hosts.workload import Trace
 from ..media.images import collaboration_scene, to_rgb
 from .harness import ExperimentResult
 
-__all__ = ["run_fig7", "main"]
+__all__ = ["run_fig7"]
 
 #: CPU-load levels visited (percent), the paper's x-axis
 CPU_LEVELS = (30, 40, 50, 60, 70, 80, 90, 95, 100)
@@ -70,13 +70,3 @@ def run_fig7() -> ExperimentResult:
         " CR 1.6->32.7 (24-bit color baseline)"
     )
     return result
-
-
-def main() -> ExperimentResult:  # pragma: no cover - exercised via bench
-    res = run_fig7()
-    print(res.format_table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -19,7 +19,7 @@ from ..wireless.channel import NoiseModel, PathLossModel
 from ..wireless.mobility import approach_and_retreat
 from .harness import ExperimentResult
 
-__all__ = ["run_fig8", "main", "build_two_client_cell"]
+__all__ = ["run_fig8", "build_two_client_cell"]
 
 #: client A's far and near distances (m): it walks 100 → 50 → 100
 FAR, NEAR = 100.0, 50.0
@@ -150,15 +150,3 @@ def run_fig8_dataflow() -> ExperimentResult:
         " BS is able to send certain modality of information'"
     )
     return result
-
-
-def main() -> ExperimentResult:  # pragma: no cover - exercised via bench
-    res = run_fig8()
-    print(res.format_table())
-    res2 = run_fig8_dataflow()
-    print(res2.format_table())
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

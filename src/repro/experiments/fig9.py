@@ -21,7 +21,7 @@ from ..wireless.powercontrol import uniform_power_scaling
 from .fig8 import build_two_client_cell
 from .harness import ExperimentResult
 
-__all__ = ["run_fig9", "run_fig9_scaling", "main"]
+__all__ = ["run_fig9", "run_fig9_scaling"]
 
 #: client A's transmit-power steps
 POWER_STEPS = (0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
@@ -71,7 +71,7 @@ def run_fig9_scaling() -> ExperimentResult:
     result = ExperimentResult(
         "FIG9b",
         f"uniform power scaling x{SCALING_FACTOR} (Goodman-Mandayam)",
-        columns=("client", "power_before", "power_after", "sir_db_before", "sir_db_after", "utility_before", "utility_after"),
+        columns=("client", "power_before", "power_after", "sir_db_before", "sir_db_after", "utility_gain"),
     )
     for i, cid in enumerate(("client-a", "client-b")):
         result.add_row(
@@ -80,20 +80,7 @@ def run_fig9_scaling() -> ExperimentResult:
             power_after=float(out["powers_after"][i]),
             sir_db_before=float(out["sir_db_before"][i]),
             sir_db_after=float(out["sir_db_after"][i]),
-            utility_before=float(out["utility_before"][i]),
-            utility_after=float(out["utility_after"][i]),
+            utility_gain=float(out["utility_after"][i] / out["utility_before"][i]),
         )
-    result.note("paper claim: utility (bits/joule) improves for every client")
+    result.note("paper claim: utility (bits/joule) improves for every client (utility_gain = after / before)")
     return result
-
-
-def main() -> tuple[ExperimentResult, ExperimentResult]:  # pragma: no cover
-    res = run_fig9()
-    print(res.format_table())
-    res2 = run_fig9_scaling()
-    print(res2.format_table(float_fmt="{:.4g}"))
-    return res, res2
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

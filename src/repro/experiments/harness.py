@@ -1,9 +1,9 @@
 """Shared experiment harness: run, collect, and format figure series.
 
 Each ``figN`` module produces an :class:`ExperimentResult` — an ordered
-table of rows plus the paper's reported shape for EXPERIMENTS.md — and a
-``main()`` that prints it.  Benchmarks re-run the same entry points and
-assert the shape invariants.
+table of rows plus the paper's reported shape for EXPERIMENTS.md;
+``python -m repro.experiments`` prints them, and the tier-1 tests re-run
+the same entry points and assert the shape invariants.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ class ExperimentResult:
         self.notes.append(text)
 
     # ------------------------------------------------------------------
-    def format_table(self, float_fmt: str = "{:.2f}") -> str:
-        """Render as a fixed-width text table (the bench output)."""
+    def format_table(self) -> str:
+        """Render as a fixed-width text table, floats to two decimals."""
         def fmt(v: Any) -> str:
             if v is None:
                 return "-"
@@ -48,7 +48,7 @@ class ExperimentResult:
                     return "-"
                 if v in (float("inf"), float("-inf")):
                     return "inf" if v > 0 else "-inf"
-                return float_fmt.format(v)
+                return f"{v:.2f}"
             return str(v)
 
         header = list(self.columns)

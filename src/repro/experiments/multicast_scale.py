@@ -28,7 +28,7 @@ from ..network.routing import MulticastFabric
 from ..network.simnet import Network
 from .harness import ExperimentResult
 
-__all__ = ["build_fabric_world", "run_multicast_scale", "main"]
+__all__ = ["build_fabric_world", "run_multicast_scale"]
 
 GROUP = "239.77.0.1"
 PORT = 5000
@@ -145,13 +145,3 @@ def run_multicast_scale() -> ExperimentResult:
         "per tree edge (~members + routers), so the gap widens with depth"
     )
     return result
-
-
-def main() -> ExperimentResult:  # pragma: no cover
-    res = run_multicast_scale()
-    print(res.format_table(float_fmt="{:.2f}"))
-    return res
-
-
-if __name__ == "__main__":  # pragma: no cover
-    main()

@@ -5,9 +5,9 @@ enable clients with minimal capabilities (e.g., a client on a wireless
 connection) to be effective participants" (paper Sec. 5.4).
 
 The generator is rule-based and deterministic: it segments bright/dark
-regions (``scipy.ndimage.label``), characterises their size and location,
-and emits a short natural-language summary.  Determinism matters — the
-same shared image must produce the same text at every client.
+regions (:func:`_label`, 4-connected, in numpy), characterises their size
+and location, and emits a short natural-language summary.  Determinism
+matters — the same shared image must produce the same text at every client.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 __all__ = ["ImageDescription", "describe_image"]
 
@@ -56,14 +55,54 @@ def _position_name(centroid: tuple[float, float], shape: tuple[int, int]) -> str
     return _POSITIONS[(row, col)]
 
 
+def _label(mask: np.ndarray) -> tuple[np.ndarray, int]:
+    """The 4-connected regions of ``mask`` and their count, numbered as
+    ``scipy.ndimage.label`` numbers them: in raster order of each region's
+    first pixel (``_region_summaries`` breaks ties in size by that number).
+
+    One difference of the flattened mask finds each row's runs of set
+    pixels; ``searchsorted`` finds the runs of the row above that share a
+    column with each run.  Touching runs hook the larger root onto the
+    smaller, and pointer jumping follows each run to its root, until no
+    touching pair has two roots; a region's root is then its first run in
+    raster order.
+    """
+    h, w = mask.shape
+    stride = w + 1  # pixel (r, c) sits at r * stride + c; a zero ends each row
+    flat = np.zeros(h * stride + 1, dtype=np.int8)
+    flat[1:].reshape(h, stride)[:, :w] = mask
+    edges = flat[1:] - flat[:-1]
+    start, stop = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1)
+    # the runs above run j are those ending after it starts and starting
+    # before it stops: one slice [lo, hi) of the runs in raster order
+    lo = np.searchsorted(stop, start - stride, side="right")
+    count = np.maximum(np.searchsorted(start, stop - stride) - lo, 0)
+    below = np.repeat(np.arange(len(start)), count)
+    above = np.repeat(lo - np.cumsum(count) + count, count) + np.arange(len(below))
+    root = np.arange(len(start))
+    while True:
+        a, b = root[above], root[below]
+        apart = a != b
+        if not apart.any():
+            break
+        np.minimum.at(root, np.maximum(a, b)[apart], np.minimum(a, b)[apart])
+        while not np.array_equal(parent := root[root], root):
+            root = parent
+    first = root == np.arange(len(start))
+    number = np.cumsum(first, dtype=np.int32)[root]
+    marks = np.zeros(h * stride, dtype=np.int32)
+    marks[start], marks[stop] = number, -number
+    return np.cumsum(marks, dtype=np.int32).reshape(h, stride)[:, :w], int(first.sum())
+
+
 def _region_summaries(
     mask: np.ndarray, kind: str, shape: tuple[int, int], max_regions: int, min_frac: float
 ) -> list[str]:
-    labels, n = ndimage.label(mask)
+    labels, n = _label(mask)
     if n == 0:
         return []
     # size and centroid of every region in one bincount each: the sums
-    # are whole numbers, exact in float64, as ndimage's own sums are; the
+    # are whole numbers, exact in float64, as the oracle's ndimage sums are; the
     # sizes stay float64 so that argsort orders equal sizes as it always has
     at = np.flatnonzero(labels)
     region = labels.ravel()[at]

@@ -10,6 +10,8 @@ import ast
 import os
 import random
 import struct
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -131,6 +133,22 @@ class TestHarnessMechanics:
         assert main(["--seed", "1337", "--rounds", "1"]) == 0
         out = capsys.readouterr().out
         assert "no uncaught decoder exception" in out
+
+    def test_ci_command_runs_clean_in_a_fresh_process(self):
+        """CI's ``python -m repro.analysis.wirefuzz --seed 1337`` warns of
+        nothing (runpy warns when the package has imported the module it is
+        about to run) and fuzzes every pair as many times as it always has."""
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.analysis.wirefuzz", "--seed", "1337"],
+            env=dict(os.environ, PYTHONPATH=os.path.dirname(SRC_REPRO)),
+            capture_output=True,
+            text=True,
+            timeout=300,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.splitlines()[0] == (
+            "fuzzed 19 codec pair(s): 152 round-trips, 6707 truncations, 2432 bit-flips (seed 1337)"
+        )
 
 
 @pytest.mark.parametrize("pair", REGISTRY, ids=[p.name for p in REGISTRY])

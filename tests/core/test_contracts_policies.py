@@ -1,5 +1,7 @@
 """Tests for QoS contracts and the policy database."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -112,6 +114,12 @@ class TestSirTierPolicy:
         assert p.tier(2.0) is ModalityTier.TEXT_AND_SKETCH
         assert p.tier(-3.0) is ModalityTier.TEXT_ONLY
         assert p.tier(-20.0) is ModalityTier.NOTHING
+
+    def test_each_threshold_belongs_to_the_tier_above_it(self):
+        p = SirTierPolicy()
+        for threshold, tier in ((4.0, "FULL_IMAGE"), (0.0, "TEXT_AND_SKETCH"), (-6.0, "TEXT_ONLY")):
+            assert p.tier(threshold) is ModalityTier[tier]
+            assert p.tier(math.nextafter(threshold, -math.inf)) is ModalityTier(ModalityTier[tier] - 1)
 
     def test_threshold_ordering_enforced(self):
         with pytest.raises(PolicyError):

@@ -5,9 +5,12 @@ known state, the RTP layer abandons torn transfers, sessions survive
 peers vanishing.
 """
 
+from unittest import mock
+
 import pytest
 
 from repro.core.framework import CollaborationFramework
+from repro.core.netstate import STALE_GRACE
 from repro.hosts.workload import Constant, Trace
 from repro.media.images import collaboration_scene
 from repro.snmp.errors import SnmpTimeout
@@ -59,6 +62,23 @@ class TestManagementPlaneFailure:
         assert a.monitor_and_adapt().packets == 16  # stale
         node.bind(161, sock._deliver)  # heal
         assert a.monitor_and_adapt().packets == 1  # live again
+
+    def test_degraded_only_once_dark_for_longer_than_the_grace(self):
+        """Dark for exactly ``STALE_GRACE`` is still inside the grace, as
+        ``NetworkStateInterface.degraded`` rules; a moment longer is not."""
+        fw = CollaborationFramework("fi-9")
+        a = fw.add_wired_client("alice")
+        dark = "management plane dark; conservative fallback"
+        fw.scheduler.run_until(1.0)
+        with mock.patch.object(a, "read_system_state", side_effect=SnmpTimeout("agent gone")):
+            assert dark not in a.monitor_and_adapt().reasons  # dark since 1.0
+            fw.scheduler.run_until(1.0 + STALE_GRACE)
+            decision = a.monitor_and_adapt()
+            assert dark not in decision.reasons and decision.packets == 16
+            fw.scheduler.run_until(1.0 + STALE_GRACE + 2**-10)
+            decision = a.monitor_and_adapt()
+        assert dark in decision.reasons and decision.packets == 1
+        assert a.snmp_failures == 3
 
 
 class TestNetworkPartition:

@@ -1,10 +1,12 @@
-"""Hypothesis property: ``describe_image`` equals its slow reference.
+"""Hypothesis properties: ``describe_image`` equals its slow reference,
+and its region labeller equals ``scipy.ndimage.label``.
 
-``reference_describe.py`` holds the describer as it was when region sizes
-came from ``ndimage.sum_labels`` and centroids from
-``ndimage.center_of_mass``.  Grey and colour images of random sizes, noise
-and blocky scenes (large regions, ties in size), describe to equal
-fields.
+``reference_describe.py`` holds the describer as it was when regions came
+from ``ndimage.label``, sizes from ``ndimage.sum_labels`` and centroids
+from ``ndimage.center_of_mass``.  Grey and colour images of random sizes,
+noise and blocky scenes (large regions, ties in size), describe to equal
+fields.  Random masks of any density label to the same regions, numbered
+alike, as ``ndimage.label`` gives them.
 
 CI runs this file again under ``--hypothesis-profile=deep``.
 """
@@ -13,7 +15,8 @@ import dataclasses
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy import ndimage
 
 from repro.media import describe
 from repro.media.describe import describe_image
@@ -57,3 +60,36 @@ def test_scenes_match_reference():
     for h, w in ((64, 64), (32, 48), (48, 32)):
         scene = collaboration_scene(h, w)
         assert fields(describe_image(scene)) == fields(reference_describe_image(scene))
+
+
+@st.composite
+def masks(draw):
+    h, w = draw(st.integers(1, 64)), draw(st.integers(1, 64))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng.random((h, w)) < draw(st.floats(0, 1))
+
+
+def serpentine(h, w):
+    """One path through every row: the even rows, joined at alternate ends,
+    so every run merges with the run before it."""
+    mask = np.zeros((h, w), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+@BUDGET
+@given(masks())
+@example(np.zeros((64, 64), dtype=bool))
+@example(np.ones((64, 64), dtype=bool))
+@example(np.arange(64).reshape(1, 64) % 3 > 0)
+@example(np.arange(64).reshape(64, 1) % 3 > 0)
+@example(serpentine(64, 64))
+@example(serpentine(63, 7))
+@example(serpentine(64, 64).T)
+def test_label_matches_ndimage(mask):
+    labels, n = describe._label(mask)
+    expected, count = ndimage.label(mask)
+    assert n == count
+    np.testing.assert_array_equal(labels, expected)

@@ -6,7 +6,9 @@ a document of :data:`DOCS` cites must name a file or a directory of this
 tree.  Globs are allowed; a ``:line`` or a ``::test``
 suffix is ignored.  Every experiment a ``python -m repro.experiments
 <name> ...`` command in those documents names must be one the command
-runs.
+runs.  Every CHANGES.md entry from :data:`CAPPED_FROM` on keeps the prose
+cap: at most :data:`ENTRY_LINES` lines of at most :data:`LINE_CHARS`
+characters; the long form goes in the PR's EXPERIMENTS.md HISTORY row.
 """
 
 import re
@@ -66,3 +68,40 @@ def test_cited_experiments_are_found():
 @pytest.mark.parametrize("doc", DOCS)
 def test_every_cited_experiment_runs(doc):
     assert sorted(set(cited_experiments((ROOT / doc).read_text())) - set(_RUNNERS)) == []
+
+
+#: the first CHANGES.md entry written under the cap, and the cap
+CAPPED_FROM, ENTRY_LINES, LINE_CHARS = 35, 15, 100
+ENTRY = re.compile(r"- PR (\d+) ")
+
+
+def changes_entries(text):
+    """``(number, lines)`` of each CHANGES.md entry: its ``- PR N`` line and
+    the indented lines under it (a ``FOUND:`` or ``MENDED:`` line is not
+    part of an entry)."""
+    entries, lines = [], None
+    for line in text.splitlines():
+        if match := ENTRY.match(line):
+            lines = [line]
+            entries.append((int(match.group(1)), lines))
+        elif lines is not None and line.startswith("  "):
+            lines.append(line)
+        else:
+            lines = None
+    return entries
+
+
+def test_changes_entries_are_found():
+    text = "- PR 1 (x): a\n  b\nFOUND: c\n  d\n- PR 2 (y): e\n"
+    assert changes_entries(text) == [(1, ["- PR 1 (x): a", "  b"]), (2, ["- PR 2 (y): e"])]
+
+
+def test_changes_entries_keep_the_cap():
+    """Entry number -> (lines, lines over :data:`LINE_CHARS`) for each entry
+    over the cap."""
+    over = {}
+    for number, lines in changes_entries((ROOT / "CHANGES.md").read_text()):
+        too_long = sum(len(line) > LINE_CHARS for line in lines)
+        if number >= CAPPED_FROM and (len(lines) > ENTRY_LINES or too_long):
+            over[number] = (len(lines), too_long)
+    assert over == {}
