@@ -147,7 +147,6 @@ _NAME_EXACT_UNITS: dict[str, str] = {
     "sir": Unit.LINEAR,
     "gamma": Unit.LINEAR,
     "packet_bits": Unit.BITS,
-    "frame_bits": Unit.BITS,
     "packets": Unit.PACKETS,
 }
 
@@ -190,9 +189,7 @@ SIGNATURES: dict[str, UnitSig] = {
         {0: Unit.DB, "sir_db": Unit.DB, "coding_gain_db": Unit.DB, "packet_bits": Unit.BITS},
         Unit.LINEAR,
     ),
-    "powercontrol.frame_success_rate": UnitSig(
-        {0: Unit.LINEAR, "gamma": Unit.LINEAR, "frame_bits": Unit.BITS}, Unit.LINEAR
-    ),
+    "powercontrol.frame_success_rate": UnitSig({0: Unit.LINEAR, "gamma": Unit.LINEAR}, Unit.LINEAR),
 }
 
 #: (class short name, method) signatures — clock/scheduler times are seconds

@@ -413,14 +413,6 @@ class SelectorReport:
     type_conflicts: tuple[str, ...]
     truncated: bool
 
-    @property
-    def satisfiable(self) -> Optional[bool]:
-        if self.verdict is Verdict.SAT:
-            return True
-        if self.verdict is Verdict.UNSAT:
-            return False
-        return None
-
 
 def analyze_selector(selector: Union[Selector, str]) -> SelectorReport:
     """Full static report for one selector (raises

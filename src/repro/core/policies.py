@@ -196,9 +196,6 @@ class PolicyDatabase:
         """Register/replace a step policy under ``name``."""
         self._step[name] = policy
 
-    def remove_step(self, name: str) -> None:
-        self._step.pop(name, None)
-
     def set_sir_policy(self, policy: SirTierPolicy) -> None:
         self._sir = policy
 

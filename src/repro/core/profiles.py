@@ -139,11 +139,6 @@ class ClientProfile:
         self.interest = parse(interest) if isinstance(interest, str) else interest
         self._bump()
 
-    def add_transform(self, rule: TransformRule) -> None:
-        """Register an additional rewrite capability."""
-        self.transforms.append(rule)
-        self._bump()
-
     # ------------------------------------------------------------------
     # change notification (feeds e.g. the matching engine's index)
     # ------------------------------------------------------------------

@@ -14,7 +14,7 @@ can arbitrate concurrent remote updates deterministically.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 __all__ = ["StateEntry", "StateRepository"]
 
@@ -30,11 +30,8 @@ class StateEntry:
     author: str
 
 
-Listener = Callable[[StateEntry, Optional[StateEntry]], None]
-
-
 class StateRepository:
-    """Versioned key→state store with change listeners.
+    """Versioned key→state store.
 
     >>> repo = StateRepository()
     >>> _ = repo.put("wb/stroke-1", [1.0, 2.0], timestamp=0.1, author="a")
@@ -44,7 +41,6 @@ class StateRepository:
 
     def __init__(self) -> None:
         self._entries: dict[str, StateEntry] = {}
-        self._listeners: list[Listener] = []
         self.updates_applied = 0
         self.updates_rejected = 0
 
@@ -61,7 +57,6 @@ class StateRepository:
         )
         self._entries[key] = entry
         self.updates_applied += 1
-        self._notify(entry, old)
         return entry
 
     def apply_remote(self, entry: StateEntry) -> bool:
@@ -84,7 +79,6 @@ class StateRepository:
                 return False
         self._entries[key] = entry
         self.updates_applied += 1
-        self._notify(entry, old)
         return True
 
     # ------------------------------------------------------------------
@@ -100,12 +94,3 @@ class StateRepository:
     def __iter__(self) -> Iterator[StateEntry]:
         for k in self.keys():
             yield self._entries[k]
-
-    # ------------------------------------------------------------------
-    def subscribe(self, listener: Listener) -> None:
-        """Register a change listener ``(new, old) -> None``."""
-        self._listeners.append(listener)
-
-    def _notify(self, new: StateEntry, old: Optional[StateEntry]) -> None:
-        for listener in self._listeners:
-            listener(new, old)

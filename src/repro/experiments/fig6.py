@@ -15,9 +15,9 @@ from __future__ import annotations
 from ..core.framework import CollaborationFramework
 from ..hosts.workload import Trace
 from ..media.images import collaboration_scene
-from .harness import ExperimentResult
+from .harness import Claim, ExperimentResult
 
-__all__ = ["run_fig6"]
+__all__ = ["run_fig6", "PACKETS_CLAIM"]
 
 #: page-fault levels visited: 30..100 in steps of 10, the paper's x-axis
 FAULT_LEVELS = (30, 40, 50, 60, 70, 80, 90, 100)
@@ -27,12 +27,22 @@ IMAGE_SIZE = 64
 TARGET_BPP = 2.2
 
 
+def _packets_halve_to_one(rows) -> bool:
+    packets = [row["packets"] for row in rows]
+    ladder = all(bin(p).count("1") == 1 for p in packets)
+    return ladder and packets[0] == 16 and packets[-1] == 1 and packets == sorted(packets, reverse=True)
+
+
+PACKETS_CLAIM = Claim("paper: packets 16->1 (powers of 2) over page faults 30->100", _packets_halve_to_one)
+
+
 def run_fig6() -> ExperimentResult:
     """Run the page-fault sweep; one row per level of :data:`FAULT_LEVELS`."""
     result = ExperimentResult(
         "FIG6",
         "image viewer parameters vs page faults",
         columns=("page_faults", "packets", "bpp", "compression_ratio", "psnr_db"),
+        claims=[PACKETS_CLAIM],
     )
     fw = CollaborationFramework("fig6", objective="page-fault adaptation sweep", seed=0)
     sender = fw.add_wired_client("sender", image_target_bpp=TARGET_BPP)
@@ -64,8 +74,5 @@ def run_fig6() -> ExperimentResult:
         )
         assert report.packets_used == decision.packets, "budget must gate reception"
 
-    result.note(
-        "paper: packets 16->1 (powers of 2) over page faults 30->100;"
-        " CR rises ~3.6->131; BPP falls ~2.1->0.1"
-    )
+    result.note("the paper's anchors: CR rises ~3.6->131; BPP falls ~2.1->0.1")
     return result

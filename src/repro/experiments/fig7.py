@@ -13,9 +13,9 @@ from __future__ import annotations
 from ..core.framework import CollaborationFramework
 from ..hosts.workload import Trace
 from ..media.images import collaboration_scene, to_rgb
-from .harness import ExperimentResult
+from .harness import Claim, ExperimentResult
 
-__all__ = ["run_fig7"]
+__all__ = ["run_fig7", "PACKETS_CLAIM"]
 
 #: CPU-load levels visited (percent), the paper's x-axis
 CPU_LEVELS = (30, 40, 50, 60, 70, 80, 90, 95, 100)
@@ -25,6 +25,14 @@ IMAGE_SIZE = 64
 TARGET_BPP = 14.3
 
 
+def _packets_fall_to_zero(rows) -> bool:
+    packets = [row["packets"] for row in rows]
+    return packets[0] == 16 and packets[-1] == 0 and packets == sorted(packets, reverse=True)
+
+
+PACKETS_CLAIM = Claim("paper: packets 16->0 over CPU load 30->100%", _packets_fall_to_zero)
+
+
 def run_fig7() -> ExperimentResult:
     """Run the CPU-load sweep with a color image; one row per level of
     :data:`CPU_LEVELS`."""
@@ -32,6 +40,7 @@ def run_fig7() -> ExperimentResult:
         "FIG7",
         "image viewer parameters vs CPU load (color image)",
         columns=("cpu_load", "packets", "bpp", "compression_ratio", "psnr_db"),
+        claims=[PACKETS_CLAIM],
     )
     fw = CollaborationFramework("fig7", objective="cpu-load adaptation sweep", seed=0)
     sender = fw.add_wired_client("sender", image_target_bpp=TARGET_BPP)
@@ -65,8 +74,5 @@ def run_fig7() -> ExperimentResult:
         )
         assert report.packets_used == decision.packets
 
-    result.note(
-        "paper: packets 16->0 over CPU load 30->100%; BPP 14.3->0.7;"
-        " CR 1.6->32.7 (24-bit color baseline)"
-    )
+    result.note("the paper's anchors: BPP 14.3->0.7; CR 1.6->32.7 (24-bit color baseline)")
     return result

@@ -15,11 +15,12 @@ client tracks its SIR across the thresholds.
 from __future__ import annotations
 
 from ..core.framework import CollaborationFramework
+from ..core.policies import ModalityTier
 from ..wireless.channel import NoiseModel, PathLossModel
 from ..wireless.mobility import approach_and_retreat
-from .harness import ExperimentResult
+from .harness import Claim, ExperimentResult
 
-__all__ = ["run_fig8", "build_two_client_cell"]
+__all__ = ["run_fig8", "build_two_client_cell", "SWING_CLAIM", "TIER_CLAIM", "MODALITY_CLAIM"]
 
 #: client A's far and near distances (m): it walks 100 → 50 → 100
 FAR, NEAR = 100.0, 50.0
@@ -27,6 +28,44 @@ FAR, NEAR = 100.0, 50.0
 D_B = 80.0
 #: both clients' transmit power
 POWER = 1.0
+#: the paper's SIR threshold for the full image (dB)
+IMAGE_DB = 4.0
+#: how far (dB) A's SIR must move over the approach to count as "considerably"
+SWING_DB = 10.0
+
+
+def _sir_swings_on_approach(rows) -> bool:
+    approach = [row["sir_a_db"] for row in rows[:4]]
+    return max(approach) - min(approach) > SWING_DB
+
+
+def _tiers_follow_thresholds(rows) -> bool:
+    by_sir = sorted((row[f"sir_{c}_db"], ModalityTier[row[f"tier_{c}"]]) for row in rows for c in "ab")
+    image = all((tier is ModalityTier.FULL_IMAGE) == (sir_db >= IMAGE_DB) for sir_db, tier in by_sir)
+    return image and [tier for _sir_db, tier in by_sir] == sorted(tier for _sir_db, tier in by_sir)
+
+
+def _some_modality_gets_through(rows) -> bool:
+    return all(
+        row["session_got_packets"] or row["session_got_text"]
+        for row in rows
+        if row["tier_a"] != "NOTHING"
+    )
+
+
+SWING_CLAIM = Claim(
+    f"paper: reducing A's distance (points 0-3) changes SIRs considerably (SIR_A moves > {SWING_DB:g} dB)",
+    _sir_swings_on_approach,
+)
+TIER_CLAIM = Claim(
+    f"paper: tiers follow thresholds (a richer tier never at a lower SIR; image >= {IMAGE_DB:g} dB)",
+    _tiers_follow_thresholds,
+)
+MODALITY_CLAIM = Claim(
+    "paper Sec 6.3.1: 'even in a low throughput network condition, the"
+    " BS is able to send certain modality of information'",
+    _some_modality_gets_through,
+)
 
 
 def build_two_client_cell(d_a: float, d_b: float):
@@ -60,6 +99,7 @@ def run_fig8() -> ExperimentResult:
             "tier_a",
             "tier_b",
         ),
+        claims=[SWING_CLAIM, TIER_CLAIM],
     )
     fw, bs, a, b, _wired = build_two_client_cell(FAR, D_B)
     trace = approach_and_retreat(far=FAR, near=NEAR, in_steps=3, out_steps=2)
@@ -78,10 +118,6 @@ def run_fig8() -> ExperimentResult:
             tier_a=tier_a.name,
             tier_b=tier_b.name,
         )
-    result.note(
-        "paper: reducing A's distance (points 0-3) changes SIRs considerably;"
-        " tiers follow thresholds (image >= 4 dB)"
-    )
     return result
 
 
@@ -99,7 +135,6 @@ def run_fig8_dataflow() -> ExperimentResult:
     """
     from ..apps.imageviewer import ImageViewer
     from ..media.images import collaboration_scene
-    from ..wireless.mobility import approach_and_retreat
 
     result = ExperimentResult(
         "FIG8b",
@@ -112,6 +147,7 @@ def run_fig8_dataflow() -> ExperimentResult:
             "session_got_packets",
             "session_got_text",
         ),
+        claims=[MODALITY_CLAIM],
     )
     fw, bs, a, _b, wired = build_two_client_cell(FAR, D_B)
     image = collaboration_scene(64, 64, seed=3)
@@ -144,9 +180,4 @@ def run_fig8_dataflow() -> ExperimentResult:
             session_got_packets=got_packets,
             session_got_text=got_text,
         )
-        assert got_packets or got_text or tier_a.name == "NOTHING"
-    result.note(
-        "paper Sec 6.3.1: 'even in a low throughput network condition, the"
-        " BS is able to send certain modality of information'"
-    )
     return result

@@ -1,17 +1,34 @@
 """Shared experiment harness: run, collect, and format figure series.
 
 Each ``figN`` module produces an :class:`ExperimentResult` — an ordered
-table of rows plus the paper's reported shape for EXPERIMENTS.md;
-``python -m repro.experiments`` prints them, and the tier-1 tests re-run
-the same entry points and assert the shape invariants.
+table of rows plus the paper's claims about it.  A claim is a
+:class:`Claim`: the paper's statement and one predicate over the rows,
+defined once in its figure module.  ``python -m repro.experiments``
+prints each claim as ``holds`` or ``FAILS`` under its table, and the
+tier-1 tests assert the same predicates.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
-__all__ = ["ExperimentResult"]
+__all__ = ["Claim", "ExperimentResult"]
+
+Rows = list[dict[str, Any]]
+
+
+@dataclass(frozen=True)
+class Claim:
+    """A paper claim about a figure and the predicate over its rows that
+    checks it."""
+
+    text: str
+    holds: Callable[[Rows], bool]
+
+    def line(self, rows: Rows) -> str:
+        """The claim as the report prints it, with its verdict."""
+        return f"{self.text}: {'holds' if self.holds(rows) else 'FAILS'}"
 
 
 @dataclass
@@ -21,7 +38,8 @@ class ExperimentResult:
     experiment_id: str
     title: str
     columns: tuple[str, ...]
-    rows: list[dict[str, Any]] = field(default_factory=list)
+    rows: Rows = field(default_factory=list)
+    claims: list[Claim] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
     def add_row(self, **values: Any) -> None:
@@ -32,7 +50,7 @@ class ExperimentResult:
         self.rows.append(values)
 
     def note(self, text: str) -> None:
-        """Attach a free-form observation (printed under the table)."""
+        """Attach a free-form observation (printed under the claims)."""
         self.notes.append(text)
 
     # ------------------------------------------------------------------
@@ -64,8 +82,8 @@ class ExperimentResult:
         ]
         for r in body:
             lines.append("  ".join(c.rjust(w) for c, w in zip(r, widths)))
-        for note in self.notes:
-            lines.append(f"  note: {note}")
+        for text in [c.line(self.rows) for c in self.claims] + self.notes:
+            lines.append(f"  note: {text}")
         return "\n".join(lines)
 
     def __len__(self) -> int:

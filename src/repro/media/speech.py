@@ -20,7 +20,6 @@ __all__ = [
     "speech_to_text",
     "SpeechError",
     "quantize_u8",
-    "dequantize_u8",
 ]
 
 #: Samples per second of the synthetic voice.
@@ -86,14 +85,6 @@ def quantize_u8(clip: SpeechClip) -> bytes:
     """8-bit wire form of a clip ([-1, 1] → 0..255), for SpeechShareEvent."""
     q = np.clip((clip.samples + 1.0) * 127.5, 0, 255).astype(np.uint8)
     return q.tobytes()
-
-
-def dequantize_u8(data: bytes, sample_rate: int = SAMPLE_RATE) -> SpeechClip:
-    """Inverse of :func:`quantize_u8` (text_length unknown → frame count)."""
-    samples = np.frombuffer(data, dtype=np.uint8).astype(np.float32) / 127.5 - 1.0
-    return SpeechClip(
-        samples=samples, sample_rate=sample_rate, text_length=len(samples) // FRAME
-    )
 
 
 def speech_to_text(clip: SpeechClip) -> str:

@@ -592,19 +592,3 @@ class Network:
                     call_at(entry, deliver, packet)
             scheduled += 1
         return scheduled
-
-    def path_latency(self, src: Address, dst: Address) -> float:
-        """Sum of nominal link latencies along the routed path (no jitter)."""
-        path = self.route(src, dst)
-        if path is None:
-            raise NetworkError(f"no route {src!r} -> {dst!r}")
-        return sum(l.latency for l in path)
-
-    def path_bandwidth(self, src: Address, dst: Address) -> float:
-        """Bottleneck bandwidth along the routed path in bytes/second."""
-        path = self.route(src, dst)
-        if path is None:
-            raise NetworkError(f"no route {src!r} -> {dst!r}")
-        if not path:
-            return float("inf")
-        return min(l.bandwidth for l in path)

@@ -366,11 +366,6 @@ class TaggedPdu:
     def tag(self) -> int:
         return self.tag_value
 
-    @property
-    def pdu_kind(self) -> int:
-        """The low nibble of the tag: 0=GetRequest .. 3=SetRequest etc."""
-        return self.tag_value & 0x1F
-
     def encode_body(self) -> bytes:
         return b"".join([_encode(i) for i in self.items])
 

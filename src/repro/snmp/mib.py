@@ -91,14 +91,6 @@ class MibTree:
         is a :class:`MibBinding` with a setter, given to :meth:`register`)."""
         self.register(MibBinding(oid, getter, description=description))
 
-    def unregister(self, oid: OID) -> None:
-        """Remove a binding; unknown OIDs are ignored."""
-        if oid in self._bindings:
-            del self._bindings[oid]
-            idx = bisect.bisect_left(self._sorted_oids, oid)
-            if idx < len(self._sorted_oids) and self._sorted_oids[idx] == oid:
-                del self._sorted_oids[idx]
-
     def __contains__(self, oid: OID) -> bool:
         return oid in self._bindings
 

@@ -4,7 +4,7 @@ that simulation, vectorized."""
 
 from .channel import ChannelError, NoiseModel, PathLossModel
 from .sir import from_db, sir, sir_db, sir_matrix, to_db
-from .powercontrol import frame_success_rate, uniform_power_scaling, utility
+from .powercontrol import frame_success_rate, utility
 from .linkquality import (
     bit_error_rate,
     loss_for_sir_db,
@@ -22,7 +22,6 @@ __all__ = [
     "sir_matrix",
     "to_db",
     "frame_success_rate",
-    "uniform_power_scaling",
     "utility",
     "bit_error_rate",
     "loss_for_sir_db",

@@ -9,7 +9,9 @@ with frame-success function ``f(gamma) = (1 - exp(-gamma/2))**M``.
 The paper's claim — "if all the clients transmit at a power level
 reduced by the same factor from the original power, the net utility at
 the target is increased for all the clients" — holds in the
-interference-limited regime and is exercised by the FIG9 bench.
+interference-limited regime.  FIG9b (``experiments/fig9.py``) checks it
+in tier-1 on the FIG8 cell: :func:`utility` of the SIR its base station
+reports before and after the cut.
 
 The session's own power control is
 ``BaseStation.apply_power_control``: one step that scales an
@@ -22,69 +24,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .sir import sir, to_db
+from .sir import from_db
 
-__all__ = [
-    "frame_success_rate",
-    "utility",
-    "uniform_power_scaling",
-]
+__all__ = ["frame_success_rate", "utility"]
+
+#: channel rate (bit/s), frame length (bits) and information bits per frame of
+#: the Goodman–Mandayam utility
+RATE_BPS = 10_000.0
+FRAME_LENGTH = 80
+INFO_BITS = 64
 
 
-def frame_success_rate(gamma: np.ndarray, frame_bits: int = 80) -> np.ndarray:
-    """Probability an ``frame_bits``-bit frame survives at SIR ``gamma``.
+def frame_success_rate(gamma: np.ndarray) -> np.ndarray:
+    """Probability a :data:`FRAME_LENGTH`-bit frame survives at SIR ``gamma``.
 
     The non-coherent FSK approximation used by Goodman–Mandayam:
-    ``f(gamma) = (1 - exp(-gamma/2)) ** M``.
+    ``f(gamma) = (1 - exp(-gamma/2)) ** M``, with ``1 - exp`` taken as
+    ``-expm1``: at -40 dB the subtraction would lose four of sixteen
+    digits, and the power ``M`` multiplies that error by 80.
     """
     g = np.asarray(gamma, dtype=float)
     if np.any(g < 0):
         raise ValueError("SIR must be non-negative")
-    return (1.0 - np.exp(-g / 2.0)) ** frame_bits
+    return (-np.expm1(-g / 2.0)) ** FRAME_LENGTH
 
 
-def utility(
-    powers: np.ndarray,
-    gains: np.ndarray,
-    sigma2: float,
-    rate_bps: float = 10_000.0,
-    frame_bits: int = 80,
-    info_bits: int = 64,
-) -> np.ndarray:
-    """Per-client utility in bits/joule (Goodman–Mandayam Eq. form).
+def utility(sir_db: np.ndarray, powers: np.ndarray) -> np.ndarray:
+    """Per-client utility in bits/joule (Goodman–Mandayam Eq. form) at
+    the SIR ``sir_db`` a base station reports and transmit ``powers``.
 
-    ``u_i = info_bits * rate * f(gamma_i) / (frame_bits * P_i)``
+    ``u_i = INFO_BITS * RATE_BPS * f(gamma_i) / (FRAME_LENGTH * P_i)``
     """
     p = np.asarray(powers, dtype=float)
     if np.any(p <= 0):
         raise ValueError("powers must be positive for utility")
-    gamma = sir(p, gains, sigma2)
-    f = frame_success_rate(gamma, frame_bits)
-    return info_bits * rate_bps * f / (frame_bits * p)
-
-
-def uniform_power_scaling(
-    powers: np.ndarray,
-    gains: np.ndarray,
-    sigma2: float,
-    factor: float,
-    **utility_kwargs,
-) -> dict:
-    """Scale every client's power by ``factor`` and report the effect.
-
-    Returns a dict with before/after SIR (dB) and utility arrays; the FIG9
-    bench asserts that for ``factor < 1`` in the interference-limited
-    regime every client's *utility* rises even as each SIR dips slightly.
-    """
-    if factor <= 0:
-        raise ValueError("factor must be positive")
-    p0 = np.asarray(powers, dtype=float)
-    p1 = p0 * factor
-    return {
-        "powers_before": p0,
-        "powers_after": p1,
-        "sir_db_before": to_db(sir(p0, gains, sigma2)),
-        "sir_db_after": to_db(sir(p1, gains, sigma2)),
-        "utility_before": utility(p0, gains, sigma2, **utility_kwargs),
-        "utility_after": utility(p1, gains, sigma2, **utility_kwargs),
-    }
+    f = frame_success_rate(from_db(sir_db))
+    return INFO_BITS * RATE_BPS * f / (FRAME_LENGTH * p)

@@ -146,12 +146,10 @@ class TestPolicyDatabase:
         db = default_policy_database()
         assert db.decide_packets({"page_faults": 60}) == 4
 
-    def test_add_remove_step(self):
+    def test_add_step(self):
         db = PolicyDatabase()
         db.add_step("mem", StepPolicy("free_mem", "packets", [(1000, 2)], floor=16))
         assert db.decide_packets({"free_mem": 500}) == 2
-        db.remove_step("mem")
-        assert db.decide_packets({"free_mem": 500}) is None
 
     def test_sir_policy_swap(self):
         db = PolicyDatabase()

@@ -6,7 +6,9 @@ import pytest
 from repro.core.framework import CollaborationFramework
 from repro.core.policies import ModalityTier
 from repro.media.images import collaboration_scene
-from repro.media.speech import dequantize_u8, quantize_u8, speech_to_text, text_to_speech
+from repro.media.speech import quantize_u8, speech_to_text, text_to_speech
+
+from ..media.reference_speech import dequantize_u8
 
 
 class TestQuantization:

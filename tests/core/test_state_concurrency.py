@@ -27,15 +27,6 @@ class TestRepository:
         assert [e.key for e in repo] == ["a", "b"]
         assert len(repo) == 2
 
-    def test_listener_notified(self):
-        repo = StateRepository()
-        calls = []
-        repo.subscribe(lambda new, old: calls.append((new.value, old)))
-        repo.put("k", 1, 0.0, "a")
-        repo.put("k", 2, 0.1, "a")
-        assert calls[0] == (1, None)
-        assert calls[1][0] == 2 and calls[1][1].value == 1
-
 
 class TestRemoteMerge:
     def test_higher_version_wins(self):

@@ -1,10 +1,11 @@
 """Shape tests for the figure reproductions.
 
-``TestPaperShapes`` asserts the paper's qualitative shapes on the
-full-size experiments, each run once, and ``test_report_is_pinned``
+``TestPaperShapes`` asserts each paper claim's predicate (the one the
+report prints as ``holds`` / ``FAILS``) and the paper's other anchors on
+the full-size experiments, each run once, and ``test_report_is_pinned``
 pins every row ``python -m repro.experiments`` prints for them; the
-other classes check the shapes on reduced sweeps, patching each
-runner's module constants.
+other classes check behaviour the claims do not cover, some on reduced
+sweeps that patch a runner's module constants.
 """
 
 from pathlib import Path
@@ -15,17 +16,16 @@ import pytest
 
 from repro.core.policies import ModalityTier
 from repro.experiments import __main__ as cli
-from repro.experiments import fig6, fig7, fig9, fig10
+from repro.experiments import fig6, fig7, fig8, fig9, fig10
 from repro.experiments import (
     ExperimentResult,
     run_fig6,
     run_fig7,
     run_fig8,
-    run_fig9,
-    run_fig9_scaling,
     run_fig10,
     solve_join_geometry,
 )
+from repro.experiments.harness import Claim
 from repro.wireless.channel import NoiseModel, PathLossModel
 
 
@@ -43,6 +43,24 @@ class TestHarness:
         text = r.format_table()
         assert "X: title" in text and "1.23" in text and "hello" in text
 
+    def test_claims_print_their_verdict_before_the_notes(self):
+        r = ExperimentResult(
+            "X",
+            "t",
+            columns=("a",),
+            claims=[
+                Claim("paper: a is 1", lambda rows: rows[0]["a"] == 1),
+                Claim("paper: a > 1", lambda rows: rows[0]["a"] > 1),
+            ],
+        )
+        r.add_row(a=1)
+        r.note("prose")
+        assert r.format_table().splitlines()[-3:] == [
+            "  note: paper: a is 1: holds",
+            "  note: paper: a > 1: FAILS",
+            "  note: prose",
+        ]
+
     def test_format_handles_special_floats(self):
         r = ExperimentResult("X", "t", columns=("a",))
         r.add_row(a=float("inf"))
@@ -58,12 +76,6 @@ class TestFig6:
             fig6, "IMAGE_SIZE", 32
         ):
             return run_fig6()
-
-    def test_packets_non_increasing_powers_of_two(self, result):
-        packets = [row["packets"] for row in result.rows]
-        assert packets == sorted(packets, reverse=True)
-        assert set(packets) <= {0, 1, 2, 4, 8, 16}
-        assert packets[0] == 16 and packets[-1] == 1
 
     def test_cr_rises_as_packets_fall(self, result):
         crs = [row["compression_ratio"] for row in result.rows]
@@ -82,11 +94,6 @@ class TestFig7:
             fig7, "IMAGE_SIZE", 32
         ):
             return run_fig7()
-
-    def test_packets_reach_zero(self, result):
-        packets = [row["packets"] for row in result.rows]
-        assert packets[0] == 16
-        assert packets[-1] == 0
 
     def test_color_bpp_range(self, result):
         bpps = [row["bpp"] for row in result.rows]
@@ -122,20 +129,6 @@ class TestFig8:
 
 
 class TestFig9:
-    def test_power_sweep_monotone(self):
-        with mock.patch.object(fig9, "POWER_STEPS", (0.5, 1.0, 2.0, 4.0)):
-            result = run_fig9()
-        sa = [row["sir_a_db"] for row in result.rows]
-        sb = [row["sir_b_db"] for row in result.rows]
-        assert sa == sorted(sa)
-        assert sb == sorted(sb, reverse=True)
-
-    def test_goodman_mandayam_utility_improves(self):
-        result = run_fig9_scaling()
-        for row in result.rows:
-            assert row["utility_gain"] > 1
-            assert row["power_after"] == row["power_before"] / 2
-
     def test_distance_beats_power(self):
         """Halving distance is worth 16x power (alpha=4) vs 2x for power."""
         pl = PathLossModel(alpha=4.0, k=1e6)
@@ -153,12 +146,6 @@ class TestFig10:
         sirs = [row["sir_a_linear"] for row in result.rows]
         assert sirs == sorted(sirs, reverse=True)
 
-    def test_paper_drop_percentages(self, result):
-        drops = [row["drop_vs_prev_pct"] for row in result.rows]
-        assert drops[0] is None
-        assert drops[1] == pytest.approx(90.0, abs=2.0)
-        assert drops[2] == pytest.approx(23.0, abs=2.0)
-
     def test_geometry_solver_inverts(self):
         pl = PathLossModel(alpha=4.0, k=1e6)
         noise = NoiseModel(reference_power=1.0, snr_ref_db=40.0)
@@ -171,21 +158,9 @@ class TestFig10:
         assert 1 - sir_with_2 / sir_alone == pytest.approx(0.5, abs=1e-6)
 
 
-class TestFig8Dataflow:
-    def test_modality_follows_tier(self):
-        from repro.experiments.fig8 import run_fig8_dataflow
-
-        result = run_fig8_dataflow()
-        for row in result.rows:
-            if row["tier_a"] == "FULL_IMAGE":
-                assert row["session_got_packets"]
-            elif row["tier_a"] != "NOTHING":
-                assert row["session_got_text"]
-                assert not row["session_got_packets"]
-
-
 #: the runners whose output ``report.txt`` holds, in its order
 REPORTED = ("fig6", "fig7", "fig8", "fig9", "fig10", "multicast")
+REPORT = Path(__file__).parent / "report.txt"
 
 
 @pytest.fixture(scope="module")
@@ -204,7 +179,57 @@ def test_report_is_pinned(full, monkeypatch, capsys):
     for name in REPORTED:
         monkeypatch.setitem(cli._RUNNERS, name, lambda name=name: full[name])
     assert cli.main(list(REPORTED)) == 0
-    assert capsys.readouterr().out == (Path(__file__).parent / "report.txt").read_text()
+    assert capsys.readouterr().out == REPORT.read_text()
+
+
+def test_report_states_paper_claims_only_as_computed_claims(full):
+    """Every ``note: paper...`` line of the report is a :class:`Claim`
+    printed with its verdict, so an unchecked prose claim cannot come
+    back, and every claim holds."""
+    claim_lines = {
+        f"  note: {claim.line(result.rows)}"
+        for results in full.values()
+        for result in results
+        for claim in result.claims
+    }
+    paper_lines = [line for line in REPORT.read_text().splitlines() if line.startswith("  note: paper")]
+    assert sorted(paper_lines) == sorted(claim_lines)
+    assert all(line.endswith(": holds") for line in paper_lines)
+
+
+def test_report_is_ascii():
+    """``python -m repro.experiments`` prints under a C locale."""
+    assert REPORT.read_bytes().isascii()
+
+
+#: each claim, with rows that break it in one place
+COUNTEREXAMPLES = [
+    (fig6.PACKETS_CLAIM, [{"packets": 16}, {"packets": 6}, {"packets": 1}]),
+    (fig7.PACKETS_CLAIM, [{"packets": 16}, {"packets": 4}, {"packets": 1}]),
+    (fig8.SWING_CLAIM, [{"sir_a_db": -3.9}, {"sir_a_db": 0.0}, {"sir_a_db": 3.0}, {"sir_a_db": 5.9}]),
+    (
+        fig8.TIER_CLAIM,
+        [{"sir_a_db": 4.5, "sir_b_db": -4.0, "tier_a": "TEXT_AND_SKETCH", "tier_b": "TEXT_ONLY"}],
+    ),
+    (
+        fig8.TIER_CLAIM,
+        [{"sir_a_db": 3.0, "sir_b_db": -4.0, "tier_a": "TEXT_ONLY", "tier_b": "TEXT_AND_SKETCH"}],
+    ),
+    (fig8.MODALITY_CLAIM, [{"tier_a": "TEXT_ONLY", "session_got_packets": False, "session_got_text": False}]),
+    (fig9.SIR_CLAIM, [{"sir_a_db": 1.0, "sir_b_db": 1.0}, {"sir_a_db": 2.0, "sir_b_db": 1.0}]),
+    (fig9.UTILITY_CLAIM, [{"utility_gain": 1.5}, {"utility_gain": 1.0}]),
+    (fig10.DROP_CLAIM, [{"drop_vs_prev_pct": None}, {"drop_vs_prev_pct": 90.0}, {"drop_vs_prev_pct": 25.5}]),
+]
+
+
+@pytest.mark.parametrize(
+    "claim, rows",
+    COUNTEREXAMPLES,
+    ids=["FIG6", "FIG7", "FIG8-swing", "FIG8-image", "FIG8-order", "FIG8b", "FIG9", "FIG9b", "FIG10"],
+)
+def test_each_claim_fails_on_a_counterexample(claim, rows):
+    assert not claim.holds(rows)
+    assert claim.line(rows).endswith(": FAILS")
 
 
 class TestPaperShapes:
@@ -216,10 +241,9 @@ class TestPaperShapes:
         bpps = [row["bpp"] for row in result.rows]
         crs = [row["compression_ratio"] for row in result.rows]
 
-        # paper shape 1: packets 16 -> 1, powers of two, monotone non-increasing
-        assert packets[0] == 16
-        assert packets[-1] == 1
-        assert packets == sorted(packets, reverse=True)
+        # paper shape 1: packets 16 -> 1, powers of two, monotone non-increasing,
+        # visiting every rung of the ladder
+        assert fig6.PACKETS_CLAIM.holds(result.rows)
         assert set(packets) == {16, 8, 4, 2, 1}
 
         # paper shape 2: compression ratio rises as packets fall (3.6 -> 131 reported)
@@ -234,14 +258,11 @@ class TestPaperShapes:
 
     def test_fig7_cpu_load_sweep(self, full):
         (result,) = full["fig7"]
-        packets = [row["packets"] for row in result.rows]
         bpps = [row["bpp"] for row in result.rows]
         crs = [row["compression_ratio"] for row in result.rows if row["compression_ratio"] is not None]
 
         # packets drop from 16 all the way to 0 at saturation
-        assert packets[0] == 16
-        assert packets[-1] == 0
-        assert packets == sorted(packets, reverse=True)
+        assert fig7.PACKETS_CLAIM.holds(result.rows)
 
         # BPP anchors: ~14.3 at full quality, <1 at one packet, 0 at zero
         assert bpps[0] == pytest.approx(14.3, rel=0.1)
@@ -270,9 +291,11 @@ class TestPaperShapes:
         assert sa[0] == pytest.approx(sa[-1], abs=0.2)
 
         # "changes the SIR considerably": >10 dB swing for A
-        assert sa.max() - sa.min() > 10.0
+        assert fig8.SWING_CLAIM.holds(result.rows)
 
-        # tier transitions: A crosses from degraded up to FULL_IMAGE at 50 m
+        # tiers rise with SIR, image from 4 dB; A crosses from degraded up
+        # to FULL_IMAGE at 50 m
+        assert fig8.TIER_CLAIM.holds(result.rows)
         assert tiers_a[0] != "FULL_IMAGE"
         assert tiers_a[3] == "FULL_IMAGE"
         # B loses service as A gets close (interference)
@@ -282,6 +305,7 @@ class TestPaperShapes:
         """The narrative behind Fig. 8: the BS forwards whatever modality the
         sender's SIR supports — packets at full tier, text otherwise."""
         _sweep, result = full["fig8"]
+        assert fig8.MODALITY_CLAIM.holds(result.rows)
         for row in result.rows:
             if row["tier_a"] == "FULL_IMAGE":
                 assert row["session_got_packets"]
@@ -293,10 +317,8 @@ class TestPaperShapes:
 
     def test_fig9_power_sweep(self, full):
         result, _scaling = full["fig9"]
-        sa = np.array([row["sir_a_db"] for row in result.rows])
-        sb = np.array([row["sir_b_db"] for row in result.rows])
-        assert np.all(np.diff(sa) > 0)   # A rises with its power
-        assert np.all(np.diff(sb) < 0)   # B falls (A is B's interference)
+        # A rises with its power; B falls (A is B's interference)
+        assert fig9.SIR_CLAIM.holds(result.rows)
 
         # crossing the 4 dB image threshold happens inside the sweep
         tiers = [row["tier_a"] for row in result.rows]
@@ -304,23 +326,22 @@ class TestPaperShapes:
 
     def test_fig9_goodman_mandayam_scaling(self, full):
         _sweep, result = full["fig9"]
+        # paper: "net utility ... is increased for all the clients"
+        assert fig9.UTILITY_CLAIM.holds(result.rows)
         for row in result.rows:
-            # paper: "net utility ... is increased for all the clients"
-            assert row["utility_gain"] > 1
+            assert row["power_after"] == row["power_before"] * fig9.SCALING_FACTOR
             # SIR dips only marginally (interference-limited regime)
             assert row["sir_db_before"] - row["sir_db_after"] < 0.5
 
     def test_fig10_join_degradation(self, full):
         (result,) = full["fig10"]
         sirs = [row["sir_a_linear"] for row in result.rows]
-        drops = [row["drop_vs_prev_pct"] for row in result.rows]
 
         # every join strictly degrades the incumbent
         assert sirs == sorted(sirs, reverse=True)
 
         # the paper's percentages (geometry solved for them; see DESIGN.md)
-        assert drops[1] == pytest.approx(90.0, abs=2.0)
-        assert drops[2] == pytest.approx(23.0, abs=2.0)
+        assert fig10.DROP_CLAIM.holds(result.rows)
 
         # session-size limit: with both interferers in, A's SIR is a tiny
         # fraction of its solo value

@@ -96,14 +96,6 @@ class TestRouting:
             frozenset(("d", "c")),
         ]
 
-    def test_path_latency(self, net):
-        assert net.path_latency("a", "c") == pytest.approx(0.003)
-
-    def test_path_bandwidth_bottleneck(self, net):
-        net.link("b", "c").bandwidth = 5e5
-        net._route_cache.clear()
-        assert net.path_bandwidth("a", "c") == 5e5
-
 
 class TestDelivery:
     def test_end_to_end_delivery(self, net):

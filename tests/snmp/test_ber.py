@@ -213,7 +213,6 @@ class TestConstructed:
         pdu = TaggedPdu(0xA0, (Integer(1), Integer(0), Integer(0), Sequence(())))
         decoded, _ = decode(encode(pdu))
         assert decoded == pdu
-        assert decoded.pdu_kind == 0
 
     def test_varbind_exceptions(self):
         for exc in (NoSuchObject(), NoSuchInstance(), EndOfMibView()):

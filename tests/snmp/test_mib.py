@@ -82,18 +82,6 @@ class TestSet:
 
 
 class TestLifecycle:
-    def test_unregister(self, tree):
-        tree.unregister(TASSL.hostCpuLoad)
-        assert TASSL.hostCpuLoad not in tree
-        assert len(tree) == 2
-        # get_next must skip the removed entry
-        oid, _ = tree.get_next(TASSL.root)
-        assert oid == TASSL.hostPageFaults
-
-    def test_unregister_unknown_is_noop(self, tree):
-        tree.unregister(OID("1.3.9.9.0"))
-        assert len(tree) == 3
-
     def test_binding_writable_flag(self):
         b = MibBinding(TASSL.hostCpuLoad, lambda: Gauge32(1))
         assert not b.writable

@@ -47,7 +47,7 @@ from repro.messaging import rtp
 from repro.messaging.broker import BatchPublishResult, PublishResult
 from repro.network import clock, multicast, trace
 from repro.snmp import ber, mib, traps
-from repro.wireless import linkquality
+from repro.wireless import linkquality, powercontrol
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -103,6 +103,7 @@ PARAMETERS = [
     (images.to_rgb, "gray"),
     (describe.describe_image, "image"),
     (linkquality.loss_for_sir_db, "sir_db packet_bits coding_gain_db"),
+    (powercontrol.utility, "sir_db powers"),
     (clock.SimClock.__init__, "self"),
     (clock.Scheduler.__init__, "self"),
     (rtp.RtpPacketizer.__init__, "self ssrc"),
@@ -138,6 +139,9 @@ CONSTANTS = [
     (basestation, "POWER_MARGIN_DB", 3.0),
     (basestation, "MIN_POWER", 0.05),
     (linkquality, "FRAME_BITS", 8000),
+    (powercontrol, "RATE_BPS", 10_000.0),
+    (powercontrol, "FRAME_LENGTH", 80),
+    (powercontrol, "INFO_BITS", 64),
     (session, "ARCHIVE_CAPACITY", 10_000),
     (concurrency, "MAX_CONFLICTS", 4096),
     (trace, "TRACE_CAPACITY", 100_000),
@@ -261,7 +265,6 @@ KEPT = {
         "core.framework.CollaborationFramework.add_wireless_client(profile)",
         "core.profiles.ClientProfile.__init__(transforms)",
         "media.progressive.ReceivedImage.report(max_packets)",
-        "media.speech.dequantize_u8(sample_rate)",
         "snmp.ber.decode(offset)",
         "snmp.traps.TrapSender.send(uptime_ticks)",
         "wireless.channel.PathLossModel.gain(rng)",
