@@ -85,6 +85,3 @@ class ExperimentResult:
         for text in [c.line(self.rows) for c in self.claims] + self.notes:
             lines.append(f"  note: {text}")
         return "\n".join(lines)
-
-    def __len__(self) -> int:
-        return len(self.rows)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 from heapq import heappop, heappush
-from math import isfinite
+from math import inf, isfinite
 from typing import Any, Callable, Optional
 
 __all__ = ["SimClock", "Event", "Scheduler", "SimulationError"]
@@ -119,10 +119,10 @@ class Scheduler:
     # ------------------------------------------------------------------
     def call_at(self, t: float, callback: Callable[..., Any], *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute virtual time ``t``."""
-        if not isfinite(t):
-            raise SimulationError(f"event time must be finite, got {t}")
         now = self.clock._now
-        if t < now:
+        if not now <= t < inf:  # one test on the hot path; NaN fails it too
+            if not isfinite(t):
+                raise SimulationError(f"event time must be finite, got {t}")
             raise SimulationError(f"cannot schedule in the past: {t} < now={now}")
         seq = next(self._counter)
         ev = Event(t, seq, callback, args, self)
@@ -175,8 +175,10 @@ class Scheduler:
     def run_until(self, t: float, max_events: int = 10_000_000) -> int:
         """Run all events with timestamp <= ``t``; leave the clock at ``t``.
 
-        Events scheduled beyond ``t`` stay queued.
+        Events scheduled beyond ``t`` stay queued; a non-finite ``t`` is refused.
         """
+        if not isfinite(t):
+            raise SimulationError(f"run time must be finite, got {t}")
         heap = self._heap
         step = self.step
         n = 0

@@ -104,6 +104,10 @@ class MulticastGroup:
         return self.fabric.cast(self.group, packet, targets)
 
 
+def _discard(data: bytes, src: tuple[Address, int]) -> None:
+    """The receive callback of a member that set none."""
+
+
 class MulticastSocket:
     """A socket joined to a multicast group.
 
@@ -141,7 +145,6 @@ class MulticastSocket:
         self.group = group
         self._sock = DatagramSocket(network, host)
         self._sock.bind_ephemeral()
-        self._sock.on_receive = self._dispatch
         self.on_receive = on_receive
         self._closed = False
         try:
@@ -164,9 +167,15 @@ class MulticastSocket:
         """Datagrams delivered to this socket."""
         return self._sock.received_datagrams
 
-    def _dispatch(self, data: bytes, src: tuple[Address, int]) -> None:
-        if self.on_receive is not None:
-            self.on_receive(data, src)
+    @property
+    def on_receive(self) -> Optional[Callable[[bytes, tuple[Address, int]], None]]:
+        """The receive callback, held by the underlying socket itself."""
+        fn = self._sock.on_receive
+        return None if fn is _discard else fn
+
+    @on_receive.setter
+    def on_receive(self, fn: Optional[Callable[[bytes, tuple[Address, int]], None]]) -> None:
+        self._sock.on_receive = _discard if fn is None else fn
 
     @property
     def closed(self) -> bool:

@@ -90,9 +90,8 @@ class Router:
     def rib_lookup(self, group: str) -> tuple[Address, ...]:
         """Next hops continuing ``group``'s tree from this router.
 
-        Merged on demand from the group's skeleton links and this
-        router's live member hosts — there is no per-router copy to go
-        stale.
+        Merged from the group's skeleton links and this router's live
+        member hosts, and kept until a join, leave or re-derivation drops it.
         """
         return self.fabric._next_hops(self.fabric._group(group), self.name)
 
@@ -103,7 +102,8 @@ class Router:
 class _GroupState:
     """Per-group tree state: membership index, anchor, skeleton, epoch."""
 
-    __slots__ = ("addr", "refs", "by_router", "dark", "anchor", "skeleton", "links", "partitioned", "epoch")
+    __slots__ = ("addr", "refs", "by_router", "dark", "anchor", "skeleton", "links", "partitioned",
+                 "epoch", "basis", "hops")
 
     def __init__(self, addr: str) -> None:
         self.addr = addr
@@ -122,6 +122,12 @@ class _GroupState:
         self.partitioned: bool = False
         #: bumped on every rebuild; validates cached cast plans
         self.epoch: int = 0
+        #: the occupied access routers the skeleton was derived from;
+        #: ``None`` after a topology event (the trees it used are gone)
+        self.basis: Optional[list[Address]] = None
+        #: router -> its merged next hops, filled on demand; join / leave drop
+        #: their router's entry, a re-derivation (forced by topology) all
+        self.hops: dict[Address, tuple[Address, ...]] = {}
 
     @property
     def degraded(self) -> bool:
@@ -251,6 +257,7 @@ class MulticastFabric:
         state.refs[host] = state.refs.get(host, 0) + 1
         if state.refs[host] == 1:
             insort(state.by_router.setdefault(router, []), host)
+            state.hops.pop(router, None)
             if self._access_link_up(host):
                 self.grafts += 1
             else:
@@ -265,10 +272,12 @@ class MulticastFabric:
         state.refs[host] -= 1
         if state.refs[host] <= 0:
             del state.refs[host]
-            hosts = state.by_router[self._access[host]]
+            router = self._access[host]
+            hosts = state.by_router[router]
             hosts.remove(host)
             if not hosts:
-                del state.by_router[self._access[host]]
+                del state.by_router[router]
+            state.hops.pop(router, None)
             if host in state.dark:
                 state.dark.remove(host)
             else:
@@ -363,11 +372,16 @@ class MulticastFabric:
         topology event: at most two traversals per component per
         topology change, none in a steady topology.  ``partitioned`` is
         set whenever a component cannot reach the anchor, which (like a
-        dark member) re-triggers a rebuild on the next link heal.
+        dark member) re-triggers a rebuild on the next link heal.  Those
+        routers and the topology fix the result, so a rebuild from
+        ``state.basis`` (no topology event since) only counts.
         """
         self.rebuilds += 1
-        # --- anchor election (LCA transfer on membership change) -------
         acc_routers = sorted(state.by_router)
+        if acc_routers == state.basis:
+            state.epoch += 1
+            return
+        # --- anchor election (LCA transfer on membership change) -------
         anchor = self._lca(acc_routers)
         if anchor is None and acc_routers:
             anchor = min(acc_routers, key=lambda r: (self.routers[r].depth, r))
@@ -409,6 +423,8 @@ class MulticastFabric:
         state.skeleton = skeleton
         state.links = {node: tuple(sorted(peers)) for node, peers in links.items()}
         state.partitioned = partitioned
+        state.basis = acc_routers
+        state.hops.clear()
         state.epoch += 1
 
     def _tree(self, root: Address) -> dict[Address, Optional[Address]]:
@@ -429,6 +445,7 @@ class MulticastFabric:
         key = frozenset((a, b))
         for addr in sorted(self._groups):
             state = self._groups[addr]
+            state.basis = None
             if not state.refs:
                 continue
             repair = state.degraded if up else key in state.skeleton
@@ -456,13 +473,14 @@ class MulticastFabric:
         """``node``'s tree neighbors in name order, merged from the two layers."""
         if node in state.refs:  # a member host is a leaf on its access router
             return () if node in state.dark else (self._access[node],)
-        links = state.links.get(node, ())
-        hosts = state.by_router.get(node)
-        if not hosts:
-            return links
-        if state.dark:
-            hosts = [h for h in hosts if h not in state.dark]
-        return tuple(sorted([*links, *hosts]))
+        hops = state.hops.get(node)
+        if hops is None:
+            hops = state.links.get(node, ())
+            live = [h for h in state.by_router.get(node, ()) if h not in state.dark]
+            if live:
+                hops = tuple(sorted([*hops, *live]))
+            state.hops[node] = hops
+        return hops
 
     def plan(self, addr: str, root: Address) -> CastPlan:
         """The cast plan for a send by ``root`` — cached per tree epoch.

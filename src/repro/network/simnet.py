@@ -468,11 +468,11 @@ class Network:
         simplicity; the delay of a dropped packet is irrelevant to any
         observer.
         """
-        hops: list[tuple[Address, Address, Link]] = []
+        hops: list[tuple[Address, Address]] = []
         node = packet.src
         for link in self.route(node, packet.dst) or ():
             child = link.other(node)
-            hops.append((node, child, link))
+            hops.append((node, child))
             node = child
         return self._transmit(packet.src, packet.size, hops, (packet,)) == 1
 
@@ -499,27 +499,25 @@ class Network:
         own host when absent from the plan) are drops.  Returns the
         number of targets scheduled for delivery.
         """
-        get = self._links.get
-        hops = [(e[0], e[1], link) for e in plan.edges if (link := get(e)) is not None]
         src, src_port, payload = packet.src, packet.src_port, packet.payload
         copies = [Packet(src, src_port, host, port, payload) for host, port in targets]
-        return self._transmit(plan.root, packet.size, hops, copies)
+        return self._transmit(plan.root, packet.size, plan.edges, copies)
 
     def _transmit(
         self,
         root: Address,
         size: int,
-        hops: Iterable[tuple[Address, Address, Link]],
+        hops: Iterable[tuple[Address, Address]],
         copies: Iterable[Packet],
     ) -> int:
         """The one delivery primitive behind :meth:`send` and :meth:`cast`.
 
-        ``hops`` are ``(parent, child, link)`` ordered parent-before-child
-        outward from ``root`` — a chain for unicast, a tree for a cast —
-        and ``copies`` are the logical datagrams of ``size`` bytes, one
-        per target, already addressed.  Phase one carries the bytes over
-        each hop once: octet counters, the loss draw, FIFO
-        :meth:`Link.enqueue`; a lost or down hop leaves its child
+        ``hops`` are ``(parent, child)`` pairs ordered parent-before-child
+        outward from ``root`` (a chain for unicast, a tree for a cast; a pair
+        whose link is gone is skipped), and ``copies`` are the logical
+        datagrams of ``size`` bytes, one per target, already addressed.
+        Phase one carries the bytes over each hop once: octet counters, the
+        loss draw, FIFO :meth:`Link.enqueue`; a lost or down hop leaves its child
         without an arrival time, which severs everything below it.
         Phase two settles each copy at its target in exactly one of
         delivered / dropped / duplicated and tells the attached tracer.
@@ -531,7 +529,12 @@ class Network:
         rng = self.rng
         arrival: dict[Address, float] = {root: scheduler.clock.now}
         via: dict[Address, Link] = {}  # last hop into each reached node
-        for parent, child, link in hops:
+        get = self._links.get
+        for hop in hops:
+            link = get(hop)
+            if link is None:
+                continue
+            parent, child = hop
             t = arrival.get(parent)
             if t is None or not link.up:
                 continue  # upstream hop lost or link down: subtree severed
@@ -557,7 +560,16 @@ class Network:
             if t is None:
                 times: Sequence[Union[float, tuple[float, Packet]]] = ()
             elif last is None or interceptor is None:
-                times = (t,)
+                # no fault hook on the path: one copy, settled straight-line
+                if tracer is not None:
+                    tracer.record(packet, True)
+                self.packets_delivered += 1
+                self.copies_delivered += 1
+                if last is not None:
+                    last.delivered_packets += 1
+                call_at(t, nodes[dst].deliver, packet)
+                scheduled += 1
+                continue
             else:
                 path: list[Link] = []
                 node = dst

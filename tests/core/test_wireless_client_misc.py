@@ -76,13 +76,3 @@ class TestUplinkEventOrdering:
         kinds = [type(e).__name__ for _, e in w2.received_events]
         assert "ChatEvent" in kinds
         assert "w: to everyone" in wired.chat.transcript
-
-
-class TestHarnessMisc:
-    def test_experiment_len(self):
-        from repro.experiments.harness import ExperimentResult
-
-        r = ExperimentResult("X", "t", columns=("a",))
-        assert len(r) == 0
-        r.add_row(a=1)
-        assert len(r) == 1

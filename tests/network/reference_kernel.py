@@ -19,6 +19,10 @@ rewritten, kept verbatim as the test oracle:
   ordered-pair key ``Network._links`` now has (it built a ``frozenset``
   per edge), and ``_transmit`` calls :func:`reference_enqueue`.
 
+One later fix is carried into the oracle, so the scheduler property keeps
+comparing exactly: ``run_until`` refuses a non-finite time (NaN used to
+dispatch every queued event, +inf to leave the clock at +inf).
+
 Topology, routing, counters and the fault / tracer hooks are inherited
 from ``Network``, so a fast and a reference world built by the same
 calls differ in nothing but the path under test.
@@ -91,6 +95,8 @@ class ReferenceScheduler:
         return n
 
     def run_until(self, t, max_events: int = 10_000_000) -> int:
+        if not math.isfinite(t):  # the one later fix both kernels share
+            raise SimulationError(f"run time must be finite, got {t}")
         n = 0
         while self._heap:
             time_next, _, ev = self._heap[0]

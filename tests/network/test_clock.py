@@ -117,6 +117,21 @@ class TestRunModes:
         s.run_until(2.0)
         assert fired == ["edge"]
 
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), float("-inf")])
+    def test_run_until_refuses_a_non_finite_time(self, t):
+        s = Scheduler()
+        fired = []
+        s.call_at(5.0, fired.append, "due at 5")
+        with pytest.raises(SimulationError, match="must be finite"):
+            s.run_until(t)
+        with pytest.raises(SimulationError, match="must be finite"):
+            s.run_for(t)
+        # nothing fired and the clock did not move, so the scheduler stays usable
+        assert (fired, s.clock.now, s.pending) == ([], 0.0, 1)
+        s.call_after(1.0, fired.append, "after")
+        s.run()
+        assert fired == ["after", "due at 5"]
+
     def test_run_for_relative(self):
         s = Scheduler()
         s.run_for(10.0)

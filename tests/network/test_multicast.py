@@ -85,6 +85,32 @@ class TestFanOut:
         assert got_b == []
 
 
+class TestReceiveCallback:
+    """The callback is handed to the member's datagram socket."""
+
+    def test_member_without_callback_drops_and_queues_nothing(self, fabric):
+        net, group = fabric
+        member = MulticastSocket(net, "b", group, on_receive=None)
+        MulticastSocket(net, "a", group).send(b"x")
+        net.scheduler.run()
+        assert member.received_datagrams == 1
+        assert member.on_receive is None
+        assert member._sock.pending == 0 and member._sock.recvfrom() is None
+
+    def test_callback_assigned_after_join_gets_the_next_datagram(self, fabric):
+        net, group = fabric
+        member = MulticastSocket(net, "b", group)
+        sender = MulticastSocket(net, "a", group)
+        sender.send(b"before")
+        net.scheduler.run()
+        got = []
+        member.on_receive = lambda data, src: got.append((data, src))
+        sender.send(b"after")
+        net.scheduler.run()
+        assert got == [(b"after", ("a", sender.local_port))]
+        assert member._sock.pending == 0
+
+
 class TestTelemetry:
     """Regression: multicast sends must show up in ``sent_datagrams``.
 

@@ -16,6 +16,8 @@ not sampling noise.  Sends, membership changes, and flap windows are
 separated by a full virtual second while link delays are sub-millisecond,
 so each action observes a quiescent network — the same discipline the
 chaos experiment harness uses.
+
+CI runs this file again under ``--hypothesis-profile=deep``.
 """
 
 import numpy as np
@@ -38,6 +40,12 @@ from repro.network.simnet import Network
 
 GROUP = "239.7.7.7"
 PORT = 5000
+
+# explicit settings would shadow --hypothesis-profile=deep, so tier-1's
+# budgets step aside when a larger profile is loaded
+_DEEP = settings().max_examples > 100
+FLAT_BUDGET = settings() if _DEEP else settings(max_examples=60, deadline=None)
+JITTER_BUDGET = settings() if _DEEP else settings(max_examples=25, deadline=None)
 
 
 @st.composite
@@ -145,7 +153,7 @@ def _run_world(tree, n_access, attach, cross, actions, flaps):
     return received, counters
 
 
-@settings(max_examples=60, deadline=None)
+@FLAT_BUDGET
 @given(scenarios())
 def test_tree_equals_flat(scenario):
     n_access, attach, cross, actions, flaps = scenario
@@ -159,7 +167,7 @@ def test_tree_equals_flat(scenario):
     assert sent == delivered + dropped + duplicated
 
 
-@settings(max_examples=25, deadline=None)
+@JITTER_BUDGET
 @given(scenarios(), st.integers(min_value=0, max_value=2**16))
 def test_tree_conservation_with_jitter(scenario, seed):
     """Per-receiver FIFO and conservation also hold with jitter > 0.
