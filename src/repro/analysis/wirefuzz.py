@@ -166,8 +166,8 @@ def _sample_snmp_message(rng: random.Random) -> Any:
     from ..snmp import pdu
     from ..snmp.oids import OID
 
-    v1_tags = (pdu.PDU_GET, pdu.PDU_GETNEXT, pdu.PDU_RESPONSE, pdu.PDU_SET)
-    tag = rng.choice(v1_tags + (pdu.PDU_GETBULK, pdu.PDU_TRAP_V2))
+    v1_tags = (pdu.PDU_GET, pdu.PDU_RESPONSE)
+    tag = rng.choice(v1_tags + (pdu.PDU_TRAP_V2,))
     version = pdu.VERSION_1 if tag in v1_tags and rng.random() < 0.5 else pdu.VERSION_2C
     request_id, slot1, slot2 = (rng.randrange(-(2**31), 2**31) for _ in range(3))
     varbinds = tuple(

@@ -30,46 +30,19 @@ def build_host_mib(host: SimulatedHost, access_link: Optional[Link] = None) -> M
     nearest unit, which matches agent granularity on real systems.
     """
     tree = MibTree()
-    tree.register_scalar(MIB2.sysName, OctetString(host.name.encode()), "host name")
-    tree.register_scalar(
-        MIB2.sysDescr,
-        OctetString(b"TASSL simulated workstation (reproduction)"),
-        "system description",
-    )
-    tree.register_callable(
-        MIB2.sysUpTime,
-        lambda: TimeTicks(int(host.scheduler.clock.now * 100) % 2**32),
-        description="agent uptime in hundredths",
-    )
-    tree.register_callable(
-        TASSL.hostCpuLoad,
-        lambda: Gauge32(int(round(host.cpu_load))),
-        description="CPU utilisation percent",
-    )
-    tree.register_callable(
-        TASSL.hostPageFaults,
-        lambda: Gauge32(int(round(host.page_faults))),
-        description="page faults per interval",
-    )
-    tree.register_callable(
-        TASSL.hostFreeMemory,
-        lambda: Gauge32(host.free_memory_kib),
-        description="free memory KiB",
-    )
-    tree.register_scalar(
-        TASSL.hostTotalMemory, Gauge32(TOTAL_MEMORY_KIB), "total memory KiB"
-    )
-    tree.register_callable(
-        TASSL.hostProcesses,
-        lambda: Gauge32(host.processes),
-        description="process count",
-    )
-    tree.register_callable(
-        TASSL.hostUptime,
-        lambda: TimeTicks(int(host.scheduler.clock.now * 100) % 2**32),
-        description="host uptime",
-    )
+    tree.register_scalar(MIB2.sysName, OctetString(host.name.encode()))
+    tree.register_scalar(MIB2.sysDescr, OctetString(b"TASSL simulated workstation (reproduction)"))
+    # uptimes are TimeTicks: hundredths of a second
+    tree.register_callable(MIB2.sysUpTime, lambda: TimeTicks(int(host.scheduler.clock.now * 100) % 2**32))
+    tree.register_callable(TASSL.hostCpuLoad, lambda: Gauge32(int(round(host.cpu_load))))  # percent
+    # page faults per sampling interval
+    tree.register_callable(TASSL.hostPageFaults, lambda: Gauge32(int(round(host.page_faults))))
+    tree.register_callable(TASSL.hostFreeMemory, lambda: Gauge32(host.free_memory_kib))  # KiB
+    tree.register_scalar(TASSL.hostTotalMemory, Gauge32(TOTAL_MEMORY_KIB))  # KiB
+    tree.register_callable(TASSL.hostProcesses, lambda: Gauge32(host.processes))
+    tree.register_callable(TASSL.hostUptime, lambda: TimeTicks(int(host.scheduler.clock.now * 100) % 2**32))
     if access_link is not None:
+        # bytes/s, saturating at the Gauge32 ceiling
         tree.register_callable(
             TASSL.linkBandwidth,
             lambda: Gauge32(
@@ -77,23 +50,10 @@ def build_host_mib(host: SimulatedHost, access_link: Optional[Link] = None) -> M
                 if access_link.bandwidth != float("inf")
                 else 2**32 - 1
             ),
-            description="access link bandwidth B/s",
         )
-        tree.register_callable(
-            TASSL.linkLatencyUs,
-            lambda: Gauge32(int(access_link.latency * 1e6)),
-            description="access link latency us",
-        )
-        tree.register_callable(
-            TASSL.linkJitterUs,
-            lambda: Gauge32(int(access_link.jitter * 1e6)),
-            description="access link jitter us",
-        )
-        tree.register_callable(
-            TASSL.linkLossPpm,
-            lambda: Gauge32(int(access_link.loss * 1e6)),
-            description="access link loss ppm",
-        )
+        tree.register_callable(TASSL.linkLatencyUs, lambda: Gauge32(int(access_link.latency * 1e6)))
+        tree.register_callable(TASSL.linkJitterUs, lambda: Gauge32(int(access_link.jitter * 1e6)))
+        tree.register_callable(TASSL.linkLossPpm, lambda: Gauge32(int(access_link.loss * 1e6)))
     return tree
 
 
@@ -102,11 +62,7 @@ def attach_extension_agent(
     host: SimulatedHost,
     access_link: Optional[Link] = None,
     read_community: str = "public",
-    write_community: str = "private",
 ) -> SnmpAgent:
     """Build the MIB and start the agent on the host's node (port 161)."""
     tree = build_host_mib(host, access_link)
-    sock = DatagramSocket(network, host.name)
-    return SnmpAgent(
-        sock, tree, read_community=read_community, write_community=write_community
-    )
+    return SnmpAgent(DatagramSocket(network, host.name), tree, read_community=read_community)

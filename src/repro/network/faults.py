@@ -293,12 +293,6 @@ class FaultPlan:
             for ev in self.events
         )
 
-    def describe(self) -> list[str]:
-        """One human-readable line per event, in schedule order."""
-        return [
-            f"t={ev.start:g}s +{ev.duration:g}s {type(ev).__name__}" for ev in self.events
-        ]
-
 
 def _ones_complement_sum(data: bytes) -> int:
     """The RFC 768 ones'-complement sum of ``data``'s 16-bit words.

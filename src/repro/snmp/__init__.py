@@ -1,8 +1,8 @@
 """From-scratch SNMP substrate (BER codec, MIB, agent, manager).
 
 Implements the SNMPv1/v2c subset the paper's network-state interface
-needs: the manager GETs scalar MIB objects over datagrams, and the agent
-answers GET / GETNEXT / GETBULK / SET from any manager.
+needs: the manager GETs scalar MIB objects over datagrams, the agent
+answers GET from any manager, and hosts send threshold traps.
 """
 
 from .ber import (
@@ -25,7 +25,7 @@ from .ber import (
     encode,
 )
 from .oids import MIB2, OID, TASSL
-from .mib import MibAccessError, MibBinding, MibTree
+from .mib import MibAccessError, MibTree
 from .pdu import SNMP_PORT, SnmpMessage
 from .agent import SnmpAgent
 from .manager import SnmpManager
@@ -67,7 +67,6 @@ __all__ = [
     "OID",
     "TASSL",
     "MibAccessError",
-    "MibBinding",
     "MibTree",
     "SNMP_PORT",
     "SnmpMessage",

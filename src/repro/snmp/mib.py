@@ -1,63 +1,33 @@
 """MIB tree: the agent-side store of managed objects.
 
-A :class:`MibTree` maps :class:`~repro.snmp.oids.OID` instances to
-*bindings*.  A binding is either a static BER value or a zero-argument
-callable producing one — the paper's "instrumentation routines" that the
-embedded extension agent services.  Writable objects additionally accept a
-setter callable.
-
-The tree keeps its keys sorted to serve GETNEXT / GETBULK traversal in OID
-lexicographic order, which is what the protocol requires.
+A :class:`MibTree` maps each :class:`~repro.snmp.oids.OID` to a getter: a
+zero-argument callable producing a BER value — the paper's
+"instrumentation routines" that the embedded extension agent services.
+GET is an exact-match lookup, so the tree is a plain dict.
 """
 
 from __future__ import annotations
 
-import bisect
-from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable
 
 from .errors import ErrorStatus, SnmpError
 from .oids import OID
 
-__all__ = ["MibBinding", "MibTree", "MibAccessError"]
+__all__ = ["MibTree", "MibAccessError"]
 
 Getter = Callable[[], object]
-Setter = Callable[[object], None]
 
 
 class MibAccessError(SnmpError):
-    """Raised by bindings on bad access; carries an RFC 1157 status."""
+    """Raised on a GET of an absent object; carries an RFC 1157 status."""
 
     def __init__(self, status: int, message: str = "") -> None:
         super().__init__(message or ErrorStatus.name(status))
         self.status = status
 
 
-@dataclass
-class MibBinding:
-    """One managed object: a value source and an optional setter."""
-
-    oid: OID
-    getter: Getter
-    setter: Optional[Setter] = None
-    description: str = ""
-
-    @property
-    def writable(self) -> bool:
-        return self.setter is not None
-
-    def read(self) -> object:
-        """Invoke the instrumentation routine; returns a BER value."""
-        return self.getter()
-
-    def write(self, value: object) -> None:
-        if self.setter is None:
-            raise MibAccessError(ErrorStatus.READ_ONLY, f"{self.oid} is read-only")
-        self.setter(value)
-
-
 class MibTree:
-    """Sorted collection of :class:`MibBinding` objects.
+    """One getter per registered OID.
 
     Example
     -------
@@ -70,59 +40,22 @@ class MibTree:
     """
 
     def __init__(self) -> None:
-        self._bindings: dict[OID, MibBinding] = {}
-        self._sorted_oids: list[OID] = []
+        self._getters: dict[OID, Getter] = {}
 
-    # ------------------------------------------------------------------
-    # registration
-    # ------------------------------------------------------------------
-    def register(self, binding: MibBinding) -> None:
-        """Add a binding; re-registering an OID replaces it."""
-        if binding.oid not in self._bindings:
-            bisect.insort(self._sorted_oids, binding.oid)
-        self._bindings[binding.oid] = binding
+    def register_scalar(self, oid: OID, value: object) -> None:
+        """Register a constant value object; re-registering replaces it."""
+        self._getters[oid] = lambda: value
 
-    def register_scalar(self, oid: OID, value: object, description: str = "") -> None:
-        """Register a constant value object."""
-        self.register(MibBinding(oid, lambda v=value: v, description=description))
-
-    def register_callable(self, oid: OID, getter: Getter, description: str = "") -> None:
-        """Register a read-only instrumentation routine (a writable object
-        is a :class:`MibBinding` with a setter, given to :meth:`register`)."""
-        self.register(MibBinding(oid, getter, description=description))
+    def register_callable(self, oid: OID, getter: Getter) -> None:
+        """Register an instrumentation routine; re-registering replaces it."""
+        self._getters[oid] = getter
 
     def __contains__(self, oid: OID) -> bool:
-        return oid in self._bindings
+        return oid in self._getters
 
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    # ------------------------------------------------------------------
-    # protocol operations
-    # ------------------------------------------------------------------
     def get(self, oid: OID) -> object:
         """GET: exact-match read.  Raises noSuchName when absent."""
-        binding = self._bindings.get(oid)
-        if binding is None:
+        getter = self._getters.get(oid)
+        if getter is None:
             raise MibAccessError(ErrorStatus.NO_SUCH_NAME, f"no object {oid}")
-        return binding.read()
-
-    def get_next(self, oid: OID) -> tuple[OID, object]:
-        """GETNEXT: first binding strictly after ``oid`` in OID order."""
-        idx = bisect.bisect_right(self._sorted_oids, oid)
-        if idx >= len(self._sorted_oids):
-            raise MibAccessError(ErrorStatus.NO_SUCH_NAME, f"end of MIB after {oid}")
-        next_oid = self._sorted_oids[idx]
-        return next_oid, self._bindings[next_oid].read()
-
-    def set(self, oid: OID, value: object) -> None:
-        """SET: write through the binding's setter."""
-        binding = self._bindings.get(oid)
-        if binding is None:
-            raise MibAccessError(ErrorStatus.NO_SUCH_NAME, f"no object {oid}")
-        binding.write(value)
-
-    @property
-    def oids(self) -> list[OID]:
-        """All registered OIDs in traversal order."""
-        return list(self._sorted_oids)
+        return getter()

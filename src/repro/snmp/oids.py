@@ -1,7 +1,7 @@
 """Object identifiers and the MIB arcs used by the framework.
 
-Provides a hashable, totally ordered :class:`OID` type plus the well-known
-arcs the network-state interface queries:
+Provides a hashable :class:`OID` type plus the well-known arcs the
+network-state interface queries:
 
 * a few MIB-II scalars (sysDescr, sysUpTime, ifInOctets/ifOutOctets
   style interface counters), and
@@ -13,7 +13,6 @@ arcs the network-state interface queries:
 
 from __future__ import annotations
 
-from functools import total_ordering
 from typing import Iterable, Union
 
 from .ber import BerError, ObjectIdentifierValue
@@ -21,17 +20,16 @@ from .ber import BerError, ObjectIdentifierValue
 __all__ = ["OID", "MIB2", "TASSL"]
 
 
-@total_ordering
 class OID:
     """An SNMP object identifier.
 
-    Accepts dotted-string or iterable-of-int construction and supports the
-    lexicographic ordering GETNEXT traversal requires.
+    Accepts dotted-string or iterable-of-int construction; equal arcs make
+    equal, equally hashed OIDs (the agent's MIB is a dict keyed by them).
 
-    >>> OID("1.3.6.1.2.1.1.1.0") < OID("1.3.6.1.2.1.1.2.0")
+    >>> OID("1.3.6.1.2.1.1.1.0") == OID((1, 3, 6, 1, 2, 1, 1, 1, 0))
     True
-    >>> OID((1, 3, 6)).is_prefix_of(OID("1.3.6.1"))
-    True
+    >>> OID("1.3.6").child(1)
+    OID('1.3.6.1')
     """
 
     __slots__ = ("arcs",)
@@ -59,9 +57,6 @@ class OID:
     def __eq__(self, other: object) -> bool:
         return isinstance(other, OID) and self.arcs == other.arcs
 
-    def __lt__(self, other: "OID") -> bool:
-        return self.arcs < other.arcs
-
     def __hash__(self) -> int:
         return hash(self.arcs)
 
@@ -71,9 +66,6 @@ class OID:
     def __repr__(self) -> str:
         return f"OID({str(self)!r})"
 
-    def __len__(self) -> int:
-        return len(self.arcs)
-
     # -- tree algebra ---------------------------------------------------
     def child(self, *suffix: int) -> "OID":
         """Extend this OID with additional arcs."""
@@ -82,16 +74,6 @@ class OID:
     def instance(self) -> "OID":
         """The ``.0`` scalar instance of this object type."""
         return self.child(0)
-
-    def is_prefix_of(self, other: "OID") -> bool:
-        """True when ``other`` lies in the subtree rooted at ``self``."""
-        return other.arcs[: len(self.arcs)] == self.arcs
-
-    def parent(self) -> "OID":
-        """The enclosing arc (error below the 2-arc root)."""
-        if len(self.arcs) <= 2:
-            raise BerError("cannot take parent of a root OID")
-        return OID(self.arcs[:-1])
 
     def to_ber(self) -> ObjectIdentifierValue:
         """Convert to the BER value type."""

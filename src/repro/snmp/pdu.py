@@ -6,10 +6,10 @@ RFC 1157 / RFC 3416 frame::
     SEQUENCE {
         INTEGER version          -- 0 = v1, 1 = v2c
         OCTET STRING community
-        PDU {                     -- context tag 0xA0..0xA7
+        PDU {                     -- context tag: GET, RESPONSE or TRAP_V2
             INTEGER request-id
-            INTEGER error-status  -- GETBULK: non-repeaters
-            INTEGER error-index   -- GETBULK: max-repetitions
+            INTEGER error-status  -- 0 in a request
+            INTEGER error-index   -- 0 in a request
             SEQUENCE OF SEQUENCE { OID, value }   -- varbind list
         }
     }
@@ -17,7 +17,8 @@ RFC 1157 / RFC 3416 frame::
 :class:`SnmpMessage` is that frame as plain fields.  :meth:`~SnmpMessage.to_bytes`
 calls :func:`~repro.snmp.ber.encode` once and :meth:`~SnmpMessage.from_bytes`
 calls :func:`~repro.snmp.ber.decode` once; the parse refuses anything but
-a well-formed frame, so callers only read fields.
+a well-formed frame of the three PDUs in use (GET, its RESPONSE and the
+v2c trap), so callers only read fields.
 """
 
 from __future__ import annotations
@@ -29,15 +30,12 @@ from .errors import ErrorStatus, SnmpErrorResponse, SnmpProtocolError
 from .oids import OID
 
 __all__ = [
-    "SnmpMessage", "VarBind", "PDU_GET", "PDU_GETNEXT", "PDU_RESPONSE", "PDU_SET", "PDU_GETBULK",
-    "PDU_TRAP_V2", "VERSION_1", "VERSION_2C", "SNMP_PORT", "TRAP_PORT",
+    "SnmpMessage", "VarBind", "PDU_GET", "PDU_RESPONSE", "PDU_TRAP_V2", "VERSION_1", "VERSION_2C",
+    "SNMP_PORT", "TRAP_PORT",
 ]
 
 PDU_GET = 0xA0
-PDU_GETNEXT = 0xA1
 PDU_RESPONSE = 0xA2
-PDU_SET = 0xA3
-PDU_GETBULK = 0xA5
 PDU_TRAP_V2 = 0xA7
 
 VERSION_1 = 0
@@ -49,8 +47,8 @@ SNMP_PORT = 161
 TRAP_PORT = 162
 
 #: PDUs that exist only in SNMPv2c; a v1 frame carrying one is malformed.
-_V2C_ONLY = frozenset((PDU_GETBULK, PDU_TRAP_V2))
-_PDU_TAGS = frozenset((PDU_GET, PDU_GETNEXT, PDU_RESPONSE, PDU_SET)) | _V2C_ONLY
+_V2C_ONLY = frozenset((PDU_TRAP_V2,))
+_PDU_TAGS = frozenset((PDU_GET, PDU_RESPONSE)) | _V2C_ONLY
 
 #: A (oid, value) pair; the value is a BER object.
 VarBind = tuple[OID, object]
@@ -60,8 +58,7 @@ VarBind = tuple[OID, object]
 class SnmpMessage:
     """One SNMP message.
 
-    ``slot1`` / ``slot2`` are the PDU's error-status / error-index, which
-    a GETBULK request uses for non-repeaters / max-repetitions.  The
+    ``slot1`` / ``slot2`` are the PDU's error-status / error-index.  The
     community travels as octets; here it is their latin-1 text, which maps
     every octet string to a distinct ``str`` and back.
     """
@@ -89,7 +86,8 @@ class SnmpMessage:
         :class:`~repro.snmp.errors.SnmpProtocolError` on well-formed BER
         that is not an SNMP message: a frame other than a 3-element
         SEQUENCE, a version other than v1 / v2c, a community that is not
-        an OCTET STRING, an unknown PDU tag, a v2c-only PDU in a v1 frame,
+        an OCTET STRING, a PDU tag other than GET, RESPONSE or TRAP_V2
+        (GETNEXT, SET and GETBULK included), a v2c-only PDU in a v1 frame,
         a PDU other than three INTEGERs and a SEQUENCE, or a varbind other
         than an (OID, value) pair.
         """

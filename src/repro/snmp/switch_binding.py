@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..network.simnet import Network
 from ..network.udp import DatagramSocket
 from .agent import SnmpAgent
-from .ber import Counter32, Gauge32, Integer, OctetString
+from .ber import Counter32, Gauge32, Integer, OctetString, TimeTicks
 from .mib import MibTree
 from .oids import MIB2
 
@@ -28,25 +28,15 @@ def build_switch_mib(network: Network, element: str) -> MibTree:
     counters at GET time, exactly like a real switch ASIC's registers.
     """
     tree = MibTree()
-    tree.register_scalar(MIB2.sysName, OctetString(element.encode()), "element name")
-    tree.register_scalar(
-        MIB2.sysDescr, OctetString(b"TASSL simulated LAN switch"), "description"
-    )
-    tree.register_callable(
-        MIB2.sysUpTime,
-        lambda: __import__("repro.snmp.ber", fromlist=["TimeTicks"]).TimeTicks(
-            int(network.scheduler.clock.now * 100) % 2**32
-        ),
-        description="element uptime",
-    )
+    tree.register_scalar(MIB2.sysName, OctetString(element.encode()))
+    tree.register_scalar(MIB2.sysDescr, OctetString(b"TASSL simulated LAN switch"))
+    tree.register_callable(MIB2.sysUpTime, lambda: TimeTicks(int(network.scheduler.clock.now * 100) % 2**32))
     links = [l for l in network.links if element in (l.a, l.b)]
     links.sort(key=lambda l: l.other(element))
-    tree.register_scalar(MIB2.ifNumber, Integer(len(links)), "interface count")
+    tree.register_scalar(MIB2.ifNumber, Integer(len(links)))
     for i, link in enumerate(links, start=1):
         peer = link.other(element)
-        tree.register_scalar(
-            MIB2.ifDescr.child(i), OctetString(f"to-{peer}".encode()), f"if {i} descr"
-        )
+        tree.register_scalar(MIB2.ifDescr.child(i), OctetString(f"to-{peer}".encode()))
         tree.register_callable(
             MIB2.ifSpeed.child(i),
             lambda l=link: Gauge32(
@@ -54,18 +44,9 @@ def build_switch_mib(network: Network, element: str) -> MibTree:
                 if l.bandwidth != float("inf")
                 else 2**32 - 1
             ),
-            description=f"if {i} speed",
         )
-        tree.register_callable(
-            MIB2.ifInOctets.child(i),
-            lambda l=link: Counter32(l.rx_octets % 2**32),
-            description=f"if {i} in octets",
-        )
-        tree.register_callable(
-            MIB2.ifOutOctets.child(i),
-            lambda l=link: Counter32(l.tx_octets % 2**32),
-            description=f"if {i} out octets",
-        )
+        tree.register_callable(MIB2.ifInOctets.child(i), lambda l=link: Counter32(l.rx_octets % 2**32))
+        tree.register_callable(MIB2.ifOutOctets.child(i), lambda l=link: Counter32(l.tx_octets % 2**32))
     return tree
 
 
@@ -73,11 +54,7 @@ def attach_switch_agent(
     network: Network,
     element: str,
     read_community: str = "public",
-    write_community: str = "private",
 ) -> SnmpAgent:
     """Build the standard MIB and start the agent on the element."""
     tree = build_switch_mib(network, element)
-    sock = DatagramSocket(network, element)
-    return SnmpAgent(
-        sock, tree, read_community=read_community, write_community=write_community
-    )
+    return SnmpAgent(DatagramSocket(network, element), tree, read_community=read_community)

@@ -27,6 +27,19 @@ def decode_beacon(raw: bytes) -> tuple:
     return kind, value
 
 
+def encode_gauge(version: int, value: int) -> bytes:
+    return bytes([version]) + value.to_bytes(4, "big")
+
+
+def decode_gauge(raw: bytes) -> int:
+    """Guarded twin of ``decode_counter``: its int.from_bytes slice is
+    read only after the length is checked."""
+    if len(raw) < 5:
+        raise WireCleanError("truncated gauge")
+    start = 1
+    return int.from_bytes(raw[start : start + 4], "big")
+
+
 def encode_ledger(rows: list) -> bytes:
     out = bytearray()
     out += struct.pack(">B", len(rows))

@@ -8,6 +8,8 @@ WIRE002's trigger and non-trigger, and suppressions.
 import os
 import textwrap
 
+import pytest
+
 from repro.analysis import Severity
 from repro.analysis.wireformat import (
     PAIR_METHOD_NAMES,
@@ -94,6 +96,23 @@ class TestWire002DecodeSafety:
                 return raw[0]
             """
         ) == []
+
+    @pytest.mark.parametrize(
+        "window, flagged",
+        [("0:4", True), ("pos:pos + 4", True), ("pos + 1:pos + 5", True), ("pos:end", False), ("4:4", False)],
+    )
+    def test_fixed_width_from_bytes_slice(self, window, flagged):
+        """Only a slice of constant width is a fixed-width read."""
+        found = codes(
+            f"""
+            def encode_count(n):
+                return n.to_bytes(4, "big")
+
+            def decode_count(raw: bytes, pos=0, end=4):
+                return int.from_bytes(raw[{window}], "big")
+            """
+        )
+        assert found == (["WIRE002"] if flagged else [])
 
     def test_truthiness_guard_suppresses(self):
         assert codes(

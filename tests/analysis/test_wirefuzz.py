@@ -7,6 +7,7 @@ the hypothesis-driven round-trip property for every registered pair.
 """
 
 import ast
+import dataclasses
 import os
 import random
 import struct
@@ -16,6 +17,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import wirefuzz
 from repro.analysis.wireformat import _discover_pairs
 from repro.analysis.wirefuzz import (
     FuzzCodecPair,
@@ -133,6 +135,23 @@ class TestHarnessMechanics:
         assert main(["--seed", "1337", "--rounds", "1"]) == 0
         out = capsys.readouterr().out
         assert "no uncaught decoder exception" in out
+
+    def test_main_reports_failures_against_the_static_pass(self, monkeypatch, capsys):
+        """Each crash is printed with whether WIRE002 flags its file: one
+        pair points at the known-bad corpus, one at a file that is gone."""
+        wire_bad = os.path.join(os.path.dirname(__file__), "corpus_wire", "wire_bad.py")
+        flagged = dataclasses.replace(self._broken_pair(), name="test.flagged", static_file=wire_bad)
+        unread = dataclasses.replace(self._broken_pair(), name="test.unread", static_file="missing.py")
+        monkeypatch.setattr(wirefuzz, "default_registry", lambda: [flagged, unread])
+        assert main(["--seed", "1", "--rounds", "1"]) == 1
+        out, err = capsys.readouterr()
+        assert out.startswith("fuzzed 2 codec pair(s): 2 round-trips")
+        header, first, second = err.splitlines()
+        assert header == "2 FAILURE(S):"
+        assert first.startswith("  [test.flagged] truncation: error: ")
+        assert first.endswith("(confirms a static WIRE002 finding)")
+        assert second.startswith("  [test.unread] truncation: error: ")
+        assert second.endswith("(NOT predicted by the static pass — abstraction gap)")
 
     def test_ci_command_runs_clean_in_a_fresh_process(self):
         """CI's ``python -m repro.analysis.wirefuzz --seed 1337`` warns of

@@ -55,8 +55,9 @@ class TestSwitchAgent:
             DatagramSocket(fw.network, "alice"), fw.scheduler, community="pub2"
         )
         # two ifDescr rows now
-        rows = [o for o in agent.mib.oids if MIB2.ifDescr.is_prefix_of(o)]
-        assert len(rows) == 2
+        assert mgr.get_scalar("lan-switch", MIB2.ifNumber).value == 2
+        rows = [MIB2.ifDescr.child(1), MIB2.ifDescr.child(2)]
+        assert MIB2.ifDescr.child(3) not in agent.mib
         out = mgr.get("lan-switch", rows)
         assert sorted(v.text() for _, v in out) == ["to-alice", "to-bob"]
 
@@ -204,6 +205,21 @@ class TestBandwidthPolicy:
         decision = alice.monitor_and_adapt()
         # host is calm, but the bandwidth policy caps the budget at 2
         assert decision.packets == 2
+
+    def test_close_releases_both_manager_sockets(self):
+        """A monitored client's close releases its own manager's port and
+        the network-state interface's."""
+        fw = CollaborationFramework("bwclose")
+        alice = fw.add_wired_client("alice", cpu_workload=Constant(20.0), fault_workload=Constant(10.0))
+        ns = alice.enable_network_monitoring()
+        alice.monitor_and_adapt()
+        sockets = [alice.snmp._sock, ns.manager._sock]
+        ports = [sock.port for sock in sockets]
+        assert None not in ports and len(set(ports)) == 2
+        alice.close()
+        assert [sock.port for sock in sockets] == [None, None]
+        for port in ports:  # free again: a new socket can take it
+            DatagramSocket(fw.network, "alice").bind(port)
 
     def test_fat_link_does_not_constrain(self):
         fw = CollaborationFramework("bwtest2")

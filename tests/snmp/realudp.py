@@ -104,9 +104,8 @@ class RealSnmpAgent(SnmpAgent):
         host: str = "127.0.0.1",
         port: int = 0,
         read_community: str = "public",
-        write_community: str = "private",
     ) -> None:
-        super().__init__(RealUdpSocket(host), mib, read_community, write_community, port=port)
+        super().__init__(RealUdpSocket(host), mib, read_community, port=port)
 
     @property
     def address(self) -> Address:

@@ -6,7 +6,9 @@ two GetResponse builders, ``TrapSender.send``) and read by three parsers
 (the manager's ``response_pdu`` + ``parse_response``, the agent's
 ``_process``, ``TrapListener._on_datagram``).  Their bodies are kept
 here verbatim, minus the sockets, so ``test_pdu_reference.py`` can pin
-the codec's bytes and accept/reject outcomes to them.
+the codec's bytes and accept/reject outcomes to them.  The agent's path is
+narrowed as the agent was: it serves GET only and refuses GETNEXT, SET
+and GETBULK like an unknown tag (no reply, one decode failure).
 """
 
 from __future__ import annotations
@@ -15,7 +17,6 @@ from typing import Callable, Optional, Sequence as Seq
 
 from repro.snmp.ber import (
     BerError,
-    EndOfMibView,
     Integer,
     ObjectIdentifierValue,
     OctetString,
@@ -31,11 +32,13 @@ from repro.snmp.oids import MIB2, OID
 from repro.snmp.traps import Notification
 
 PDU_GET = 0xA0
-PDU_GETNEXT = 0xA1
 PDU_RESPONSE = 0xA2
+PDU_TRAP_V2 = 0xA7
+#: request PDUs of RFC 3416 that the agent no longer serves: every
+#: decoder refuses them
+PDU_GETNEXT = 0xA1
 PDU_SET = 0xA3
 PDU_GETBULK = 0xA5
-PDU_TRAP_V2 = 0xA7
 
 VERSION_1 = 0
 VERSION_2C = 1
@@ -57,8 +60,7 @@ def encode_request(
     slot1: int = 0,
     slot2: int = 0,
 ) -> bytes:
-    """Wire form of one request; the error-status/-index slots carry
-    GETBULK's non-repeaters / max-repetitions."""
+    """Wire form of one request, any tag and any error-status/-index."""
     vb_seq = Sequence(tuple(Sequence((oid.to_ber(), value)) for oid, value in varbinds))
     message = Sequence(
         (
@@ -113,12 +115,9 @@ def parse_response(pdu: TaggedPdu) -> list[VarBind]:
 class ReferenceAgent:
     """``SnmpAgent``'s request path, answering through a return value."""
 
-    def __init__(
-        self, mib: MibTree, read_community: str = "public", write_community: str = "private"
-    ) -> None:
+    def __init__(self, mib: MibTree, read_community: str = "public") -> None:
         self.mib = mib
         self.read_community = read_community
-        self.write_community = write_community
         self.requests_served = 0
         self.auth_failures = 0
         self.decode_failures = 0
@@ -140,18 +139,10 @@ class ReferenceAgent:
             raise SnmpProtocolError(f"unsupported version {version!r}")
         if not isinstance(community, OctetString) or not isinstance(pdu, TaggedPdu):
             raise SnmpProtocolError("malformed community or PDU")
-        if pdu.tag_value not in (PDU_GET, PDU_GETNEXT, PDU_SET, PDU_GETBULK):
+        if pdu.tag_value != PDU_GET:
             raise SnmpProtocolError(f"unexpected PDU tag 0x{pdu.tag_value:02X}")
-        if pdu.tag_value == PDU_GETBULK and version.value != VERSION_2C:
-            raise SnmpProtocolError("GETBULK requires SNMPv2c")
 
-        community_text = community.value.decode("latin-1")
-        allowed = {self.read_community}
-        if pdu.tag_value == PDU_SET:
-            allowed = {self.write_community}
-        else:
-            allowed.add(self.write_community)
-        if community_text not in allowed:
+        if community.value.decode("latin-1") != self.read_community:
             self.auth_failures += 1
             return None  # v1 behaviour: silent drop (+ authenticationFailure trap)
 
@@ -171,41 +162,13 @@ class ReferenceAgent:
             varbinds.append((OID.from_ber(name), value))
 
         self.requests_served += 1
-        if pdu.tag_value == PDU_GETBULK:
-            # error-status/-index slots carry non-repeaters / max-repetitions
-            non_repeaters = max(0, _estatus.value if isinstance(_estatus, Integer) else 0)
-            max_reps = max(0, _eindex.value if isinstance(_eindex, Integer) else 0)
-            out_varbinds = self._serve_bulk(varbinds, non_repeaters, max_reps)
-            response = Sequence(
-                (
-                    Integer(version.value),
-                    OctetString(community.value),
-                    TaggedPdu(
-                        PDU_RESPONSE,
-                        (
-                            Integer(request_id.value),
-                            Integer(ErrorStatus.NO_ERROR),
-                            Integer(0),
-                            Sequence(tuple(out_varbinds)),
-                        ),
-                    ),
-                )
-            )
-            return encode(response)
         status = ErrorStatus.NO_ERROR
         err_index = 0
         out_varbinds: list[Sequence] = []
-        for i, (oid, value) in enumerate(varbinds, start=1):
+        for i, (oid, _value) in enumerate(varbinds, start=1):
             try:
-                if pdu.tag_value == PDU_GET:
-                    result = self.mib.get(oid)
-                    out_varbinds.append(Sequence((oid.to_ber(), result)))
-                elif pdu.tag_value == PDU_GETNEXT:
-                    next_oid, result = self.mib.get_next(oid)
-                    out_varbinds.append(Sequence((next_oid.to_ber(), result)))
-                else:  # SET
-                    self.mib.set(oid, value)
-                    out_varbinds.append(Sequence((oid.to_ber(), value)))
+                result = self.mib.get(oid)
+                out_varbinds.append(Sequence((oid.to_ber(), result)))
             except MibAccessError as exc:
                 status = exc.status
                 err_index = i
@@ -232,30 +195,6 @@ class ReferenceAgent:
             )
         )
         return encode(response)
-
-    def _serve_bulk(
-        self, varbinds: list, non_repeaters: int, max_reps: int
-    ) -> list[Sequence]:
-        out: list[Sequence] = []
-
-        def one_next(oid: OID) -> tuple[OID, object]:
-            try:
-                return self.mib.get_next(oid)
-            except MibAccessError:
-                return oid, EndOfMibView()
-
-        for oid, _value in varbinds[:non_repeaters]:
-            next_oid, result = one_next(oid)
-            out.append(Sequence((next_oid.to_ber(), result)))
-        for oid, _value in varbinds[non_repeaters:]:
-            current = oid
-            for _ in range(max_reps):
-                next_oid, result = one_next(current)
-                out.append(Sequence((next_oid.to_ber(), result)))
-                if isinstance(result, EndOfMibView):
-                    break
-                current = next_oid
-        return out
 
 
 # ----------------------------------------------------------------------

@@ -6,12 +6,12 @@ from repro.network.clock import Scheduler
 from repro.network.simnet import Network
 from repro.network.udp import DatagramSocket
 from repro.snmp.agent import SnmpAgent
-from repro.snmp.ber import Gauge32, Null, OctetString
+from repro.snmp.ber import Gauge32, OctetString
 from repro.snmp.errors import SnmpErrorResponse, SnmpTimeout
 from repro.snmp.manager import SnmpManager
-from repro.snmp.mib import MibBinding, MibTree
+from repro.snmp.mib import MibTree
 from repro.snmp.oids import MIB2, OID, TASSL
-from repro.snmp.pdu import PDU_GETNEXT, PDU_RESPONSE, PDU_SET, VERSION_2C, SnmpMessage
+from repro.snmp.pdu import PDU_GET, PDU_RESPONSE, VERSION_1, VERSION_2C, SnmpMessage
 from repro.snmp.traps import TrapListener, TrapSender
 
 
@@ -25,13 +25,7 @@ def stack():
     tree = MibTree()
     tree.register_scalar(MIB2.sysName, OctetString(b"host1"))
     box = {"cpu": 42}
-    tree.register(
-        MibBinding(
-            TASSL.hostCpuLoad,
-            lambda: Gauge32(box["cpu"]),
-            setter=lambda v: box.__setitem__("cpu", v.value),
-        )
-    )
+    tree.register_callable(TASSL.hostCpuLoad, lambda: Gauge32(box["cpu"]))
     tree.register_scalar(TASSL.hostPageFaults, Gauge32(7))
     agent = SnmpAgent(DatagramSocket(net, "host1"), tree)
     mgr = SnmpManager(DatagramSocket(net, "mgr"), sched)
@@ -78,37 +72,23 @@ def exchange(sched, net, message, agent_host="host1"):
     return replies
 
 
-class TestGetNext:
-    """The manager only GETs; the agent still answers GETNEXT from any
-    manager, the protocol's traversal step."""
+class TestRequestPdus:
+    """GET is the one request the agent serves: GETNEXT (0xA1), SET (0xA3)
+    and GETBULK (0xA5), which the codec no longer knows, and a Response
+    (0xA2) or trap (0xA7), which it does, are refused like undecodable
+    bytes."""
 
-    def test_get_next(self, stack):
-        sched, net, _, _, _ = stack
-        request = SnmpMessage(VERSION_2C, "public", PDU_GETNEXT, 7, 0, 0, ((TASSL.root, Null()),))
-        (reply,) = exchange(sched, net, request)
-        assert reply.request_id == 7
+    @pytest.mark.parametrize("tag", [0xA1, 0xA2, 0xA3, 0xA5, 0xA7])
+    def test_a_pdu_other_than_get_gets_no_reply(self, stack, tag):
+        sched, net, agent, _, _ = stack
+        varbinds = ((TASSL.hostCpuLoad, Gauge32(11)),)
+        for version in (VERSION_1, VERSION_2C):
+            request = SnmpMessage(version, "public", tag, 7, 0, 2, varbinds)
+            assert exchange(sched, net, request) == []
+        assert (agent.requests_served, agent.decode_failures, agent.auth_failures) == (0, 2, 0)
+        (reply,) = exchange(sched, net, SnmpMessage(VERSION_2C, "public", PDU_GET, 8, 0, 0, varbinds))
         assert reply.result() == [(TASSL.hostCpuLoad, Gauge32(42))]
-
-
-class TestSet:
-    """The agent serves SET to any manager that presents the write community."""
-
-    @staticmethod
-    def _set(community):
-        return SnmpMessage(VERSION_2C, community, PDU_SET, 9, 0, 0, ((TASSL.hostCpuLoad, Gauge32(11)),))
-
-    def test_set_with_write_community(self, stack):
-        sched, net, _, _, box = stack
-        (reply,) = exchange(sched, net, self._set("private"))
-        assert reply.result() == [(TASSL.hostCpuLoad, Gauge32(11))]
-        assert box["cpu"] == 11
-
-    def test_set_with_read_community_dropped(self, stack):
-        """RFC 1157 v1: bad community for op -> silent drop, no reply."""
-        sched, net, agent, _, box = stack
-        assert exchange(sched, net, self._set("public")) == []
-        assert box["cpu"] == 42
-        assert agent.auth_failures == 1
+        assert agent.requests_served == 1
 
 
 class TestRobustness:

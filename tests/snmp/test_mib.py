@@ -4,7 +4,7 @@ import pytest
 
 from repro.snmp.ber import Gauge32, OctetString
 from repro.snmp.errors import ErrorStatus
-from repro.snmp.mib import MibAccessError, MibBinding, MibTree
+from repro.snmp.mib import MibAccessError, MibTree
 from repro.snmp.oids import OID, TASSL
 
 
@@ -37,53 +37,3 @@ class TestGet:
     def test_reregistration_replaces(self, tree):
         tree.register_scalar(TASSL.hostCpuLoad, Gauge32(55))
         assert tree.get(TASSL.hostCpuLoad).value == 55
-        assert len([o for o in tree.oids if o == TASSL.hostCpuLoad]) == 1
-
-
-class TestGetNext:
-    def test_next_in_order(self, tree):
-        oid, value = tree.get_next(TASSL.hostCpuLoad)
-        assert oid == TASSL.hostPageFaults
-        assert value.value == 20
-
-    def test_next_from_prefix(self, tree):
-        oid, _ = tree.get_next(TASSL.root)
-        assert oid == TASSL.hostCpuLoad
-
-    def test_end_of_mib(self, tree):
-        last = tree.oids[-1]
-        with pytest.raises(MibAccessError):
-            tree.get_next(last)
-
-
-class TestSet:
-    def test_set_through_setter(self):
-        t = MibTree()
-        box = {"v": 1}
-        t.register(
-            MibBinding(
-                TASSL.hostCpuLoad,
-                lambda: Gauge32(box["v"]),
-                setter=lambda val: box.__setitem__("v", val.value),
-            )
-        )
-        t.set(TASSL.hostCpuLoad, Gauge32(42))
-        assert box["v"] == 42
-
-    def test_set_readonly_raises(self, tree):
-        with pytest.raises(MibAccessError) as ei:
-            tree.set(TASSL.hostCpuLoad, Gauge32(1))
-        assert ei.value.status == ErrorStatus.READ_ONLY
-
-    def test_set_missing_raises(self, tree):
-        with pytest.raises(MibAccessError) as ei:
-            tree.set(OID("1.3.9.9.0"), Gauge32(1))
-        assert ei.value.status == ErrorStatus.NO_SUCH_NAME
-
-
-class TestLifecycle:
-    def test_binding_writable_flag(self):
-        b = MibBinding(TASSL.hostCpuLoad, lambda: Gauge32(1))
-        assert not b.writable
-        with pytest.raises(MibAccessError):
-            b.write(Gauge32(2))

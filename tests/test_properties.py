@@ -8,44 +8,6 @@ from repro.core.policies import StepPolicy
 from repro.core.state import StateEntry, StateRepository
 from repro.media.images import collaboration_scene
 from repro.media.progressive import ProgressiveImage, ReceivedImage
-from repro.snmp.ber import Gauge32
-from repro.snmp.mib import MibAccessError, MibTree
-from repro.snmp.oids import OID
-
-
-class TestMibTraversalProperties:
-    @settings(max_examples=40)
-    @given(
-        st.sets(
-            st.lists(st.integers(0, 9), min_size=3, max_size=6).map(
-                lambda arcs: (1, 3) + tuple(arcs)
-            ),
-            min_size=1,
-            max_size=25,
-        )
-    )
-    def test_getnext_walk_visits_all_in_order(self, arc_sets):
-        """GETNEXT from the root visits every binding exactly once, in
-        lexicographic OID order — the protocol's traversal contract."""
-        tree = MibTree()
-        oids = sorted(OID(a) for a in arc_sets)
-        for i, oid in enumerate(oids):
-            tree.register_scalar(oid, Gauge32(i))
-        visited = []
-        current = OID("1.3")
-        while True:
-            try:
-                current, _ = tree.get_next(current)
-            except MibAccessError:
-                break
-            visited.append(current)
-        assert visited == oids
-
-    @settings(max_examples=40)
-    @given(st.lists(st.integers(0, 100), min_size=2, max_size=8, unique=True))
-    def test_oid_order_matches_arc_tuples(self, arcs):
-        oids = [OID((1, 3, a)) for a in arcs]
-        assert sorted(oids) == [OID((1, 3, a)) for a in sorted(arcs)]
 
 
 class TestStepPolicyProperties:

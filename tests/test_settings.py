@@ -108,7 +108,7 @@ PARAMETERS = [
     (clock.Scheduler.__init__, "self"),
     (rtp.RtpPacketizer.__init__, "self ssrc"),
     (ber.OctetString.text, "self"),
-    (mib.MibTree.register_callable, "self oid getter description"),
+    (mib.MibTree.register_callable, "self oid getter"),
     (netstate.NetworkStateInterface.add_switch_octet_probes, "self element if_index"),
     (netstate.NetworkStateInterface.add_switch_bandwidth_probe, "self element if_index"),
     (CollaborationFramework.add_threshold_trap, "self client parameter threshold"),
@@ -243,12 +243,10 @@ KEPT = {
         "core.framework.CollaborationFramework.add_base_station(policies)",
         "core.netstate.NetworkStateInterface.__init__(community)",
         "hosts.snmp_binding.attach_extension_agent(read_community)",
-        "hosts.snmp_binding.attach_extension_agent(write_community)",
         "snmp.agent.SnmpAgent.__init__(port)",
         "snmp.manager.SnmpManager.breaker_state(port)",
         "snmp.manager.SnmpManager.get_scalar(port)",
         "snmp.switch_binding.attach_switch_agent(read_community)",
-        "snmp.switch_binding.attach_switch_agent(write_community)",
         "snmp.traps.TrapSender.__init__(community)",
         "snmp.traps.TrapListener.__init__(community)",
     ),
