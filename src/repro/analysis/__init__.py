@@ -1,9 +1,9 @@
-"""Static verification of semantic configs: selectors, policies, contracts.
+"""Static verification of semantic configs: selectors and policies.
 
 The paper's delivery and adaptation decisions hinge on propositional
 semantic selectors and a policy database — a misconfigured selector or a
 contradictory policy silently drops traffic at run time.  This package
-catches those bugs *statically*: on demand (:func:`lint_profile`,
+catches those bugs *statically*: on demand (:func:`selector_diagnostics`,
 :func:`lint_policy_database`) and in CI
 (``python -m repro.analysis``).
 
@@ -14,11 +14,10 @@ codes.  The source-tree ones are rows of one registry
 framework (:mod:`~repro.analysis.passes`):
 
 * :mod:`~repro.analysis.selector_analysis` — satisfiability, vacuity,
-  type conflicts, and pairwise implication/overlap over the selector AST
-  (DNF expansion into an interval/set abstract domain);
+  and type conflicts over the selector AST (DNF expansion into an
+  interval/set abstract domain);
 * :mod:`~repro.analysis.policy_lint` — step-policy monotonicity and
-  reachability, SIR tier collapse, packet-step conformance, transform
-  cycles/dead rules, contract-vs-policy contradictions;
+  reachability, SIR tier collapse, packet-step conformance;
 * :mod:`~repro.analysis.repo_lint` — custom AST rules over the source
   tree plus extraction and analysis of selector string literals;
 * :mod:`~repro.analysis.dataflow` — cross-layer dataflow over the
@@ -77,12 +76,9 @@ from .diagnostics import (
 )
 from .policy_lint import (
     PACKET_STEPS,
-    lint_contract_against,
     lint_policy_database,
-    lint_profile,
     lint_sir_policy,
     lint_step_policy,
-    lint_transforms,
 )
 from .hotpath import (
     HOT_ENTRY_SUFFIXES,
@@ -107,10 +103,6 @@ from .selector_analysis import (
     SelectorReport,
     Verdict,
     analyze_selector,
-    analyze_selector_set,
-    implies,
-    interesting_values,
-    overlaps,
     selector_diagnostics,
 )
 from .wireformat import (
@@ -133,18 +125,11 @@ __all__ = [
     "Verdict",
     "SelectorReport",
     "analyze_selector",
-    "analyze_selector_set",
     "selector_diagnostics",
-    "implies",
-    "overlaps",
-    "interesting_values",
     "PACKET_STEPS",
     "lint_step_policy",
     "lint_sir_policy",
     "lint_policy_database",
-    "lint_contract_against",
-    "lint_transforms",
-    "lint_profile",
     "lint_source",
     "lint_file",
     "lint_paths",

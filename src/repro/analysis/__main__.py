@@ -54,7 +54,7 @@ def _explain(codes: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static verifier for selectors, policies, contracts, and dataflow.",
+        description="Static verifier for selectors, policies, and dataflow.",
     )
     parser.add_argument(
         "paths",

@@ -184,9 +184,6 @@ class CallGraph:
                 return info
         return None
 
-    def __len__(self) -> int:
-        return len(self.functions)
-
 
 # ----------------------------------------------------------------------
 # builder

@@ -72,19 +72,12 @@ RULES: dict[str, tuple[Severity, str]] = {
     "SEL002": (Severity.WARNING, "selector is a tautology: it matches every profile (vacuous)"),
     "SEL003": (Severity.WARNING, "attribute used with conflicting types in one conjunction"),
     "SEL004": (Severity.INFO, "selector too complex for exact analysis; verdict unknown"),
-    "SEL005": (Severity.INFO, "selector is subsumed by / equivalent to another selector"),
     "SEL006": (Severity.ERROR, "selector literal does not parse"),
-    # -- policy & contract lint ------------------------------------------
+    # -- policy lint ------------------------------------------------------
     "POL001": (Severity.WARNING, "step-policy values are not monotone over the parameter"),
     "POL002": (Severity.WARNING, "step-policy band is redundant (same value as its neighbour)"),
     "POL003": (Severity.ERROR, "packet decision outside the paper's {0,1,2,4,8,16} set"),
     "POL004": (Severity.ERROR, "SIR tier thresholds collapse a tier (gap/overlap)"),
-    "POL005": (Severity.ERROR, "QoS contract contradicts the policy database"),
-    "POL006": (Severity.INFO, "contract constrains a parameter no policy produces or observes"),
-    # -- profile / transform lint ----------------------------------------
-    "PRO001": (Severity.WARNING, "transform rules form a cycle"),
-    "PRO002": (Severity.WARNING, "transform rule can never help given the interest selector"),
-    "PRO003": (Severity.WARNING, "transform rule is a no-op (from == to)"),
     # -- repo lint --------------------------------------------------------
     "LNT001": (Severity.ERROR, "bare `except:` in a dispatch path"),
     "LNT002": (Severity.ERROR, "mutable default argument"),

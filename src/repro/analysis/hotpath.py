@@ -57,7 +57,7 @@ __all__ = [
 #: ``Class.method`` or bare function name).  The first block runs once
 #: per message on the datapath; the second runs once per subscription on
 #: the attach path, which at fleet scale is packet-rate population churn
-#: (``sharded_attach_per_s`` is a committed trajectory metric).
+#: (``bench/`` times it as the ``messaging.sharded_attach`` span).
 HOT_ENTRY_SUFFIXES: tuple[str, ...] = (
     "Network.send",
     "Network.cast",

@@ -1,4 +1,4 @@
-"""Static analysis of semantic selectors: SAT, vacuity, types, subsumption.
+"""Static analysis of semantic selectors: SAT, vacuity, types.
 
 The selector language (see :mod:`repro.core.selectors`) compares
 attributes against literals, so satisfiability is decidable: the
@@ -15,16 +15,13 @@ Anything outside the exact fragment (attribute-vs-attribute comparisons
 between different attributes, DNF blowup past :data:`MAX_CLAUSES`) degrades
 the verdict to UNKNOWN rather than guessing.
 
-Vacuity (tautology) is satisfiability of the negation; implication
-``a ⇒ b`` is unsatisfiability of ``a ∧ ¬b``; overlap is satisfiability
-of ``a ∧ b``.
+Vacuity (tautology) is satisfiability of the negation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from itertools import combinations
 from typing import Any, Optional, Union
 
 from ..core.attributes import MISSING
@@ -49,18 +46,11 @@ __all__ = [
     "SelectorReport",
     "analyze_selector",
     "selector_diagnostics",
-    "implies",
-    "overlaps",
-    "analyze_selector_set",
-    "interesting_values",
     "MAX_CLAUSES",
-    "MAX_PAIRS",
 ]
 
 #: DNF clause budget before the analyzer gives up (UNKNOWN)
 MAX_CLAUSES = 256
-#: selector pairs :func:`analyze_selector_set` compares at most
-MAX_PAIRS = 400
 
 _COMPLEMENT = {"<": ">=", "<=": ">", ">": "<=", ">=": "<"}
 
@@ -437,30 +427,6 @@ def analyze_selector(selector: Union[Selector, str]) -> SelectorReport:
     )
 
 
-def implies(a: Union[Selector, str], b: Union[Selector, str]) -> Optional[bool]:
-    """Does every profile matching ``a`` match ``b``?  (None = unknown.)"""
-    sa = a if isinstance(a, Selector) else Selector(a)
-    sb = b if isinstance(b, Selector) else Selector(b)
-    verdict, _, _, _ = _verdict_of_ast(_And((sa._ast, _Not(sb._ast))))
-    if verdict is Verdict.UNSAT:
-        return True
-    if verdict is Verdict.SAT:
-        return False
-    return None
-
-
-def overlaps(a: Union[Selector, str], b: Union[Selector, str]) -> Optional[bool]:
-    """Can one profile match both selectors?  (None = unknown.)"""
-    sa = a if isinstance(a, Selector) else Selector(a)
-    sb = b if isinstance(b, Selector) else Selector(b)
-    verdict, _, _, _ = _verdict_of_ast(_And((sa._ast, sb._ast)))
-    if verdict is Verdict.SAT:
-        return True
-    if verdict is Verdict.UNSAT:
-        return False
-    return None
-
-
 # ----------------------------------------------------------------------
 # diagnostics surface
 # ----------------------------------------------------------------------
@@ -513,114 +479,4 @@ def selector_diagnostics(
                 subject=label,
             )
         )
-    return out
-
-
-def analyze_selector_set(selectors: list[tuple[str, Union[Selector, str]]]) -> list[Diagnostic]:
-    """Pairwise implication/overlap audit (SEL005) over labelled selectors.
-
-    Reports equivalent pairs and strict subsumptions — both usually mean
-    a redundant registration or an over-broad interest.
-    """
-    compiled: list[tuple[str, Selector]] = []
-    for label, sel in selectors:
-        try:
-            compiled.append((label, sel if isinstance(sel, Selector) else Selector(sel)))
-        except SelectorError:
-            continue  # parse errors are reported by selector_diagnostics
-    out: list[Diagnostic] = []
-    pairs = 0
-    for (la, a), (lb, b) in combinations(compiled, 2):
-        if pairs >= MAX_PAIRS:
-            break
-        pairs += 1
-        ab = implies(a, b)
-        ba = implies(b, a)
-        if ab and ba:
-            out.append(
-                Diagnostic(
-                    "SEL005",
-                    rule_severity("SEL005"),
-                    f"selectors {la} and {lb} are equivalent",
-                    subject=f"{la} ~ {lb}",
-                )
-            )
-        elif ab:
-            out.append(
-                Diagnostic(
-                    "SEL005",
-                    rule_severity("SEL005"),
-                    f"selector {la} is subsumed by {lb} (every match of the"
-                    " first already matches the second)",
-                    subject=f"{la} -> {lb}",
-                )
-            )
-        elif ba:
-            out.append(
-                Diagnostic(
-                    "SEL005",
-                    rule_severity("SEL005"),
-                    f"selector {lb} is subsumed by {la}",
-                    subject=f"{lb} -> {la}",
-                )
-            )
-    return out
-
-
-# ----------------------------------------------------------------------
-# domain extraction (feeds the property-based tests)
-# ----------------------------------------------------------------------
-def interesting_values(selector: Union[Selector, str]) -> dict[str, list[Any]]:
-    """Per-attribute candidate values covering every region boundary.
-
-    For each attribute the list holds every literal the selector compares
-    it against, numeric neighbours around each numeric constant, string
-    neighbours, both booleans, a list built from ``contains`` constants,
-    and :data:`MISSING` — enough that brute-force sampling over the
-    product explores every truth-relevant region.
-    """
-    sel = selector if isinstance(selector, Selector) else Selector(selector)
-    consts: dict[str, list[Any]] = {name: [] for name in sel.attributes()}
-
-    def visit(node: _Node) -> None:
-        if isinstance(node, (_And, _Or)):
-            for child in node.operands:
-                visit(child)
-        elif isinstance(node, _Not):
-            visit(node.operand)
-        elif isinstance(node, _Compare):
-            attrs = [
-                side.name for side in (node.left,) if isinstance(side, _Attr)
-            ]
-            if node.op == "in":
-                values = [lit.value for lit in node.right]
-            elif isinstance(node.right, _Attr):
-                attrs.append(node.right.name)
-                values = []
-            else:
-                values = [node.right.value]
-            if isinstance(node.left, _Literal):
-                values.append(node.left.value)
-            for name in attrs:
-                bucket = consts.setdefault(name, [])
-                for v in values:
-                    bucket.append(v)
-                    if isinstance(v, (int, float)) and not isinstance(v, bool):
-                        bucket.extend([v - 1, v + 1, v + 0.5])
-                    elif isinstance(v, str):
-                        bucket.extend([v + "a", v[:-1]])
-                    if node.op == "contains":
-                        bucket.append([v])
-                        bucket.append([])
-        elif isinstance(node, (_Exists, _BoolAttr)):
-            consts.setdefault(node.name, []).extend([True, False])
-
-    visit(sel._ast)
-    out: dict[str, list[Any]] = {}
-    for name, bucket in consts.items():
-        uniq: list[Any] = [MISSING, True, False, 0, "x"]
-        for v in bucket:
-            if not any(type(v) is type(u) and v == u for u in uniq):
-                uniq.append(v)
-        out[name] = uniq
     return out

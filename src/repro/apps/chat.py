@@ -53,6 +53,3 @@ class ChatArea:
     def transcript(self) -> list[str]:
         """Plain-text transcript."""
         return [f"{l.author}: {l.text}" for l in self.lines]
-
-    def __len__(self) -> int:
-        return len(self.lines)

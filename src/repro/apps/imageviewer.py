@@ -155,7 +155,3 @@ class ImageViewer:
     def reconstruct(self, image_id: str) -> np.ndarray:
         """Current best reconstruction of a viewed image."""
         return self.viewed[image_id].assembly.reconstruct()
-
-    def report(self, image_id: str) -> ReceptionReport:
-        """Paper metrics for one viewed image."""
-        return self.viewed[image_id].report()

@@ -46,19 +46,6 @@ class Whiteboard:
             timestamp=entry.timestamp,
         )
 
-    def erase(self, object_id: str, time: float) -> WhiteboardEvent:
-        """Erase an object locally and emit the event."""
-        entry = self.repository.put(
-            f"wb/{object_id}", None, timestamp=time, author=self.owner
-        )
-        return WhiteboardEvent(
-            object_id=object_id,
-            op="erase",
-            author=self.owner,
-            version=entry.version,
-            timestamp=entry.timestamp,
-        )
-
     # ------------------------------------------------------------------
     # remote events → replica updates (through arbitration)
     # ------------------------------------------------------------------

@@ -397,9 +397,6 @@ class BaseStation:
                 if tier is ModalityTier.FULL_IMAGE:
                     self._unicast_event(event, att.address)
                 # sketch tier is served when the image completes (below)
-            elif isinstance(event, SketchShareEvent):
-                if tier is not ModalityTier.TEXT_ONLY:
-                    self._unicast_event(event, att.address)
             elif isinstance(event, TextShareEvent):
                 self._unicast_event(
                     self._text_event_for(att, event.ref_id, event.text), att.address

@@ -48,7 +48,6 @@ from .events import (
     ImageShareAnnounce,
     JoinEvent,
     LeaveEvent,
-    SketchShareEvent,
     TextShareEvent,
     WhiteboardEvent,
     EventError,
@@ -247,16 +246,11 @@ class WiredClient:
                     f"speech/{event.image_id}", clip, timestamp=now, author=msg.sender
                 )
         elif isinstance(event, ImagePacketEvent):
-            if self.profile.get("modality") == "text":
+            if effective_modality == "text" or self.profile.get("modality") == "text":
                 return  # text-mode clients skip image payloads entirely
             self.viewer.on_packet(event)
         elif isinstance(event, TextShareEvent):
             self.chat.on_text_share(event, now)
-        elif isinstance(event, SketchShareEvent):
-            # rendered sketches land in the state repository
-            self.repository.put(
-                f"sketch/{event.ref_id}", event.encoded, timestamp=now, author=msg.sender
-            )
         elif isinstance(event, JoinEvent):
             self.membership.join(event.client_id, now)
         elif isinstance(event, LeaveEvent):

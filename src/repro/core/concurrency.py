@@ -81,7 +81,3 @@ class Arbiter:
     def total_conflicts(self) -> int:
         """Every collision ever recorded, including evicted ones."""
         return len(self.conflicts) + self.conflicts_dropped
-
-    def conflicts_for(self, key: str) -> list[Conflict]:
-        """All recorded collisions on one object."""
-        return [c for c in self.conflicts if c.key == key]

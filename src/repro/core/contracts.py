@@ -94,13 +94,6 @@ class QoSContract:
         """Add/replace the constraint for one parameter."""
         self._by_param[constraint.parameter] = constraint
 
-    def constraint(self, parameter: str) -> Optional[Constraint]:
-        return self._by_param.get(parameter)
-
-    @property
-    def parameters(self) -> list[str]:
-        return sorted(self._by_param)
-
     def violations(self, values: dict[str, float]) -> list[ContractViolation]:
         """All constraints unsatisfied by ``values`` (missing ones skip)."""
         out = []
@@ -115,4 +108,4 @@ class QoSContract:
         return c.clamp(value) if c is not None else value
 
     def __repr__(self) -> str:
-        return f"QoSContract({self.name!r}, {self.parameters})"
+        return f"QoSContract({self.name!r}, {sorted(self._by_param)})"

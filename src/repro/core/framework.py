@@ -228,18 +228,9 @@ class CollaborationFramework:
         return watch
 
     # ------------------------------------------------------------------
-    def start_hosts(self) -> None:
-        """Begin periodic dynamics on every simulated host."""
-        for host in self.hosts.values():
-            host.start()
-
     def run_for(self, duration: float) -> int:
         """Advance virtual time; returns events dispatched."""
         return self.scheduler.run_for(duration)
-
-    def run(self) -> int:
-        """Drain the event queue completely."""
-        return self.scheduler.run()
 
     @property
     def now(self) -> float:

@@ -52,10 +52,6 @@ class MatchResult:
     transforms: tuple[TransformRule, ...] = ()
     effective_headers: dict[str, AttributeValue] = field(default_factory=dict)
 
-    @property
-    def accepted(self) -> bool:
-        return self.decision is not Decision.REJECT
-
 
 def match_selector(selector: Selector | str, profile: ClientProfile) -> bool:
     """Does the message's selector address this profile?

@@ -16,8 +16,10 @@ Failure semantics: a probe whose agent times out serves its *last known
 value* for up to :data:`STALE_GRACE` virtual seconds (marked in
 ``stale_parameters``); past the grace window the parameter drops out of
 the observed dict and the engine runs on whatever remains.  When *every*
-probe has gone dark the interface reports :attr:`~NetworkStateInterface.is_dark`
-so the inference layer can fall back to its conservative tier —
+probe has gone dark the interface records it in ``dark_since``, and once
+that outlasts the grace it reports
+:attr:`~NetworkStateInterface.degraded`, so the inference layer can fall
+back to its conservative tier —
 adaptation degrades gracefully when the management plane itself is
 degraded.
 """
@@ -205,11 +207,6 @@ class NetworkStateInterface:
     # ------------------------------------------------------------------
     # degradation surface
     # ------------------------------------------------------------------
-    @property
-    def is_dark(self) -> bool:
-        """True when the most recent poll produced no fresh observation."""
-        return self.dark_since is not None
-
     def dark_for(self) -> float:
         """Virtual seconds since the management plane went dark (0 if lit)."""
         if self.dark_since is None:

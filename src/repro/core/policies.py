@@ -184,8 +184,8 @@ class PolicyDatabase:
 
     Packet decisions from all applicable step policies combine by
     minimum — the most constrained subsystem (CPU, memory, network)
-    governs, which is what the paper's wired experiments show.
-    :meth:`lint` reports static diagnostics for the registered policies.
+    governs, which is what the paper's wired experiments show.  Its SIR
+    tiers are :func:`default_sir_tier_policy`'s.
     """
 
     def __init__(self) -> None:
@@ -195,9 +195,6 @@ class PolicyDatabase:
     def add_step(self, name: str, policy: StepPolicy) -> None:
         """Register/replace a step policy under ``name``."""
         self._step[name] = policy
-
-    def set_sir_policy(self, policy: SirTierPolicy) -> None:
-        self._sir = policy
 
     @property
     def sir_policy(self) -> SirTierPolicy:

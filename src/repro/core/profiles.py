@@ -45,7 +45,6 @@ class TransformRule:
     attribute: str
     from_value: AttributeValue
     to_value: AttributeValue
-    name: str = ""
 
     def applies_to(self, headers: dict[str, AttributeValue]) -> bool:
         """Whether the rule's precondition holds on ``headers``."""
@@ -58,10 +57,6 @@ class TransformRule:
         out = dict(headers)
         out[self.attribute] = self.to_value
         return out
-
-    def __str__(self) -> str:
-        label = self.name or f"{self.attribute}:{self.from_value}->{self.to_value}"
-        return label
 
 
 class ClientProfile:
@@ -105,16 +100,8 @@ class ClientProfile:
     # ------------------------------------------------------------------
     # attribute surface (read-mostly mapping)
     # ------------------------------------------------------------------
-    @property
-    def attributes(self) -> dict[str, AttributeValue]:
-        """A read-only *view* is not enforced; treat as read-only."""
-        return self._attributes
-
     def get(self, name: str, default: Any = None) -> Any:
         return self._attributes.get(name, default)
-
-    def __getitem__(self, name: str) -> AttributeValue:
-        return self._attributes[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._attributes
@@ -126,12 +113,6 @@ class ClientProfile:
         """Set one or more attributes (local, immediate)."""
         for k, v in attrs.items():
             self._attributes[k] = coerce_value(v)
-        self._bump()
-
-    def remove(self, *names: str) -> None:
-        """Delete attributes; unknown names are ignored."""
-        for n in names:
-            self._attributes.pop(n, None)
         self._bump()
 
     def set_interest(self, interest: Selector | str) -> None:

@@ -69,9 +69,6 @@ class Membership:
     def members(self) -> list[str]:
         return sorted(self._members)
 
-    def __contains__(self, client_id: str) -> bool:
-        return client_id in self._members
-
     def __len__(self) -> int:
         return len(self._members)
 

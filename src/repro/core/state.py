@@ -88,9 +88,6 @@ class StateRepository:
     def keys(self) -> list[str]:
         return sorted(self._entries)
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     def __iter__(self) -> Iterator[StateEntry]:
         for k in self.keys():
             yield self._entries[k]

@@ -1,9 +1,9 @@
 """Simulated host: the 'Windows NT workstation' the agent instruments.
 
 A :class:`SimulatedHost` owns the observable system state of one machine
-— CPU load (%), page faults per sampling interval, memory — and advances
-it on the shared discrete-event scheduler, driven by
-:mod:`~repro.hosts.workload` generators.  The framework never reads this
+— CPU load (%), page faults per sampling interval, memory — at a workload
+position its caller sets (:meth:`SimulatedHost.advance_to_tick`), driven
+by :mod:`~repro.hosts.workload` generators.  The framework never reads this
 state directly: it goes through the SNMP extension agent (see
 :mod:`~repro.hosts.snmp_binding`), exactly as in the paper.
 """
@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..network.clock import Event, Scheduler
+from ..network.clock import Scheduler
 from .workload import Constant, Workload
 
 __all__ = ["SimulatedHost", "HostSample"]
@@ -24,8 +24,6 @@ __all__ = ["SimulatedHost", "HostSample"]
 TOTAL_MEMORY_KIB = 262_144
 #: Processes running on an idle host; load adds one per 10 % CPU.
 BASE_PROCESSES = 40
-#: Virtual seconds between a running host's self-updates (its sampling interval).
-TICK_INTERVAL = 1.0
 
 
 @dataclass(frozen=True)
@@ -49,8 +47,8 @@ class SimulatedHost:
     name:
         Host name; should match its network node.
     scheduler:
-        Shared simulation scheduler; the host ticks itself every
-        :data:`TICK_INTERVAL` seconds once :meth:`start` is called.
+        Shared simulation scheduler, whose clock stamps each
+        :meth:`sample`.
     cpu_workload / fault_workload:
         Generators for the two swept parameters.  Free memory is derived:
         heavy paging (high fault rate) correlates with low free memory.
@@ -68,8 +66,6 @@ class SimulatedHost:
         self.cpu_workload = cpu_workload if cpu_workload is not None else Constant(20.0)
         self.fault_workload = fault_workload if fault_workload is not None else Constant(10.0)
         self.tick = 0
-        #: the pending tick while running, else ``None``
-        self._pending: Optional[Event] = None
         self._update()
 
     # ------------------------------------------------------------------
@@ -80,22 +76,6 @@ class SimulatedHost:
         pressure = min(self.page_faults / 120.0, 0.95)
         self.free_memory_kib = int(TOTAL_MEMORY_KIB * (0.6 * (1.0 - pressure) + 0.05))
         self.processes = BASE_PROCESSES + int(self.cpu_load / 10.0)
-
-    def _tick(self) -> None:
-        self.tick += 1
-        self._update()
-        self._pending = self.scheduler.call_after(TICK_INTERVAL, self._tick)
-
-    def start(self) -> None:
-        """Begin periodic self-updates on the scheduler (idempotent)."""
-        if self._pending is None:
-            self._pending = self.scheduler.call_after(TICK_INTERVAL, self._tick)
-
-    def stop(self) -> None:
-        """Freeze the host's state: the pending tick is cancelled."""
-        if self._pending is not None:
-            self._pending.cancel()
-            self._pending = None
 
     def advance_to_tick(self, tick: int) -> None:
         """Jump the workload position directly (sweep-style experiments)."""

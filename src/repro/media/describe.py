@@ -43,11 +43,6 @@ class ImageDescription:
     region_summaries: tuple[str, ...]
     text: str
 
-    @property
-    def n_bytes(self) -> int:
-        """Wire size of the textual description."""
-        return len(self.text.encode("utf-8"))
-
 
 def _position_name(centroid: tuple[float, float], shape: tuple[int, int]) -> str:
     row = min(2, int(3 * centroid[0] / shape[0]))

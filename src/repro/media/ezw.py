@@ -135,10 +135,6 @@ class EzwEncoded:
     payload: bytes
     payload_bits: int
 
-    @property
-    def total_bits(self) -> int:
-        return self.payload_bits
-
     def truncated(self, max_bits: int) -> "EzwEncoded":
         """A prefix of this stream limited to ``max_bits`` payload bits."""
         bits = max(0, min(self.payload_bits, int(max_bits)))

@@ -55,10 +55,6 @@ class ImagePacket:
     def n_bits(self) -> int:
         return sum(bits for _, bits in self.chunks)
 
-    @property
-    def n_bytes(self) -> int:
-        return sum(len(data) for data, _ in self.chunks)
-
     def to_bytes(self) -> bytes:
         """Flatten for transmission (header: index, total, per-chunk bits)."""
         out = bytearray()

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import raw_bits
 from .progressive import MAX_RECEIVED_PIXELS
 
 __all__ = ["sobel_magnitude", "extract_sketch", "decode_sketch", "Sketch", "SketchError"]
@@ -56,22 +55,8 @@ class Sketch:
     """A 1-bit feature sketch plus its compact wire encoding."""
 
     shape: tuple[int, int]          # sketch resolution (possibly downsampled)
-    source_shape: tuple[int, ...]   # original image shape
     mask: np.ndarray                # bool (h, w)
     encoded: bytes                  # RLE wire form
-
-    @property
-    def n_bytes(self) -> int:
-        """Wire size of the sketch."""
-        return len(self.encoded)
-
-    def reduction_factor(self) -> float:
-        """Raw image bytes / sketch bytes — the paper's "2000 times"."""
-        return raw_bits(self.source_shape) // 8 / max(self.n_bytes, 1)
-
-    def to_image(self) -> np.ndarray:
-        """Render the sketch as uint8 (features white on black)."""
-        return (self.mask.astype(np.uint8)) * 255
 
 
 def _rle_encode(bits: np.ndarray) -> bytes:
@@ -174,9 +159,7 @@ def extract_sketch(image: np.ndarray, edge_percentile: float = 94.0) -> Sketch:
         encoded = b"R" + rle
     else:
         encoded = b"P" + packed
-    return Sketch(
-        shape=mask.shape, source_shape=img.shape, mask=mask, encoded=encoded
-    )
+    return Sketch(shape=mask.shape, mask=mask, encoded=encoded)
 
 
 def decode_sketch(encoded: bytes, shape: tuple[int, int]) -> np.ndarray:

@@ -52,11 +52,6 @@ class SpeechClip:
         """Clip length in seconds."""
         return len(self.samples) / self.sample_rate
 
-    @property
-    def n_bytes(self) -> int:
-        """Wire size assuming 8-bit mu-law-style quantization."""
-        return len(self.samples)
-
 
 def _char_freq(idx: int) -> float:
     return F0 + F_STEP * idx

@@ -77,11 +77,6 @@ class SemanticMessage:
         out.setdefault("kind", self.kind)
         return out
 
-    @property
-    def size(self) -> int:
-        """Body size in bytes."""
-        return len(self.body)
-
     @classmethod
     def create(
         cls,

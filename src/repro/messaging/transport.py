@@ -240,11 +240,6 @@ class SemanticEndpoint:
         self.accepted_messages = 0
 
     @property
-    def ssrc(self) -> int:
-        """This endpoint's RTP source identifier."""
-        return self.wire.ssrc
-
-    @property
     def address(self) -> tuple[str, int]:
         """(host, port) other endpoints can unicast to."""
         return (self.sock.host, self.sock.local_port)

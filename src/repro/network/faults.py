@@ -278,9 +278,6 @@ class FaultPlan:
             ):
                 raise FaultPlanError(f"not a fault event: {ev!r}")
 
-    def __len__(self) -> int:
-        return len(self.events)
-
     @property
     def horizon(self) -> float:
         """Virtual time at which the last event window closes."""

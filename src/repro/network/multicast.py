@@ -91,9 +91,8 @@ class MulticastGroup:
         """Deliver ``data`` to every member but the sender; returns datagrams scheduled.
 
         Either way the sender's own :class:`DatagramSocket` counts what
-        leaves the host in ``sent_datagrams`` (the counter host
-        instrumentation exports): one per member flat, one per group
-        send over a tree.
+        leaves the host in ``sent_datagrams``: one per member flat, one
+        per group send over a tree.
         """
         me = (sender.host, sender.local_port)
         targets = [key for key in self._members if key != me]
@@ -102,10 +101,6 @@ class MulticastGroup:
         packet = Packet(sender.host, sender.local_port, self.group, self.port, bytes(data))
         sender._sock.sent_datagrams += 1
         return self.fabric.cast(self.group, packet, targets)
-
-
-def _discard(data: bytes, src: tuple[Address, int]) -> None:
-    """The receive callback of a member that set none."""
 
 
 class MulticastSocket:
@@ -158,24 +153,13 @@ class MulticastSocket:
         return self._sock.port  # type: ignore[return-value]
 
     @property
-    def sent_datagrams(self) -> int:
-        """Datagrams this socket pushed onto the wire (multicast included)."""
-        return self._sock.sent_datagrams
-
-    @property
-    def received_datagrams(self) -> int:
-        """Datagrams delivered to this socket."""
-        return self._sock.received_datagrams
-
-    @property
     def on_receive(self) -> Optional[Callable[[bytes, tuple[Address, int]], None]]:
         """The receive callback, held by the underlying socket itself."""
-        fn = self._sock.on_receive
-        return None if fn is _discard else fn
+        return self._sock.on_receive
 
     @on_receive.setter
     def on_receive(self, fn: Optional[Callable[[bytes, tuple[Address, int]], None]]) -> None:
-        self._sock.on_receive = _discard if fn is None else fn
+        self._sock.on_receive = fn
 
     @property
     def closed(self) -> bool:

@@ -56,9 +56,8 @@ class FlowStats:
 class PacketTracer:
     """Records traffic on a :class:`~repro.network.simnet.Network`.
 
-    Attach with :meth:`attach`; :meth:`detach` stops the recording.
-    :data:`TRACE_CAPACITY` bounds the per-record buffer (the flow table is
-    always complete).
+    Attach with :meth:`attach`.  :data:`TRACE_CAPACITY` bounds the
+    per-record buffer (the flow table is always complete).
 
     Example
     -------
@@ -83,11 +82,6 @@ class PacketTracer:
     def attach(self) -> None:
         """Begin tracing (idempotent)."""
         self.network.tracer = self
-
-    def detach(self) -> None:
-        """Stop tracing (idempotent)."""
-        if self.network.tracer is self:
-            self.network.tracer = None
 
     def record(self, packet: Packet, delivered: bool) -> None:
         """Note one settled datagram (called by the network)."""
@@ -116,17 +110,6 @@ class PacketTracer:
             flow.dropped += 1
 
     # ------------------------------------------------------------------
-    def flows_from(self, src: str) -> dict[tuple[str, str, int], FlowStats]:
-        """All flows originated by one host."""
-        return {k: v for k, v in self.flows.items() if k[0] == src}
-
-    def top_talkers(self, n: int = 5) -> list[tuple[str, int]]:
-        """Hosts ranked by octets sent."""
-        per_host: dict[str, int] = defaultdict(int)
-        for (src, _dst, _port), stats in self.flows.items():
-            per_host[src] += stats.octets
-        return sorted(per_host.items(), key=lambda kv: (-kv[1], kv[0]))[:n]
-
     def summary(self) -> str:
         """One line per flow: what the network delivered and dropped."""
         lines = [f"trace: {self.total_packets} packets, {len(self.flows)} flows"]

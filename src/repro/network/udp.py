@@ -1,24 +1,19 @@
 """Datagram sockets over the simulated network.
 
 :class:`DatagramSocket` gives higher layers (SNMP agent/manager, the
-RTP-thin messaging transport) a familiar ``bind / sendto / recv`` surface
+RTP-thin messaging transport) a familiar ``bind / sendto`` surface
 while everything underneath runs on the discrete-event simulator.  The
 surface the SNMP layers consume is the :class:`DatagramTransport`
 protocol; :class:`DatagramSocket` is its reference implementation, and
 the tests put an OS socket behind it (``tests/snmp/realudp.py``).
 
-Two receive styles are supported:
-
-* **callback** — ``sock.on_receive = fn`` invokes ``fn(data, (host, port))``
-  the moment a packet is delivered (virtual time), which is how the agents
-  and the messaging substrate operate; and
-* **queue** — without a callback, packets accumulate and ``recvfrom()``
-  pops them, which is convenient in tests.
+Receive is callback-style: ``sock.on_receive = fn`` invokes
+``fn(data, (host, port))`` the moment a packet is delivered (virtual
+time); a socket without a callback drops what it receives.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Optional, Protocol, runtime_checkable
 
 from .simnet import Address, Network, NetworkError, Packet, PortInUseError
@@ -60,13 +55,14 @@ class DatagramSocket:
     >>> _ = net.add_node("a"); _ = net.add_node("b")
     >>> _ = net.add_link("a", "b")
     >>> rx = DatagramSocket(net, "b"); rx.bind(7)
+    >>> got = []; rx.on_receive = lambda data, src: got.append((data, src))
     >>> tx = DatagramSocket(net, "a"); tx.bind_ephemeral()
     49152
     >>> tx.sendto(b"ping", ("b", 7))
     True
     >>> _ = sched.run()
-    >>> rx.recvfrom()
-    (b'ping', ('a', 49152))
+    >>> got
+    [(b'ping', ('a', 49152))]
     """
 
     def __init__(self, network: Network, host: Address) -> None:
@@ -74,7 +70,6 @@ class DatagramSocket:
         self.host = host
         self.port: Optional[int] = None
         self.on_receive: Optional[Callable[[bytes, tuple[Address, int]], None]] = None
-        self._queue: deque[tuple[bytes, tuple[Address, int]]] = deque()
         self._closed = False
         # per-socket counters (exported via host instrumentation)
         self.sent_datagrams = 0
@@ -149,23 +144,6 @@ class DatagramSocket:
         on_receive = self.on_receive
         if on_receive is not None:
             on_receive(packet.payload, (packet.src, packet.src_port))
-        else:
-            self._queue.append((packet.payload, (packet.src, packet.src_port)))
-
-    # ------------------------------------------------------------------
-    def recvfrom(self) -> Optional[tuple[bytes, tuple[Address, int]]]:
-        """Pop the oldest queued datagram, or ``None`` when empty.
-
-        Only meaningful when no ``on_receive`` callback is installed.
-        """
-        if self._queue:
-            return self._queue.popleft()
-        return None
-
-    @property
-    def pending(self) -> int:
-        """Number of queued, unread datagrams."""
-        return len(self._queue)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"DatagramSocket({self.host}:{self.port})"

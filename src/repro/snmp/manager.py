@@ -292,10 +292,6 @@ class SnmpManager:
     # ------------------------------------------------------------------
     # public operations
     # ------------------------------------------------------------------
-    def get_scalar(self, host: str, oid: OID, port: int = SNMP_PORT) -> object:
-        """GET a single object; returns just its value."""
-        return self.get(host, [oid], port)[0][1]
-
     def close(self) -> None:
         """Release the manager's socket."""
         self._sock.close()

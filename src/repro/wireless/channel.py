@@ -11,19 +11,23 @@ literature (Goodman & Mandayam 2000, which the paper cites)::
     g(d) = k * d**(-alpha)
 
 with path-loss exponent ``alpha`` (2 = free space, ~4 = urban macro-cell)
-and gain constant ``k``.  Optional log-normal shadowing models obstacles.
+and gain constant ``k``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
 __all__ = ["PathLossModel", "NoiseModel", "ChannelError"]
 
 ArrayLike = Union[float, np.ndarray]
+
+#: Distances (metres) are clamped below to this, keeping the near-field
+#: singularity out of the simulation.
+MIN_DISTANCE = 1.0
 
 
 class ChannelError(ValueError):
@@ -32,7 +36,7 @@ class ChannelError(ValueError):
 
 @dataclass
 class PathLossModel:
-    """Deterministic power-law path loss with optional shadowing.
+    """Deterministic power-law path loss.
 
     Parameters
     ----------
@@ -40,44 +44,21 @@ class PathLossModel:
         Path-loss exponent.  The cited Goodman–Mandayam model uses 4.
     k:
         Gain at unit distance (antenna constants folded in).
-    shadowing_sigma_db:
-        If positive, each :meth:`gain` sample is multiplied by a log-normal
-        shadowing term with this dB standard deviation (requires ``rng``).
-    min_distance:
-        Distances are clamped below to keep the near-field singularity out
-        of the simulation.
     """
 
     alpha: float = 4.0
     k: float = 1.0
-    shadowing_sigma_db: float = 0.0
-    min_distance: float = 1.0
 
     def __post_init__(self) -> None:
         if self.alpha <= 0:
             raise ChannelError(f"alpha must be positive, got {self.alpha}")
         if self.k <= 0:
             raise ChannelError(f"k must be positive, got {self.k}")
-        if self.min_distance <= 0:
-            raise ChannelError("min_distance must be positive")
-        if self.shadowing_sigma_db < 0:
-            raise ChannelError("shadowing sigma must be non-negative")
 
-    def gain(
-        self, distance: ArrayLike, rng: Optional[np.random.Generator] = None
-    ) -> ArrayLike:
-        """Path gain at ``distance`` metres (scalar or vectorized).
-
-        With shadowing enabled an ``rng`` must be supplied; gains then vary
-        between calls, which is intentional (fading realisations).
-        """
-        d = np.maximum(np.asarray(distance, dtype=float), self.min_distance)
+    def gain(self, distance: ArrayLike) -> ArrayLike:
+        """Path gain at ``distance`` metres (scalar or vectorized)."""
+        d = np.maximum(np.asarray(distance, dtype=float), MIN_DISTANCE)
         g = self.k * d ** (-self.alpha)
-        if self.shadowing_sigma_db > 0.0:
-            if rng is None:
-                raise ChannelError("shadowing requires an rng")
-            shadow_db = rng.normal(0.0, self.shadowing_sigma_db, size=g.shape)
-            g = g * 10.0 ** (shadow_db / 10.0)
         if np.ndim(distance) == 0:
             return float(g)
         return g
@@ -113,10 +94,3 @@ class NoiseModel:
     def sigma2(self) -> float:
         """Noise power in the same units as transmit power × gain."""
         return self.reference_power / 10.0 ** (self.snr_ref_db / 10.0)
-
-    @classmethod
-    def from_sigma2(cls, sigma2: float) -> "NoiseModel":
-        """Construct directly from a noise power."""
-        if sigma2 <= 0:
-            raise ChannelError("sigma2 must be positive")
-        return cls(reference_power=sigma2, snr_ref_db=0.0)

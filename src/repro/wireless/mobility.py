@@ -27,9 +27,6 @@ class MobilityTrace:
         """The full trace as an array of shape ``(steps,)``."""
         raise NotImplementedError
 
-    def __len__(self) -> int:
-        return len(self.distances())
-
     def __iter__(self) -> Iterator[float]:
         return iter(self.distances().tolist())
 

@@ -1,9 +1,8 @@
 """The seeded corpus of known-bad configs — every case must be flagged.
 
 This is the analyzer's acceptance gate: each entry is a configuration
-bug class named in the issue (unsatisfiable selector, tautology, type
-conflict, overlapping SIR tiers, non-monotone step thresholds, transform
-cycle, contract/policy contradiction, ...) paired with the rule code the
+bug class (unsatisfiable selector, tautology, type conflict, overlapping
+SIR tiers, non-monotone step thresholds, ...) paired with the rule code the
 analyzer must raise for it.  The flip side is also enforced here: the
 shipped defaults and examples must produce **zero error-severity**
 diagnostics.
@@ -14,19 +13,17 @@ import os
 import pytest
 
 from repro.analysis import (
+    RULES,
     Severity,
     analyze_defaults,
-    lint_contract_against,
     lint_policy_database,
-    lint_profile,
     lint_sir_policy,
     lint_step_policy,
     run_analysis,
     selector_diagnostics,
 )
-from repro.core.contracts import Constraint, QoSContract
 from repro.core.policies import PolicyDatabase, SirTierPolicy, StepPolicy
-from repro.core.profiles import ClientProfile, TransformRule
+from repro.core.profiles import ClientProfile
 
 REPO_ROOT = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", ".."))
 
@@ -58,7 +55,7 @@ def test_bad_selector_flagged(name, text, code):
 
 
 # ----------------------------------------------------------------------
-# policy / contract / transform corpus
+# policy corpus
 # ----------------------------------------------------------------------
 def test_non_monotone_step_thresholds_flagged():
     policy = StepPolicy("cpu_load", "packets", [(44, 16), (58, 1), (72, 8)], floor=2)
@@ -86,80 +83,20 @@ def test_overlapping_sir_tiers_flagged():
     assert len([d for d in lint_sir_policy(both) if d.code == "POL004"]) == 2
 
 
-def test_contract_policy_contradiction_flagged():
-    db = PolicyDatabase()
-    db.add_step("cpu", StepPolicy("cpu_load", "packets", [(44, 16), (58, 8)], floor=1))
-    # policies can produce {16, 8, 1} (plus the 16 full budget); [3, 5] is
-    # unreachable -> permanently violated contract
-    contract = QoSContract("strict-viewer", [Constraint("packets", minimum=3, maximum=5)])
-    diags = lint_contract_against(contract, db)
-    assert any(d.code == "POL005" and d.severity is Severity.ERROR for d in diags)
-
-
-def test_contract_unknown_parameter_noted():
-    db = PolicyDatabase()
-    db.add_step("cpu", StepPolicy("cpu_load", "packets", [(44, 16)], floor=1))
-    contract = QoSContract("typo", [Constraint("packtes", minimum=1)])
-    assert any(d.code == "POL006" for d in lint_contract_against(contract, db))
-
-
-def test_transform_cycle_flagged():
-    profile = ClientProfile(
-        "looper",
-        interest="kind == 'image'",
-        transforms=[
-            TransformRule("encoding", "mpeg2", "jpeg"),
-            TransformRule("encoding", "jpeg", "mpeg2"),
-        ],
-    )
-    assert any(d.code == "PRO001" for d in lint_profile(profile))
-
-
-def test_dead_transform_rule_flagged():
-    # interest only ever accepts jpeg; a rule producing 'png' that nothing
-    # consumes can never make a message acceptable
-    profile = ClientProfile(
-        "deadend",
-        interest="encoding == 'jpeg'",
-        transforms=[TransformRule("encoding", "mpeg2", "png")],
-    )
-    assert any(d.code == "PRO002" for d in lint_profile(profile))
-
-
-def test_chained_transform_rule_not_flagged_dead():
-    # mpeg2 -> png -> jpeg: the first rule feeds the second, which the
-    # interest accepts; neither is dead
-    profile = ClientProfile(
-        "chain",
-        interest="encoding == 'jpeg'",
-        transforms=[
-            TransformRule("encoding", "mpeg2", "png"),
-            TransformRule("encoding", "png", "jpeg"),
-        ],
-    )
-    assert not any(d.code == "PRO002" for d in lint_profile(profile))
-
-
-def test_noop_transform_rule_flagged():
-    profile = ClientProfile(
-        "noop", transforms=[TransformRule("encoding", "jpeg", "jpeg")]
-    )
-    assert any(d.code == "PRO003" for d in lint_profile(profile))
-
-
 def test_unsatisfiable_interest_flagged_on_profile():
     profile = ClientProfile("nobody", interest="load > 80 and load < 20")
-    diags = lint_profile(profile)
+    diags = selector_diagnostics(profile.interest)
     assert any(d.code == "SEL001" and d.severity is Severity.ERROR for d in diags)
 
 
 # ----------------------------------------------------------------------
-# the corpus has at least 10 distinct bug classes
+# every configuration rule but SEL004 has a known-bad case here
 # ----------------------------------------------------------------------
 def test_corpus_breadth():
     classes = {code for _, _, code in BAD_SELECTORS}
-    classes.update({"POL001", "POL002", "POL003", "POL004", "POL005", "PRO001", "PRO002"})
-    assert len(classes) >= 10
+    classes.update({"POL001", "POL002", "POL003", "POL004"})
+    config = {code for code in RULES if code.startswith(("SEL", "POL"))}
+    assert classes == config - {"SEL004"}  # SEL004's case is test_selector_analysis.py's
 
 
 # ----------------------------------------------------------------------
@@ -189,6 +126,5 @@ def test_default_database_lint_method_clean():
     db.add_step("page-faults", default_page_fault_policy())
     db.add_step("cpu-load", default_cpu_load_policy())
     db.add_step("bandwidth", default_bandwidth_policy())
-    contract = QoSContract("viewer", [Constraint("packets", minimum=1)])
-    diags = lint_policy_database(db, [contract])
+    diags = lint_policy_database(db)
     assert [d for d in diags if d.severity is Severity.ERROR] == []

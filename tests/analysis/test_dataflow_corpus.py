@@ -356,5 +356,5 @@ CLEAN_MODULE = (
 def test_a_tree_of_clean_modules_has_no_finding():
     sources = [(f"src/pkg/mod{i}.py", CLEAN_MODULE.replace("{i}", str(i))) for i in range(10)]
     graph = build_call_graph_from_sources(sources)
-    assert len(graph) == 10 * 5  # five functions per module
+    assert len(graph.functions) == 10 * 5  # five functions per module
     assert dataflow_diagnostics(graph) == []

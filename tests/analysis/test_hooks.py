@@ -2,17 +2,19 @@
 
 Registering a policy or attaching a profile stays silent; the findings
 come from the direct calls, :func:`~repro.analysis.lint_policy_database`
-and :func:`~repro.analysis.lint_profile`.  The runtime does not know the
+and :func:`~repro.analysis.selector_diagnostics`.  The runtime does not know the
 analyzer: no module outside ``repro.analysis`` imports it.
 """
 
 import ast
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import repro
 
-from repro.analysis import DiagnosticWarning, lint_policy_database, lint_profile, lint_step_policy
+from repro.analysis import DiagnosticWarning, lint_policy_database, lint_step_policy, selector_diagnostics
+from repro.core import policies
 from repro.core.policies import PolicyDatabase, SirTierPolicy, StepPolicy
 from repro.core.profiles import ClientProfile
 from repro.messaging.broker import SemanticBus
@@ -30,12 +32,13 @@ class TestPolicyDatabaseHook:
         db = PolicyDatabase()
         db.add_step("zigzag", ZIGZAG)
         assert "zigzag" in db.step_policies
-        assert "POL001" in codes(lint_policy_database(db, ()))
+        assert "POL001" in codes(lint_policy_database(db))
 
     def test_validating_database_warns_on_collapsed_tiers(self):
-        db = PolicyDatabase()
-        db.set_sir_policy(SirTierPolicy(image_db=4.0, sketch_db=4.0, text_db=-6.0))
-        assert "POL004" in codes(lint_policy_database(db, ()))
+        collapsed = SirTierPolicy(image_db=4.0, sketch_db=4.0, text_db=-6.0)
+        with mock.patch.object(policies, "default_sir_tier_policy", lambda: collapsed):
+            db = PolicyDatabase()
+        assert "POL004" in codes(lint_policy_database(db))
 
     def test_default_database_is_silent(self):
         db = PolicyDatabase()
@@ -51,7 +54,7 @@ class TestPolicyDatabaseHook:
 class TestSemanticBusHook:
     def test_validating_bus_warns_on_unsat_interest(self):
         profile = ClientProfile("nobody", interest="load > 80 and load < 20")
-        assert "SEL001" in codes(lint_profile(profile))
+        assert "SEL001" in codes(selector_diagnostics(profile.interest))
 
     def test_default_bus_is_silent(self):
         bus = SemanticBus()
@@ -60,12 +63,9 @@ class TestSemanticBusHook:
             warnings.simplefilter("error", DiagnosticWarning)
             bus.attach(profile, lambda delivery: None)
 
-    def test_default_accept_everything_interest_not_flagged(self):
-        assert lint_profile(ClientProfile("quiet")) == []
-
     def test_warning_does_not_block_attachment(self):
         profile = ClientProfile("nobody", interest="load > 80 and load < 20")
-        assert lint_profile(profile)
+        assert selector_diagnostics(profile.interest)
         assert SemanticBus().attach(profile, lambda delivery: None).active
 
 

@@ -33,10 +33,8 @@ OWNED = {
 }
 
 #: configuration rules: selectors (extracted from source by repo-lint, and
-#: checked at attach time), policies and profiles
-CONFIG = {f"SEL00{i}" for i in range(1, 7)} | {f"POL00{i}" for i in range(1, 7)} | {
-    f"PRO00{i}" for i in range(1, 4)
-}
+#: checked at attach time) and policies
+CONFIG = {"SEL001", "SEL002", "SEL003", "SEL004", "SEL006"} | {f"POL00{i}" for i in range(1, 5)}
 
 
 class TestRegistry:
@@ -46,12 +44,12 @@ class TestRegistry:
             owners = [f.name for f in FAMILIES if prefix in f.prefixes]
             if prefix in SOURCE_FAMILY_PREFIXES:
                 assert len(owners) == 1, (code, owners)
-            else:  # SEL rides repo-lint's literal extraction; POL/PRO are not source rules
+            else:  # SEL rides repo-lint's literal extraction; POL is not a source rule
                 assert len(owners) <= 1, (code, owners)
 
     def test_rules_are_exactly_the_family_codes_plus_config_rules(self):
         assert set(RULES) == set().union(*OWNED.values()) | CONFIG
-        assert len(RULES) == 35
+        assert len(RULES) == 29
         for family in FAMILIES:
             owned = {c for c in RULES if c.startswith(family.prefixes)} - CONFIG
             assert owned == OWNED[family.name], family.name

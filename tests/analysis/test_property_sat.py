@@ -3,7 +3,7 @@
 Random selectors are generated from the full grammar; for each one the
 analyzer's verdict is checked against exhaustive evaluation over the
 product of the per-attribute candidate domains that
-:func:`repro.analysis.interesting_values` infers (every literal, the
+:func:`interesting_values` infers (every literal, the
 numeric/string neighbours around it, both booleans, list candidates, and
 MISSING — enough to land in every truth-relevant region):
 
@@ -17,9 +17,19 @@ import itertools
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis import Verdict, analyze_selector, interesting_values
+from repro.analysis import Verdict, analyze_selector
 from repro.core.attributes import MISSING
-from repro.core.selectors import Selector
+from repro.core.selectors import (
+    Selector,
+    _And,
+    _Attr,
+    _BoolAttr,
+    _Compare,
+    _Exists,
+    _Literal,
+    _Not,
+    _Or,
+)
 
 ATTRS = ["x", "y"]
 SCALARS = ["0", "1", "5", "5.5", "'a'", "'b'", "true"]
@@ -55,6 +65,62 @@ _selectors = st.recursive(
     ),
     max_leaves=6,
 )
+
+
+def interesting_values(text):
+    """Per-attribute candidate values covering every region boundary.
+
+    For each attribute the list holds every literal the selector compares
+    it against, numeric neighbours around each numeric constant, string
+    neighbours, both booleans, a list built from ``contains`` constants,
+    and :data:`MISSING` — enough that brute-force sampling over the
+    product explores every truth-relevant region.
+    """
+    sel = Selector(text)
+    consts = {name: [] for name in sel.attributes()}
+
+    def visit(node):
+        if isinstance(node, (_And, _Or)):
+            for child in node.operands:
+                visit(child)
+        elif isinstance(node, _Not):
+            visit(node.operand)
+        elif isinstance(node, _Compare):
+            attrs = [
+                side.name for side in (node.left,) if isinstance(side, _Attr)
+            ]
+            if node.op == "in":
+                values = [lit.value for lit in node.right]
+            elif isinstance(node.right, _Attr):
+                attrs.append(node.right.name)
+                values = []
+            else:
+                values = [node.right.value]
+            if isinstance(node.left, _Literal):
+                values.append(node.left.value)
+            for name in attrs:
+                bucket = consts.setdefault(name, [])
+                for v in values:
+                    bucket.append(v)
+                    if isinstance(v, (int, float)) and not isinstance(v, bool):
+                        bucket.extend([v - 1, v + 1, v + 0.5])
+                    elif isinstance(v, str):
+                        bucket.extend([v + "a", v[:-1]])
+                    if node.op == "contains":
+                        bucket.append([v])
+                        bucket.append([])
+        elif isinstance(node, (_Exists, _BoolAttr)):
+            consts.setdefault(node.name, []).extend([True, False])
+
+    visit(sel._ast)
+    out = {}
+    for name, bucket in consts.items():
+        uniq = [MISSING, True, False, 0, "x"]
+        for v in bucket:
+            if not any(type(v) is type(u) and v == u for u in uniq):
+                uniq.append(v)
+        out[name] = uniq
+    return out
 
 
 def _sampled_profiles(text):

@@ -1,20 +1,15 @@
-"""Unit tests for the selector analyzer (SAT, vacuity, subsumption)."""
+"""Unit tests for the selector analyzer (SAT, vacuity, types)."""
 
 from unittest import mock
 
 import pytest
 
-from repro.analysis import (
-    Verdict,
-    analyze_selector,
-    analyze_selector_set,
-    implies,
-    interesting_values,
-    overlaps,
-)
+from repro.analysis import Verdict, analyze_selector
 from repro.analysis import selector_analysis
 from repro.core.attributes import MISSING
 from repro.core.selectors import Selector
+
+from .test_property_sat import interesting_values
 
 
 class TestSatisfiability:
@@ -93,40 +88,6 @@ class TestSatisfiability:
         assert report.truncated
 
 
-class TestImplicationOverlap:
-    def test_interval_implication(self):
-        assert implies("x > 5", "x > 3") is True
-        assert implies("x > 3", "x > 5") is False
-
-    def test_equality_implies_membership(self):
-        assert implies("enc == 'jpeg'", "enc in ['jpeg', 'mpeg2']") is True
-        assert implies("enc in ['jpeg', 'mpeg2']", "enc == 'jpeg'") is False
-
-    def test_conjunction_implies_conjunct(self):
-        assert implies("a == 1 and b == 2", "a == 1") is True
-
-    def test_everything_implies_tautology(self):
-        assert implies("x == 1", "true") is True
-
-    def test_overlap(self):
-        assert overlaps("x > 5", "x < 7") is True
-        assert overlaps("x > 5", "x < 3") is False
-        assert overlaps("role == 'medic'", "role == 'clerk'") is False
-
-    def test_selector_set_reports_subsumption_and_equivalence(self):
-        diags = analyze_selector_set(
-            [
-                ("narrow", "x > 5 and x < 7"),
-                ("wide", "x > 3"),
-                ("wide-again", "3 < x"),
-            ]
-        )
-        messages = " | ".join(d.message for d in diags)
-        assert all(d.code == "SEL005" for d in diags)
-        assert "narrow is subsumed by wide" in messages
-        assert "equivalent" in messages
-
-
 class TestInterestingValues:
     def test_covers_constants_and_boundaries(self):
         domains = interesting_values("x > 5 and enc == 'jpeg'")
@@ -164,7 +125,3 @@ def selector_corpus(n):
 class TestGeneratedCorpus:
     def test_every_generated_selector_is_satisfiable(self):
         assert {analyze_selector(text).verdict for text in selector_corpus(100)} == {Verdict.SAT}
-
-    def test_audit_finds_the_repeated_shapes_equivalent(self):
-        labelled = [(f"s{i}", text) for i, text in enumerate(selector_corpus(40))]
-        assert any(d.code == "SEL005" for d in analyze_selector_set(labelled))

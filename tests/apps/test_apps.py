@@ -18,7 +18,7 @@ class TestChatArea:
     def test_compose_does_not_render(self):
         chat = ChatArea("alice")
         chat.compose("draft")
-        assert len(chat) == 0
+        assert chat.lines == []
 
     def test_on_chat_renders(self):
         chat = ChatArea("alice")
@@ -45,7 +45,8 @@ class TestWhiteboard:
     def test_erase_removes(self):
         wb = Whiteboard("alice")
         wb.draw("s1", (0.0,), time=0.1)
-        wb.erase("s1", time=0.2)
+        erase = WhiteboardEvent(object_id="s1", op="erase", author="bob", version=2, timestamp=0.2)
+        assert wb.on_event(erase, time=0.3)
         assert wb.objects() == {}
 
     def test_remote_event_applied(self):
@@ -116,7 +117,7 @@ class TestImageViewerReceiver:
         rx.on_announce(announce)
         accepted = sum(rx.on_packet(p) for p in packets)
         assert accepted == 4
-        assert rx.report("img").packets_used == 4
+        assert rx.viewed["img"].report().packets_used == 4
 
     def test_budget_clamped_to_range(self):
         rx = ImageViewer("bob", n_packets=16)

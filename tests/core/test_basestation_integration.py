@@ -1,9 +1,13 @@
 """Integration tests: base station + wireless clients (the paper's Sec. 4.2/6.3)."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.core.basestation import MIN_POWER
 from repro.core.events import ChatEvent, ImageShareAnnounce, SketchShareEvent, TextShareEvent
+from repro.core import policies as policies_module
 from repro.core.framework import CollaborationFramework
 from repro.core.policies import ModalityTier, PolicyDatabase, SirTierPolicy
 from repro.media.images import collaboration_scene
@@ -235,6 +239,14 @@ class TestPowerControl:
         fw.add_wireless_client("w2", bs, distance=85.0, tx_power=1.0)
         assert bs.apply_power_control() == []
 
+    def test_client_within_a_tenth_percent_of_its_target_not_asked(self, cell):
+        # a strong lone client whose every target clamps to MIN_POWER
+        fw, _, bs = cell
+        fw.add_wireless_client("w1", bs, distance=10.0, tx_power=0.05004)
+        assert bs.apply_power_control() == []
+        bs.update_attachment("w1", tx_power=0.0501)  # 0.2 % above the floor
+        assert [r.new_power for r in bs.apply_power_control()] == [MIN_POWER]
+
     def test_noncompliant_client_keeps_power(self, cell):
         fw, _, bs = cell
         w = fw.add_wireless_client("w1", bs, distance=30.0, tx_power=4.0)
@@ -266,8 +278,9 @@ def weak_client_cell(gating):
     wired = fw.add_wired_client("wired")
     policies = None
     if not gating:
-        policies = PolicyDatabase()
-        policies.set_sir_policy(SirTierPolicy(image_db=-100.0, sketch_db=-100.0, text_db=-100.0))
+        ungated = SirTierPolicy(image_db=-100.0, sketch_db=-100.0, text_db=-100.0)
+        with mock.patch.object(policies_module, "default_sir_tier_policy", lambda: ungated):
+            policies = PolicyDatabase()
     bs = fw.add_base_station("bs", policies=policies)
     weak = fw.add_wireless_client("weak", bs, distance=80.0)
     fw.add_wireless_client("strong", bs, distance=60.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.contracts import Constraint, QoSContract
+from repro.core.events import WhiteboardEvent
 from repro.core.framework import CollaborationFramework
 from repro.hosts.workload import Constant, Trace
 from repro.media.images import collaboration_scene
@@ -90,7 +91,9 @@ class TestWhiteboard:
         a, b = two_clients(fw)
         a.draw("s", (1.0, 2.0))
         fw.run_for(0.5)
-        b._publish_event(b.whiteboard.erase("s", b.scheduler.clock.now))
+        b._publish_event(
+            WhiteboardEvent(object_id="s", op="erase", author="bob", version=2, timestamp=0.5)
+        )
         fw.run_for(0.5)
         assert a.whiteboard.objects() == {}
 

@@ -1,10 +1,12 @@
 """Tests for QoS contracts and the policy database."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import policies
 from repro.core.contracts import Constraint, ContractError, QoSContract
 from repro.core.policies import (
     ModalityTier,
@@ -152,6 +154,7 @@ class TestPolicyDatabase:
         assert db.decide_packets({"free_mem": 500}) == 2
 
     def test_sir_policy_swap(self):
-        db = PolicyDatabase()
-        db.set_sir_policy(SirTierPolicy(image_db=10.0, sketch_db=5.0, text_db=0.0))
+        swapped = SirTierPolicy(image_db=10.0, sketch_db=5.0, text_db=0.0)
+        with mock.patch.object(policies, "default_sir_tier_policy", lambda: swapped):
+            db = PolicyDatabase()
         assert db.decide_tier(7.0) is ModalityTier.TEXT_AND_SKETCH

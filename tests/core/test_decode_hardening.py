@@ -546,7 +546,7 @@ class TestFormerNackDatagrams:
             # frag_count reads the low half of msg_seq: 1 → "fragment 0 of 1",
             # whose empty payload is no message; 0 and 65536 → no fragment at all
             for msg_seq in (1, 0, 65536):
-                probe.sendto(self._request(alice.endpoint.ssrc, msg_seq, (0,)), alice.endpoint.address)
+                probe.sendto(self._request(alice.endpoint.wire.ssrc, msg_seq, (0,)), alice.endpoint.address)
             fw.run_for(1.0)
         assert [str(w.message).split("dropped ")[1] for w in caught] == [
             "an undecodable message payload",

@@ -38,15 +38,6 @@ class TestFrameworkFacade:
         fw.run_for(3.5)
         assert fw.now == 3.5
 
-    def test_start_hosts(self):
-        from repro.hosts.workload import Trace
-
-        fw = CollaborationFramework("f")
-        fw.add_wired_client("a", cpu_workload=Trace([0, 25, 50, 75, 100]))
-        fw.start_hosts()
-        fw.run_for(3.0)
-        assert fw.hosts["a"].tick == 3
-
 
 class TestLateJoinImageReplay:
     def test_late_joiner_reconstructs_replayed_image(self):

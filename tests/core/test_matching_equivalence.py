@@ -13,7 +13,7 @@ to the same linear oracle.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.matching import interpret
+from repro.core.matching import Decision, interpret
 from repro.core.profiles import ClientProfile, TransformRule
 from repro.core.selectors import Selector
 from repro.messaging.broker import SemanticBus
@@ -310,7 +310,7 @@ def test_required_attributes_is_sound(attrs, selector):
     required = required_attributes(sel)
     profile = ClientProfile("c", dict(attrs))
     if required and not required <= frozenset(profile.snapshot()):
-        assert not interpret(sel, {}, profile).accepted
+        assert interpret(sel, {}, profile).decision is Decision.REJECT
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,7 +326,7 @@ def test_shortlist_never_loses_a_match(attrs, selector):
     eng = MatchingEngine()
     eng.add("c", profile)
     sl = eng.shortlist(selector)
-    matches = interpret(Selector(selector), {}, profile).accepted
+    matches = interpret(Selector(selector), {}, profile).decision is not Decision.REJECT
     if matches and not sl.linear:
         assert "c" in sl.keys
 

@@ -53,7 +53,7 @@ class TestLocalSketch:
         fw.run_for(2.0)
         sketch = extract_sketch(b.viewer.reconstruct("img"))
         assert sketch.mask.any()
-        assert sketch.n_bytes < 500
+        assert len(sketch.encoded) < 500
 
 
 class TestSwitchOctetProbes:

@@ -27,22 +27,22 @@ def fw():
 class TestSwitchAgent:
     def test_iftable_visible(self, fw):
         mgr = SnmpManager(DatagramSocket(fw.network, "alice"), fw.scheduler)
-        n = mgr.get_scalar("lan-switch", MIB2.ifNumber).value
+        n = mgr.get("lan-switch", [MIB2.ifNumber])[0][1].value
         assert n == 1  # alice's access link
-        descr = mgr.get_scalar("lan-switch", MIB2.ifDescr.child(1)).text()
+        descr = mgr.get("lan-switch", [MIB2.ifDescr.child(1)])[0][1].text()
         assert descr == "to-alice"
 
     def test_ifspeed_in_bits(self, fw):
         mgr = SnmpManager(DatagramSocket(fw.network, "alice"), fw.scheduler)
-        speed = mgr.get_scalar("lan-switch", MIB2.ifSpeed.child(1)).value
+        speed = mgr.get("lan-switch", [MIB2.ifSpeed.child(1)])[0][1].value
         link = fw.network.link("alice", "lan-switch")
         assert speed == int(link.bandwidth * 8)
 
     def test_octet_counters_live(self, fw):
         mgr = SnmpManager(DatagramSocket(fw.network, "alice"), fw.scheduler)
-        before = mgr.get_scalar("lan-switch", MIB2.ifOutOctets.child(1)).value
+        before = mgr.get("lan-switch", [MIB2.ifOutOctets.child(1)])[0][1].value
         # the GET itself and its response cross the link; counters move
-        after = mgr.get_scalar("lan-switch", MIB2.ifOutOctets.child(1)).value
+        after = mgr.get("lan-switch", [MIB2.ifOutOctets.child(1)])[0][1].value
         assert after > before
 
     def test_walk_interfaces(self, fw):
@@ -55,7 +55,7 @@ class TestSwitchAgent:
             DatagramSocket(fw.network, "alice"), fw.scheduler, community="pub2"
         )
         # two ifDescr rows now
-        assert mgr.get_scalar("lan-switch", MIB2.ifNumber).value == 2
+        assert mgr.get("lan-switch", [MIB2.ifNumber])[0][1].value == 2
         rows = [MIB2.ifDescr.child(1), MIB2.ifDescr.child(2)]
         assert MIB2.ifDescr.child(3) not in agent.mib
         out = mgr.get("lan-switch", rows)
@@ -128,7 +128,7 @@ class TestGracefulDegradation:
         assert observed["cpu_load"] == 40.0  # served from cache
         assert "cpu_load" in ns.stale_parameters
         assert ns.stale_served >= 1
-        assert ns.is_dark and 0.0 < ns.dark_for() < STALE_GRACE
+        assert ns.dark_since is not None and 0.0 < ns.dark_for() < STALE_GRACE
         assert not ns.degraded  # still inside the grace window
 
     def test_values_drop_and_degraded_past_grace(self, fw):
@@ -141,16 +141,37 @@ class TestGracefulDegradation:
         assert "cpu_load" not in observed
         assert ns.degraded
 
+    def test_value_exactly_a_grace_old_is_still_served(self, fw):
+        ns = self.build(fw)
+        fw.scheduler.run_until(1.0)
+        assert ns.poll()["cpu_load"] == 40.0  # fresh at t = 1.0
+        fw.agents["alice"].crash()
+        fw.scheduler.run_until(1.0 + STALE_GRACE)
+        assert ns.poll()["cpu_load"] == 40.0  # read fresh exactly STALE_GRACE ago
+        assert "cpu_load" in ns.stale_parameters
+
+    def test_degraded_only_after_a_whole_grace_dark(self, fw):
+        ns = self.build(fw)
+        ns.poll()
+        fw.agents["alice"].crash()
+        fw.scheduler.run_until(1.0)
+        ns.poll()  # dark from t = 1.0
+        assert ns.dark_since == 1.0
+        fw.scheduler.run_until(1.0 + STALE_GRACE)
+        assert ns.dark_for() == STALE_GRACE and not ns.degraded
+        fw.scheduler.run_until(1.0 + STALE_GRACE + 1e-6)
+        assert ns.degraded
+
     def test_restart_clears_dark(self, fw):
         ns = self.build(fw)
         ns.poll()
         fw.agents["alice"].crash()
         ns.poll()
-        assert ns.is_dark
+        assert ns.dark_since is not None
         fw.agents["alice"].restart()
         observed = ns.poll()
         assert observed["cpu_load"] == 40.0
-        assert not ns.is_dark
+        assert ns.dark_since is None
         assert ns.dark_for() == 0.0
         assert not ns.degraded
 

@@ -54,7 +54,7 @@ class TestSpeechDownlink:
         fw, wired, bs, speechy = cell
         speechy.set_modality_preference("speech")
         fw.run_for(0.5)
-        assert bs.attachments["speechy"].profile_attrs["modality"] == "speech"
+        assert bs.attachments["speechy"].profile_attrs.get("modality") == "speech"
         wired.share_image("img", collaboration_scene(64, 64))
         fw.run_for(4.0)
         counts = speechy.modality_counts()

@@ -31,34 +31,6 @@ class TestSimulatedHost:
         assert s.page_faults == 40.0
         assert 0 < s.free_memory_kib < s.total_memory_kib
 
-    def test_periodic_ticks_advance_workload(self):
-        sched = Scheduler()
-        host = SimulatedHost("h", sched, cpu_workload=Trace([0.0, 25.0, 50.0, 75.0, 100.0]))
-        host.start()
-        sched.run_until(3.5)
-        assert host.tick == 3
-        assert host.cpu_load == pytest.approx(75.0)
-
-    def test_stop_freezes(self):
-        sched = Scheduler()
-        host = SimulatedHost("h", sched)
-        host.start()
-        sched.run_until(1.5)
-        host.stop()
-        tick = host.tick
-        sched.run_until(5.0)
-        assert host.tick == tick
-
-    def test_stop_then_start_keeps_one_tick_chain(self):
-        sched = Scheduler()
-        host = SimulatedHost("h", sched)
-        host.start()
-        sched.run_until(0.5)
-        host.stop()
-        host.start()  # before the pending tick: it must not survive
-        sched.run_until(10.0)
-        assert host.tick == 9  # 1.5, 2.5, ..., 9.5
-
     def test_advance_to_tick(self):
         host = SimulatedHost("h", Scheduler(), fault_workload=Trace([10, 20, 30]))
         host.advance_to_tick(2)
@@ -93,30 +65,30 @@ class TestSnmpBinding:
 
     def test_cpu_and_faults_visible(self, stack):
         _, _, _, mgr, _ = stack
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 64
-        assert mgr.get_scalar("host1", TASSL.hostPageFaults).value == 33
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 64
+        assert mgr.get("host1", [TASSL.hostPageFaults])[0][1].value == 33
 
     def test_sysname_and_descr(self, stack):
         _, _, _, mgr, _ = stack
-        assert mgr.get_scalar("host1", MIB2.sysName).text() == "host1"
-        assert b"TASSL" in mgr.get_scalar("host1", MIB2.sysDescr).value
+        assert mgr.get("host1", [MIB2.sysName])[0][1].text() == "host1"
+        assert b"TASSL" in mgr.get("host1", [MIB2.sysDescr])[0][1].value
 
     def test_live_instrumentation(self, stack):
         _, host, _, mgr, _ = stack
         host.cpu_workload = Constant(91.0)
         host.advance_to_tick(1)
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 91
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 91
 
     def test_link_metrics_exported(self, stack):
         _, _, _, mgr, link = stack
-        assert mgr.get_scalar("host1", TASSL.linkBandwidth).value == int(link.bandwidth)
-        assert mgr.get_scalar("host1", TASSL.linkLatencyUs).value == 1000
+        assert mgr.get("host1", [TASSL.linkBandwidth])[0][1].value == int(link.bandwidth)
+        assert mgr.get("host1", [TASSL.linkLatencyUs])[0][1].value == 1000
 
     def test_uptime_ticks(self, stack):
         sched, _, _, mgr, _ = stack
-        t1 = mgr.get_scalar("host1", MIB2.sysUpTime).value
+        t1 = mgr.get("host1", [MIB2.sysUpTime])[0][1].value
         sched.run_until(sched.clock.now + 5.0)
-        t2 = mgr.get_scalar("host1", MIB2.sysUpTime).value
+        t2 = mgr.get("host1", [MIB2.sysUpTime])[0][1].value
         assert t2 > t1
 
     def test_walk_whole_extension(self, stack):

@@ -89,7 +89,7 @@ class TestDescribe:
 
     def test_text_is_compact(self):
         d = describe_image(collaboration_scene(256, 256))
-        assert d.n_bytes < 1000  # orders smaller than the image
+        assert len(d.text.encode()) < 1000  # orders smaller than the image
 
     def test_position_words_present(self):
         d = describe_image(collaboration_scene(128, 128))

@@ -281,6 +281,18 @@ def single(msg_seq, payload=b"", ssrc=7):
     return RtpPacket(ssrc, msg_seq, 0, 1, msg_seq, payload or b"m%d" % msg_seq).encode()
 
 
+class TestWindowEdge:
+    def test_message_exactly_a_window_behind_is_still_taken(self):
+        out = []
+        r = RtpReassembler(lambda s, payload: out.append(payload))
+        r.ingest(single(REORDER_WINDOW))  # the source's first fragment sets its window
+        r.ingest(single(0))  # newest - 0 == REORDER_WINDOW: the window's oldest slot
+        assert out == [b"m%d" % REORDER_WINDOW, b"m0"] and r.behind_window == 0
+        r.ingest(single(REORDER_WINDOW + 1))
+        r.ingest(single(0))  # now one past the window's edge
+        assert len(out) == 3 and r.behind_window == 1
+
+
 class TestForwardJumps:
     """A forward jump of more than the window is provisional: one damaged
     header must not silence its source for the rest of the run."""

@@ -258,7 +258,7 @@ class TestOneWireStack:
         )
         from_link: list[bytes] = []
         self.tap(ep_rx.sock, from_link)
-        assert ep_tx.ssrc == link_tx.wire.ssrc
+        assert ep_tx.wire.ssrc == link_tx.wire.ssrc
 
         assert ep_tx.unicast(message, link_rx.address) == link_tx.send(message, ep_rx.address)
         sched1.run_for(1.0)

@@ -46,15 +46,6 @@ class TestTracing:
         assert 20 <= flow.dropped <= 80
         assert flow.delivered == 100 - flow.dropped
 
-    def test_detach_restores(self, fabric):
-        _, net = fabric
-        tracer = PacketTracer(net)
-        tracer.attach()
-        net.send(Packet("a", 1, "b", 9, b"x"))
-        tracer.detach()
-        net.send(Packet("a", 1, "b", 9, b"y"))
-        assert tracer.total_packets == 1
-
     def test_attach_idempotent(self, fabric):
         _, net = fabric
         tracer = PacketTracer(net)
@@ -115,7 +106,7 @@ class TestTreeCastTracing:
         ]
         assert all(r.delivered and r.size == 5 + 28 for r in tracer.records)
         assert tracer.total_packets == net.packets_sent == 3
-        assert set(tracer.flows_from("h0")) == {
+        assert set(tracer.flows) == {
             ("h0", h, socks[h].local_port) for h in ("h1", "h2", "h3")
         }
 
@@ -129,34 +120,8 @@ class TestTreeCastTracing:
         assert tracer.flows[("h0", "h3", socks["h3"].local_port)].dropped == 1
         assert net.packets_dropped == 1
 
-    def test_detach_stops_cast_records(self, group_world):
-        sched, net, socks, tracer = group_world
-        tracer.detach()
-        tracer.detach()  # idempotent
-        socks["h0"].send(b"frame")
-        assert tracer.total_packets == 0
-
 
 class TestAnalysis:
-    def test_top_talkers(self, fabric):
-        _, net = fabric
-        tracer = PacketTracer(net)
-        tracer.attach()
-        for _ in range(5):
-            net.send(Packet("a", 1, "b", 9, b"x" * 100))
-        net.send(Packet("b", 1, "a", 9, b"y"))
-        talkers = tracer.top_talkers()
-        assert talkers[0][0] == "a"
-        assert talkers[0][1] > talkers[1][1]
-
-    def test_flows_from(self, fabric):
-        _, net = fabric
-        tracer = PacketTracer(net)
-        tracer.attach()
-        net.send(Packet("a", 1, "b", 9, b"x"))
-        net.send(Packet("b", 1, "a", 7, b"y"))
-        assert set(tracer.flows_from("a")) == {("a", "b", 9)}
-
     def test_summary_renders(self, fabric):
         _, net = fabric
         tracer = PacketTracer(net)
@@ -179,4 +144,4 @@ class TestAnalysis:
         a.send_chat("hello")
         fw.run_for(1.0)
         assert tracer.total_packets >= 3  # joins + chat
-        assert tracer.top_talkers()[0][0] in ("alice", "bob")
+        assert {"alice", "bob"} <= {src for src, _, _ in tracer.flows}

@@ -115,21 +115,6 @@ class TestEphemeralChurn:
 
 
 class TestSendReceive:
-    def test_queue_mode_roundtrip(self, net):
-        rx = DatagramSocket(net, "b")
-        rx.bind(7)
-        tx = DatagramSocket(net, "a")
-        tx.sendto(b"ping", ("b", 7))
-        net.scheduler.run()
-        data, src = rx.recvfrom()
-        assert data == b"ping"
-        assert src == ("a", tx.port)
-
-    def test_recvfrom_empty_returns_none(self, net):
-        rx = DatagramSocket(net, "b")
-        rx.bind(7)
-        assert rx.recvfrom() is None
-
     def test_callback_mode(self, net):
         got = []
         rx = DatagramSocket(net, "b")
@@ -139,7 +124,6 @@ class TestSendReceive:
         tx.sendto(b"x", ("b", 7))
         net.scheduler.run()
         assert got == [(b"x", ("a", tx.port))]
-        assert rx.pending == 0  # callback consumed it
 
     def test_sendto_auto_binds_source(self, net):
         tx = DatagramSocket(net, "a")
@@ -153,11 +137,11 @@ class TestSendReceive:
         server.on_receive = lambda data, src: server.sendto(b"pong:" + data, src)
         client = DatagramSocket(net, "a")
         client.bind_ephemeral()
+        got = []
+        client.on_receive = lambda data, src: got.append((data, src))
         client.sendto(b"1", ("b", 7))
         net.scheduler.run()
-        data, src = client.recvfrom()
-        assert data == b"pong:1"
-        assert src == ("b", 7)
+        assert got == [(b"pong:1", ("b", 7))]
 
     def test_counters(self, net):
         rx = DatagramSocket(net, "b")
@@ -168,4 +152,3 @@ class TestSendReceive:
         net.scheduler.run()
         assert tx.sent_datagrams == 3
         assert rx.received_datagrams == 3
-        assert rx.pending == 3

@@ -35,7 +35,7 @@ def stack():
 class TestGet:
     def test_get_scalar(self, stack):
         _, _, _, mgr, _ = stack
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42
 
     def test_get_multiple_varbinds(self, stack):
         _, _, _, mgr, _ = stack
@@ -46,17 +46,17 @@ class TestGet:
     def test_get_live_value(self, stack):
         _, _, _, mgr, box = stack
         box["cpu"] = 93
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 93
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 93
 
     def test_get_missing_raises_error_response(self, stack):
         _, _, _, mgr, _ = stack
         with pytest.raises(SnmpErrorResponse) as ei:
-            mgr.get_scalar("host1", OID("1.3.9.9.9.0"))
+            mgr.get("host1", [OID("1.3.9.9.9.0")])
         assert ei.value.index == 1
 
     def test_virtual_time_advances(self, stack):
         sched, _, _, mgr, _ = stack
-        mgr.get_scalar("host1", TASSL.hostCpuLoad)
+        mgr.get("host1", [TASSL.hostCpuLoad])
         assert sched.clock.now > 0.003  # at least a round trip
 
 
@@ -97,7 +97,7 @@ class TestRobustness:
         mgr.timeout = 0.05
         mgr.retries = 1
         with pytest.raises(SnmpTimeout):
-            mgr.get_scalar("host1", TASSL.hostCpuLoad, port=9999)
+            mgr.get("host1", [TASSL.hostCpuLoad], port=9999)
         assert mgr.timeouts == 2  # initial + 1 retry
 
     def test_garbage_datagram_ignored(self, stack):
@@ -107,7 +107,7 @@ class TestRobustness:
         sched.run()
         assert agent.decode_failures == 1
         # agent still serves afterwards
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42
 
     def test_wrong_community_get_dropped(self, stack):
         sched, net, agent, _, _ = stack
@@ -115,7 +115,7 @@ class TestRobustness:
             DatagramSocket(net, "mgr"), sched, community="wrong", timeout=0.05, retries=0
         )
         with pytest.raises(SnmpTimeout):
-            bad.get_scalar("host1", TASSL.hostCpuLoad)
+            bad.get("host1", [TASSL.hostCpuLoad])
         assert agent.auth_failures >= 1
 
     def test_retry_succeeds_after_loss(self):
@@ -131,14 +131,14 @@ class TestRobustness:
         mgr = SnmpManager(
             DatagramSocket(net, "mgr"), sched, timeout=0.1, retries=10
         )
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 1
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 1
 
     def test_concurrent_managers_do_not_cross_talk(self, stack):
         sched, net, _, mgr, _ = stack
         mgr2 = SnmpManager(DatagramSocket(net, "mgr"), sched)
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
-        assert mgr2.get_scalar("host1", TASSL.hostPageFaults).value == 7
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42
+        assert mgr2.get("host1", [TASSL.hostPageFaults])[0][1].value == 7
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42
 
     def test_unsolicited_responses_are_not_kept(self, stack):
         sched, net, _, mgr, _ = stack
@@ -150,7 +150,7 @@ class TestRobustness:
             mallory.sendto(response.to_bytes(), ("mgr", mgr._sock.port))
         sched.run()
         assert mgr._responses == {}
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42
         assert mgr._responses == {}
 
     def test_reply_from_another_host_is_not_accepted(self):
@@ -170,7 +170,7 @@ class TestRobustness:
         rogue.bind(161)
         forged = SnmpMessage(VERSION_2C, "public", PDU_RESPONSE, 1, 0, 0, ((TASSL.hostCpuLoad, Gauge32(3)),))
         sched.call_at(0.0, lambda: rogue.sendto(forged.to_bytes(), ("mgr", mgr._sock.port)))
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42
         assert mgr._responses == {}
 
     def test_late_reply_is_not_kept(self, stack):
@@ -178,7 +178,7 @@ class TestRobustness:
         mgr.timeout = 0.001  # shorter than the 4 ms round trip
         mgr.retries = 0
         with pytest.raises(SnmpTimeout):
-            mgr.get_scalar("host1", TASSL.hostCpuLoad)
+            mgr.get("host1", [TASSL.hostCpuLoad])
         sched.run()  # the reply lands after the request gave up
         assert mgr._responses == {}
 
@@ -188,10 +188,10 @@ class TestRobustness:
         GET and both complete."""
         sched, net, _, mgr, _ = stack
         inner = []
-        TrapListener(net, "mgr", lambda n: inner.append(mgr.get_scalar("host1", TASSL.hostPageFaults).value))
+        TrapListener(net, "mgr", lambda n: inner.append(mgr.get("host1", [TASSL.hostPageFaults])[0][1].value))
         sender = TrapSender(net, "host1")
         sched.call_at(0.001, lambda: sender.send(("mgr", 162), TASSL.pageFaultHighTrap, []))
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42
         assert inner == [7]
         assert mgr.timeouts == 0
         assert mgr._responses == {}

@@ -83,7 +83,7 @@ class TestRetrySpacing:
 
     def test_successful_request_single_attempt(self):
         _, _, _, mgr = build()
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42
         assert len(mgr.last_attempt_times) == 1
 
 
@@ -119,7 +119,7 @@ class TestCircuitBreaker:
         sched.call_at(sched.clock.now + BREAKER_COOLDOWN + 0.5, lambda: None)
         sched.run()
         assert mgr.breaker_state("host1") == "half-open"
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 7
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 7
         assert mgr.breaker_state("host1") == "closed"
 
     def test_failed_probe_doubles_cooldown_capped(self):
@@ -153,4 +153,4 @@ class TestCircuitBreaker:
                 mgr.get("host2", [TASSL.hostCpuLoad])  # host2 has no agent
         assert mgr.breaker_state("host2") == "open"
         assert mgr.breaker_state("host1") == "closed"
-        assert mgr.get_scalar("host1", TASSL.hostCpuLoad).value == 42
+        assert mgr.get("host1", [TASSL.hostCpuLoad])[0][1].value == 42

@@ -11,6 +11,13 @@ from repro.snmp.oids import MIB2, TASSL
 from repro.snmp.traps import Notification, ThresholdWatch, TrapListener, TrapSender, snmpTrapOID
 
 
+def drive_hosts(fw, ticks):
+    """Step every host's workload once a virtual second, from t = 1."""
+    for host in fw.hosts.values():
+        for tick in range(1, ticks + 1):
+            fw.scheduler.call_at(float(tick), host.advance_to_tick, tick)
+
+
 def trap_frame(version=1, uptime=TimeTicks(5), extra=()):
     """A v2c trap written field by field, so each field can be wrong."""
     varbinds = (
@@ -194,7 +201,7 @@ class TestEventDrivenAdaptation:
             "alice", fault_workload=Trace([30, 30, 95, 95, 30, 30, 95])
         )
         watch = fw.add_threshold_trap(client, "page_faults", threshold=80.0)
-        fw.start_hosts()
+        drive_hosts(fw, 8)
         fw.run_for(8.0)
         # two independent excursions above 80 -> two traps -> two decisions
         assert watch.crossings == 2
@@ -212,7 +219,7 @@ class TestEventDrivenAdaptation:
         host = fw.hosts["alice"]
         watch = fw.add_threshold_trap(client, "free_memory_kib", threshold=100_000)
         assert watch.trap_oid == TASSL.memoryLowTrap
-        fw.start_hosts()
+        drive_hosts(fw, 5)
         fw.run_for(1.9)
         assert host.free_memory_kib > 100_000 and watch.crossings == 0
         fw.run_for(2.0)
@@ -227,7 +234,7 @@ class TestEventDrivenAdaptation:
         fw = CollaborationFramework("traptest5")
         client = fw.add_wired_client("alice", fault_workload=Trace([30, 95, 30, 95]))
         watch = fw.add_threshold_trap(client, "page_faults", threshold=80.0)
-        fw.start_hosts()
+        drive_hosts(fw, 5)
         client.join()
         client.start_adaptation_loop()
         client.leave()

@@ -8,7 +8,9 @@ suffix is ignored.  Every experiment a ``python -m repro.experiments
 <name> ...`` command in those documents names must be one the command
 runs.  Every CHANGES.md entry from :data:`CAPPED_FROM` on keeps the prose
 cap: at most :data:`ENTRY_LINES` lines of at most :data:`LINE_CHARS`
-characters; the long form goes in the PR's EXPERIMENTS.md HISTORY row.
+characters; the long form goes in the PR's EXPERIMENTS.md HISTORY row,
+and every HISTORY row from :data:`HISTORY_CAPPED_FROM` on is at most
+:data:`ROW_LINES` lines.
 """
 
 import re
@@ -104,4 +106,40 @@ def test_changes_entries_keep_the_cap():
         too_long = sum(len(line) > LINE_CHARS for line in lines)
         if number >= CAPPED_FROM and (len(lines) > ENTRY_LINES or too_long):
             over[number] = (len(lines), too_long)
+    assert over == {}
+
+
+HISTORY_CAPPED_FROM, ROW_LINES = 43, 40
+ROW = re.compile(r"- \*\*PR (\d+)\*\*")
+
+
+def history_rows(text):
+    """``(number, lines)`` of each row of EXPERIMENTS.md's HISTORY section:
+    its ``- **PR N**`` line and every line up to the next row or heading,
+    less trailing blank lines."""
+    section = text.split("\n## HISTORY", 1)[1]
+    rows, lines = [], None
+    for line in section.splitlines()[1:]:
+        if line.startswith("#"):
+            break
+        if match := ROW.match(line):
+            lines = [line]
+            rows.append((int(match.group(1)), lines))
+        elif lines is not None:
+            lines.append(line)
+    return [(number, "\n".join(lines).rstrip().splitlines()) for number, lines in rows]
+
+
+def test_history_rows_are_found():
+    text = "# T\n## HISTORY\nintro\n- **PR 1** (x): a\n  b\n\n- **PR 2** (y): c\n### Next\n- **PR 3**\n"
+    assert history_rows(text) == [(1, ["- **PR 1** (x): a", "  b"]), (2, ["- **PR 2** (y): c"])]
+
+
+def test_history_rows_keep_the_cap():
+    """Row number -> its length, for each row over the cap."""
+    over = {
+        number: len(lines)
+        for number, lines in history_rows((ROOT / "EXPERIMENTS.md").read_text())
+        if number >= HISTORY_CAPPED_FROM and len(lines) > ROW_LINES
+    }
     assert over == {}

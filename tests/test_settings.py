@@ -6,7 +6,8 @@ took them are pinned here, and each constant is pinned to the default the
 keyword had.  A test that needs another value patches the constant
 (``mock.patch.object(module, NAME, v)``).  The census at the end keeps a
 new such keyword from coming in: every defaulted parameter of a public
-callable in ``src/repro`` is set by some call in ``src/``, ``bench/`` or
+callable in ``src/repro``, and every defaulted field of a public
+``@dataclass`` there, is set by some call in ``src/``, ``bench/`` or
 ``examples/``, or :data:`KEPT` says why it stays.
 """
 
@@ -47,7 +48,7 @@ from repro.messaging import rtp
 from repro.messaging.broker import BatchPublishResult, PublishResult
 from repro.network import clock, multicast, trace
 from repro.snmp import ber, mib, traps
-from repro.wireless import linkquality, powercontrol
+from repro.wireless import channel, linkquality, powercontrol
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -60,8 +61,7 @@ PARAMETERS = [
     (inference._snap_packets, "value"),
     (inference._contract_packets, "contract packets"),
     (policies.PolicyDatabase.__init__, "self"),
-    (policy_lint.lint_contract_against, "contract policies"),
-    (policy_lint.lint_policy_database, "policies contracts"),
+    (policy_lint.lint_policy_database, "policies"),
     (progressive.ProgressiveImage.__init__, "self image n_packets target_bpp"),
     (ImageViewer.__init__, "self owner n_packets target_bpp"),
     (ImageViewer.share, "self image_id image"),
@@ -98,11 +98,11 @@ PARAMETERS = [
     (metrics.psnr, "original reconstructed"),
     (metrics.raw_bits, "shape"),
     (metrics.compression_ratio, "bits_used shape"),
-    (sketch.Sketch.reduction_factor, "self"),
     (sketch.extract_sketch, "image edge_percentile"),
     (images.to_rgb, "gray"),
     (describe.describe_image, "image"),
     (linkquality.loss_for_sir_db, "sir_db packet_bits coding_gain_db"),
+    (channel.PathLossModel.gain, "self distance"),
     (powercontrol.utility, "sir_db powers"),
     (clock.SimClock.__init__, "self"),
     (clock.Scheduler.__init__, "self"),
@@ -120,7 +120,6 @@ PARAMETERS = [
     (wirefuzz.fuzz_pair, "pair seed rounds"),
     (wirefuzz.fuzz_registry, "seed rounds"),
     (selector_analysis.analyze_selector, "selector"),
-    (selector_analysis.analyze_selector_set, "selectors"),
     (repo_lint.lint_findings, "source path"),
     (repo_lint.lint_source, "source path ignore"),
 ]
@@ -178,12 +177,11 @@ CONSTANTS = [
     (images, "TINT", (1.0, 0.85, 0.6)),
     (describe, "MAX_REGIONS", 4),
     (linkquality, "LOSS_CAP", 0.98),
-    (host, "TICK_INTERVAL", 1.0),
+    (channel, "MIN_DISTANCE", 1.0),
     (rtp, "DEFAULT_MTU", 1400),
     (traps, "CHECK_INTERVAL", 0.5),
     (wirefuzz, "FLIPS_PER_ROUND", 16),
     (selector_analysis, "MAX_CLAUSES", 256),
-    (selector_analysis, "MAX_PAIRS", 400),
 ]
 
 
@@ -235,17 +233,21 @@ def test_publish_results_are_not_ints(cls):
 #: by the reason each group stays a parameter
 KEPT = {
     "deployment settings: a deployment provisions its SNMP credentials and"
-    " ports, its session group, and the policies and link of each station": (
+    " ports, its session group, and the policies (SIR tiers included) and"
+    " link of each station": (
         "core.framework.CollaborationFramework.__init__(group_address)",
         "core.framework.CollaborationFramework.__init__(group_port)",
         "core.framework.CollaborationFramework.add_wired_client(policies)",
         "core.framework.CollaborationFramework.add_wired_client(link_kwargs)",
         "core.framework.CollaborationFramework.add_base_station(policies)",
         "core.netstate.NetworkStateInterface.__init__(community)",
+        "core.policies.SirTierPolicy(image_db)",
+        "core.policies.SirTierPolicy(sketch_db)",
+        "core.policies.SirTierPolicy(text_db)",
         "hosts.snmp_binding.attach_extension_agent(read_community)",
         "snmp.agent.SnmpAgent.__init__(port)",
         "snmp.manager.SnmpManager.breaker_state(port)",
-        "snmp.manager.SnmpManager.get_scalar(port)",
+        "snmp.manager.SnmpManager.get(port)",
         "snmp.switch_binding.attach_switch_agent(read_community)",
         "snmp.traps.TrapSender.__init__(community)",
         "snmp.traps.TrapListener.__init__(community)",
@@ -254,24 +256,30 @@ KEPT = {
         "network.clock.Scheduler.run_for(max_events)",
         "snmp.ber.decode(_depth)",
     ),
-    "input data, wire fields and codec arguments: what a call is about, not"
-    " how the program is tuned": (
+    "input data, wire fields, codec arguments, a contract's bounds and a fault"
+    " event's shape: what a call or a record is about, not how the program"
+    " is tuned": (
         "core.basestation.BaseStation.update_attachment(tx_power)",
         "core.basestation.BaseStation.update_attachment(battery)",
         "core.client.WiredClient.request_history(since)",
         "core.client.WiredClient.request_history(kinds)",
+        "core.contracts.Constraint(maximum)",
         "core.framework.CollaborationFramework.add_wireless_client(profile)",
-        "core.profiles.ClientProfile.__init__(transforms)",
         "media.progressive.ReceivedImage.report(max_packets)",
+        "network.faults.BurstLoss(p_good_to_bad)",
+        "network.faults.BurstLoss(p_bad_to_good)",
+        "network.faults.BurstLoss(loss_good)",
+        "network.faults.BurstLoss(loss_bad)",
+        "network.faults.Corruption(max_flips)",
+        "network.faults.Duplication(spread)",
+        "network.faults.LatencySpike(links)",
+        "network.faults.Reordering(max_extra_delay)",
         "snmp.ber.decode(offset)",
         "snmp.traps.TrapSender.send(uptime_ticks)",
-        "wireless.channel.PathLossModel.gain(rng)",
     ),
     "the broker pool's size, which retires with the pool (ROADMAP item 3)": (
         "messaging.sharded.ShardedSemanticBus.__init__(workers)",
     ),
-    "the packet tracer's query, which the telemetry spine keeps or deletes"
-    " (ROADMAP item 4)": ("network.trace.PacketTracer.top_talkers(n)",),
 }
 
 
@@ -308,6 +316,70 @@ def _defaulted_parameters():
     return out
 
 
+def _is_dataclass(node):
+    return any(
+        getattr(getattr(d, "func", d), "id", None) == "dataclass"
+        or getattr(getattr(d, "func", d), "attr", None) == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def _is_frozen(node):
+    return any(
+        k.arg == "frozen" and getattr(k.value, "value", False)
+        for d in node.decorator_list
+        if isinstance(d, ast.Call)
+        for k in d.keywords
+    )
+
+
+def _dataclass_fields():
+    """``{"module.Class(field)": (class name, positional index)}`` for every
+    defaulted field of a public ``@dataclass`` in ``src/repro``, less its
+    per-object state.  A field is per-object state, not a setting, when its
+    default is a fresh container (``field(default_factory=...)``), or when
+    its dataclass is not frozen and some code in ``src/`` assigns an
+    attribute of that name (``obj.field = ...``, ``obj.field += ...``):
+    ``FlowStats.packets``, ``ViewedImage.packets_offered`` and
+    ``Attachment.tier`` are counted up or rewritten as the run goes."""
+    trees = {
+        path: ast.parse(path.read_text()) for path in sorted((ROOT / "src" / "repro").rglob("*.py"))
+    }
+    assigned = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            assigned.update(
+                t.attr for target in targets for t in ast.walk(target) if isinstance(t, ast.Attribute)
+            )
+    out = {}
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(ROOT / "src" / "repro").with_suffix("").parts)
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)) or node.name.startswith("_"):
+                continue
+            fields = [
+                stmt
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+                and "ClassVar" not in ast.unparse(stmt.annotation)
+            ]
+            for index, stmt in enumerate(fields):
+                name = stmt.target.id
+                if stmt.value is None or "default_factory" in ast.unparse(stmt.value):
+                    continue
+                if not _is_frozen(node) and name in assigned:
+                    continue
+                out[f"{module}.{node.name}({name})"] = (node.name, index)
+    return out
+
+
 def _calls():
     """Callable name -> ``(positional count, keywords, unpacks)`` of each
     call in src/, bench/ and examples/ (a ``*`` or ``**`` unpack may set
@@ -327,14 +399,19 @@ def _calls():
 
 
 def test_every_default_is_set_by_a_caller_or_kept():
-    """A defaulted parameter that no call sets is a setting no one varies:
-    make it a module constant, or name it in :data:`KEPT` with a reason.
-    The scan matches calls by name only, so it can miss such a knob but
-    never flags one a caller sets."""
+    """A defaulted parameter or dataclass field that no call sets is a
+    setting no one varies: make it a module constant, or name it in
+    :data:`KEPT` with a reason.  A ``replace(obj, name=...)`` keyword sets
+    every dataclass field of that name.  The scan matches calls by name
+    only, so it can miss such a knob but never flags one a caller sets."""
     calls = _calls()
+    replaced = {keyword for _, keywords, _ in calls["replace"] for keyword in keywords}
+    fields = _dataclass_fields()
     unset = set()
-    for key, (called, index) in _defaulted_parameters().items():
+    for key, (called, index) in {**_defaulted_parameters(), **fields}.items():
         param = key[key.index("(") + 1 : -1]
+        if key in fields and param in replaced:
+            continue
         if not any(
             unpacks or param in keywords or (index is not None and npos > index)
             for npos, keywords, unpacks in calls[called]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.wireless import channel
 from repro.wireless.channel import ChannelError, NoiseModel, PathLossModel
 
 
@@ -23,29 +24,14 @@ class TestPathLoss:
         assert np.allclose(g, [1.0, 0.25, 0.0625])
 
     def test_min_distance_clamp(self):
-        m = PathLossModel(alpha=4.0, k=1.0, min_distance=1.0)
-        assert m.gain(0.001) == m.gain(1.0)
+        m = PathLossModel(alpha=4.0, k=1.0)
+        assert m.gain(0.001) == m.gain(channel.MIN_DISTANCE) == m.gain(1.0)
 
     def test_invalid_params(self):
         with pytest.raises(ChannelError):
             PathLossModel(alpha=0)
         with pytest.raises(ChannelError):
             PathLossModel(k=-1)
-        with pytest.raises(ChannelError):
-            PathLossModel(min_distance=0)
-        with pytest.raises(ChannelError):
-            PathLossModel(shadowing_sigma_db=-1)
-
-    def test_shadowing_requires_rng(self):
-        m = PathLossModel(shadowing_sigma_db=4.0)
-        with pytest.raises(ChannelError):
-            m.gain(10.0)
-
-    def test_shadowing_varies_gain(self):
-        m = PathLossModel(shadowing_sigma_db=8.0)
-        rng = np.random.default_rng(0)
-        g = m.gain(np.full(100, 50.0), rng=rng)
-        assert g.std() > 0
 
     @given(st.floats(min_value=1.0, max_value=1e4))
     def test_distance_gain_inverse(self, d):
@@ -64,12 +50,6 @@ class TestNoise:
         n = NoiseModel(reference_power=1.0, snr_ref_db=40.0)
         assert n.sigma2 == pytest.approx(1e-4)
 
-    def test_from_sigma2(self):
-        n = NoiseModel.from_sigma2(0.01)
-        assert n.sigma2 == pytest.approx(0.01)
-
     def test_invalid(self):
         with pytest.raises(ChannelError):
             NoiseModel(reference_power=0)
-        with pytest.raises(ChannelError):
-            NoiseModel.from_sigma2(-1)

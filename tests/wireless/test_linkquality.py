@@ -87,6 +87,21 @@ class TestBasestationCoupling:
         assert near_loss < far_loss
         assert far_loss == pytest.approx(0.98)
 
+    def test_robust_rate_covers_frames_up_to_500_bytes(self):
+        from repro.core.framework import CollaborationFramework
+
+        fw = CollaborationFramework("couple4")
+        bs = fw.add_base_station("bs")
+        fw.add_wireless_client("w", bs, distance=80.0)
+        fw.add_wireless_client("interferer", bs, distance=60.0)
+        bs.couple_channel()
+        snap = bs.evaluate_qos()
+        s = snap.sir_db[list(snap.client_ids).index("w")]
+        loss_fn = fw.network.link("bs", "w").loss_fn
+        assert loss_fn(500) == loss_for_sir_db(s, packet_bits=4000, coding_gain_db=20.0)
+        assert loss_fn(501) == loss_for_sir_db(s, packet_bits=4008, coding_gain_db=10.0)
+        assert loss_fn(500) < 0.001 and loss_fn(501) == pytest.approx(0.98)
+
     def test_coupling_updates_on_reevaluation(self):
         from repro.core.framework import CollaborationFramework
 
@@ -107,13 +122,15 @@ class TestBasestationCoupling:
         16-packet transfer — the physical argument for tier gating."""
         from repro.core.events import ChatEvent
         from repro.core.framework import CollaborationFramework
+        from repro.core import policies
         from repro.core.policies import SirTierPolicy, PolicyDatabase
 
         fw = CollaborationFramework("couple3", seed=5)
         wired = fw.add_wired_client("wired")
         # disable tier gating entirely: BS forwards everything regardless
-        db = PolicyDatabase()
-        db.set_sir_policy(SirTierPolicy(image_db=-100.0, sketch_db=-100.0, text_db=-100.0))
+        ungated = SirTierPolicy(image_db=-100.0, sketch_db=-100.0, text_db=-100.0)
+        with mock.patch.object(policies, "default_sir_tier_policy", lambda: ungated):
+            db = PolicyDatabase()
         bs = fw.add_base_station("bs", policies=db)
         w = fw.add_wireless_client("w", bs, distance=95.0)
         jam = fw.add_wireless_client("jam", bs, distance=40.0)
