@@ -76,6 +76,7 @@ def main() -> None:
     # --- command post chats; routing follows interests --------------------
     command.send_chat("all units: water level rising at bridge 4")
     fw.run_for(0.5)
+    assert hospital.chat.transcript == []
     print(f"\nhospital chat: {hospital.chat.transcript}"
           "  <- empty: its interest admits only medical traffic")
     print(f"responder-1 received {len(responder1.received_events)} event(s) via BS")
@@ -119,6 +120,7 @@ def main() -> None:
     sir, tier = bs.evaluate_qos().for_client("responder-2")
     command.share_image("evac-map", collaboration_scene(64, 64, seed=11))
     fw.run_for(3.0)
+    assert "evac-map" in hospital.viewer.viewed  # its interest admits imagery
     sketch = responder2.sketches["evac-map"]
     # what it renders is the sketch the BS extracted from its own replica
     assert np.array_equal(sketch, extract_sketch(bs.viewer.reconstruct("evac-map")).mask)

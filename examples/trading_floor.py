@@ -75,14 +75,20 @@ def main() -> None:
     bid(auctioneer, "isdn-modem", "modems", 75.0)  # over the buyer's cap
     fw.run_for(0.5)
 
-    print("modem-buyer sees:    ", [l for l in modem_buyer.chat.transcript if "@" in l])
-    print("bargain-hunter sees: ", [l for l in bargain_hunter.chat.transcript if "@" in l])
+    modem_bids = [l for l in modem_buyer.chat.transcript if "@" in l]
+    bargain_bids = [l for l in bargain_hunter.chat.transcript if "@" in l]
+    print("modem-buyer sees:    ", modem_bids)
+    print("bargain-hunter sees: ", bargain_bids)
+    # each interest admits exactly the offers it names, nothing over its cap
+    assert modem_bids == ["auctioneer: 56k-modem @ 45.0 (modems)"]
+    assert bargain_bids == ["auctioneer: ps2-mouse @ 8.0 (input)"]
 
     # --- interests change at run time: no re-registration -------------------
     print("\nbargain-hunter raises the budget to 100 — locally, instantly:")
     bargain_hunter.profile.set_interest("price <= 100")
     bid(auctioneer, "trackball", "input", 35.0)
     fw.run_for(0.5)
+    assert bargain_hunter.chat.transcript[-1] == "auctioneer: trackball @ 35.0 (input)"
     print("bargain-hunter now sees:", bargain_hunter.chat.transcript[-1])
 
     # --- concurrency control: two simultaneous bids on one item -------------

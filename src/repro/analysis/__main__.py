@@ -2,14 +2,11 @@
 
 Examples::
 
-    # lint the shipped defaults + the source tree + the examples
+    # lint the source tree + the examples
     python -m repro.analysis
 
     # gate CI: non-zero exit on any warning-or-worse diagnostic
     python -m repro.analysis --fail-on warning
-
-    # analyze one selector expression
-    python -m repro.analysis --selector "role == 'medic' and role == 'clerk'"
 
     # machine-readable output
     python -m repro.analysis --format json
@@ -54,19 +51,12 @@ def _explain(codes: Sequence[str]) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis",
-        description="Static verifier for selectors, policies, and dataflow.",
+        description="Static verifier of the source tree: lint, units, exceptions, hot paths, locks.",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         help="files/directories to lint (default: src/repro and examples when present)",
-    )
-    parser.add_argument(
-        "--selector",
-        action="append",
-        default=[],
-        metavar="EXPR",
-        help="analyze one selector expression (repeatable)",
     )
     parser.add_argument(
         "--ignore",
@@ -88,11 +78,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--no-defaults",
-        action="store_true",
-        help="skip linting the shipped default policy database",
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help="print per-rule-family wall time to stderr after the run",
@@ -108,15 +93,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.explain is not None:
         return _explain(args.explain)
 
-    paths = args.paths or ([] if args.selector else _default_paths())
     timings: Optional[dict[str, float]] = {} if args.profile else None
-    report = run_analysis(
-        paths,
-        selectors=args.selector,
-        include_defaults=not args.no_defaults,
-        ignore=args.ignore,
-        profile=timings,
-    )
+    report = run_analysis(args.paths or _default_paths(), ignore=args.ignore, profile=timings)
     if timings is not None:
         total = sum(timings.values())
         parts = ", ".join(

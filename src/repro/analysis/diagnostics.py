@@ -5,29 +5,28 @@ Every check in :mod:`repro.analysis` reports through one shape — a
 human-readable message, and (when known) a source location — so the CLI,
 the CI gate, and the on-demand lint calls all produce the same stream.
 
-Rule codes are stable identifiers (``SEL001``, ``POL003``, ``LNT002``,
+Rule codes are stable identifiers (``LNT002``, ``UNI003``, ``RACE001``,
 ...): tools may filter on them, and inline suppressions name them.
 
 Suppression
 -----------
-Two mechanisms, matching the two ways configs reach the analyzer:
+Two mechanisms:
 
 * **Inline comments** for anything found in a source file::
 
-      TRUE_SELECTOR = Selector("true")  # repro: ignore[SEL002]
+      candidates = list(self._subs)  # repro: ignore[PERF001]
 
   ``# repro: ignore[CODE,CODE2]`` suppresses those rule codes on that
   line; ``# repro: ignore`` (no bracket) suppresses every rule there.
 
-* **Programmatic ignore sets** for in-memory configs: every analyzer
-  entry point accepts ``ignore={"SEL002", ...}`` and the CLI exposes
-  ``--ignore CODE``.
+* **Programmatic ignore sets**: every analyzer entry point accepts
+  ``ignore={"PERF001", ...}`` and the CLI exposes ``--ignore CODE``.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, Optional
 
@@ -67,17 +66,6 @@ class Severity(IntEnum):
 
 #: Stable rule registry: code -> (default severity, one-line description).
 RULES: dict[str, tuple[Severity, str]] = {
-    # -- selector analysis ------------------------------------------------
-    "SEL001": (Severity.ERROR, "selector is unsatisfiable: it can never match any profile"),
-    "SEL002": (Severity.WARNING, "selector is a tautology: it matches every profile (vacuous)"),
-    "SEL003": (Severity.WARNING, "attribute used with conflicting types in one conjunction"),
-    "SEL004": (Severity.INFO, "selector too complex for exact analysis; verdict unknown"),
-    "SEL006": (Severity.ERROR, "selector literal does not parse"),
-    # -- policy lint ------------------------------------------------------
-    "POL001": (Severity.WARNING, "step-policy values are not monotone over the parameter"),
-    "POL002": (Severity.WARNING, "step-policy band is redundant (same value as its neighbour)"),
-    "POL003": (Severity.ERROR, "packet decision outside the paper's {0,1,2,4,8,16} set"),
-    "POL004": (Severity.ERROR, "SIR tier thresholds collapse a tier (gap/overlap)"),
     # -- repo lint --------------------------------------------------------
     "LNT001": (Severity.ERROR, "bare `except:` in a dispatch path"),
     "LNT002": (Severity.ERROR, "mutable default argument"),
@@ -102,8 +90,6 @@ RULES: dict[str, tuple[Severity, str]] = {
     # -- hot-path cost (interprocedural loop-cost propagation) ------------
     "PERF001": (Severity.WARNING, "population-sized scan or copy on a per-packet hot path (O(subscribers) work per message)"),
     "PERF004": (Severity.WARNING, "loop-invariant pure call or uncached selector re-parse on a hot path (hoist or route through the parse cache)"),
-    # -- wire-format decode safety ----------------------------------------
-    "WIRE002": (Severity.ERROR, "decoder reads past len(data) on truncated input without a bounds guard"),
 }
 
 
@@ -120,8 +106,8 @@ def rule_severity(code: str, *, in_hot_scope: bool = True) -> Severity:
 class Diagnostic:
     """One finding from any analyzer pass.
 
-    ``subject`` names the analyzed object (a selector text, a policy
-    name, a file-relative symbol); ``file``/``line``/``column`` locate it
+    ``subject`` names the analyzed object (a file, a file-relative
+    symbol); ``file``/``line``/``column`` locate it
     when the finding came from a source file (1-based line/column).
     """
 
@@ -144,10 +130,6 @@ class Diagnostic:
             loc += ": "
         subj = f" [{self.subject}]" if self.subject else ""
         return f"{loc}{self.severity}: {self.code}: {self.message}{subj}"
-
-    def at(self, file: Optional[str], line: Optional[int], column: Optional[int] = None) -> "Diagnostic":
-        """Copy with a source location attached."""
-        return replace(self, file=file, line=line, column=column)
 
     def to_dict(self) -> dict[str, object]:
         return {

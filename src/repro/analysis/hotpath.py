@@ -112,8 +112,6 @@ PURE_CALLABLES: frozenset[str] = frozenset(
         "compile_selector",
         "decompose",
         "required_attributes",
-        "selector_diagnostics",
-        "analyze_selector",
         "compile",  # re.compile
     }
 )

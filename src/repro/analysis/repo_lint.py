@@ -1,29 +1,19 @@
-"""Repository lint: custom AST rules + selector-literal extraction.
+"""Repository lint: custom AST rules.
 
 This pass reads Python source files (it never imports them) and applies
-two kinds of checks:
+three rules over the parsed :mod:`ast`:
 
-* **Code rules** over the parsed :mod:`ast`:
+* ``LNT001`` — bare ``except:`` swallows everything, including
+  ``KeyboardInterrupt``; in dispatch paths (``messaging/``, the
+  matching/inference modules) that silently drops traffic, which is an
+  error; elsewhere it is a warning.
+* ``LNT002`` — mutable default arguments (``def f(x=[])``): shared
+  state across calls; error inside ``core/``, warning elsewhere.
+* ``LNT003`` — constructing a half of the wire stack
+  (``RtpPacketizer``, ``RtpReassembler``) outside ``messaging/``:
+  message ↔ fragment ↔ datagram exists once, in ``SemanticWire``.
 
-  - ``LNT001`` — bare ``except:`` swallows everything, including
-    ``KeyboardInterrupt``; in dispatch paths (``messaging/``, the
-    matching/inference modules) that silently drops traffic, which is an
-    error; elsewhere it is a warning.
-  - ``LNT002`` — mutable default arguments (``def f(x=[])``): shared
-    state across calls; error inside ``core/``, warning elsewhere.
-  - ``LNT003`` — constructing a half of the wire stack
-    (``RtpPacketizer``, ``RtpReassembler``) outside ``messaging/``:
-    message ↔ fragment ↔ datagram exists once, in ``SemanticWire``.
-
-* **Config extraction**: string literals that are clearly selector
-  sources — ``Selector("...")``, ``parse("...")``,
-  ``.set_interest("...")``, ``interest=``/``selector=`` keyword
-  arguments, and the second argument of ``SemanticMessage.create`` — are
-  collected and run through the selector analyzer, so unsatisfiable or
-  vacuous selectors in ``examples/`` and ``experiments/`` fail CI before
-  they silently drop traffic at run time.
-
-Inline suppressions (``# repro: ignore[CODE]``) apply to both kinds; see
+Inline suppressions (``# repro: ignore[CODE]``) apply; see
 :mod:`repro.analysis.diagnostics`.
 """
 
@@ -31,19 +21,16 @@ from __future__ import annotations
 
 import ast
 import os
-from typing import Iterator
 
 from .callgraph import rightmost_name
 from .diagnostics import Diagnostic, rule_severity
 from .passes import file_entry_points
-from .selector_analysis import selector_diagnostics
 
 __all__ = [
     "lint_findings",
     "lint_source",
     "lint_file",
     "lint_paths",
-    "extract_selector_literals",
     "TRANSPORT_NAMES",
 ]
 
@@ -86,33 +73,6 @@ def _is_mutable_default(node: ast.expr) -> bool:
     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
         return node.func.id in _MUTABLE_CALLS
     return False
-
-
-# ----------------------------------------------------------------------
-# selector literal extraction
-# ----------------------------------------------------------------------
-def extract_selector_literals(
-    tree: ast.AST,
-) -> Iterator[tuple[str, int, int]]:
-    """Yield ``(selector_text, line, column)`` for every constant string
-    that flows into a selector position."""
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        name = rightmost_name(node.func)
-        candidates: list[ast.expr] = []
-        if name in ("Selector", "parse", "set_interest", "match_selector", "compile_selector"):
-            if node.args:
-                candidates.append(node.args[0])
-        if name == "create" and len(node.args) >= 2:
-            # SemanticMessage.create(sender, selector, ...)
-            candidates.append(node.args[1])
-        for kw in node.keywords:
-            if kw.arg in ("interest", "selector"):
-                candidates.append(kw.value)
-        for arg in candidates:
-            if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-                yield arg.value, arg.lineno, arg.col_offset + 1
 
 
 # ----------------------------------------------------------------------
@@ -189,11 +149,6 @@ def lint_findings(source: str, path: str) -> list[Diagnostic]:
                         column=node.col_offset + 1,
                     )
                 )
-
-    for text, line, column in extract_selector_literals(tree):
-        for d in selector_diagnostics(text, subject=f"{path}:{line}"):
-            out.append(d.at(path, line, column))
-
     return out
 
 

@@ -1,10 +1,9 @@
 """Aggregation and rendering: one entry point over every analyzer pass.
 
 :func:`run_analysis` is what both the CLI (``python -m repro.analysis``)
-and the tests drive: it lints the shipped default policy database, runs
-every row of :data:`FAMILIES` over the source trees (per-file families
-file by file, graph families over one shared call graph), optionally
-analyzes ad-hoc selector expressions, and folds everything into a single
+and the tests drive: it runs every row of :data:`FAMILIES` over the
+source trees (per-file families file by file, graph families over one
+shared call graph) and folds everything into a single
 :class:`AnalysisReport`.
 """
 
@@ -13,20 +12,17 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
-from . import concurrency, dataflow, hotpath, repo_lint, wireformat
+from . import concurrency, dataflow, hotpath, repo_lint
 from .callgraph import build_call_graph_from_sources, read_source, walk_py_files
-from .diagnostics import Diagnostic, Severity, filter_diagnostics, max_severity
+from .diagnostics import Diagnostic, Severity, max_severity
 from .passes import Family, suppressed, suppression_lookup
-from .policy_lint import lint_policy_database
-from .selector_analysis import selector_diagnostics
 
 __all__ = [
     "FAMILIES",
     "AnalysisReport",
     "run_analysis",
-    "analyze_defaults",
     "render_text",
     "render_json",
 ]
@@ -35,8 +31,7 @@ __all__ = [
 #: ``--profile`` labels come from this table; adding a family is adding
 #: a row.
 FAMILIES: tuple[Family, ...] = (
-    Family("repo-lint", "file", ("LNT", "SEL"), repo_lint.lint_findings),
-    Family("wire", "file", ("WIRE",), wireformat.wire_findings),
+    Family("repo-lint", "file", ("LNT",), repo_lint.lint_findings),
     Family("dataflow", "graph", ("UNI", "EXC"), dataflow.dataflow_findings),
     Family("perf", "graph", ("PERF",), hotpath.perf_findings),
     Family("concurrency", "graph", ("DLK", "RACE"), concurrency.concurrency_findings),
@@ -79,38 +74,21 @@ class AnalysisReport:
         }
 
 
-def analyze_defaults(*, ignore: Iterable[str] = ()) -> list[Diagnostic]:
-    """Lint the policy database the framework ships with."""
-    from ..core.policies import default_policy_database
-
-    diags = lint_policy_database(default_policy_database())
-    return filter_diagnostics(diags, ignore=ignore)
-
-
 def run_analysis(
     paths: Iterable[str] = (),
     *,
-    selectors: Iterable[str] = (),
-    include_defaults: bool = True,
     ignore: Iterable[str] = (),
     profile: Optional[dict[str, float]] = None,
 ) -> AnalysisReport:
     """Run every pass and aggregate the findings.
 
     ``paths`` are files/directories every row of :data:`FAMILIES` runs
-    over; ``selectors`` are ad-hoc selector expressions to analyze
-    directly.  Pass a dict as ``profile`` to receive per-rule-family
-    wall times (seconds) in it.
+    over.  Pass a dict as ``profile`` to receive per-rule-family wall
+    times (seconds) in it.
     """
     ignore = tuple(ignore)
     files = walk_py_files(paths)
     diags: list[Diagnostic] = []
-
-    def timed(label: str, produce: Callable[[], list[Diagnostic]]) -> None:
-        t0 = time.perf_counter()
-        diags.extend(produce())
-        if profile is not None:
-            profile[label] = profile.get(label, 0.0) + time.perf_counter() - t0
 
     # each file is read, and its suppressions parsed, at most once per run
     known = frozenset(files)
@@ -144,19 +122,13 @@ def run_analysis(
     def per_graph(family: Family) -> list[Diagnostic]:
         return suppressed(family.produce(shared_graph()), suppressions, ignore)
 
-    if include_defaults:
-        timed("defaults", lambda: analyze_defaults(ignore=ignore))
     if files:
         for family in FAMILIES:
             run = per_file if family.scope == "file" else per_graph
-            timed(family.name, lambda family=family, run=run: run(family))
-    for expr in selectors:
-        timed(
-            "selectors",
-            lambda expr=expr: filter_diagnostics(
-                selector_diagnostics(expr), ignore=ignore
-            ),
-        )
+            t0 = time.perf_counter()
+            diags.extend(run(family))
+            if profile is not None:
+                profile[family.name] = time.perf_counter() - t0
     diags.sort(key=lambda d: (d.file or "", d.line or 0, -int(d.severity), d.code))
     return AnalysisReport(tuple(diags))
 

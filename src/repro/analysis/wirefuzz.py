@@ -1,9 +1,7 @@
-"""Differential fuzz harness: the one codec-symmetry oracle.
+"""Differential fuzz harness: the codec-symmetry and decode-safety oracle.
 
-:mod:`repro.analysis.wireformat` checks decode safety *statically*
-(WIRE002); this module checks symmetry and decode safety at run time,
-from an importing registry of the codec pairs, with deterministic,
-seeded inputs:
+This module checks every shipped codec pair at run time, from an
+importing registry of the pairs, with deterministic, seeded inputs:
 
 * **round-trip** — ``decode(encode(v))`` must equal ``v`` for sampled
   valid values;
@@ -14,11 +12,8 @@ seeded inputs:
 * **seeded bit flips** — randomly corrupted copies of valid encodings
   must likewise never escape the declared error class.
 
-Every failure is cross-checked against the static analyzer: a crash in a
-file the WIRE pass already flagged is a *confirmed* static finding; a
-crash in a WIRE-clean file is a gap in the static abstraction worth a
-rule or corpus entry.  CI runs ``python -m repro.analysis.wirefuzz
---seed 1337`` and fails on any crash or round-trip mismatch.
+CI runs ``python -m repro.analysis.wirefuzz --seed 1337`` and fails on
+any crash or round-trip mismatch.
 
 Determinism: per-pair seeds mix the CLI seed with ``zlib.crc32`` of the
 pair name (never ``hash()``, which is process-randomized), so runs are
@@ -28,7 +23,6 @@ reproducible across machines and interpreter launches.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 import zlib
@@ -45,11 +39,6 @@ __all__ = [
     "main",
 ]
 
-_SRC_ROOT = os.path.dirname(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-)
-
-
 @dataclass(frozen=True)
 class FuzzCodecPair:
     """One registered encoder/decoder pair with its value sampler.
@@ -65,8 +54,6 @@ class FuzzCodecPair:
     decode: Callable[[bytes], Any]
     sample: Callable[[random.Random], Any]
     expected_errors: tuple[type, ...]
-    #: source file the static WIRE pass would flag for this codec
-    static_file: str
     equal: Callable[[Any, Any], bool] = lambda a, b: a == b
 
 
@@ -75,7 +62,6 @@ class FuzzFailure:
     pair: str
     property: str  # "round-trip" | "truncation" | "bit-flip"
     detail: str
-    static_file: str
 
 
 @dataclass
@@ -236,7 +222,6 @@ def default_registry() -> list[FuzzCodecPair]:
     from ..snmp import ber, pdu
     from ..snmp.errors import SnmpProtocolError
 
-    events_file = os.path.join(_SRC_ROOT, "repro", "core", "events.py")
     pairs: list[FuzzCodecPair] = []
     for cls_name in sorted(ev.__all__):
         cls = getattr(ev, cls_name)
@@ -249,7 +234,6 @@ def default_registry() -> list[FuzzCodecPair]:
                 decode=cls.from_body,
                 sample=_event_sampler(cls),
                 expected_errors=(ev.EventError,),
-                static_file=events_file,
             )
         )
 
@@ -271,7 +255,6 @@ def default_registry() -> list[FuzzCodecPair]:
             decode=rtp.RtpPacket.decode,
             sample=sample_rtp,
             expected_errors=(rtp.RtpError,),
-            static_file=os.path.join(_SRC_ROOT, "repro", "messaging", "rtp.py"),
         )
     )
 
@@ -290,7 +273,6 @@ def default_registry() -> list[FuzzCodecPair]:
                 chunks=tuple(sample_chunk(rng) for _ in range(rng.randrange(1, 4))),
             ),
             expected_errors=(ImagePacketError,),
-            static_file=os.path.join(_SRC_ROOT, "repro", "media", "progressive.py"),
         )
     )
 
@@ -321,7 +303,6 @@ def default_registry() -> list[FuzzCodecPair]:
             decode=assemble,
             sample=sample_geometry,
             expected_errors=(ev.EventError, ImagePacketError),
-            static_file=os.path.join(_SRC_ROOT, "repro", "media", "progressive.py"),
             equal=lambda a, r: (a.height, a.width, a.channels, a.levels, a.t0_exps, a.n_packets)
             == (r.height, r.width, r.n_channels, r.levels, r.t0_exps, r.n_packets),
         )
@@ -333,9 +314,6 @@ def default_registry() -> list[FuzzCodecPair]:
             decode=decode_message,
             sample=_sample_message,
             expected_errors=(WireError,),
-            static_file=os.path.join(
-                _SRC_ROOT, "repro", "messaging", "serialization.py"
-            ),
             equal=_message_equal,
         )
     )
@@ -359,7 +337,6 @@ def default_registry() -> list[FuzzCodecPair]:
             decode=lambda data: decode_sketch(data, (32, 32)),
             sample=sample_sketch,
             expected_errors=(SketchError,),
-            static_file=os.path.join(_SRC_ROOT, "repro", "media", "sketch.py"),
             equal=lambda a, mask: bool(np.array_equal(a.mask, mask)),
         )
     )
@@ -377,7 +354,6 @@ def default_registry() -> list[FuzzCodecPair]:
             decode=decode_ber,
             sample=_sample_ber,
             expected_errors=(ber.BerError,),
-            static_file=os.path.join(_SRC_ROOT, "repro", "snmp", "ber.py"),
         )
     )
     pairs.append(
@@ -387,7 +363,6 @@ def default_registry() -> list[FuzzCodecPair]:
             decode=pdu.SnmpMessage.from_bytes,
             sample=_sample_snmp_message,
             expected_errors=(ber.BerError, SnmpProtocolError),
-            static_file=os.path.join(_SRC_ROOT, "repro", "snmp", "pdu.py"),
         )
     )
     return pairs
@@ -426,7 +401,6 @@ def fuzz_pair(pair: FuzzCodecPair, *, seed: int, rounds: int = 8) -> FuzzReport:
                 detail=f"{type(exc).__name__}: {exc} (input {data[:40].hex()}…)"
                 if len(data) > 40
                 else f"{type(exc).__name__}: {exc} (input {data.hex()})",
-                static_file=pair.static_file,
             )
         )
 
@@ -445,7 +419,6 @@ def fuzz_pair(pair: FuzzCodecPair, *, seed: int, rounds: int = 8) -> FuzzReport:
                     pair=pair.name,
                     property="round-trip",
                     detail=f"decode(encode(v)) != v: {value!r} -> {decoded!r}",
-                    static_file=pair.static_file,
                 )
             )
         for k in range(len(data)):
@@ -479,31 +452,6 @@ def fuzz_registry(*, seed: int = 1337, rounds: int = 8) -> FuzzReport:
     return report
 
 
-def _cross_check(failures: list[FuzzFailure]) -> list[str]:
-    """Relate runtime crashes to the static pass's current findings."""
-    from .wireformat import wire_file
-
-    lines = []
-    flagged_cache: dict[str, bool] = {}
-    for f in failures:
-        flagged = flagged_cache.get(f.static_file)
-        if flagged is None:
-            try:
-                flagged = any(
-                    d.code == "WIRE002" for d in wire_file(f.static_file)
-                )
-            except OSError:
-                flagged = False
-            flagged_cache[f.static_file] = flagged
-        verdict = (
-            "confirms a static WIRE002 finding"
-            if flagged
-            else "NOT predicted by the static pass — abstraction gap"
-        )
-        lines.append(f"  [{f.pair}] {f.property}: {f.detail} ({verdict})")
-    return lines
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.analysis.wirefuzz",
@@ -521,8 +469,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     if report.failures:
         print(f"{len(report.failures)} FAILURE(S):", file=sys.stderr)
-        for line in _cross_check(report.failures):
-            print(line, file=sys.stderr)
+        for f in report.failures:
+            print(f"  [{f.pair}] {f.property}: {f.detail}", file=sys.stderr)
         return 1
     print("all codecs total: no uncaught decoder exception, round-trips exact")
     return 0

@@ -349,7 +349,7 @@ class BaseStation:
     def _unicast_event(self, event: Event, dest: tuple[str, int]) -> None:
         msg = event.to_message(
             sender=self.name,
-            selector="true",  # repro: ignore[SEL002] -- deliberate: explicit unicast dest
+            selector="true",  # deliberate: explicit unicast dest
         )
         try:
             self.radio.send(msg, dest)

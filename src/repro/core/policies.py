@@ -200,10 +200,6 @@ class PolicyDatabase:
     def sir_policy(self) -> SirTierPolicy:
         return self._sir
 
-    @property
-    def step_policies(self) -> dict[str, StepPolicy]:
-        return dict(self._step)
-
     def decide_packets(
         self, observed: dict[str, float], degraded: bool = False
     ) -> Optional[int]:

@@ -672,6 +672,5 @@ def parse(text: str) -> Selector:
     return Selector(text)
 
 
-#: Matches every profile — broadcast to the whole session.  The vacuity
-#: (tautology) warning is intentional here: this selector *is* broadcast.
-TRUE_SELECTOR = Selector("true")  # repro: ignore[SEL002]
+#: Matches every profile — broadcast to the whole session.
+TRUE_SELECTOR = Selector("true")

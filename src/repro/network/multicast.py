@@ -88,18 +88,12 @@ class MulticastGroup:
         return list(self._members)
 
     def fan_out(self, data: bytes, sender: "MulticastSocket") -> int:
-        """Deliver ``data`` to every member but the sender; returns datagrams scheduled.
-
-        Either way the sender's own :class:`DatagramSocket` counts what
-        leaves the host in ``sent_datagrams``: one per member flat, one
-        per group send over a tree.
-        """
+        """Deliver ``data`` to every member but the sender; returns datagrams scheduled."""
         me = (sender.host, sender.local_port)
         targets = [key for key in self._members if key != me]
         if self.fabric is None:
             return sum(sender._sock.sendto(data, key) for key in targets)
         packet = Packet(sender.host, sender.local_port, self.group, self.port, bytes(data))
-        sender._sock.sent_datagrams += 1
         return self.fabric.cast(self.group, packet, targets)
 
 

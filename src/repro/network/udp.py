@@ -71,9 +71,6 @@ class DatagramSocket:
         self.port: Optional[int] = None
         self.on_receive: Optional[Callable[[bytes, tuple[Address, int]], None]] = None
         self._closed = False
-        # per-socket counters (exported via host instrumentation)
-        self.sent_datagrams = 0
-        self.received_datagrams = 0
 
     # ------------------------------------------------------------------
     def bind(self, port: int) -> None:
@@ -136,11 +133,9 @@ class DatagramSocket:
             self.bind_ephemeral()
         host, port = dest
         pkt = Packet(self.host, self.port, host, port, bytes(data))
-        self.sent_datagrams += 1
         return self.network.send(pkt)
 
     def _deliver(self, packet: Packet) -> None:
-        self.received_datagrams += 1
         on_receive = self.on_receive
         if on_receive is not None:
             on_receive(packet.payload, (packet.src, packet.src_port))

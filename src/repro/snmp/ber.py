@@ -451,11 +451,11 @@ def _decode(data: bytes, offset: int, limit: int, depth: int) -> tuple[BerValue,
         raise BerError(f"constructed TLVs nested deeper than {_MAX_NESTING}")
     if offset >= limit:
         raise BerError("truncated TLV: no tag")
-    tag = data[offset]  # repro: ignore[WIRE002] -- offset < limit <= len(data)
+    tag = data[offset]  # offset < limit <= len(data)
     pos = offset + 1
     if pos >= limit:
         raise BerError("truncated length")
-    length = data[pos]  # repro: ignore[WIRE002] -- pos < limit <= len(data)
+    length = data[pos]  # pos < limit <= len(data)
     if length < 0x80:
         pos += 1
     else:  # long form; length octets running past limit fail the check below

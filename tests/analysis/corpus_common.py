@@ -1,14 +1,14 @@
 """The golden-corpus gate, one table for every family.
 
-Each corpus directory (``corpus_perf``, ``corpus_wire``, ...) holds
+Each corpus directory (``corpus_perf``, ``corpus_concurrency``) holds
 known-bad files, known-good twins and a checked-in
 ``expected_diagnostics.json``.  The gate runs one analyzer entry point
 over the directory, compares against the golden set, and insists the
 known-good twins stay silent::
 
     python tests/analysis/corpus_common.py                  # every family
-    python tests/analysis/corpus_common.py perf wire        # just these
-    python tests/analysis/corpus_common.py --update wire    # regenerate
+    python tests/analysis/corpus_common.py perf             # just this one
+    python tests/analysis/corpus_common.py --update perf    # regenerate
 
 Regenerate an expectation (``--update``) only after intentionally
 changing a rule or the corpus.
@@ -26,7 +26,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 CORPORA = {
     "perf": ("analyze_hotpath", ("perf_clean.py",)),
     "concurrency": ("analyze_concurrency", ("locks_clean.py", "races_clean.py")),
-    "wire": ("analyze_wireformat", ("wire_clean.py",)),
 }
 
 

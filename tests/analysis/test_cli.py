@@ -2,75 +2,84 @@
 
 import json
 
+import pytest
+
 from repro.analysis import RULES
 from repro.analysis.__main__ import main
 
 from .test_dataflow_corpus import BAD_UNITS
+from .test_repo_lint import BARE_EXCEPT, TRANSPORT_CONSTRUCTION
 
-UNSAT = "load > 80 and load < 20"
+
+@pytest.fixture
+def error_file(tmp_path):
+    """A file with one error: LNT003, a transport built outside messaging/."""
+    bad = tmp_path / "bad.py"
+    bad.write_text(TRANSPORT_CONSTRUCTION)
+    return str(bad)
+
+
+@pytest.fixture
+def clean_file(tmp_path):
+    good = tmp_path / "good.py"
+    good.write_text("x = 1\n")
+    return str(good)
 
 
 class TestExitCodes:
-    def test_clean_run_exits_zero(self, capsys):
-        assert main(["--selector", "load > 80"]) == 0
+    def test_clean_run_exits_zero(self, clean_file, capsys):
+        assert main([clean_file]) == 0
         out = capsys.readouterr().out
         assert "0 error(s)" in out
 
-    def test_error_diagnostic_fails_gate(self, capsys):
-        assert main(["--selector", UNSAT]) == 1
-        assert "SEL001" in capsys.readouterr().out
+    def test_error_diagnostic_fails_gate(self, error_file, capsys):
+        assert main([error_file]) == 1
+        assert "LNT003" in capsys.readouterr().out
 
-    def test_fail_on_never_always_exits_zero(self, capsys):
-        assert main(["--selector", UNSAT, "--fail-on", "never"]) == 0
+    def test_fail_on_never_always_exits_zero(self, error_file, capsys):
+        assert main([error_file, "--fail-on", "never"]) == 0
 
-    def test_fail_on_warning_catches_tautology(self, capsys):
-        # vacuous selector is only a warning: passes the default gate,
-        # fails the stricter one
-        assert main(["--selector", "x == 1 or not x == 1"]) == 0
-        assert main(["--selector", "x == 1 or not x == 1", "--fail-on", "warning"]) == 1
+    def test_fail_on_warning_catches_a_warning(self, tmp_path, capsys):
+        # a bare except off the dispatch paths is only a warning: it
+        # passes the default gate, fails the stricter one
+        bad = tmp_path / "util.py"
+        bad.write_text(BARE_EXCEPT)
+        assert main([str(bad)]) == 0
+        assert main([str(bad), "--fail-on", "warning"]) == 1
 
-    def test_ignore_drops_the_rule(self, capsys):
-        assert main(["--selector", UNSAT, "--ignore", "SEL001"]) == 0
+    def test_ignore_drops_the_rule(self, error_file, capsys):
+        assert main([error_file, "--ignore", "LNT003"]) == 0
 
 
 class TestOutput:
-    def test_text_output_has_summary_line(self, capsys):
-        main(["--selector", UNSAT, "--fail-on", "never"])
+    def test_text_output_has_summary_line(self, error_file, capsys):
+        main([error_file, "--fail-on", "never"])
         out = capsys.readouterr().out
-        assert "error: SEL001" in out
+        assert "error: LNT003" in out
         assert "analysis: 1 error(s)" in out
 
-    def test_json_output_is_machine_readable(self, capsys):
-        main(["--selector", UNSAT, "--format", "json", "--fail-on", "never"])
+    def test_json_output_is_machine_readable(self, error_file, capsys):
+        main([error_file, "--format", "json", "--fail-on", "never"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"]["error"] == 1
         assert payload["worst"] == "error"
-        assert payload["diagnostics"][0]["code"] == "SEL001"
+        assert payload["diagnostics"][0]["code"] == "LNT003"
 
-    def test_json_clean_run(self, capsys):
-        main(["--selector", "load > 80", "--format", "json"])
+    def test_json_clean_run(self, clean_file, capsys):
+        main([clean_file, "--format", "json"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["counts"] == {"error": 0, "warning": 0, "info": 0}
         assert payload["worst"] is None
 
 
 class TestPaths:
-    def test_explicit_path_is_linted(self, tmp_path, capsys):
-        bad = tmp_path / "bad.py"
-        bad.write_text('sel = Selector("role == \'a\' and role == \'b\'")\n')
-        assert main([str(bad)]) == 1
+    def test_explicit_path_is_linted(self, error_file, capsys):
+        assert main([error_file]) == 1
         out = capsys.readouterr().out
-        assert "SEL001" in out and "bad.py" in out
+        assert "LNT003" in out and "bad.py" in out
 
-    def test_clean_path_passes(self, tmp_path, capsys):
-        good = tmp_path / "good.py"
-        good.write_text('sel = Selector("role == \'medic\'")\n')
-        assert main([str(good)]) == 0
-
-    def test_no_defaults_skips_policy_lint(self, tmp_path, capsys):
-        good = tmp_path / "good.py"
-        good.write_text("x = 1\n")
-        assert main([str(good), "--no-defaults"]) == 0
+    def test_clean_path_passes(self, clean_file, capsys):
+        assert main([clean_file]) == 0
         out = capsys.readouterr().out
         assert "0 error(s), 0 warning(s), 0 info(s)" in out
 
@@ -83,19 +92,19 @@ class TestGraphFamily:
     def test_graph_finding_gates(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(UNIT_MIX)
-        assert main([str(bad), "--no-defaults", "--fail-on", "warning"]) == 1
+        assert main([str(bad), "--fail-on", "warning"]) == 1
         assert "UNI001" in capsys.readouterr().out
 
     def test_ignore_silences_the_graph_rule(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(UNIT_MIX)
-        assert main([str(bad), "--no-defaults", "--fail-on", "warning", "--ignore", "UNI001"]) == 0
+        assert main([str(bad), "--fail-on", "warning", "--ignore", "UNI001"]) == 0
         assert "UNI001" not in capsys.readouterr().out
 
     def test_graph_findings_reach_sarif(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text(UNIT_MIX)
-        main([str(bad), "--no-defaults", "--format", "sarif", "--fail-on", "never"])
+        main([str(bad), "--format", "sarif", "--fail-on", "never"])
         sarif = json.loads(capsys.readouterr().out)
         results = sarif["runs"][0]["results"]
         assert any(r["ruleId"] == "UNI001" for r in results)
@@ -113,7 +122,7 @@ class TestExplain:
         assert main(["--explain", "UNI001", "RACE002"]) == 0
         out = capsys.readouterr().out
         assert "UNI001" in out and "RACE002" in out
-        assert "SEL001" not in out
+        assert "LNT001" not in out
 
     def test_explain_unknown_code_fails(self, capsys):
         assert main(["--explain", "NOPE99"]) == 2

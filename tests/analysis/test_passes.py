@@ -19,22 +19,15 @@ from .corpus_common import CORPORA, HERE
 from .test_dataflow_corpus import BAD_EXC, BAD_UNITS
 from .test_repo_lint import BARE_EXCEPT, MUTABLE_DEFAULT, TRANSPORT_CONSTRUCTION
 
-SOURCE_FAMILY_PREFIXES = ("UNI", "EXC", "PERF", "DLK", "RACE", "WIRE", "LNT")
-
-#: every source-tree rule, by the family that owns it — each one fired on
-#: the shipped tree in some commit, or shares its machinery with one that
-#: did (the census in docs/analysis.md)
+#: every rule, by the family that owns it — each one fired on the shipped
+#: tree in some commit, or shares its machinery with one that did (the
+#: census in docs/analysis.md)
 OWNED = {
     "repo-lint": {"LNT001", "LNT002", "LNT003"},
-    "wire": {"WIRE002"},
     "dataflow": {"UNI001", "UNI002", "UNI003", "UNI004", "UNI005", "EXC001", "EXC002", "EXC003"},
     "perf": {"PERF001", "PERF004"},
     "concurrency": {"DLK001", "DLK002", "DLK003", "RACE001", "RACE002", "RACE003"},
 }
-
-#: configuration rules: selectors (extracted from source by repo-lint, and
-#: checked at attach time) and policies
-CONFIG = {"SEL001", "SEL002", "SEL003", "SEL004", "SEL006"} | {f"POL00{i}" for i in range(1, 5)}
 
 
 class TestRegistry:
@@ -42,16 +35,13 @@ class TestRegistry:
         for code in RULES:
             prefix = re.match(r"[A-Z]+", code).group()
             owners = [f.name for f in FAMILIES if prefix in f.prefixes]
-            if prefix in SOURCE_FAMILY_PREFIXES:
-                assert len(owners) == 1, (code, owners)
-            else:  # SEL rides repo-lint's literal extraction; POL is not a source rule
-                assert len(owners) <= 1, (code, owners)
+            assert len(owners) == 1, (code, owners)
 
     def test_rules_are_exactly_the_family_codes_plus_config_rules(self):
-        assert set(RULES) == set().union(*OWNED.values()) | CONFIG
-        assert len(RULES) == 29
+        assert set(RULES) == set().union(*OWNED.values())
+        assert len(RULES) == 19
         for family in FAMILIES:
-            owned = {c for c in RULES if c.startswith(family.prefixes)} - CONFIG
+            owned = {c for c in RULES if c.startswith(family.prefixes)}
             assert owned == OWNED[family.name], family.name
 
     def test_every_source_rule_fires_in_a_corpus(self):
@@ -92,7 +82,7 @@ class TestRegistry:
 
     def test_profile_prints_one_timing_per_row(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("x = 1\n")
-        assert main([str(tmp_path), "--no-defaults", "--profile"]) == 0
+        assert main([str(tmp_path), "--profile"]) == 0
         line = capsys.readouterr().err.strip().splitlines()[-1]
         assert line.startswith("profile: ")
         for family in FAMILIES:
@@ -107,7 +97,7 @@ class TestRegistry:
             passes, "parse_suppressions", lambda src: calls.append(1) or real(src)
         )
         (tmp_path / "clean.py").write_text("x = 1\n")  # no finding: never parsed
-        report = run_analysis([str(tmp_path)], include_defaults=False)
+        report = run_analysis([str(tmp_path)])
         assert report.diagnostics == ()  # the suppression was honoured
         assert len(calls) == 3  # once per file with a finding, not per family
 

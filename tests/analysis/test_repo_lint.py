@@ -1,13 +1,8 @@
-"""Repo lint rules (LNT00x), selector extraction, and inline suppression."""
+"""Repo lint rules (LNT00x) and inline suppression."""
 
 import os
 
-from repro.analysis import (
-    Severity,
-    extract_selector_literals,
-    lint_paths,
-    lint_source,
-)
+from repro.analysis import Severity, lint_paths, lint_source
 
 BARE_EXCEPT = (
     "try:\n"
@@ -91,34 +86,9 @@ class TestTransportInjection:
         assert lint_source(self.WIRE_STACK_COPY, "src/repro/messaging/transport.py") == []
 
 
-class TestSelectorExtraction:
-    def test_unsat_selector_literal_located(self):
-        source = 'from repro.core.selectors import Selector\n\nsel = Selector("load > 80 and load < 20")\n'
-        diags = lint_source(source, "examples/demo.py")
-        assert any(d.code == "SEL001" and d.line == 3 for d in diags)
-
-    def test_interest_keyword_extracted(self):
-        source = 'profile = ClientProfile("c", interest="x == 1 and x == 2")\n'
-        assert any(d.code == "SEL001" for d in lint_source(source, "a.py"))
-
-    def test_message_create_second_arg_extracted(self):
-        source = 'msg = SemanticMessage.create("me", "role == \'medic\' and role == \'clerk\'", {})\n'
-        assert any(d.code == "SEL001" for d in lint_source(source, "a.py"))
-
-    def test_non_constant_arguments_skipped(self):
-        source = "sel = Selector(build_text())\nother = Selector(text)\n"
-        assert lint_source(source, "a.py") == []
-
-    def test_extraction_helper_yields_positions(self):
-        import ast
-
-        tree = ast.parse('x = Selector("true")\n')
-        assert list(extract_selector_literals(tree)) == [("true", 1, 14)]
-
-
 class TestSuppression:
     def test_named_code_suppressed_on_line(self):
-        source = 'sel = Selector("true")  # repro: ignore[SEL002]\n'
+        source = "def f(x=[]):  # repro: ignore[LNT002]\n    return x\n"
         assert lint_source(source, "a.py") == []
 
     def test_bare_ignore_suppresses_everything(self):
@@ -126,8 +96,8 @@ class TestSuppression:
         assert lint_source(source, "examples/demo.py") == []
 
     def test_other_codes_still_reported(self):
-        source = 'sel = Selector("x == 1 and x == 2")  # repro: ignore[SEL002]\n'
-        assert any(d.code == "SEL001" for d in lint_source(source, "a.py"))
+        source = "def f(x=[]):  # repro: ignore[LNT001]\n    return x\n"
+        assert [d.code for d in lint_source(source, "a.py")] == ["LNT002"]
 
     def test_programmatic_ignore(self):
         diags = lint_source(BARE_EXCEPT, "src/repro/messaging/b.py", ignore=["LNT001"])
@@ -144,12 +114,12 @@ class TestFileWalk:
     def test_lint_paths_walks_directories(self, tmp_path):
         pkg = tmp_path / "pkg"
         pkg.mkdir()
-        (pkg / "bad.py").write_text('s = Selector("load > 80 and load < 20")\n')
+        (pkg / "bad.py").write_text(MUTABLE_DEFAULT)
         (pkg / "good.py").write_text("x = 1\n")
         (pkg / "__pycache__").mkdir()
         (pkg / "__pycache__" / "junk.py").write_text("def broken(:\n")
         diags = lint_paths([str(tmp_path)])
-        assert any(d.code == "SEL001" for d in diags)
+        assert [d.code for d in diags] == ["LNT002"]
         assert not any("__pycache__" in (d.file or "") for d in diags)
 
     def test_lint_paths_accepts_single_file(self, tmp_path):

@@ -18,7 +18,7 @@ class TestSarif:
         run = log["runs"][0]
         assert run["tool"]["driver"]["name"] == "repro-analysis"
         rule_ids = {r["id"] for r in run["tool"]["driver"]["rules"]}
-        assert {"UNI001", "EXC001", "DLK001", "SEL001"} <= rule_ids
+        assert {"UNI001", "EXC001", "DLK001", "LNT001"} <= rule_ids
 
     def test_result_levels_and_location(self):
         log = json.loads(
@@ -32,7 +32,7 @@ class TestSarif:
         assert loc["region"] == {"startLine": 10, "startColumn": 3}
 
     def test_diagnostic_without_file_still_renders(self):
-        d = Diagnostic("SEL001", Severity.ERROR, "unsatisfiable", subject="sel")
+        d = Diagnostic("LNT001", Severity.ERROR, "file does not parse", subject="sel")
         results = json.loads(render_sarif([d]))["runs"][0]["results"]
         assert "locations" not in results[0]
         assert "[sel]" in results[0]["message"]["text"]
@@ -48,16 +48,16 @@ class TestCli:
     def test_sarif_format_emits_valid_json(self, tmp_path, capsys):
         bad = tmp_path / "units.py"
         bad.write_text(BAD_SOURCE)
-        main([str(bad), "--no-defaults", "--format", "sarif", "--fail-on", "never"])
+        main([str(bad), "--format", "sarif", "--fail-on", "never"])
         log = json.loads(capsys.readouterr().out)
         assert {r["ruleId"] for r in log["runs"][0]["results"]} >= {"UNI001"}
 
     def test_ignore_silences_the_dataflow_rule(self, tmp_path, capsys):
         bad = tmp_path / "units.py"
         bad.write_text(BAD_SOURCE)
-        assert main([str(bad), "--no-defaults", "--fail-on", "warning"]) == 1
+        assert main([str(bad), "--fail-on", "warning"]) == 1
         assert (
-            main([str(bad), "--no-defaults", "--fail-on", "warning", "--ignore", "UNI001"])
+            main([str(bad), "--fail-on", "warning", "--ignore", "UNI001"])
             == 0
         )
 

@@ -18,7 +18,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis import wirefuzz
-from repro.analysis.wireformat import _discover_pairs
 from repro.analysis.wirefuzz import (
     FuzzCodecPair,
     default_registry,
@@ -31,17 +30,47 @@ REGISTRY = default_registry()
 
 SRC_REPRO = os.path.normpath(os.path.join(os.path.dirname(__file__), "..", "..", "src", "repro"))
 
-#: files with a discovered codec pair that no registered pair fuzzes -> why
+#: codec module -> the name prefix of the registered pairs that fuzz it
+FUZZED = {
+    os.path.join("core", "events.py"): "events.",
+    os.path.join("messaging", "rtp.py"): "rtp.",
+    os.path.join("messaging", "serialization.py"): "serialization.",
+    os.path.join("media", "progressive.py"): "progressive.",
+    os.path.join("media", "sketch.py"): "sketch.",
+    os.path.join("snmp", "ber.py"): "ber.",
+    os.path.join("snmp", "pdu.py"): "snmp.",
+}
+
+#: files with a codec pair that no registered pair fuzzes -> why
 UNFUZZED = {
     os.path.join("media", "ezw.py"): "array <-> EzwEncoded, not bytes; its bits are fuzzed in ImagePacket",
 }
 
+PAIR_NAMES = (("to_bytes", "from_bytes"), ("to_body", "from_body"), ("encode", "decode"))
+
+
+def defines_codec_pair(tree):
+    """Whether a module defines an encoder/decoder pair by naming convention:
+    a class with ``to_bytes``/``from_bytes``, ``to_body``/``from_body`` or
+    ``encode``/``decode``, or module functions ``encode_X``/``decode_X`` or
+    ``X_encode``/``X_decode``."""
+    functions = {n.name for n in tree.body if isinstance(n, ast.FunctionDef)}
+    for cls in (n for n in tree.body if isinstance(n, ast.ClassDef)):
+        methods = {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        if any(enc in methods and dec in methods for enc, dec in PAIR_NAMES):
+            return True
+    return any(
+        (name.startswith("encode") and "decode" + name[6:] in functions)
+        or (name.endswith("_encode") and name[:-7] + "_decode" in functions)
+        for name in functions
+    )
+
 
 class TestRegistry:
     def test_covers_every_shipped_codec_family(self):
-        """A new codec cannot ship unfuzzed: every ``src/repro`` file in
-        which static discovery finds a codec pair is some registered
-        pair's ``static_file``, or is listed in :data:`UNFUZZED`."""
+        """A new codec cannot ship unfuzzed: every ``src/repro`` file that
+        defines a codec pair is fuzzed by some registered pair, or is
+        listed in :data:`UNFUZZED`."""
         assert len({p.name for p in REGISTRY}) == len(REGISTRY), "duplicate pair names"
         discovered = set()
         for dirpath, _, files in os.walk(SRC_REPRO):
@@ -49,11 +78,11 @@ class TestRegistry:
                 path = os.path.join(dirpath, name)
                 if name.endswith(".py"):
                     with open(path, encoding="utf-8") as fh:
-                        if _discover_pairs(ast.parse(fh.read())):
+                        if defines_codec_pair(ast.parse(fh.read())):
                             discovered.add(os.path.relpath(path, SRC_REPRO))
-        fuzzed = {os.path.relpath(p.static_file, SRC_REPRO) for p in REGISTRY}
-        assert discovered - fuzzed == set(UNFUZZED)
-        assert fuzzed <= discovered
+        assert discovered == set(FUZZED) | set(UNFUZZED)
+        for prefix in FUZZED.values():
+            assert any(p.name.startswith(prefix) for p in REGISTRY), prefix
 
     def test_every_event_class_is_registered(self):
         from repro.core import events as ev
@@ -79,10 +108,6 @@ class TestRegistry:
                     " UnicodeDecodeError-style crashes"
                 )
 
-    def test_static_files_exist(self):
-        for pair in REGISTRY:
-            assert os.path.exists(pair.static_file), pair.name
-
 
 class TestHarnessMechanics:
     @staticmethod
@@ -94,7 +119,6 @@ class TestHarnessMechanics:
             decode=lambda raw: struct.unpack(">I", raw)[0],
             sample=lambda rng: rng.randrange(2**32),
             expected_errors=(KeyError,),  # struct.error is NOT declared
-            static_file="does-not-matter.py",
         )
 
     def test_broken_codec_is_caught(self):
@@ -114,7 +138,6 @@ class TestHarnessMechanics:
             decode=lambda raw: struct.unpack(">H", raw[:2])[0],  # drops half
             sample=lambda rng: rng.randrange(2**32),
             expected_errors=(KeyError,),
-            static_file="does-not-matter.py",
         )
         report = fuzz_pair(pair, seed=1, rounds=2)
         assert any(f.property == "round-trip" for f in report.failures)
@@ -136,22 +159,21 @@ class TestHarnessMechanics:
         out = capsys.readouterr().out
         assert "no uncaught decoder exception" in out
 
-    def test_main_reports_failures_against_the_static_pass(self, monkeypatch, capsys):
-        """Each crash is printed with whether WIRE002 flags its file: one
-        pair points at the known-bad corpus, one at a file that is gone."""
-        wire_bad = os.path.join(os.path.dirname(__file__), "corpus_wire", "wire_bad.py")
-        flagged = dataclasses.replace(self._broken_pair(), name="test.flagged", static_file=wire_bad)
-        unread = dataclasses.replace(self._broken_pair(), name="test.unread", static_file="missing.py")
-        monkeypatch.setattr(wirefuzz, "default_registry", lambda: [flagged, unread])
+    def test_main_reports_each_failure(self, monkeypatch, capsys):
+        """Each crash is printed with its pair, property and input."""
+        first = dataclasses.replace(self._broken_pair(), name="test.first")
+        second = dataclasses.replace(self._broken_pair(), name="test.second")
+        monkeypatch.setattr(wirefuzz, "default_registry", lambda: [first, second])
         assert main(["--seed", "1", "--rounds", "1"]) == 1
         out, err = capsys.readouterr()
         assert out.startswith("fuzzed 2 codec pair(s): 2 round-trips")
-        header, first, second = err.splitlines()
+        header, *lines = err.splitlines()
         assert header == "2 FAILURE(S):"
-        assert first.startswith("  [test.flagged] truncation: error: ")
-        assert first.endswith("(confirms a static WIRE002 finding)")
-        assert second.startswith("  [test.unread] truncation: error: ")
-        assert second.endswith("(NOT predicted by the static pass — abstraction gap)")
+        assert [line.split(": error: ")[0] for line in lines] == [
+            "  [test.first] truncation",
+            "  [test.second] truncation",
+        ]
+        assert all("(input " in line for line in lines)
 
     def test_ci_command_runs_clean_in_a_fresh_process(self):
         """CI's ``python -m repro.analysis.wirefuzz --seed 1337`` warns of

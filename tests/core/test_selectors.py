@@ -185,6 +185,32 @@ class TestProperties:
         assert TRUE_SELECTOR.matches(env)
 
 
+#: one profile per kind of value ``x`` can hold, and one without ``x``
+PROFILES = [{}, {"x": True}, {"x": False}, {"x": 0}, {"x": 1}, {"x": "a"}, {"x": ["a"]}, {"x": 5.5}]
+
+
+@pytest.mark.parametrize("text", [
+    "exists(x) and not exists(x)",
+    "x and not x",
+    "x == true and not x",
+    "not exists(x) and x",
+    "not exists(x) and x > 0",
+])
+def test_contradiction_matches_no_profile(text):
+    """``exists(x)`` and a bare boolean ``x`` combine like propositions."""
+    assert not any(Selector(text).matches(p) for p in PROFILES)
+
+
+@pytest.mark.parametrize("text", [
+    "exists(x) or not exists(x)",
+    "x or not x",
+    "x > 0 or not x > 0",
+    "x contains 'a' or not x contains 'a'",
+])
+def test_excluded_middle_matches_every_profile(text):
+    assert all(Selector(text).matches(p) for p in PROFILES)
+
+
 class TestErrorPositions:
     """Regression: SelectorError carries the offending token's span."""
 

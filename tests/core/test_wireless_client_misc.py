@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.events import ChatEvent
 from repro.core.framework import CollaborationFramework
+from repro.core.matching import Decision, interpret
 
 
 @pytest.fixture
@@ -15,6 +16,22 @@ def cell():
     wired.join()
     fw.run_for(0.2)
     return fw, wired, bs, w
+
+
+def test_uplink_is_addressed_to_the_base_station(cell):
+    """What a mobile sends up the radio names its base station: the BS's
+    own profile accepts it, a wired peer's refuses it."""
+    _, wired, bs, w = cell
+    sent = []
+    send = w.link.send
+    w.link.send = lambda message, dest: sent.append(message) or send(message, dest)
+    w.send_event(ChatEvent(author="w", text="up"))
+    w.report_channel_state()
+    assert [m.kind for m in sent] == ["chat", "profile-update"]
+    for msg in sent:
+        headers = msg.effective_headers()
+        assert interpret(msg.selector, headers, bs.profile).decision is Decision.ACCEPT
+        assert interpret(msg.selector, headers, wired.profile).decision is Decision.REJECT
 
 
 class TestChannelReporting:

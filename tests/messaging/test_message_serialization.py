@@ -91,6 +91,11 @@ class TestWireCodec:
         with pytest.raises(WireError):
             decode_message(corrupted)
 
+    def test_overlong_varint_rejected(self):
+        # the id length's varint runs ten continuation bytes: past 64 bits
+        with pytest.raises(WireError, match="varint too long"):
+            decode_message(b"SM\x01" + b"\x80" * 10 + b"\x01")
+
     def test_truncated_body_rejected(self):
         m = encode_message(SemanticMessage.create("s", "true", body=b"x" * 100))
         with pytest.raises(WireError):

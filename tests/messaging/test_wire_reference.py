@@ -138,6 +138,7 @@ def test_decode_message_fails_like_reference_on_every_prefix(msg):
 
 @BUDGET
 @given(st.binary(max_size=64).map(lambda tail: b"SM\x01" + tail) | st.binary(max_size=16))
+@example(b"SM\x01" + b"\x80" * 10 + b"\x01")  # a varint past 64 bits
 def test_decode_message_fails_like_reference_on_arbitrary_bytes(data):
     assert alike(outcome(decode_message, data), outcome(reference_decode_message, data))
 

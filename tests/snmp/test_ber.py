@@ -45,6 +45,13 @@ class TestLength:
         with pytest.raises(BerError):
             decode_length(b"\x80", 0)
 
+    @pytest.mark.parametrize("data", [b"", b"\x81", b"\x82\x01"], ids=["empty", "long-1", "long-2"])
+    def test_truncated_length_rejected(self, data):
+        # decode() checks the first length octet itself; a direct call must
+        # refuse a short length with the codec's error, not read past it
+        with pytest.raises(BerError):
+            decode_length(data, 0)
+
     @given(st.integers(min_value=0, max_value=2**24))
     def test_roundtrip(self, n):
         data = encode_length(n)

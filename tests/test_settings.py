@@ -19,14 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import (
-    dataflow,
-    hotpath,
-    policy_lint,
-    repo_lint,
-    selector_analysis,
-    wirefuzz,
-)
+from repro.analysis import dataflow, hotpath, repo_lint, wirefuzz
 from repro.apps.imageviewer import ImageViewer
 from repro.core import (
     basestation,
@@ -61,7 +54,6 @@ PARAMETERS = [
     (inference._snap_packets, "value"),
     (inference._contract_packets, "contract packets"),
     (policies.PolicyDatabase.__init__, "self"),
-    (policy_lint.lint_policy_database, "policies"),
     (progressive.ProgressiveImage.__init__, "self image n_packets target_bpp"),
     (ImageViewer.__init__, "self owner n_packets target_bpp"),
     (ImageViewer.share, "self image_id image"),
@@ -116,10 +108,8 @@ PARAMETERS = [
     (dataflow.compute_return_units, "graph"),
     (dataflow._EscapeAnalyzer.compute, "self"),
     (hotpath.hot_contexts, "graph"),
-    (policy_lint.lint_sir_policy, "policy"),
     (wirefuzz.fuzz_pair, "pair seed rounds"),
     (wirefuzz.fuzz_registry, "seed rounds"),
-    (selector_analysis.analyze_selector, "selector"),
     (repo_lint.lint_findings, "source path"),
     (repo_lint.lint_source, "source path ignore"),
 ]
@@ -181,7 +171,6 @@ CONSTANTS = [
     (rtp, "DEFAULT_MTU", 1400),
     (traps, "CHECK_INTERVAL", 0.5),
     (wirefuzz, "FLIPS_PER_ROUND", 16),
-    (selector_analysis, "MAX_CLAUSES", 256),
 ]
 
 
@@ -200,7 +189,6 @@ def test_constant_keeps_the_old_default(module, name, value):
 
 def test_one_ladder():
     assert inference._PACKET_STEPS == (0, *progressive.PACKET_COUNTS)
-    assert policy_lint.PACKET_STEPS == frozenset(inference._PACKET_STEPS)
 
 
 def test_radio_links_use_the_one_radio():
